@@ -17,14 +17,14 @@ import (
 // meta-benchmark geometry: a deep synthetic catalog (the paper's HPC
 // namespace workload) wide enough that the serial walk's one-PROPFIND-per-
 // directory round trips dominate, plus a single flat 10k-entry collection
-// for the decoder ablation.
+// for the decoder allocation count.
 const (
 	metaDepth    = 3 // directory levels below the root
 	metaDirsPer  = 4 // subdirectories per directory: 1+4+16+64 = 85 dirs
 	metaFilesPer = 3 // files per directory
 	metaConns    = 8 // MaxPerHost = WalkParallelism for the parallel client
 	metaRoot     = "/catalog"
-	metaFlatN    = 10000 // entries in the decoder-ablation collection
+	metaFlatN    = 10000 // entries in the decoder-allocation collection
 )
 
 // buildMetaTree installs the deep synthetic namespace on the env's store
@@ -129,10 +129,8 @@ func metaPropfindResponse(n int) ([]byte, error) {
 }
 
 // metaDecodeAllocs measures client-side allocations per List of a 10k-entry
-// collection against a canned-response replay connection. streaming=true is
-// the PR-3 path (xml token loop straight off the wire); streaming=false
-// reproduces the seed behaviour (body materialized, then xml.Unmarshal).
-func metaDecodeAllocs(streaming bool, repeats int) (float64, error) {
+// collection against a canned-response replay connection.
+func metaDecodeAllocs(repeats int) (float64, error) {
 	resp, err := metaPropfindResponse(metaFlatN)
 	if err != nil {
 		return 0, err
@@ -141,8 +139,7 @@ func metaDecodeAllocs(streaming bool, repeats int) (float64, error) {
 		Dialer: pool.DialerFunc(func(ctx context.Context, addr string) (net.Conn, error) {
 			return &replayConn{resp: resp}, nil
 		}),
-		Strategy:             core.StrategyNone,
-		LegacyPropfindDecode: !streaming,
+		Strategy: core.StrategyNone,
 	})
 	if err != nil {
 		return 0, err
@@ -172,7 +169,7 @@ func metaDecodeAllocs(streaming bool, repeats int) (float64, error) {
 
 // Meta measures the PR-3 parallel namespace engine: serial versus
 // concurrent deep-tree walks on the LAN and WAN profiles, plus the
-// streaming-versus-materialized multistatus decoder ablation. Not in the
+// multistatus decoder's allocations per 10k-entry listing. Not in the
 // paper — the paper's davix walks catalogs serially; this quantifies what
 // the §2.2 dynamic pool buys when the metadata path is allowed to use all
 // of it at once. Order identity between the serial and parallel walks is
@@ -185,22 +182,18 @@ func Meta(opts Options) (*Table, error) {
 		w *= metaDirsPer
 	}
 	table := &Table{
-		Title: "Parallel namespace walk: serial vs concurrent PROPFIND, streaming vs seed decode",
+		Title: "Parallel namespace walk: serial vs concurrent PROPFIND",
 		Columns: []string{"link", "serial walk", fmt.Sprintf("parallel(%d conns)", metaConns),
-			"speedup", "allocs/op streaming", "allocs/op seed"},
+			"speedup", "decode allocs/op"},
 		Notes: []string{
-			fmt.Sprintf("tree: %d collections x %d files (depth %d); decode ablation: one %d-entry collection",
+			fmt.Sprintf("tree: %d collections x %d files (depth %d); decode allocs: one List of a %d-entry collection",
 				nDirs, metaFilesPer, metaDepth, metaFlatN),
 			"warm connections (one untimed walk first); allocs measured client-side on a canned-response replay conn",
 			"parallel emission order verified byte-identical to the serial walk",
 		},
 	}
 
-	streamingAllocs, err := metaDecodeAllocs(true, opts.Repeats*2)
-	if err != nil {
-		return nil, err
-	}
-	seedAllocs, err := metaDecodeAllocs(false, opts.Repeats*2)
+	decodeAllocs, err := metaDecodeAllocs(opts.Repeats * 2)
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +215,7 @@ func Meta(opts Options) (*Table, error) {
 			formatDur(serial),
 			formatDur(parallel),
 			fmt.Sprintf("%.2fx", serial.Mean()/parallel.Mean()),
-			fmt.Sprintf("%.0f", streamingAllocs),
-			fmt.Sprintf("%.0f", seedAllocs),
+			fmt.Sprintf("%.0f", decodeAllocs),
 		)
 	}
 	return table, nil

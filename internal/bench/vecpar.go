@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"time"
 
-	"godavix/internal/bufpool"
 	"godavix/internal/core"
 	"godavix/internal/httpserv"
 	"godavix/internal/netsim"
@@ -136,14 +135,8 @@ func vecParResponse(blob []byte, frames []rangev.Frame) ([]byte, error) {
 
 // vecParAllocs measures client-side allocations per vectored read against
 // a canned-response replay connection (no in-process server to muddy the
-// counter). streaming=true is the PR-2 path (streaming scatter + pooled
-// buffers); streaming=false reproduces the seed behaviour (each part
-// materialized in a fresh buffer, then scattered).
-func vecParAllocs(streaming bool, repeats int) (float64, error) {
-	if !streaming {
-		bufpool.SetEnabled(false)
-		defer bufpool.SetEnabled(true)
-	}
+// counter).
+func vecParAllocs(repeats int) (float64, error) {
 	blob := make([]byte, vecParBlobSize)
 	rand.New(rand.NewSource(21)).Read(blob)
 	ranges, dsts := vecParRanges()
@@ -157,7 +150,6 @@ func vecParAllocs(streaming bool, repeats int) (float64, error) {
 		}),
 		Strategy:            core.StrategyNone,
 		MaxRangesPerRequest: vecParK, // one batch: a stable request per read
-		LegacyVecScatter:    !streaming,
 	})
 	if err != nil {
 		return 0, err
@@ -187,15 +179,15 @@ func vecParAllocs(streaming bool, repeats int) (float64, error) {
 
 // VecPar measures the PR-2 parallel vectored-read pipeline: serial versus
 // concurrent multi-range batches on the LAN and WAN profiles, plus the
-// pooled-versus-unpooled buffer ablation. Not in the paper — the paper's
+// scatter path's allocations per read. Not in the paper — the paper's
 // davix ships batches serially; this quantifies what the §2.2 dynamic pool
 // buys when the §2.3 vectored read is allowed to use all of it at once.
 func VecPar(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	table := &Table{
-		Title: "Parallel vectored reads: serial vs concurrent batches, streaming vs seed scatter",
+		Title: "Parallel vectored reads: serial vs concurrent batches",
 		Columns: []string{"link", "serial", fmt.Sprintf("parallel(%d conns)", vecParConns),
-			"speedup", "allocs/op streaming", "allocs/op seed"},
+			"speedup", "allocs/op"},
 		Notes: []string{
 			fmt.Sprintf("%d fragments x %d B, %d ranges/request -> %d batches, blob %d MiB",
 				vecParK, vecParFragLen, vecParPerReq, (vecParK+vecParPerReq-1)/vecParPerReq, vecParBlobSize>>20),
@@ -203,11 +195,7 @@ func VecPar(opts Options) (*Table, error) {
 		},
 	}
 
-	pooledAllocs, err := vecParAllocs(true, opts.Repeats*2)
-	if err != nil {
-		return nil, err
-	}
-	unpooledAllocs, err := vecParAllocs(false, opts.Repeats*2)
+	allocs, err := vecParAllocs(opts.Repeats * 2)
 	if err != nil {
 		return nil, err
 	}
@@ -226,8 +214,7 @@ func VecPar(opts Options) (*Table, error) {
 			formatDur(serial),
 			formatDur(parallel),
 			fmt.Sprintf("%.2fx", serial.Mean()/parallel.Mean()),
-			fmt.Sprintf("%.0f", pooledAllocs),
-			fmt.Sprintf("%.0f", unpooledAllocs),
+			fmt.Sprintf("%.0f", allocs),
 		)
 	}
 	return table, nil

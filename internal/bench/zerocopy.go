@@ -19,9 +19,7 @@ import (
 // zerocopy-benchmark geometry: a transfer big enough that the per-byte
 // cost (copies, digest arithmetic, allocation churn) dominates the
 // per-chunk protocol overhead. The paper's workload is 1 GiB-class
-// replicas; CI scales that to 128 MiB, which is still 16 chunks of 8 MiB —
-// each one past the 4 MiB bufpool ceiling, so the legacy chunk-materialize
-// path pays a fresh allocation per chunk exactly as it would at full size.
+// replicas; CI scales that to 128 MiB, which is still 16 chunks of 8 MiB.
 const (
 	zcSize    = int64(128) << 20 // 128 MiB object
 	zcChunk   = 8 << 20          // 8 MiB chunks -> 16 chunks
@@ -80,10 +78,9 @@ func (w fileOnlyWriterAt) WriteAt(p []byte, off int64) (int, error) { return w.f
 
 // Download byte-path variants.
 const (
-	zcLegacy = "legacy buffers" // PR-4 path: materialize each chunk, then WriteAt
-	zcKernel = "kernel splice"  // stream raw socket -> file, zero userspace copies
-	zcPooled = "pooled stream"  // stream through 64 KiB pooled buffers, no digest
-	zcVerify = "pooled+digest"  // pooled stream with the inline adler32 tee
+	zcKernel = "kernel splice" // stream raw socket -> file, zero userspace copies
+	zcPooled = "pooled stream" // stream through 64 KiB pooled buffers, no digest
+	zcVerify = "pooled+digest" // pooled stream with the inline adler32 tee
 )
 
 // zcDownload times `repeats` multi-stream downloads of a size-byte object
@@ -102,15 +99,10 @@ func zcDownload(mode string, size int64, repeats int) (*Sample, float64, core.Me
 	}
 
 	opts := core.Options{
-		Strategy:   core.StrategyNone,
-		ChunkSize:  zcChunk,
-		MaxStreams: zcStreams,
-	}
-	switch mode {
-	case zcLegacy:
-		opts.LegacyChunkBuffers = true
-	case zcVerify:
-		opts.VerifyTransfers = true
+		Strategy:        core.StrategyNone,
+		ChunkSize:       zcChunk,
+		MaxStreams:      zcStreams,
+		VerifyTransfers: mode == zcVerify,
 	}
 	client, err := env.newClient(opts)
 	if err != nil {
@@ -323,20 +315,20 @@ func zcThroughput(s *Sample, size int64) string {
 	return fmt.Sprintf("%.0f MiB/s", float64(size)/(1<<20)/s.Mean())
 }
 
-// Zerocopy measures the PR-7 byte plane: the legacy chunk-materialize
-// download versus the streaming scatter path in its three byte-path modes
-// (kernel splice, pooled, pooled with the inline digest), plus the
-// sendfile-versus-teed upload pair. Runs over real loopback TCP — the one
-// experiment where the kernel path can actually fire — and reports the
-// client's own byte-path counters next to each timing so the JSON is
-// self-proving about which path moved the bytes. Not in the paper: the
+// Zerocopy measures the PR-7 byte plane: the streaming scatter download in
+// its three byte-path modes (kernel splice, pooled, pooled with the inline
+// digest), plus the sendfile-versus-teed upload pair. Runs over real
+// loopback TCP — the one experiment where the kernel path can actually
+// fire — and reports the client's own byte-path counters next to each
+// timing so the JSON is self-proving about which path moved the bytes.
+// Not in the paper: the
 // paper's davix copies every payload byte through userspace; this
 // quantifies what the zero-copy plane saves and what inline end-to-end
 // integrity costs on top of it.
 func Zerocopy(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	table := &Table{
-		Title: "Zero-copy byte plane: kernel vs pooled vs legacy, inline-digest overhead",
+		Title: "Zero-copy byte plane: kernel vs pooled, inline-digest overhead",
 		Columns: []string{"direction", "byte path", "time/op", "throughput",
 			"allocs/op", "kernel MiB", "pooled MiB", "verified"},
 	}
@@ -348,7 +340,7 @@ func Zerocopy(opts Options) (*Table, error) {
 		m      core.Metrics
 	}
 	var rows []dlRow
-	for _, mode := range []string{zcLegacy, zcPooled, zcVerify, zcKernel} {
+	for _, mode := range []string{zcPooled, zcVerify, zcKernel} {
 		s, allocs, m, err := zcDownload(mode, zcBenchSize, opts.Repeats)
 		if err != nil {
 			return nil, fmt.Errorf("bench: zerocopy %s: %w", mode, err)
@@ -385,15 +377,15 @@ func Zerocopy(opts Options) (*Table, error) {
 		return nil, fmt.Errorf("bench: zerocopy LAN: %w", err)
 	}
 
-	legacy, pooled, verify, kernel := rows[0], rows[1], rows[2], rows[3]
+	pooled, verify, kernel := rows[0], rows[1], rows[2]
 	table.Notes = []string{
 		fmt.Sprintf("%d MiB object, %d MiB chunks x %d streams, real loopback TCP (netsim pipes cannot splice)",
 			zcBenchSize>>20, zcChunk>>20, zcStreams),
 		fmt.Sprintf("inline digest wall overhead on the link-limited 1 Gb/s LAN profile: %s (budget: ≤3%% — the hash overlaps with socket waits; best-of-%d, alternated ops); at loopback memory speed the hash is compute-visible: %s time, %s allocs",
 			Pct(lanPlain.Min(), lanVerify.Min()), lanPlain.N(),
 			Pct(pooled.s.Min(), verify.s.Min()), Pct(pooled.allocs, verify.allocs)),
-		fmt.Sprintf("verification-on streaming vs legacy chunk buffers: %s allocs/op vs %s (%.1fx less)",
-			fmtBytes(verify.allocs), fmtBytes(legacy.allocs), legacy.allocs/verify.allocs),
+		fmt.Sprintf("verification-on streaming allocates %s/op: pooled 64 KiB buffers per stream, never in proportion to the object",
+			fmtBytes(verify.allocs)),
 		fmt.Sprintf("kernel path moved %.0f%% of download payload without touching userspace",
 			100*float64(kernel.m.KernelBytesDown)/float64(kernel.m.KernelBytesDown+kernel.m.PooledBytesDown)),
 		"byte-path counters are cumulative over warm-up + measured ops; they prove which path ran, not per-op totals",

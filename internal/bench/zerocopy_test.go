@@ -193,9 +193,32 @@ func TestZerocopyByteAccountingReconciles(t *testing.T) {
 	}
 }
 
+// zcVerifyAllocBudget bounds the bytes one verified 16 MiB streaming
+// download may allocate, client and loopback server together: 93 KiB
+// measured when the chunk-materialize ablation (16.1 MiB/op) was deleted,
+// plus headroom. Materializing a single chunk would exceed it 40-fold.
+const zcVerifyAllocBudget = 192 << 10
+
+// TestZerocopyVerifyAllocBudget pins what the deleted "vs legacy buffers"
+// row used to show: verification streams through pooled 64 KiB buffers and
+// never allocates in proportion to the object.
+func TestZerocopyVerifyAllocBudget(t *testing.T) {
+	_, allocs, m, err := zcDownload(zcVerify, zcTestSize, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("verified download: %.0f B allocated/op (budget %d)", allocs, zcVerifyAllocBudget)
+	if allocs > zcVerifyAllocBudget {
+		t.Fatalf("%.0f B allocated/op exceeds the budget of %d", allocs, zcVerifyAllocBudget)
+	}
+	if m.TransfersVerified != 3 {
+		t.Fatalf("TransfersVerified = %d, want 3 (warm-up + 2 measured)", m.TransfersVerified)
+	}
+}
+
 // TestZerocopyTableRuns exercises the full experiment end to end at tiny
 // scale: every row present, the verification column proving the digest
-// rows verified and the kernel/legacy rows did not.
+// rows verified and the pooled/kernel rows did not.
 func TestZerocopyTableRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -207,18 +230,18 @@ func TestZerocopyTableRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(table.Rows))
+	if len(table.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(table.Rows))
 	}
-	// Row layout: 4 download modes then 2 upload modes; "verified" is last.
+	// Row layout: 3 download modes then 2 upload modes; "verified" is last.
 	verified := func(i int) string { return table.Rows[i][len(table.Rows[i])-1] }
-	if verified(2) == "0" {
+	if verified(1) == "0" {
 		t.Fatal("pooled+digest download row did not verify")
 	}
-	if verified(0) != "0" || verified(3) != "0" {
-		t.Fatalf("legacy/kernel rows claim verification: %q %q", verified(0), verified(3))
+	if verified(0) != "0" || verified(2) != "0" {
+		t.Fatalf("pooled/kernel rows claim verification: %q %q", verified(0), verified(2))
 	}
-	if verified(5) == "0" {
+	if verified(4) == "0" {
 		t.Fatal("teed+digest upload row did not verify")
 	}
 	var buf bytes.Buffer

@@ -70,31 +70,12 @@ type Options struct {
 	// by Pool.MaxPerHost; 1 restores fully serial dispatch.
 	VectorParallelism int
 
-	// LegacyVecScatter switches multipart responses back to the
-	// materialize-then-scatter path (every part buffered before copying).
-	// Only the vecpar benchmark sets it, to quantify what the streaming
-	// scatter saves; it is not exposed in the public API.
-	LegacyVecScatter bool
-
 	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
 	// concurrently across pooled connections. 0 (the default) uses
 	// defaultWalkParallelism capped by Pool.MaxPerHost; 1 restores the
 	// serial depth-first recursion. Entry delivery order is identical
 	// at every setting.
 	WalkParallelism int
-
-	// LegacyPropfindDecode switches PROPFIND responses back to the
-	// materialize-then-Unmarshal multistatus path. Only the meta
-	// benchmark sets it, to quantify what the streaming decoder saves;
-	// it is not exposed in the public API.
-	LegacyPropfindDecode bool
-
-	// LegacyChunkBuffers switches DownloadMultiStreamTo back to the
-	// chunk-materialize path (each chunk fetched whole into a pooled
-	// ChunkSize buffer before one WriteAt). Only the zerocopy benchmark
-	// sets it, to quantify what the streaming scatter and the kernel
-	// fast path save; it is not exposed in the public API.
-	LegacyChunkBuffers bool
 
 	// UploadParallelism bounds how many ChunkSize chunks of one
 	// UploadMultiStream (or pull-mode CopyStream) are in flight
@@ -589,11 +570,17 @@ func (c *Client) doOnce(ctx context.Context, host string, req *wire.Request, aut
 	// a cancelled ctx (a settled hedge race, an abandoned transfer) would
 	// otherwise pin this goroutine until the server answers. The slammed
 	// deadline poisons the connection, so every path below that saw the
-	// hook fire discards it rather than recycling it.
+	// hook fire discards it rather than recycling it. The standing deadline
+	// is armed first: set after the hook, it would erase a cancellation
+	// that had already fired.
+	if err := c.applyDeadline(ctx, conn); err != nil {
+		c.pool.Discard(conn)
+		return nil, reused, err
+	}
 	stop := context.AfterFunc(ctx, func() {
 		conn.NetConn().SetDeadline(time.Unix(1, 0))
 	})
-	resp, err := c.roundTrip(ctx, conn, req, authHost)
+	resp, err := c.roundTrip(conn, req, authHost)
 	if !stop() {
 		// The hook fired: ctx is done, so ctx.Err() is non-nil. Report the
 		// cancellation itself, not the i/o timeout the slammed deadline
@@ -608,11 +595,9 @@ func (c *Client) doOnce(ctx context.Context, host string, req *wire.Request, aut
 	return &Response{Response: resp, conn: conn, client: c}, reused, nil
 }
 
-// roundTrip writes req and reads the response header on conn.
-func (c *Client) roundTrip(ctx context.Context, conn *pool.Conn, req *wire.Request, authHost string) (*wire.Response, error) {
-	if err := c.applyDeadline(ctx, conn); err != nil {
-		return nil, err
-	}
+// roundTrip writes req and reads the response header on conn, whose
+// deadline the caller has armed.
+func (c *Client) roundTrip(conn *pool.Conn, req *wire.Request, authHost string) (*wire.Response, error) {
 	c.prepare(req, authHost)
 	c.metrics.requests.Add(1)
 	c.trace.EmitRequest(req.Method, req.Host, req.Path)

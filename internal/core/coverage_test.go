@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -44,7 +45,8 @@ func TestResponseCloseDrainsSmallRemainder(t *testing.T) {
 }
 
 // rangeIgnorantServer answers every GET with the full object (HTTP/1.1 200,
-// no Range support) — the fallback path of GetRange and ReadVec.
+// no Range support) and every HEAD with its headers — the fallback path of
+// GetRange, ReadVec and the chunk pipeline.
 func rangeIgnorantServer(t *testing.T, l net.Listener, blob []byte) {
 	t.Helper()
 	go func() {
@@ -57,11 +59,14 @@ func rangeIgnorantServer(t *testing.T, l net.Listener, blob []byte) {
 				defer c.Close()
 				buf := make([]byte, 8192)
 				for {
-					if _, err := c.Read(buf); err != nil {
+					n, err := c.Read(buf)
+					if err != nil {
 						return
 					}
 					fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", len(blob))
-					c.Write(blob)
+					if !bytes.HasPrefix(buf[:n], []byte("HEAD ")) {
+						c.Write(blob)
+					}
 				}
 			}(c)
 		}
@@ -101,6 +106,117 @@ func TestGetRangeAgainstRangeIgnorantServer(t *testing.T) {
 	}
 	if !bytes.Equal(dsts[1], blob[4000:4096]) {
 		t.Fatal("vectored fallback mismatch")
+	}
+}
+
+// TestChunkPipelineAgainstRangeIgnorantServer drives every chunk-reading
+// entry point against a server that answers ranged GETs with the whole
+// object: each chunk must skip the prefix and keep exactly its slice, and a
+// chunk that lies past the end of the body must surface the 416 a
+// range-honouring server would have sent.
+func TestChunkPipelineAgainstRangeIgnorantServer(t *testing.T) {
+	const old, dst = "old:80", "dpm2:80"
+	const chunk = 1 << 10
+	blob := make([]byte, 4*chunk)
+	rand.New(rand.NewSource(7)).Read(blob)
+	// claimed is the object size the Metalink advertises to the downloads.
+	claimed := int64(len(blob))
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 2, UploadParallelism: 2})
+	l, err := e.net.Listen(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rangeIgnorantServer(t, l, blob)
+	e.startServer(t, dst, httpserv.Options{})
+	e.startServer(t, "fed:80", httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+		return &metalink.Metalink{Name: "f", Size: claimed,
+			URLs: []metalink.URL{{Loc: "http://" + old + "/f", Priority: 1}}}
+	}})
+	ctx := context.Background()
+
+	got, err := e.client.DownloadMultiStream(ctx, old, "/f")
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("DownloadMultiStream: %d bytes err=%v", len(got), err)
+	}
+	w := &bufWriterAt{b: make([]byte, len(blob))}
+	if n, err := e.client.DownloadMultiStreamTo(ctx, old, "/f", w); err != nil || n != claimed || !bytes.Equal(w.b, blob) {
+		t.Fatalf("DownloadMultiStreamTo: n=%d err=%v", n, err)
+	}
+	if err := e.client.CopyStream(ctx, old, "/f", "http://"+dst+"/copy"); err != nil {
+		t.Fatalf("CopyStream: %v", err)
+	}
+	if stored, _, err := e.stores[dst].Get("/copy"); err != nil || !bytes.Equal(stored, blob) {
+		t.Fatalf("CopyStream stored %d bytes err=%v", len(stored), err)
+	}
+
+	// The Metalink now claims one chunk more than the server holds: that
+	// chunk starts exactly at end of body.
+	claimed += chunk
+	var se *StatusError
+	if _, err := e.client.DownloadMultiStream(ctx, old, "/f"); !errors.As(err, &se) || se.Code != 416 {
+		t.Fatalf("DownloadMultiStream past EOF: err = %v, want a 416 StatusError", err)
+	}
+	w = &bufWriterAt{b: make([]byte, claimed)}
+	if _, err := e.client.DownloadMultiStreamTo(ctx, old, "/f", w); !errors.As(err, &se) || se.Code != 416 {
+		t.Fatalf("DownloadMultiStreamTo past EOF: err = %v, want a 416 StatusError", err)
+	}
+	// A chunk that starts beyond end of body runs out while skipping.
+	err = e.client.readChunkInto(ctx, []Replica{{Host: old, Path: "/f"}}, 0, claimed+chunk, make([]byte, chunk))
+	if !errors.As(err, &se) || se.Code != 416 {
+		t.Fatalf("chunk beyond EOF: err = %v, want a 416 StatusError", err)
+	}
+}
+
+// TestMultiStreamEntryPointsWireIdentical: at MaxStreams 1 the in-memory
+// download puts exactly the requests of DownloadMultiStreamTo on the wire
+// for the same object — Metalink probe, then the chunk GETs in order, byte
+// for byte (method, path, Range and every other header).
+func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
+	e := newEnv(t, Options{})
+	blob := make([]byte, 5<<10+123)
+	rand.New(rand.NewSource(8)).Read(blob)
+	e.startServer(t, dpm1, httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+		return &metalink.Metalink{Name: "f", Size: int64(len(blob)),
+			URLs: []metalink.URL{{Loc: "http://dpm1:80/f", Priority: 1}}}
+	}})
+	e.stores[dpm1].Put("/f", blob)
+
+	capture := func(op func(ctx context.Context, c *Client) error) []byte {
+		t.Helper()
+		rd := &recordDialer{inner: e.net}
+		c, err := NewClient(Options{Dialer: rd, ChunkSize: 1 << 10, MaxStreams: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := op(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		rd.mu.Lock()
+		defer rd.mu.Unlock()
+		return append([]byte(nil), rd.buf.Bytes()...)
+	}
+	inMemory := capture(func(ctx context.Context, c *Client) error {
+		got, err := c.DownloadMultiStream(ctx, dpm1, "/f")
+		if err == nil && !bytes.Equal(got, blob) {
+			err = errors.New("content mismatch")
+		}
+		return err
+	})
+	writerAt := capture(func(ctx context.Context, c *Client) error {
+		w := &bufWriterAt{b: make([]byte, len(blob))}
+		_, err := c.DownloadMultiStreamTo(ctx, dpm1, "/f", w)
+		if err == nil && !bytes.Equal(w.b, blob) {
+			err = errors.New("content mismatch")
+		}
+		return err
+	})
+	if want := 1 + 6; bytes.Count(writerAt, []byte("GET ")) != want {
+		t.Fatalf("DownloadMultiStreamTo sent %d GETs, want %d (Metalink + 6 chunks)", bytes.Count(writerAt, []byte("GET ")), want)
+	}
+	if !bytes.Equal(inMemory, writerAt) {
+		t.Fatalf("request streams differ:\nDownloadMultiStream:\n%s\nDownloadMultiStreamTo:\n%s", inMemory, writerAt)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"testing"
+	"time"
 
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
@@ -114,10 +115,16 @@ func (a readAtAdapter) ReadAt(p []byte, off int64) (int, error) { return a.f.Rea
 
 // TestMultiStreamCancelsSiblingsOnError: when one chunk fails for a reason
 // no replica can fix, the sibling streams must be cancelled instead of
-// draining the whole work queue — the server must not see anywhere near one
-// request per chunk.
+// draining the whole work queue. Exactly one chunk GET hits a semantic
+// (non-retryable) 403; every other GET is held server-side far longer than
+// the test may take, so no sibling can complete before the cancellation —
+// the server sees at most one GET per stream, and the call can only return
+// promptly if cancellation aborts the blocked siblings on the in-memory
+// sink too.
 func TestMultiStreamCancelsSiblingsOnError(t *testing.T) {
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 256, MaxStreams: 2})
+	const streams = 2
+	const hold = 5 * time.Second
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 256, MaxStreams: streams})
 	blob := make([]byte, 64<<8) // 64 chunks
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", blob)
@@ -128,17 +135,19 @@ func TestMultiStreamCancelsSiblingsOnError(t *testing.T) {
 	e.startServer(t, "fed:80", httpserv.Options{
 		Metalinks: func(string) *metalink.Metalink { return ml },
 	})
-
-	// Exactly one chunk GET hits a semantic (non-retryable) failure; every
-	// other chunk would succeed, so without cancellation the sibling stream
-	// happily drains the remaining ~63 chunks before the error surfaces.
+	// The path fault shadows "*" until its one use is spent.
 	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 403, Remaining: 1})
+	e.srvs[dpm1].SetFault("*", httpserv.Fault{Delay: hold})
 
+	start := time.Now()
 	_, err := e.client.DownloadMultiStream(context.Background(), dpm1, "/f")
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got > 8 {
-		t.Fatalf("server saw %d chunk GETs after first failure; siblings not cancelled", got)
+	if d := time.Since(start); d > hold/2 {
+		t.Fatalf("returned after %v: a cancelled sibling sat out the server's %v hold", d, hold)
+	}
+	if got := e.srvs[dpm1].RequestsByMethod("GET"); got > streams {
+		t.Fatalf("server saw %d chunk GETs, want at most %d; siblings not cancelled", got, streams)
 	}
 }

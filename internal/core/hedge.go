@@ -70,8 +70,10 @@ func hedgeStandby(ring []Replica, idx int) (Replica, bool) {
 	return Replica{}, false
 }
 
-// chunkBuf adapts a pooled chunk-sized buffer to io.WriterAt at a fixed
-// object offset, counting delivered bytes so a cancelled hedge leg reports
+// chunkBuf adapts a []byte to io.WriterAt at a fixed object offset — how a
+// caller that holds memory (the in-memory download's output, a pull copy's
+// pooled chunk, a hedge's standby buffer) joins the WriterAt chunk
+// pipeline. It counts delivered bytes so a cancelled hedge leg reports
 // exactly how much duplicate payload it cost.
 type chunkBuf struct {
 	base int64
@@ -82,7 +84,7 @@ type chunkBuf struct {
 func (b *chunkBuf) WriteAt(p []byte, off int64) (int, error) {
 	i := off - b.base
 	if i < 0 || i+int64(len(p)) > int64(len(b.buf)) {
-		return 0, errors.New("davix: hedge buffer write outside chunk")
+		return 0, errors.New("davix: chunk write outside buffer")
 	}
 	copy(b.buf[i:], p)
 	b.n.Add(int64(len(p)))

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/md5"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"godavix/internal/httpserv"
+	"godavix/internal/metalink"
+	"godavix/internal/obs"
 	"godavix/internal/storage"
 )
 
@@ -157,5 +162,180 @@ func TestUploadMultiStreamInlineDigest(t *testing.T) {
 	}
 	if inf.Checksum != storage.Checksum(blob) {
 		t.Fatalf("server checksum %q, want %q", inf.Checksum, storage.Checksum(blob))
+	}
+}
+
+// TestBytePathAccountingCoversEveryChunkReader extends the reconciliation
+// above to the entry points that read chunks into memory: the in-memory
+// download and both modes of the pull copy must classify every source byte
+// exactly once on the pooled path and fire TransferPath for it, like
+// DownloadMultiStreamTo does.
+func TestBytePathAccountingCoversEveryChunkReader(t *testing.T) {
+	const dst = "dpm2:80"
+	cases := []struct {
+		name     string
+		parallel int // UploadParallelism for the copy modes
+		run      func(ctx context.Context, c *Client) error
+	}{
+		{"DownloadMultiStream", 0, func(ctx context.Context, c *Client) error {
+			_, err := c.DownloadMultiStream(ctx, dpm1, "/f")
+			return err
+		}},
+		{"CopyStream/parallel", 4, func(ctx context.Context, c *Client) error {
+			return c.CopyStream(ctx, dpm1, "/f", "http://"+dst+"/copy")
+		}},
+		{"CopyStream/pipe", 1, func(ctx context.Context, c *Client) error {
+			return c.CopyStream(ctx, dpm1, "/f", "http://"+dst+"/copy")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var traced atomic.Int64
+			e := newEnv(t, Options{
+				ChunkSize: 4 << 10, MaxStreams: 4, UploadParallelism: tc.parallel,
+				Trace: &obs.ClientTrace{
+					TransferPath: func(dir obs.Direction, _ string, bp obs.BytePath, n int64) {
+						if dir == obs.Down && bp == obs.PathPooled {
+							traced.Add(n)
+						}
+					},
+				},
+			})
+			blob := uploadBlob(48<<10+100, 52)
+			e.startServer(t, dpm1, httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+				return &metalink.Metalink{Name: "f", Size: int64(len(blob)),
+					URLs: []metalink.URL{{Loc: "http://dpm1:80/f", Priority: 1}}}
+			}})
+			e.startServer(t, dst, httpserv.Options{})
+			e.stores[dpm1].Put("/f", blob)
+
+			if err := tc.run(context.Background(), e.client); err != nil {
+				t.Fatal(err)
+			}
+			m := e.client.Metrics()
+			if m.PooledBytesDown != int64(len(blob)) {
+				t.Fatalf("PooledBytesDown = %d, want %d", m.PooledBytesDown, len(blob))
+			}
+			if m.KernelBytesDown != 0 {
+				t.Fatalf("KernelBytesDown = %d, want 0 over netsim", m.KernelBytesDown)
+			}
+			if traced.Load() != int64(len(blob)) {
+				t.Fatalf("TransferPath events total %d, want %d", traced.Load(), len(blob))
+			}
+		})
+	}
+}
+
+// TestDownloadMultiStreamVerifiesWithoutMetalinkHash: a Metalink without a
+// <hash> must not switch verification off — like DownloadMultiStreamTo, the
+// in-memory download falls back to the replica's HEAD checksum, so a flipped
+// bit fails the transfer naming the chunk that holds it.
+func TestDownloadMultiStreamVerifiesWithoutMetalinkHash(t *testing.T) {
+	const chunk = 4 << 10
+	const corruptAt = 9000 // inside chunk 2: [8192, 12288)
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 4, VerifyTransfers: true})
+	e.startServer(t, dpm1, httpserv.Options{})
+	blob := uploadBlob(48<<10, 53)
+	e.stores[dpm1].Put("/f", blob)
+	e.startServer(t, "fed:80", httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+		return &metalink.Metalink{Name: "f", Size: int64(len(blob)), // no Checksum
+			URLs: []metalink.URL{{Loc: "http://dpm1:80/f", Priority: 1}}}
+	}})
+	ctx := context.Background()
+
+	got, err := e.client.DownloadMultiStream(ctx, dpm1, "/f")
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("pristine download: %d bytes err=%v", len(got), err)
+	}
+	if v := e.client.Metrics().TransfersVerified; v != 1 {
+		t.Fatalf("TransfersVerified = %d, want 1 (verified against the HEAD checksum)", v)
+	}
+
+	e.srvs[dpm1].SetFault("/f", httpserv.Fault{CorruptXOR: 0x01, CorruptAt: corruptAt})
+	_, err = e.client.DownloadMultiStream(ctx, dpm1, "/f")
+	var ce *ChecksumError
+	if !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want ErrChecksumMismatch carrying a *ChecksumError", err)
+	}
+	if ce.Off != 2*chunk || ce.Length != chunk {
+		t.Fatalf("reported span [%d,%d), want chunk 2 = [%d,%d)", ce.Off, ce.Off+ce.Length, 2*chunk, 3*chunk)
+	}
+}
+
+// TestDownloadMultiStreamVerifiesNonCombinableMetalinkHash: per-chunk
+// digests cannot fold into md5, and a replica's per-range Digest only vouches
+// for the bytes that replica holds. A stale replica — one bit off the object
+// the Metalink describes, yet perfectly consistent with itself — must still
+// fail the in-memory download against the Metalink's md5.
+func TestDownloadMultiStreamVerifiesNonCombinableMetalinkHash(t *testing.T) {
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10, MaxStreams: 4, VerifyTransfers: true})
+	e.startServer(t, dpm1, httpserv.Options{})
+	blob := uploadBlob(48<<10, 55)
+	e.stores[dpm1].Put("/f", blob)
+	e.startServer(t, "fed:80", httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+		return &metalink.Metalink{Name: "f", Size: int64(len(blob)),
+			Checksum: fmt.Sprintf("md5:%x", md5.Sum(blob)),
+			URLs:     []metalink.URL{{Loc: "http://dpm1:80/f", Priority: 1}}}
+	}})
+	ctx := context.Background()
+
+	got, err := e.client.DownloadMultiStream(ctx, dpm1, "/f")
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("pristine download: %d bytes err=%v", len(got), err)
+	}
+	if v := e.client.Metrics().TransfersVerified; v != 1 {
+		t.Fatalf("TransfersVerified = %d, want 1 (per-chunk and whole-object passes count once)", v)
+	}
+
+	stale := bytes.Clone(blob)
+	stale[9000] ^= 0x01
+	e.stores[dpm1].Put("/f", stale)
+	_, err = e.client.DownloadMultiStream(ctx, dpm1, "/f")
+	var ce *ChecksumError
+	if !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) || ce.Algo != "md5" {
+		t.Fatalf("err = %v, want an md5 ErrChecksumMismatch", err)
+	}
+	m := e.client.Metrics()
+	if m.TransfersVerified != 1 || m.ChecksumMismatches != 1 {
+		t.Fatalf("TransfersVerified = %d, ChecksumMismatches = %d, want 1 and 1", m.TransfersVerified, m.ChecksumMismatches)
+	}
+}
+
+// TestCorruptReplicaChunkFailsOver: with two replicas every chunk is
+// compared inline against the server's per-range Digest, so a replica
+// serving a flipped bit costs that chunk one retry on the other replica —
+// not the transfer.
+func TestCorruptReplicaChunkFailsOver(t *testing.T) {
+	const chunk = 4 << 10
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 2, VerifyTransfers: true})
+	blob := uploadBlob(32<<10, 54)
+	for _, r := range []string{dpm1, "dpm2:80"} {
+		e.startServer(t, r, httpserv.Options{})
+		e.stores[r].Put("/f", blob)
+	}
+	e.startServer(t, "fed:80", httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+		return &metalink.Metalink{Name: "f", Size: int64(len(blob)), Checksum: storage.Checksum(blob),
+			URLs: []metalink.URL{
+				{Loc: "http://dpm1:80/f", Priority: 1},
+				{Loc: "http://dpm2:80/f", Priority: 2},
+			}}
+	}})
+	// Odd chunks start on the second replica; it corrupts chunk 1.
+	e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{CorruptXOR: 0x80, CorruptAt: chunk + 17})
+
+	w := &bufWriterAt{b: make([]byte, len(blob))}
+	n, err := e.client.DownloadMultiStreamTo(context.Background(), dpm1, "/f", w)
+	if err != nil || n != int64(len(blob)) {
+		t.Fatalf("n=%d err=%v", n, err)
+	}
+	if !bytes.Equal(w.b, blob) {
+		t.Fatal("content mismatch: the corrupt chunk was committed")
+	}
+	m := e.client.Metrics()
+	if m.ChecksumMismatches != 1 {
+		t.Fatalf("ChecksumMismatches = %d, want 1 (the corrupt chunk, caught inline)", m.ChecksumMismatches)
+	}
+	if m.TransfersVerified != 1 {
+		t.Fatalf("TransfersVerified = %d, want 1", m.TransfersVerified)
 	}
 }

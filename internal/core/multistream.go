@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-
-	"godavix/internal/metalink"
 )
 
 // DownloadMultiStream implements the paper's §2.4 "multi-stream" strategy:
@@ -14,59 +11,24 @@ import (
 // assigned round-robin). A chunk whose replica fails is retried on the
 // next replica, so the download succeeds as long as one replica holds
 // every byte. The paper notes this maximizes client bandwidth at the cost
-// of server load.
+// of server load. It is DownloadMultiStreamTo into memory — same chunk
+// pipeline, same verification — except that the Metalink is mandatory and
+// that a checksum the chunk sums cannot combine into (md5) is verified over
+// the finished buffer.
 func (c *Client) DownloadMultiStream(ctx context.Context, host, path string) ([]byte, error) {
 	ml, err := c.GetMetalink(ctx, host, path)
 	if err != nil {
 		return nil, fmt.Errorf("davix: multi-stream needs a metalink: %w", err)
 	}
-	return c.downloadFromMetalink(ctx, ml, Replica{Host: host, Path: path})
-}
-
-// downloadFromMetalink drives the chunked parallel download.
-func (c *Client) downloadFromMetalink(ctx context.Context, ml *metalink.Metalink, primary Replica) ([]byte, error) {
-	replicas := metalinkReplicas([]Replica{primary}, ml)
-
-	size := ml.Size
-	if size < 0 {
-		// Metalink without size: stat any live replica, preferring ones
-		// the health scoreboard has not demoted.
-		var err error
-		for _, r := range c.health.order(replicas) {
-			var inf Info
-			if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
-				size = inf.Size
-				break
-			}
-		}
-		if size < 0 {
-			return nil, fmt.Errorf("davix: cannot determine size: %w", err)
-		}
-	}
-	if size == 0 {
-		return []byte{}, nil
-	}
-
-	// Each chunk reads straight into its slice of the shared output
-	// buffer — chunks are disjoint, so no extra copy and no per-chunk
-	// allocation. The first chunk failure cancels the sibling streams.
-	out := make([]byte, size)
-	err := c.forEachChunk(ctx, 0, size, c.opts.MaxStreams, func(cctx context.Context, idx int, off, ln int64) error {
-		return c.readChunkReplicas(cctx, replicas, idx, off, out[off:off+ln])
-	})
+	plan, err := c.planDownload(ctx, host, path, ml)
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.VerifyTransfers && ml.Checksum != "" {
-		// The object is materialized anyway, so whole-buffer verification
-		// against the Metalink checksum is free of extra reads.
-		if err := verifyChecksum(out, ml.Checksum, primary.Path, true); err != nil {
-			if errors.Is(err, ErrChecksumMismatch) {
-				c.metrics.checksumMismatches.Add(1)
-			}
-			return nil, err
-		}
-		c.metrics.transfersVerified.Add(1)
+	// Chunks are disjoint windows of the one output buffer; the first
+	// chunk failure cancels the sibling streams.
+	out := make([]byte, plan.size)
+	if _, err := c.fetchChunks(ctx, plan, &chunkBuf{buf: out}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/adler32"
-	"io"
 	"strconv"
 	"time"
 
@@ -139,70 +138,6 @@ func (c *Client) getRange(ctx context.Context, host, path string, off, length in
 		return nil, err
 	}
 	return out, nil
-}
-
-// getRangeInto fetches len(dst) bytes at offset off from exactly one
-// replica, reading the response body directly into dst — no intermediate
-// allocation or copy, which is what keeps the multi-stream download loop
-// allocation-free per chunk. Replica selection belongs to the caller
-// (readChunkReplicas walks the health-ordered ring), so the engine applies
-// redirects and the retry budget but no failover here. Returns the byte
-// count delivered; like a clamping server it may be short when the object
-// ends inside the request.
-func (c *Client) getRangeInto(ctx context.Context, host, path string, off int64, dst []byte) (int, error) {
-	rangeVal := "bytes=" + strconv.FormatInt(off, 10) + "-" + strconv.FormatInt(off+int64(len(dst))-1, 10)
-	var n int
-	err := c.exec(ctx, host, path, specChunk, func(h, p string) *wire.Request {
-		req := wire.NewRequest("GET", h, p)
-		req.Header.Set("Range", rangeVal)
-		return req
-	}, func(_ Replica, resp *Response) error {
-		n = 0
-		switch resp.StatusCode {
-		case 206:
-			m, err := io.ReadFull(resp.Body, dst)
-			if err == io.ErrUnexpectedEOF {
-				// The server clamped the range at end of object.
-				err = nil
-			}
-			cerr := resp.Close()
-			if err == nil {
-				err = cerr
-			}
-			n = m
-			return err
-		case 200:
-			// Range-ignorant server: skip the prefix, read the slice.
-			if _, err := io.CopyN(io.Discard, resp.Body, off); err != nil {
-				resp.Close()
-				if err == io.EOF {
-					return &StatusError{Code: 416, Status: "416 Requested Range Not Satisfiable", Method: "GET", Path: path}
-				}
-				return err
-			}
-			m, err := io.ReadFull(resp.Body, dst)
-			if err == io.ErrUnexpectedEOF || err == io.EOF {
-				err = nil
-			}
-			cerr := resp.Close()
-			if err == nil {
-				err = cerr
-			}
-			if err == nil && m == 0 && len(dst) > 0 {
-				// The whole request sits past end of object; match the 416 a
-				// range-honouring server would have sent.
-				return &StatusError{Code: 416, Status: "416 Requested Range Not Satisfiable", Method: "GET", Path: path}
-			}
-			n = m
-			return err
-		default:
-			return statusErr(resp, "GET", path)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // Put stores data at host/path, following head-node redirects to the
@@ -417,14 +352,6 @@ func (c *Client) propfind(ctx context.Context, host, path, depth string) ([]webd
 	}, func(_ Replica, resp *Response) error {
 		if resp.StatusCode != 207 {
 			return statusErr(resp, "PROPFIND", path)
-		}
-		if c.opts.LegacyPropfindDecode {
-			body, err := resp.ReadAllAndClose()
-			if err != nil {
-				return err
-			}
-			entries, err = webdav.DecodeMultistatus(body)
-			return err
 		}
 		// Stream the multistatus document straight off the wire body: large
 		// directory listings are decoded without materializing the XML.

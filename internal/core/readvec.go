@@ -199,17 +199,6 @@ func (c *Client) scatterVecResponse(resp *Response, path string, frames []rangev
 	switch resp.StatusCode {
 	case 206:
 		if boundary, ok := rangev.IsMultipartByteranges(resp.Header.Get("Content-Type")); ok {
-			if c.opts.LegacyVecScatter {
-				parts, perr := rangev.ReadMultipart(resp.Body, boundary)
-				defer rangev.ReleaseParts(parts)
-				if cerr := resp.Close(); perr == nil {
-					perr = cerr
-				}
-				if perr != nil {
-					return perr
-				}
-				return rangev.ScatterParts(parts, frames, ranges, dsts)
-			}
 			// Streaming scatter: part payloads land in dsts as they arrive,
 			// never materialized — the batch costs no payload allocations.
 			if err := rangev.ScatterMultipart(resp.Body, boundary, frames, ranges, dsts); err != nil {

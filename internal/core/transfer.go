@@ -12,6 +12,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"godavix/internal/bufpool"
@@ -20,40 +21,6 @@ import (
 	"godavix/internal/obs"
 	"godavix/internal/wire"
 )
-
-// readChunkReplicas fetches [off, off+len(dst)) into dst, spreading load by
-// starting at replica idx mod len(replicas) and walking the ring on
-// unavailability, so one dead replica costs one retry per chunk rather than
-// the whole transfer. The ring is health-ordered first and replicas whose
-// breaker is open are skipped while alternatives exist — once the
-// scoreboard has demoted a dead disk node, later chunks stop paying its
-// timeout at all (a half-open probe re-admits it when it recovers).
-func (c *Client) readChunkReplicas(ctx context.Context, replicas []Replica, idx int, off int64, dst []byte) (err error) {
-	path := replicas[0].Path
-	c.trace.EmitChunkStart(obs.Down, path, idx, off, int64(len(dst)))
-	defer func() { c.trace.EmitChunkDone(obs.Down, path, idx, off, int64(len(dst)), err) }()
-	if len(replicas) > 1 {
-		if budget, ok := c.hedgeBudget(); ok {
-			// The caller's chunk slice doubles as the primary leg's WriterAt;
-			// the standby leg stays in its private buffer until it wins.
-			ring := c.health.order(replicas)
-			w := &chunkBuf{base: off, buf: dst}
-			if _, handled, herr := c.scatterChunkHedged(ctx, ring, idx, off, int64(len(dst)), w, "", digest.Adler32, false, false, budget); handled {
-				return herr
-			}
-		}
-	}
-	return c.walkReplicaRing(ctx, replicas, idx, func(rep Replica) (bool, error) {
-		n, err := c.getRangeInto(ctx, rep.Host, rep.Path, off, dst)
-		if err == nil && n == len(dst) {
-			return true, nil
-		}
-		if err == nil {
-			err = fmt.Errorf("davix: short chunk from %s: %d < %d", rep.Host, n, len(dst))
-		}
-		return ctx.Err() != nil || !replicaUnavailable(err), err
-	})
-}
 
 // walkReplicaRing runs tryOne over the health-ordered replica ring starting
 // at idx mod len(replicas). tryOne returns (done, err): done means the walk
@@ -124,13 +91,18 @@ type scatterResult struct {
 }
 
 // scatterChunkReplicas streams chunk idx covering [off, off+ln) straight
-// into dst, walking the replica ring exactly like readChunkReplicas but
-// without ever materializing the chunk. fastName names the target file for
-// the kernel splice path ("" disables it); algo is the inline digest
-// algorithm. sum tees the body through the chunk digest; perChunk
-// additionally asks the server to commit to a per-range Digest and compares
-// it inline (the costlier mode — the server must hash the range before its
-// first body byte).
+// into dst — every chunk read of every transfer goes through here. Load is
+// spread by starting at replica idx mod len(replicas) and walking the ring
+// on unavailability, so one dead replica costs one retry per chunk rather
+// than the whole transfer. The ring is health-ordered first and replicas
+// whose breaker is open are skipped while alternatives exist — once the
+// scoreboard has demoted a dead disk node, later chunks stop paying its
+// timeout at all (a half-open probe re-admits it when it recovers).
+// fastName names the target file for the kernel splice path ("" disables
+// it); algo is the inline digest algorithm. sum tees the body through the
+// chunk digest; perChunk additionally asks the server to commit to a
+// per-range Digest and compares it inline (the costlier mode — the server
+// must hash the range before its first body byte).
 func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, fastName, algo string, sum, perChunk bool) (res scatterResult, err error) {
 	path := replicas[0].Path
 	c.trace.EmitChunkStart(obs.Down, path, idx, off, ln)
@@ -354,13 +326,6 @@ func armAbort(ctx context.Context, resp *Response) (closeResp func() error) {
 	}
 }
 
-// chunkSum remembers one streamed chunk's client-side digest so a
-// whole-object mismatch can be localized afterwards.
-type chunkSum struct {
-	off, ln int64
-	sum     uint32
-}
-
 // chunkServerDigest asks one replica for the digest of [off, off+ln)
 // without re-reading the payload: a HEAD with Range and Want-Digest. ok is
 // false when the server would not commit to a range digest.
@@ -390,21 +355,21 @@ func (c *Client) chunkServerDigest(ctx context.Context, host, path, algo string,
 }
 
 // localizeMismatch narrows a whole-object checksum mismatch to the first
-// offending chunk by comparing the client-side sums accumulated during the
-// transfer against per-range digests fetched with HEADs — the payload is
-// never re-read. Returns nil when no server on the ring will commit to
-// range digests; the caller falls back to the whole-object span.
-func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path, algo string, sums []chunkSum) *ChecksumError {
+// offending chunk by comparing the client-side sums the rollup was fed
+// during the transfer against per-range digests fetched with HEADs — the
+// payload is never re-read. Returns nil when no server on the ring will
+// commit to range digests; the caller falls back to the whole-object span.
+func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path, algo string, sums []digest.Span) *ChecksumError {
 	for _, cs := range sums {
 		for _, rep := range c.health.order(replicas) {
-			want, ok := c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.off, cs.ln)
+			want, ok := c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.Off, cs.N)
 			if !ok {
 				continue
 			}
-			if want != cs.sum {
+			if want != cs.Sum {
 				return &ChecksumError{
-					Path: path, Algo: algo, Off: cs.off, Length: cs.ln,
-					Got:  fmt.Sprintf("%08x", cs.sum),
+					Path: path, Algo: algo, Off: cs.Off, Length: cs.N,
+					Got:  fmt.Sprintf("%08x", cs.Sum),
 					Want: fmt.Sprintf("%08x", want),
 				}
 			}
@@ -412,6 +377,94 @@ func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path,
 		}
 	}
 	return nil
+}
+
+// chunkLedger is one transfer's record of completed chunks: their digests
+// feed the combinable whole-object rollup (nil with verification off) and
+// the resume journal (nil when not journaling). Chunk workers share it.
+type chunkLedger struct {
+	ck *checkpoint
+
+	mu     sync.Mutex
+	rollup *digest.Rollup
+}
+
+// wantsSums reports whether anything consumes chunk digests.
+func (l *chunkLedger) wantsSums() bool { return l.ck != nil || l.rollup != nil }
+
+// note feeds one chunk digest to the rollup without journaling it: the
+// journal already holds the chunk (resumed) or must never hold it (the
+// upload probe, re-sent by every attempt).
+func (l *chunkLedger) note(off, ln int64, sum uint32) {
+	if l.rollup == nil {
+		return
+	}
+	l.mu.Lock()
+	l.rollup.Add(off, ln, sum)
+	l.mu.Unlock()
+}
+
+// record journals a freshly transferred chunk and notes it.
+func (l *chunkLedger) record(off, ln int64, sum uint32) {
+	if l.ck != nil {
+		l.ck.append(off, ln, sum)
+	}
+	l.note(off, ln, sum)
+}
+
+// close finishes the journal, if any; keep as in checkpoint.close.
+func (l *chunkLedger) close(keep bool) {
+	if l.ck != nil {
+		l.ck.close(keep)
+	}
+}
+
+// downloadPlan is what a multi-stream download knows before its first
+// chunk GET.
+type downloadPlan struct {
+	replicas []Replica // the primary, then the Metalink's in priority order
+	size     int64
+	want     string // server checksum, "" when none was reported
+}
+
+// planDownload resolves the replica ring, object size and server checksum
+// of host/path. ml is the Metalink the entry point's policy obtained (nil
+// for none); a Stat fills in whichever of size and — with VerifyTransfers —
+// checksum it lacks: a HEAD also reports the server's checksum, so
+// verification never costs a data read.
+func (c *Client) planDownload(ctx context.Context, host, path string, ml *metalink.Metalink) (downloadPlan, error) {
+	p := downloadPlan{replicas: []Replica{{Host: host, Path: path}}, size: -1}
+	if ml != nil {
+		p.replicas = metalinkReplicas(p.replicas, ml)
+		p.size, p.want = ml.Size, ml.Checksum
+	}
+	if p.size >= 0 && (p.want != "" || !c.opts.VerifyTransfers) {
+		return p, nil
+	}
+	var inf Info
+	var err error
+	for _, r := range c.health.order(p.replicas) {
+		if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
+			break
+		}
+	}
+	switch {
+	case err != nil && p.size < 0:
+		return p, fmt.Errorf("davix: cannot determine size: %w", err)
+	case err != nil:
+		// Only the checksum was missing: the download can still run, with
+		// whatever per-chunk digests the replicas offer.
+		return p, nil
+	case inf.Dir:
+		return p, fmt.Errorf("davix: download %s: is a collection", path)
+	}
+	if p.size < 0 {
+		p.size = inf.Size
+	}
+	if p.want == "" {
+		p.want = inf.Checksum
+	}
+	return p, nil
 }
 
 // DownloadMultiStreamTo downloads host/path into w without materializing
@@ -441,41 +494,22 @@ func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path,
 // WriteAt must tolerate concurrent disjoint writes (os.File does). Returns
 // the object size written.
 func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w io.WriterAt) (int64, error) {
-	replicas := []Replica{{Host: host, Path: path}}
-	size := int64(-1)
-	want := ""
+	var ml *metalink.Metalink
 	if c.opts.Strategy != StrategyNone {
-		if ml, err := c.GetMetalink(ctx, host, path); err == nil {
-			replicas = metalinkReplicas(replicas, ml)
-			size = ml.Size
-			want = ml.Checksum
-		}
+		ml, _ = c.GetMetalink(ctx, host, path) // best effort: primary-only without one
 	}
-	if size < 0 || (want == "" && c.opts.VerifyTransfers) {
-		// Stat fills in whichever is missing — a HEAD also reports the
-		// server's checksum, so verification never costs a data read.
-		var inf Info
-		var err error
-		for _, r := range c.health.order(replicas) {
-			if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
-				break
-			}
-		}
-		if err != nil && size < 0 {
-			return 0, fmt.Errorf("davix: cannot determine size: %w", err)
-		}
-		if err == nil {
-			if inf.Dir {
-				return 0, fmt.Errorf("davix: download %s: is a collection", path)
-			}
-			if size < 0 {
-				size = inf.Size
-			}
-			if want == "" {
-				want = inf.Checksum
-			}
-		}
+	plan, err := c.planDownload(ctx, host, path, ml)
+	if err != nil {
+		return 0, err
 	}
+	return c.fetchChunks(ctx, plan, w)
+}
+
+// fetchChunks is the fetch/verify/commit stage of every multi-stream
+// download: it streams plan's chunks into w, verifies them as
+// DownloadMultiStreamTo documents, and returns the object size written.
+func (c *Client) fetchChunks(ctx context.Context, plan downloadPlan, w io.WriterAt) (int64, error) {
+	replicas, size, path := plan.replicas, plan.size, plan.replicas[0].Path
 	if size == 0 {
 		return 0, nil
 	}
@@ -484,8 +518,8 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 	algo := digest.Adler32
 	var wantSum uint32
 	haveWant := false
-	if verify && want != "" {
-		cs, err := digest.Parse(want)
+	if verify && plan.want != "" {
+		cs, err := digest.Parse(plan.want)
 		if err != nil {
 			if errors.Is(err, digest.ErrUnsupported) {
 				return 0, fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
@@ -506,110 +540,60 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 	// rollup cannot give: corrupt-replica failover mid-transfer, or any
 	// verification at all when the server checksum does not combine.
 	perChunk := verify && (!haveWant || len(replicas) > 1)
-	var (
-		rollupMu       sync.Mutex
-		rollup         *digest.Rollup
-		sums           []chunkSum
-		verifiedChunks int
-		nChunks        int
-	)
-	if verify {
-		rollup, _ = digest.NewRollup(algo)
-	}
 
 	// Checkpointed resume: journal completed chunks to the sidecar and skip
 	// the chunks a previous interrupted run already proved intact on disk.
 	// Journaling needs per-chunk digests, so it forces the tee on (and the
 	// kernel splice path off) even when verification is otherwise disabled.
-	ck, skip := c.downloadCheckpoint(w, path, size, algo, want)
-	sumChunks := verify || ck != nil
+	ck, skip := c.downloadCheckpoint(w, path, size, algo, plan.want)
+	led := &chunkLedger{ck: ck}
+	if verify {
+		led.rollup, _ = digest.NewRollup(algo)
+	}
 
 	// The kernel fast path needs a real file target and no digest tee.
 	fastName := ""
-	if f, ok := w.(*os.File); ok && !verify && ck == nil && !c.opts.LegacyChunkBuffers {
+	if f, ok := w.(*os.File); ok && !led.wantsSums() {
 		fastName = f.Name()
 	}
 
+	var verifiedChunks atomic.Int64
 	err := c.forEachChunk(ctx, 0, size, c.opts.MaxStreams, func(cctx context.Context, idx int, off, ln int64) error {
 		if sum, ok := skip[off]; ok {
 			// Proven intact against its journaled digest — already on disk.
-			if rollup != nil {
-				rollupMu.Lock()
-				rollup.Add(off, ln, sum)
-				sums = append(sums, chunkSum{off, ln, sum})
-				nChunks++
-				rollupMu.Unlock()
-			}
+			led.note(off, ln, sum)
 			return nil
 		}
-		if c.opts.LegacyChunkBuffers {
-			buf := bufpool.Get(int(ln))
-			defer bufpool.Put(buf)
-			if err := c.readChunkReplicas(cctx, replicas, idx, off, buf); err != nil {
-				return err
-			}
-			if _, err := w.WriteAt(buf, off); err != nil {
-				return err
-			}
-			c.recordBytePath(obs.Down, path, obs.PathPooled, ln)
-			if rollup != nil || ck != nil {
-				sum := digest.Sum32(algo, buf)
-				if ck != nil {
-					ck.append(off, ln, sum)
-				}
-				if rollup != nil {
-					rollupMu.Lock()
-					rollup.Add(off, ln, sum)
-					sums = append(sums, chunkSum{off, ln, sum})
-					nChunks++
-					rollupMu.Unlock()
-				}
-			}
-			return nil
-		}
-		res, err := c.scatterChunkReplicas(cctx, replicas, idx, off, ln, w, fastName, algo, sumChunks, perChunk)
+		res, err := c.scatterChunkReplicas(cctx, replicas, idx, off, ln, w, fastName, algo, led.wantsSums(), perChunk)
 		if err != nil {
 			return err
 		}
-		if ck != nil && res.summed {
-			ck.append(off, ln, res.sum)
+		if res.summed {
+			led.record(off, ln, res.sum)
 		}
-		if rollup != nil && res.summed {
-			rollupMu.Lock()
-			rollup.Add(off, ln, res.sum)
-			sums = append(sums, chunkSum{off, ln, res.sum})
-			nChunks++
-			if res.verified {
-				verifiedChunks++
-			}
-			rollupMu.Unlock()
+		if res.verified {
+			verifiedChunks.Add(1)
 		}
 		return nil
 	})
 	if err != nil {
-		if ck != nil {
-			ck.close(true)
-		}
+		led.close(true)
 		return 0, err
 	}
-	if rollup != nil && haveWant {
-		got, rerr := rollup.Sum(size)
+	if led.rollup != nil && haveWant {
+		got, rerr := led.rollup.Sum(size)
 		if rerr != nil {
-			if ck != nil {
-				ck.close(true)
-			}
+			led.close(true)
 			return 0, rerr
 		}
 		if got != wantSum {
 			c.metrics.checksumMismatches.Add(1)
-			if ck != nil {
-				// The journal vouched for bytes the rollup just condemned —
-				// none of it can be believed; the next attempt starts clean.
-				ck.close(false)
-			}
+			// The journal vouched for bytes the rollup just condemned —
+			// none of it can be believed; the next attempt starts clean.
+			led.close(false)
 			// Narrow the blame to a chunk when a server will commit to
 			// per-range digests — HEAD probes only, no payload re-reads.
-			if ce := c.localizeMismatch(ctx, replicas, path, algo, sums); ce != nil {
+			if ce := c.localizeMismatch(ctx, replicas, path, algo, led.rollup.Spans()); ce != nil {
 				return 0, ce
 			}
 			return 0, &ChecksumError{
@@ -619,14 +603,22 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 			}
 		}
 		c.metrics.transfersVerified.Add(1)
-	} else if rollup != nil && nChunks > 0 && verifiedChunks == nChunks {
+	} else if mem, ok := w.(*chunkBuf); ok && verify && plan.want != "" {
+		// The server checksum is order-dependent (md5): the rollup cannot
+		// fold it, and the per-range Digests above only vouch for what each
+		// replica itself holds. An in-memory sink still has the whole
+		// object, so hashing it costs no extra read.
+		if err := verifyChecksum(mem.buf, plan.want, path, true); err != nil {
+			c.metrics.checksumMismatches.Add(1)
+			return 0, err
+		}
+		c.metrics.transfersVerified.Add(1)
+	} else if led.rollup != nil && verifiedChunks.Load() == int64(len(led.rollup.Spans())) {
 		// No combinable server checksum, but every chunk matched the
 		// server's per-range Digest — the transfer is end-to-end verified.
 		c.metrics.transfersVerified.Add(1)
 	}
-	if ck != nil {
-		ck.close(false) // complete: the sidecar has served its purpose
-	}
+	led.close(false) // complete: the sidecar has served its purpose
 	return size, nil
 }
 
@@ -679,11 +671,18 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 	want := inf.Checksum
 	return c.multiStreamPut(ctx, dHost, dPath, size, par,
 		func(cctx context.Context, idx int, off int64, buf []byte) error {
-			return c.readChunkReplicas(cctx, replicas, idx, off, buf)
+			return c.readChunkInto(cctx, replicas, idx, off, buf)
 		},
 		func() error { return c.copyStreamPipe(ctx, replicas, dHost, dPath, size) },
 		func() string { return want },
 		nil)
+}
+
+// readChunkInto fetches chunk idx covering [off, off+len(buf)) into buf
+// through the chunk pipeline — the pull copy's source read.
+func (c *Client) readChunkInto(ctx context.Context, replicas []Replica, idx int, off int64, buf []byte) error {
+	_, err := c.scatterChunkReplicas(ctx, replicas, idx, off, int64(len(buf)), &chunkBuf{base: off, buf: buf}, "", digest.Adler32, false, false)
+	return err
 }
 
 // copyStreamPipe pulls the source sequentially, chunk by pooled chunk,
@@ -698,7 +697,7 @@ func (c *Client) copyStreamPipe(ctx context.Context, replicas []Replica, dHost, 
 		for off := int64(0); off < size; off += cs {
 			ln := min(cs, size-off)
 			buf := bufpool.Get(int(ln))
-			if err = c.readChunkReplicas(ctx, replicas, int(off/cs), off, buf); err == nil {
+			if err = c.readChunkInto(ctx, replicas, int(off/cs), off, buf); err == nil {
 				_, err = pw.Write(buf)
 			}
 			bufpool.Put(buf)

@@ -396,40 +396,21 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	probeLen := min(uploadProbeLen, c.opts.ChunkSize, size)
 	var created atomic.Bool
 
-	var ck *checkpoint
+	led := &chunkLedger{}
 	var skip map[int64]uint32
 	if resumeSrc != nil {
-		ck, skip, uploadID = c.uploadCheckpoint(resumeSrc, host, path, size, probeLen, uploadID)
+		led.ck, skip, uploadID = c.uploadCheckpoint(resumeSrc, host, path, size, probeLen, uploadID)
 	}
-	closeCk := func(keep bool) {
-		if ck != nil {
-			ck.close(keep)
-		}
-	}
-
 	// Inline integrity: with VerifyTransfers every chunk buffer — already
 	// in hand for the PUT — is digested before it ships, and the per-chunk
 	// sums combine into the whole-object adler32. That value replaces
 	// wantChecksum's lazy re-read of the entire source (sourceAdler32) with
 	// zero extra reads, and primes the stat cache on commit.
-	var (
-		rollupMu sync.Mutex
-		rollup   *digest.Rollup
-	)
 	if c.opts.VerifyTransfers {
-		rollup, _ = digest.NewRollup(digest.Adler32)
-	}
-	addSum := func(off int64, b []byte) {
-		if rollup == nil {
-			return
-		}
-		sum := digest.Sum32(digest.Adler32, b)
-		rollupMu.Lock()
-		rollup.Add(off, int64(len(b)), sum)
-		rollupMu.Unlock()
+		led.rollup, _ = digest.NewRollup(digest.Adler32)
 	}
 	rollupChecksum := func() string {
-		sum, err := rollup.Sum(size)
+		sum, err := led.rollup.Sum(size)
 		if err != nil {
 			return ""
 		}
@@ -442,10 +423,13 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	buf := bufpool.Get(int(probeLen))
 	if err := readChunk(ctx, 0, 0, buf); err != nil {
 		bufpool.Put(buf)
-		closeCk(true)
+		led.close(true)
 		return err
 	}
-	addSum(0, buf)
+	if led.rollup != nil {
+		// Noted, never journaled: every attempt re-sends the probe.
+		led.note(0, probeLen, digest.Sum32(digest.Adler32, buf))
+	}
 	c.trace.EmitChunkStart(obs.Up, path, 0, 0, probeLen)
 	probe, err := c.putRanged(ctx, host, path, buf, 0, size, uploadID)
 	c.trace.EmitChunkDone(obs.Up, path, 0, 0, probeLen, err)
@@ -454,10 +438,10 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		if rangedPutUnsupported(err) {
 			// The serial fallback does not journal and commits in one
 			// request — an old journal would only mislead a later resume.
-			closeCk(false)
+			led.close(false)
 			return fallback()
 		}
-		closeCk(true)
+		led.close(true)
 		return err
 	}
 	c.recordBytePath(obs.Up, path, obs.PathPooled, probeLen)
@@ -469,11 +453,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		if sum, ok := skip[off]; ok {
 			// The journal proved the server already received these source
 			// bytes under the resumed upload id.
-			if rollup != nil {
-				rollupMu.Lock()
-				rollup.Add(off, ln, sum)
-				rollupMu.Unlock()
-			}
+			led.note(off, ln, sum)
 			return nil
 		}
 		buf := bufpool.Get(int(ln))
@@ -481,7 +461,6 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		if err := readChunk(cctx, idx, off, buf); err != nil {
 			return err
 		}
-		addSum(off, buf)
 		// The probe was chunk 0; fan-out chunks number from 1.
 		c.trace.EmitChunkStart(obs.Up, path, idx+1, off, ln)
 		res, err := c.putRanged(cctx, probe.host, probe.path, buf, off, size, uploadID)
@@ -489,8 +468,8 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		if err != nil {
 			return err
 		}
-		if ck != nil {
-			ck.append(off, ln, digest.Sum32(digest.Adler32, buf))
+		if led.wantsSums() {
+			led.record(off, ln, digest.Sum32(digest.Adler32, buf))
 		}
 		c.recordBytePath(obs.Up, path, obs.PathPooled, ln)
 		if res.created {
@@ -499,10 +478,10 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		return nil
 	})
 	if err != nil {
-		closeCk(true)
+		led.close(true)
 		return err
 	}
-	if rollup != nil {
+	if led.rollup != nil {
 		wantChecksum = rollupChecksum
 	}
 	if !created.Load() {
@@ -511,18 +490,18 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			// The server-side partial assembly the journal pointed at is
 			// gone (TTL sweep, restart): self-heal with one clean
 			// journal-free re-upload instead of surfacing the phantom.
-			closeCk(false)
+			led.close(false)
 			return c.multiStreamPut(ctx, host, path, size, par, readChunk, fallback, wantChecksum, nil)
 		}
-		closeCk(err != nil)
+		led.close(err != nil)
 		return err
 	}
 	checksum := ""
-	if rollup != nil {
+	if led.rollup != nil {
 		checksum = rollupChecksum()
 	}
 	c.primeAfterWrite(host, path, size, "", checksum)
-	closeCk(false)
+	led.close(false)
 	return nil
 }
 

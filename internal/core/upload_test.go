@@ -235,15 +235,23 @@ func TestSerialUploadWireIdenticalToPut(t *testing.T) {
 // TestUploadMidChunkFailureCancelsSiblings: one sibling chunk hits a
 // semantic failure after the probe; the other in-flight streams must be
 // cancelled instead of draining the remaining work queue, and the object
-// must never be committed.
+// must never be committed. Every PUT after the failing one is held
+// server-side far longer than the test may take, so no sibling can complete
+// before the cancellation: the server sees the probe and at most one PUT
+// per stream.
 func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: 2})
+	const streams = 2
+	const hold = 5 * time.Second
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: streams})
 	e.startServer(t, dpm1, httpserv.Options{})
 
 	blob := uploadBlob(64<<8, 37) // 64 chunks
-	// Probe passes (After: 1), the next chunk PUT gets a non-retryable 403.
+	// Probe passes (After: 1), the next chunk PUT gets a non-retryable 403;
+	// the path fault shadows "*" until then.
 	e.srvs[dpm1].SetFault("/cancel", httpserv.Fault{Status: 403, After: 1, Remaining: 1})
+	e.srvs[dpm1].SetFault("*", httpserv.Fault{Delay: hold})
 
+	start := time.Now()
 	err := e.client.UploadMultiStream(context.Background(), dpm1, "/cancel", bytes.NewReader(blob), int64(len(blob)))
 	if err == nil {
 		t.Fatal("expected error from failing chunk")
@@ -252,11 +260,16 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != 403 {
 		t.Fatalf("err = %v, want the 403 StatusError", err)
 	}
-	puts := e.srvs[dpm1].RequestsByMethod("PUT")
-	if puts > 8 {
-		t.Fatalf("server saw %d chunk PUTs after first failure; siblings not cancelled", puts)
+	if d := time.Since(start); d > hold/2 {
+		t.Fatalf("returned after %v: a cancelled sibling sat out the server's %v hold", d, hold)
 	}
-	// No straggler keeps uploading after the error surfaced.
+	// A PUT already on the wire when the error surfaced may still reach the
+	// server; once those have landed, no straggler may keep uploading.
+	time.Sleep(50 * time.Millisecond)
+	puts := e.srvs[dpm1].RequestsByMethod("PUT")
+	if puts > 1+streams {
+		t.Fatalf("server saw %d PUTs, want at most probe + %d; siblings not cancelled", puts, streams)
+	}
 	time.Sleep(50 * time.Millisecond)
 	if now := e.srvs[dpm1].RequestsByMethod("PUT"); now != puts {
 		t.Fatalf("PUTs grew %d -> %d after the upload returned", puts, now)

@@ -287,7 +287,13 @@ func (w *walker) emit(ctx context.Context, n *walkNode) error {
 		if err := w.emit(ctx, child); err != nil {
 			return err
 		}
-		n.children[i] = nil // allow the finished subtree to be collected
+		select {
+		case <-child.done:
+			n.children[i] = nil // allow the finished subtree to be collected
+		default:
+			// Pruned before its listing settled: spawnChildren may not have
+			// read this slot yet, and the node holds no entries to free.
+		}
 	}
 	return nil
 }

@@ -273,13 +273,13 @@ func Combine(algo string, a, b uint32, lenB int64) uint32 {
 // single goroutine after workers finish their chunk).
 type Rollup struct {
 	algo   string
-	chunks []chunkSum
+	chunks []Span
 }
 
-type chunkSum struct {
-	off int64
-	n   int64
-	sum uint32
+// Span is one chunk's digest: the Sum of the N bytes at offset Off.
+type Span struct {
+	Off, N int64
+	Sum    uint32
 }
 
 // NewRollup returns a rollup for a combinable algorithm, or ErrUnsupported
@@ -294,14 +294,19 @@ func NewRollup(algo string) (*Rollup, error) {
 
 // Add records the digest of the n bytes at offset off.
 func (r *Rollup) Add(off, n int64, sum uint32) {
-	r.chunks = append(r.chunks, chunkSum{off: off, n: n, sum: sum})
+	r.chunks = append(r.chunks, Span{Off: off, N: n, Sum: sum})
 }
+
+// Spans returns the chunks recorded so far — in offset order once Sum has
+// run — so a whole-object mismatch can be narrowed to one of them. The
+// slice is the rollup's own; callers must not modify it.
+func (r *Rollup) Spans() []Span { return r.chunks }
 
 // Sum folds the recorded chunks in offset order into the whole-object
 // digest. It errors if the chunks do not tile [0, total) exactly — a gap or
 // overlap means the transfer lost track of a span and any digest would lie.
 func (r *Rollup) Sum(total int64) (uint32, error) {
-	sort.Slice(r.chunks, func(i, j int) bool { return r.chunks[i].off < r.chunks[j].off })
+	sort.Slice(r.chunks, func(i, j int) bool { return r.chunks[i].Off < r.chunks[j].Off })
 	var (
 		pos int64
 		acc uint32
@@ -309,11 +314,11 @@ func (r *Rollup) Sum(total int64) (uint32, error) {
 	// Digest of the empty prefix.
 	acc = Sum32(r.algo, nil)
 	for _, c := range r.chunks {
-		if c.off != pos {
-			return 0, fmt.Errorf("digest: chunk gap at byte %d (next chunk starts at %d)", pos, c.off)
+		if c.Off != pos {
+			return 0, fmt.Errorf("digest: chunk gap at byte %d (next chunk starts at %d)", pos, c.Off)
 		}
-		acc = Combine(r.algo, acc, c.sum, c.n)
-		pos += c.n
+		acc = Combine(r.algo, acc, c.Sum, c.N)
+		pos += c.N
 	}
 	if pos != total {
 		return 0, fmt.Errorf("digest: chunks cover %d of %d bytes", pos, total)

@@ -38,9 +38,11 @@ func IsMultipartByteranges(contentType string) (boundary string, ok bool) {
 	return b, b != ""
 }
 
-// ReadMultipart parses a multipart/byteranges body, returning the parts in
-// stream order. Servers may reorder or coalesce parts relative to the
-// request; callers match parts to frames by offset.
+// ReadMultipart parses a multipart/byteranges body with mime/multipart,
+// returning the parts in stream order. Servers may reorder or coalesce parts
+// relative to the request; callers match parts to frames by offset. Clients
+// scatter with ScatterMultipart; ReadMultipart, ScatterParts and
+// ReleaseParts are the reference its tests compare against.
 //
 // Part payloads are drawn from the shared buffer pool: callers that finish
 // scattering should hand the parts to ReleaseParts so steady-state vector

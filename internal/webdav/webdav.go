@@ -608,7 +608,8 @@ func (s *msScanner) appendEntity() error {
 }
 
 // DecodeMultistatus parses a multistatus body into entries, in document
-// order.
+// order, with encoding/xml. Clients decode with DecodeMultistatusStream;
+// this is the reference its tests compare against.
 func DecodeMultistatus(data []byte) ([]Entry, error) {
 	var doc msDoc
 	if err := xml.Unmarshal(data, &doc); err != nil {

@@ -2,6 +2,8 @@ package webdav
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +70,40 @@ func TestStreamDecodeMatchesLegacy(t *testing.T) {
 		if streamed[i] != legacy[i] {
 			t.Fatalf("entry %d: streamed %+v != legacy %+v", i, streamed[i], legacy[i])
 		}
+	}
+}
+
+// TestStreamDecodeAllocsDrop pins why the client decodes off the stream: on
+// a 10k-entry listing the tag scanner must allocate at most half of what
+// the materialize-then-Unmarshal oracle pays, with identical entries.
+func TestStreamDecodeAllocsDrop(t *testing.T) {
+	const n = 10000
+	in := make([]Entry, 0, n+1)
+	in = append(in, Entry{Href: "/flat", Dir: true})
+	for i := 0; i < n; i++ {
+		in = append(in, Entry{Href: fmt.Sprintf("/flat/f%05d.rnt", i), Size: int64(i)})
+	}
+	body, err := EncodeMultistatus(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed, oracle []Entry
+	streaming := testing.AllocsPerRun(3, func() {
+		if streamed, err = DecodeMultistatusStream(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	materialized := testing.AllocsPerRun(3, func() {
+		if oracle, err = DecodeMultistatus(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(streamed, oracle) {
+		t.Fatal("streamed entries differ from the oracle's")
+	}
+	t.Logf("allocs/op: streaming=%.0f oracle=%.0f (%.0f%% drop)", streaming, materialized, 100*(1-streaming/materialized))
+	if streaming > materialized/2 {
+		t.Fatalf("streaming decode %.0f allocs/op not ≤ half of the oracle's %.0f", streaming, materialized)
 	}
 }
 
