@@ -10,6 +10,11 @@
 // class allocates. Channel sends and receives of a []byte copy only the
 // slice header, so the steady state is allocation-free without sync.Pool's
 // per-Put boxing allocation.
+//
+// A request above the 4 MiB top class bypasses the pool: Get is a plain
+// make, zeroing included, and Put drops the buffer. No hot path asks for
+// one — transfers stream chunk bodies through 64 KiB buffers whatever the
+// chunk size; only the pull-mode copy still stages whole chunks.
 package bufpool
 
 import (

@@ -670,8 +670,13 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 	// ground truth the destination must match if commit verification runs.
 	want := inf.Checksum
 	return c.multiStreamPut(ctx, dHost, dPath, size, par,
-		func(cctx context.Context, idx int, off int64, buf []byte) error {
-			return c.readChunkInto(cctx, replicas, idx, off, buf)
+		func(cctx context.Context, idx int, off, ln int64) (func() io.Reader, func(), error) {
+			buf := bufpool.Get(int(ln))
+			if err := c.readChunkInto(cctx, replicas, idx, off, buf); err != nil {
+				bufpool.Put(buf)
+				return nil, nil, err
+			}
+			return func() io.Reader { return bytes.NewReader(buf) }, func() { bufpool.Put(buf) }, nil
 		},
 		func() error { return c.copyStreamPipe(ctx, replicas, dHost, dPath, size) },
 		func() string { return want },

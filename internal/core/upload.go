@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"godavix/internal/bufpool"
 	"godavix/internal/digest"
 	"godavix/internal/obs"
 	"godavix/internal/pool"
@@ -132,9 +131,9 @@ func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, 
 		return c.Put(ctx, host, path, nil)
 	}
 	body := r
-	var h hash.Hash
+	var h hash.Hash32
 	if c.opts.VerifyTransfers {
-		h, _ = digest.New(digest.Adler32)
+		h = adler32.New()
 		body = io.TeeReader(r, h)
 	}
 	resp, err := c.putStream(ctx, host, path, body, size)
@@ -143,26 +142,37 @@ func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, 
 	}
 	checksum, echoed := "", ""
 	if h != nil && size > 0 {
-		checksum = fmt.Sprintf("adler32:%08x", h.(hash.Hash32).Sum32())
+		checksum = fmt.Sprintf("adler32:%08x", h.Sum32())
 		echoed = resp.Header.Get("Digest")
 	}
 	if _, err = c.finishPut(resp, host, path, size, checksum); err != nil {
 		return err
 	}
 	if h != nil && size > 0 {
-		if want, ok := digest.FromDigestHeader(echoed, digest.Adler32); ok {
-			got := h.(hash.Hash32).Sum32()
-			if got != binary.BigEndian.Uint32(want.Sum) {
-				c.metrics.checksumMismatches.Add(1)
-				return &ChecksumError{
-					Path: path, Algo: digest.Adler32, Off: 0, Length: size,
-					Got:  fmt.Sprintf("%08x", got),
-					Want: hex.EncodeToString(want.Sum),
-				}
-			}
-			c.metrics.transfersVerified.Add(1)
+		return c.checkStoredDigest(path, size, h.Sum32(), echoed)
+	}
+	return nil
+}
+
+// checkStoredDigest closes a verified upload's integrity loop at zero extra
+// reads: sent is the adler32 the client computed over the size bytes it
+// streamed out, echoed the Digest header of the 2xx that committed them —
+// the server's account of what it stored. A server that echoes no adler32
+// leaves the upload unverified, not failed.
+func (c *Client) checkStoredDigest(path string, size int64, sent uint32, echoed string) error {
+	stored, ok := digest.FromDigestHeader(echoed, digest.Adler32)
+	if !ok {
+		return nil
+	}
+	if sent != binary.BigEndian.Uint32(stored.Sum) {
+		c.metrics.checksumMismatches.Add(1)
+		return &ChecksumError{
+			Path: path, Algo: digest.Adler32, Off: 0, Length: size,
+			Got:  fmt.Sprintf("%08x", sent),
+			Want: hex.EncodeToString(stored.Sum),
 		}
 	}
+	c.metrics.transfersVerified.Add(1)
 	return nil
 }
 
@@ -355,30 +365,33 @@ func (c *Client) UploadMultiStream(ctx context.Context, host, path string, src i
 		return c.putSerial(ctx, host, path, src, size)
 	}
 
-	readChunk := func(_ context.Context, _ int, off int64, buf []byte) error {
-		if n, err := src.ReadAt(buf, off); n < len(buf) {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("davix: read upload chunk at %d: %w", off, err)
-		}
-		return nil
+	// No chunk is ever staged in memory: each send streams its slice of src
+	// through the wire layer's one pooled 64 KiB buffer.
+	open := func(_ context.Context, _ int, off, ln int64) (func() io.Reader, func(), error) {
+		return func() io.Reader { return io.NewSectionReader(src, off, ln) }, func() {}, nil
 	}
 	return c.multiStreamPut(ctx, host, path, size, par,
-		readChunk,
+		open,
 		func() error { return c.putSerial(ctx, host, path, src, size) },
 		func() string { return sourceAdler32(src, size) },
 		src)
 }
 
+// chunkBodies opens the chunk covering [off, off+ln) of an upload; idx
+// numbers it for the source's own load spreading. body is then called once
+// per send — each redirect hop and each retry asks again — and every call
+// returns a fresh reader over the same ln bytes; done releases whatever the
+// chunk holds.
+type chunkBodies func(ctx context.Context, idx int, off, ln int64) (body func() io.Reader, done func(), err error)
+
 // multiStreamPut drives the shared orchestration of every chunked upload
 // (UploadMultiStream and the pull-mode CopyStream): a small probe slice
 // resolves the redirect target and ranged-PUT support, the remaining
-// chunks fan out over par workers pulling bytes through readChunk into
-// pooled buffers, fallback runs when the destination rejects ranged PUTs,
-// and — unless some chunk answered 201 Created — verifyCommitted checks
-// the object actually assembled (wantChecksum supplies the expected
-// content checksum, lazily).
+// chunks fan out over par workers streaming the bodies open supplies,
+// fallback runs when the destination rejects ranged PUTs, and the commit is
+// checked: against the Digest of the 201 Created that assembled the object
+// when verifying, else — when no chunk answered 201 — by verifyCommitted
+// (wantChecksum supplies the expected content checksum, lazily).
 //
 // resumeSrc, when a plain file and Options.Resume is on, enables the
 // checkpoint journal: completed chunks are journaled, an interrupted
@@ -387,53 +400,57 @@ func (c *Client) UploadMultiStream(ctx context.Context, host, path string, src i
 // whose server-side partial assembly has meanwhile been reaped detects the
 // phantom (no commit signal) and re-uploads from scratch once.
 func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int64, par int,
-	readChunk func(ctx context.Context, idx int, off int64, buf []byte) error,
+	open chunkBodies,
 	fallback func() error,
 	wantChecksum func() string,
 	resumeSrc io.ReaderAt) error {
 
 	uploadID := newUploadID()
 	probeLen := min(uploadProbeLen, c.opts.ChunkSize, size)
-	var created atomic.Bool
 
 	led := &chunkLedger{}
 	var skip map[int64]uint32
 	if resumeSrc != nil {
 		led.ck, skip, uploadID = c.uploadCheckpoint(resumeSrc, host, path, size, probeLen, uploadID)
 	}
-	// Inline integrity: with VerifyTransfers every chunk buffer — already
-	// in hand for the PUT — is digested before it ships, and the per-chunk
-	// sums combine into the whole-object adler32. That value replaces
-	// wantChecksum's lazy re-read of the entire source (sourceAdler32) with
-	// zero extra reads, and primes the stat cache on commit.
+	// Inline integrity: with VerifyTransfers every chunk body is hashed as
+	// it streams to the socket, and the per-chunk sums combine into the
+	// whole-object adler32. That value is what the server's commit Digest
+	// is held against, replaces wantChecksum's lazy re-read of the entire
+	// source (sourceAdler32) with zero extra reads, and primes the stat
+	// cache on commit.
 	if c.opts.VerifyTransfers {
 		led.rollup, _ = digest.NewRollup(digest.Adler32)
 	}
-	rollupChecksum := func() string {
-		sum, err := led.rollup.Sum(size)
+
+	// commit is the Digest header of the 201 Created that assembled the
+	// object; nil while every chunk so far was merely received (202).
+	var commit atomic.Pointer[string]
+	// putChunk sends [off, off+ln) to tHost/tPath. srcIdx numbers the chunk
+	// for the body source, traceIdx for the trace (the probe is chunk 0).
+	putChunk := func(cctx context.Context, srcIdx, traceIdx int, tHost, tPath string, off, ln int64) (rangedPutResult, error) {
+		body, done, err := open(cctx, srcIdx, off, ln)
 		if err != nil {
-			return ""
+			return rangedPutResult{}, err
 		}
-		return fmt.Sprintf("adler32:%08x", sum)
+		defer done()
+		c.trace.EmitChunkStart(obs.Up, path, traceIdx, off, ln)
+		res, err := c.putRanged(cctx, tHost, tPath, body, off, ln, size, uploadID, led.wantsSums())
+		c.trace.EmitChunkDone(obs.Up, path, traceIdx, off, ln, err)
+		if err != nil {
+			return res, err
+		}
+		c.recordBytePath(obs.Up, path, obs.PathPooled, ln)
+		if res.created {
+			commit.Store(&res.digest)
+		}
+		return res, nil
 	}
 
-	// Only the destination's PUT verdict feeds the fallback
-	// classification — a chunk-source read failure surfaces as-is (the
-	// fallback would just re-fail on it).
-	buf := bufpool.Get(int(probeLen))
-	if err := readChunk(ctx, 0, 0, buf); err != nil {
-		bufpool.Put(buf)
-		led.close(true)
-		return err
-	}
-	if led.rollup != nil {
-		// Noted, never journaled: every attempt re-sends the probe.
-		led.note(0, probeLen, digest.Sum32(digest.Adler32, buf))
-	}
-	c.trace.EmitChunkStart(obs.Up, path, 0, 0, probeLen)
-	probe, err := c.putRanged(ctx, host, path, buf, 0, size, uploadID)
-	c.trace.EmitChunkDone(obs.Up, path, 0, 0, probeLen, err)
-	bufpool.Put(buf)
+	// Only the destination's PUT verdict feeds the fallback classification
+	// — a failure to open the chunk source surfaces as-is (the fallback
+	// would just re-fail on it).
+	probe, err := putChunk(ctx, 0, 0, host, path, 0, probeLen)
 	if err != nil {
 		if rangedPutUnsupported(err) {
 			// The serial fallback does not journal and commits in one
@@ -444,10 +461,8 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		led.close(true)
 		return err
 	}
-	c.recordBytePath(obs.Up, path, obs.PathPooled, probeLen)
-	if probe.created {
-		created.Store(true)
-	}
+	// Noted, never journaled: every attempt re-sends the probe.
+	led.note(0, probeLen, probe.sum)
 
 	err = c.forEachChunk(ctx, probeLen, size, par, func(cctx context.Context, idx int, off, ln int64) error {
 		if sum, ok := skip[off]; ok {
@@ -456,24 +471,12 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			led.note(off, ln, sum)
 			return nil
 		}
-		buf := bufpool.Get(int(ln))
-		defer bufpool.Put(buf)
-		if err := readChunk(cctx, idx, off, buf); err != nil {
-			return err
-		}
-		// The probe was chunk 0; fan-out chunks number from 1.
-		c.trace.EmitChunkStart(obs.Up, path, idx+1, off, ln)
-		res, err := c.putRanged(cctx, probe.host, probe.path, buf, off, size, uploadID)
-		c.trace.EmitChunkDone(obs.Up, path, idx+1, off, ln, err)
+		res, err := putChunk(cctx, idx, idx+1, probe.host, probe.path, off, ln)
 		if err != nil {
 			return err
 		}
 		if led.wantsSums() {
-			led.record(off, ln, digest.Sum32(digest.Adler32, buf))
-		}
-		c.recordBytePath(obs.Up, path, obs.PathPooled, ln)
-		if res.created {
-			created.Store(true)
+			led.record(off, ln, res.sum)
 		}
 		return nil
 	})
@@ -481,27 +484,39 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		led.close(true)
 		return err
 	}
+	checksum := ""
+	var sent uint32
 	if led.rollup != nil {
-		wantChecksum = rollupChecksum
+		if sent, err = led.rollup.Sum(size); err != nil {
+			led.close(true)
+			return err
+		}
+		checksum = fmt.Sprintf("adler32:%08x", sent)
+		wantChecksum = func() string { return checksum }
 	}
-	if !created.Load() {
+	stored := commit.Load()
+	if stored == nil {
 		err := c.verifyCommitted(ctx, host, path, size, wantChecksum)
 		if err != nil && errors.Is(err, errUploadNotCommitted) && len(skip) > 0 {
 			// The server-side partial assembly the journal pointed at is
 			// gone (TTL sweep, restart): self-heal with one clean
 			// journal-free re-upload instead of surfacing the phantom.
 			led.close(false)
-			return c.multiStreamPut(ctx, host, path, size, par, readChunk, fallback, wantChecksum, nil)
+			return c.multiStreamPut(ctx, host, path, size, par, open, fallback, wantChecksum, nil)
 		}
 		led.close(err != nil)
 		return err
 	}
-	checksum := ""
+	// The object is committed either way: the journal has nothing left to
+	// resume, and whatever the caches held for the path is stale.
+	led.close(false)
 	if led.rollup != nil {
-		checksum = rollupChecksum()
+		if err := c.checkStoredDigest(path, size, sent, *stored); err != nil {
+			c.invalidateCache(host, path)
+			return err
+		}
 	}
 	c.primeAfterWrite(host, path, size, "", checksum)
-	led.close(false)
 	return nil
 }
 
@@ -583,40 +598,54 @@ func (c *Client) putSerial(ctx context.Context, host, path string, src io.Reader
 }
 
 // rangedPutResult reports one Content-Range PUT: the redirect-resolved
-// target (so sibling chunks go there directly) and whether the server
-// answered 201 Created — the commit signal distinguishing "assembled into
-// the final object" from a 202 per-chunk receipt.
+// target (so sibling chunks go there directly), whether the server answered
+// 201 Created — the commit signal distinguishing "assembled into the final
+// object" from a 202 per-chunk receipt — with the Digest header that came
+// with it, and the adler32 of the body as sent (when asked for).
 type rangedPutResult struct {
 	host, path string
 	created    bool
+	digest     string
+	sum        uint32
 }
 
-// putRanged PUTs data as the [off, off+len(data)) slice of a total-byte
-// object (Content-Range PUT), following redirects. uploadID, when
-// non-empty, travels as X-Upload-Id so the server keeps concurrent
-// uploads to one path in separate assemblies.
-func (c *Client) putRanged(ctx context.Context, host, path string, data []byte, off, total int64, uploadID string) (rangedPutResult, error) {
-	cr := fmt.Sprintf("bytes %d-%d/%d", off, off+int64(len(data))-1, total)
+// putRanged PUTs the ln bytes body yields as the [off, off+ln) slice of a
+// total-byte object (Content-Range PUT), following redirects. body is
+// called for every send, so a redirected or retried chunk streams — and,
+// with sum, hashes — from its first byte again; the sum reported is that of
+// the send the server accepted. uploadID, when non-empty, travels as
+// X-Upload-Id so the server keeps concurrent uploads to one path in
+// separate assemblies.
+func (c *Client) putRanged(ctx context.Context, host, path string, body func() io.Reader, off, ln, total int64, uploadID string, sum bool) (rangedPutResult, error) {
+	cr := fmt.Sprintf("bytes %d-%d/%d", off, off+ln-1, total)
 	var res rangedPutResult
-	err := c.exec(ctx, host, path, specPutRange, func(h, p string) *wire.Request {
-		req := wire.NewRequest("PUT", h, p)
+	var h hash.Hash32
+	err := c.exec(ctx, host, path, specPutRange, func(hst, p string) *wire.Request {
+		req := wire.NewRequest("PUT", hst, p)
 		req.Header.Set("Content-Range", cr)
 		if uploadID != "" {
 			req.Header.Set("X-Upload-Id", uploadID)
 		}
-		req.SetBodyBytes(data)
+		req.Body, req.ContentLength = body(), ln
+		if sum {
+			h = adler32.New()
+			req.Body = io.TeeReader(req.Body, h)
+		}
 		return req
 	}, func(landed Replica, resp *Response) error {
 		if resp.StatusCode/100 != 2 {
 			return statusErr(resp, "PUT", path)
 		}
-		created := resp.StatusCode == 201
+		created, echoed := resp.StatusCode == 201, resp.Header.Get("Digest")
 		if _, err := resp.ReadAllAndClose(); err != nil {
 			return err
 		}
 		// The redirect-resolved target lets sibling chunks go straight to
 		// the disk node the head node designated.
-		res = rangedPutResult{host: landed.Host, path: landed.Path, created: created}
+		res = rangedPutResult{host: landed.Host, path: landed.Path, created: created, digest: echoed}
+		if h != nil {
+			res.sum = h.Sum32()
+		}
 		return nil
 	})
 	if err != nil {

@@ -1,0 +1,247 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+
+	"godavix/internal/httpserv"
+	"godavix/internal/pool"
+	"godavix/internal/storage"
+)
+
+// Chunk bodies stream from the source through the wire layer and are hashed
+// on the way: nothing stages a chunk, and the sum of a chunk is the sum of
+// the send the server accepted.
+
+// tamperDialer wraps a Dialer so tests can interfere with what the client
+// writes: onWrite sees each Write of each connection (numbered from 1 in
+// dial order, with the bytes that connection wrote before) and returns what
+// to put on the wire instead, and whether to kill the connection after it.
+type tamperDialer struct {
+	inner   pool.Dialer
+	onWrite func(conn int, before int64, p []byte) (wire []byte, kill bool)
+
+	mu    sync.Mutex
+	dials int
+}
+
+func (d *tamperDialer) DialContext(ctx context.Context, addr string) (net.Conn, error) {
+	c, err := d.inner.DialContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	d.dials++
+	id := d.dials
+	d.mu.Unlock()
+	return &tamperConn{Conn: c, d: d, id: id}, nil
+}
+
+type tamperConn struct {
+	net.Conn
+	d      *tamperDialer
+	id     int
+	before int64
+}
+
+func (c *tamperConn) Write(p []byte) (int, error) {
+	out, kill := c.d.onWrite(c.id, c.before, p)
+	n, err := c.Conn.Write(out)
+	c.before += int64(n)
+	if kill {
+		c.Conn.Close()
+		return n, errors.New("tamperConn: connection killed")
+	}
+	if err == nil {
+		n = len(p)
+	}
+	return n, err
+}
+
+// TestUploadMultiStreamVerifiesCommit: a verified chunked upload that ends
+// in 201 Created holds the server's Digest of what it committed against
+// the sum of what the client sent. A byte flipped between the two — the
+// gateway assembles, hashes and stores the damaged chunk in good faith —
+// fails the upload with ErrChecksumMismatch; a clean one is counted as
+// verified.
+func TestUploadMultiStreamVerifiesCommit(t *testing.T) {
+	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, UploadParallelism: 2, VerifyTransfers: true}
+	blob := uploadBlob(4*32<<10, 71)
+	ctx := context.Background()
+
+	t.Run("clean", func(t *testing.T) {
+		e := newEnv(t, opts)
+		e.startServer(t, dpm1, httpserv.Options{})
+		if err := e.client.UploadMultiStream(ctx, dpm1, "/f", bytes.NewReader(blob), int64(len(blob))); err != nil {
+			t.Fatal(err)
+		}
+		if m := e.client.Metrics(); m.TransfersVerified != 1 || m.ChecksumMismatches != 0 {
+			t.Fatalf("TransfersVerified = %d, ChecksumMismatches = %d, want 1 and 0", m.TransfersVerified, m.ChecksumMismatches)
+		}
+	})
+
+	t.Run("damaged on the wire", func(t *testing.T) {
+		e := newEnv(t, opts)
+		e.startServer(t, dpm1, httpserv.Options{})
+		// Flip the last byte of one large write: large writes are body
+		// pieces, never headers.
+		var once sync.Once
+		flip := &tamperDialer{inner: e.net, onWrite: func(_ int, _ int64, p []byte) ([]byte, bool) {
+			if len(p) >= 16<<10 {
+				once.Do(func() {
+					p = append([]byte(nil), p...)
+					p[len(p)-1] ^= 0x5a
+				})
+			}
+			return p, false
+		}}
+		opts := opts
+		opts.Dialer = flip
+		c, err := NewClient(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+
+		err = c.UploadMultiStream(ctx, dpm1, "/f", bytes.NewReader(blob), int64(len(blob)))
+		var ce *ChecksumError
+		if !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) {
+			t.Fatalf("err = %v, want a ChecksumError", err)
+		}
+		if ce.Off != 0 || ce.Length != int64(len(blob)) {
+			t.Fatalf("mismatch spans [%d,+%d), want the whole object", ce.Off, ce.Length)
+		}
+		if m := c.Metrics(); m.ChecksumMismatches != 1 || m.TransfersVerified != 0 {
+			t.Fatalf("ChecksumMismatches = %d, TransfersVerified = %d, want 1 and 0", m.ChecksumMismatches, m.TransfersVerified)
+		}
+		// The server did commit something: it just is not what was sent.
+		got, _, gerr := e.stores[dpm1].Get("/f")
+		if gerr != nil || bytes.Equal(got, blob) {
+			t.Fatalf("store holds the pristine object (err=%v): the test damaged nothing", gerr)
+		}
+		// And the client must not vouch for it from its cache.
+		if inf, serr := c.Stat(ctx, dpm1, "/f"); serr != nil || inf.Checksum == storage.Checksum(blob) {
+			t.Fatalf("Stat after mismatch = %+v err=%v: cache still advertises the sent checksum", inf, serr)
+		}
+	})
+}
+
+// TestUploadChunkHashRestartsWithBody: a chunk body that is sent more than
+// once — to a head node that bounces it to a disk node, or again after a
+// recycled connection died under it — is hashed from its first byte each
+// time, so the whole-object checksum is that of the object, not of every
+// byte that crossed the wire.
+func TestUploadChunkHashRestartsWithBody(t *testing.T) {
+	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, UploadParallelism: 2, VerifyTransfers: true}
+	blob := uploadBlob(4*32<<10, 72)
+	ctx := context.Background()
+
+	check := func(t *testing.T, c *Client, st *storage.MemStore, host string) {
+		t.Helper()
+		got, inf, err := st.Get("/pool/f")
+		if err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("stored %d bytes err=%v", len(got), err)
+		}
+		if m := c.Metrics(); m.TransfersVerified != 1 || m.ChecksumMismatches != 0 {
+			t.Fatalf("TransfersVerified = %d, ChecksumMismatches = %d, want 1 and 0", m.TransfersVerified, m.ChecksumMismatches)
+		}
+		primed, err := c.Stat(ctx, host, "/pool/f")
+		if err != nil || primed.Checksum != inf.Checksum {
+			t.Fatalf("primed checksum %q err=%v, store has %q", primed.Checksum, err, inf.Checksum)
+		}
+	}
+
+	t.Run("redirected", func(t *testing.T) {
+		e := newEnv(t, opts)
+		e.startServer(t, "disk1:80", httpserv.Options{})
+		startHeadNode(t, e, "head:80", "disk1:80")
+		if err := e.client.UploadMultiStream(ctx, "head:80", "/pool/f", bytes.NewReader(blob), int64(len(blob))); err != nil {
+			t.Fatal(err)
+		}
+		// The probe's body went out twice: once to the head node, once to
+		// the disk node it named.
+		if m := e.client.Metrics(); m.Redirects != 1 {
+			t.Fatalf("Redirects = %d, want 1 (the probe)", m.Redirects)
+		}
+		check(t, e.client, e.stores["disk1:80"], "head:80")
+	})
+
+	t.Run("replayed on a stale connection", func(t *testing.T) {
+		e := newEnv(t, opts)
+		e.startServer(t, dpm1, httpserv.Options{})
+		// The first connection carries the probe, is recycled, and dies
+		// half way through the body of the chunk it carries next.
+		limit := int64(opts.ChunkSize + opts.ChunkSize/2)
+		stale := &tamperDialer{inner: e.net, onWrite: func(conn int, before int64, p []byte) ([]byte, bool) {
+			if conn == 1 && before+int64(len(p)) > limit {
+				return p[:max(limit-before, 0)], true
+			}
+			return p, false
+		}}
+		opts := opts
+		opts.Dialer = stale
+		c, err := NewClient(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.UploadMultiStream(ctx, dpm1, "/pool/f", bytes.NewReader(blob), int64(len(blob))); err != nil {
+			t.Fatal(err)
+		}
+		if m := c.Metrics(); m.Retries != 1 {
+			t.Fatalf("Retries = %d, want 1 (the replayed chunk)", m.Retries)
+		}
+		check(t, c, e.stores[dpm1], dpm1)
+	})
+}
+
+// TestUploadMultiStreamAllocBudget: an upload stages no chunk. Against an
+// in-process gateway over loopback TCP, a 32 MiB object in 8 MiB chunks
+// costs the whole process the gateway's one assembly buffer — the object
+// size — plus small change. Staging each chunk in a buffer of its own, as
+// this path once did, doubles that (8 MiB is past bufpool's top class).
+func TestUploadMultiStreamAllocBudget(t *testing.T) {
+	const size = 32 << 20
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go httpserv.New(storage.NewMemStore(), httpserv.Options{}).Serve(l)
+
+	var nd net.Dialer
+	c, err := NewClient(Options{
+		Dialer: pool.DialerFunc(func(ctx context.Context, addr string) (net.Conn, error) {
+			return nd.DialContext(ctx, "tcp", addr)
+		}),
+		Strategy: StrategyNone, ChunkSize: 8 << 20, UploadParallelism: 2, VerifyTransfers: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	blob := uploadBlob(size, 73)
+	host := l.Addr().String()
+	upload := func(path string) {
+		t.Helper()
+		if err := c.UploadMultiStream(context.Background(), host, path, bytes.NewReader(blob), size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upload("/warm") // dials, pooled buffers, lazily built tables
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	upload("/measured")
+	runtime.ReadMemStats(&m1)
+	allocated := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("allocated %.3f × object size", float64(allocated)/size)
+	if budget := uint64(size + size/10); allocated > budget {
+		t.Fatalf("upload of %d bytes allocated %d process-wide, budget %d (1.1 × size)", size, allocated, budget)
+	}
+}

@@ -15,10 +15,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/adler32"
 	"io"
 	"net"
 	"net/http"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -185,6 +187,21 @@ type partialKey struct {
 type partialUpload struct {
 	data      []byte
 	intervals []ivl // sorted, non-overlapping
+	covered   int64 // bytes the intervals cover
+	// sums holds the adler32 each chunk's request computed over its own
+	// bytes as they streamed in; commit combines them instead of hashing
+	// data again.
+	sums *digest.Rollup
+	// dirty records that some byte of data may have been written more than
+	// once (a duplicate, overlapping or retried chunk, or a body cut short):
+	// sums then no longer describes data and commit hashes the whole
+	// buffer instead.
+	dirty bool
+	// streaming lists the ranges chunk bodies are being read into right
+	// now. No byte of data has two writers at once: a chunk overlapping
+	// one of these waits on idle, signalled whenever a body finishes.
+	streaming []ivl
+	idle      *sync.Cond // on the server's partialMu
 	// writers counts chunk bodies currently streaming into data; the
 	// committing request waits for them so the zero-copy handoff to the
 	// store never races a late duplicate's copy.
@@ -197,6 +214,8 @@ type partialUpload struct {
 }
 
 type ivl struct{ start, end int64 } // [start, end)
+
+func (a ivl) overlaps(b ivl) bool { return a.start < b.end && b.start < a.end }
 
 // add merges [start, end) into the coverage set and reports the total
 // number of bytes covered afterwards.
@@ -731,7 +750,7 @@ func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	data, err := readBody(r)
+	data, sum, err := readBody(r)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, errBodyTooLarge) {
@@ -749,46 +768,82 @@ func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 		}
 	}
 	s.partialMu.Unlock()
-	if err := s.store.Put(p, data); err != nil {
+	if err := s.commit(p, data, sum); err != nil {
 		writeStoreErr(w, err)
 		return
 	}
 	// Echo what was actually stored: a verifying client compares this
 	// against the digest it accumulated while streaming the body, closing
 	// the upload's end-to-end integrity loop at zero extra reads.
-	setStoredDigest(w, data)
+	setStoredDigest(w, sum)
 	w.WriteHeader(http.StatusCreated)
+}
+
+// summedPutter is the optional commit path a Store may offer (MemStore
+// does): the server hands over the upload buffer, which the store keeps
+// instead of copying, together with the adler32 it computed while the body
+// streamed in, which the store records instead of hashing the bytes again.
+type summedPutter interface {
+	PutSummed(p string, data []byte, sum uint32) error
+}
+
+// commit stores an upload. data is the server's own buffer, never touched
+// again, and sum its adler32.
+func (s *Server) commit(p string, data []byte, sum uint32) error {
+	if sp, ok := s.store.(summedPutter); ok {
+		return sp.PutSummed(p, data, sum)
+	}
+	return s.store.Put(p, data)
 }
 
 // setStoredDigest attaches the Digest of committed upload bytes to a PUT
 // response (adler32, the WLCG default this testbed standardizes on).
-func setStoredDigest(w http.ResponseWriter, data []byte) {
-	w.Header().Set("Digest",
-		digest.Adler32+"="+fmt.Sprintf("%08x", digest.Sum32(digest.Adler32, data)))
+func setStoredDigest(w http.ResponseWriter, sum uint32) {
+	w.Header().Set("Digest", digest.Adler32+"="+fmt.Sprintf("%08x", sum))
 }
 
 // errBodyTooLarge marks a request body over the maxPartialTotal cap.
 var errBodyTooLarge = errors.New("httpserv: body too large")
 
-// readBody drains a request body. Content-Length-framed bodies land in one
-// exactly-sized allocation instead of io.ReadAll's grow-and-copy loop —
-// uploads are this server's hottest write path. A body shorter than its
-// declared length (connection cut mid-upload) is an error: truncated
-// uploads must never commit. Chunked bodies are bounded by the same
-// maxPartialTotal cap the length-framed paths enforce.
-func readBody(r *http.Request) ([]byte, error) {
-	if r.ContentLength < 0 {
-		b, err := io.ReadAll(io.LimitReader(r.Body, maxPartialTotal+1))
-		if err == nil && int64(len(b)) > maxPartialTotal {
-			return nil, errBodyTooLarge
+// sumPiece is how much of an upload body is read between two updates of its
+// running adler32: small enough that the bytes are still in cache when they
+// are hashed, large enough that the per-update cost vanishes.
+const sumPiece = 128 << 10
+
+// readSummed fills dst from r and returns the adler32 of dst, hashing each
+// piece straight after reading it.
+func readSummed(r io.Reader, dst []byte) (uint32, error) {
+	h := adler32.New()
+	for len(dst) > 0 {
+		piece := dst[:min(sumPiece, len(dst))]
+		if _, err := io.ReadFull(r, piece); err != nil {
+			return 0, err
 		}
-		return b, err
+		h.Write(piece)
+		dst = dst[len(piece):]
+	}
+	return h.Sum32(), nil
+}
+
+// readBody drains a request body and returns it with its adler32, computed
+// while the bytes streamed in. Content-Length-framed bodies land in one
+// exactly-sized allocation, which the store then keeps — uploads are this
+// server's hottest write path. A body shorter than its declared length
+// (connection cut mid-upload) is an error: truncated uploads must never
+// commit. Chunked bodies are bounded by the same maxPartialTotal cap the
+// length-framed paths enforce.
+func readBody(r *http.Request) ([]byte, uint32, error) {
+	if r.ContentLength < 0 {
+		h := adler32.New()
+		b, err := io.ReadAll(io.TeeReader(io.LimitReader(r.Body, maxPartialTotal+1), h))
+		if err == nil && int64(len(b)) > maxPartialTotal {
+			return nil, 0, errBodyTooLarge
+		}
+		return b, h.Sum32(), err
 	}
 	buf := make([]byte, r.ContentLength)
-	if _, err := io.ReadFull(r.Body, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	sum, err := readSummed(r.Body, buf)
+	return buf, sum, err
 }
 
 // parseContentRange parses a "bytes start-end/total" upload range. The
@@ -822,20 +877,17 @@ func parseContentRange(cr string) (start, end, total int64, ok bool) {
 	return start, end, total, true
 }
 
-// ownedPutter is the optional zero-copy commit path a Store may offer
-// (MemStore does): the server hands over the assembled buffer instead of
-// having it copied again.
-type ownedPutter interface {
-	PutOwned(p string, data []byte) error
-}
-
 // serveRangedPut assembles one Content-Range chunk into the path's partial
 // upload, committing to the store when every byte of the declared total
 // has arrived: 202 Accepted per partial chunk, 201 Created on commit. The
 // davix client PUTs disjoint chunks concurrently over pooled connections;
 // out-of-order and duplicate arrivals are both tolerated. Chunk bodies
-// stream directly into the assembly buffer — concurrent chunks copy in
-// parallel, only the interval bookkeeping is serialized.
+// stream directly into the assembly buffer and are hashed as they land —
+// concurrent chunks copy and hash in parallel, only the interval and sum
+// bookkeeping is serialized — so the commit combines the chunk sums rather
+// than reading the object again. The digest it stores and advertises is
+// still always that of the bytes committed: whenever a byte may have been
+// written twice the commit hashes the whole buffer instead.
 func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr string) {
 	start, end, total, ok := parseContentRange(cr)
 	if !ok {
@@ -865,7 +917,8 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 		// Allocate the assembly buffer outside the lock; another chunk may
 		// win the race, in which case ours is dropped.
 		s.partialMu.Unlock()
-		fresh := &partialUpload{data: make([]byte, total)}
+		fresh := &partialUpload{data: make([]byte, total), idle: sync.NewCond(&s.partialMu)}
+		fresh.sums, _ = digest.NewRollup(digest.Adler32)
 		s.partialMu.Lock()
 		if pu = s.partials[key]; pu == nil {
 			// Re-check the cap: other first chunks may have inserted while
@@ -891,11 +944,20 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	// happens-before its Wait.
 	pu.writers.Add(1)
 	pu.active++
+	// A duplicate of a chunk still streaming in (a retry racing the attempt
+	// it gave up on) takes its turn after it: the later body then lands
+	// whole, and the two never write the same bytes at once.
+	mine := ivl{start, end + 1}
+	for slices.ContainsFunc(pu.streaming, mine.overlaps) {
+		pu.idle.Wait()
+	}
+	pu.streaming = append(pu.streaming, mine)
 	s.partialMu.Unlock()
 
 	// Stream the body straight into place. A failed read leaves the
-	// interval unmarked, so a retry simply overwrites the garbage.
-	_, err := io.ReadFull(r.Body, pu.data[start:end+1])
+	// interval unmarked and no sum behind, so a retry simply overwrites the
+	// garbage.
+	sum, err := readSummed(r.Body, pu.data[start:end+1])
 	if err == nil && r.ContentLength < 0 { // chunked body: refuse trailing bytes
 		var one [1]byte
 		if n, _ := r.Body.Read(one[:]); n > 0 {
@@ -907,45 +969,53 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	s.partialMu.Lock()
 	pu.active--
 	pu.lastTouch = time.Now()
+	pu.streaming = slices.DeleteFunc(pu.streaming, func(iv ivl) bool { return iv == mine })
+	pu.idle.Broadcast()
 	if err != nil {
+		// The garbage may sit on bytes another chunk already accounted for.
+		pu.dirty = true
 		s.partialMu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// The assembly may have been replaced (whole-body PUT) or committed
 	// while we copied; only count coverage toward the buffer the bytes
-	// actually landed in.
+	// actually landed in. A committer that saw this request still active
+	// hashes the buffer itself once we are done.
 	if s.partials[key] != pu {
 		s.partialMu.Unlock()
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
-	covered := pu.add(start, end+1)
-	var data []byte
-	if covered == total {
-		data = pu.data
-		delete(s.partials, key)
-	}
-	s.partialMu.Unlock()
-
-	if data == nil {
+	before := pu.covered
+	pu.covered = pu.add(start, end+1)
+	pu.sums.Add(start, want, sum)
+	// Coverage grew by less than the chunk: part of it was written before.
+	pu.dirty = pu.dirty || pu.covered != before+want
+	if pu.covered != total {
+		s.partialMu.Unlock()
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
+	delete(s.partials, key)
+	// A chunk still streaming now can only be rewriting covered bytes.
+	pu.dirty = pu.dirty || pu.active > 0
+	rehash := pu.dirty
+	s.partialMu.Unlock()
+
 	// Quiesce late duplicate chunks before the zero-copy handoff: the
-	// store may retain data (PutOwned), so no writer may touch it after
-	// this point.
+	// store may retain the buffer (PutSummed), so no writer may touch it
+	// after this point.
 	pu.writers.Wait()
-	if op, ok := s.store.(ownedPutter); ok {
-		err = op.PutOwned(p, data)
-	} else {
-		err = s.store.Put(p, data)
+	sum, err = pu.sums.Sum(total)
+	if rehash || err != nil { // err: the sums do not tile [0, total)
+		sum = adler32.Checksum(pu.data)
 	}
-	if err != nil {
+	if err := s.commit(p, pu.data, sum); err != nil {
 		writeStoreErr(w, err)
 		return
 	}
-	setStoredDigest(w, data)
+	setStoredDigest(w, sum)
 	w.WriteHeader(http.StatusCreated)
 }
 

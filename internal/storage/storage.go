@@ -67,7 +67,12 @@ type Store interface {
 
 // Checksum renders the WLCG-style Adler-32 checksum of data.
 func Checksum(data []byte) string {
-	return fmt.Sprintf("adler32:%08x", adler32.Checksum(data))
+	return renderAdler32(adler32.Checksum(data))
+}
+
+// renderAdler32 renders an Adler-32 value in the Info.Checksum form.
+func renderAdler32(sum uint32) string {
+	return fmt.Sprintf("adler32:%08x", sum)
 }
 
 // Clean canonicalizes an object path to a rooted, slash-separated form.
@@ -260,14 +265,21 @@ func (s *MemStore) Put(p string, data []byte) error {
 }
 
 // PutOwned stores data at p taking ownership of the slice: the caller must
-// not retain or mutate it afterwards. It skips Put's defensive copy, which
-// matters to the test server's assembled multi-MiB ranged uploads.
+// not retain or mutate it afterwards. It skips Put's defensive copy.
 func (s *MemStore) PutOwned(p string, data []byte) error {
+	return s.PutSummed(p, data, adler32.Checksum(data))
+}
+
+// PutSummed is PutOwned for a caller that already holds the Adler-32 of
+// data — the gateway hashes upload bodies as they stream in, so a commit
+// costs the store no pass over the bytes. sum must be adler32(data); it
+// becomes Info.Checksum as given.
+func (s *MemStore) PutSummed(p string, data []byte, sum uint32) error {
 	p = Clean(p)
 	if p == "/" {
 		return ErrIsDir
 	}
-	entry := &memEntry{data: data, checksum: Checksum(data), modTime: s.now()}
+	entry := &memEntry{data: data, checksum: renderAdler32(sum), modTime: s.now()}
 	return s.insert(p, entry, false)
 }
 

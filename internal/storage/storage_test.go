@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/adler32"
 	"testing"
 	"testing/quick"
 )
@@ -231,6 +232,35 @@ func TestMemStoreIsolation(t *testing.T) {
 	got, _, _ := s.Get("/f")
 	if string(got) != "immutable" {
 		t.Fatalf("stored data aliased caller buffer: %q", got)
+	}
+}
+
+// TestMemStorePutVariantsAgree: Put copies, PutOwned and PutSummed keep the
+// caller's slice, and all three record the same checksum for the same bytes
+// — PutSummed by taking the caller's word for it.
+func TestMemStorePutVariantsAgree(t *testing.T) {
+	s := NewMemStore()
+	data := []byte("the same bytes three ways")
+	owned := append([]byte(nil), data...)
+	summed := append([]byte(nil), data...)
+	if err := errors.Join(
+		s.Put("/copied", data),
+		s.PutOwned("/owned", owned),
+		s.PutSummed("/summed", summed, adler32.Checksum(summed)),
+	); err != nil {
+		t.Fatal(err)
+	}
+	for p, kept := range map[string][]byte{"/copied": nil, "/owned": owned, "/summed": summed} {
+		got, inf, err := s.Get(p)
+		if err != nil || !bytes.Equal(got, data) || inf.Checksum != Checksum(data) {
+			t.Fatalf("%s: %q checksum %q err=%v", p, got, inf.Checksum, err)
+		}
+		if kept != nil && &got[0] != &kept[0] {
+			t.Fatalf("%s: the store copied a slice it was given to keep", p)
+		}
+	}
+	if err := s.PutSummed("/", nil, 1); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("PutSummed on the root: %v, want ErrIsDir", err)
 	}
 }
 
