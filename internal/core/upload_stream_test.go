@@ -200,6 +200,29 @@ func TestUploadChunkHashRestartsWithBody(t *testing.T) {
 	})
 }
 
+// loopbackGateway serves st from an in-process gateway on loopback TCP and
+// returns a client, configured by opts, that dials real sockets to it.
+func loopbackGateway(t *testing.T, st storage.Store, opts Options) (c *Client, host string) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go httpserv.New(st, httpserv.Options{}).Serve(l)
+
+	var nd net.Dialer
+	opts.Dialer = pool.DialerFunc(func(ctx context.Context, addr string) (net.Conn, error) {
+		return nd.DialContext(ctx, "tcp", addr)
+	})
+	c, err = NewClient(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c, l.Addr().String()
+}
+
 // TestUploadMultiStreamAllocBudget: an upload stages no chunk. Against an
 // in-process gateway over loopback TCP, a 32 MiB object in 8 MiB chunks
 // costs the whole process the gateway's one assembly buffer — the object
@@ -207,26 +230,9 @@ func TestUploadChunkHashRestartsWithBody(t *testing.T) {
 // this path once did, doubles that (8 MiB is past bufpool's top class).
 func TestUploadMultiStreamAllocBudget(t *testing.T) {
 	const size = 32 << 20
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go httpserv.New(storage.NewMemStore(), httpserv.Options{}).Serve(l)
-
-	var nd net.Dialer
-	c, err := NewClient(Options{
-		Dialer: pool.DialerFunc(func(ctx context.Context, addr string) (net.Conn, error) {
-			return nd.DialContext(ctx, "tcp", addr)
-		}),
-		Strategy: StrategyNone, ChunkSize: 8 << 20, UploadParallelism: 2, VerifyTransfers: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, host := loopbackGateway(t, storage.NewMemStore(),
+		Options{Strategy: StrategyNone, ChunkSize: 8 << 20, UploadParallelism: 2, VerifyTransfers: true})
 	blob := uploadBlob(size, 73)
-	host := l.Addr().String()
 	upload := func(path string) {
 		t.Helper()
 		if err := c.UploadMultiStream(context.Background(), host, path, bytes.NewReader(blob), size); err != nil {
@@ -243,5 +249,48 @@ func TestUploadMultiStreamAllocBudget(t *testing.T) {
 	t.Logf("allocated %.3f × object size", float64(allocated)/size)
 	if budget := uint64(size + size/10); allocated > budget {
 		t.Fatalf("upload of %d bytes allocated %d process-wide, budget %d (1.1 × size)", size, allocated, budget)
+	}
+}
+
+// TestGetAllocBudget: a small whole-object Get over loopback TCP costs the
+// process — client and gateway together — the []byte it returns plus the two
+// sides' per-request bookkeeping: header maps, request and response structs.
+// No buffer is part of that: the gateway writes the stored bytes themselves
+// and the client serializes requests through a reused writer. Measured: body
+// + 4.2 KB per Get (6.3 KB under the race detector, where sync.Pool drops a
+// quarter of its puts); with a copy buffer per response on the gateway and a
+// 4 KiB writer per request on the client it was body + 25.6 KB.
+func TestGetAllocBudget(t *testing.T) {
+	const size = 16 << 10
+	st := storage.NewMemStore()
+	st.Put("/small", uploadBlob(size, 7))
+	c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, VerifyChecksums: true})
+	get := func() {
+		t.Helper()
+		if b, err := c.Get(context.Background(), host, "/small"); err != nil || len(b) != size {
+			t.Fatalf("Get: %d bytes, err %v", len(b), err)
+		}
+	}
+	get() // dial, pooled buffers, lazily built tables
+
+	// TotalAlloc is process-wide: enough runs that a background allocation
+	// amortises, and a second measurement before one is believed.
+	const runs = 200
+	measure := func() int64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc-m0.TotalAlloc)/runs - size
+	}
+	overhead := measure()
+	if overhead > 8<<10 {
+		overhead = min(overhead, measure())
+	}
+	t.Logf("body + %d B allocated per Get", overhead)
+	if overhead > 8<<10 {
+		t.Fatalf("a %d-byte Get allocated body + %d B process-wide, budget body + 8 KiB", size, overhead)
 	}
 }

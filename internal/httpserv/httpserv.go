@@ -3,10 +3,19 @@
 //
 // It intentionally builds on net/http: the paper's whole argument is that
 // davix talks to *standard* HTTP services, so the server here is a stock
-// HTTP stack (with single- and multi-range support via http.ServeContent)
-// while the client side is the custom optimized layer. Knobs exist to
-// disable keep-alive (to measure the Figure-2 effect) and to inject faults
-// (to exercise the §2.4 Metalink failover).
+// HTTP stack while the client side is the custom optimized layer. What
+// net/http still does: connections, request parsing, response framing, and
+// — through http.ServeContent — every GET that carries a precondition header
+// (If-Range, If-Match, ...). What is ours is the answer to every other GET
+// and HEAD (serveBytes): the Range header is resolved with net/http's rules
+// and the body — whole, one range, or multipart/byteranges in
+// mime/multipart's framing — is written from the stored bytes themselves,
+// where ServeContent copied them through a reader, a per-response buffer
+// and, for multi-range, a pipe and a goroutine. ServeContent stays the
+// oracle: a differential table and FuzzRangeResponder hold serveBytes to
+// its status, headers and bytes. Knobs exist to disable keep-alive (to
+// measure the Figure-2 effect) and to inject faults (to exercise the §2.4
+// Metalink failover).
 package httpserv
 
 import (
@@ -17,9 +26,10 @@ import (
 	"fmt"
 	"hash/adler32"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
-	"path"
+	"net/textproto"
 	"slices"
 	"sort"
 	"strconv"
@@ -631,14 +641,7 @@ func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, p string) {
 		writeStoreErr(w, err)
 		return
 	}
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("X-Checksum", inf.Checksum)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	setDigestHeader(w, r, data)
-	// ServeContent implements If-Range, single-range (206 +
-	// Content-Range) and multi-range (multipart/byteranges) semantics —
-	// the standards-compliant server behaviour the davix client targets.
-	http.ServeContent(w, r, path.Base(p), inf.ModTime, bytes.NewReader(data))
+	serveBytes(w, r, inf, data, data)
 }
 
 // serveCorrupt is the CorruptXOR fault: the body comes from a flipped copy
@@ -656,21 +659,219 @@ func (s *Server) serveCorrupt(w http.ResponseWriter, r *http.Request, p string, 
 	if f.CorruptAt >= 0 && f.CorruptAt < int64(len(bad)) {
 		bad[f.CorruptAt] ^= f.CorruptXOR
 	}
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("X-Checksum", inf.Checksum)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	setDigestHeader(w, r, data)
-	http.ServeContent(w, r, path.Base(p), inf.ModTime, bytes.NewReader(bad))
+	serveBytes(w, r, inf, bad, data)
+}
+
+// span is one resolved byte range of an object: body[start:end].
+type span struct{ start, end int64 }
+
+// Range resolution errors; the texts are the ones net/http answers with.
+var (
+	errInvalidRange = errors.New("invalid range")
+	errNoOverlap    = errors.New("invalid range: failed to overlap")
+)
+
+// parseRange resolves a Range header against an object of size bytes with
+// net/http's rules (its parseRange is unexported; TestRangeResponderMatchesStdlib
+// and FuzzRangeResponder hold this one to it): suffix ranges, ends clamped to
+// the object, ranges starting past the end skipped, errNoOverlap when those
+// were all there was. The spans are appended to dst.
+func parseRange(s string, size int64, dst []span) ([]span, error) {
+	if s == "" {
+		return dst, nil
+	}
+	list, ok := strings.CutPrefix(s, "bytes=")
+	if !ok {
+		return nil, errInvalidRange
+	}
+	noOverlap := false
+	for more := true; more; {
+		var ra string
+		ra, list, more = strings.Cut(list, ",")
+		if ra = textproto.TrimString(ra); ra == "" {
+			continue
+		}
+		first, last, ok := strings.Cut(ra, "-")
+		if !ok {
+			return nil, errInvalidRange
+		}
+		first, last = textproto.TrimString(first), textproto.TrimString(last)
+		if first == "" {
+			// Suffix range: the last n bytes.
+			if last == "" || last[0] == '-' {
+				return nil, errInvalidRange
+			}
+			n, err := strconv.ParseInt(last, 10, 64)
+			if err != nil || n < 0 {
+				return nil, errInvalidRange
+			}
+			dst = append(dst, span{size - min(n, size), size})
+			continue
+		}
+		start, err := strconv.ParseInt(first, 10, 64)
+		if err != nil || start < 0 {
+			return nil, errInvalidRange
+		}
+		if start >= size {
+			noOverlap = true
+			continue
+		}
+		end := size
+		if last != "" {
+			i, err := strconv.ParseInt(last, 10, 64)
+			if err != nil || start > i {
+				return nil, errInvalidRange
+			}
+			// Clamp before adding one: i may be math.MaxInt64.
+			end = min(i, size-1) + 1
+		}
+		dst = append(dst, span{start, end})
+	}
+	if noOverlap && len(dst) == 0 {
+		return nil, errNoOverlap
+	}
+	return dst, nil
+}
+
+// objectType is the Content-Type of every stored object, whole or in parts.
+const objectType = "application/octet-stream"
+
+// preconditionHeaders are the RFC 7232 request headers whose evaluation
+// stays with net/http.
+var preconditionHeaders = [...]string{"If-Range", "If-Match", "If-None-Match", "If-Modified-Since", "If-Unmodified-Since"}
+
+// serveBytes answers a GET or HEAD for an object with the stored bytes
+// themselves: the Range header is resolved once, the headers are set from
+// that, and the body is written from body directly — whole, one range, or
+// multipart/byteranges framed like mime/multipart's — with no reader, pipe or
+// copy buffer in between. pristine is the true stored content, which the
+// Digest header describes; it differs from body only under a corruption
+// fault.
+func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body, pristine []byte) {
+	h := w.Header()
+	h.Set("Accept-Ranges", "bytes")
+	h.Set("X-Checksum", inf.Checksum)
+	h.Set("Content-Type", objectType)
+
+	// Conditional requests — no client in this repository sends one — are
+	// the one case still handed to net/http, which implements RFC 7232.
+	// Which bytes it will serve is its decision, so no Digest is promised.
+	for _, k := range preconditionHeaders {
+		if len(r.Header[k]) > 0 {
+			http.ServeContent(w, r, "", inf.ModTime, bytes.NewReader(body))
+			return
+		}
+	}
+
+	if !inf.ModTime.IsZero() && !inf.ModTime.Equal(time.Unix(0, 0)) {
+		h.Set("Last-Modified", inf.ModTime.UTC().Format(http.TimeFormat))
+	}
+	size := int64(len(body))
+	var store [8]span
+	ranges, err := parseRange(r.Header.Get("Range"), size, store[:0])
+	if err == errNoOverlap && size == 0 {
+		// A Range on an empty object is ignored rather than refused.
+		err = nil
+	}
+	if err != nil {
+		if err == errNoOverlap {
+			h.Set("Content-Range", "bytes */"+strconv.FormatInt(size, 10))
+		}
+		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
+		return
+	}
+	var sum int64
+	for _, ra := range ranges {
+		sum += ra.end - ra.start
+	}
+	if sum > size {
+		// More bytes asked for than the object holds: serve it whole.
+		ranges = nil
+	}
+	if len(ranges) > 1 {
+		serveMultipart(w, r, body, ranges)
+		return
+	}
+	code, sp := http.StatusOK, span{0, size}
+	if len(ranges) == 1 {
+		code, sp = http.StatusPartialContent, ranges[0]
+		h.Set("Content-Range", string(appendContentRange(make([]byte, 0, 64), sp, size)))
+	}
+	setDigestHeader(w, r, pristine[sp.start:sp.end])
+	h.Set("Content-Length", strconv.FormatInt(sp.end-sp.start, 10))
+	w.WriteHeader(code)
+	if r.Method != http.MethodHead {
+		w.Write(body[sp.start:sp.end])
+	}
+}
+
+// appendContentRange appends "bytes start-last/size".
+func appendContentRange(b []byte, ra span, size int64) []byte {
+	b = append(b, "bytes "...)
+	b = strconv.AppendInt(b, ra.start, 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, ra.end-1, 10)
+	b = append(b, '/')
+	return strconv.AppendInt(b, size, 10)
+}
+
+// appendPartHeader appends what precedes one part's payload in a
+// multipart/byteranges body: the boundary line and the two part headers
+// mime/multipart writes for net/http, in its order.
+func appendPartHeader(b []byte, first bool, boundary string, ra span, size int64) []byte {
+	if !first {
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "--"...)
+	b = append(b, boundary...)
+	b = append(b, "\r\nContent-Range: "...)
+	b = appendContentRange(b, ra, size)
+	return append(b, "\r\nContent-Type: "+objectType+"\r\n\r\n"...)
+}
+
+// serveMultipart writes a 206 multipart/byteranges answer: the part headers
+// are rendered once to learn the Content-Length and once more to be sent,
+// each followed by its slice of body.
+func serveMultipart(w http.ResponseWriter, r *http.Request, body []byte, ranges []span) {
+	h := w.Header()
+	size := int64(len(body))
+	// 30 random bytes in hex, the boundary mime/multipart picks.
+	var rnd [30]byte
+	for i := range rnd {
+		rnd[i] = byte(rand.Uint32())
+	}
+	boundary := hex.EncodeToString(rnd[:])
+
+	scratch := make([]byte, 0, 256)
+	total := int64(len("\r\n--") + len(boundary) + len("--\r\n"))
+	for i, ra := range ranges {
+		total += int64(len(appendPartHeader(scratch, i == 0, boundary, ra, size))) + ra.end - ra.start
+	}
+	h.Set("Content-Type", "multipart/byteranges; boundary="+boundary)
+	h.Set("Content-Length", strconv.FormatInt(total, 10))
+	w.WriteHeader(http.StatusPartialContent)
+	if r.Method == http.MethodHead {
+		return
+	}
+	for i, ra := range ranges {
+		if _, err := w.Write(appendPartHeader(scratch, i == 0, boundary, ra, size)); err != nil {
+			return // client gone
+		}
+		if _, err := w.Write(body[ra.start:ra.end]); err != nil {
+			return
+		}
+	}
+	scratch = append(scratch, "\r\n--"...)
+	scratch = append(scratch, boundary...)
+	w.Write(append(scratch, "--\r\n"...))
 }
 
 // setDigestHeader answers a Want-Digest request (RFC 3230 style, hex
-// values per the WLCG convention) with the digest of the payload this
-// response will carry: the single requested range when the request names
-// one, the whole object otherwise. Multi-range and conditional requests
-// are left without a Digest — the framing is not a single contiguous
-// payload there. pristine is always the true stored content, so a
-// corruption fault advertises the digest the bytes should have had.
-func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte) {
+// values per the WLCG convention) with the digest of payload, the pristine
+// bytes of the one contiguous span this response carries. Multi-range
+// answers get no Digest — the framing is not a single contiguous payload
+// there.
+func setDigestHeader(w http.ResponseWriter, r *http.Request, payload []byte) {
 	algo := strings.ToLower(strings.TrimSpace(r.Header.Get("Want-Digest")))
 	if i := strings.IndexAny(algo, ",;"); i >= 0 {
 		algo = strings.TrimSpace(algo[:i])
@@ -678,60 +879,12 @@ func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte) {
 	if algo == "" || !digest.Supported(algo) {
 		return
 	}
-	body := pristine
-	if rng := r.Header.Get("Range"); rng != "" {
-		start, end, ok := parseSingleRange(rng, int64(len(pristine)))
-		if !ok {
-			return
-		}
-		body = pristine[start:end]
-	}
 	h, err := digest.New(algo)
 	if err != nil {
 		return
 	}
-	h.Write(body)
+	h.Write(payload)
 	w.Header().Set("Digest", algo+"="+hex.EncodeToString(h.Sum(nil)))
-}
-
-// parseSingleRange parses a one-range "bytes=a-b" / "bytes=a-" / "bytes=-n"
-// header the way http.ServeContent will resolve it against size, returning
-// the half-open [start, end) span. Multi-range or malformed headers report
-// ok=false.
-func parseSingleRange(rng string, size int64) (start, end int64, ok bool) {
-	spec, found := strings.CutPrefix(rng, "bytes=")
-	if !found || strings.Contains(spec, ",") {
-		return 0, 0, false
-	}
-	lo, hi, found := strings.Cut(strings.TrimSpace(spec), "-")
-	if !found {
-		return 0, 0, false
-	}
-	if lo == "" {
-		// Suffix range: last hi bytes.
-		n, err := strconv.ParseInt(hi, 10, 64)
-		if err != nil || n <= 0 {
-			return 0, 0, false
-		}
-		if n > size {
-			n = size
-		}
-		return size - n, size, true
-	}
-	a, err := strconv.ParseInt(lo, 10, 64)
-	if err != nil || a < 0 || a >= size {
-		return 0, 0, false
-	}
-	b := size - 1
-	if hi != "" {
-		if b, err = strconv.ParseInt(hi, 10, 64); err != nil || b < a {
-			return 0, 0, false
-		}
-		if b > size-1 {
-			b = size - 1
-		}
-	}
-	return a, b + 1, true
 }
 
 func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {

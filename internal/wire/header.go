@@ -9,10 +9,10 @@
 package wire
 
 import (
-	"fmt"
+	"bufio"
 	"io"
 	"net/textproto"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -59,19 +59,48 @@ func (h Header) Clone() Header {
 // Write serializes the header block in sorted key order (deterministic
 // output simplifies testing) followed by the terminating CRLF.
 func (h Header) Write(w io.Writer) error {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
+	bw := bufio.NewWriter(w)
+	if err := h.writeTo(bw, nil); err != nil {
+		return err
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, v := range h[k] {
-			if _, err := fmt.Fprintf(w, "%s: %s\r\n", k, v); err != nil {
-				return err
-			}
+	return bw.Flush()
+}
+
+// field is one header line.
+type field struct{ key, value string }
+
+func findField(fs []field, key string) int {
+	return slices.IndexFunc(fs, func(f field) bool { return f.key == key })
+}
+
+// writeTo is Write onto a buffered writer, with each line of managed sent
+// in place of whatever h holds under the same key. bw holds on to the first
+// write error; the last write reports it.
+func (h Header) writeTo(bw *bufio.Writer, managed []field) error {
+	var store [16]string
+	keys := store[:0]
+	for k := range h {
+		if findField(managed, k) < 0 {
+			keys = append(keys, k)
 		}
 	}
-	_, err := io.WriteString(w, "\r\n")
+	for _, f := range managed {
+		keys = append(keys, f.key)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		vs := h[k]
+		if i := findField(managed, k); i >= 0 {
+			vs = []string{managed[i].value}
+		}
+		for _, v := range vs {
+			bw.WriteString(k)
+			bw.WriteString(": ")
+			bw.WriteString(v)
+			bw.WriteString("\r\n")
+		}
+	}
+	_, err := bw.WriteString("\r\n")
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"sync"
 
 	"godavix/internal/bufpool"
 )
@@ -60,7 +61,8 @@ func (r *Request) SetBodyBytes(b []byte) {
 // the runtime's sendfile probe unwraps. Everything else keeps the coalesced
 // buffered path.
 func (r *Request) Write(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 4096)
+	bw := getWriter(w)
+	defer putWriter(bw)
 	if err := r.writeHeaderTo(bw); err != nil {
 		return err
 	}
@@ -81,7 +83,8 @@ func (r *Request) Write(w io.Writer) error {
 // Expect: 100-continue flows, where the caller waits for the server's
 // interim response before streaming the body with WriteBody.
 func (r *Request) WriteHeader(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 4096)
+	bw := getWriter(w)
+	defer putWriter(bw)
 	if err := r.writeHeaderTo(bw); err != nil {
 		return err
 	}
@@ -97,11 +100,30 @@ func (r *Request) WriteBody(w io.Writer) error {
 	if r.directBodyOK(w) {
 		return r.writeBodyDirect(w)
 	}
-	bw := bufio.NewWriterSize(w, 4096)
+	bw := getWriter(w)
+	defer putWriter(bw)
 	if err := r.writeBodyTo(bw); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// bwPool recycles the 4 KiB buffered writers requests are serialized
+// through: a connection carries thousands of requests, and a fresh writer
+// for each was 4 KiB of garbage per request.
+var bwPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 4096) }}
+
+func getWriter(w io.Writer) *bufio.Writer {
+	bw := bwPool.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+// putWriter returns bw to the pool, dropping whatever an error path left
+// unflushed along with the reference to the connection.
+func putWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	bwPool.Put(bw)
 }
 
 // directBodyMin is the smallest body worth the separate header flush the
@@ -157,36 +179,36 @@ func FileBacked(body io.Reader) bool {
 }
 
 // writeHeaderTo renders the request line and headers, choosing the body
-// framing (Content-Length versus chunked) that writeBodyTo will honour.
+// framing (Content-Length versus chunked) that writeBodyTo will honour. The
+// managed lines (Host, the framing, Connection: close) replace any the caller
+// set under the same key.
 func (r *Request) writeHeaderTo(bw *bufio.Writer) error {
 	path := r.Path
 	if path == "" {
 		path = "/"
 	}
-	if _, err := fmt.Fprintf(bw, "%s %s HTTP/1.1\r\n", r.Method, path); err != nil {
-		return err
-	}
+	bw.WriteString(r.Method)
+	bw.WriteByte(' ')
+	bw.WriteString(path)
+	bw.WriteString(" HTTP/1.1\r\n")
 
-	h := Header{}
-	for k, vs := range r.Header {
-		h[k] = vs
-	}
-	h.Set("Host", r.Host)
+	managed := make([]field, 0, 3)
+	managed = append(managed, field{"Host", r.Host})
 	if r.Close {
-		h.Set("Connection", "close")
+		managed = append(managed, field{"Connection", "close"})
 	}
 	switch {
 	case r.Body == nil:
 		// Methods that conventionally carry bodies get an explicit zero.
 		if r.Method == "PUT" || r.Method == "POST" {
-			h.Set("Content-Length", "0")
+			managed = append(managed, field{"Content-Length", "0"})
 		}
 	case r.ContentLength >= 0:
-		h.Set("Content-Length", strconv.FormatInt(r.ContentLength, 10))
+		managed = append(managed, field{"Content-Length", strconv.FormatInt(r.ContentLength, 10)})
 	default:
-		h.Set("Transfer-Encoding", "chunked")
+		managed = append(managed, field{"Transfer-Encoding", "chunked"})
 	}
-	return h.Write(bw)
+	return r.Header.writeTo(bw, managed)
 }
 
 // writeBodyTo copies the body with the framing writeHeaderTo declared,
@@ -219,7 +241,8 @@ func (r *Request) writeBodyTo(bw *bufio.Writer) error {
 
 // writeChunked copies body to w using chunked transfer encoding.
 func writeChunked(w io.Writer, body io.Reader) error {
-	buf := make([]byte, 16*1024)
+	buf := bufpool.Get(16 << 10)
+	defer bufpool.Put(buf)
 	for {
 		n, err := body.Read(buf)
 		if n > 0 {
