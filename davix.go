@@ -234,8 +234,10 @@ type Options struct {
 	// sequential read-ahead for a stride/sparse planner keeping that many
 	// predicted reads in flight, accepts layout hints from readers
 	// (File.PrefetchHint), and sizes the asynchronous window pipeline
-	// rootio's TreeCache runs over File.ReadVecAsyncCtx. 0 keeps the
-	// historical behaviour exactly.
+	// rootio's TreeCache runs over File.ReadVecAsyncCtx — that many
+	// windows ahead are fetched and inflated in the background while the
+	// caller computes on the current one. 0 keeps the historical
+	// behaviour exactly.
 	PrefetchDepth int
 	// PrefetchBudget caps the speculative bytes in flight at once so
 	// speculation never starves demand reads (0 = 16 MiB when

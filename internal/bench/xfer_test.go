@@ -9,7 +9,10 @@ import (
 // TestXferSpeedupLAN pins the ISSUE-4 acceptance bar: the 16-chunk
 // multi-stream upload must beat the serial Put by a wide margin on the LAN
 // profile (the bench reports ~4.5x; 3x here keeps the regression floor
-// clear of shared-runner timing noise).
+// clear of shared-runner timing noise). The two are measured back to back
+// as a pair, so a neighbour's burst of load hits both or neither, and up
+// to three pairs are tried: the bar is a property of the code, and one
+// quiet pair shows it.
 func TestXferSpeedupLAN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
@@ -17,19 +20,25 @@ func TestXferSpeedupLAN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation swamps the simulated 16 MiB transfer")
 	}
-	serial, err := runXferUpload(netsim.LAN(), 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := runXferUpload(netsim.LAN(), xferConns, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("LAN serial %.3fs parallel %.3fs (%.2fx)",
-		serial.Mean(), parallel.Mean(), serial.Mean()/parallel.Mean())
-	if parallel.Min()*3 > serial.Min() {
-		t.Fatalf("parallel upload (%.3fs) not 3x faster than serial Put (%.3fs)",
-			parallel.Min(), serial.Min())
+	const pairs = 3
+	for i := 1; ; i++ {
+		serial, err := runXferUpload(netsim.LAN(), 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := runXferUpload(netsim.LAN(), xferConns, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("pair %d: LAN serial %.3fs parallel %.3fs (%.2fx)",
+			i, serial.Min(), parallel.Min(), serial.Min()/parallel.Min())
+		if parallel.Min()*3 <= serial.Min() {
+			return
+		}
+		if i == pairs {
+			t.Fatalf("parallel upload (%.3fs) not 3x faster than serial Put (%.3fs) in any of %d pairs",
+				parallel.Min(), serial.Min(), pairs)
+		}
 	}
 }
 

@@ -1,0 +1,122 @@
+package rootio
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"godavix/internal/rangev"
+)
+
+// scanBranches is the sparse selection of the analysis benchmark: every
+// third column of the 12.
+var scanBranches = []int{0, 3, 6, 9}
+
+// goSource is a BytesSource with a goroutine-backed asynchronous read, so
+// the window pipeline — fill goroutines, pooled run buffers — is what runs.
+func goSource(img []byte) Source {
+	src := BytesSource(img)
+	read := src.ReadVec
+	src.ReadVecAsyncCtx = func(_ context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- read(ranges, dsts) }()
+		return ch
+	}
+	return src
+}
+
+// trainedScan is one analysis job's I/O: open, train on the first 100
+// events, then read scanBranches of every event through 256-event windows
+// kept 3 deep. It returns the payload bytes seen.
+func trainedScan(tb testing.TB, img []byte) (events uint64, total int) {
+	r, err := OpenReader(goSource(img))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tc := NewTrainingCacheDepth(r, 100, 256, 3)
+	defer tc.Close()
+	for ev := uint64(0); ev < r.Events(); ev++ {
+		for _, bi := range scanBranches {
+			p, err := tc.Branch(ev, bi)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			total += len(p)
+		}
+	}
+	return r.Events(), total
+}
+
+func scanImage(tb testing.TB, events int) []byte {
+	img, err := Synthesize(SynthSpec{Events: events, Branches: 12, MeanPayload: 64, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+var scanSink int
+
+func BenchmarkTrainedScan(b *testing.B) {
+	img := scanImage(b, 12000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		n, total := trainedScan(b, img)
+		events += n
+		scanSink = total
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// TestTrainedScanAllocBudget pins what a trained scan allocates per event.
+// What is left is the inflated baskets themselves (the payloads handed out
+// alias them) and one slice header per payload; compressed bytes land in
+// pooled buffers and are inflated by pooled decompressors. Measured on the
+// 4096-event image: 690 B/event (879 under the race detector, where
+// sync.Pool drops a quarter of the decompressors it is given); 2273 with a
+// decompressor per basket, unpooled run buffers and an Event per Branch.
+func TestTrainedScanAllocBudget(t *testing.T) {
+	img := scanImage(t, 4096)
+	trainedScan(t, img) // warm the inflater and buffer pools
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	events, _ := trainedScan(t, img)
+	runtime.ReadMemStats(&m1)
+	perEvent := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(events)
+	t.Logf("%.0f B/event", perEvent)
+	if budget := 960.0; perEvent > budget {
+		t.Fatalf("trained scan allocates %.0f B/event, budget %.0f (measured 690 + 40 %%)", perEvent, budget)
+	}
+}
+
+// TestTreeCacheBranchNoAllocs: inside a resident window a Branch call is a
+// lookup — no key slice, no result slice.
+func TestTreeCacheBranchNoAllocs(t *testing.T) {
+	events := randomEvents(38, 512, 3, 32)
+	img := buildFile(t, []string{"a", "b", "c"}, events, WriterOptions{EventsPerBasket: 64})
+	r, err := OpenReader(goSource(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTreeCacheDepth(r, 100, nil, 2)
+	defer tc.Close()
+	if _, err := tc.Branch(100, 0); err != nil {
+		t.Fatal(err)
+	}
+	ev := uint64(100)
+	allocs := testing.AllocsPerRun(500, func() {
+		for pos := 0; pos < 3; pos++ {
+			if _, err := tc.Branch(ev, pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ev++; ev == 200 {
+			ev = 100
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Branch inside a resident window: %v allocs per event, want 0", allocs)
+	}
+}

@@ -1,6 +1,12 @@
 package rootio
 
 import (
+	"bytes"
+	"compress/zlib"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -76,4 +82,108 @@ func TestBasketSizeMismatchDetected(t *testing.T) {
 	if _, err := r.ReadEvent(0, []int{0}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
+}
+
+// replaceBasket returns a copy of img in which one basket's compressed
+// blob is blob: later baskets shift, the index follows, and the basket's
+// UncompressedSize and NumEvents stay what the writer recorded.
+func replaceBasket(t *testing.T, img []byte, branch, basket int, blob []byte) []byte {
+	t.Helper()
+	r, err := OpenReader(BytesSource(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := r.Index()
+	old := idx.Branches[branch].Baskets[basket]
+	shift := int64(len(blob)) - old.CompressedSize
+	idxOff := int64(binary.BigEndian.Uint64(img[len(img)-trailerLen:]))
+	for bi := range idx.Branches {
+		for bk := range idx.Branches[bi].Baskets {
+			if b := &idx.Branches[bi].Baskets[bk]; b.Offset > old.Offset {
+				b.Offset += shift
+			}
+		}
+	}
+	idx.Branches[branch].Baskets[basket].CompressedSize = int64(len(blob))
+
+	out := append([]byte(nil), img[:old.Offset]...)
+	out = append(out, blob...)
+	out = append(out, img[old.Offset+old.CompressedSize:idxOff]...)
+	enc := encodeIndex(idx)
+	var tr [trailerLen]byte
+	binary.BigEndian.PutUint64(tr[0:8], uint64(idxOff+shift))
+	binary.BigEndian.PutUint32(tr[8:12], uint32(len(enc)))
+	copy(tr[12:16], magicTail)
+	return append(append(out, enc...), tr[:]...)
+}
+
+// TestLateBasketDamageDetected: damage the decompressor itself cannot see —
+// a flipped adler32 trailer, a flipped bit in the literally-stored tail of
+// the deflate stream, a stream that runs on past the size the index
+// records — must come back as ErrCorrupt, from the on-demand reader and
+// from a pipelined TreeCache alike, and never as wrong payload bytes.
+func TestLateBasketDamageDetected(t *testing.T) {
+	events := randomEvents(30, 200, 2, 64)
+	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 50})
+	r, err := OpenReader(BytesSource(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.Index().Branches[0].Baskets[0]
+	blob := img[b.Offset : b.Offset+b.CompressedSize]
+
+	cases := map[string][]byte{}
+	flipped := func(bit int) []byte {
+		c := append([]byte(nil), blob...)
+		c[bit/8] ^= 1 << (bit % 8)
+		return c
+	}
+	cases["trailer flip"] = flipped(len(blob)*8 - 1)
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 32; i++ {
+		bit := (len(blob)-40)*8 + rng.Intn(40*8)
+		cases[fmt.Sprintf("late bit %d", bit)] = flipped(bit)
+	}
+	var long bytes.Buffer
+	zw := zlib.NewWriter(&long)
+	zw.Write(encodeBasket(events2branch(events[:50], 0)))
+	zw.Write([]byte("bytes the index does not know about"))
+	zw.Close()
+	cases["overlong stream"] = long.Bytes()
+
+	for name, bad := range cases {
+		damaged := replaceBasket(t, img, 0, 0, bad)
+
+		rd, err := OpenReader(BytesSource(damaged))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err) // index and trailer are intact
+		}
+		// Event 49 is the basket's last: its bytes sit where the damage is.
+		if got, err := rd.ReadEvent(49, []int{0}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadEvent: err = %v, want ErrCorrupt (wrong bytes returned: %v)", name, err, err == nil && !bytes.Equal(got[0], events[49][0]))
+		}
+		if _, err := rd.ReadEvent(0, []int{1}); err != nil {
+			t.Errorf("%s: clean branch unreadable: %v", name, err)
+		}
+
+		a := &asyncCtxSource{}
+		rp, err := OpenReader(a.source(damaged))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := NewTreeCacheDepth(rp, 50, nil, 3)
+		if _, err := tc.Event(0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: pipelined TreeCache: err = %v, want ErrCorrupt", name, err)
+		}
+		tc.Close()
+	}
+}
+
+// events2branch extracts one branch's payloads from whole events.
+func events2branch(events [][][]byte, branch int) [][]byte {
+	out := make([][]byte, len(events))
+	for i, ev := range events {
+		out[i] = ev[branch]
+	}
+	return out
 }

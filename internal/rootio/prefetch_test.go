@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,5 +277,240 @@ func TestTrainingCacheRetrainCancelsPendingFills(t *testing.T) {
 				t.Fatalf("event %d branch %d mismatch after retrain", ev, bi)
 			}
 		}
+	}
+}
+
+// gatedSource is an asynchronous source whose fetches land only once the
+// test opens the gate. Completions are handed over on an unbuffered
+// channel, so a token on delivered means the fill's goroutine holds the
+// fetch result and is about to inflate (or is inflating) its baskets.
+type gatedSource struct {
+	gate      chan struct{}
+	delivered chan struct{}
+	ungated   func(call int) bool // fetches let straight through, by 1-based ordinal
+	calls     atomic.Int64
+}
+
+func (g *gatedSource) source(img []byte) Source {
+	src := BytesSource(img)
+	read := src.ReadVec
+	src.ReadVecAsyncCtx = func(ctx context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error {
+		gate := g.gate
+		if g.ungated(int(g.calls.Add(1))) {
+			gate = nil
+		}
+		ch := make(chan error)
+		go func() {
+			var err error
+			if gate != nil {
+				select {
+				case <-gate:
+				case <-ctx.Done():
+					err = ctx.Err()
+				}
+			}
+			if err == nil {
+				err = read(ranges, dsts)
+			}
+			ch <- err
+			if gate != nil {
+				g.delivered <- struct{}{}
+			}
+		}()
+		return ch
+	}
+	return src
+}
+
+// residentKeys lists the decoded baskets in the reader cache, sorted.
+func residentKeys(r *Reader) []basketKey {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	keys := make([]basketKey, 0, len(r.cache))
+	for k := range r.cache {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].branch != keys[j].branch {
+			return keys[i].branch < keys[j].branch
+		}
+		return keys[i].basket < keys[j].basket
+	})
+	return keys
+}
+
+// TestDiscardedFillNeverPublishes: a speculative fill retired by a pattern
+// jump, a retrain or Close — while its fetch is still out, or after the
+// fetch has landed and its goroutine is inflating — must leave the
+// reader's basket cache to the windows actually entered, and its
+// goroutine must exit.
+func TestDiscardedFillNeverPublishes(t *testing.T) {
+	events := randomEvents(35, 1600, 3, 256)
+	img := buildFile(t, []string{"a", "b", "c"}, events, WriterOptions{EventsPerBasket: 64})
+
+	for _, landed := range []bool{false, true} {
+		for _, how := range []string{"jump", "retrain", "close"} {
+			t.Run(fmt.Sprintf("%s/landed=%v", how, landed), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				// Fetch 1 is window 0's demand fill, 2 and 3 the fills for
+				// windows 1 and 2 that get retired, 4 the demand fill of
+				// whatever window is entered after that.
+				g := &gatedSource{
+					gate:      make(chan struct{}),
+					delivered: make(chan struct{}, 16), // more than the fetches a scenario gates
+					ungated:   func(call int) bool { return call == 1 || call == 4 },
+				}
+				r, err := OpenReader(g.source(img))
+				if err != nil {
+					t.Fatal(err)
+				}
+				branch := func(tr *TrainingCache, ev uint64, bi int) {
+					t.Helper()
+					p, err := tr.Branch(ev, bi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(p, events[ev][bi]) {
+						t.Fatalf("event %d branch %d mismatch", ev, bi)
+					}
+				}
+				// Train on branch 0 (synchronous demand reads), then event 10
+				// enters window 0 of the trained cache.
+				tr := NewTrainingCacheDepth(r, 10, 128, 2)
+				for ev := uint64(0); ev <= 10; ev++ {
+					branch(tr, ev, 0)
+				}
+				if n := len(tr.tc.pending); n != 2 {
+					t.Fatalf("%d fills in flight after entering window 0, want 2", n)
+				}
+				want := residentKeys(r)
+				if landed {
+					close(g.gate)
+					<-g.delivered
+					<-g.delivered
+				}
+
+				switch how {
+				case "jump":
+					branch(tr, 1500, 0)
+				case "retrain":
+					branch(tr, 11, 2)
+				case "close":
+					tr.Close()
+				}
+				if how != "close" {
+					if want, err = tr.tc.windowKeys(tr.tc.curStart); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := residentKeys(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("resident baskets %v, want exactly the entered window's %v", got, want)
+				}
+				if _, _, cancelled := tr.PrefetchStats(); how != "retrain" && cancelled != 2 {
+					t.Fatalf("%d fills booked as cancelled, want 2", cancelled)
+				}
+
+				tr.Close()
+				if got := residentKeys(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Close changed the resident baskets: %v, want %v", got, want)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Fatalf("%d goroutines after Close, %d before the scenario: a fill leaked", n, base)
+				}
+			})
+		}
+	}
+}
+
+// TestSpeculativeCorruptBasketErrorsOnEntry: a basket that fails to
+// inflate in the fill for window W+2 is the error of the first call that
+// enters W+2 — not of any call before it, although its fill failed in the
+// background long before.
+func TestSpeculativeCorruptBasketErrorsOnEntry(t *testing.T) {
+	events := randomEvents(36, 512, 2, 64)
+	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 64})
+	r0, err := OpenReader(BytesSource(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r0.Index().Branches[1].Baskets[2] // events 128..191 of branch 1
+	for i := int64(2); i < 32; i++ {
+		img[b.Offset+i] ^= 0xff
+	}
+
+	a := &asyncCtxSource{}
+	r, err := OpenReader(a.source(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTreeCacheDepth(r, 64, nil, 3)
+	defer tc.Close()
+	for ev := uint64(0); ev < 128; ev++ {
+		for pos := 0; pos < 2; pos++ {
+			p, err := tc.Branch(ev, pos)
+			if err != nil {
+				t.Fatalf("event %d, two windows before the damage: %v", ev, err)
+			}
+			if !bytes.Equal(p, events[ev][pos]) {
+				t.Fatalf("event %d branch %d mismatch", ev, pos)
+			}
+		}
+	}
+	// Branch 0 of event 128 is intact, but it is the call that enters the
+	// window, and the window's fill is one unit.
+	if _, err := tc.Branch(128, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("entering the damaged window: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestTreeCacheBranchEqualsEvent: Branch(ev, pos) is Event(ev)[pos], on a
+// random access pattern and with a window that straddles basket boundaries.
+func TestTreeCacheBranchEqualsEvent(t *testing.T) {
+	events := randomEvents(37, 1000, 3, 48)
+	img := buildFile(t, []string{"a", "b", "c"}, events, WriterOptions{EventsPerBasket: 64})
+	sel := []int{0, 2}
+
+	r1, err := OpenReader(BytesSource(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := NewTreeCacheDepth(r1, 100, sel, 0)
+	defer whole.Close()
+	a := &asyncCtxSource{}
+	r2, err := OpenReader(a.source(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := NewTreeCacheDepth(r2, 100, sel, 2)
+	defer single.Close()
+
+	rng := rand.New(rand.NewSource(37))
+	ev := uint64(0)
+	for i := 0; i < 600; i++ {
+		// Mostly short forward steps, now and then a jump anywhere.
+		if rng.Intn(10) == 0 {
+			ev = uint64(rng.Intn(1000))
+		} else {
+			ev = (ev + uint64(rng.Intn(40))) % 1000
+		}
+		pos := rng.Intn(len(sel))
+		want, err := whole.Event(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := single.Branch(ev, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[pos]) || !bytes.Equal(got, events[ev][sel[pos]]) {
+			t.Fatalf("event %d position %d: Branch != Event[pos]", ev, pos)
+		}
+	}
+	if _, err := single.Branch(0, len(sel)); err == nil {
+		t.Fatal("position past the selection accepted")
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"compress/zlib"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"godavix/internal/rangev"
 )
@@ -175,13 +178,23 @@ func (r *Reader) loadBaskets(keys []basketKey) error {
 	if err := r.src.ReadVec(ranges, dsts); err != nil {
 		return err
 	}
-	return r.decodeInto(need, dsts)
+	events, err := r.decodeBaskets(need, dsts)
+	if err != nil {
+		return err
+	}
+	r.publish(need, events)
+	return nil
 }
 
-// decodeInto decompresses fetched basket blobs into the cache.
-func (r *Reader) decodeInto(keys []basketKey, blobs [][]byte) error {
-	for i, k := range keys {
-		b := r.idx.Branches[k.branch].Baskets[k.basket]
+// decodeBaskets inflates fetched basket blobs: the result's element i
+// holds the per-event payloads of keys[i]. It reads only the index, so a
+// window fill runs it on its own goroutine; the baskets are spread over up
+// to GOMAXPROCS workers, and of several failures the one earliest in keys
+// is reported.
+func (r *Reader) decodeBaskets(keys []basketKey, blobs [][]byte) ([][][]byte, error) {
+	out := make([][][]byte, len(keys))
+	decode := func(i int) error {
+		b := r.idx.Branches[keys[i].branch].Baskets[keys[i].basket]
 		events, err := inflateBasket(blobs[i], b.UncompressedSize)
 		if err != nil {
 			return err
@@ -189,24 +202,135 @@ func (r *Reader) decodeInto(keys []basketKey, blobs [][]byte) error {
 		if uint32(len(events)) != b.NumEvents {
 			return ErrCorrupt
 		}
-		r.mu.Lock()
-		r.cache[k] = events
-		r.mu.Unlock()
+		out[i] = events
+		return nil
 	}
-	return nil
+	// The caller is the first worker, so a lone basket or a single
+	// processor starts no goroutine.
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+		errs = make([]error, len(keys))
+	)
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < len(keys); i = int(next.Add(1)) - 1 {
+			if errs[i] = decode(i); errs[i] != nil {
+				return
+			}
+		}
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(keys)))
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-func inflateBasket(blob []byte, usize int64) ([][]byte, error) {
-	zr, err := zlib.NewReader(bytes.NewReader(blob))
+// publish makes decoded baskets visible to ReadEvent and payload.
+func (r *Reader) publish(keys []basketKey, events [][][]byte) {
+	r.mu.Lock()
+	for i, k := range keys {
+		r.cache[k] = events[i]
+	}
+	r.mu.Unlock()
+}
+
+// inflater is a reusable zlib decompressor over an in-memory blob. A flate
+// decompressor is ≈ 44 KB of state; re-arming one through zlib.Resetter
+// costs nothing per basket.
+type inflater struct {
+	src  bytes.Reader
+	zr   io.ReadCloser
+	tail [1]byte
+}
+
+var inflaters sync.Pool
+
+// inflate decompresses blob, which must hold exactly usize bytes: reading
+// on to EOF is what makes compress/zlib compare its adler32 trailer.
+func (inf *inflater) inflate(blob []byte, usize int64) ([]byte, error) {
+	inf.src.Reset(blob)
+	var err error
+	if inf.zr == nil {
+		inf.zr, err = zlib.NewReader(&inf.src)
+	} else {
+		err = inf.zr.(zlib.Resetter).Reset(&inf.src, nil)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("rootio: basket inflate: %w", err)
+		return nil, err
 	}
+	// raw is not pooled: the payload slices handed to callers alias it.
 	raw := make([]byte, usize)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("rootio: basket inflate: %w", err)
+	if _, err := io.ReadFull(inf.zr, raw); err != nil {
+		return nil, err
 	}
-	zr.Close()
+	switch n, err := inf.zr.Read(inf.tail[:]); {
+	case n != 0:
+		return nil, errors.New("stream longer than the index claims")
+	case err != io.EOF:
+		return nil, err
+	}
+	inf.src.Reset(nil) // a pooled inflater must not pin the blob
+	return raw, nil
+}
+
+// maxInflateRatio is deflate's maximum expansion (RFC 1951: 258 bytes
+// from a 2-bit match); inflateSlack covers the zlib framing.
+const (
+	maxInflateRatio = 1032
+	inflateSlack    = 64
+)
+
+// inflateBasket decompresses one basket blob that the index says holds
+// usize bytes, and splits it into event payloads. Damage anywhere in the
+// blob, and a size the blob cannot inflate to, are ErrCorrupt.
+func inflateBasket(blob []byte, usize int64) ([][]byte, error) {
+	if usize < 0 || usize > maxInflateRatio*int64(len(blob))+inflateSlack {
+		return nil, fmt.Errorf("%w: basket claims %d bytes from a %d-byte blob", ErrCorrupt, usize, len(blob))
+	}
+	inf, _ := inflaters.Get().(*inflater)
+	if inf == nil {
+		inf = new(inflater)
+	}
+	raw, err := inf.inflate(blob, usize)
+	if err != nil {
+		// The failed inflater is dropped, not pooled.
+		return nil, fmt.Errorf("%w: basket inflate: %w", ErrCorrupt, err)
+	}
+	inflaters.Put(inf)
 	return decodeBasket(raw)
+}
+
+// payload returns branch bi of event ev from its decoded basket, fetching
+// the basket on demand when it is not resident. Inside a filled TreeCache
+// window it is one binary search and one map lookup.
+func (r *Reader) payload(ev uint64, bi int) ([]byte, error) {
+	bk, err := r.basketFor(bi, ev)
+	if err != nil {
+		return nil, err
+	}
+	k := basketKey{branch: bi, basket: bk}
+	r.mu.Lock()
+	events, ok := r.cache[k]
+	r.mu.Unlock()
+	if !ok {
+		if err := r.loadBaskets([]basketKey{k}); err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		events = r.cache[k]
+		r.mu.Unlock()
+	}
+	return events[ev-r.idx.Branches[bi].Baskets[bk].FirstEvent], nil
 }
 
 // ReadEvent returns the payloads of event ev for the selected branch

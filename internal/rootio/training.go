@@ -23,10 +23,11 @@ type TrainingCache struct {
 	trainEvents uint64
 	depth       int
 
-	used    map[int]bool
-	trained bool
-	tc      *TreeCache
-	pos     map[int]int // branch index -> position in tc.branches
+	// branches is the learned set, kept sorted as it grows; after training
+	// a branch's position in it is its position in tc.branches.
+	branches []int
+	trained  bool
+	tc       *TreeCache
 
 	retrains int
 }
@@ -50,18 +51,25 @@ func NewTrainingCacheDepth(r *Reader, trainEvents, windowEvents uint64, depth in
 		window:      windowEvents,
 		trainEvents: trainEvents,
 		depth:       depth,
-		used:        make(map[int]bool),
 	}
 }
 
 // UsedBranches returns the branch positions learned so far, sorted.
 func (t *TrainingCache) UsedBranches() []int {
-	out := make([]int, 0, len(t.used))
-	for bi := range t.used {
-		out = append(out, bi)
+	return append([]int(nil), t.branches...)
+}
+
+// learn returns bi's position in the sorted learned set, inserting it
+// when it is new.
+func (t *TrainingCache) learn(bi int) (pos int, isNew bool) {
+	pos = sort.SearchInts(t.branches, bi)
+	if pos < len(t.branches) && t.branches[pos] == bi {
+		return pos, false
 	}
-	sort.Ints(out)
-	return out
+	t.branches = append(t.branches, 0)
+	copy(t.branches[pos+1:], t.branches[pos:])
+	t.branches[pos] = bi
+	return pos, true
 }
 
 // Trained reports whether the learning phase has finished.
@@ -78,15 +86,15 @@ func (t *TrainingCache) Branch(ev uint64, bi int) ([]byte, error) {
 	if bi < 0 || bi >= len(t.reader.idx.Branches) {
 		return nil, fmt.Errorf("rootio: branch %d out of range", bi)
 	}
+	pos, isNew := t.learn(bi)
 	if !t.trained {
-		t.used[bi] = true
 		// Batch the demand reads: one vectored fetch brings this event's
 		// basket for every branch learned so far (already-decoded baskets
 		// are skipped by loadBaskets), instead of a one-branch round trip
 		// per Branch call — O(events) fetches during training instead of
 		// O(events × branches).
-		keys := make([]basketKey, 0, len(t.used))
-		for _, ubi := range t.UsedBranches() {
+		keys := make([]basketKey, 0, len(t.branches))
+		for _, ubi := range t.branches {
 			bk, err := t.reader.basketFor(ubi, ev)
 			if err != nil {
 				return nil, err
@@ -96,29 +104,21 @@ func (t *TrainingCache) Branch(ev uint64, bi int) ([]byte, error) {
 		if err := t.reader.loadBaskets(keys); err != nil {
 			return nil, err
 		}
-		vals, err := t.reader.ReadEvent(ev, []int{bi})
+		p, err := t.reader.payload(ev, bi)
 		if err != nil {
 			return nil, err
 		}
 		if ev+1 >= t.trainEvents {
 			t.finishTraining()
 		}
-		return vals[0], nil
+		return p, nil
 	}
-	if !t.used[bi] {
-		// Late branch discovery: widen the set and rebuild.
-		t.used[bi] = true
+	if isNew {
+		// Late branch discovery: the set has widened, rebuild.
 		t.retrains++
 		t.rebuild()
 	}
-	vals, err := t.tc.Event(ev)
-	if err != nil {
-		return nil, err
-	}
-	if i, ok := t.pos[bi]; ok {
-		return vals[i], nil
-	}
-	return nil, fmt.Errorf("rootio: branch %d missing from trained set", bi)
+	return t.tc.Branch(ev, pos)
 }
 
 func (t *TrainingCache) finishTraining() {
@@ -132,10 +132,6 @@ func (t *TrainingCache) rebuild() {
 	}
 	t.reader.DropCache()
 	t.tc = NewTreeCacheDepth(t.reader, t.window, t.UsedBranches(), t.depth)
-	t.pos = make(map[int]int, len(t.tc.branches))
-	for i, ubi := range t.tc.branches {
-		t.pos[ubi] = i
-	}
 }
 
 // Fills reports the vectored fill count of the post-training cache.

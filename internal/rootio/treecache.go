@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"godavix/internal/bufpool"
 	"godavix/internal/rangev"
 )
 
@@ -15,10 +16,13 @@ import (
 //
 // With a prefetch depth D > 0 the cache runs the windows as a pipeline:
 // while the reader processes window W, the fills for windows W+1..W+D are
-// already in flight as background coalesced vectored reads, so transfer
-// overlaps decode/compute exactly like the xrootd async path. A depth of 0
-// is the synchronous cache of the paper's HTTP column: every fill is one
-// blocking round trip, byte-for-byte the legacy behaviour.
+// already in flight as background coalesced vectored reads, and each fill
+// inflates its own baskets on its own goroutine as soon as its bytes land
+// (ROOT's TTreeCacheUnzip), so both transfer and decompression overlap the
+// reader's compute and entering a window only publishes what is ready. A
+// depth of 0 is the synchronous cache of the paper's HTTP column: every
+// fill is one blocking round trip, byte-for-byte the legacy behaviour,
+// decoded on the caller's goroutine.
 type TreeCache struct {
 	reader   *Reader
 	branches []int
@@ -41,15 +45,19 @@ type TreeCache struct {
 	cancelledFills int64
 }
 
-// pendingFill is an in-flight asynchronous window fetch.
+// pendingFill is a window fill on its way to the reader's basket cache.
 type pendingFill struct {
 	start uint64
 	keys  []basketKey
-	dsts  [][]byte // per-key views, aligned with keys
 	bytes int64
-	done  <-chan error
-	// cancel aborts the underlying fetch when the window is retired before
-	// its fill is consumed (nil for fills on non-cancellable sources).
+	// done yields the fill's single completion error. A pipelined fill
+	// sets events before sending; a synchronous one leaves blobs to be
+	// inflated by finishFill.
+	done   <-chan error
+	events [][][]byte // decoded baskets, aligned with keys
+	blobs  [][]byte   // fetched baskets of a synchronous fill, aligned with keys
+	// cancel retires a pipelined fill before it is consumed: the fetch is
+	// aborted when the source allows it, and the inflate is skipped.
 	cancel context.CancelFunc
 }
 
@@ -155,7 +163,7 @@ func (tc *TreeCache) startFillSync(start uint64) (*pendingFill, error) {
 		total += b.CompressedSize
 	}
 	tc.fills++
-	pf := &pendingFill{start: start, keys: keys, dsts: dsts, bytes: total}
+	pf := &pendingFill{start: start, keys: keys, blobs: dsts, bytes: total}
 	ch := make(chan error, 1)
 	ch <- tc.reader.src.ReadVec(ranges, dsts)
 	pf.done = ch
@@ -165,7 +173,8 @@ func (tc *TreeCache) startFillSync(start uint64) (*pendingFill, error) {
 // coalesceFill lays the window's baskets out as merged read ranges:
 // baskets adjacent on disk share one contiguous buffer (and thus one range
 // of the vectored request), and each basket's destination is a view into
-// its run buffer — no second copy when the fill lands.
+// its run buffer — no second copy when the fill lands. The run buffers
+// come from bufpool; the fill's goroutine returns them.
 func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [][]byte, perKey [][]byte, total int64) {
 	order := make([]int, len(keys))
 	for i := range order {
@@ -195,7 +204,7 @@ func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [
 	ranges = make([]rangev.Range, len(runs))
 	runDsts = make([][]byte, len(runs))
 	for i, ru := range runs {
-		buf := make([]byte, ru.ln)
+		buf := bufpool.Get(int(ru.ln))
 		ranges[i] = rangev.Range{Off: ru.off, Len: ru.ln}
 		runDsts[i] = buf
 		var at int64
@@ -209,40 +218,65 @@ func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [
 }
 
 // startFillAsync begins fetching the window at start in the background,
-// with adjacent basket ranges merged into contiguous reads and a cancel
-// handle for retiring the window before the fill lands.
+// with adjacent basket ranges merged into contiguous reads. The fill's own
+// goroutine waits for the fetch, inflates the baskets, hands the run
+// buffers back to bufpool — it is their only owner once the fetch has
+// returned, whatever the outcome — and only then signals done. It never
+// touches the reader's cache: publishing is finishFill's, so a discarded
+// fill leaves no trace.
 func (tc *TreeCache) startFillAsync(start uint64) (*pendingFill, error) {
 	keys, err := tc.windowKeys(start)
 	if err != nil {
 		return nil, err
 	}
-	ranges, runDsts, perKey, total := coalesceFill(tc.reader, keys)
+	r := tc.reader
+	ranges, runDsts, perKey, total := coalesceFill(r, keys)
 	tc.fills++
-	pf := &pendingFill{start: start, keys: keys, dsts: perKey, bytes: total}
-	if tc.reader.src.ReadVecAsyncCtx != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		pf.cancel = cancel
-		pf.done = tc.reader.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
+	ctx, cancel := context.WithCancel(context.Background())
+	var fetched <-chan error
+	if r.src.ReadVecAsyncCtx != nil {
+		fetched = r.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
 	} else {
-		pf.done = tc.reader.src.ReadVecAsync(ranges, runDsts)
+		fetched = r.src.ReadVecAsync(ranges, runDsts)
 	}
+	done := make(chan error, 1)
+	pf := &pendingFill{start: start, keys: keys, bytes: total, done: done, cancel: cancel}
+	go func() {
+		err := <-fetched
+		if err == nil {
+			err = ctx.Err() // discarded meanwhile: nobody will read the baskets
+		}
+		if err == nil {
+			pf.events, err = r.decodeBaskets(keys, perKey)
+		}
+		for _, buf := range runDsts {
+			bufpool.Put(buf)
+		}
+		done <- err
+	}()
 	return pf, nil
 }
 
-// finishFill waits for pf and decodes its baskets into the reader cache.
+// finishFill waits for pf and publishes its baskets into the reader cache,
+// on the caller's goroutine.
 func (tc *TreeCache) finishFill(pf *pendingFill) error {
 	if err := <-pf.done; err != nil {
 		return err
 	}
-	return tc.reader.decodeInto(pf.keys, pf.dsts)
+	if pf.blobs != nil {
+		var err error
+		if pf.events, err = tc.reader.decodeBaskets(pf.keys, pf.blobs); err != nil {
+			return err
+		}
+	}
+	tc.reader.publish(pf.keys, pf.events)
+	return nil
 }
 
 // discard retires an unconsumed speculative fill: the fetch is cancelled
 // (when the source allows it) and its bytes are booked as waste.
 func (tc *TreeCache) discard(pf *pendingFill) {
-	if pf.cancel != nil {
-		pf.cancel()
-	}
+	pf.cancel()
 	tc.cancelledFills++
 	tc.wastedBytes += pf.bytes
 }
@@ -252,21 +286,39 @@ func (tc *TreeCache) discard(pf *pendingFill) {
 // pipelined fill (or triggers one vectored fetch) and tops the pipeline
 // back up to the configured depth.
 func (tc *TreeCache) Event(ev uint64) ([][]byte, error) {
-	if ev >= tc.reader.idx.Events {
-		return nil, fmt.Errorf("rootio: event %d out of range", ev)
-	}
-	ws := ev - ev%tc.window
-	if tc.curStart != ws {
-		if err := tc.enterWindow(ws); err != nil {
-			return nil, err
-		}
+	if err := tc.seek(ev); err != nil {
+		return nil, err
 	}
 	return tc.reader.ReadEvent(ev, tc.branches)
 }
 
+// Branch returns Event(ev)[pos] — the payload of the pos-th selected
+// branch — without assembling the other branches: inside the current
+// window it allocates nothing.
+func (tc *TreeCache) Branch(ev uint64, pos int) ([]byte, error) {
+	if pos < 0 || pos >= len(tc.branches) {
+		return nil, fmt.Errorf("rootio: branch position %d out of range", pos)
+	}
+	if err := tc.seek(ev); err != nil {
+		return nil, err
+	}
+	return tc.reader.payload(ev, tc.branches[pos])
+}
+
+// seek makes the window holding event ev the current one.
+func (tc *TreeCache) seek(ev uint64) error {
+	if ev >= tc.reader.idx.Events {
+		return fmt.Errorf("rootio: event %d out of range", ev)
+	}
+	if ws := ev - ev%tc.window; tc.curStart != ws {
+		return tc.enterWindow(ws)
+	}
+	return nil
+}
+
 // enterWindow makes ws the current window: uses the matching pipelined
 // fill when one is in flight, cancels fills the access pattern jumped
-// away from, tops the pipeline back up, then awaits and decodes ws.
+// away from, tops the pipeline back up, then awaits and publishes ws.
 func (tc *TreeCache) enterWindow(ws uint64) error {
 	// Evict the previous window's decoded baskets to bound memory.
 	tc.reader.DropCache()
@@ -299,11 +351,9 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 		if err != nil {
 			return err
 		}
-	} else {
-		tc.consumeIssued(cur)
 	}
 
-	// Overlap: top the pipeline back up before decoding this window, so
+	// Overlap: top the pipeline back up before waiting on this window, so
 	// the next windows' transfers ride under this window's compute.
 	tc.topUp(ws)
 
@@ -313,11 +363,6 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 	tc.curStart = ws
 	return nil
 }
-
-// consumeIssued marks a speculative fill as consumed (its bytes were not
-// wasted). Bytes are booked at issue time; nothing to do beyond the hook
-// point, kept for symmetry and future accounting.
-func (tc *TreeCache) consumeIssued(*pendingFill) {}
 
 // asyncCapable reports whether the source supports background fills.
 func (tc *TreeCache) asyncCapable() bool {

@@ -53,11 +53,19 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 }
 
 func TestVerifyRejectsTampering(t *testing.T) {
-	now := time.Now().UTC()
+	now := time.Date(2014, 9, 1, 12, 0, 0, 0, time.UTC)
 	req := wire.NewRequest("GET", "h:80", "/obj")
 	Sign(req, testCreds(), now)
 	auth := req.Header.Get("Authorization")
 	date := req.Header.Get("X-Amz-Date")
+	// Flip the low bit of the signature's last hex digit: a different
+	// digit whatever the signature is.
+	const hexDigits = "0123456789abcdef"
+	last := strings.IndexByte(hexDigits, auth[len(auth)-1])
+	if last < 0 {
+		t.Fatalf("Authorization does not end in a hex digit: %q", auth)
+	}
+	badSig := auth[:len(auth)-1] + hexDigits[last^1:last^1+1]
 
 	cases := []struct {
 		name                     string
@@ -66,7 +74,7 @@ func TestVerifyRejectsTampering(t *testing.T) {
 		{"method", "PUT", "/obj", "h:80", auth, date},
 		{"path", "GET", "/other", "h:80", auth, date},
 		{"host", "GET", "/obj", "evil:80", auth, date},
-		{"sig", "GET", "/obj", "h:80", auth[:len(auth)-2] + "ff", date},
+		{"sig", "GET", "/obj", "h:80", badSig, date},
 	}
 	for _, c := range cases {
 		err := VerifyRequest(c.method, c.path, c.host, c.a, c.d, UnsignedPayload, secretFor, now, 0)

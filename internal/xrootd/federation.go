@@ -52,6 +52,11 @@ type managerHealth struct {
 	at    time.Time
 }
 
+// probeTimeout bounds one health probe within the caller's context. It is
+// not the cache TTL: a short TTL means "re-probe often", not "a Stat that
+// takes longer than this is a dead server".
+const probeTimeout = time.Second
+
 // NewManager creates a Manager federating the given data servers, probed
 // through d. healthTTL bounds probe caching (0 selects 2s).
 func NewManager(d pool.Dialer, servers []string, healthTTL time.Duration) *Manager {
@@ -96,7 +101,7 @@ func (m *Manager) locate(ctx context.Context, path string) (string, error) {
 		if fresh && !h.alive {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, m.ttl)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		_, _, err := m.clientFor(addr).Stat(pctx, path)
 		cancel()
 		alive := err == nil || errors.Is(err, ErrNotFound)
