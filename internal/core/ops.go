@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/adler32"
 	"strconv"
+	"sync"
 	"time"
 
 	"godavix/internal/metalink"
@@ -306,15 +307,15 @@ func (c *Client) statUncached(ctx context.Context, host, path string) (Info, err
 }
 
 func (c *Client) statPropfind(ctx context.Context, host, path string) (Info, error) {
-	entries, err := c.propfind(ctx, host, path, "0")
+	listing, err := c.propfind(ctx, host, path, "0")
 	if err != nil {
 		return Info{}, err
 	}
-	if len(entries) == 0 {
+	defer putListing(listing)
+	if len(*listing) == 0 {
 		return Info{}, &StatusError{Code: 404, Status: "404 Not Found", Method: "PROPFIND", Path: path}
 	}
-	e := entries[0]
-	return Info{Path: e.Href, Size: e.Size, Dir: e.Dir, ModTime: e.ModTime}, nil
+	return (*listing)[0], nil
 }
 
 // List returns the entries of the collection at host/path (PROPFIND depth
@@ -325,49 +326,63 @@ func (c *Client) statPropfind(ctx context.Context, host, path string) (Info, err
 // a live entry from a direct Stat is never overwritten, so a HEAD-won
 // checksum survives its TTL.
 func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
-	entries, err := c.propfind(ctx, host, path, "1")
+	listing, err := c.propfind(ctx, host, path, "1")
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]Info, 0, len(entries))
-	for i, e := range entries {
-		inf := Info{Path: e.Href, Size: e.Size, Dir: e.Dir, ModTime: e.ModTime}
-		if c.statc != nil {
+	defer putListing(listing)
+	all := *listing
+	if c.statc != nil {
+		for _, inf := range all {
 			c.statc.PutIfAbsent(cacheKey(host, inf.Path), inf)
 		}
-		if i == 0 && e.Dir {
-			continue // the collection itself (primed above, not listed)
-		}
-		infos = append(infos, inf)
 	}
-	return infos, nil
+	if len(all) > 0 && all[0].Dir {
+		all = all[1:] // the collection itself (primed above, not listed)
+	}
+	return append(make([]Info, 0, len(all)), all...), nil
 }
 
-func (c *Client) propfind(ctx context.Context, host, path, depth string) ([]webdav.Entry, error) {
-	var entries []webdav.Entry
+// listings pools the scratch listings PROPFINDs decode into, so a listing
+// costs its callers one exact-size copy instead of a doubling slice.
+var listings = sync.Pool{New: func() any { return new([]Info) }}
+
+// putListing returns a scratch listing to the pool, dropping its strings.
+func putListing(l *[]Info) {
+	clear((*l)[:cap(*l)])
+	*l = (*l)[:0]
+	listings.Put(l)
+}
+
+// propfind runs a PROPFIND at the given depth and decodes the multistatus
+// document straight off the wire body into a pooled scratch listing, which
+// the caller hands back with putListing. Every attempt the engine makes
+// starts the listing over, so what comes back is the succeeding attempt's
+// document, whole, and nothing from a failed one.
+func (c *Client) propfind(ctx context.Context, host, path, depth string) (*[]Info, error) {
+	listing := listings.Get().(*[]Info)
 	err := c.exec(ctx, host, path, specPropfind, func(h, p string) *wire.Request {
 		req := wire.NewRequest("PROPFIND", h, p)
 		req.Header.Set("Depth", depth)
 		return req
 	}, func(_ Replica, resp *Response) error {
+		*listing = (*listing)[:0]
 		if resp.StatusCode != 207 {
 			return statusErr(resp, "PROPFIND", path)
 		}
-		// Stream the multistatus document straight off the wire body: large
-		// directory listings are decoded without materializing the XML.
-		es, err := webdav.DecodeMultistatusStream(resp.Body)
+		err := webdav.ScanMultistatus(resp.Body, func(e webdav.Entry) error {
+			*listing = append(*listing, Info{Path: e.Href, Size: e.Size, Dir: e.Dir, ModTime: e.ModTime})
+			return nil
+		})
 		cerr := resp.Close()
 		if err != nil {
 			return fmt.Errorf("davix: PROPFIND %s: %w", path, err)
 		}
-		if cerr != nil {
-			return cerr
-		}
-		entries = es
-		return nil
+		return cerr
 	})
 	if err != nil {
+		putListing(listing)
 		return nil, err
 	}
-	return entries, nil
+	return listing, nil
 }

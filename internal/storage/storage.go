@@ -13,6 +13,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -76,20 +77,71 @@ func renderAdler32(sum uint32) string {
 }
 
 // Clean canonicalizes an object path to a rooted, slash-separated form.
+// A path that is clean already comes back as is, without allocating.
 func Clean(p string) string {
-	p = path.Clean("/" + strings.TrimSpace(p))
-	return p
+	if p = strings.TrimSpace(p); !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	return path.Clean(p)
 }
 
 // memEntry is one namespace entry in the flat sharded map: an immutable
 // blob (files; data is never mutated after insertion, so readers may share
-// the slice) or a directory with its registered child names.
+// the slice) or a directory with its children. Only a directory's child
+// list ever changes; everything else is fixed before the entry is
+// published, so a reader holding the parent's lock may describe a child
+// without taking the child's.
 type memEntry struct {
 	data     []byte
 	checksum string // computed once at Put
 	modTime  time.Time
-	dir      bool
-	children map[string]bool // child base names; dirs only
+	dir      *memDir // nil for objects
+}
+
+// memDir is a directory's child index: its children sorted by name. It is
+// written only under the shard locks of both the directory and the child
+// concerned, and read under the directory's.
+type memDir struct {
+	children []memChild
+}
+
+// memChild is one registered child: its clean path — the same string that
+// keys it in the shard map — and its entry.
+type memChild struct {
+	path string
+	e    *memEntry
+}
+
+// name is the child's base name.
+func (c memChild) name() string { return c.path[strings.LastIndexByte(c.path, '/')+1:] }
+
+// find returns where the child called name is, or belongs, in d.children.
+func (d *memDir) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(d.children, name, func(c memChild, name string) int {
+		return strings.Compare(c.name(), name)
+	})
+}
+
+// set registers (or re-points) the child at clean path p. Appending past
+// the last name — how directories are usually filled — is O(1).
+func (d *memDir) set(p string, e *memEntry) {
+	c := memChild{path: p, e: e}
+	i, found := len(d.children), false
+	if name := c.name(); i > 0 && d.children[i-1].name() >= name {
+		i, found = d.find(name)
+	}
+	if found {
+		d.children[i] = c
+		return
+	}
+	d.children = slices.Insert(d.children, i, c)
+}
+
+// remove deregisters the child called name, if present.
+func (d *memDir) remove(name string) {
+	if i, found := d.find(name); found {
+		d.children = slices.Delete(d.children, i, i+1)
+	}
 }
 
 // memShards spreads the namespace over independent locks (the same FNV-1a
@@ -123,7 +175,7 @@ func NewMemStore() *MemStore {
 		s.shards[i].entries = make(map[string]*memEntry)
 	}
 	root := s.shardFor("/")
-	root.entries["/"] = &memEntry{dir: true, children: map[string]bool{}, modTime: s.now()}
+	root.entries["/"] = &memEntry{dir: &memDir{}, modTime: s.now()}
 	return s
 }
 
@@ -172,15 +224,15 @@ func splitPath(p string) []string {
 	return strings.Split(p, "/")
 }
 
+// infoFor describes the entry at clean path p.
 func infoFor(p string, e *memEntry) Info {
-	p = Clean(p)
 	inf := Info{
 		Name:    path.Base(p),
 		Path:    p,
 		ModTime: e.modTime,
-		Dir:     e.dir,
+		Dir:     e.dir != nil,
 	}
-	if !e.dir {
+	if e.dir == nil {
 		inf.Size = int64(len(e.data))
 		inf.Checksum = e.checksum
 	}
@@ -217,22 +269,21 @@ restart:
 				unlock()
 				continue restart
 			}
-			if !pe.dir {
+			if pe.dir == nil {
 				unlock()
 				return ErrNotDir
 			}
+			// An existing directory is registered already: entries and
+			// their registrations are only ever written together.
 			ce := s.shardFor(child).entries[child]
 			switch {
 			case ce == nil:
-				s.shardFor(child).entries[child] = &memEntry{
-					dir: true, children: map[string]bool{}, modTime: s.now(),
-				}
-				pe.children[part] = true
-			case !ce.dir:
+				ce = &memEntry{dir: &memDir{}, modTime: s.now()}
+				s.shardFor(child).entries[child] = ce
+				pe.dir.set(child, ce)
+			case ce.dir == nil:
 				unlock()
 				return ErrNotDir
-			default:
-				pe.children[part] = true // idempotent re-registration
 			}
 			unlock()
 			cur = child
@@ -249,7 +300,7 @@ func (s *MemStore) Get(p string) ([]byte, Info, error) {
 	if e == nil {
 		return nil, Info{}, ErrNotFound
 	}
-	if e.dir {
+	if e.dir != nil {
 		return nil, Info{}, ErrIsDir
 	}
 	// Callers must not mutate the returned slice; the HTTP and xrootd
@@ -290,9 +341,8 @@ func (s *MemStore) PutSummed(p string, data []byte, sum uint32) error {
 // existing entry (Mkdir semantics).
 func (s *MemStore) insert(p string, entry *memEntry, exclusive bool) error {
 	parent := path.Dir(p)
-	name := path.Base(p)
 	for attempt := 0; attempt < 1000; attempt++ {
-		if !entry.dir {
+		if entry.dir == nil {
 			if err := s.ensureDir(parent); err != nil {
 				return err
 			}
@@ -301,21 +351,21 @@ func (s *MemStore) insert(p string, entry *memEntry, exclusive bool) error {
 		pe := s.shardFor(parent).entries[parent]
 		if pe == nil {
 			unlock()
-			if entry.dir {
+			if entry.dir != nil {
 				// Mkdir requires parents to exist.
 				return ErrNotFound
 			}
 			continue // parent deleted between ensureDir and lock: re-ensure
 		}
-		if !pe.dir {
+		if pe.dir == nil {
 			unlock()
-			if entry.dir {
+			if entry.dir != nil {
 				return ErrNotFound
 			}
 			return ErrNotDir
 		}
 		old := s.shardFor(p).entries[p]
-		if old != nil && (old.dir || exclusive) {
+		if old != nil && (old.dir != nil || exclusive) {
 			unlock()
 			if exclusive {
 				return ErrExists
@@ -323,7 +373,7 @@ func (s *MemStore) insert(p string, entry *memEntry, exclusive bool) error {
 			return ErrIsDir
 		}
 		s.shardFor(p).entries[p] = entry
-		pe.children[name] = true
+		pe.dir.set(p, entry)
 		unlock()
 		return nil
 	}
@@ -338,19 +388,18 @@ func (s *MemStore) Delete(p string) error {
 		return ErrIsDir
 	}
 	parent := path.Dir(p)
-	name := path.Base(p)
 	unlock := s.lockAll(parent, p)
 	defer unlock()
 	e := s.shardFor(p).entries[p]
 	if e == nil {
 		return ErrNotFound
 	}
-	if e.dir && len(e.children) > 0 {
+	if e.dir != nil && len(e.dir.children) > 0 {
 		return fmt.Errorf("storage: directory not empty: %s", p)
 	}
 	delete(s.shardFor(p).entries, p)
-	if pe := s.shardFor(parent).entries[parent]; pe != nil && pe.dir {
-		delete(pe.children, name)
+	if pe := s.shardFor(parent).entries[parent]; pe != nil && pe.dir != nil {
+		pe.dir.remove(path.Base(p))
 	}
 	return nil
 }
@@ -365,36 +414,25 @@ func (s *MemStore) Stat(p string) (Info, error) {
 	return infoFor(p, e), nil
 }
 
-// List implements Store. The child-name snapshot is taken under the
-// directory's shard lock; each child is then described under its own
-// shard's lock (one vanishing concurrently is simply skipped).
+// List implements Store: one copy of the directory's sorted child index,
+// under the directory's shard read lock alone (child entries are immutable
+// once registered, and are registered and replaced under this lock).
 func (s *MemStore) List(p string) ([]Info, error) {
 	p = Clean(p)
 	sh := s.shardFor(p)
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	e := sh.entries[p]
 	if e == nil {
-		sh.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	if !e.dir {
-		sh.mu.RUnlock()
+	if e.dir == nil {
 		return nil, ErrNotDir
 	}
-	names := make([]string, 0, len(e.children))
-	for name := range e.children {
-		names = append(names, name)
+	out := make([]Info, len(e.dir.children))
+	for i, c := range e.dir.children {
+		out[i] = infoFor(c.path, c.e)
 	}
-	sh.mu.RUnlock()
-
-	out := make([]Info, 0, len(names))
-	for _, name := range names {
-		cp := path.Join(p, name)
-		if ce := s.getEntry(cp); ce != nil {
-			out = append(out, infoFor(cp, ce))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
@@ -404,7 +442,7 @@ func (s *MemStore) Mkdir(p string) error {
 	if p == "/" {
 		return ErrExists
 	}
-	return s.insert(p, &memEntry{dir: true, children: map[string]bool{}, modTime: s.now()}, true)
+	return s.insert(p, &memEntry{dir: &memDir{}, modTime: s.now()}, true)
 }
 
 // Copy implements Store: dst becomes a new object with src's bytes. Blobs
@@ -436,13 +474,12 @@ func (s *MemStore) twoKey(src, dst string, remove bool) error {
 		switch {
 		case e == nil:
 			return ErrNotFound
-		case e.dir:
+		case e.dir != nil:
 			return ErrIsDir
 		}
 		return nil
 	}
 	srcParent, dstParent := path.Dir(src), path.Dir(dst)
-	srcName, dstName := path.Base(src), path.Base(dst)
 	for attempt := 0; attempt < 1000; attempt++ {
 		if err := s.ensureDir(dstParent); err != nil {
 			return err
@@ -453,28 +490,27 @@ func (s *MemStore) twoKey(src, dst string, remove bool) error {
 			unlock()
 			return ErrNotFound
 		}
-		if se.dir {
+		if se.dir != nil {
 			unlock()
 			return ErrIsDir
 		}
 		de := s.shardFor(dst).entries[dst]
-		if de != nil && de.dir {
+		if de != nil && de.dir != nil {
 			unlock()
 			return ErrIsDir
 		}
 		dpe := s.shardFor(dstParent).entries[dstParent]
-		if dpe == nil || !dpe.dir {
+		if dpe == nil || dpe.dir == nil {
 			unlock()
 			continue // destination parent vanished: re-ensure and retry
 		}
-		s.shardFor(dst).entries[dst] = &memEntry{
-			data: se.data, checksum: se.checksum, modTime: s.now(),
-		}
-		dpe.children[dstName] = true
+		ne := &memEntry{data: se.data, checksum: se.checksum, modTime: s.now()}
+		s.shardFor(dst).entries[dst] = ne
+		dpe.dir.set(dst, ne)
 		if remove {
 			delete(s.shardFor(src).entries, src)
-			if spe := s.shardFor(srcParent).entries[srcParent]; spe != nil && spe.dir {
-				delete(spe.children, srcName)
+			if spe := s.shardFor(srcParent).entries[srcParent]; spe != nil && spe.dir != nil {
+				spe.dir.remove(path.Base(src))
 			}
 		}
 		unlock()
@@ -535,9 +571,10 @@ func (s *DiskStore) Get(p string) ([]byte, Info, error) {
 }
 
 func (s *DiskStore) infoFromFS(p string, st fs.FileInfo, data []byte) Info {
+	p = Clean(p)
 	inf := Info{
-		Name:    path.Base(Clean(p)),
-		Path:    Clean(p),
+		Name:    path.Base(p),
+		Path:    p,
 		ModTime: st.ModTime(),
 		Dir:     st.IsDir(),
 	}
@@ -586,15 +623,16 @@ func (s *DiskStore) List(p string) ([]Info, error) {
 		}
 		return nil, err
 	}
+	// os.ReadDir returns the entries sorted by name.
+	dir := Clean(p)
 	out := make([]Info, 0, len(entries))
 	for _, e := range entries {
 		st, err := e.Info()
 		if err != nil {
 			continue
 		}
-		out = append(out, s.infoFromFS(path.Join(Clean(p), e.Name()), st, nil))
+		out = append(out, s.infoFromFS(path.Join(dir, e.Name()), st, nil))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 

@@ -1,0 +1,358 @@
+package webdav
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"strings"
+	"testing"
+	"testing/iotest"
+	"time"
+	"unicode/utf8"
+)
+
+// msHead opens a document the way the gateway does.
+const msHead = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" + `<multistatus xmlns="DAV:">`
+
+// straddle builds a one-response document whose href holds pre + token,
+// padded so that token starts k bytes before the end of the scanner's first
+// read window.
+func straddle(open, token, close string, k int) []byte {
+	head := msHead + "<response><href>" + open
+	pad := msWindow - k - len(head)
+	return []byte(head + strings.Repeat("x", pad) + token + close + "</href></response></multistatus>")
+}
+
+// scanTable is the documents both decoders are compared on, and the
+// fuzzer's seed corpus: well-formed shapes, the rows the scanner must
+// reject, and tokens split across the scanner's read window.
+func scanTable() [][]byte {
+	now := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
+	enc, _ := EncodeMultistatus([]Entry{
+		{Href: "/store", Dir: true, ModTime: now},
+		{Href: `/store/a&b <c> "d" 'e'` + "\t\r\n", Size: 700 << 20, ModTime: now},
+		{Href: "/store/empty"},
+	})
+	docs := []string{
+		string(enc),
+		`<?xml version="1.0"?>
+<D:multistatus xmlns:D="DAV:">
+ <D:response><D:href>/data/run1</D:href>
+  <D:propstat><D:prop><D:resourcetype><D:collection/></D:resourcetype></D:prop>
+   <D:status>HTTP/1.1 200 OK</D:status></D:propstat></D:response>
+ <D:response><D:href>/data/run1/a.rnt</D:href>
+  <D:propstat><D:prop><D:getcontentlength>42</D:getcontentlength></D:prop></D:propstat></D:response>
+</D:multistatus>`,
+		msHead + `<!-- <tags> & ampersands --><response><href><![CDATA[/raw&]]]]><![CDATA[>]]></href></response></multistatus>`,
+		msHead + `<!-- dashes ----><?pi ??><response><href><![CDATA[/data/y]]]]></href></response></multistatus>`,
+		// Line breaks are normalized in text, not in references.
+		msHead + "<response><href>/a\r\nb\rc\r<!---->\nd&#xD;\n</href></response></multistatus>",
+		// An empty getcontentlength is 0; several propstats merge in order.
+		msHead + `<response><href>/p</href><propstat><prop><getcontentlength>7</getcontentlength>
+<getlastmodified>Mon, 30 Jun 2014 12:00:00 UTC</getlastmodified></prop></propstat>
+<propstat><prop><getcontentlength></getcontentlength><getlastmodified>bogus</getlastmodified>
+<resourcetype><collection/></resourcetype></prop><prop><getlastmodified>Tue, 01 Jul 2014 00:00:00 GMT</getlastmodified></prop></propstat></response></multistatus>`,
+		// The known case: properties nested deeper than RFC 4918 puts them
+		// are not properties, and text in child elements is not the href's.
+		msHead + `<response><x><href>/deep</href></x><href>/a<b>ignored</b>b</href><propstat><x><prop><getcontentlength>9</getcontentlength></prop></x>
+<prop><x><resourcetype><collection/></resourcetype></x></prop></propstat></response><x><response><href>/nested</href></response></x></multistatus>`,
+		// Only the document element is read, as xml.Unmarshal reads it.
+		msHead + `<response><href>/a</href></response></multistatus><trailing`,
+		// Declarations are skipped by their balanced '>'.
+		`<!DOCTYPE multistatus [<!ENTITY e "<response>"> <!-- ' " > -->]>` + msHead[len(`<?xml version="1.0" encoding="UTF-8"?>`)+1:] +
+			`<response><href a='>' b=">">&#65;&#x42;&#x10FFFF;&lt;&gt;&amp;&apos;&quot;</href></response></multistatus>`,
+		// Rejected: the end tag rows of the satellite bug, and references
+		// outside XML's Char production.
+		msHead + `<response><href>/a</hr ef></response></multistatus>`,
+		msHead + `<response><href>/a</href></response></multistatus trailing>`,
+		msHead + `<response><href>/a&#0;</href></response></multistatus>`,
+		msHead + `<response><href>/a&#x110000;</href></response></multistatus>`,
+		msHead + `<response><href>/a</x></response></multistatus>`,
+		msHead + `<response><href>/a&bogus;</href></response></multistatus>`,
+		msHead + `<response><href>/a</href><propstat><prop><getcontentlength> </getcontentlength></prop></propstat></response></multistatus>`,
+		msHead + `<response><href>/a</href></response>`,
+		"<<<<", "", "proxy error page", `<html><body></html>`, `</multistatus>`,
+	}
+	var out [][]byte
+	for _, d := range docs {
+		out = append(out, []byte(d))
+	}
+	// A tag name, an entity and the CDATA and comment terminators split
+	// across the end of the first read window, at every offset.
+	for k := 1; k <= 4; k++ {
+		out = append(out,
+			straddle("", "</href><href>", "", k),
+			straddle("", "&amp;", "", k),
+			straddle("", "&#x10FFFF;", "", k),
+			straddle("<![CDATA[", "]]>", "", k),
+			straddle("<!--", "-->", "", k),
+			straddle("", "\r\n", "", k),
+		)
+	}
+	return out
+}
+
+// scanAll runs ScanMultistatus over r, collecting the entries.
+func scanAll(r io.Reader) ([]Entry, error) {
+	var got []Entry
+	err := ScanMultistatus(r, func(e Entry) error { got = append(got, e); return nil })
+	return got, err
+}
+
+// sameEntries compares entries field by field; times are compared by
+// instant and zone, since time.Parse makes a new Location per call for
+// zones it does not know.
+func sameEntries(a, b []Entry) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d entries vs %d", len(a), len(b))
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Href != y.Href || x.Size != y.Size || x.Dir != y.Dir ||
+			!x.ModTime.Equal(y.ModTime) || x.ModTime.String() != y.ModTime.String() {
+			return fmt.Errorf("entry %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return nil
+}
+
+// surrogateRef reports whether doc holds a character reference to a UTF-16
+// surrogate: XML's Char excludes them and the scanner rejects them, while
+// encoding/xml quietly decodes them to U+FFFD.
+func surrogateRef(doc []byte) bool {
+	for _, ref := range bytes.Split(doc, []byte("&#"))[1:] {
+		end := bytes.IndexByte(ref, ';')
+		if end < 0 {
+			continue
+		}
+		var v uint64
+		if _, err := fmt.Sscanf(string(ref[:end]), "x%x", &v); err != nil {
+			if _, err := fmt.Sscanf(string(ref[:end]), "%d", &v); err != nil {
+				continue
+			}
+		}
+		if v >= 0xD800 && v <= 0xDFFF {
+			return true
+		}
+	}
+	return false
+}
+
+// checkScan is the fuzz property: the scanner never panics, gives the same
+// answer however the body is split into reads, and agrees with the
+// encoding/xml oracle on every document the oracle accepts. It reports
+// whether the oracle took part.
+func checkScan(t *testing.T, doc []byte, split int) (compared bool) {
+	t.Helper()
+	whole, werr := scanAll(bytes.NewReader(doc))
+	if split < 1 {
+		split = 1
+	}
+	for name, r := range map[string]io.Reader{
+		"one byte": iotest.OneByteReader(bytes.NewReader(doc)),
+		"split":    &chunkReader{doc, split},
+	} {
+		got, err := scanAll(r)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%s reads: err %v, whole: err %v", name, err, werr)
+		}
+		if err := sameEntries(got, whole); err != nil {
+			t.Fatalf("%s reads differ from whole: %v", name, err)
+		}
+	}
+	oracle, oerr := DecodeMultistatus(doc)
+	if oerr != nil || surrogateRef(doc) {
+		return false
+	}
+	if werr != nil {
+		t.Fatalf("oracle accepts, scanner: %v", werr)
+	}
+	if err := sameEntries(whole, oracle); err != nil {
+		t.Fatalf("scanner vs oracle: %v", err)
+	}
+	return true
+}
+
+// chunkReader returns at most n bytes per Read.
+type chunkReader struct {
+	b []byte
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), c.n)], c.b)
+	c.b = c.b[k:]
+	return k, nil
+}
+
+func TestScanMatchesOracle(t *testing.T) {
+	compared := 0
+	for _, doc := range scanTable() {
+		if checkScan(t, doc, 7) {
+			compared++
+		}
+		for _, split := range []int{msWindow - 1, msWindow + 1} {
+			checkScan(t, doc, split)
+		}
+	}
+	// Everything but the rejected rows and the legacy "---->" comment.
+	if want := len(scanTable()) - 14; compared != want {
+		t.Fatalf("the oracle accepted %d documents of the table, want %d", compared, want)
+	}
+}
+
+func FuzzMultistatusScanner(f *testing.F) {
+	for _, doc := range scanTable() {
+		for _, split := range []int{0, 1, -1, math.MaxInt, msWindow - 1, msWindow, msWindow + 1} {
+			f.Add(doc, split)
+		}
+	}
+	f.Fuzz(func(t *testing.T, doc []byte, split int) { checkScan(t, doc, split) })
+}
+
+// xmlText is what an href becomes once written to a document: bytes that
+// are not UTF-8 and runes outside XML's Char production turn into U+FFFD.
+func xmlText(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if !isXMLChar(r) || r == utf8.RuneError && w == 1 {
+			r = utf8.RuneError
+		}
+		b.WriteRune(r)
+		i += w
+	}
+	return b.String()
+}
+
+// checkWriter is the writer's fuzz property: byte-equal to
+// EncodeMultistatus, and read back by both decoders as written.
+func checkWriter(t *testing.T, e Entry) {
+	t.Helper()
+	want, err := EncodeMultistatus([]Entry{e, e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	mw := NewMultistatusWriter(&buf)
+	if err := errors.Join(mw.WriteEntry(e), mw.WriteEntry(e), mw.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("writer output differs from EncodeMultistatus\nwriter:\n%s\nencode:\n%s", buf.Bytes(), want)
+	}
+	back := Entry{Href: xmlText(e.Href), Dir: e.Dir}
+	if !e.Dir {
+		back.Size = e.Size
+	}
+	if mt := e.ModTime.UTC(); !mt.IsZero() && mt.Year() >= 0 && mt.Year() <= 9999 {
+		back.ModTime = mt
+	}
+	oracle, err := DecodeMultistatus(want)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	scanned, err := DecodeMultistatusStream(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("scanner: %v", err)
+	}
+	for name, got := range map[string][]Entry{"oracle": oracle, "scanner": scanned} {
+		if err := sameEntries(got, []Entry{back, back}); err != nil {
+			t.Fatalf("%s round trip: %v", name, err)
+		}
+	}
+}
+
+func FuzzMultistatusWriter(f *testing.F) {
+	for _, href := range []string{
+		"/store/f.rnt", `/a&b<c>"d"'e'`, "/tab\tnl\ncr\r", "/bad\xff\xfeutf8",
+		"/nonchar\uFFFE\uFFFF", "/ctl\x00\x1f\x7f", "/cdata]]>", "/fffd\uFFFD", "",
+	} {
+		for _, size := range []int64{0, -1, math.MaxInt64} {
+			f.Add(href, size, false, int64(1404129600))
+			f.Add(href, size, true, int64(0))
+		}
+	}
+	f.Add("/", int64(1), false, int64(-1))
+	f.Add("/", int64(1), false, int64(math.MaxInt64))
+	f.Add("/", int64(1), false, int64(math.MinInt64))
+	f.Add("/", int64(1), false, int64(-62135596800)) // the zero time
+	f.Fuzz(func(t *testing.T, href string, size int64, dir bool, unix int64) {
+		checkWriter(t, Entry{Href: href, Size: size, Dir: dir, ModTime: time.Unix(unix, 0)})
+	})
+}
+
+// TestRFC1123FastPathIsTimeParse: wherever the in-place parser answers, it
+// answers exactly what time.Parse does, Location included.
+func TestRFC1123FastPathIsTimeParse(t *testing.T) {
+	base := time.Date(1999, 12, 31, 23, 59, 59, 0, time.UTC)
+	var inputs []string
+	for i := 0; i < 2000; i++ {
+		inputs = append(inputs, base.Add(time.Duration(i)*37*time.Hour+time.Duration(i)*61*time.Second).Format(TimeLayout))
+	}
+	inputs = append(inputs,
+		"Mon, 29 Feb 2016 00:00:00 UTC", "Mon, 29 Feb 2015 00:00:00 UTC", "Mon, 31 Apr 2015 00:00:00 UTC",
+		"Mon, 00 Jan 2015 00:00:00 UTC", "Mon, 01 Jan 2015 24:00:00 UTC", "Mon, 01 Jan 2015 00:60:00 UTC",
+		"Mon, 01 Jan 2015 00:00:60 UTC", "mon, 01 jan 2015 00:00:00 UTC", "Mon, 01 Jan 0000 00:00:00 UTC",
+		"Xyz, 01 Jan 2015 00:00:00 UTC", "Mon, 01 Jab 2015 00:00:00 UTC", "Mon, 01 Jan 2015 00:00:00 GMT",
+		"Mon, 1 Jan 2015 00:00:00 UTC", "Mon, 01 Jan 2015 0:00:00 UTC", "Mon, 01 Jan 2015 00:00:00 UTCX",
+		"Sun, 01 Jan 2015 00:00:00 UTC", "onM, 01 Jan 2015 00:00:00 UTC", "Mon, 01 anF 2015 00:00:00 UTC",
+	)
+	fast := 0
+	for _, s := range inputs {
+		got, ok := parseRFC1123UTC([]byte(s))
+		want, err := time.Parse(TimeLayout, s)
+		if ok {
+			fast++
+			if err != nil || got != want {
+				t.Fatalf("%q: fast path %v, time.Parse %v (%v)", s, got, want, err)
+			}
+		}
+		if got, ok := parseModTime([]byte(s)); ok != (err == nil) || ok && !got.Equal(want) {
+			t.Fatalf("%q: parseModTime %v %v, time.Parse %v %v", s, got, ok, want, err)
+		}
+	}
+	if fast < 2000 {
+		t.Fatalf("fast path took only %d of the writer's own times", fast)
+	}
+}
+
+// TestMultistatusAllocBudgets pins the per-entry cost of both directions:
+// the writer allocates nothing per entry once its buffer has grown, and
+// the scanner one string per entry (the href) plus a constant.
+func TestMultistatusAllocBudgets(t *testing.T) {
+	const n = 400
+	now := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Href: fmt.Sprintf("/tree/d00/c00/f%03d-%04x.dat", i, i*7919%65536), Size: int64(10 + i%90), ModTime: now}
+	}
+	mw := NewMultistatusWriter(io.Discard)
+	mw.WriteEntry(entries[0])
+	if a := testing.AllocsPerRun(100, func() { mw.WriteEntry(entries[1]) }); a != 0 {
+		t.Errorf("WriteEntry: %.1f allocs per entry in steady state, want 0", a)
+	}
+	var buf bytes.Buffer
+	mw = NewMultistatusWriter(&buf)
+	for _, e := range entries {
+		mw.WriteEntry(e)
+	}
+	mw.Close()
+	body := buf.Bytes()
+	count := 0
+	scan := func() {
+		count = 0
+		if err := ScanMultistatus(bytes.NewReader(body), func(Entry) error { count++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	if a := testing.AllocsPerRun(20, scan); a > n+8 || count != n {
+		t.Errorf("ScanMultistatus: %.0f allocs for %d entries, budget %d", a, count, n+8)
+	}
+}

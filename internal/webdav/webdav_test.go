@@ -203,7 +203,8 @@ func TestStreamDecodeCDATATrailingBrackets(t *testing.T) {
 }
 
 // TestStreamDecodeGarbage covers malformed inputs: non-XML noise, a bad
-// size property, and a mid-tag cut.
+// size property, a mid-tag cut, and markup encoding/xml refuses that the
+// scanner accepted before it checked end tags and character references.
 func TestStreamDecodeGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"<<<<",
@@ -216,9 +217,18 @@ func TestStreamDecodeGarbage(t *testing.T) {
 		`</multistatus>`,      // end tag with nothing open
 		`<multistatus xmlns="DAV:">` + // cut between two responses
 			`<response><href>/a</href></response>`,
+		msHead + `<response><href>/a</hr ef></response></multistatus>`,
+		msHead + `<response><href>/a</href></response></multistatus trailing>`,
+		msHead + `<response><href>/a&#0;</href></response></multistatus>`,
+		msHead + `<response><href>/a&#x110000;</href></response></multistatus>`,
+		msHead + `<response><href>/a&#xFFFE;</href></response></multistatus>`,
+		msHead + `<response><href>/a</x></response></multistatus>`,
 	} {
-		if _, err := DecodeMultistatusStream(strings.NewReader(bad)); err == nil {
-			t.Fatalf("no error for %q", bad)
+		if _, err := DecodeMultistatus([]byte(bad)); err == nil {
+			t.Fatalf("oracle accepts %q", bad)
+		}
+		if got, err := DecodeMultistatusStream(strings.NewReader(bad)); err == nil {
+			t.Errorf("no error for %q: %+v", bad, got)
 		}
 	}
 }
