@@ -14,8 +14,8 @@
 // meta, xfer, resil, obs, zerocopy, server, chaos, analysis, all.
 //
 // The analysis experiment compares the cold-cache event loop across HTTP
-// prefetch configurations (none, naive read-ahead, learned sync, learned
-// async pipelined) against the xrootd async baseline; -prefetch-depth sets
+// prefetch configurations (none, block-cache read-ahead, learned sync,
+// learned async pipelined) against the xrootd async baseline; -prefetch-depth sets
 // how many windows the pipelined configuration keeps in flight.
 //
 // With -json, every table produced by the run is also written to the given

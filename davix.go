@@ -13,9 +13,10 @@
 //   - POSIX-like remote file operations over plain HTTP/WebDAV: Open,
 //     ReadAt, vectored Read, Stat, List, Put, Delete, Mkdir;
 //   - an optional client-side block cache with single-flight miss
-//     coalescing, sequential read-ahead prefetch, and a TTL'd stat cache
-//     with negative entries, hiding round trips on high-RTT links
-//     (Options.CacheSize, BlockSize, ReadAhead, StatTTL; see CacheStats);
+//     coalescing, stride-learning read-ahead prefetch, and a TTL'd stat
+//     cache with negative entries, hiding round trips on high-RTT links
+//     (Options.CacheSize, BlockSize, PrefetchDepth, StatTTL; see
+//     CacheStats);
 //   - a parallel namespace engine: Walk fans PROPFINDs out across pooled
 //     connections while preserving serial emission order, multistatus
 //     bodies are decoded streaming off the wire, and List/Walk results
@@ -227,17 +228,14 @@ type Options struct {
 	CacheSize int64
 	// BlockSize is the cache page granularity (default 64 KiB).
 	BlockSize int64
-	// ReadAhead asynchronously prefetches this many blocks ahead of a
-	// detected sequential scan (0 disables; needs CacheSize > 0).
-	ReadAhead int
-	// PrefetchDepth enables learned prefetch: > 0 swaps the cache's
-	// sequential read-ahead for a stride/sparse planner keeping that many
-	// predicted reads in flight, accepts layout hints from readers
-	// (File.PrefetchHint), and sizes the asynchronous window pipeline
-	// rootio's TreeCache runs over File.ReadVecAsyncCtx — that many
-	// windows ahead are fetched and inflated in the background while the
-	// caller computes on the current one. 0 keeps the historical
-	// behaviour exactly.
+	// PrefetchDepth is the block cache's read-ahead lookahead (needs
+	// CacheSize > 0): > 0 keeps that many predicted reads in flight as
+	// coalesced speculative requests once a scan is detected — at once for
+	// a contiguous scan, after two equal strides for a sparse one — and
+	// accepts layout hints from readers (File.PrefetchHint). 0 (the
+	// default) disables read-ahead. It does not size rootio's window
+	// pipeline over File.ReadVecAsyncCtx; that depth is the caller's
+	// NewTreeCacheDepth argument.
 	PrefetchDepth int
 	// PrefetchBudget caps the speculative bytes in flight at once so
 	// speculation never starves demand reads (0 = 16 MiB when
@@ -380,7 +378,6 @@ func New(opts Options) (*Client, error) {
 		TLS:                 opts.TLS,
 		CacheSize:           opts.CacheSize,
 		BlockSize:           opts.BlockSize,
-		ReadAhead:           opts.ReadAhead,
 		PrefetchDepth:       opts.PrefetchDepth,
 		PrefetchBudget:      opts.PrefetchBudget,
 		StatTTL:             opts.StatTTL,

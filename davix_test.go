@@ -333,11 +333,11 @@ func TestPublicAuthAndChecksums(t *testing.T) {
 
 func TestPublicCacheOptionsAndStats(t *testing.T) {
 	_, st, c := startFabric(t, Options{
-		Strategy:  StrategyNone,
-		CacheSize: 1 << 20,
-		BlockSize: 1 << 10,
-		ReadAhead: 2,
-		StatTTL:   time.Minute,
+		Strategy:      StrategyNone,
+		CacheSize:     1 << 20,
+		BlockSize:     1 << 10,
+		PrefetchDepth: 2,
+		StatTTL:       time.Minute,
 	})
 	ctx := context.Background()
 

@@ -6,8 +6,9 @@
 //
 // This example keeps the HTTP path synchronous (one blocking multi-range
 // request per window) to reproduce the paper's published gap. The HTTP
-// path is no longer limited to that: with davix.Options.PrefetchDepth (and
-// bench.HTTPSourcePipelined) the TreeCache pipelines upcoming windows as
+// path is no longer limited to that: over bench.HTTPSourcePipelined, a
+// TreeCache built with a depth (rootio.NewTreeCacheDepth or
+// NewTrainingCacheDepth) pipelines that many upcoming windows as
 // cancellable background vectored reads — `davix-bench -experiment
 // analysis` measures that configuration against the xrootd baseline.
 //

@@ -159,7 +159,7 @@ func PrefetchAblation(opts Options) (*Table, error) {
 			}
 			src := XrdSource(ctx, f)
 			if !prefetch {
-				src.ReadVecAsync = nil // demand paging only
+				src.ReadVecAsyncCtx = nil // demand paging only
 			}
 			res, err := RunAnalysis(src, 1.0, opts.Window, nil)
 			client.Close()

@@ -24,8 +24,8 @@ const analysisTrainEvents = 100
 
 // analysisBranchSubset selects every third branch — a sparse column set,
 // the typical ROOT selection touching a fraction of the tree. Sparseness
-// is what separates the learned configurations from naive next-N
-// read-ahead: the naive path drags the untouched columns in between.
+// is what separates the learned configurations from the block cache's
+// read-ahead: that path only sees block reads, not the basket layout.
 func analysisBranchSubset(spec rootio.SynthSpec) []int {
 	n := spec.Branches
 	if n == 0 {
@@ -110,16 +110,15 @@ func analysisDemand(env *Env, branches []int) (analysisRun, error) {
 	return analysisRun{dur: time.Since(start), sum: sum}, nil
 }
 
-// analysisNaiveRA is the same demand loop behind the block cache's
-// sequential next-N read-ahead (the default planner): latency is partly
-// hidden, but speculation is blind to the branch layout and fetches the
-// untouched columns too.
-func analysisNaiveRA(env *Env, branches []int) (analysisRun, error) {
+// analysisCacheRA is the same demand loop behind the block cache's
+// stride read-ahead: latency is partly hidden, but speculation sees only
+// the block reads, not the basket layout the learned configurations use.
+func analysisCacheRA(env *Env, branches []int) (analysisRun, error) {
 	client, err := env.NewHTTPClient(core.Options{
 		Strategy:          core.StrategyNone,
 		VectorParallelism: 1,
 		CacheSize:         32 << 20,
-		ReadAhead:         4,
+		PrefetchDepth:     4,
 	})
 	if err != nil {
 		return analysisRun{}, err
@@ -157,7 +156,6 @@ func analysisLearned(env *Env, branches []int, window uint64, depth int) (analys
 	client, err := env.NewHTTPClient(core.Options{
 		Strategy:          core.StrategyNone,
 		VectorParallelism: 1,
-		PrefetchDepth:     depth,
 	})
 	if err != nil {
 		return analysisRun{}, err
@@ -216,8 +214,8 @@ func analysisXrd(env *Env, branches []int, window uint64) (analysisRun, error) {
 }
 
 // Analysis is the learned-prefetch proof: the cold-cache event loop over
-// LAN and WAN links in four HTTP configurations — no cache, naive
-// sequential read-ahead, learned synchronous TTreeCache, learned
+// LAN and WAN links in four HTTP configurations — no cache, the block
+// cache's read-ahead, learned synchronous TTreeCache, learned
 // asynchronous pipelined TTreeCache — against the xrootd async baseline.
 // Every configuration must produce the identical physics sum.
 //
@@ -232,7 +230,7 @@ func Analysis(opts Options) (*Table, error) {
 	branches := analysisBranchSubset(opts.Spec)
 	table := &Table{
 		Title:   "Learned prefetch: cold-cache analysis loop, HTTP configurations vs xrootd async",
-		Columns: []string{"link", "no cache", "naive RA", "learned sync", "learned async", "xrootd async", "async vs sync", "async vs xrootd", "prefetch waste"},
+		Columns: []string{"link", "no cache", "cache RA", "learned sync", "learned async", "xrootd async", "async vs sync", "async vs xrootd", "prefetch waste"},
 		Notes: []string{
 			fmt.Sprintf("learned async pipelines %d windows of %d events; %d of %d branches read", depth, window, len(branches), opts.Spec.Branches),
 			"WAN gates: async ≥1.5x over learned sync, ≤15% behind xrootd async, waste ≤10% of issued prefetch bytes",
@@ -248,7 +246,7 @@ func Analysis(opts Options) (*Table, error) {
 			env.Close()
 			return nil, err
 		}
-		demandS, naiveS, syncS, asyncS, xrdS := &Sample{}, &Sample{}, &Sample{}, &Sample{}, &Sample{}
+		demandS, cacheRAS, syncS, asyncS, xrdS := &Sample{}, &Sample{}, &Sample{}, &Sample{}, &Sample{}
 		var issued, wasted int64
 		for rep := 0; rep < opts.Repeats; rep++ {
 			type cfg struct {
@@ -258,7 +256,7 @@ func Analysis(opts Options) (*Table, error) {
 			}
 			cfgs := []cfg{
 				{"no-cache", demandS, func() (analysisRun, error) { return analysisDemand(env, branches) }},
-				{"naive-ra", naiveS, func() (analysisRun, error) { return analysisNaiveRA(env, branches) }},
+				{"cache-ra", cacheRAS, func() (analysisRun, error) { return analysisCacheRA(env, branches) }},
 				{"learned-sync", syncS, func() (analysisRun, error) { return analysisLearned(env, branches, window, 0) }},
 				{"learned-async", asyncS, func() (analysisRun, error) { return analysisLearned(env, branches, window, depth) }},
 				{"xrootd-async", xrdS, func() (analysisRun, error) { return analysisXrd(env, branches, window) }},
@@ -318,7 +316,7 @@ func Analysis(opts Options) (*Table, error) {
 		table.AddRow(
 			prof.Name,
 			Seconds(demandS),
-			Seconds(naiveS),
+			Seconds(cacheRAS),
 			Seconds(syncS),
 			Seconds(asyncS),
 			Seconds(xrdS),

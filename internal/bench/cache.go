@@ -25,11 +25,11 @@ const (
 // stat TTL absorbing the Open-time HEAD on reopen.
 func cachedOpts() core.Options {
 	return core.Options{
-		Strategy:  core.StrategyNone,
-		CacheSize: 8 << 20,
-		BlockSize: cacheChunk,
-		ReadAhead: 8,
-		StatTTL:   time.Minute,
+		Strategy:      core.StrategyNone,
+		CacheSize:     8 << 20,
+		BlockSize:     cacheChunk,
+		PrefetchDepth: 8,
+		StatTTL:       time.Minute,
 	}
 }
 
@@ -61,7 +61,7 @@ func cacheRepeatedRead(ctx context.Context, f *core.File, hot, passes int) error
 }
 
 // cacheSequentialScan reads the whole file front to back in chunk steps —
-// the pattern the read-ahead prefetcher is built for.
+// the contiguous scan the read-ahead arms on at once.
 func cacheSequentialScan(ctx context.Context, f *core.File) error {
 	buf := make([]byte, cacheChunk)
 	size := f.Size()

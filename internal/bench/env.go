@@ -95,37 +95,31 @@ func HTTPSource(f *core.File) rootio.Source {
 	}
 }
 
-// HTTPSourceAsync adds a goroutine-based asynchronous vectored read on top
-// of the davix File. This is NOT in the paper — it is the repository's
-// "future work" ablation showing that HTTP plus prefetch would close the
-// WAN gap (see EXPERIMENTS.md).
+// HTTPSourceAsync adds the davix File's cancellable asynchronous vectored
+// read, the fill's context passed through. This is NOT in the paper — it
+// is the repository's "future work" ablation showing that HTTP plus
+// prefetch would close the WAN gap (see EXPERIMENTS.md).
 func HTTPSourceAsync(f *core.File) rootio.Source {
 	src := HTTPSource(f)
-	src.ReadVecAsync = func(ranges []rangev.Range, dsts [][]byte) <-chan error {
-		ch := make(chan error, 1)
-		go func() { ch <- f.ReadVec(ranges, dsts) }()
-		return ch
-	}
+	src.ReadVecAsyncCtx = f.ReadVecAsyncCtx
 	return src
 }
 
 // HTTPSourcePipelined exposes the davix File's cancellable asynchronous
-// vectored read and its learned read-ahead hint to rootio, letting the
-// TreeCache keep the next windows' transfers in flight under the current
-// window's decode/compute — the overlap the xrootd baseline gets from
-// kXR_readv, now on the HTTP path.
+// vectored read and its read-ahead hint to rootio, letting the TreeCache
+// keep the next windows' transfers in flight under the current window's
+// decode/compute — the overlap the xrootd baseline gets from kXR_readv,
+// now on the HTTP path.
 func HTTPSourcePipelined(f *core.File) rootio.Source {
-	src := HTTPSource(f)
-	src.ReadVecAsyncCtx = f.ReadVecAsyncCtx
+	src := HTTPSourceAsync(f)
 	src.Hint = f.PrefetchHint
 	return src
 }
 
 // HTTPSourceReadAt adapts a davix File to rootio through plain ReadAt
 // calls: every range becomes a separate read through the client's block
-// cache, so the cache's sequential read-ahead — not the vectored path —
-// serves the workload. This is the "naive read-ahead" baseline of the
-// analysis experiment.
+// cache, so the cache's read-ahead — not the vectored path — serves the
+// workload. This is the "cache RA" baseline of the analysis experiment.
 func HTTPSourceReadAt(f *core.File) rootio.Source {
 	return rootio.Source{
 		Size: f.Size(),
@@ -155,7 +149,7 @@ func XrdSource(ctx context.Context, f *xrootd.File) rootio.Source {
 		ReadVec: func(ranges []rangev.Range, dsts [][]byte) error {
 			return f.ReadV(ctx, toChunks(ranges), dsts)
 		},
-		ReadVecAsync: func(ranges []rangev.Range, dsts [][]byte) <-chan error {
+		ReadVecAsyncCtx: func(ctx context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error {
 			return f.ReadVAsync(ctx, toChunks(ranges), dsts)
 		},
 	}

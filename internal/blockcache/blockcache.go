@@ -1,15 +1,18 @@
 // Package blockcache implements the client-side caching layer of the davix
 // engine: a block-aligned LRU page cache shared by every file a client
-// touches, a sequential-access-detecting read-ahead prefetcher, and a TTL'd
-// stat/metadata cache with negative (404) entries.
+// touches, a stride-learning read-ahead planner whose speculation goes out
+// as coalesced (vectored, where the object size is known) requests, and a
+// TTL'd stat/metadata cache with negative (404) entries.
 //
 // The paper (Devresse & Furano §2.2–§2.3) hides network round trips with
 // pooled keep-alive sessions and TreeCache-style gathered reads; this
-// package extends the same idea to repeated and sequential access: once a
+// package extends the same idea to repeated and strided access: once a
 // block has crossed a high-RTT link it is served from memory, concurrent
 // misses on one block are coalesced into a single GET (single-flight), and
-// detected forward scans pull the next blocks asynchronously through the
-// connection pool before the application asks for them.
+// detected scans — contiguous or strided — and caller hints pull the next
+// blocks asynchronously through the connection pool before the
+// application asks for them. Speculation never fails a demand read: a
+// reader that joins a failed speculative fetch fetches the block itself.
 //
 // The cache is storage-agnostic: callers hand it a Fetch function per read
 // and the cache decides which block-aligned spans actually hit the network.
@@ -28,10 +31,10 @@ import (
 // without blowing up small random reads.
 const DefaultBlockSize = 64 << 10
 
-// maxSeqEntries bounds the per-key sequential-access detector state; when
-// exceeded the heuristic state is reset (costing at worst one missed
-// read-ahead trigger per key, never correctness).
-const maxSeqEntries = 4096
+// maxPlannerKeys bounds the planner's per-key access history; when
+// exceeded the history is reset (costing at worst one missed read-ahead
+// trigger per key, never correctness).
+const maxPlannerKeys = 4096
 
 // Fetch retrieves [off, off+length) of the remote object backing a cache
 // key. The cache invokes it only for block-aligned spans — on demand misses
@@ -46,8 +49,9 @@ type Config struct {
 	Capacity int64
 	// BlockSize is the cache page size in bytes (default DefaultBlockSize).
 	BlockSize int64
-	// ReadAhead is how many blocks past the current read are prefetched
-	// once a sequential scan is detected. 0 disables read-ahead.
+	// ReadAhead is the lookahead of the cache's StridePlanner: how many
+	// predicted reads past the current one are kept in flight once a scan
+	// is detected. 0 disables read-ahead, Hint included.
 	ReadAhead int
 	// Background is the context prefetch fetches run under, typically the
 	// owning client's lifetime (default context.Background()). Cancelling
@@ -61,16 +65,13 @@ type Config struct {
 	// OnMiss, when non-nil, is invoked when a demand read needs blocks
 	// that are not resident. Same calling rules as OnHit.
 	OnMiss func(key string, blocks int64)
-	// Planner, when non-nil, replaces the built-in sequential read-ahead
-	// planner. When nil and ReadAhead > 0, a SeqPlanner with exactly the
-	// historical next-N behaviour is installed.
-	Planner PrefetchPlanner
-	// FetchVec, when non-nil, lets non-default planners batch multi-block
-	// prefetch plans into one vectored request instead of per-block GETs.
+	// FetchVec, when non-nil, batches the speculative spans of an object
+	// of known size into one vectored request. Without it, and whenever
+	// the size is unknown, each span is one Fetch.
 	FetchVec FetchVec
 	// PrefetchBudget bounds the speculative bytes in flight at once; when
 	// the budget is full further speculation is dropped (demand reads are
-	// never throttled). 0 means unlimited — the historical behaviour.
+	// never throttled). 0 means unlimited.
 	PrefetchBudget int64
 	// OnPrefetchIssued, when non-nil, is invoked when speculation puts a
 	// fetch on the wire (spans per request, total bytes). Must not block.
@@ -137,18 +138,21 @@ type flight struct {
 	data []byte
 	err  error
 	gen  uint64
+	// spec marks a speculative fetch: its failure is never a joiner's.
+	spec bool
 }
 
 // Cache is a block-aligned LRU page cache with single-flight miss
 // coalescing and asynchronous planner-driven read-ahead. It is safe for
 // concurrent use.
 type Cache struct {
-	cap      int64
-	bs       int64
-	bg       context.Context
-	onHit    func(key string, blocks int64)
-	onMiss   func(key string, blocks int64)
-	planner  PrefetchPlanner
+	cap    int64
+	bs     int64
+	bg     context.Context
+	onHit  func(key string, blocks int64)
+	onMiss func(key string, blocks int64)
+	// planner is nil when read-ahead is off (Config.ReadAhead == 0).
+	planner  *StridePlanner
 	fetchVec FetchVec
 	budget   int64
 
@@ -182,9 +186,9 @@ func New(cfg Config) *Cache {
 	if cfg.Background == nil {
 		cfg.Background = context.Background()
 	}
-	planner := cfg.Planner
-	if planner == nil && cfg.ReadAhead > 0 {
-		planner = NewSeqPlanner(cfg.ReadAhead)
+	var planner *StridePlanner
+	if cfg.ReadAhead > 0 {
+		planner = NewStridePlanner(cfg.ReadAhead)
 	}
 	return &Cache{
 		cap:         cfg.Capacity,
@@ -256,8 +260,9 @@ func (c *Cache) Generation() uint64 {
 // serving resident blocks from memory and fetching missing ones with fetch.
 // size is the object size when known (the caller must then keep the request
 // within it) or -1 when unknown, in which case a short block marks end of
-// object and ReadThrough returns the bytes available. A detected forward
-// scan triggers asynchronous read-ahead of the following blocks.
+// object and ReadThrough returns the bytes available. A detected scan,
+// contiguous or strided, triggers asynchronous read-ahead of the
+// blocks the planner predicts.
 func (c *Cache) ReadThrough(ctx context.Context, key string, size int64, p []byte, off int64, fetch Fetch) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
@@ -267,16 +272,12 @@ func (c *Cache) ReadThrough(ctx context.Context, key string, size int64, p []byt
 	last := (off + want - 1) / c.bs
 	n := 0
 	for idx := first; idx <= last; idx++ {
-		blockOff := idx * c.bs
-		blockLen := c.bs
-		if size >= 0 && blockOff+blockLen > size {
-			blockLen = size - blockOff
-		}
-		data, err := c.getBlock(ctx, key, idx, blockLen, fetch, false)
+		blockLen := c.blockLen(size, idx)
+		data, err := c.getBlock(ctx, key, idx, blockLen, fetch)
 		if err != nil {
 			return n, err
 		}
-		from := off + int64(n) - blockOff
+		from := off + int64(n) - idx*c.bs
 		if from >= int64(len(data)) {
 			break // object ends inside this short block
 		}
@@ -285,49 +286,52 @@ func (c *Cache) ReadThrough(ctx context.Context, key string, size int64, p []byt
 			break
 		}
 	}
-	c.readAhead(key, first, last, size, fetch)
+	if c.planner != nil {
+		c.prefetchRuns(key, size, c.planner.Plan(key, first, last), fetch)
+	}
 	return n, nil
 }
 
-// getBlock returns the payload of block idx of key, from memory, by joining
-// an in-flight fetch, or by fetching [idx*bs, idx*bs+blockLen) itself.
-func (c *Cache) getBlock(ctx context.Context, key string, idx, blockLen int64, fetch Fetch, prefetch bool) ([]byte, error) {
+// getBlock returns the payload of block idx of key for a demand read: from
+// memory, by joining an in-flight fetch, or by fetching
+// [idx*bs, idx*bs+blockLen) itself.
+func (c *Cache) getBlock(ctx context.Context, key string, idx, blockLen int64, fetch Fetch) ([]byte, error) {
 	bk := blockKey{key, idx}
 	for {
 		c.mu.Lock()
 		if el, ok := c.blocks[bk]; ok {
 			c.lru.MoveToFront(el)
 			b := el.Value.(*block)
-			if !prefetch && b.spec {
-				b.spec = false
-				c.pfUseful.Add(int64(len(b.data)))
-			}
-			data := b.data
+			c.consumeLocked(b)
 			c.mu.Unlock()
-			if !prefetch {
-				c.hits.Add(1)
-				if c.onHit != nil {
-					c.onHit(key, 1)
-				}
+			c.hits.Add(1)
+			if c.onHit != nil {
+				c.onHit(key, 1)
 			}
-			return data, nil
+			return b.data, nil
 		}
 		if fl, ok := c.inflight[bk]; ok {
 			c.mu.Unlock()
-			if prefetch {
-				return nil, nil // someone else is already on it
-			}
 			c.joins.Add(1)
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			// The flight owner may have been cancelled by its own context
-			// while ours is still alive; that is not our error — go around
-			// and fetch the block ourselves.
-			if (errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)) && ctx.Err() == nil {
+			// A flight that failed because its owner's own context was
+			// cancelled, or a speculative one, failed for reasons that are
+			// not ours while our context is alive: go around and fetch the
+			// block ourselves.
+			cancelled := errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)
+			if fl.err != nil && (fl.spec || cancelled) && ctx.Err() == nil {
 				continue
+			}
+			if fl.spec && fl.err == nil {
+				c.mu.Lock()
+				if el, ok := c.blocks[bk]; ok {
+					c.consumeLocked(el.Value.(*block))
+				}
+				c.mu.Unlock()
 			}
 			return fl.data, fl.err
 		}
@@ -335,11 +339,9 @@ func (c *Cache) getBlock(ctx context.Context, key string, idx, blockLen int64, f
 		c.inflight[bk] = fl
 		c.mu.Unlock()
 
-		if !prefetch {
-			c.misses.Add(1)
-			if c.onMiss != nil {
-				c.onMiss(key, 1)
-			}
+		c.misses.Add(1)
+		if c.onMiss != nil {
+			c.onMiss(key, 1)
 		}
 		data, err := fetch(ctx, idx*c.bs, blockLen)
 		if err == nil && int64(len(data)) > blockLen {
@@ -349,22 +351,12 @@ func (c *Cache) getBlock(ctx context.Context, key string, idx, blockLen int64, f
 
 		c.mu.Lock()
 		delete(c.inflight, bk)
-		switch {
-		case err == nil && len(data) > 0 && c.gen == fl.gen:
+		if err == nil && len(data) > 0 && c.gen == fl.gen {
 			// No Invalidate raced this fetch: safe to keep.
-			c.insertLocked(bk, data, prefetch)
-			if prefetch {
-				c.prefetched.Add(1)
-			}
+			c.insertLocked(bk, data, false)
 			if int64(len(data)) < blockLen {
 				c.learnEOF(key, idx+1)
 			}
-		case err != nil && prefetch:
-			// A failed prefetch usually means the speculative block lies
-			// past the end of the object; stop read-ahead there. (A
-			// transient network error over-trims at worst — demand reads
-			// are unaffected and Invalidate resets the bound.)
-			c.learnEOF(key, idx)
 		}
 		c.mu.Unlock()
 		close(fl.done)
@@ -372,9 +364,18 @@ func (c *Cache) getBlock(ctx context.Context, key string, idx, blockLen int64, f
 	}
 }
 
+// consumeLocked records that a demand read used b: a prefetched block's
+// bytes turn useful. Caller holds mu.
+func (c *Cache) consumeLocked(b *block) {
+	if b.spec {
+		b.spec = false
+		c.pfUseful.Add(int64(len(b.data)))
+	}
+}
+
 // learnEOF records that block idx is the first one past the end of key's
-// object, bounding future read-ahead. Safe under mu: planners never call
-// back into the cache.
+// object, bounding future read-ahead. Safe under mu: the planner never
+// calls back into the cache.
 func (c *Cache) learnEOF(key string, idx int64) {
 	if c.planner != nil {
 		c.planner.LearnEOF(key, idx)
@@ -405,15 +406,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 		// Prefetched, never consumed: the speculation missed.
 		c.pfWasted.Add(int64(len(b.data)))
 	}
-}
-
-// readAhead feeds a demand read of blocks [first, last] to the prefetch
-// planner and executes whatever it proposes in the background.
-func (c *Cache) readAhead(key string, first, last, size int64, fetch Fetch) {
-	if c.planner == nil {
-		return
-	}
-	c.prefetchRuns(key, size, c.planner.Plan(key, first, last), fetch)
 }
 
 // PeekSpan copies [off, off+len(p)) of key into p if every covering block
@@ -460,10 +452,7 @@ func (c *Cache) PeekSpan(key string, p []byte, off int64) bool {
 	}
 	for idx := first; idx <= last; idx++ {
 		el := c.blocks[blockKey{key, idx}]
-		if b := el.Value.(*block); b.spec {
-			b.spec = false
-			c.pfUseful.Add(int64(len(b.data)))
-		}
+		c.consumeLocked(el.Value.(*block))
 		c.lru.MoveToFront(el)
 	}
 	c.mu.Unlock()

@@ -11,23 +11,24 @@ import (
 	"time"
 )
 
-// sourceFetch serves fetches out of src, counting calls, optionally
-// blocking on gate to let tests hold a fetch in flight.
+// sourceFetch serves fetches out of src, counting calls and recording the
+// requested spans, optionally blocking on gate to let tests hold a fetch
+// in flight.
 type sourceFetch struct {
 	src   []byte
 	calls atomic.Int64
 	gate  chan struct{} // nil = never block
-	offs  struct {
+	spans struct {
 		sync.Mutex
-		seen []int64
+		seen []Span
 	}
 }
 
 func (s *sourceFetch) fetch(ctx context.Context, off, length int64) ([]byte, error) {
 	s.calls.Add(1)
-	s.offs.Lock()
-	s.offs.seen = append(s.offs.seen, off)
-	s.offs.Unlock()
+	s.spans.Lock()
+	s.spans.seen = append(s.spans.seen, Span{Off: off, Len: length})
+	s.spans.Unlock()
 	if s.gate != nil {
 		select {
 		case <-s.gate:
@@ -412,17 +413,17 @@ func TestReadAheadStopsAtLearnedEOF(t *testing.T) {
 	ctx := context.Background()
 	p := make([]byte, 1024)
 
-	// Size unknown (-1): the first burst may probe past the end once, but
-	// the failure teaches the cache where the object stops.
+	// Size unknown (-1): the first burst may ask past the end once, but the
+	// short answer teaches the cache where the object stops.
 	if _, err := c.ReadThrough(ctx, "k", -1, p, 0, sf.fetch); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return c.Len() == 4 }) // blocks 0..3 resident
 	pastEnd := func() (n int64) {
-		sf.offs.Lock()
-		defer sf.offs.Unlock()
-		for _, off := range sf.offs.seen {
-			if off >= int64(len(src)) {
+		sf.spans.Lock()
+		defer sf.spans.Unlock()
+		for _, sp := range sf.spans.seen {
+			if sp.Off+sp.Len > int64(len(src)) {
 				n++
 			}
 		}

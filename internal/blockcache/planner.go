@@ -2,140 +2,13 @@ package blockcache
 
 import "sync"
 
-// BlockRange is a run of consecutive block indices a planner proposes to
+// BlockRange is a run of consecutive block indices the planner proposes to
 // prefetch.
 type BlockRange struct {
 	// Start is the first block index of the run.
 	Start int64
 	// Count is the number of consecutive blocks.
 	Count int64
-}
-
-// PrefetchPlanner decides which blocks to speculate on. The cache feeds it
-// every demand read (Plan) and any externally-registered layout knowledge
-// (Hint); the planner owns the per-key pattern state. Implementations must
-// be safe for concurrent use; the cache may call LearnEOF and Forget while
-// holding its own lock, so planners must never call back into the cache.
-type PrefetchPlanner interface {
-	// Plan observes a demand read covering blocks [first, last] of key
-	// and returns the block runs worth prefetching now (nil for none).
-	Plan(key string, first, last int64) []BlockRange
-
-	// Hint registers upcoming block runs known from outside the access
-	// stream (e.g. rootio's basket layout for the next analysis windows)
-	// and returns the subset the cache should fetch speculatively. A
-	// planner that cannot use foreknowledge returns nil.
-	Hint(key string, runs []BlockRange) []BlockRange
-
-	// LearnEOF records that block idx lies at or past the end of key's
-	// object; no future plan may include it.
-	LearnEOF(key string, idx int64)
-
-	// Forget drops all learned state for key (the key was invalidated).
-	Forget(key string)
-}
-
-// seqState tracks the access pattern of one key for read-ahead detection.
-type seqState struct {
-	// next is the block index a forward-sequential reader would touch next.
-	next int64
-	// streak counts consecutive forward-sequential reads.
-	streak int
-	// limit, when >= 0, is the first block index known to lie past the end
-	// of the object (learned from a short block or a failed prefetch);
-	// read-ahead never goes there.
-	limit int64
-}
-
-// SeqPlanner is the default planner: the forward-scan detector the cache
-// has always shipped, emitting the next ReadAhead blocks as single-block
-// runs once a sequential streak is seen. The cache executes its plans on
-// the legacy per-block path, so behaviour (and bytes on the wire) is
-// exactly the historical read-ahead.
-type SeqPlanner struct {
-	ra int
-
-	mu   sync.Mutex
-	keys map[string]*seqState
-}
-
-// NewSeqPlanner creates the sequential next-N planner. readAhead is how
-// many blocks past the current read to prefetch; <= 0 plans nothing.
-func NewSeqPlanner(readAhead int) *SeqPlanner {
-	return &SeqPlanner{ra: readAhead, keys: make(map[string]*seqState)}
-}
-
-// state returns (creating if needed) key's detector state, keeping the map
-// bounded. Caller holds mu.
-func (p *SeqPlanner) state(key string) *seqState {
-	st := p.keys[key]
-	if st == nil {
-		if len(p.keys) >= maxSeqEntries {
-			p.keys = make(map[string]*seqState)
-		}
-		st = &seqState{limit: -1}
-		p.keys[key] = st
-	}
-	return st
-}
-
-// Plan implements PrefetchPlanner with the historical detector: a read
-// starting at (or overlapping) where the previous one left off extends the
-// streak and triggers next-N read-ahead.
-func (p *SeqPlanner) Plan(key string, first, last int64) []BlockRange {
-	if p.ra <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	st := p.state(key)
-	// Forward-sequential: this read starts at (or overlaps) where the
-	// previous one left off. A scan starting at block 0 counts immediately.
-	sequential := first <= st.next && last+1 > st.next
-	if sequential {
-		st.streak++
-	} else {
-		st.streak = 0
-	}
-	st.next = last + 1
-	limit := st.limit
-	trigger := sequential && st.streak >= 1
-	p.mu.Unlock()
-	if !trigger {
-		return nil
-	}
-	runs := make([]BlockRange, 0, p.ra)
-	for i := int64(1); i <= int64(p.ra); i++ {
-		idx := last + i
-		if limit >= 0 && idx >= limit {
-			break // known to be past the end of the object
-		}
-		runs = append(runs, BlockRange{Start: idx, Count: 1})
-	}
-	return runs
-}
-
-// Hint returns nil: the sequential planner takes no foreknowledge, which
-// keeps Cache.Hint a no-op under the default configuration.
-func (p *SeqPlanner) Hint(string, []BlockRange) []BlockRange { return nil }
-
-// LearnEOF bounds future plans, mirroring the historical EOF learning.
-func (p *SeqPlanner) LearnEOF(key string, idx int64) {
-	if p.ra <= 0 {
-		return
-	}
-	p.mu.Lock()
-	st := p.state(key)
-	if st.limit < 0 || idx < st.limit {
-		st.limit = idx
-	}
-	p.mu.Unlock()
-}
-
-// Forget drops key's detector state.
-func (p *SeqPlanner) Forget(key string) {
-	p.mu.Lock()
-	delete(p.keys, key)
-	p.mu.Unlock()
 }
 
 // strideState is one key's learned access history for the stride planner.
@@ -147,16 +20,21 @@ type strideState struct {
 	stride int64
 	// streak counts consecutive reads with the same stride.
 	streak int
-	// limit mirrors seqState.limit.
+	// limit, when >= 0, is the first block index known to lie past the end
+	// of the object (learned from a short or failed speculative fetch);
+	// plans and hints never go there.
 	limit int64
 }
 
-// StridePlanner learns the stride of the demand-read stream — including
-// the sparse, branch-skipping pattern of a ROOT analysis touching a subset
-// of columns — and keeps the next predicted reads in flight as coalesced
-// multi-block runs. It also accepts layout hints (Cache.Hint), clipped
-// against the learned end of object, so a reader that knows its future
-// byte ranges can drive exact speculation instead of relying on detection.
+// StridePlanner is the cache's read-ahead planner. It learns the stride of
+// the demand-read stream — a forward scan, or the sparse, branch-skipping
+// pattern of a ROOT analysis touching a subset of columns — and keeps the
+// next predicted reads in flight as coalesced multi-block runs. It also
+// accepts layout hints (Cache.Hint), clipped against the learned end of
+// object, so a reader that knows its future byte ranges can drive exact
+// speculation instead of relying on detection. The cache calls LearnEOF
+// and Forget while holding its own lock, so the planner never calls back
+// into the cache.
 type StridePlanner struct {
 	lookahead int
 
@@ -178,7 +56,7 @@ func NewStridePlanner(lookahead int) *StridePlanner {
 func (p *StridePlanner) state(key string) *strideState {
 	st := p.keys[key]
 	if st == nil {
-		if len(p.keys) >= maxSeqEntries {
+		if len(p.keys) >= maxPlannerKeys {
 			p.keys = make(map[string]*strideState)
 		}
 		st = &strideState{limit: -1}
@@ -187,9 +65,12 @@ func (p *StridePlanner) state(key string) *strideState {
 	return st
 }
 
-// Plan implements PrefetchPlanner: after two reads at the same forward
-// stride (a contiguous scan is the stride == span special case) it
-// predicts the next lookahead reads at that stride.
+// Plan observes a demand read covering blocks [first, last] of key and
+// returns the block runs worth prefetching now (nil for none): the next
+// lookahead reads of the same size at the learned stride. A read
+// contiguous with the previous one — it starts where that one ended, or it
+// is a first read at block 0 — is a forward scan and arms read-ahead at
+// once; any other forward stride must be seen twice in a row.
 func (p *StridePlanner) Plan(key string, first, last int64) []BlockRange {
 	count := last - first + 1
 	p.mu.Lock()
@@ -197,19 +78,16 @@ func (p *StridePlanner) Plan(key string, first, last int64) []BlockRange {
 	st := p.state(key)
 	prevFirst, prevSpan := st.first, st.span
 	st.first, st.span = first, count
-	if prevSpan == 0 {
+	switch stride := first - prevFirst; {
+	case first <= prevFirst+prevSpan && last >= prevFirst+prevSpan:
+		st.stride, st.streak = count, 2
+	case prevSpan == 0 || stride <= 0:
+		// First read elsewhere, backward jump or re-read: start over.
 		st.stride, st.streak = 0, 0
 		return nil
-	}
-	stride := first - prevFirst
-	if stride <= 0 {
-		// Backward jump or re-read: pattern broken, start over.
-		st.stride, st.streak = 0, 0
-		return nil
-	}
-	if stride == st.stride {
+	case stride == st.stride:
 		st.streak++
-	} else {
+	default:
 		st.stride, st.streak = stride, 1
 	}
 	if st.streak < 2 {
@@ -217,7 +95,7 @@ func (p *StridePlanner) Plan(key string, first, last int64) []BlockRange {
 	}
 	runs := make([]BlockRange, 0, p.lookahead)
 	for k := int64(1); k <= int64(p.lookahead); k++ {
-		start := first + k*stride
+		start := first + k*st.stride
 		cnt := count
 		if st.limit >= 0 {
 			if start >= st.limit {
@@ -254,7 +132,8 @@ func (p *StridePlanner) Hint(key string, runs []BlockRange) []BlockRange {
 	return out
 }
 
-// LearnEOF bounds future plans and hints.
+// LearnEOF records that block idx lies at or past the end of key's
+// object; no later plan or hint includes it.
 func (p *StridePlanner) LearnEOF(key string, idx int64) {
 	p.mu.Lock()
 	st := p.state(key)
@@ -264,7 +143,7 @@ func (p *StridePlanner) LearnEOF(key string, idx int64) {
 	p.mu.Unlock()
 }
 
-// Forget drops key's history.
+// Forget drops key's history (the key was invalidated).
 func (p *StridePlanner) Forget(key string) {
 	p.mu.Lock()
 	delete(p.keys, key)

@@ -13,14 +13,14 @@ type Span struct {
 // FetchVec retrieves several spans of the object backing key in one
 // vectored request (dsts[i] sized to spans[i].Len). The cache uses it for
 // coalesced multi-range prefetches — one pooled request instead of one GET
-// per block.
+// per span.
 type FetchVec func(ctx context.Context, key string, spans []Span, dsts [][]byte) error
 
 // Hint feeds byte spans the caller knows it will read soon (e.g. the
-// basket layout of the next analysis windows) into the prefetch planner,
-// speculatively fetching whatever the planner approves. size is the object
-// size when known, else -1; fetch serves as the fallback when no FetchVec
-// is configured. With the default sequential planner this is a no-op.
+// basket layout of the next analysis windows) into the read-ahead planner,
+// speculatively fetching whatever it approves. size is the object size
+// when known, else -1; fetch serves the spans no FetchVec request carries
+// (see prefetchRuns). A no-op when the cache has no read-ahead.
 func (c *Cache) Hint(key string, size int64, spans []Span, fetch Fetch) {
 	if c.planner == nil || len(spans) == 0 {
 		return
@@ -34,7 +34,7 @@ func (c *Cache) Hint(key string, size int64, spans []Span, fetch Fetch) {
 		last := (sp.Off + sp.Len - 1) / c.bs
 		runs = append(runs, BlockRange{Start: first, Count: last - first + 1})
 	}
-	c.prefetchRuns(key, size, normalizeRuns(runs), fetch)
+	c.prefetchRuns(key, size, c.planner.Hint(key, normalizeRuns(runs)), fetch)
 }
 
 // normalizeRuns sorts runs and merges overlapping or adjacent ones.
@@ -57,31 +57,41 @@ func normalizeRuns(runs []BlockRange) []BlockRange {
 	return out
 }
 
-// prefetchRuns executes a planner's proposal. Plans from the default
-// SeqPlanner take the historical per-block path (one background GET per
-// block — behaviour preserved exactly); other planners get their runs
-// batched into a single vectored request when a FetchVec is configured.
+// job is one span of a speculative request and the flights reserved for
+// the consecutive blocks it covers.
+type job struct {
+	span   Span
+	blocks []blockKey
+	fls    []*flight
+}
+
+// prefetchRuns speculatively fetches the planner's runs in the background.
+// With a known size the runs are clipped to it and, given a FetchVec, go
+// out as one vectored request. With an unknown size each span is one
+// Fetch, so a short or failed answer marks the end of the object at the
+// exact block instead of failing a whole batch.
 func (c *Cache) prefetchRuns(key string, size int64, runs []BlockRange, fetch Fetch) {
-	runs = c.clipRuns(size, runs)
-	if len(runs) == 0 {
+	jobs := c.reserve(key, size, c.clipRuns(size, runs))
+	if len(jobs) == 0 {
 		return
 	}
-	_, legacy := c.planner.(*SeqPlanner)
-	if c.fetchVec != nil && !legacy {
-		c.prefetchVec(key, size, runs)
+	if c.fetchVec != nil && size >= 0 {
+		c.speculate(key, size, jobs, func() ([][]byte, error) {
+			spans := make([]Span, len(jobs))
+			dsts := make([][]byte, len(jobs))
+			for i, j := range jobs {
+				spans[i] = j.span
+				dsts[i] = make([]byte, j.span.Len)
+			}
+			return dsts, c.fetchVec(c.bg, key, spans, dsts)
+		})
 		return
 	}
-	for _, ru := range runs {
-		for i := int64(0); i < ru.Count; i++ {
-			idx := ru.Start + i
-			blockLen := c.blockLen(size, idx)
-			if blockLen <= 0 {
-				return
-			}
-			if !c.prefetchBlock(key, idx, blockLen, fetch) {
-				return // budget exhausted: demand reads take over
-			}
-		}
+	for _, j := range jobs {
+		c.speculate(key, size, []job{j}, func() ([][]byte, error) {
+			data, err := fetch(c.bg, j.span.Off, j.span.Len)
+			return [][]byte{data}, err
+		})
 	}
 }
 
@@ -117,127 +127,69 @@ func (c *Cache) blockLen(size, idx int64) int64 {
 	return blockLen
 }
 
-// prefetchBlock speculatively fetches one block on the legacy path,
-// reporting false when the in-flight budget denies the fetch.
-func (c *Cache) prefetchBlock(key string, idx, blockLen int64, fetch Fetch) bool {
-	bk := blockKey{key, idx}
-	c.mu.Lock()
-	_, resident := c.blocks[bk]
-	_, busy := c.inflight[bk]
-	c.mu.Unlock()
-	if resident || busy {
-		return true // nothing to issue
-	}
-	if !c.acquireBudget(blockLen) {
-		c.pfCancelled.Add(1)
-		return false
-	}
-	c.pfIssuedSpans.Add(1)
-	c.pfIssuedBytes.Add(blockLen)
-	if c.onPfIssued != nil {
-		c.onPfIssued(key, 1, blockLen)
-	}
-	go func() {
-		defer c.releaseBudget(blockLen)
-		_, err := c.getBlock(c.bg, key, idx, blockLen, fetch, true)
-		if c.onPfSettled != nil {
-			c.onPfSettled(key, blockLen, err)
-		}
-	}()
-	return true
-}
-
-// prefetchVec fetches the given runs as one coalesced vectored request.
-// Every not-yet-resident, not-in-flight block is reserved with a flight so
-// demand readers join instead of duplicating the fetch; the in-flight
-// budget trims the batch from the tail when speculation would outgrow it.
-func (c *Cache) prefetchVec(key string, size int64, runs []BlockRange) {
-	type job struct {
-		span   Span
-		blocks []blockKey
-		fls    []*flight
-	}
+// reserve claims a speculative flight for every block of runs that is
+// neither resident nor in flight, so demand readers join instead of
+// duplicating the fetch, and lays the claimed blocks out as spans, adjacent
+// blocks sharing one. The in-flight budget trims the batch from the tail.
+func (c *Cache) reserve(key string, size int64, runs []BlockRange) []job {
 	var jobs []job
 	var total int64
-
 	c.mu.Lock()
-	gen := c.gen
+	defer c.mu.Unlock()
 reserve:
 	for _, ru := range runs {
-		var cur *job
-		for i := int64(0); i < ru.Count; i++ {
-			idx := ru.Start + i
+		for idx := ru.Start; idx < ru.Start+ru.Count; idx++ {
 			bk := blockKey{key, idx}
 			_, resident := c.blocks[bk]
 			_, busy := c.inflight[bk]
 			if resident || busy {
-				cur = nil
 				continue
 			}
 			blockLen := c.blockLen(size, idx)
-			if blockLen <= 0 {
-				break
-			}
 			if c.budget > 0 && c.pfInFlight+total+blockLen > c.budget {
 				// Budget full: issue what fits, drop the rest.
 				c.pfCancelled.Add(1)
 				break reserve
 			}
-			fl := &flight{done: make(chan struct{}), gen: gen}
+			fl := &flight{done: make(chan struct{}), gen: c.gen, spec: true}
 			c.inflight[bk] = fl
 			total += blockLen
-			if cur == nil {
+			if n := len(jobs); n == 0 || jobs[n-1].span.Off+jobs[n-1].span.Len != idx*c.bs {
 				jobs = append(jobs, job{span: Span{Off: idx * c.bs}})
-				cur = &jobs[len(jobs)-1]
 			}
-			cur.span.Len += blockLen
-			cur.blocks = append(cur.blocks, bk)
-			cur.fls = append(cur.fls, fl)
+			j := &jobs[len(jobs)-1]
+			j.span.Len += blockLen
+			j.blocks = append(j.blocks, bk)
+			j.fls = append(j.fls, fl)
 		}
-	}
-	if len(jobs) == 0 {
-		c.mu.Unlock()
-		return
 	}
 	c.pfInFlight += total
-	c.mu.Unlock()
+	return jobs
+}
 
-	spans := make([]Span, len(jobs))
-	dsts := make([][]byte, len(jobs))
-	for i, j := range jobs {
-		spans[i] = j.span
-		dsts[i] = make([]byte, j.span.Len)
+// speculate puts one request for jobs on the wire in the background; do
+// performs it, returning each job's bytes. When it answers, the blocks are
+// installed, the flights released and the budget returned.
+func (c *Cache) speculate(key string, size int64, jobs []job, do func() ([][]byte, error)) {
+	var total int64
+	for _, j := range jobs {
+		total += j.span.Len
 	}
-	c.pfIssuedSpans.Add(int64(len(spans)))
+	c.pfIssuedSpans.Add(int64(len(jobs)))
 	c.pfIssuedBytes.Add(total)
 	if c.onPfIssued != nil {
-		c.onPfIssued(key, len(spans), total)
+		c.onPfIssued(key, len(jobs), total)
 	}
-
 	go func() {
-		err := c.fetchVec(c.bg, key, spans, dsts)
+		datas, err := do()
 		c.mu.Lock()
-		for i := range jobs {
-			var at int64
-			for bi, bk := range jobs[i].blocks {
-				fl := jobs[i].fls[bi]
-				blockLen := c.blockLen(size, bk.idx)
-				if err == nil {
-					fl.data = dsts[i][at : at+blockLen]
-				}
-				fl.err = err
-				at += blockLen
-				delete(c.inflight, bk)
-				if err == nil && c.gen == fl.gen {
-					c.insertLocked(bk, fl.data, true)
-					c.prefetched.Add(1)
-				}
-			}
+		for i, j := range jobs {
+			c.settleLocked(key, size, j, datas[i], err)
 		}
+		c.pfInFlight -= total
 		c.mu.Unlock()
-		c.releaseBudget(total)
-		for i := range jobs {
-			for _, fl := range jobs[i].fls {
+		for _, j := range jobs {
+			for _, fl := range j.fls {
 				close(fl.done)
 			}
 		}
@@ -247,27 +199,41 @@ reserve:
 	}()
 }
 
-// acquireBudget reserves n speculative in-flight bytes, reporting false
-// when the budget would be exceeded (budget 0 means unlimited).
-func (c *Cache) acquireBudget(n int64) bool {
-	if c.budget <= 0 {
-		return true
+// settleLocked hands one job's answer to its flights and installs the
+// blocks it carries. data holds the span's bytes from its start: an answer
+// shorter than the span means the object ends inside it, so the blocks
+// past the data settle empty and read-ahead stops at the first of them.
+// Caller holds mu.
+func (c *Cache) settleLocked(key string, size int64, j job, data []byte, err error) {
+	if int64(len(data)) > j.span.Len {
+		data = data[:j.span.Len]
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pfInFlight+n > c.budget {
-		return false
+	var at int64
+	for bi, bk := range j.blocks {
+		fl := j.fls[bi]
+		delete(c.inflight, bk)
+		fl.err = err
+		if err == nil {
+			end := min(at+c.bs, int64(len(data)))
+			fl.data = data[min(at, end):end]
+		}
+		at += c.bs
+		if len(fl.data) > 0 && c.gen == fl.gen {
+			c.insertLocked(bk, fl.data, true)
+			c.prefetched.Add(1)
+		}
 	}
-	c.pfInFlight += n
-	return true
-}
-
-// releaseBudget returns n reserved bytes.
-func (c *Cache) releaseBudget(n int64) {
-	if c.budget <= 0 {
-		return
+	if c.gen != j.fls[0].gen {
+		return // invalidated meanwhile: what it teaches may be stale
 	}
-	c.mu.Lock()
-	c.pfInFlight -= n
-	c.mu.Unlock()
+	first := j.span.Off / c.bs
+	switch {
+	case err == nil && int64(len(data)) < j.span.Len:
+		c.learnEOF(key, first+(int64(len(data))+c.bs-1)/c.bs)
+	case err != nil && size < 0:
+		// With the size unknown, a failed span usually starts past the end
+		// of the object. A transient error over-trims at worst: demand
+		// reads are unaffected and Invalidate resets the bound.
+		c.learnEOF(key, first)
+	}
 }

@@ -3,6 +3,7 @@ package blockcache
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -33,74 +34,88 @@ func (v *vecFetcher) fetch(ctx context.Context, key string, spans []Span, dsts [
 	return nil
 }
 
-func TestSeqPlannerMatchesLegacyDetector(t *testing.T) {
-	p := NewSeqPlanner(3)
+func TestStridePlannerArmsContiguousScanAtOnce(t *testing.T) {
+	p := NewStridePlanner(3)
 
-	// A scan starting at block 0 triggers immediately, planning the next
-	// three blocks as single-block runs — the historical read-ahead shape.
+	// A scan starting at block 0 arms immediately, planning the next three
+	// one-block reads.
 	if got := p.Plan("k", 0, 0); !reflect.DeepEqual(got, []BlockRange{{1, 1}, {2, 1}, {3, 1}}) {
-		t.Fatalf("first sequential plan = %v", got)
+		t.Fatalf("first contiguous plan = %v", got)
 	}
 	// Continuing the scan keeps planning from the new frontier.
 	if got := p.Plan("k", 1, 1); !reflect.DeepEqual(got, []BlockRange{{2, 1}, {3, 1}, {4, 1}}) {
-		t.Fatalf("second sequential plan = %v", got)
+		t.Fatalf("second contiguous plan = %v", got)
 	}
-	// A random jump breaks the streak: nothing planned.
+	// A random jump is a stride seen once: nothing planned.
 	if got := p.Plan("k", 7, 7); got != nil {
 		t.Fatalf("jump planned %v", got)
 	}
-	// Resuming at the jump's frontier is sequential again.
+	// Resuming where the jump ended is contiguous again.
 	if got := p.Plan("k", 8, 8); !reflect.DeepEqual(got, []BlockRange{{9, 1}, {10, 1}, {11, 1}}) {
 		t.Fatalf("resumed plan = %v", got)
 	}
-	// EOF learning bounds the plan exactly like the historical detector:
-	// block 10 is known to lie past the end, so nothing is planned there.
+	// Block 10 is known to lie past the end: nothing is planned there, and
+	// hints beyond it are dropped.
 	p.LearnEOF("k", 10)
 	if got := p.Plan("k", 9, 9); len(got) != 0 {
 		t.Fatalf("plan past EOF = %v", got)
 	}
-	// The sequential planner takes no foreknowledge: Hint is inert, which
-	// keeps Cache.Hint a no-op under the default configuration.
-	if got := p.Hint("k", []BlockRange{{20, 4}}); got != nil {
-		t.Fatalf("seq Hint returned %v", got)
+	if got := p.Hint("k", []BlockRange{{20, 4}}); len(got) != 0 {
+		t.Fatalf("hint past EOF = %v", got)
+	}
+
+	// Byte-contiguous reads that share a boundary block arm too.
+	q := NewStridePlanner(2)
+	q.Plan("s", 0, 1)
+	if got := q.Plan("s", 1, 2); !reflect.DeepEqual(got, []BlockRange{{3, 2}, {5, 2}}) {
+		t.Fatalf("overlapping contiguous plan = %v", got)
+	}
+	// A first read elsewhere than block 0 is not a scan yet.
+	if got := q.Plan("fresh", 5, 5); got != nil {
+		t.Fatalf("first read at block 5 planned %v", got)
 	}
 }
 
 func TestStridePlannerLearnsSparsePattern(t *testing.T) {
 	p := NewStridePlanner(2)
 
-	// One observation: no pattern yet.
-	if got := p.Plan("k", 0, 1); got != nil {
+	// One observation away from block 0: no pattern yet.
+	if got := p.Plan("k", 1, 2); got != nil {
 		t.Fatalf("first read planned %v", got)
 	}
 	// Stride seen once: still not confident.
-	if got := p.Plan("k", 4, 5); got != nil {
+	if got := p.Plan("k", 5, 6); got != nil {
 		t.Fatalf("single-streak planned %v", got)
 	}
 	// Same stride twice: predict the next two reads at that stride.
-	if got := p.Plan("k", 8, 9); !reflect.DeepEqual(got, []BlockRange{{12, 2}, {16, 2}}) {
+	if got := p.Plan("k", 9, 10); !reflect.DeepEqual(got, []BlockRange{{13, 2}, {17, 2}}) {
 		t.Fatalf("stride plan = %v", got)
 	}
 	// Learned EOF clips predictions mid-run and drops those past it.
-	p.LearnEOF("k", 17)
-	if got := p.Plan("k", 12, 13); !reflect.DeepEqual(got, []BlockRange{{16, 1}}) {
+	p.LearnEOF("k", 18)
+	if got := p.Plan("k", 13, 14); !reflect.DeepEqual(got, []BlockRange{{17, 1}}) {
 		t.Fatalf("clipped plan = %v", got)
 	}
 	// Hints are clipped against the same learned bound.
-	if got := p.Hint("k", []BlockRange{{16, 4}, {20, 2}}); !reflect.DeepEqual(got, []BlockRange{{16, 1}}) {
+	if got := p.Hint("k", []BlockRange{{17, 4}, {21, 2}}); !reflect.DeepEqual(got, []BlockRange{{17, 1}}) {
 		t.Fatalf("clipped hint = %v", got)
 	}
 	// A backward jump resets the pattern.
-	if got := p.Plan("k", 4, 5); got != nil {
+	if got := p.Plan("k", 5, 6); got != nil {
 		t.Fatalf("backward jump planned %v", got)
 	}
 
-	// A contiguous scan is the stride == span special case.
+	// A stride scan that starts at block 0 still needs the stride twice:
+	// the first read arms only the contiguous guess.
 	q := NewStridePlanner(1)
-	q.Plan("s", 0, 3)
-	q.Plan("s", 4, 7)
-	if got := q.Plan("s", 8, 11); !reflect.DeepEqual(got, []BlockRange{{12, 4}}) {
-		t.Fatalf("contiguous plan = %v", got)
+	if got := q.Plan("s", 0, 0); !reflect.DeepEqual(got, []BlockRange{{1, 1}}) {
+		t.Fatalf("first read at block 0 planned %v", got)
+	}
+	if got := q.Plan("s", 3, 3); got != nil {
+		t.Fatalf("stride 3 seen once planned %v", got)
+	}
+	if got := q.Plan("s", 6, 6); !reflect.DeepEqual(got, []BlockRange{{9, 1}}) {
+		t.Fatalf("stride 3 plan = %v", got)
 	}
 }
 
@@ -108,7 +123,7 @@ func TestPrefetchVecSingleFlightDedup(t *testing.T) {
 	src := randBytes(8192, 21)
 	vf := &vecFetcher{src: src, gate: make(chan struct{})}
 	sf := &sourceFetch{src: src}
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, Planner: NewStridePlanner(2), FetchVec: vf.fetch})
+	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, ReadAhead: 2, FetchVec: vf.fetch})
 
 	// One hint covering blocks 2-3: prefetchVec reserves both blocks with
 	// flights before returning, then fetches them as one vectored request
@@ -157,7 +172,7 @@ func TestPrefetchBudgetExhaustionFallsBackToDemand(t *testing.T) {
 	sf := &sourceFetch{src: src}
 	c := New(Config{
 		Capacity: 1 << 20, BlockSize: 1024,
-		Planner: NewStridePlanner(4), FetchVec: vf.fetch,
+		ReadAhead: 4, FetchVec: vf.fetch,
 		PrefetchBudget: 1024, // room for exactly one speculative block
 	})
 
@@ -187,7 +202,7 @@ func TestPrefetchAccuracyAccounting(t *testing.T) {
 	src := randBytes(8192, 23)
 	vf := &vecFetcher{src: src}
 	sf := &sourceFetch{src: src}
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, Planner: NewStridePlanner(2), FetchVec: vf.fetch})
+	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, ReadAhead: 2, FetchVec: vf.fetch})
 
 	c.Hint("k", int64(len(src)), []Span{{Off: 2048, Len: 2048}}, sf.fetch)
 	waitFor(t, func() bool { return c.Contains("k", 2048) && c.Contains("k", 3072) })
@@ -213,5 +228,40 @@ func TestPrefetchAccuracyAccounting(t *testing.T) {
 	st = c.Stats()
 	if st.PrefetchWastedBytes != 1024 {
 		t.Fatalf("wasted bytes = %d, want 1024", st.PrefetchWastedBytes)
+	}
+}
+
+// TestJoinerRefetchesAfterSpeculationFailed: a demand read parked on a
+// speculative flight that fails with an ordinary error must not inherit
+// it — speculation never fails a demand read — but fetch the block itself.
+func TestJoinerRefetchesAfterSpeculationFailed(t *testing.T) {
+	src := randBytes(4096, 24)
+	boom := errors.New("multi-range request refused")
+	gate := make(chan struct{})
+	failVec := func(ctx context.Context, _ string, _ []Span, _ [][]byte) error {
+		<-gate
+		return boom
+	}
+	sf := &sourceFetch{src: src}
+	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, ReadAhead: 2, FetchVec: failVec})
+
+	c.Hint("k", int64(len(src)), []Span{{Off: 1024, Len: 1024}}, sf.fetch)
+	done := make(chan error, 1)
+	go func() {
+		p := make([]byte, 1024)
+		_, err := c.ReadThrough(context.Background(), "k", int64(len(src)), p, 1024, sf.fetch)
+		if err == nil && !bytes.Equal(p, src[1024:2048]) {
+			err = errors.New("wrong bytes")
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return c.Stats().SingleFlightJoins == 1 })
+	close(gate)
+
+	if err := <-done; err != nil {
+		t.Fatalf("demand read inherited the failed speculation: %v", err)
+	}
+	if got := sf.calls.Load(); got != 1 {
+		t.Fatalf("demand fetch calls = %d, want 1 (the joiner's own fetch)", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -337,5 +338,74 @@ func TestZeroCacheOptionsKeepUncachedBehaviour(t *testing.T) {
 	}
 	if st := e.client.CacheStats(); st != (blockcache.Stats{}) {
 		t.Fatalf("stats on uncached client = %+v, want zeros", st)
+	}
+}
+
+// TestCachedGetRangeScanWithPrefetch scans an object of a size the cache
+// does not know (GetRange passes -1) block by block with read-ahead on.
+// The read-ahead asks past the end of the object; that must teach the
+// cache where the object ends, never fail the demand read of the last,
+// short block.
+func TestCachedGetRangeScanWithPrefetch(t *testing.T) {
+	opts := cachedOptions()
+	opts.PrefetchDepth = 2
+	e := newEnv(t, opts)
+	e.startServer(t, dpm1, httpserv.Options{})
+	ctx := context.Background()
+
+	blob := make([]byte, 3*1024+512) // blocks 0..3, block 3 short
+	rand.New(rand.NewSource(16)).Read(blob)
+	for run := 0; run < 50; run++ {
+		path := fmt.Sprintf("/scan%d", run)
+		e.stores[dpm1].Put(path, blob)
+		for off := int64(0); off < int64(len(blob)); off += 1024 {
+			got, err := e.client.GetRange(ctx, dpm1, path, off, 1024)
+			if want := blob[off:min(off+1024, int64(len(blob)))]; err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("run %d: range at %d = %d bytes, err=%v", run, off, len(got), err)
+			}
+		}
+	}
+}
+
+// TestCachedReadAtPrefetchPatterns drives File.ReadAt through the cache's
+// read-ahead on the two patterns it detects: a contiguous scan (armed at
+// once) and a sparse every-third-block scan (armed after two equal
+// strides). Both must return exact bytes and be served in part by
+// speculation.
+func TestCachedReadAtPrefetchPatterns(t *testing.T) {
+	blob := make([]byte, 30*1024+300)
+	rand.New(rand.NewSource(17)).Read(blob)
+	for _, tc := range []struct {
+		name   string
+		stride int64 // in 1 KiB blocks
+	}{
+		{"sequential", 1},
+		{"every-third-block", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := cachedOptions()
+			opts.PrefetchDepth = 2
+			e := newEnv(t, opts)
+			e.startServer(t, dpm1, httpserv.Options{})
+			e.stores[dpm1].Put("/f", blob)
+			f, err := e.client.Open(context.Background(), dpm1, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := make([]byte, 1024)
+			for off := int64(0); off < int64(len(blob)); off += tc.stride * 1024 {
+				n, err := f.ReadAt(p, off)
+				if err != nil && err != io.EOF {
+					t.Fatalf("read at %d: %v", off, err)
+				}
+				if want := blob[off:min(off+1024, int64(len(blob)))]; !bytes.Equal(p[:n], want) {
+					t.Fatalf("read at %d: %d bytes, want %d exact", off, n, len(want))
+				}
+			}
+			st := e.client.CacheStats()
+			if st.Prefetched == 0 || st.PrefetchUsefulBytes == 0 {
+				t.Fatalf("read-ahead never served the scan: %+v", st)
+			}
+		})
 	}
 }

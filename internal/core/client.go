@@ -182,17 +182,14 @@ type Options struct {
 	// meaningful only with CacheSize > 0).
 	BlockSize int64
 
-	// ReadAhead is how many blocks past a detected sequential scan the
-	// cache prefetches asynchronously through the pool (0 disables;
-	// requires CacheSize > 0).
-	ReadAhead int
-
-	// PrefetchDepth enables learned prefetch (requires CacheSize > 0 for
-	// the planner side): > 0 replaces the cache's sequential read-ahead
-	// with the stride/sparse planner keeping that many predicted reads in
-	// flight, makes File.PrefetchHint feed layout foreknowledge into it,
-	// and sizes the rootio window pipeline riding File.ReadVecAsyncCtx.
-	// 0 (the default) keeps the historical behaviour exactly.
+	// PrefetchDepth is the block cache's read-ahead lookahead (requires
+	// CacheSize > 0): > 0 runs the cache's stride planner, which arms at
+	// once on a contiguous scan and after two equal strides on a sparse
+	// one, keeping that many predicted reads in flight as coalesced
+	// speculative requests, and makes File.PrefetchHint feed layout
+	// foreknowledge into it. 0 (the default) disables read-ahead. rootio's
+	// window pipeline is sized by its own depth (NewTreeCacheDepth), not by
+	// this option.
 	PrefetchDepth int
 
 	// PrefetchBudget bounds the speculative bytes the cache keeps in
@@ -279,9 +276,6 @@ func (o Options) withDefaults() Options {
 	if o.BlockSize < 0 {
 		o.BlockSize = 0
 	}
-	if o.ReadAhead < 0 {
-		o.ReadAhead = 0
-	}
 	if o.PrefetchDepth < 0 {
 		o.PrefetchDepth = 0
 	}
@@ -362,15 +356,12 @@ func NewClient(opts Options) (*Client, error) {
 		bg, cancel := context.WithCancel(context.Background())
 		c.bgCancel = cancel
 		cfg := blockcache.Config{
-			Capacity:   opts.CacheSize,
-			BlockSize:  opts.BlockSize,
-			ReadAhead:  opts.ReadAhead,
-			Background: bg,
-		}
-		if opts.PrefetchDepth > 0 {
-			cfg.Planner = blockcache.NewStridePlanner(opts.PrefetchDepth)
-			cfg.FetchVec = c.cacheFetchVec()
-			cfg.PrefetchBudget = opts.PrefetchBudget
+			Capacity:       opts.CacheSize,
+			BlockSize:      opts.BlockSize,
+			ReadAhead:      opts.PrefetchDepth,
+			Background:     bg,
+			FetchVec:       c.cacheFetchVec(),
+			PrefetchBudget: opts.PrefetchBudget,
 		}
 		cfg.OnPrefetchIssued = func(key string, spans int, bytes int64) {
 			c.metrics.prefetchIssued.Add(1)
@@ -450,8 +441,8 @@ func (c *Client) cacheFetch(host, path string) blockcache.Fetch {
 	}
 }
 
-// cacheFetchVec returns the vectored fetch the cache's prefetch planner
-// uses for coalesced speculation: one multi-range request through the
+// cacheFetchVec returns the vectored fetch the cache's read-ahead uses
+// for coalesced speculation: one multi-range request through the
 // pooled engine, with the same replica failover as demand reads. It
 // bypasses the cached read path — the cache installs the blocks itself.
 func (c *Client) cacheFetchVec() blockcache.FetchVec {

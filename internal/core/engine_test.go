@@ -314,10 +314,10 @@ func TestOptionsNormalization(t *testing.T) {
 			}
 		}},
 		{"negative cache knobs disable like zero", Options{
-			CacheSize: -1, BlockSize: -2, ReadAhead: -3, StatTTL: -time.Minute,
+			CacheSize: -1, BlockSize: -2, PrefetchDepth: -3, StatTTL: -time.Minute,
 		}, func(t *testing.T, o Options) {
-			if o.CacheSize != 0 || o.BlockSize != 0 || o.ReadAhead != 0 || o.StatTTL != 0 {
-				t.Errorf("cache knobs = %d/%d/%d/%v", o.CacheSize, o.BlockSize, o.ReadAhead, o.StatTTL)
+			if o.CacheSize != 0 || o.BlockSize != 0 || o.PrefetchDepth != 0 || o.StatTTL != 0 {
+				t.Errorf("cache knobs = %d/%d/%d/%v", o.CacheSize, o.BlockSize, o.PrefetchDepth, o.StatTTL)
 			}
 		}},
 		{"zero retry fields get documented defaults", Options{

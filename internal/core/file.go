@@ -16,7 +16,8 @@ import (
 // and the vectored ReadVec that TTreeCache-style callers use. All reads
 // transparently fail over to Metalink replicas under StrategyFailover, and
 // with Options.CacheSize set they are served through the client's shared
-// block cache (with read-ahead on sequential scans).
+// block cache (with read-ahead on detected scans when
+// Options.PrefetchDepth > 0).
 //
 // A File is safe for concurrent ReadAt/ReadVec; Read/Seek share a cursor
 // and need external synchronization.
@@ -134,10 +135,9 @@ func (f *File) ReadVecAsyncCtx(ctx context.Context, ranges []rangev.Range, dsts 
 }
 
 // PrefetchHint hands byte ranges the caller knows it will read soon to
-// the client's learned read-ahead planner, which may fetch them as
-// coalesced speculation under the prefetch budget. A no-op without a
-// cache — and under the default sequential planner, which takes no
-// foreknowledge.
+// the cache's read-ahead planner, which may fetch them as coalesced
+// speculation under the prefetch budget. A no-op without a cache or with
+// PrefetchDepth 0.
 func (f *File) PrefetchHint(ranges []rangev.Range) {
 	if f.closed.Load() || f.client.cache == nil {
 		return

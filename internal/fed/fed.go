@@ -145,8 +145,3 @@ func (f *Federation) MetalinkFor(p string) *metalink.Metalink {
 	}
 	return ml
 }
-
-// Endpoints returns the configured endpoints (sorted by priority).
-func (f *Federation) Endpoints() []Endpoint {
-	return append([]Endpoint(nil), f.endpoints...)
-}

@@ -26,16 +26,12 @@ type Source struct {
 	// ranges[i].Len). Required.
 	ReadVec func(ranges []rangev.Range, dsts [][]byte) error
 
-	// ReadVecAsync, when non-nil, starts the fetch and returns a channel
+	// ReadVecAsyncCtx, when non-nil, starts the fetch and returns a channel
 	// yielding the single completion error. TreeCache uses it to overlap
-	// the next window's network fetch with the current window's
-	// processing (the sliding-window advantage of §3).
-	ReadVecAsync func(ranges []rangev.Range, dsts [][]byte) <-chan error
-
-	// ReadVecAsyncCtx, when non-nil, is preferred over ReadVecAsync: the
-	// same background fetch, but cancellable. The window pipeline cancels
-	// a fill mid-flight when the access pattern jumps away from its
-	// window or a retrain retires the whole branch set.
+	// the next windows' network fetches with the current window's
+	// processing (the sliding-window advantage of §3), and cancels ctx to
+	// abandon a fill mid-flight when the access pattern jumps away from
+	// its window or a retrain retires the whole branch set.
 	ReadVecAsyncCtx func(ctx context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error
 
 	// Hint, when non-nil, registers upcoming byte ranges with the

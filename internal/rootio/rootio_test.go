@@ -2,6 +2,7 @@ package rootio
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -274,7 +275,7 @@ func TestTreeCachePrefetchOverlap(t *testing.T) {
 	var asyncCalls atomic.Int64
 	src := BytesSource(img)
 	sync := src.ReadVec
-	src.ReadVecAsync = func(ranges []rangev.Range, dsts [][]byte) <-chan error {
+	src.ReadVecAsyncCtx = func(_ context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error {
 		asyncCalls.Add(1)
 		ch := make(chan error, 1)
 		go func() { ch <- sync(ranges, dsts) }()

@@ -88,7 +88,7 @@ func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int
 			branches[i] = i
 		}
 	}
-	async := r.src.ReadVecAsyncCtx != nil || r.src.ReadVecAsync != nil
+	async := r.src.ReadVecAsyncCtx != nil
 	if depth < 0 {
 		if async {
 			depth = 1
@@ -111,9 +111,6 @@ func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int
 // Fills reports how many window fetches have been issued (each is one
 // network round trip on the davix path).
 func (tc *TreeCache) Fills() int64 { return tc.fills }
-
-// Depth reports the effective prefetch depth.
-func (tc *TreeCache) Depth() int { return tc.depth }
 
 // PrefetchStats reports the speculation accounting: compressed bytes
 // issued by pipelined window fills, issued bytes discarded before any
@@ -233,12 +230,7 @@ func (tc *TreeCache) startFillAsync(start uint64) (*pendingFill, error) {
 	ranges, runDsts, perKey, total := coalesceFill(r, keys)
 	tc.fills++
 	ctx, cancel := context.WithCancel(context.Background())
-	var fetched <-chan error
-	if r.src.ReadVecAsyncCtx != nil {
-		fetched = r.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
-	} else {
-		fetched = r.src.ReadVecAsync(ranges, runDsts)
-	}
+	fetched := r.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
 	done := make(chan error, 1)
 	pf := &pendingFill{start: start, keys: keys, bytes: total, done: done, cancel: cancel}
 	go func() {
@@ -366,7 +358,7 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 
 // asyncCapable reports whether the source supports background fills.
 func (tc *TreeCache) asyncCapable() bool {
-	return tc.reader.src.ReadVecAsyncCtx != nil || tc.reader.src.ReadVecAsync != nil
+	return tc.reader.src.ReadVecAsyncCtx != nil
 }
 
 // topUp issues speculative fills (or layout hints) for the windows

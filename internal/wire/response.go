@@ -40,11 +40,8 @@ type Response struct {
 	KeepAlive bool
 }
 
-// Parse errors.
-var (
-	ErrMalformedResponse = errors.New("wire: malformed response")
-	ErrBodyNotConsumed   = errors.New("wire: previous body not consumed")
-)
+// ErrMalformedResponse reports a response the parser cannot read.
+var ErrMalformedResponse = errors.New("wire: malformed response")
 
 // ReadResponse parses one response for the given request method from br.
 func ReadResponse(br *bufio.Reader, method string) (*Response, error) {

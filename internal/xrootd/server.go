@@ -21,7 +21,6 @@ type Server struct {
 	store storage.Store
 
 	requests atomic.Int64
-	reads    atomic.Int64
 	readvs   atomic.Int64
 }
 
@@ -32,9 +31,6 @@ func NewServer(store storage.Store) *Server {
 
 // Requests reports the total number of requests served.
 func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// Reads reports how many single-read requests were served.
-func (s *Server) Reads() int64 { return s.reads.Load() }
 
 // ReadVs reports how many vectored-read requests were served.
 func (s *Server) ReadVs() int64 { return s.readvs.Load() }
@@ -153,7 +149,6 @@ func (s *Server) handle(sess *session, req *requestFrame) *responseFrame {
 		}
 
 	case ReqRead:
-		s.reads.Add(1)
 		path, ok := sess.path(req.Handle)
 		if !ok {
 			resp.Status = StatusBadRequest

@@ -313,100 +313,6 @@ func TestContextCancelDuringCall(t *testing.T) {
 	}
 }
 
-func TestReadaheadSequentialScan(t *testing.T) {
-	e := newEnv(t, netsim.Ideal())
-	blob := make([]byte, 300<<10)
-	rand.New(rand.NewSource(5)).Read(blob)
-	e.store.Put("/f", blob)
-	ctx := context.Background()
-
-	f, err := e.client.Open(ctx, "/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := NewReadahead(f, 64<<10, 2)
-	out := make([]byte, 0, len(blob))
-	buf := make([]byte, 10_000)
-	var off int64
-	for {
-		n, err := ra.ReadAt(ctx, buf, off)
-		out = append(out, buf[:n]...)
-		off += int64(n)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(out, blob) {
-		t.Fatal("sequential scan content mismatch")
-	}
-	hits, misses := ra.HitRate()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("hit/miss = %d/%d; prefetch not exercised", hits, misses)
-	}
-}
-
-func TestReadaheadRandomAccessCorrect(t *testing.T) {
-	e := newEnv(t, netsim.Ideal())
-	blob := make([]byte, 128<<10)
-	rand.New(rand.NewSource(6)).Read(blob)
-	e.store.Put("/f", blob)
-	ctx := context.Background()
-
-	f, _ := e.client.Open(ctx, "/f")
-	ra := NewReadahead(f, 16<<10, 1)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50; i++ {
-		off := rng.Int63n(int64(len(blob) - 100))
-		buf := make([]byte, 100)
-		if _, err := ra.ReadAt(ctx, buf, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, blob[off:off+100]) {
-			t.Fatalf("random read %d mismatch at %d", i, off)
-		}
-	}
-}
-
-func TestReadaheadDepthNoneStillCorrect(t *testing.T) {
-	e := newEnv(t, netsim.Ideal())
-	blob := make([]byte, 64<<10)
-	rand.New(rand.NewSource(8)).Read(blob)
-	e.store.Put("/f", blob)
-	ctx := context.Background()
-
-	f, _ := e.client.Open(ctx, "/f")
-	ra := NewReadahead(f, 16<<10, DepthNone)
-	buf := make([]byte, len(blob))
-	if _, err := ra.ReadAt(ctx, buf, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, blob) {
-		t.Fatal("content mismatch without prefetch")
-	}
-}
-
-// TestReadaheadCrossBlockRead verifies reads spanning block boundaries.
-func TestReadaheadCrossBlockRead(t *testing.T) {
-	e := newEnv(t, netsim.Ideal())
-	blob := make([]byte, 40_000)
-	rand.New(rand.NewSource(9)).Read(blob)
-	e.store.Put("/f", blob)
-	ctx := context.Background()
-
-	f, _ := e.client.Open(ctx, "/f")
-	ra := NewReadahead(f, 10_000, 1)
-	buf := make([]byte, 25_000)
-	if _, err := ra.ReadAt(ctx, buf, 5_000); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, blob[5_000:30_000]) {
-		t.Fatal("cross-block read mismatch")
-	}
-}
-
 func TestHandshakeRejectsGarbage(t *testing.T) {
 	e := newEnv(t, netsim.Ideal())
 	c, err := e.net.Dial("xrd:1094")
