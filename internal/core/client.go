@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"strings"
 	"time"
 
@@ -476,6 +477,9 @@ type Response struct {
 	// BytesUp/BytesDown: an abandoned redirect hop, whose request is about
 	// to be re-sent in full to the next target.
 	dropWire bool
+	// spent marks the response to a request whose one-shot body has been
+	// read: a redirect it carries cannot be followed, the body is gone.
+	spent bool
 }
 
 // Close finishes the response: a fully-consumed keep-alive body recycles
@@ -520,36 +524,14 @@ func (r *Response) ReadAllAndClose() ([]byte, error) {
 	return b, err
 }
 
-// Do executes req against host, borrowing a pooled connection. On a stale
-// recycled connection (write or header-read failure) the request is
-// retried once on a fresh connection, mirroring davix's session-recycling
-// robustness; requests with bodies cannot be replayed here (the body is
-// partially consumed), which is why engine operations go through exec's
-// doHop instead, rebuilding the request per attempt. The caller must Close
-// the returned Response.
-func (c *Client) Do(ctx context.Context, host string, req *wire.Request) (*Response, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, reused, err := c.doOnce(ctx, host, req, host)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if attempt > 0 || !reused || req.Body != nil || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		// The replay is about to happen; count it only now.
-		c.metrics.retries.Add(1)
-		c.trace.EmitRetry(req.Method, host, 1, err)
-	}
-}
-
-// doOnce performs exactly one pooled round trip, reporting whether the
-// connection had been used before (the signal that justifies a transparent
-// replay). authHost scopes Bearer/Basic credentials: they are attached only
-// when the request targets that host, so a cross-host redirect hop never
-// leaks them to a neighbouring node.
-func (c *Client) doOnce(ctx context.Context, host string, req *wire.Request, authHost string) (*Response, bool, error) {
+// doOnce performs exactly one pooled round trip. replayable reports that a
+// failure justifies one transparent replay: the connection had been used
+// before (a keep-alive session the server may have closed while idle), and
+// no byte of a one-shot body has left its source. authHost scopes
+// Bearer/Basic credentials: they are attached only when the request targets
+// that host, so a cross-host redirect hop never leaks them to a
+// neighbouring node.
+func (c *Client) doOnce(ctx context.Context, host string, spec reqSpec, req *wire.Request, authHost string) (resp *Response, replayable bool, err error) {
 	conn, err := c.pool.Get(ctx, host)
 	if err != nil {
 		return nil, false, err
@@ -571,35 +553,138 @@ func (c *Client) doOnce(ctx context.Context, host string, req *wire.Request, aut
 	stop := context.AfterFunc(ctx, func() {
 		conn.NetConn().SetDeadline(time.Unix(1, 0))
 	})
-	resp, err := c.roundTrip(conn, req, authHost)
-	if !stop() {
-		// The hook fired: ctx is done, so ctx.Err() is non-nil. Report the
-		// cancellation itself, not the i/o timeout the slammed deadline
-		// manufactured — callers classify context errors specially (they
-		// must propagate, never trigger failover).
+	wr, spent, err := c.roundTrip(ctx, conn, spec, req, authHost)
+	if !stop() || err != nil && ctxExpired(ctx) {
+		// ctx is done (the hook fired, or the standing deadline — ctx's
+		// own — beat ctx's timer). Report the cancellation itself, not the
+		// i/o timeout the deadline manufactured: callers classify context
+		// errors specially (they must propagate, never trigger failover).
+		<-ctx.Done()
 		err = ctx.Err()
 	}
 	if err != nil {
 		c.pool.Discard(conn)
-		return nil, reused, err
+		return nil, reused && !spent, err
 	}
-	return &Response{Response: resp, conn: conn, client: c}, reused, nil
+	return &Response{Response: wr, conn: conn, client: c, spent: spent}, reused, nil
+}
+
+// ctxExpired reports whether ctx's deadline has passed, even if ctx's
+// timer has not fired yet.
+func ctxExpired(ctx context.Context) bool {
+	d, ok := ctx.Deadline()
+	return ctx.Err() != nil || ok && !time.Now().Before(d)
 }
 
 // roundTrip writes req and reads the response header on conn, whose
-// deadline the caller has armed.
-func (c *Client) roundTrip(conn *pool.Conn, req *wire.Request, authHost string) (*wire.Response, error) {
+// deadline the caller has armed. An expect spec sends the body behind the
+// Expect: 100-continue exchange; spent reports that the body's source was
+// read.
+func (c *Client) roundTrip(ctx context.Context, conn *pool.Conn, spec reqSpec, req *wire.Request, authHost string) (resp *wire.Response, spent bool, err error) {
 	c.prepare(req, authHost)
 	c.metrics.requests.Add(1)
 	c.trace.EmitRequest(req.Method, req.Host, req.Path)
+	if spec.expect {
+		return c.sendExpecting(ctx, conn, req)
+	}
 	if err := req.Write(conn.NetConn()); err != nil {
-		return nil, fmt.Errorf("davix: write request: %w", err)
+		return nil, false, fmt.Errorf("davix: write request: %w", err)
 	}
-	resp, err := wire.ReadResponse(conn.Reader(), req.Method)
+	resp, err = wire.ReadResponse(conn.Reader(), req.Method)
 	if err != nil {
-		return nil, fmt.Errorf("davix: read response: %w", err)
+		return nil, false, fmt.Errorf("davix: read response: %w", err)
 	}
-	return resp, nil
+	return resp, false, nil
+}
+
+// expectContinueWait bounds how long a streaming PUT waits for the
+// server's 100 Continue before sending the body anyway — RFC 9110
+// §10.1.1 requires not waiting indefinitely, since servers may omit the
+// interim response entirely. Matches net/http's default.
+const expectContinueWait = time.Second
+
+// sendExpecting writes req's headers with Expect: 100-continue, then —
+// after the server's 100 Continue, or after expectContinueWait if the
+// server never speaks — its body, and reads the final response, skipping
+// any late interim. A final
+// verdict before the body (a redirect, a refusal, an early 2xx) is returned
+// as the response with the source untouched, so a redirect can be followed
+// with the same reader; the server may still believe the body is coming on
+// this connection, so KeepAlive is cleared and Close discards it.
+func (c *Client) sendExpecting(ctx context.Context, conn *pool.Conn, req *wire.Request) (*wire.Response, bool, error) {
+	nc := conn.NetConn()
+	req.Header.Set("Expect", "100-continue")
+	if err := req.WriteHeader(nc); err != nil {
+		return nil, false, fmt.Errorf("davix: write request: %w", err)
+	}
+	// Peek consumes nothing, so a silent server cannot desync the stream:
+	// on timeout the body simply goes out.
+	if err := c.awaitInterim(ctx, conn); err == nil {
+		interim, err := wire.ReadResponse(conn.Reader(), req.Method)
+		if err != nil {
+			return nil, false, fmt.Errorf("davix: read response: %w", err)
+		}
+		if interim.StatusCode != 100 {
+			interim.KeepAlive = false
+			return interim, false, nil
+		}
+	} else if !isTimeout(err) {
+		return nil, false, err
+	}
+	bp := obs.PathPooled
+	if req.DirectBody(nc) && kernelEligible(nc) {
+		bp = obs.PathKernel
+	}
+	if err := req.WriteBody(nc); err != nil {
+		return nil, true, fmt.Errorf("davix: write body: %w", err)
+	}
+	c.recordBytePath(obs.Up, req.Path, bp, req.ContentLength)
+	for {
+		resp, err := wire.ReadResponse(conn.Reader(), req.Method)
+		if err != nil {
+			return nil, true, fmt.Errorf("davix: read response: %w", err)
+		}
+		if resp.StatusCode != 100 {
+			return resp, true, nil
+		}
+	}
+}
+
+// awaitInterim waits up to expectContinueWait (bounded further by the
+// connection's standing deadline) for the first byte of the server's
+// interim response, without consuming it. A timeout return means the
+// server stayed silent and the caller should send the body. Both deadline
+// changes would erase a cancellation's slammed deadline, so ctx is checked
+// after each.
+func (c *Client) awaitInterim(ctx context.Context, conn *pool.Conn) error {
+	if conn.Reader().Buffered() > 0 {
+		return nil
+	}
+	wait := time.Now().Add(expectContinueWait)
+	if standing := c.deadlineFor(ctx); !standing.IsZero() && standing.Before(wait) {
+		wait = standing
+	}
+	if err := conn.NetConn().SetReadDeadline(wait); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	_, err := conn.Reader().Peek(1)
+	// Restore the standing deadline whatever happened.
+	if derr := c.applyDeadline(ctx, conn); derr != nil && err == nil {
+		err = derr
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
+}
+
+// isTimeout reports whether err is an I/O deadline expiry.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // deadlineFor resolves the I/O deadline RequestTimeout and ctx impose

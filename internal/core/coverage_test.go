@@ -26,13 +26,16 @@ func TestResponseCloseDrainsSmallRemainder(t *testing.T) {
 	e.stores[dpm1].Put("/f", make([]byte, 1024))
 	ctx := context.Background()
 
-	resp, err := e.client.Do(ctx, dpm1, wire.NewRequest("GET", dpm1, "/f"))
+	err := e.client.exec(ctx, dpm1, "/f", specGet, func(h, p string) *wire.Request {
+		return wire.NewRequest("GET", h, p)
+	}, func(_ Replica, resp *Response) error {
+		// Read only part of the body, then Close.
+		if _, err := io.ReadFull(resp.Body, make([]byte, 100)); err != nil {
+			return err
+		}
+		return resp.Close()
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Read only part of the body, then Close.
-	io.ReadFull(resp.Body, make([]byte, 100))
-	if err := resp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The connection must have been recycled (one dial total).

@@ -1,10 +1,11 @@
 // The request-execution engine: every operation the client performs — reads,
-// vectored reads, namespace ops, puts, chunked uploads, copies — runs through
-// exec(), which composes the resilience layers the paper describes as one
-// coherent I/O stack (§2.2 pooled sessions with stale-connection recycling,
-// DPM-style redirect following, bounded retry with backoff, §2.4 Metalink
-// replica failover) over a per-host health scoreboard and the client-wide
-// metrics collector.
+// vectored reads, namespace ops, puts, streaming and chunked uploads, copies —
+// runs through exec() down to its one pooled round trip, doOnce. exec
+// composes the resilience layers the paper describes as one coherent I/O
+// stack (§2.2 pooled sessions with stale-connection recycling, DPM-style
+// redirect following, bounded retry with backoff, §2.4 Metalink replica
+// failover) over a per-host health scoreboard and the client-wide metrics
+// collector.
 package core
 
 import (
@@ -43,6 +44,12 @@ type reqSpec struct {
 	// failover makes the engine retry the whole operation on the next
 	// Metalink replica when a replica is unavailable.
 	failover bool
+	// expect sends the request with Expect: 100-continue and holds the body
+	// back until the server answers or expectContinueWait passes, so a
+	// one-shot body survives a redirect or refusal before it: the builder
+	// hands every hop the same, still unread source. Once the body has been
+	// read the request is never sent again.
+	expect bool
 }
 
 // The specs of every engine operation.
@@ -56,7 +63,10 @@ var (
 	specPropfind = reqSpec{op: "PROPFIND", method: "PROPFIND", idempotent: true}
 	specPut      = reqSpec{op: "PUT", method: "PUT", idempotent: true, follow: true}
 	specPutRange = reqSpec{op: "PUT(range)", method: "PUT", idempotent: true, follow: true}
-	specDelete   = reqSpec{op: "DELETE", method: "DELETE", idempotent: true}
+	// A streaming PUT's body is read once, so it is neither retried nor
+	// failed over.
+	specPutStream = reqSpec{op: "PUT(stream)", method: "PUT", follow: true, expect: true}
+	specDelete    = reqSpec{op: "DELETE", method: "DELETE", idempotent: true}
 	// MKCOL is not idempotent (RFC 4918: a second MKCOL answers 405), so a
 	// retry after a lost response would misreport a created collection as
 	// failed — the engine must surface the first error instead.
@@ -207,40 +217,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // hopKey identifies one redirect target for loop detection.
 type hopKey struct{ host, path string }
 
-// hopTracker enforces the redirect-chain policies shared by exec and the
-// streaming-PUT walk: the MaxRedirects hop cap and fail-fast detection of
-// revisited (host, path) targets.
-type hopTracker struct {
-	max  int
-	hops int
-	seen map[hopKey]bool // allocated on the first redirect
-}
-
-// follow validates one redirect from (fromHost, fromPath) to loc and
-// returns the next target, failing on malformed Locations, cycles, and
-// chains past the hop cap.
-func (t *hopTracker) follow(fromHost, fromPath, loc string) (host, path string, err error) {
-	h, p, err := metalink.SplitURL(loc)
-	if err != nil {
-		return "", "", fmt.Errorf("davix: bad redirect Location %q: %w", loc, err)
-	}
-	if t.seen == nil {
-		t.seen = map[hopKey]bool{{fromHost, fromPath}: true}
-	}
-	if t.seen[hopKey{h, p}] {
-		return "", "", fmt.Errorf("%w: %s%s revisits %s%s", ErrRedirectLoop, fromHost, fromPath, h, p)
-	}
-	t.seen[hopKey{h, p}] = true
-	if t.hops++; t.hops > t.max {
-		return "", "", fmt.Errorf("%w (> %d hops)", ErrTooManyRedirects, t.max)
-	}
-	return h, p, nil
-}
-
 // execHops is the redirect layer: it executes the request against rep,
 // following 3xx hops (when the spec allows) up to Options.MaxRedirects,
-// failing fast on redirect cycles, and feeding the per-host health
-// scoreboard with every hop's outcome. DPM-style storage answers data
+// failing fast on revisited (host, path) targets, and feeding the per-host
+// health scoreboard with every hop's outcome. DPM-style storage answers data
 // operations on the head node with a redirect to the disk node holding the
 // data; the engine follows transparently, keeping pooled sessions to both
 // nodes warm. Bearer/Basic credentials never cross to a host other than
@@ -251,14 +231,15 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 	handle func(landed Replica, resp *Response) error) error {
 
 	host, path := rep.Host, rep.Path
-	tracker := hopTracker{max: c.opts.MaxRedirects}
+	hops := 0
+	var seen map[hopKey]bool // allocated on the first redirect
 	for {
 		resp, err := c.doHop(ctx, spec, rep.Host, host, path, build)
 		if err != nil {
 			c.recordHealth(host, err)
 			return err
 		}
-		if !spec.follow || !isRedirect(resp.StatusCode) {
+		if !spec.follow || !isRedirect(resp.StatusCode) || resp.spent {
 			if retryableStatus(resp.StatusCode) {
 				// The handler will surface this as a StatusError; charge
 				// the host now so handlers that swallow it (HEAD→PROPFIND
@@ -289,10 +270,21 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 		if loc == "" {
 			return fmt.Errorf("davix: redirect %d without Location from %s", code, host)
 		}
-		host, path, err = tracker.follow(host, path, loc)
+		h, p, err := metalink.SplitURL(loc)
 		if err != nil {
-			return err
+			return fmt.Errorf("davix: bad redirect Location %q: %w", loc, err)
 		}
+		if seen == nil {
+			seen = map[hopKey]bool{{host, path}: true}
+		}
+		if seen[hopKey{h, p}] {
+			return fmt.Errorf("%w: %s%s revisits %s%s", ErrRedirectLoop, host, path, h, p)
+		}
+		seen[hopKey{h, p}] = true
+		if hops++; hops > c.opts.MaxRedirects {
+			return fmt.Errorf("%w (> %d hops)", ErrTooManyRedirects, c.opts.MaxRedirects)
+		}
+		host, path = h, p
 	}
 }
 
@@ -300,10 +292,11 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 // once on a stale recycled connection: the server may close a keep-alive
 // session between requests, and only a reused connection justifies the
 // transparent retry. The request is rebuilt per attempt, so bodied
-// (replayable) requests get the same robustness as bodyless ones. The
-// spec's method is stamped authoritatively (the builder cannot drift from
-// the declared contract); originHost scopes Bearer/Basic credentials to
-// the chain's first host.
+// (replayable) requests get the same robustness as bodyless ones; an
+// expect spec's one-shot body is replayed only if the failure came before
+// any of it was read. The spec's method is stamped authoritatively (the
+// builder cannot drift from the declared contract); originHost scopes
+// Bearer/Basic credentials to the chain's first host.
 func (c *Client) doHop(ctx context.Context, spec reqSpec, originHost, host, path string,
 	build func(host, path string) *wire.Request) (*Response, error) {
 
@@ -311,12 +304,12 @@ func (c *Client) doHop(ctx context.Context, spec reqSpec, originHost, host, path
 	for attempt := 0; ; attempt++ {
 		req := build(host, path)
 		req.Method = spec.method
-		resp, reused, err := c.doOnce(ctx, host, req, originHost)
+		resp, replayable, err := c.doOnce(ctx, host, spec, req, originHost)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
-		if attempt > 0 || !reused || ctx.Err() != nil {
+		if attempt > 0 || !replayable || ctx.Err() != nil {
 			return nil, lastErr
 		}
 		// The replay is about to happen; count it only now.

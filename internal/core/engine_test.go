@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"godavix/internal/httpserv"
+	"godavix/internal/obs"
 	"godavix/internal/s3"
 	"godavix/internal/storage"
 )
@@ -30,22 +31,76 @@ func startRecordingServer(t *testing.T, e *testEnv, addr string, opts httpserv.O
 	return &seen
 }
 
+// redirectOps are the operations the engine's redirect policies are held
+// to: a GET, rebuilt for every hop, and a streaming PUT, whose one-shot body
+// rides every hop unread. Each moves body to or from host/path; label is
+// its Metrics.Ops key.
+var redirectOps = []struct {
+	label string
+	run   func(ctx context.Context, c *Client, host, path string, body []byte) error
+}{
+	{"GET", func(ctx context.Context, c *Client, host, path string, body []byte) error {
+		got, err := c.Get(ctx, host, path)
+		if err == nil && !bytes.Equal(got, body) {
+			err = fmt.Errorf("got %q, want %q", got, body)
+		}
+		return err
+	}},
+	{"PUT(stream)", func(ctx context.Context, c *Client, host, path string, body []byte) error {
+		return c.PutReader(ctx, host, path, bytes.NewBuffer(body), int64(len(body)))
+	}},
+}
+
+// opEnv is newEnv with a trace that logs every operation's start and done.
+func opEnv(t *testing.T, opts Options) (*testEnv, *eventLog) {
+	log := &eventLog{}
+	opts.Trace = &obs.ClientTrace{
+		OpStart: func(op, _, _ string) { log.add("start " + op + ";") },
+		OpDone:  func(op, _, _ string, _ time.Duration, _ error) { log.add("done " + op + ";") },
+	}
+	return newEnv(t, opts), log
+}
+
+// checkOneOp asserts that exactly one operation labelled op ran: one
+// Metrics.Ops observation, one OpStart and one OpDone.
+func checkOneOp(t *testing.T, e *testEnv, log *eventLog, op string) {
+	t.Helper()
+	if n := e.client.Metrics().Ops[op].Count; n != 1 {
+		t.Errorf("Ops[%q].Count = %d, want 1", op, n)
+	}
+	if s, d := log.count("start "+op+";"), log.count("done "+op+";"); s != 1 || d != 1 {
+		t.Errorf("%s: OpStart ×%d, OpDone ×%d, want 1 each", op, s, d)
+	}
+}
+
+// seed stores body on host for a GET to find; a PUT must bring its own.
+func seed(e *testEnv, op, host, path string, body []byte) {
+	if op == "GET" {
+		e.stores[host].Put(path, body)
+	}
+}
+
 // TestRedirectCycleAcrossHosts: an A→B→A 302 cycle must fail fast with
 // ErrRedirectLoop — one request per distinct target, not MaxRedirects hops.
 func TestRedirectCycleAcrossHosts(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, MaxRedirects: 10})
-	startHeadNode(t, e, "a:80", "b:80")
-	startHeadNode(t, e, "b:80", "a:80")
+	for _, op := range redirectOps {
+		t.Run(op.label, func(t *testing.T) {
+			e, log := opEnv(t, Options{Strategy: StrategyNone, MaxRedirects: 10})
+			startHeadNode(t, e, "a:80", "b:80")
+			startHeadNode(t, e, "b:80", "a:80")
 
-	_, err := e.client.Get(context.Background(), "a:80", "/pool/f")
-	if !errors.Is(err, ErrRedirectLoop) {
-		t.Fatalf("err = %v, want ErrRedirectLoop", err)
-	}
-	if got := e.srvs["a:80"].Requests(); got != 1 {
-		t.Fatalf("a:80 saw %d requests, want 1", got)
-	}
-	if got := e.srvs["b:80"].Requests(); got != 1 {
-		t.Fatalf("b:80 saw %d requests, want 1", got)
+			err := op.run(context.Background(), e.client, "a:80", "/pool/f", []byte("data"))
+			if !errors.Is(err, ErrRedirectLoop) {
+				t.Fatalf("err = %v, want ErrRedirectLoop", err)
+			}
+			if got := e.srvs["a:80"].Requests(); got != 1 {
+				t.Fatalf("a:80 saw %d requests, want 1", got)
+			}
+			if got := e.srvs["b:80"].Requests(); got != 1 {
+				t.Fatalf("b:80 saw %d requests, want 1", got)
+			}
+			checkOneOp(t, e, log, op.label)
+		})
 	}
 }
 
@@ -53,53 +108,67 @@ func TestRedirectCycleAcrossHosts(t *testing.T) {
 // to the host the caller addressed; a redirect hop to a different host (the
 // head node bouncing to a neighbouring disk node) must not receive them.
 func TestCrossHostRedirectDropsAuthorization(t *testing.T) {
-	e := newEnv(t, Options{
-		Strategy: StrategyNone,
-		Auth:     &Credentials{Bearer: "wlcg-token-123"},
-	})
-	diskSeen := startRecordingServer(t, e, "disk1:80", httpserv.Options{})
-	headSeen := startRecordingServer(t, e, "head:80", httpserv.Options{
-		Redirect: func(method, p string) (string, bool) {
-			return "http://disk1:80" + p, true
-		},
-	})
-	e.stores["disk1:80"].Put("/pool/f", []byte("data"))
+	for _, op := range redirectOps {
+		t.Run(op.label, func(t *testing.T) {
+			e, log := opEnv(t, Options{
+				Strategy: StrategyNone,
+				Auth:     &Credentials{Bearer: "wlcg-token-123"},
+			})
+			diskSeen := startRecordingServer(t, e, "disk1:80", httpserv.Options{})
+			headSeen := startRecordingServer(t, e, "head:80", httpserv.Options{
+				Redirect: func(method, p string) (string, bool) {
+					return "http://disk1:80" + p, true
+				},
+			})
+			seed(e, op.label, "disk1:80", "/pool/f", []byte("data"))
 
-	got, err := e.client.Get(context.Background(), "head:80", "/pool/f")
-	if err != nil || string(got) != "data" {
-		t.Fatalf("get via redirect: %q err=%v", got, err)
-	}
-	if len(*headSeen) != 1 || (*headSeen)[0] != "Bearer wlcg-token-123" {
-		t.Fatalf("head node auth = %q, want the bearer token", *headSeen)
-	}
-	if len(*diskSeen) != 1 || (*diskSeen)[0] != "" {
-		t.Fatalf("disk node auth = %q, want empty (credential must not cross hosts)", *diskSeen)
+			if err := op.run(context.Background(), e.client, "head:80", "/pool/f", []byte("data")); err != nil {
+				t.Fatalf("%s via redirect: %v", op.label, err)
+			}
+			if got, _, err := e.stores["disk1:80"].Get("/pool/f"); err != nil || string(got) != "data" {
+				t.Fatalf("disk store: %q err=%v", got, err)
+			}
+			if len(*headSeen) != 1 || (*headSeen)[0] != "Bearer wlcg-token-123" {
+				t.Fatalf("head node auth = %q, want the bearer token", *headSeen)
+			}
+			if len(*diskSeen) != 1 || (*diskSeen)[0] != "" {
+				t.Fatalf("disk node auth = %q, want empty (credential must not cross hosts)", *diskSeen)
+			}
+			checkOneOp(t, e, log, op.label)
+		})
 	}
 }
 
 // TestSameHostRedirectKeepsAuthorization: a redirect that stays on the
 // original host (path-level bounce) keeps the credentials.
 func TestSameHostRedirectKeepsAuthorization(t *testing.T) {
-	e := newEnv(t, Options{
-		Strategy: StrategyNone,
-		Auth:     &Credentials{Bearer: "tok"},
-	})
-	seen := startRecordingServer(t, e, "self:80", httpserv.Options{
-		Redirect: func(method, p string) (string, bool) {
-			if p == "/pool/a" {
-				return "http://self:80/pool/b", true
-			}
-			return "", false
-		},
-	})
-	e.stores["self:80"].Put("/pool/b", []byte("data"))
+	for _, op := range redirectOps {
+		t.Run(op.label, func(t *testing.T) {
+			e, log := opEnv(t, Options{
+				Strategy: StrategyNone,
+				Auth:     &Credentials{Bearer: "tok"},
+			})
+			seen := startRecordingServer(t, e, "self:80", httpserv.Options{
+				Redirect: func(method, p string) (string, bool) {
+					if p == "/pool/a" {
+						return "http://self:80/pool/b", true
+					}
+					return "", false
+				},
+			})
+			seed(e, op.label, "self:80", "/pool/b", []byte("data"))
 
-	got, err := e.client.Get(context.Background(), "self:80", "/pool/a")
-	if err != nil || string(got) != "data" {
-		t.Fatalf("get via same-host redirect: %q err=%v", got, err)
-	}
-	if len(*seen) != 2 || (*seen)[0] != "Bearer tok" || (*seen)[1] != "Bearer tok" {
-		t.Fatalf("auth per hop = %q, want the token on both same-host hops", *seen)
+			if err := op.run(context.Background(), e.client, "self:80", "/pool/a", []byte("data")); err != nil {
+				t.Fatalf("%s via same-host redirect: %v", op.label, err)
+			}
+			if got, _, err := e.stores["self:80"].Get("/pool/b"); err != nil || string(got) != "data" {
+				t.Fatalf("store: %q err=%v", got, err)
+			}
+			if len(*seen) != 2 || (*seen)[0] != "Bearer tok" || (*seen)[1] != "Bearer tok" {
+				t.Fatalf("auth per hop = %q, want the token on both same-host hops", *seen)
+			}
+			checkOneOp(t, e, log, op.label)
+		})
 	}
 }
 
@@ -108,37 +177,52 @@ func TestSameHostRedirectKeepsAuthorization(t *testing.T) {
 // the head node and the disk node verify independently.
 func TestS3ResignsPerRedirectHop(t *testing.T) {
 	creds := &s3.Credentials{AccessKey: "AKID1", SecretKey: "topsecret"}
-	e := newEnv(t, Options{Strategy: StrategyNone, S3: creds})
-	e.startServer(t, "disk1:80", httpserv.Options{S3Secrets: s3Secrets})
-	st := storage.NewMemStore()
-	srv := httpserv.New(st, httpserv.Options{
-		S3Secrets: s3Secrets,
-		Redirect: func(method, p string) (string, bool) {
-			return "http://disk1:80" + p, true
-		},
-	})
-	l, err := e.net.Listen("head:80")
-	if err != nil {
-		t.Fatal(err)
+	uploads := []struct {
+		label string
+		run   func(ctx context.Context, c *Client, host, path string, body []byte) error
+	}{
+		{"PUT", func(ctx context.Context, c *Client, host, path string, body []byte) error {
+			return c.Put(ctx, host, path, body)
+		}},
+		redirectOps[1],
 	}
-	t.Cleanup(func() { l.Close() })
-	go srv.Serve(l)
-	e.srvs["head:80"] = srv
+	for _, up := range uploads {
+		t.Run(up.label, func(t *testing.T) {
+			e, log := opEnv(t, Options{Strategy: StrategyNone, S3: creds})
+			e.startServer(t, "disk1:80", httpserv.Options{S3Secrets: s3Secrets})
+			st := storage.NewMemStore()
+			srv := httpserv.New(st, httpserv.Options{
+				S3Secrets: s3Secrets,
+				Redirect: func(method, p string) (string, bool) {
+					return "http://disk1:80" + p, true
+				},
+			})
+			l, err := e.net.Listen("head:80")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			go srv.Serve(l)
+			e.srvs["head:80"] = srv
 
-	ctx := context.Background()
-	// PUT through the redirect: both hops verify their own-host signature.
-	if err := e.client.Put(ctx, "head:80", "/pool/obj", []byte("signed")); err != nil {
-		t.Fatalf("signed put via redirect: %v", err)
-	}
-	got, err := e.client.Get(ctx, "head:80", "/pool/obj")
-	if err != nil || string(got) != "signed" {
-		t.Fatalf("signed get via redirect: %q err=%v", got, err)
-	}
-	// A signature minted for the head node must not verify on the disk
-	// node: prove the disk node actually checks by sending it the wrong
-	// host's signature directly.
-	if _, err := e.client.Get(ctx, "disk1:80", "/pool/obj"); err != nil {
-		t.Fatalf("direct signed get: %v", err)
+			ctx := context.Background()
+			// PUT through the redirect: both hops verify their own-host
+			// signature.
+			if err := up.run(ctx, e.client, "head:80", "/pool/obj", []byte("signed")); err != nil {
+				t.Fatalf("signed %s via redirect: %v", up.label, err)
+			}
+			checkOneOp(t, e, log, up.label)
+			got, err := e.client.Get(ctx, "head:80", "/pool/obj")
+			if err != nil || string(got) != "signed" {
+				t.Fatalf("signed get via redirect: %q err=%v", got, err)
+			}
+			// A signature minted for the head node must not verify on the
+			// disk node: prove the disk node actually checks by sending it
+			// the wrong host's signature directly.
+			if _, err := e.client.Get(ctx, "disk1:80", "/pool/obj"); err != nil {
+				t.Fatalf("direct signed get: %v", err)
+			}
+		})
 	}
 }
 

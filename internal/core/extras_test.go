@@ -85,17 +85,39 @@ func TestRedirectFollowedForPutAndRanges(t *testing.T) {
 	}
 }
 
+// TestRedirectLoopDetected: a head node redirecting to itself is caught on
+// the first revisit, not after burning the whole MaxRedirects budget; a
+// chain of distinct hops longer than MaxRedirects is cut at the cap.
 func TestRedirectLoopDetected(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, MaxRedirects: 3})
-	// head redirects to itself forever: detected on the first revisit, not
-	// after burning the whole MaxRedirects budget.
-	startHeadNode(t, e, "loop:80", "loop:80")
-	_, err := e.client.Get(context.Background(), "loop:80", "/pool/f")
-	if !errors.Is(err, ErrRedirectLoop) {
-		t.Fatalf("err = %v", err)
+	cases := []struct {
+		name  string
+		nodes [][2]string // head node, the node it redirects to
+		want  error
+		saw   map[string]int64 // requests each head node served
+	}{
+		{"self loop", [][2]string{{"loop:80", "loop:80"}}, ErrRedirectLoop, map[string]int64{"loop:80": 1}},
+		{"hop cap", [][2]string{{"a:80", "b:80"}, {"b:80", "c:80"}, {"c:80", "d:80"}, {"d:80", "e:80"}},
+			ErrTooManyRedirects, map[string]int64{"a:80": 1, "b:80": 1, "c:80": 1, "d:80": 1}},
 	}
-	if got := e.srvs["loop:80"].Requests(); got != 1 {
-		t.Fatalf("server saw %d requests, want 1 (fail fast on the cycle)", got)
+	for _, tc := range cases {
+		for _, op := range redirectOps {
+			t.Run(tc.name+"/"+op.label, func(t *testing.T) {
+				e, log := opEnv(t, Options{Strategy: StrategyNone, MaxRedirects: 3})
+				for _, n := range tc.nodes {
+					startHeadNode(t, e, n[0], n[1])
+				}
+				err := op.run(context.Background(), e.client, tc.nodes[0][0], "/pool/f", []byte("data"))
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				for host, want := range tc.saw {
+					if got := e.srvs[host].Requests(); got != want {
+						t.Errorf("%s saw %d requests, want %d", host, got, want)
+					}
+				}
+				checkOneOp(t, e, log, op.label)
+			})
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"hash"
 	"hash/adler32"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 
 	"godavix/internal/digest"
 	"godavix/internal/obs"
-	"godavix/internal/pool"
 	"godavix/internal/wire"
 )
 
@@ -32,12 +30,6 @@ const defaultUploadParallelism = 4
 // its round trip costs O(RTT), not O(chunk), keeping the serial prefix of
 // the upload negligible.
 const uploadProbeLen = 64 << 10
-
-// expectContinueWait bounds how long a streaming PUT waits for the
-// server's 100 Continue before sending the body anyway — RFC 9110
-// §10.1.1 requires not waiting indefinitely, since servers may omit the
-// interim response entirely. Matches net/http's default.
-const expectContinueWait = time.Second
 
 // newUploadID mints the X-Upload-Id chunked uploads carry so the server
 // can keep concurrent uploads to the same path in separate assemblies.
@@ -113,10 +105,12 @@ func (c *Client) finishPut(resp *Response, host, path string, size int64, checks
 }
 
 // PutReader streams size bytes from r to host/path without materializing
-// the body: the upload is sent with Expect: 100-continue, so head-node
+// the body: the engine sends it behind Expect: 100-continue, so head-node
 // redirects arrive before any body byte leaves the client and the
 // (non-seekable) reader is never consumed by an aborted hop. size < 0
 // streams with chunked transfer encoding for sources of unknown length.
+// The upload gets every engine rule — cancellation, host health, credential
+// scoping across hops — except retries: its body cannot be read twice.
 //
 // A file-backed r of useful size on a plain-TCP connection is handed to
 // the kernel sendfile path — the payload never crosses userspace (see
@@ -132,26 +126,25 @@ func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, 
 	}
 	body := r
 	var h hash.Hash32
-	if c.opts.VerifyTransfers {
+	if c.opts.VerifyTransfers && size > 0 {
 		h = adler32.New()
 		body = io.TeeReader(r, h)
 	}
-	resp, err := c.putStream(ctx, host, path, body, size)
-	if err != nil {
-		return err
-	}
-	checksum, echoed := "", ""
-	if h != nil && size > 0 {
-		checksum = fmt.Sprintf("adler32:%08x", h.Sum32())
-		echoed = resp.Header.Get("Digest")
-	}
-	if _, err = c.finishPut(resp, host, path, size, checksum); err != nil {
-		return err
-	}
-	if h != nil && size > 0 {
+	return c.exec(ctx, host, path, specPutStream, func(hst, p string) *wire.Request {
+		req := wire.NewRequest("PUT", hst, p)
+		req.Body, req.ContentLength = body, size
+		return req
+	}, func(_ Replica, resp *Response) error {
+		if h == nil {
+			_, err := c.finishPut(resp, host, path, size, "")
+			return err
+		}
+		echoed := resp.Header.Get("Digest")
+		if _, err := c.finishPut(resp, host, path, size, fmt.Sprintf("adler32:%08x", h.Sum32())); err != nil {
+			return err
+		}
 		return c.checkStoredDigest(path, size, h.Sum32(), echoed)
-	}
-	return nil
+	})
 }
 
 // checkStoredDigest closes a verified upload's integrity loop at zero extra
@@ -174,171 +167,6 @@ func (c *Client) checkStoredDigest(path string, size int64, sent uint32, echoed 
 	}
 	c.metrics.transfersVerified.Add(1)
 	return nil
-}
-
-// putStream drives the Expect: 100-continue upload across redirect hops.
-// The interim-verdict flow cannot ride exec (the body must be held back
-// until the server speaks), so the chain applies the same hop policies
-// itself: hop cap, loop detection, per-hop health recording, and — via
-// prepare's authHost scoping — no credential forwarding to cross-host hops.
-func (c *Client) putStream(ctx context.Context, host, path string, body io.Reader, size int64) (resp *Response, err error) {
-	start := time.Now()
-	origin, originPath := host, path
-	c.trace.EmitOpStart("PUT(stream)", origin, originPath)
-	defer func() {
-		d := time.Since(start)
-		c.metrics.observe("PUT(stream)", d)
-		c.trace.EmitOpDone("PUT(stream)", origin, originPath, d, err)
-	}()
-	tracker := hopTracker{max: c.opts.MaxRedirects}
-	for {
-		var redirect string
-		resp, redirect, err = c.putStreamOnce(ctx, origin, host, path, body, size)
-		c.recordHealth(host, err)
-		if err != nil {
-			return nil, err
-		}
-		if redirect == "" {
-			return resp, nil
-		}
-		c.metrics.redirects.Add(1)
-		c.trace.EmitRedirect("PUT(stream)", host, redirect)
-		host, path, err = tracker.follow(host, path, redirect)
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// putStreamOnce performs one hop of a streaming PUT: headers first, then —
-// after the server's 100 Continue, or after expectContinueWait if the
-// server never speaks (RFC 9110 allows omitting the interim) — the body.
-// A redirect or refusal before the body leaves the reader untouched, so
-// the caller can replay it against the next target; an immediate final
-// 2xx (a server accepting without the body) is returned as the response.
-// The returned redirect is the Location of a 3xx interim verdict.
-// originHost scopes Bearer/Basic credentials to the chain's first host.
-func (c *Client) putStreamOnce(ctx context.Context, originHost, host, path string, body io.Reader, size int64) (*Response, string, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := c.pool.Get(ctx, host)
-		if err != nil {
-			return nil, "", err
-		}
-		reused := conn.Uses() > 1
-		c.trace.EmitConnAcquired(host, reused)
-
-		req := wire.NewRequest("PUT", host, path)
-		req.Body = body
-		req.ContentLength = size
-		req.Header.Set("Expect", "100-continue")
-		c.prepare(req, originHost)
-		c.metrics.requests.Add(1)
-		c.trace.EmitRequest("PUT", host, path)
-		if err := c.applyDeadline(ctx, conn); err != nil {
-			c.pool.Discard(conn)
-			return nil, "", err
-		}
-
-		// Write headers, then wait — boundedly — for the server to speak.
-		// Peek consumes nothing, so a silent server cannot desync the
-		// stream: on timeout we simply proceed to the body.
-		var interim *wire.Response
-		err = req.WriteHeader(conn.NetConn())
-		if err == nil {
-			if perr := c.awaitInterim(ctx, conn); perr == nil {
-				interim, err = wire.ReadResponse(conn.Reader(), "PUT")
-			} else if !isTimeout(perr) {
-				err = perr
-			}
-		}
-		if err != nil {
-			c.pool.Discard(conn)
-			lastErr = fmt.Errorf("davix: streaming PUT: %w", err)
-			// The body has not been touched, so a stale recycled
-			// connection justifies one transparent retry, like Do.
-			if attempt > 0 || !reused || ctx.Err() != nil {
-				break
-			}
-			// The replay is about to happen; count it only now.
-			c.metrics.retries.Add(1)
-			c.trace.EmitRetry("PUT(stream)", host, 1, lastErr)
-			continue
-		}
-
-		if interim != nil && interim.StatusCode != 100 {
-			// A final verdict before the body was sent. The server may
-			// still believe size bytes are coming on this connection, so
-			// it must never be recycled.
-			if interim.StatusCode/100 == 2 {
-				// Accepted without wanting the body (legal per RFC 9110).
-				interim.KeepAlive = false // forces Close to discard conn
-				return &Response{Response: interim, conn: conn, client: c}, "", nil
-			}
-			code, status := interim.StatusCode, interim.Status
-			loc := interim.Header.Get("Location")
-			c.pool.Discard(conn)
-			if isRedirect(code) {
-				if loc == "" {
-					return nil, "", fmt.Errorf("davix: redirect %d without Location from %s", code, host)
-				}
-				return nil, loc, nil
-			}
-			return nil, "", &StatusError{Code: code, Status: status, Method: "PUT", Path: path}
-		}
-
-		// 100 Continue (or a silent server): stream the body, then read
-		// the real response, skipping any late interim.
-		bp := obs.PathPooled
-		if req.DirectBody(conn.NetConn()) && kernelEligible(conn.NetConn()) {
-			bp = obs.PathKernel
-		}
-		if err := req.WriteBody(conn.NetConn()); err != nil {
-			c.pool.Discard(conn)
-			return nil, "", fmt.Errorf("davix: streaming PUT body: %w", err)
-		}
-		c.recordBytePath(obs.Up, path, bp, size)
-		final, err := wire.ReadResponse(conn.Reader(), "PUT")
-		for err == nil && final.StatusCode == 100 {
-			final, err = wire.ReadResponse(conn.Reader(), "PUT")
-		}
-		if err != nil {
-			c.pool.Discard(conn)
-			return nil, "", fmt.Errorf("davix: streaming PUT response: %w", err)
-		}
-		return &Response{Response: final, conn: conn, client: c}, "", nil
-	}
-	return nil, "", lastErr
-}
-
-// awaitInterim waits up to expectContinueWait (bounded further by the
-// connection's standing deadline) for the first byte of the server's
-// interim response, without consuming it. A timeout return means the
-// server stayed silent and the caller should send the body.
-func (c *Client) awaitInterim(ctx context.Context, conn *pool.Conn) error {
-	if conn.Reader().Buffered() > 0 {
-		return nil
-	}
-	nc := conn.NetConn()
-	wait := time.Now().Add(expectContinueWait)
-	if standing := c.deadlineFor(ctx); !standing.IsZero() && standing.Before(wait) {
-		wait = standing
-	}
-	if err := nc.SetReadDeadline(wait); err != nil {
-		return err
-	}
-	_, err := conn.Reader().Peek(1)
-	// Restore the standing deadline whatever happened.
-	if derr := c.applyDeadline(ctx, conn); derr != nil && err == nil {
-		err = derr
-	}
-	return err
-}
-
-// isTimeout reports whether err is an I/O deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // UploadMultiStream stores size bytes from src at host/path by splitting

@@ -762,3 +762,225 @@ func TestPutReaderImmediateFinal2xx(t *testing.T) {
 		t.Fatalf("PutReader against early-2xx server: %v", err)
 	}
 }
+
+// hushServer accepts connections on a netsim listener, reads each request's
+// headers and then never answers: it swallows whatever body follows and
+// holds the connection for 10s, a gateway's stall guard, before cutting it.
+func hushServer(t *testing.T, e *testEnv, addr string) {
+	t.Helper()
+	l, err := e.net.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					line, err := br.ReadString('\n')
+					if err != nil || line == "\r\n" {
+						break
+					}
+				}
+				c.SetReadDeadline(time.Now().Add(10 * time.Second))
+				io.Copy(io.Discard, br)
+			}(conn)
+		}
+	}()
+}
+
+// TestPutReaderHonoursCancel: a streaming PUT to a server that read its
+// headers and went silent ends when the caller's context does, and reports
+// the context's own error — not the request timeout, not the i/o timeout a
+// deadline manufactured — for a body that fits a socket buffer and one that
+// does not.
+func TestPutReaderHonoursCancel(t *testing.T) {
+	bg := context.Background()
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(bg)
+			time.AfterFunc(100*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled},
+		{"timeout", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(bg, 100*time.Millisecond)
+		}, context.DeadlineExceeded},
+	}
+	for _, size := range []int{8 << 10, 8 << 20} {
+		blob := uploadBlob(size, 65)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/%dKiB", tc.name, size>>10), func(t *testing.T) {
+				e := newEnv(t, Options{Strategy: StrategyNone})
+				hushServer(t, e, "hush:80")
+				ctx, cancel := tc.ctx()
+				defer cancel()
+				start := time.Now()
+				err := e.client.PutReader(ctx, "hush:80", "/f", bytes.NewBuffer(blob), int64(size))
+				if took := time.Since(start); took > time.Second {
+					t.Errorf("PutReader returned after %v, want < 1s", took)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// reapingListener keeps the server side of every connection it accepts, so
+// a test can close them all at once: a gateway reaping idle keep-alive
+// sessions behind the client's back.
+type reapingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *reapingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *reapingListener) reap() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
+}
+
+// TestPutReaderReplayRule: a streaming PUT's body can be read only once.
+// A recycled connection that turns out dead before any of it was read is
+// replayed on a fresh one, like any other request; one that dies after the
+// body started leaving its source surfaces the error, and so does a
+// redirect that arrives only after the body went out — neither re-sends.
+func TestPutReaderReplayRule(t *testing.T) {
+	blob := uploadBlob(256<<10, 66)
+	ctx := context.Background()
+
+	t.Run("closed while idle", func(t *testing.T) {
+		e := newEnv(t, Options{Strategy: StrategyNone})
+		srv := httpserv.New(storage.NewMemStore(), httpserv.Options{})
+		l, err := e.net.Listen(dpm1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl := &reapingListener{Listener: l}
+		t.Cleanup(func() { l.Close() })
+		go srv.Serve(rl)
+		if err := e.client.Put(ctx, dpm1, "/warm", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		rl.reap()
+
+		cr := &countingReader{r: bytes.NewBuffer(blob)}
+		if err := e.client.PutReader(ctx, dpm1, "/f", cr, int64(len(blob))); err != nil {
+			t.Fatal(err)
+		}
+		if cr.n != int64(len(blob)) {
+			t.Fatalf("reader consumed %d bytes, want %d (drained once)", cr.n, len(blob))
+		}
+		if m := e.client.Metrics(); m.Retries != 1 {
+			t.Fatalf("Retries = %d, want 1 (the replay on a fresh conn)", m.Retries)
+		}
+		if puts := srv.RequestsByMethod("PUT"); puts != 2 {
+			t.Fatalf("server PUTs = %d, want 2 (the warm-up and the replayed upload)", puts)
+		}
+	})
+
+	t.Run("cut mid-body", func(t *testing.T) {
+		e := newEnv(t, Options{Strategy: StrategyNone})
+		e.startServer(t, dpm1, httpserv.Options{})
+		// The first connection carries the warm-up PUT, is recycled, and
+		// dies on the first large write after it: a body piece.
+		cut := &tamperDialer{inner: e.net, onWrite: func(conn int, before int64, p []byte) ([]byte, bool) {
+			if conn == 1 && before > 0 && len(p) >= 16<<10 {
+				return p[:len(p)/2], true
+			}
+			return p, false
+		}}
+		opts := Options{Strategy: StrategyNone, Dialer: cut}
+		c, err := NewClient(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Put(ctx, dpm1, "/warm", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+
+		cr := &countingReader{r: bytes.NewBuffer(blob)}
+		if err := c.PutReader(ctx, dpm1, "/f", cr, int64(len(blob))); err == nil {
+			t.Fatal("PutReader succeeded over a connection cut mid-body")
+		}
+		if cr.n == 0 || cr.n > int64(len(blob)) {
+			t.Fatalf("reader consumed %d bytes, want some of one pass of %d", cr.n, len(blob))
+		}
+		if m := c.Metrics(); m.Retries != 0 {
+			t.Fatalf("Retries = %d, want 0 (a read body is never re-sent)", m.Retries)
+		}
+		if dials := e.net.Dials(); dials != 1 {
+			t.Fatalf("dials = %d, want 1 (no replay connection)", dials)
+		}
+		if _, _, err := e.stores[dpm1].Get("/f"); err == nil {
+			t.Fatal("a cut upload was committed")
+		}
+	})
+
+	t.Run("redirected after the body", func(t *testing.T) {
+		e := newEnv(t, Options{Strategy: StrategyNone})
+		e.startServer(t, "disk1:80", httpserv.Options{})
+		l, err := e.net.Listen("late:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		// Asks for the body, takes all of it, and only then redirects.
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			br := bufio.NewReader(c)
+			for {
+				line, err := br.ReadString('\n')
+				if err != nil || line == "\r\n" {
+					break
+				}
+			}
+			c.Write([]byte("HTTP/1.1 100 Continue\r\n\r\n"))
+			io.CopyN(io.Discard, br, int64(len(blob)))
+			c.Write([]byte("HTTP/1.1 302 Found\r\nLocation: http://disk1:80/f\r\nContent-Length: 0\r\n\r\n"))
+		}()
+
+		cr := &countingReader{r: bytes.NewBuffer(blob)}
+		err = e.client.PutReader(ctx, "late:80", "/f", cr, int64(len(blob)))
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != 302 {
+			t.Fatalf("err = %v, want the 302 as a StatusError", err)
+		}
+		if cr.n != int64(len(blob)) {
+			t.Fatalf("reader consumed %d bytes, want %d (one pass)", cr.n, len(blob))
+		}
+		if puts := e.srvs["disk1:80"].RequestsByMethod("PUT"); puts != 0 {
+			t.Fatalf("disk node PUTs = %d, want 0 (a read body is never re-sent)", puts)
+		}
+	})
+}
