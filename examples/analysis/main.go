@@ -8,9 +8,12 @@
 // request per window) to reproduce the paper's published gap. The HTTP
 // path is no longer limited to that: over bench.HTTPSourcePipelined, a
 // TreeCache built with a depth (rootio.NewTreeCacheDepth or
-// NewTrainingCacheDepth) pipelines that many upcoming windows as
-// cancellable background vectored reads — `davix-bench -experiment
+// NewTrainingCacheDepth) keeps that many upcoming windows in flight as
+// cancellable background vectored reads, ⌊(depth+1)/2⌋ windows to a
+// request, and fetches every basket once — `davix-bench -experiment
 // analysis` measures that configuration against the xrootd baseline.
+// The fill counts printed below are requests: here, at depth 0 and at the
+// xrootd path's automatic depth 1, one per window.
 //
 // Run with: go run ./examples/analysis
 package main

@@ -83,6 +83,10 @@ type Metrics struct {
 	// matched on resume (those chunks were re-fetched, never trusted).
 	ResumedBytes         int64
 	ResumeVerifyFailures int64
+	// UploadsFellBackSerial counts chunked uploads the destination refused
+	// ranged PUTs for, which then went out as one whole-body PUT instead —
+	// the degraded, single-stream outcome of a multi-stream upload.
+	UploadsFellBackSerial int64
 	// Ops maps an operation label ("GET", "PUT(range)", "PROPFIND", ...)
 	// to its latency distribution as experienced by the caller: one entry
 	// per engine execution, retries and failover included.
@@ -159,6 +163,7 @@ type metrics struct {
 	hedgesIssued, hedgeWins, hedgeWastedBytes             atomic.Int64
 	prefetchIssued, prefetchBytes, prefetchCancelled      atomic.Int64
 	resumedBytes, resumeVerifyFailures                    atomic.Int64
+	uploadsFellBackSerial                                 atomic.Int64
 	ops                                                   sync.Map // string -> *opHist
 }
 
@@ -179,28 +184,29 @@ func (m *metrics) observe(op string, d time.Duration) {
 // snapshot renders the public view.
 func (m *metrics) snapshot() Metrics {
 	s := Metrics{
-		Requests:             m.requests.Load(),
-		Retries:              m.retries.Load(),
-		Redirects:            m.redirects.Load(),
-		Failovers:            m.failovers.Load(),
-		BreakerTrips:         m.breakerTrips.Load(),
-		BytesUp:              m.bytesUp.Load(),
-		BytesDown:            m.bytesDown.Load(),
-		KernelBytesUp:        m.kernelBytesUp.Load(),
-		KernelBytesDown:      m.kernelBytesDown.Load(),
-		PooledBytesUp:        m.pooledBytesUp.Load(),
-		PooledBytesDown:      m.pooledBytesDown.Load(),
-		TransfersVerified:    m.transfersVerified.Load(),
-		ChecksumMismatches:   m.checksumMismatches.Load(),
-		HedgesIssued:         m.hedgesIssued.Load(),
-		HedgeWins:            m.hedgeWins.Load(),
-		HedgeWastedBytes:     m.hedgeWastedBytes.Load(),
-		PrefetchIssued:       m.prefetchIssued.Load(),
-		PrefetchBytes:        m.prefetchBytes.Load(),
-		PrefetchCancelled:    m.prefetchCancelled.Load(),
-		ResumedBytes:         m.resumedBytes.Load(),
-		ResumeVerifyFailures: m.resumeVerifyFailures.Load(),
-		Ops:                  map[string]OpStats{},
+		Requests:              m.requests.Load(),
+		Retries:               m.retries.Load(),
+		Redirects:             m.redirects.Load(),
+		Failovers:             m.failovers.Load(),
+		BreakerTrips:          m.breakerTrips.Load(),
+		BytesUp:               m.bytesUp.Load(),
+		BytesDown:             m.bytesDown.Load(),
+		KernelBytesUp:         m.kernelBytesUp.Load(),
+		KernelBytesDown:       m.kernelBytesDown.Load(),
+		PooledBytesUp:         m.pooledBytesUp.Load(),
+		PooledBytesDown:       m.pooledBytesDown.Load(),
+		TransfersVerified:     m.transfersVerified.Load(),
+		ChecksumMismatches:    m.checksumMismatches.Load(),
+		HedgesIssued:          m.hedgesIssued.Load(),
+		HedgeWins:             m.hedgeWins.Load(),
+		HedgeWastedBytes:      m.hedgeWastedBytes.Load(),
+		PrefetchIssued:        m.prefetchIssued.Load(),
+		PrefetchBytes:         m.prefetchBytes.Load(),
+		PrefetchCancelled:     m.prefetchCancelled.Load(),
+		ResumedBytes:          m.resumedBytes.Load(),
+		ResumeVerifyFailures:  m.resumeVerifyFailures.Load(),
+		UploadsFellBackSerial: m.uploadsFellBackSerial.Load(),
+		Ops:                   map[string]OpStats{},
 	}
 	m.ops.Range(func(k, v any) bool {
 		h := v.(*opHist)

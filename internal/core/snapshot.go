@@ -60,6 +60,7 @@ func (s Snapshot) Expo() obs.Snapshot {
 		{Name: "prefetch_cancelled_total", Help: "Speculative fetches cancelled mid-flight (pattern jump, retrain, shutdown).", Value: s.Engine.PrefetchCancelled},
 		{Name: "resumed_bytes_total", Help: "Bytes proven intact against a checkpoint journal and skipped on resume.", Value: s.Engine.ResumedBytes},
 		{Name: "resume_verify_failures_total", Help: "Journaled chunks whose digest no longer matched on resume and were re-fetched.", Value: s.Engine.ResumeVerifyFailures},
+		{Name: "uploads_fell_back_serial_total", Help: "Chunked uploads refused ranged PUTs and sent as one whole-body PUT instead.", Value: s.Engine.UploadsFellBackSerial},
 		{Name: "cache_hits_total", Help: "Blocks served from the in-memory cache.", Value: s.Cache.Hits},
 		{Name: "cache_misses_total", Help: "Blocks a demand read had to fetch.", Value: s.Cache.Misses},
 		{Name: "cache_evictions_total", Help: "Blocks dropped to make room at capacity.", Value: s.Cache.Evictions},

@@ -284,6 +284,8 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			// The serial fallback does not journal and commits in one
 			// request — an old journal would only mislead a later resume.
 			led.close(false)
+			c.metrics.uploadsFellBackSerial.Add(1)
+			c.trace.EmitUploadFellBackSerial(path, err)
 			return fallback()
 		}
 		led.close(true)

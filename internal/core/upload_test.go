@@ -18,6 +18,7 @@ import (
 
 	"godavix/internal/httpserv"
 	"godavix/internal/netsim"
+	"godavix/internal/obs"
 	"godavix/internal/pool"
 	"godavix/internal/storage"
 )
@@ -321,6 +322,56 @@ func TestUploadFallsBackWhenRangedPutUnsupported(t *testing.T) {
 	if puts := e.srvs[dpm1].RequestsByMethod("PUT"); puts != 2 {
 		t.Fatalf("server PUTs = %d, want 2 (probe + fallback)", puts)
 	}
+}
+
+// TestUploadSerialFallbackIsCounted: a multi-stream upload that a gateway
+// rejecting ranged PUTs degrades to one whole-body PUT is visible — once in
+// the engine counter, the Snapshot and its exposition, and once as a trace
+// event carrying the refusal — while a healthy chunked upload leaves all
+// of them alone.
+func TestUploadSerialFallbackIsCounted(t *testing.T) {
+	var events []error
+	var mu sync.Mutex
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4,
+		Trace: &obs.ClientTrace{UploadFellBackSerial: func(path string, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if path != "/fb" {
+				t.Errorf("fallback reported for %q", path)
+			}
+			events = append(events, err)
+		}}})
+	e.startServer(t, dpm1, httpserv.Options{DisableRangedPut: true})
+	e.startServer(t, "dpm2:80", httpserv.Options{})
+	blob := uploadBlob(64<<10, 41)
+	ctx := context.Background()
+
+	if err := e.client.UploadMultiStream(ctx, "dpm2:80", "/ok", bytes.NewReader(blob), int64(len(blob))); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.client.Metrics().UploadsFellBackSerial; n != 0 || len(events) != 0 {
+		t.Fatalf("chunked upload counted as a fallback: counter %d, %d trace events", n, len(events))
+	}
+	if err := e.client.UploadMultiStream(ctx, dpm1, "/fb", bytes.NewReader(blob), int64(len(blob))); err != nil {
+		t.Fatal(err)
+	}
+	s := e.client.Snapshot()
+	if s.Engine.UploadsFellBackSerial != 1 {
+		t.Fatalf("UploadsFellBackSerial = %d, want 1", s.Engine.UploadsFellBackSerial)
+	}
+	var se *StatusError
+	if len(events) != 1 || !errors.As(events[0], &se) || se.Code != 400 {
+		t.Fatalf("trace events %v, want one carrying the gateway's 400", events)
+	}
+	for _, c := range s.Expo().Counters {
+		if c.Name == "uploads_fell_back_serial_total" {
+			if c.Value != 1 {
+				t.Fatalf("exposed counter = %d, want 1", c.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("uploads_fell_back_serial_total missing from the exposition")
 }
 
 // bufWriterAt is an in-memory io.WriterAt tolerating concurrent disjoint

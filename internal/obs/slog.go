@@ -91,5 +91,8 @@ func SlogTrace(l *slog.Logger) *ClientTrace {
 				"resumed_bytes", resumed, "verified_chunks", verified,
 				"failed_chunks", failed)
 		},
+		UploadFellBackSerial: func(path string, err error) {
+			l.Warn("davix upload fell back to serial", "path", path, "err", err)
+		},
 	}
 }

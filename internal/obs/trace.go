@@ -130,6 +130,11 @@ type ClientTrace struct {
 	// journal records accepted, and failed the records whose digest no
 	// longer matched (those chunks are re-fetched).
 	Resume func(dir Direction, path string, resumed int64, verified, failed int)
+
+	// UploadFellBackSerial fires when the destination refuses the ranged
+	// PUT that probes a chunked upload of path (err is its verdict) and the
+	// upload goes out as one whole-body PUT instead.
+	UploadFellBackSerial func(path string, err error)
 }
 
 // The emit methods below are the engine-facing surface: all are safe on a
@@ -279,6 +284,14 @@ func (t *ClientTrace) EmitResume(dir Direction, path string, resumed int64, veri
 	t.Resume(dir, path, resumed, verified, failed)
 }
 
+// EmitUploadFellBackSerial invokes UploadFellBackSerial if installed.
+func (t *ClientTrace) EmitUploadFellBackSerial(path string, err error) {
+	if t == nil || t.UploadFellBackSerial == nil {
+		return
+	}
+	t.UploadFellBackSerial(path, err)
+}
+
 // Merge composes two traces: every event fires a's hook, then b's. A nil
 // argument contributes nothing; merging with one nil returns the other
 // unchanged (no wrapper cost).
@@ -361,6 +374,10 @@ func Merge(a, b *ClientTrace) *ClientTrace {
 		Resume: func(dir Direction, path string, resumed int64, verified, failed int) {
 			a.EmitResume(dir, path, resumed, verified, failed)
 			b.EmitResume(dir, path, resumed, verified, failed)
+		},
+		UploadFellBackSerial: func(path string, err error) {
+			a.EmitUploadFellBackSerial(path, err)
+			b.EmitUploadFellBackSerial(path, err)
 		},
 	}
 }

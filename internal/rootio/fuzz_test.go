@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -60,6 +61,104 @@ func FuzzInflateBasket(f *testing.F) {
 		want, err := decodeBasket(got)
 		if err != nil || !reflect.DeepEqual(events, want) {
 			t.Fatalf("events differ from decodeBasket of zlib's output (err %v)", err)
+		}
+	})
+}
+
+// FuzzTreeCacheScan holds the window pipeline against Reader.ReadEvent over
+// BytesSource: whatever the window, depth, basket size, branch subset and
+// access pattern — forward steps, jumps either way, branches first read
+// after training — every payload a TreeCache or a TrainingCache returns is
+// the naive read's, and the baskets a TreeCache holds never outgrow the
+// current window plus the lookahead.
+func FuzzTreeCacheScan(f *testing.F) {
+	f.Add(uint16(300), uint8(15), uint16(1), uint8(3), uint8(0b1011), int64(1))   // window 1
+	f.Add(uint16(300), uint8(15), uint16(300), uint8(2), uint8(0b0110), int64(2)) // window = events
+	f.Add(uint16(200), uint8(255), uint16(64), uint8(4), uint8(0b1111), int64(3)) // one basket per file
+	f.Add(uint16(399), uint8(63), uint16(100), uint8(0), uint8(0b0001), int64(4))
+	f.Add(uint16(399), uint8(31), uint16(50), uint8(6), uint8(0b1000), int64(5))
+	f.Add(uint16(0), uint8(0), uint16(0), uint8(1), uint8(0), int64(6)) // one event, one per basket
+
+	f.Fuzz(func(t *testing.T, nEvents uint16, perBasket uint8, window uint16, depth uint8, mask uint8, seed int64) {
+		n := int(nEvents%400) + 1
+		const nBranches = 4
+		events := randomEvents(seed, n, nBranches, 16)
+		img := buildFile(t, []string{"a", "b", "c", "d"}, events, WriterOptions{EventsPerBasket: int(perBasket) + 1})
+		ref, err := OpenReader(BytesSource(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sel []int
+		for bi := 0; bi < nBranches; bi++ {
+			if mask&(1<<bi) != 0 {
+				sel = append(sel, bi)
+			}
+		}
+		if sel == nil {
+			sel = []int{int(mask>>4) % nBranches}
+		}
+		w := uint64(window)%uint64(n) + 1
+		d := int(depth % 7)
+		want := func(ev uint64, bi int) []byte {
+			p, err := ref.ReadEvent(ev, []int{bi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p[0]
+		}
+		// next is the access pattern: mostly short forward steps, now and
+		// then a jump anywhere, forward or back.
+		rng := rand.New(rand.NewSource(seed))
+		next := func(ev uint64) uint64 {
+			if rng.Intn(8) == 0 {
+				return uint64(rng.Intn(n))
+			}
+			return (ev + uint64(rng.Intn(int(w)+2))) % uint64(n)
+		}
+		steps := 3*n + 10
+
+		r, err := OpenReader(goSource(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := NewTreeCacheDepth(r, w, sel, d)
+		ev := uint64(0)
+		for i := 0; i < steps; i++ {
+			pos := rng.Intn(len(sel))
+			got, err := tc.Branch(ev, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want(ev, sel[pos])) {
+				t.Fatalf("TreeCache: event %d branch %d differs from ReadEvent", ev, sel[pos])
+			}
+			checkPipelineMemory(t, tc)
+			ev = next(ev)
+		}
+		tc.Close()
+
+		// The TrainingCache starts on the first selected branch and meets
+		// the others one by one, some during training and some after it.
+		r, err = OpenReader(goSource(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTrainingCacheDepth(r, uint64(rng.Intn(n)+1), w, d)
+		defer tr.Close()
+		known, ev := 1, uint64(0)
+		for i := 0; i < steps; i++ {
+			if known < len(sel) && rng.Intn(n) == 0 {
+				known++
+			}
+			bi := sel[rng.Intn(known)]
+			got, err := tr.Branch(ev, bi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want(ev, bi)) {
+				t.Fatalf("TrainingCache: event %d branch %d differs from ReadEvent", ev, bi)
+			}
+			ev = next(ev)
 		}
 	})
 }

@@ -145,78 +145,92 @@ func TestTreeCacheDepthZeroByteForByte(t *testing.T) {
 	}
 }
 
-// TestTreeCachePipelineKeepsWindowsInFlight: a sequential scan at depth 3
-// must hold several window fills in flight at once, read back correctly,
-// and waste nothing.
+// TestTreeCachePipelineKeepsWindowsInFlight: a sequential scan must hold
+// several windows in flight at once, send ⌊(depth+1)/2⌋ windows per
+// request, read back correctly, and waste nothing.
 func TestTreeCachePipelineKeepsWindowsInFlight(t *testing.T) {
 	events := randomEvents(32, 2048, 2, 32)
 	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 64})
 
-	a := &asyncCtxSource{delay: 2 * time.Millisecond}
-	r, err := OpenReader(a.source(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := NewTreeCacheDepth(r, 256, nil, 3)
-	defer tc.Close()
-
-	for ev := uint64(0); ev < 2048; ev++ {
-		got, err := tc.Event(ev)
+	// 8 windows of 256 events; a request carries up to group windows.
+	for _, c := range []struct{ depth, fills int }{{1, 8}, {2, 8}, {3, 4}, {4, 4}, {6, 3}} {
+		a := &asyncCtxSource{delay: 2 * time.Millisecond}
+		r, err := OpenReader(a.source(img))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got[0], events[ev][0]) || !bytes.Equal(got[1], events[ev][1]) {
-			t.Fatalf("event %d mismatch under pipelining", ev)
+		tc := NewTreeCacheDepth(r, 256, nil, c.depth)
+		for ev := uint64(0); ev < 2048; ev++ {
+			got, err := tc.Event(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[0], events[ev][0]) || !bytes.Equal(got[1], events[ev][1]) {
+				t.Fatalf("depth %d: event %d mismatch under pipelining", c.depth, ev)
+			}
+			if n := len(tc.pending); n > c.depth {
+				t.Fatalf("depth %d: %d windows in flight at event %d", c.depth, n, ev)
+			}
 		}
-	}
-	if got := a.maxInFlight(); got < 2 {
-		t.Fatalf("pipeline never overlapped fills: max in flight = %d", got)
-	}
-	if got := tc.Fills(); got != 8 {
-		t.Fatalf("fills = %d, want 8 (each window filled exactly once)", got)
-	}
-	issued, wasted, cancelled := tc.PrefetchStats()
-	if issued == 0 {
-		t.Fatal("no speculative bytes issued")
-	}
-	if wasted != 0 || cancelled != 0 {
-		t.Fatalf("sequential scan wasted speculation: wasted=%d cancelled=%d", wasted, cancelled)
+		tc.Close()
+		if got := a.maxInFlight(); got < 2 {
+			t.Fatalf("depth %d: pipeline never overlapped fills: max in flight = %d", c.depth, got)
+		}
+		if got := tc.Fills(); got != int64(c.fills) {
+			t.Fatalf("depth %d: fills = %d, want %d", c.depth, got, c.fills)
+		}
+		issued, wasted, cancelled := tc.PrefetchStats()
+		if issued == 0 {
+			t.Fatalf("depth %d: no speculative bytes issued", c.depth)
+		}
+		if wasted != 0 || cancelled != 0 {
+			t.Fatalf("depth %d: sequential scan wasted speculation: wasted=%d cancelled=%d", c.depth, wasted, cancelled)
+		}
 	}
 }
 
 // TestTreeCacheCancelsFillsOnPatternJump: jumping away from the predicted
-// windows must cancel their in-flight fills and book the bytes as waste.
+// windows must book their bytes as waste and cancel every request none of
+// whose windows is left — a request that carried the window just read is
+// not one.
 func TestTreeCacheCancelsFillsOnPatternJump(t *testing.T) {
 	events := randomEvents(33, 2000, 2, 32)
 	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 64})
 
-	a := &asyncCtxSource{}
-	r, err := OpenReader(a.source(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := NewTreeCacheDepth(r, 200, nil, 2)
-	defer tc.Close()
-
-	if _, err := tc.Event(0); err != nil { // window 0 + fills for windows 1, 2
-		t.Fatal(err)
-	}
-	got, err := tc.Event(1800) // far jump: windows 1, 2 are now dead weight
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[0], events[1800][0]) {
-		t.Fatal("post-jump event mismatch")
-	}
-	issued, wasted, cancelled := tc.PrefetchStats()
-	if cancelled != 2 {
-		t.Fatalf("jump cancelled %d fills, want 2", cancelled)
-	}
-	if wasted == 0 || wasted > issued {
-		t.Fatalf("waste accounting off: issued=%d wasted=%d", issued, wasted)
-	}
-	if got := a.cancelledCtxs(); got != 2 {
-		t.Fatalf("%d fill contexts cancelled, want 2", got)
+	for _, c := range []struct {
+		depth, cancelled int
+		why              string
+	}{
+		{2, 2, "requests {1} and {2}"},
+		{4, 1, "request {2,3}; {0,1} carried window 0"},
+	} {
+		a := &asyncCtxSource{}
+		r, err := OpenReader(a.source(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := NewTreeCacheDepth(r, 200, nil, c.depth)
+		if _, err := tc.Event(0); err != nil { // window 0 + fills for windows 1..3 at most
+			t.Fatal(err)
+		}
+		got, err := tc.Event(1800) // far jump: windows 1..3 are now dead weight
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[0], events[1800][0]) {
+			t.Fatalf("depth %d: post-jump event mismatch", c.depth)
+		}
+		issued, wasted, cancelled := tc.PrefetchStats()
+		if cancelled != int64(c.cancelled) {
+			t.Fatalf("depth %d: jump cancelled %d requests, want %d (%s)", c.depth, cancelled, c.cancelled, c.why)
+		}
+		if wasted == 0 || wasted > issued {
+			t.Fatalf("depth %d: waste accounting off: issued=%d wasted=%d", c.depth, issued, wasted)
+		}
+		if got := a.cancelledCtxs(); got != c.cancelled {
+			t.Fatalf("depth %d: %d fill contexts cancelled, want %d (%s)", c.depth, got, c.cancelled, c.why)
+		}
+		tc.Close()
 	}
 }
 
@@ -224,6 +238,12 @@ func TestTreeCacheCancelsFillsOnPatternJump(t *testing.T) {
 // rebuilds the window cache; the fills in flight for the stale branch set
 // must be cancelled, and the widened set must read correctly afterwards.
 func TestTrainingCacheRetrainCancelsPendingFills(t *testing.T) {
+	for _, depth := range []int{2, 3} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) { retrainCancelsPendingFills(t, depth) })
+	}
+}
+
+func retrainCancelsPendingFills(t *testing.T, depth int) {
 	events := randomEvents(34, 1200, 3, 32)
 	img := buildFile(t, []string{"a", "b", "c"}, events, WriterOptions{EventsPerBasket: 64})
 
@@ -232,7 +252,7 @@ func TestTrainingCacheRetrainCancelsPendingFills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTrainingCacheDepth(r, 50, 200, 2)
+	tr := NewTrainingCacheDepth(r, 50, 200, depth)
 	defer tr.Close()
 
 	// Train on branch 0 only, then read past training so the pipeline
@@ -289,12 +309,14 @@ type gatedSource struct {
 	delivered chan struct{}
 	ungated   func(call int) bool // fetches let straight through, by 1-based ordinal
 	calls     atomic.Int64
+	ctxs      []context.Context // every fetch's, in issue order (fills issue on the caller's goroutine)
 }
 
 func (g *gatedSource) source(img []byte) Source {
 	src := BytesSource(img)
 	read := src.ReadVec
 	src.ReadVecAsyncCtx = func(ctx context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error {
+		g.ctxs = append(g.ctxs, ctx)
 		gate := g.gate
 		if g.ungated(int(g.calls.Add(1))) {
 			gate = nil
@@ -348,81 +370,188 @@ func TestDiscardedFillNeverPublishes(t *testing.T) {
 	events := randomEvents(35, 1600, 3, 256)
 	img := buildFile(t, []string{"a", "b", "c"}, events, WriterOptions{EventsPerBasket: 64})
 
-	for _, landed := range []bool{false, true} {
-		for _, how := range []string{"jump", "retrain", "close"} {
-			t.Run(fmt.Sprintf("%s/landed=%v", how, landed), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				// Fetch 1 is window 0's demand fill, 2 and 3 the fills for
-				// windows 1 and 2 that get retired, 4 the demand fill of
-				// whatever window is entered after that.
-				g := &gatedSource{
-					gate:      make(chan struct{}),
-					delivered: make(chan struct{}, 16), // more than the fetches a scenario gates
-					ungated:   func(call int) bool { return call == 1 || call == 4 },
+	// At depth 2 fetch 1 is window 0's demand fill, 2 and 3 the fills for
+	// windows 1 and 2 that get retired, 4 the demand fill of whatever window
+	// is entered after that. At depth 3 fetch 1 carries windows 0 and 1, 2
+	// carries windows 2 and 3, and 3 is the next demand fill; window 1 is
+	// retired although its bytes are in, and only request 2 is cancelled.
+	for _, c := range []discardCase{
+		{prefix: "", depth: 2, gated: 2, windows: 2, reqs: 2, demandAfter: 4},
+		{prefix: "depth=3/", depth: 3, gated: 1, windows: 3, reqs: 1, demandAfter: 3},
+	} {
+		for _, landed := range []bool{false, true} {
+			for _, how := range []string{"jump", "retrain", "close"} {
+				t.Run(fmt.Sprintf("%s%s/landed=%v", c.prefix, how, landed), func(t *testing.T) {
+					discardedFillNeverPublishes(t, events, img, c, how, landed)
+				})
+			}
+		}
+	}
+}
+
+// discardCase is one depth of TestDiscardedFillNeverPublishes. Once window
+// 0 is entered, windows windows are in flight, carried by gated fetches
+// held at the gate; retiring them cancels reqs requests, and the next
+// demand fill is fetch number demandAfter.
+type discardCase struct {
+	prefix                                   string
+	depth, gated, windows, reqs, demandAfter int
+}
+
+func discardedFillNeverPublishes(t *testing.T, events [][][]byte, img []byte, c discardCase, how string, landed bool) {
+	base := runtime.NumGoroutine()
+	g := &gatedSource{
+		gate:      make(chan struct{}),
+		delivered: make(chan struct{}, 16), // more than the fetches a scenario gates
+		ungated:   func(call int) bool { return call == 1 || call == c.demandAfter },
+	}
+	r, err := OpenReader(g.source(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	branch := func(tr *TrainingCache, ev uint64, bi int) {
+		t.Helper()
+		p, err := tr.Branch(ev, bi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p, events[ev][bi]) {
+			t.Fatalf("event %d branch %d mismatch", ev, bi)
+		}
+	}
+	// Train on branch 0 (synchronous demand reads), then event 10 enters
+	// window 0 of the trained cache.
+	tr := NewTrainingCacheDepth(r, 10, 128, c.depth)
+	for ev := uint64(0); ev <= 10; ev++ {
+		branch(tr, ev, 0)
+	}
+	if n := len(tr.tc.pending); n != c.windows {
+		t.Fatalf("%d windows in flight after entering window 0, want %d", n, c.windows)
+	}
+	want := residentKeys(r)
+	if landed {
+		close(g.gate)
+		for i := 0; i < c.gated; i++ {
+			<-g.delivered
+		}
+	}
+
+	switch how {
+	case "jump":
+		branch(tr, 1500, 0)
+	case "retrain":
+		branch(tr, 11, 2)
+	case "close":
+		tr.Close()
+	}
+	if how != "close" {
+		if want, err = tr.tc.windowKeys(tr.tc.curStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := residentKeys(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resident baskets %v, want exactly the entered window's %v", got, want)
+	}
+	if _, wasted, cancelled := tr.PrefetchStats(); how != "retrain" && (cancelled != int64(c.reqs) || wasted == 0) {
+		t.Fatalf("%d requests booked as cancelled, %d bytes as waste; want %d and some", cancelled, wasted, c.reqs)
+	}
+
+	tr.Close()
+	if got := residentKeys(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Close changed the resident baskets: %v, want %v", got, want)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to base
+// within five seconds: a fill's goroutine outlived its TreeCache.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before the scenario: a fill leaked", n, base)
+	}
+}
+
+// TestGroupedFillCancelledOnlyWithEveryWindow: at depth 3 two windows share
+// one request. Discarding one of them books its bytes as waste but leaves
+// the fetch alive for its sibling; discarding both cancels the shared
+// context exactly once.
+func TestGroupedFillCancelledOnlyWithEveryWindow(t *testing.T) {
+	events := randomEvents(40, 1600, 2, 64)
+	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 64})
+
+	for _, how := range []string{"sibling", "both", "close"} {
+		t.Run(how, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			// Fetch 1 carries windows 0 and 1, fetch 2 windows 2 and 3.
+			g := &gatedSource{
+				gate:      make(chan struct{}),
+				delivered: make(chan struct{}, 16),
+				ungated:   func(call int) bool { return call != 2 },
+			}
+			r, err := OpenReader(g.source(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancelled := func() (n int) {
+				for _, ctx := range g.ctxs {
+					if ctx.Err() != nil {
+						n++
+					}
 				}
-				r, err := OpenReader(g.source(img))
+				return n
+			}
+			tc := NewTreeCacheDepth(r, 100, nil, 3)
+			if _, err := tc.Event(0); err != nil {
+				t.Fatal(err)
+			}
+			if len(g.ctxs) != 2 || len(tc.pending) != 3 {
+				t.Fatalf("%d requests for %d windows in flight after window 0, want 2 for 3", len(g.ctxs), len(tc.pending))
+			}
+			w1, w2 := tc.pendingFor(100).bytes, tc.pendingFor(200).bytes
+
+			var wantCancelled int
+			switch how {
+			case "sibling":
+				// Skip to window 3: windows 1 and 2 are discarded, and the
+				// request carrying 2 must still deliver 3.
+				close(g.gate)
+				got, err := tc.Event(300)
 				if err != nil {
 					t.Fatal(err)
 				}
-				branch := func(tr *TrainingCache, ev uint64, bi int) {
-					t.Helper()
-					p, err := tr.Branch(ev, bi)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(p, events[ev][bi]) {
-						t.Fatalf("event %d branch %d mismatch", ev, bi)
-					}
+				if !bytes.Equal(got[1], events[300][1]) {
+					t.Fatal("window 3 mismatch after its sibling was discarded")
 				}
-				// Train on branch 0 (synchronous demand reads), then event 10
-				// enters window 0 of the trained cache.
-				tr := NewTrainingCacheDepth(r, 10, 128, 2)
-				for ev := uint64(0); ev <= 10; ev++ {
-					branch(tr, ev, 0)
+				if _, wasted, _ := tc.PrefetchStats(); wasted != w1+w2 {
+					t.Fatalf("wasted %d bytes, want windows 1 and 2's %d", wasted, w1+w2)
 				}
-				if n := len(tr.tc.pending); n != 2 {
-					t.Fatalf("%d fills in flight after entering window 0, want 2", n)
+			case "both":
+				// A far jump discards windows 1, 2 and 3: request 2 goes.
+				if _, err := tc.Event(1500); err != nil {
+					t.Fatal(err)
 				}
-				want := residentKeys(r)
-				if landed {
-					close(g.gate)
-					<-g.delivered
-					<-g.delivered
-				}
-
-				switch how {
-				case "jump":
-					branch(tr, 1500, 0)
-				case "retrain":
-					branch(tr, 11, 2)
-				case "close":
-					tr.Close()
-				}
-				if how != "close" {
-					if want, err = tr.tc.windowKeys(tr.tc.curStart); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := residentKeys(r); !reflect.DeepEqual(got, want) {
-					t.Fatalf("resident baskets %v, want exactly the entered window's %v", got, want)
-				}
-				if _, _, cancelled := tr.PrefetchStats(); how != "retrain" && cancelled != 2 {
-					t.Fatalf("%d fills booked as cancelled, want 2", cancelled)
-				}
-
-				tr.Close()
-				if got := residentKeys(r); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Close changed the resident baskets: %v, want %v", got, want)
-				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if n := runtime.NumGoroutine(); n > base {
-					t.Fatalf("%d goroutines after Close, %d before the scenario: a fill leaked", n, base)
-				}
-			})
-		}
+				wantCancelled = 1
+			case "close":
+				tc.Close()
+				wantCancelled = 1
+			}
+			if _, _, n := tc.PrefetchStats(); n != int64(wantCancelled) {
+				t.Fatalf("%d requests booked as cancelled, want %d", n, wantCancelled)
+			}
+			if n := cancelled(); n != wantCancelled {
+				t.Fatalf("%d request contexts cancelled, want %d", n, wantCancelled)
+			}
+			tc.Close()
+			if how == "sibling" && g.ctxs[1].Err() != nil {
+				t.Fatal("Close cancelled the request whose window 3 was read")
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 
@@ -512,5 +641,111 @@ func TestTreeCacheBranchEqualsEvent(t *testing.T) {
 	}
 	if _, err := single.Branch(0, len(sel)); err == nil {
 		t.Fatal("position past the selection accepted")
+	}
+}
+
+// TestWindowPipelineFetchesEachBasketOnce: on the analysis benchmark's
+// dataset, selection and training phase, a pipelined scan requests every
+// basket it touches exactly once, whether windows straddle baskets (100,
+// 1000) or align with them (256) — window 0 is not fetched again after
+// training — and depth 3 ships the 47 windows of 256 events in 24
+// requests. The baskets held, resident or in flight, never outgrow the
+// current window plus the lookahead.
+func TestWindowPipelineFetchesEachBasketOnce(t *testing.T) {
+	img := scanImage(t, 12000)
+	var requested atomic.Int64
+	src := goSource(img)
+	read, readAsync := src.ReadVec, src.ReadVecAsyncCtx
+	count := func(ranges []rangev.Range) {
+		for _, rg := range ranges {
+			requested.Add(rg.Len)
+		}
+	}
+	src.ReadVec = func(ranges []rangev.Range, dsts [][]byte) error {
+		count(ranges)
+		return read(ranges, dsts)
+	}
+	src.ReadVecAsyncCtx = func(ctx context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error {
+		count(ranges)
+		return readAsync(ctx, ranges, dsts)
+	}
+
+	for _, window := range []uint64{100, 256, 1000} {
+		for _, depth := range []int{1, 3} {
+			r, err := OpenReader(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var touched int64
+			for _, bi := range scanBranches {
+				for _, b := range r.idx.Branches[bi].Baskets {
+					touched += b.CompressedSize
+				}
+			}
+			requested.Store(0)
+			tr := NewTrainingCacheDepth(r, 100, window, depth)
+			for ev := uint64(0); ev < r.Events(); ev++ {
+				for _, bi := range scanBranches {
+					p, err := tr.Branch(ev, bi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !VerifyPayload(p, ev, bi) {
+						t.Fatalf("window %d depth %d: event %d branch %d: wrong payload", window, depth, ev, bi)
+					}
+				}
+				if tr.tc != nil && ev == tr.tc.curStart {
+					checkPipelineMemory(t, tr.tc)
+				}
+			}
+			if got := requested.Load(); got != touched {
+				t.Errorf("window %d depth %d: requested %d of %d touched basket bytes (%.2fx), want 1.00x",
+					window, depth, got, touched, float64(got)/float64(touched))
+			}
+			if _, wasted, _ := tr.PrefetchStats(); wasted != 0 {
+				t.Errorf("window %d depth %d: sequential scan wasted %d bytes", window, depth, wasted)
+			}
+			if want := map[int]int64{1: 47, 3: 24}[depth]; window == 256 && tr.Fills() != want {
+				t.Errorf("depth %d: %d fills per job, want %d", depth, tr.Fills(), want)
+			}
+			tr.Close()
+		}
+	}
+}
+
+// checkPipelineMemory fails t unless every basket tc holds — decoded in
+// the reader's cache or owned by an in-flight fill — belongs to the current
+// window or one of the depth windows after it, and tc holds no more of them
+// than those windows have baskets. A sequential scan holds each basket
+// once; after a jump back a kept fill may hold a second copy of one.
+func checkPipelineMemory(t *testing.T, tc *TreeCache) {
+	t.Helper()
+	bound := map[basketKey]bool{}
+	var perWindow int
+	for d := 0; d <= tc.depth; d++ {
+		start := tc.curStart + tc.window*uint64(d)
+		if start >= tc.reader.Events() {
+			break
+		}
+		keys, err := tc.windowKeys(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perWindow += len(keys)
+		for _, k := range keys {
+			bound[k] = true
+		}
+	}
+	held := residentKeys(tc.reader)
+	for _, pf := range tc.pending {
+		held = append(held, pf.keys...)
+	}
+	for _, k := range held {
+		if !bound[k] {
+			t.Fatalf("window at %d, depth %d: holds basket %v of no window in the lookahead", tc.curStart, tc.depth, k)
+		}
+	}
+	if len(held) > perWindow {
+		t.Fatalf("window at %d, depth %d: %d baskets held, the windows have %d", tc.curStart, tc.depth, len(held), perWindow)
 	}
 }

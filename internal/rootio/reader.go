@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -364,12 +365,25 @@ func (r *Reader) ReadEvent(ev uint64, branches []int) ([][]byte, error) {
 	return out, nil
 }
 
-// DropCache clears decoded baskets (used between benchmark iterations and
-// by the TreeCache's window eviction).
-func (r *Reader) DropCache() {
+// evict drops every decoded basket keep does not list — the TreeCache's
+// window eviction, under which a basket stays resident while the entered
+// window needs it.
+func (r *Reader) evict(keep []basketKey) {
 	r.mu.Lock()
-	r.cache = make(map[basketKey][][]byte)
+	for k := range r.cache {
+		if !slices.Contains(keep, k) {
+			delete(r.cache, k)
+		}
+	}
 	r.mu.Unlock()
+}
+
+// resident reports whether basket k is decoded in the cache.
+func (r *Reader) resident(k basketKey) bool {
+	r.mu.Lock()
+	_, ok := r.cache[k]
+	r.mu.Unlock()
+	return ok
 }
 
 // cachedBaskets reports how many decoded baskets are resident.

@@ -126,11 +126,13 @@ func (t *TrainingCache) finishTraining() {
 	t.rebuild()
 }
 
+// rebuild replaces the window cache with one over the learned set. The
+// decoded baskets stay: the new cache's first window keeps those it needs —
+// the ones training or the previous set just decoded — and evicts the rest.
 func (t *TrainingCache) rebuild() {
 	if t.tc != nil {
 		t.tc.Close() // cancels fills in flight for the stale branch set
 	}
-	t.reader.DropCache()
 	t.tc = NewTreeCacheDepth(t.reader, t.window, t.UsedBranches(), t.depth)
 }
 

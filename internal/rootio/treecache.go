@@ -3,6 +3,7 @@ package rootio
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"godavix/internal/bufpool"
@@ -16,49 +17,72 @@ import (
 //
 // With a prefetch depth D > 0 the cache runs the windows as a pipeline:
 // while the reader processes window W, the fills for windows W+1..W+D are
-// already in flight as background coalesced vectored reads, and each fill
-// inflates its own baskets on its own goroutine as soon as its bytes land
-// (ROOT's TTreeCacheUnzip), so both transfer and decompression overlap the
-// reader's compute and entering a window only publishes what is ready. A
-// depth of 0 is the synchronous cache of the paper's HTTP column: every
-// fill is one blocking round trip, byte-for-byte the legacy behaviour,
-// decoded on the caller's goroutine.
+// already in flight as background coalesced vectored reads. The lookahead
+// ships as two half-horizon requests: g = ⌊(D+1)/2⌋ consecutive windows go
+// out as one request once all of them are inside the lookahead (a demand
+// fill carries its next g−1 windows), so a round trip carries g windows'
+// bytes while at most D windows beyond the current one are in memory. Each
+// window of a request keeps its own baskets: the request's goroutine
+// inflates them window by window as soon as the bytes land (ROOT's
+// TTreeCacheUnzip), so both transfer and decompression overlap the reader's
+// compute and entering a window only publishes what is ready.
+//
+// Every basket is fetched and inflated once: entering a window evicts only
+// the baskets it does not need, and a pipelined fill leaves out baskets that
+// are resident or brought by a fill for an earlier window, so a basket that
+// straddles a window boundary stays resident across it. A depth of 0 is the
+// synchronous cache of the paper's HTTP column: every fill is one blocking
+// round trip for all of its window's baskets, byte-for-byte the legacy
+// behaviour, decoded on the caller's goroutine.
 type TreeCache struct {
 	reader   *Reader
 	branches []int
-	window   uint64 // events per fill
+	window   uint64 // events per window
 	depth    int    // windows prefetched ahead; 0 = synchronous fills
+	group    int    // windows per pipelined request: ⌊(depth+1)/2⌋
 
 	curStart uint64 // first event of the filled window; curStart==^0 when none
 	fills    int64
 
-	// pending holds the in-flight speculative fills for windows after the
-	// current one, in ascending window order.
+	// pending holds the in-flight window fills, one per window: the
+	// current window's while it is being entered, and windows after it.
 	pending []*pendingFill
 
-	// Speculation accounting: issued counts compressed bytes requested by
-	// pipelined (non-demand) fills, wasted the issued bytes discarded
-	// before any event consumed them, cancelled the fills cut mid-flight
-	// by a pattern jump, a retrain rebuild, or Close.
+	// Speculation accounting: issued counts compressed bytes requested for
+	// windows ahead of the one being entered, wasted the issued bytes of
+	// windows discarded before any event consumed them, cancelled the
+	// requests cut mid-flight because a pattern jump, a retrain rebuild or
+	// Close discarded every window they carried.
 	issuedBytes    int64
 	wastedBytes    int64
 	cancelledFills int64
 }
 
-// pendingFill is a window fill on its way to the reader's basket cache.
+// pendingFill is one window's fill on its way to the reader's basket cache.
 type pendingFill struct {
 	start uint64
+	// keys are the baskets this fill brings: all of its window's for a
+	// synchronous fill; for a pipelined one, those neither resident nor
+	// brought by a fill for an earlier window.
 	keys  []basketKey
 	bytes int64
 	// done yields the fill's single completion error. A pipelined fill
 	// sets events before sending; a synchronous one leaves blobs to be
 	// inflated by finishFill.
-	done   <-chan error
+	done   chan error
 	events [][][]byte // decoded baskets, aligned with keys
 	blobs  [][]byte   // fetched baskets of a synchronous fill, aligned with keys
-	// cancel retires a pipelined fill before it is consumed: the fetch is
-	// aborted when the source allows it, and the inflate is skipped.
+	// req is the request a pipelined fill shares with the other windows
+	// of its group.
+	req *fillRequest
+}
+
+// fillRequest is one background vectored read carrying a group of windows.
+type fillRequest struct {
+	// cancel aborts the fetch (when the source allows it) and skips the
+	// inflate; it runs once every window of the request is discarded.
 	cancel context.CancelFunc
+	live   int // windows not discarded
 }
 
 // NewTreeCache creates a TreeCache over r reading the given branch
@@ -72,12 +96,13 @@ func NewTreeCache(r *Reader, windowEvents uint64, branches []int) *TreeCache {
 }
 
 // NewTreeCacheDepth creates a TreeCache with an explicit prefetch depth:
-// the number of windows beyond the current one kept in flight. Depth 0
-// disables speculation entirely — fills are synchronous and byte-identical
-// to the legacy TreeCache. A negative depth selects the automatic default
-// (1 with an asynchronous source, else 0). A positive depth needs the
-// Source to support asynchronous or hinted prefetch; without either it
-// degrades to 0.
+// the number of windows beyond the current one kept in flight, shipped as
+// requests of ⌊(depth+1)/2⌋ windows each (depths 1 and 2 send one window
+// per request, depth 3 two). Depth 0 disables speculation entirely — fills
+// are synchronous and byte-identical to the legacy TreeCache. A negative
+// depth selects the automatic default (1 with an asynchronous source, else
+// 0). A positive depth needs the Source to support asynchronous or hinted
+// prefetch; without either it degrades to 0.
 func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int) *TreeCache {
 	if windowEvents == 0 {
 		windowEvents = 1000
@@ -104,17 +129,22 @@ func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int
 		branches: branches,
 		window:   windowEvents,
 		depth:    depth,
+		group:    (depth + 1) / 2,
 		curStart: ^uint64(0),
 	}
 }
 
-// Fills reports how many window fetches have been issued (each is one
-// network round trip on the davix path).
+// Fills reports how many fills have been issued. A fill is one vectored
+// request (one network round trip on the davix path): one window's at
+// depth 0, up to ⌊(depth+1)/2⌋ windows' when pipelined. A pipelined fill
+// whose baskets are all resident already completes without touching the
+// source.
 func (tc *TreeCache) Fills() int64 { return tc.fills }
 
 // PrefetchStats reports the speculation accounting: compressed bytes
-// issued by pipelined window fills, issued bytes discarded before any
-// event consumed them, and fills cancelled mid-flight.
+// issued for windows ahead of the one being entered, issued bytes
+// discarded before any event consumed them, and requests cancelled
+// mid-flight.
 func (tc *TreeCache) PrefetchStats() (issued, wasted, cancelled int64) {
 	return tc.issuedBytes, tc.wastedBytes, tc.cancelledFills
 }
@@ -142,37 +172,29 @@ func (tc *TreeCache) windowKeys(start uint64) ([]basketKey, error) {
 	return keys, nil
 }
 
-// startFillSync fetches the window at start with one blocking vectored
-// read, one range per basket — the legacy synchronous fill, preserved
-// byte-for-byte for depth 0.
-func (tc *TreeCache) startFillSync(start uint64) (*pendingFill, error) {
-	keys, err := tc.windowKeys(start)
-	if err != nil {
-		return nil, err
-	}
+// startFillSync fetches a window's baskets, all of them, with one blocking
+// vectored read, one range per basket — the legacy synchronous fill,
+// preserved byte-for-byte for depth 0.
+func (tc *TreeCache) startFillSync(keys []basketKey) *pendingFill {
 	ranges := make([]rangev.Range, len(keys))
 	dsts := make([][]byte, len(keys))
-	var total int64
 	for i, k := range keys {
 		b := tc.reader.idx.Branches[k.branch].Baskets[k.basket]
 		ranges[i] = rangev.Range{Off: b.Offset, Len: b.CompressedSize}
 		dsts[i] = make([]byte, b.CompressedSize)
-		total += b.CompressedSize
 	}
 	tc.fills++
-	pf := &pendingFill{start: start, keys: keys, blobs: dsts, bytes: total}
-	ch := make(chan error, 1)
-	ch <- tc.reader.src.ReadVec(ranges, dsts)
-	pf.done = ch
-	return pf, nil
+	pf := &pendingFill{keys: keys, blobs: dsts, done: make(chan error, 1)}
+	pf.done <- tc.reader.src.ReadVec(ranges, dsts)
+	return pf
 }
 
-// coalesceFill lays the window's baskets out as merged read ranges:
-// baskets adjacent on disk share one contiguous buffer (and thus one range
-// of the vectored request), and each basket's destination is a view into
-// its run buffer — no second copy when the fill lands. The run buffers
-// come from bufpool; the fill's goroutine returns them.
-func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [][]byte, perKey [][]byte, total int64) {
+// coalesceFill lays the fill's baskets out as merged read ranges: baskets
+// adjacent on disk share one contiguous buffer (and thus one range of the
+// vectored request), and each basket's destination is a view into its run
+// buffer — no second copy when the fill lands. The run buffers come from
+// bufpool; the fill's goroutine returns them.
+func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [][]byte, perKey [][]byte) {
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
@@ -190,7 +212,6 @@ func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [
 	var runs []run
 	for _, ki := range order {
 		b := r.idx.Branches[keys[ki].branch].Baskets[keys[ki].basket]
-		total += b.CompressedSize
 		if n := len(runs); n > 0 && runs[n-1].off+runs[n-1].ln == b.Offset {
 			runs[n-1].ln += b.CompressedSize
 			runs[n-1].members = append(runs[n-1].members, ki)
@@ -211,42 +232,101 @@ func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [
 			at += b.CompressedSize
 		}
 	}
-	return ranges, runDsts, perKey, total
+	return ranges, runDsts, perKey
 }
 
-// startFillAsync begins fetching the window at start in the background,
-// with adjacent basket ranges merged into contiguous reads. The fill's own
-// goroutine waits for the fetch, inflates the baskets, hands the run
-// buffers back to bufpool — it is their only owner once the fetch has
-// returned, whatever the outcome — and only then signals done. It never
-// touches the reader's cache: publishing is finishFill's, so a discarded
-// fill leaves no trace.
-func (tc *TreeCache) startFillAsync(start uint64) (*pendingFill, error) {
-	keys, err := tc.windowKeys(start)
-	if err != nil {
-		return nil, err
+// broughtBefore reports whether basket k is resident or brought by an
+// in-flight fill for a window before start.
+func (tc *TreeCache) broughtBefore(k basketKey, start uint64) bool {
+	if tc.reader.resident(k) {
+		return true
 	}
+	for _, pf := range tc.pending {
+		if pf.start < start && slices.Contains(pf.keys, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// startGroup issues one background vectored request for run, consecutive
+// windows none of which is in flight; run[0] is the window being entered
+// when demand is set. Each window's fill takes the baskets of its window
+// that neither are resident nor are brought by a fill for an earlier
+// window, this request's earlier windows included, and all of them are
+// fetched as one coalesced read. The request's own goroutine waits for the
+// fetch, inflates the baskets window by window, handing each window its
+// result as soon as its baskets are done, and returns the run buffers to
+// bufpool — it is their only owner once the fetch has returned, whatever
+// the outcome — before it signals the last window. It never touches the
+// reader's cache: publishing is finishFill's, so a discarded window leaves
+// no trace. A window whose basket layout cannot be resolved ends the run
+// before it; it reports false when that leaves nothing to issue.
+func (tc *TreeCache) startGroup(run []uint64, demand bool) bool {
 	r := tc.reader
-	ranges, runDsts, perKey, total := coalesceFill(r, keys)
+	fills := make([]*pendingFill, 0, len(run))
+	var keys []basketKey // every window's keys, in window order
+	for _, start := range run {
+		wk, err := tc.windowKeys(start)
+		if err != nil {
+			break // the demand fill will surface the problem when reached
+		}
+		lo := len(keys)
+		for _, k := range wk {
+			if !tc.broughtBefore(k, run[0]) && !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
+		pf := &pendingFill{start: start, keys: keys[lo:len(keys):len(keys)], done: make(chan error, 1)}
+		for _, k := range pf.keys {
+			pf.bytes += r.idx.Branches[k.branch].Baskets[k.basket].CompressedSize
+		}
+		fills = append(fills, pf)
+	}
+	if len(fills) == 0 {
+		return false
+	}
+
+	ranges, runDsts, perKey := coalesceFill(r, keys)
 	tc.fills++
+	req := &fillRequest{live: len(fills)}
 	ctx, cancel := context.WithCancel(context.Background())
-	fetched := r.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
-	done := make(chan error, 1)
-	pf := &pendingFill{start: start, keys: keys, bytes: total, done: done, cancel: cancel}
+	req.cancel = cancel
+	var fetched <-chan error
+	if len(ranges) > 0 {
+		fetched = r.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
+	}
+	for i, pf := range fills {
+		pf.req = req
+		if i > 0 || !demand {
+			tc.issuedBytes += pf.bytes
+		}
+		tc.pending = append(tc.pending, pf)
+	}
 	go func() {
-		err := <-fetched
-		if err == nil {
-			err = ctx.Err() // discarded meanwhile: nobody will read the baskets
+		var err error
+		if fetched != nil {
+			err = <-fetched
 		}
 		if err == nil {
-			pf.events, err = r.decodeBaskets(keys, perKey)
+			err = ctx.Err() // every window discarded meanwhile: nobody will read the baskets
 		}
-		for _, buf := range runDsts {
-			bufpool.Put(buf)
+		at := 0
+		for i, pf := range fills {
+			werr := err
+			if werr == nil {
+				pf.events, werr = r.decodeBaskets(pf.keys, perKey[at:at+len(pf.keys)])
+			}
+			at += len(pf.keys)
+			if i == len(fills)-1 {
+				for _, buf := range runDsts {
+					bufpool.Put(buf)
+				}
+			}
+			pf.done <- werr
 		}
-		done <- err
 	}()
-	return pf, nil
+	return true
 }
 
 // finishFill waits for pf and publishes its baskets into the reader cache,
@@ -265,12 +345,15 @@ func (tc *TreeCache) finishFill(pf *pendingFill) error {
 	return nil
 }
 
-// discard retires an unconsumed speculative fill: the fetch is cancelled
-// (when the source allows it) and its bytes are booked as waste.
+// discard retires an unconsumed window fill: its bytes are booked as
+// waste, and once no window of its request is left the fetch is cancelled
+// (when the source allows it).
 func (tc *TreeCache) discard(pf *pendingFill) {
-	pf.cancel()
-	tc.cancelledFills++
 	tc.wastedBytes += pf.bytes
+	if pf.req.live--; pf.req.live == 0 {
+		pf.req.cancel()
+		tc.cancelledFills++
+	}
 }
 
 // Event returns the selected branches' payloads for event ev. Sequential
@@ -308,16 +391,20 @@ func (tc *TreeCache) seek(ev uint64) error {
 	return nil
 }
 
-// enterWindow makes ws the current window: uses the matching pipelined
-// fill when one is in flight, cancels fills the access pattern jumped
-// away from, tops the pipeline back up, then awaits and publishes ws.
+// enterWindow makes ws the current window: evicts the baskets ws does not
+// need, uses the matching pipelined fill when one is in flight, discards
+// fills the access pattern jumped away from, tops the pipeline back up,
+// then awaits and publishes ws.
 func (tc *TreeCache) enterWindow(ws uint64) error {
-	// Evict the previous window's decoded baskets to bound memory.
-	tc.reader.DropCache()
+	keys, err := tc.windowKeys(ws)
+	if err != nil {
+		return err
+	}
+	tc.reader.evict(keys)
 
 	// Partition the in-flight fills: the one for ws is consumed, fills
 	// still inside the new lookahead stay, everything else was a pattern
-	// jump and is cancelled mid-flight.
+	// jump and is discarded.
 	var cur *pendingFill
 	horizon := ws + tc.window*uint64(tc.depth)
 	keep := tc.pending[:0]
@@ -325,30 +412,33 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 		switch {
 		case pf.start == ws:
 			cur = pf
+			keep = append(keep, pf) // stays visible to topUp's fetch-once check
 		case pf.start > ws && pf.start <= horizon:
 			keep = append(keep, pf)
 		default:
 			tc.discard(pf)
 		}
 	}
+	clear(tc.pending[len(keep):])
 	tc.pending = keep
 
-	var err error
-	if cur == nil {
-		if tc.depth > 0 && tc.asyncCapable() {
-			cur, err = tc.startFillAsync(ws)
-		} else {
-			cur, err = tc.startFillSync(ws)
+	switch {
+	case tc.depth > 0 && tc.reader.src.ReadVecAsyncCtx != nil:
+		// Overlap: top the pipeline back up before waiting on this window,
+		// so the next windows' transfers ride under this window's compute;
+		// without a fill for ws, ws heads the first request.
+		tc.topUp(ws, cur == nil)
+		if cur == nil {
+			cur = tc.pendingFor(ws)
 		}
-		if err != nil {
-			return err
-		}
+		tc.pending = slices.DeleteFunc(tc.pending, func(pf *pendingFill) bool { return pf == cur })
+	default:
+		cur = tc.startFillSync(keys)
+		tc.hint(ws)
 	}
 
-	// Overlap: top the pipeline back up before waiting on this window, so
-	// the next windows' transfers ride under this window's compute.
-	tc.topUp(ws)
-
+	// A basket the fill left to the fill of a window the access pattern
+	// then skipped is missing; payload fetches it on first use.
 	if err := tc.finishFill(cur); err != nil {
 		return err
 	}
@@ -356,48 +446,62 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 	return nil
 }
 
-// asyncCapable reports whether the source supports background fills.
-func (tc *TreeCache) asyncCapable() bool {
-	return tc.reader.src.ReadVecAsyncCtx != nil
+// topUp issues the fills for the windows after ws, up to group consecutive
+// windows to a request. A request goes out once all of its windows are
+// inside the lookahead (ws+1..ws+depth), or earlier when the window after
+// it is already in flight or past the end of the file. With demand set, ws
+// itself heads the first request.
+func (tc *TreeCache) topUp(ws uint64, demand bool) {
+	var run []uint64
+	if demand {
+		run = append(run, ws)
+	}
+	issue := func() bool {
+		ok := len(run) == 0 || tc.startGroup(run, demand && run[0] == ws)
+		run = run[:0]
+		return ok
+	}
+	for d := 1; ; d++ {
+		if len(run) == tc.group && !issue() {
+			return
+		}
+		nxt := ws + tc.window*uint64(d)
+		if end := nxt >= tc.reader.idx.Events; end || tc.pendingFor(nxt) != nil {
+			// Nothing can join the run: send it as it is.
+			if !issue() || end {
+				return
+			}
+			continue
+		}
+		if d > tc.depth {
+			return // the run waits for its last windows to enter the lookahead
+		}
+		run = append(run, nxt)
+	}
 }
 
-// topUp issues speculative fills (or layout hints) for the windows
-// following ws until the pipeline holds depth windows.
-func (tc *TreeCache) topUp(ws uint64) {
-	if tc.depth <= 0 {
+// hint hands the basket layout of the windows after ws to a hint-only
+// source's planner-backed read-ahead instead of fetching them here.
+func (tc *TreeCache) hint(ws uint64) {
+	if tc.depth <= 0 || tc.reader.src.Hint == nil {
 		return
 	}
-	async := tc.asyncCapable()
 	var hinted []rangev.Range
 	for d := 1; d <= tc.depth; d++ {
 		nxt := ws + tc.window*uint64(d)
 		if nxt >= tc.reader.idx.Events {
 			break
 		}
-		if tc.pendingFor(nxt) != nil {
-			continue
-		}
-		if async {
-			pf, err := tc.startFillAsync(nxt)
-			if err != nil {
-				return // demand fill will surface the problem when reached
-			}
-			tc.issuedBytes += pf.bytes
-			tc.pending = append(tc.pending, pf)
-			continue
-		}
-		// Hint-only source: hand the upcoming basket layout to the
-		// planner-backed read-ahead instead of fetching ourselves.
 		keys, err := tc.windowKeys(nxt)
 		if err != nil {
-			return
+			break
 		}
 		for _, k := range keys {
 			b := tc.reader.idx.Branches[k.branch].Baskets[k.basket]
 			hinted = append(hinted, rangev.Range{Off: b.Offset, Len: b.CompressedSize})
 		}
 	}
-	if len(hinted) > 0 && tc.reader.src.Hint != nil {
+	if len(hinted) > 0 {
 		tc.reader.src.Hint(hinted)
 	}
 }
