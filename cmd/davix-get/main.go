@@ -72,6 +72,9 @@ func verboseTrace(chunkBytes *atomic.Int64) *davix.ClientTrace {
 			fmt.Fprintf(os.Stderr, "davix-get: resume (%s): %d bytes intact across %d chunks, %d chunks failed re-verification\n",
 				dir, resumed, verified, failed)
 		},
+		Verified: func(dir davix.Direction, path, algo string) {
+			fmt.Fprintf(os.Stderr, "davix-get: %s (%s) verified end to end with %s\n", path, dir, algo)
+		},
 	}
 }
 
@@ -80,10 +83,10 @@ func printSummary(s davix.Snapshot) {
 	fmt.Fprintf(os.Stderr, "davix-get: %d requests, %d retries, %d redirects, %d failovers, %d bytes up, %d bytes down\n",
 		s.Engine.Requests, s.Engine.Retries, s.Engine.Redirects, s.Engine.Failovers,
 		s.Engine.BytesUp, s.Engine.BytesDown)
-	fmt.Fprintf(os.Stderr, "davix-get: byte path: %d kernel down, %d pooled down, %d kernel up, %d pooled up; %d transfers verified, %d mismatches\n",
+	fmt.Fprintf(os.Stderr, "davix-get: byte path: %d kernel down, %d pooled down, %d kernel up, %d pooled up; %d transfers verified, %d mismatches, %d uploads fell back to serial\n",
 		s.Engine.KernelBytesDown, s.Engine.PooledBytesDown,
 		s.Engine.KernelBytesUp, s.Engine.PooledBytesUp,
-		s.Engine.TransfersVerified, s.Engine.ChecksumMismatches)
+		s.Engine.TransfersVerified, s.Engine.ChecksumMismatches, s.Engine.UploadsFellBackSerial)
 	if s.Engine.HedgesIssued > 0 || s.Engine.ResumedBytes > 0 || s.Engine.ResumeVerifyFailures > 0 {
 		fmt.Fprintf(os.Stderr, "davix-get: self-heal: %d hedges (%d won, %d bytes wasted), %d bytes resumed, %d resume re-verify failures\n",
 			s.Engine.HedgesIssued, s.Engine.HedgeWins, s.Engine.HedgeWastedBytes,

@@ -182,14 +182,18 @@ type Options struct {
 	HealthProbeAfter time.Duration
 	// Auth attaches Bearer or Basic credentials to every request.
 	Auth *Credentials
-	// VerifyChecksums enables end-to-end adler32 verification of full
-	// GETs and multi-stream downloads.
+	// VerifyChecksums enables end-to-end verification of full GETs
+	// against the server's X-Checksum, in whatever algorithm it names
+	// (crc32c from this repository's gateway, adler32 from DPM/dCache).
 	VerifyChecksums bool
 	// VerifyTransfers enables inline end-to-end integrity for streaming
 	// transfers: incremental digests accumulate per chunk as the bytes
 	// move and combine into the whole-object value (adler32/crc32 combine
 	// math), verified against the server's Digest/Want-Digest headers or
-	// checksum property at zero extra reads. Failures surface as
+	// checksum property at zero extra reads. The algorithm is negotiated
+	// once per transfer with Want-Digest "crc32c, adler32;q=0.5": crc32c,
+	// hashed at hardware speed, wherever the server names it, adler32 with
+	// peers that name nothing else. Failures surface as
 	// ErrChecksumMismatch naming the offending byte span; a server
 	// checksum in an unimplemented algorithm fails with
 	// ErrChecksumUnsupported instead of being skipped. Verification must

@@ -88,7 +88,7 @@ func main() {
 	if !bytes.Equal(got, payload) {
 		log.Fatal("payload mismatch")
 	}
-	fmt.Println("[2] GET via head node: redirect followed, adler32 verified")
+	fmt.Println("[2] GET via head node: redirect followed, crc32c checksum verified")
 
 	// 3. Unauthorized access is refused.
 	anon, _ := davix.New(davix.Options{Dialer: fabric})

@@ -80,7 +80,7 @@ func (w fileOnlyWriterAt) WriteAt(p []byte, off int64) (int, error) { return w.f
 const (
 	zcKernel = "kernel splice" // stream raw socket -> file, zero userspace copies
 	zcPooled = "pooled stream" // stream through 64 KiB pooled buffers, no digest
-	zcVerify = "pooled+digest" // pooled stream with the inline adler32 tee
+	zcVerify = "pooled+digest" // pooled stream with the inline digest tee
 )
 
 // zcDownload times `repeats` multi-stream downloads of a size-byte object

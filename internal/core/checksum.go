@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"godavix/internal/digest"
+	"godavix/internal/obs"
 )
 
 // ErrChecksumMismatch reports a failed end-to-end integrity check.
@@ -63,9 +64,16 @@ func verifyChecksum(data []byte, want, path string, strict bool) error {
 	got := h.Sum(nil)
 	if !bytes.Equal(got, cs.Sum) {
 		return &ChecksumError{
-			Path: path, Algo: cs.Algo, Off: 0, Length: int64(len(data)),
+			Path: path, Algo: string(cs.Algo), Off: 0, Length: int64(len(data)),
 			Got: hex.EncodeToString(got), Want: hex.EncodeToString(cs.Sum),
 		}
 	}
 	return nil
+}
+
+// verified counts a transfer of path whose whole-object digest under algo
+// matched the server's.
+func (c *Client) verified(dir obs.Direction, path string, algo digest.Algo) {
+	c.metrics.transfersVerified.Add(1)
+	c.trace.EmitVerified(dir, path, string(algo))
 }

@@ -132,8 +132,9 @@ type Options struct {
 	S3 *s3.Credentials
 
 	// VerifyChecksums enables end-to-end integrity checking: full-object
-	// GETs are compared against the server's X-Checksum header and
-	// multi-stream downloads against the Metalink checksum.
+	// GETs are compared against the server's X-Checksum header, in
+	// whatever algorithm it names, and multi-stream downloads against the
+	// Metalink checksum.
 	VerifyChecksums bool
 
 	// VerifyTransfers enables inline end-to-end integrity for streaming
@@ -141,6 +142,10 @@ type Options struct {
 	// multi-stream uploads and downloads and combine into the whole-object
 	// value (adler32/crc32 combine math), verified against the server's
 	// Digest/Want-Digest headers or checksum property at zero extra reads.
+	// The algorithm is negotiated once per transfer — the client offers
+	// digest.Preference (crc32c, adler32 at half weight) and uses what the
+	// reply names, adler32 when it names nothing — and then flows through
+	// every sum, rollup, journal and comparison of that transfer.
 	// Failures surface as ErrChecksumMismatch naming the offending byte
 	// span; known-but-unimplemented server algorithms fail with
 	// ErrChecksumUnsupported instead of being skipped. Verification needs

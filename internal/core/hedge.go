@@ -10,6 +10,7 @@ import (
 	"context"
 
 	"godavix/internal/bufpool"
+	"godavix/internal/digest"
 )
 
 // Hedged chunk reads: a multi-replica chunk fetch that outlives a latency
@@ -101,7 +102,7 @@ type hedgeLeg struct {
 // latency hedge. It returns handled=false when the race could not settle
 // the chunk — no distinct standby host, or both legs failed transiently —
 // and the caller falls back to the serial ring walk.
-func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int, off, ln int64, dst io.WriterAt, fastName, algo string, sum, perChunk bool, budget time.Duration) (scatterResult, bool, error) {
+func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool, budget time.Duration) (scatterResult, bool, error) {
 	standby, ok := hedgeStandby(ring, idx)
 	if !ok {
 		return scatterResult{}, false, nil

@@ -6,6 +6,9 @@ import (
 	"crypto/md5"
 	"errors"
 	"fmt"
+	"hash/adler32"
+	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -304,38 +307,225 @@ func TestDownloadMultiStreamVerifiesNonCombinableMetalinkHash(t *testing.T) {
 // TestCorruptReplicaChunkFailsOver: with two replicas every chunk is
 // compared inline against the server's per-range Digest, so a replica
 // serving a flipped bit costs that chunk one retry on the other replica —
-// not the transfer.
+// not the transfer. It holds whatever algorithm the Metalink names, and in
+// a mixed fleet where the other replica is an adler32-only peer that
+// commits to no per-range digest at all.
 func TestCorruptReplicaChunkFailsOver(t *testing.T) {
 	const chunk = 4 << 10
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 2, VerifyTransfers: true})
 	blob := uploadBlob(32<<10, 54)
-	for _, r := range []string{dpm1, "dpm2:80"} {
-		e.startServer(t, r, httpserv.Options{})
-		e.stores[r].Put("/f", blob)
+	rows := []struct {
+		name     string
+		checksum string // the Metalink's
+		legacy   bool   // dpm1 is an adler32-only peer
+	}{
+		{"crc32c", storage.Checksum(blob), false},
+		{"adler32", fmt.Sprintf("adler32:%08x", adler32.Checksum(blob)), false},
+		{"mixed fleet", storage.Checksum(blob), true},
 	}
-	e.startServer(t, "fed:80", httpserv.Options{Metalinks: func(string) *metalink.Metalink {
-		return &metalink.Metalink{Name: "f", Size: int64(len(blob)), Checksum: storage.Checksum(blob),
-			URLs: []metalink.URL{
-				{Loc: "http://dpm1:80/f", Priority: 1},
-				{Loc: "http://dpm2:80/f", Priority: 2},
-			}}
-	}})
-	// Odd chunks start on the second replica; it corrupts chunk 1.
-	e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{CorruptXOR: 0x80, CorruptAt: chunk + 17})
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 2, VerifyTransfers: true})
+			if row.legacy {
+				e.startAdlerOnly(t, dpm1)
+			} else {
+				e.startServer(t, dpm1, httpserv.Options{})
+			}
+			e.startServer(t, "dpm2:80", httpserv.Options{})
+			for _, r := range []string{dpm1, "dpm2:80"} {
+				e.stores[r].Put("/f", blob)
+			}
+			e.startServer(t, "fed:80", httpserv.Options{Metalinks: func(string) *metalink.Metalink {
+				return &metalink.Metalink{Name: "f", Size: int64(len(blob)), Checksum: row.checksum,
+					URLs: []metalink.URL{
+						{Loc: "http://dpm1:80/f", Priority: 1},
+						{Loc: "http://dpm2:80/f", Priority: 2},
+					}}
+			}})
+			// Odd chunks start on the second replica; it corrupts chunk 1.
+			e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{CorruptXOR: 0x80, CorruptAt: chunk + 17})
 
-	w := &bufWriterAt{b: make([]byte, len(blob))}
-	n, err := e.client.DownloadMultiStreamTo(context.Background(), dpm1, "/f", w)
-	if err != nil || n != int64(len(blob)) {
-		t.Fatalf("n=%d err=%v", n, err)
+			w := &bufWriterAt{b: make([]byte, len(blob))}
+			n, err := e.client.DownloadMultiStreamTo(context.Background(), dpm1, "/f", w)
+			if err != nil || n != int64(len(blob)) {
+				t.Fatalf("n=%d err=%v", n, err)
+			}
+			if !bytes.Equal(w.b, blob) {
+				t.Fatal("content mismatch: the corrupt chunk was committed")
+			}
+			m := e.client.Metrics()
+			if m.ChecksumMismatches != 1 {
+				t.Fatalf("ChecksumMismatches = %d, want 1 (the corrupt chunk, caught inline)", m.ChecksumMismatches)
+			}
+			if m.TransfersVerified != 1 {
+				t.Fatalf("TransfersVerified = %d, want 1", m.TransfersVerified)
+			}
+		})
 	}
-	if !bytes.Equal(w.b, blob) {
-		t.Fatal("content mismatch: the corrupt chunk was committed")
+}
+
+// adlerOnly makes a gateway a legacy peer that speaks adler32 and nothing
+// else, the way DPM and dCache do: it ignores Want-Digest, reports
+// X-Checksum in adler32, and echoes an adler32 Digest only on the 201 that
+// commits an upload — none on a 202 receipt, none on GET or HEAD.
+type adlerOnly struct {
+	srv *httpserv.Server
+	st  *storage.MemStore
+}
+
+func (a adlerOnly) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Header.Del("Want-Digest")
+	a.srv.ServeHTTP(&adlerWriter{ResponseWriter: w, a: a, r: r}, r)
+}
+
+type adlerWriter struct {
+	http.ResponseWriter
+	a     adlerOnly
+	r     *http.Request
+	wrote bool
+}
+
+func (w *adlerWriter) WriteHeader(code int) {
+	w.wrote = true
+	h := w.Header()
+	h.Del("Digest")
+	if data, _, err := w.a.st.Get(w.r.URL.Path); err == nil {
+		sum := adler32.Checksum(data)
+		if h.Get("X-Checksum") != "" {
+			h.Set("X-Checksum", fmt.Sprintf("adler32:%08x", sum))
+		}
+		if code == http.StatusCreated && w.r.Method == http.MethodPut {
+			h.Set("Digest", fmt.Sprintf("adler32=%08x", sum))
+		}
 	}
-	m := e.client.Metrics()
-	if m.ChecksumMismatches != 1 {
-		t.Fatalf("ChecksumMismatches = %d, want 1 (the corrupt chunk, caught inline)", m.ChecksumMismatches)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *adlerWriter) Write(p []byte) (int, error) {
+	if !w.wrote {
+		w.WriteHeader(http.StatusOK)
 	}
-	if m.TransfersVerified != 1 {
-		t.Fatalf("TransfersVerified = %d, want 1", m.TransfersVerified)
+	return w.ResponseWriter.Write(p)
+}
+
+// startAdlerOnly launches an adlerOnly gateway on addr over the fabric.
+func (e *testEnv) startAdlerOnly(t *testing.T, addr string) {
+	t.Helper()
+	st := storage.NewMemStore()
+	srv := httpserv.New(st, httpserv.Options{})
+	l, err := e.net.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go srv.ServeHandler(l, adlerOnly{srv: srv, st: st})
+	e.stores[addr], e.srvs[addr] = st, srv
+}
+
+// TestAdlerOnlyPeerVerifies: against a peer that speaks adler32 alone, the
+// client's offer of crc32c goes unanswered and every transfer falls back to
+// adler32 — a verified download, chunked upload and streamed upload each,
+// and a byte flipped on the way still fails each with ErrChecksumMismatch.
+func TestAdlerOnlyPeerVerifies(t *testing.T) {
+	const chunk = 32 << 10 // large enough that a body piece is a write of its own
+	blob := uploadBlob(4*chunk, 56)
+	ctx := context.Background()
+	ops := []struct {
+		name string
+		run  func(c *Client) error
+	}{
+		{"DownloadMultiStreamTo", func(c *Client) error {
+			w := &bufWriterAt{b: make([]byte, len(blob))}
+			if _, err := c.DownloadMultiStreamTo(ctx, dpm1, "/f", w); err != nil {
+				return err
+			}
+			if !bytes.Equal(w.b, blob) {
+				return errors.New("downloaded bytes differ")
+			}
+			return nil
+		}},
+		{"UploadMultiStream", func(c *Client) error {
+			return c.UploadMultiStream(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
+		}},
+		{"PutReader", func(c *Client) error {
+			return c.PutReader(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			opts := Options{Strategy: StrategyNone, ChunkSize: chunk, MaxStreams: 4, UploadParallelism: 4, VerifyTransfers: true}
+			e := newEnv(t, opts)
+			e.startAdlerOnly(t, dpm1)
+			e.stores[dpm1].Put("/f", blob)
+			if err := op.run(e.client); err != nil {
+				t.Fatal(err)
+			}
+			if m := e.client.Metrics(); m.TransfersVerified != 1 || m.ChecksumMismatches != 0 {
+				t.Fatalf("TransfersVerified = %d, ChecksumMismatches = %d, want 1 and 0", m.TransfersVerified, m.ChecksumMismatches)
+			}
+
+			// Damaged: the download reads a flipped byte, an upload sends one.
+			e.srvs[dpm1].SetFault("/f", httpserv.Fault{CorruptXOR: 0x01, CorruptAt: 9000})
+			opts.Dialer = flipFirstBody(e.net)
+			if op.name == "DownloadMultiStreamTo" {
+				opts.Dialer = e.net
+			}
+			c, err := NewClient(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			var ce *ChecksumError
+			if err := op.run(c); !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) || ce.Algo != "adler32" {
+				t.Fatalf("damaged transfer: err = %v, want an adler32 ErrChecksumMismatch", err)
+			}
+		})
+	}
+}
+
+// TestChunkReceiptNamesTheDamagedChunk: every 202 a chunked upload gets
+// carries the gateway's Digest of that chunk as received, so a byte flipped
+// on the wire fails the upload naming the chunk it sits in — whichever of
+// the 202 receipt or, when that chunk is the one that commits, the 201
+// catches it.
+func TestChunkReceiptNamesTheDamagedChunk(t *testing.T) {
+	const size, chunk = 32 << 20, 8 << 20
+	blob := uploadBlob(size, 57)
+	// Chunk 3 follows the 64 KiB probe and chunks 1 and 2.
+	const start = uploadProbeLen + 2*chunk
+	e := newEnv(t, Options{})
+	e.startServer(t, dpm1, httpserv.Options{})
+
+	var mu sync.Mutex
+	target, flipped := 0, false
+	marker := []byte(fmt.Sprintf("Content-Range: bytes %d-", start))
+	flip := &tamperDialer{inner: e.net, onWrite: func(conn int, _ int64, p []byte) ([]byte, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case bytes.Contains(p, marker):
+			target = conn
+		case conn == target && !flipped && len(p) >= 16<<10:
+			flipped = true
+			p = append([]byte(nil), p...)
+			p[0] ^= 0x5a
+		}
+		return p, false
+	}}
+	c, err := NewClient(Options{Dialer: flip, Strategy: StrategyNone, ChunkSize: chunk, UploadParallelism: 4, VerifyTransfers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	err = c.UploadMultiStream(context.Background(), dpm1, "/big", bytes.NewReader(blob), size)
+	var ce *ChecksumError
+	if !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want a ChecksumError", err)
+	}
+	if !flipped {
+		t.Fatal("the test flipped nothing")
+	}
+	if ce.Off != start || ce.Length != chunk || ce.Algo != "crc32c" {
+		t.Fatalf("mismatch %s [%d,+%d), want crc32c chunk 3 [%d,+%d)", ce.Algo, ce.Off, ce.Length, start, chunk)
 	}
 }

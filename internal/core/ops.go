@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/adler32"
 	"strconv"
 	"sync"
 	"time"
 
+	"godavix/internal/digest"
 	"godavix/internal/metalink"
 	"godavix/internal/webdav"
 	"godavix/internal/wire"
@@ -24,7 +24,8 @@ type Info struct {
 	Dir bool
 	// ModTime is the last modification time (zero when unknown).
 	ModTime time.Time
-	// Checksum is the server-reported checksum, if any.
+	// Checksum is the server-reported checksum as "algo:hex", if any: the
+	// Digest a HEAD's Want-Digest negotiated, else its X-Checksum.
 	Checksum string
 }
 
@@ -158,7 +159,7 @@ func (c *Client) Put(ctx context.Context, host, path string, data []byte) error 
 		// makes the O(size) hash worth paying.
 		checksum := ""
 		if c.statc != nil {
-			checksum = fmt.Sprintf("adler32:%08x", adler32.Checksum(data))
+			checksum = digest.Format32(digest.Default, digest.Sum32(digest.Default, data))
 		}
 		g, err := c.finishPut(resp, host, path, int64(len(data)), checksum)
 		gen = g
@@ -262,12 +263,18 @@ func (c *Client) Stat(ctx context.Context, host, path string) (Info, error) {
 	return inf, err
 }
 
-// statUncached performs the network Stat.
+// statUncached performs the network Stat. A verifying client offers its
+// digest preference, so the checksum comes back in the algorithm its
+// transfers will verify with.
 func (c *Client) statUncached(ctx context.Context, host, path string) (Info, error) {
 	var inf Info
 	tryPropfind := false
 	err := c.exec(ctx, host, path, specHead, func(h, p string) *wire.Request {
-		return wire.NewRequest("HEAD", h, p)
+		req := wire.NewRequest("HEAD", h, p)
+		if c.opts.VerifyTransfers {
+			req.Header.Set("Want-Digest", digest.Preference)
+		}
+		return req
 	}, func(_ Replica, resp *Response) error {
 		tryPropfind = false
 		if resp.StatusCode != 200 {
@@ -286,6 +293,9 @@ func (c *Client) statUncached(ctx context.Context, host, path string) (Info, err
 			return nil
 		}
 		inf = Info{Path: path, Checksum: resp.Header.Get("X-Checksum")}
+		if named, ok := digest.FromDigestHeader(resp.Header.Get("Digest"), ""); ok {
+			inf.Checksum = named.String()
+		}
 		if cl := resp.Header.Get("Content-Length"); cl != "" {
 			inf.Size, _ = strconv.ParseInt(cl, 10, 64)
 		}

@@ -33,6 +33,16 @@ import (
 // identity (direction, object size, digest algorithm, server checksum or
 // upload destination+id), so a journal from a different transfer is
 // discarded wholesale instead of partially believed.
+//
+// The digest algorithm is negotiated per transfer (crc32c, or adler32 with
+// peers that speak nothing else), so a journal may have been kept under
+// another algorithm than the one the resumed transfer verifies with — a
+// sidecar written by an adler32-era client, or against a server that has
+// since learned crc32c. Such a journal is discarded and the transfer
+// starts clean: its sums could only be re-checked, never rolled up. A
+// download knows its algorithm from its plan before the journal opens; an
+// upload learns it from its probe's reply, so uploadCheckpoint opens the
+// journal under any algorithm and bindUploadJournal settles it afterwards.
 
 // CheckpointSuffix names the sidecar journal next to the local file of a
 // resumable transfer ("<file>" + CheckpointSuffix).
@@ -48,11 +58,11 @@ var ckAppendHook func(f *os.File, rec []byte) (int, error)
 
 // ckHeader is the transfer identity a journal is bound to.
 type ckHeader struct {
-	dir  byte   // 'D' download, 'U' upload
-	size int64  // object size
-	algo string // chunk digest algorithm
-	aux  string // server checksum (downloads) / "host path" (uploads)
-	id   string // upload id to reattach to the server-side assembly
+	dir  byte        // 'D' download, 'U' upload
+	size int64       // object size
+	algo digest.Algo // chunk digest algorithm ("" while an upload negotiates)
+	aux  string      // server checksum (downloads) / "host path" (uploads)
+	id   string      // upload id to reattach to the server-side assembly
 }
 
 func (h ckHeader) encode() []byte {
@@ -60,7 +70,7 @@ func (h ckHeader) encode() []byte {
 	b = append(b, ckMagic[:]...)
 	b = append(b, h.dir)
 	b = binary.BigEndian.AppendUint64(b, uint64(h.size))
-	for _, s := range []string{h.algo, h.aux, h.id} {
+	for _, s := range []string{string(h.algo), h.aux, h.id} {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 		b = append(b, s...)
 	}
@@ -77,7 +87,8 @@ func decodeCkHeader(b []byte) (ckHeader, int, bool) {
 	h.dir = b[8]
 	h.size = int64(binary.BigEndian.Uint64(b[9:]))
 	p := 17
-	for _, dst := range []*string{&h.algo, &h.aux, &h.id} {
+	var algo string
+	for _, dst := range []*string{&algo, &h.aux, &h.id} {
 		if len(b) < p+2 {
 			return h, 0, false
 		}
@@ -89,6 +100,7 @@ func decodeCkHeader(b []byte) (ckHeader, int, bool) {
 		*dst = string(b[p : p+n])
 		p += n
 	}
+	h.algo = digest.Algo(algo)
 	if len(b) < p+4 || binary.BigEndian.Uint32(b[p:]) != crc32.ChecksumIEEE(b[:p]) {
 		return h, 0, false
 	}
@@ -116,9 +128,9 @@ type checkpoint struct {
 // identified by want. An existing journal whose header does not match —
 // different direction, size, algorithm or aux identity — is reset rather
 // than partially believed; a matching one yields its intact records, with
-// the id the previous session recorded. Record scanning stops at the first
-// torn or corrupt record and truncates it away so later appends never
-// interleave with garbage.
+// the id and algorithm the previous session recorded (want.algo "" matches
+// any). Record scanning stops at the first torn or corrupt record and
+// truncates it away so later appends never interleave with garbage.
 func openCheckpoint(name string, want ckHeader) (*checkpoint, []ckRecord, ckHeader, error) {
 	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -133,16 +145,7 @@ func openCheckpoint(name string, want ckHeader) (*checkpoint, []ckRecord, ckHead
 	}
 
 	reset := func() (*checkpoint, []ckRecord, ckHeader, error) {
-		enc := want.encode()
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, want, err
-		}
-		if _, err := f.WriteAt(enc, 0); err != nil {
-			f.Close()
-			return nil, nil, want, err
-		}
-		if _, err := f.Seek(int64(len(enc)), io.SeekStart); err != nil {
+		if err := ck.rewrite(want); err != nil {
 			f.Close()
 			return nil, nil, want, err
 		}
@@ -156,7 +159,8 @@ func openCheckpoint(name string, want ckHeader) (*checkpoint, []ckRecord, ckHead
 	// matters most — must not condemn a valid journal. The per-chunk
 	// re-hash against local bytes remains the trust anchor either way.
 	auxMismatch := hdr.aux != want.aux && hdr.aux != "" && want.aux != ""
-	if !ok || hdr.dir != want.dir || hdr.size != want.size || hdr.algo != want.algo || auxMismatch {
+	algoMismatch := hdr.algo != want.algo && want.algo != ""
+	if !ok || hdr.dir != want.dir || hdr.size != want.size || algoMismatch || auxMismatch {
 		return reset()
 	}
 	var recs []ckRecord
@@ -187,6 +191,20 @@ func openCheckpoint(name string, want ckHeader) (*checkpoint, []ckRecord, ckHead
 	}
 	ck.recs = len(recs)
 	return ck, recs, hdr, nil
+}
+
+// rewrite empties the journal down to a fresh header h.
+func (ck *checkpoint) rewrite(h ckHeader) error {
+	enc := h.encode()
+	if err := ck.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := ck.f.WriteAt(enc, 0); err != nil {
+		return err
+	}
+	ck.recs = 0
+	_, err := ck.f.Seek(int64(len(enc)), io.SeekStart)
+	return err
 }
 
 // append journals one completed chunk. Failures (including injected
@@ -248,7 +266,7 @@ func chunkSpans(start, size, cs int64) map[int64]int64 {
 // different ChunkSize — makes them useless, not suspect); records whose
 // bytes no longer hash to the recorded digest count as verify failures and
 // their chunks are re-transferred.
-func (c *Client) verifyJournal(recs []ckRecord, src io.ReaderAt, spans map[int64]int64, algo string, dir obs.Direction, path string) map[int64]uint32 {
+func (c *Client) verifyJournal(recs []ckRecord, src io.ReaderAt, spans map[int64]int64, algo digest.Algo, dir obs.Direction, path string) map[int64]uint32 {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -283,7 +301,7 @@ func (c *Client) verifyJournal(recs []ckRecord, src io.ReaderAt, spans map[int64
 // into f, verifying any journaled chunks against the file's current
 // content. Returns a nil checkpoint when resume is off or the target is
 // not a plain file.
-func (c *Client) downloadCheckpoint(w io.WriterAt, path string, size int64, algo, want string) (*checkpoint, map[int64]uint32) {
+func (c *Client) downloadCheckpoint(w io.WriterAt, path string, size int64, algo digest.Algo, want string) (*checkpoint, map[int64]uint32) {
 	if !c.opts.Resume {
 		return nil, nil
 	}
@@ -300,30 +318,36 @@ func (c *Client) downloadCheckpoint(w io.WriterAt, path string, size int64, algo
 }
 
 // uploadCheckpoint opens the resume journal for an upload of size bytes
-// from src to host/path, verifying journaled chunks against the current
-// source bytes (an edited source invalidates its records chunk by chunk).
-// The previous session's upload id is returned so the resumed chunks
-// reattach to the same server-side partial assembly; a fresh journal
+// from src to host/path, under whatever algorithm it was kept. The
+// previous session's upload id is returned in the header so the resumed
+// chunks reattach to the same server-side partial assembly; a fresh journal
 // records the caller-proposed id.
-func (c *Client) uploadCheckpoint(src io.ReaderAt, host, path string, size, probeLen int64, proposedID string) (*checkpoint, map[int64]uint32, string) {
-	if !c.opts.Resume {
-		return nil, nil, proposedID
-	}
+func (c *Client) uploadCheckpoint(src io.ReaderAt, host, path string, size int64, proposedID string) (*checkpoint, []ckRecord, ckHeader) {
+	hdr := ckHeader{dir: 'U', size: size, aux: host + " " + path, id: proposedID}
 	f, ok := src.(*os.File)
-	if !ok || f.Name() == "" {
-		return nil, nil, proposedID
+	if !c.opts.Resume || !ok || f.Name() == "" {
+		return nil, nil, hdr
 	}
-	hdr := ckHeader{dir: 'U', size: size, algo: digest.Adler32, aux: host + " " + path, id: proposedID}
 	ck, recs, got, err := openCheckpoint(f.Name()+CheckpointSuffix, hdr)
 	if err != nil {
-		return nil, nil, proposedID
+		return nil, nil, hdr
 	}
-	id := proposedID
-	if got.id != "" {
-		id = got.id
+	return ck, recs, got
+}
+
+// bindUploadJournal settles an upload journal on algo, the algorithm the
+// probe negotiated: kept under it, its records are verified against the
+// current source bytes (an edited source invalidates them chunk by chunk)
+// and the proven chunks returned; kept under another, it is discarded and
+// the upload starts clean under the same id.
+func (c *Client) bindUploadJournal(ck *checkpoint, recs []ckRecord, hdr ckHeader, algo digest.Algo, src io.ReaderAt, probeLen int64, path string) map[int64]uint32 {
+	if hdr.algo != algo {
+		hdr.algo = algo
+		ck.dead = ck.rewrite(hdr) != nil
+		return nil
 	}
-	spans := chunkSpans(probeLen, size, c.opts.ChunkSize)
-	return ck, c.verifyJournal(recs, f, spans, digest.Adler32, obs.Up, path), id
+	spans := chunkSpans(probeLen, hdr.size, c.opts.ChunkSize)
+	return c.verifyJournal(recs, src, spans, algo, obs.Up, path)
 }
 
 // String renders a record for debugging.

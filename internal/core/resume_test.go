@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -400,4 +401,83 @@ func TestUploadResumeReattaches(t *testing.T) {
 	if _, err := os.Stat(src + CheckpointSuffix); !os.IsNotExist(err) {
 		t.Fatalf("completed upload left sidecar behind (err=%v)", err)
 	}
+}
+
+// TestResumeAcrossAlgorithmSwitch: a sidecar kept under adler32 — by an
+// adler32-era client, or against a server that has since learned crc32c —
+// meets a transfer that negotiates crc32c. Its sums cannot feed a crc32c
+// rollup, so it is discarded and the transfer starts clean, verified and
+// byte-exact, in both directions.
+func TestResumeAcrossAlgorithmSwitch(t *testing.T) {
+	const size, cs = 64 << 10, 4 << 10
+	blob := make([]byte, size)
+	rand.New(rand.NewSource(63)).Read(blob)
+	adler := func(b []byte) uint32 { return digest.Sum32(digest.Adler32, b) }
+	// journal writes an adler32 sidecar for name holding the first half of
+	// the chunks at off0, off0+cs, ...
+	journal := func(t *testing.T, name string, hdr ckHeader, off0 int64) {
+		t.Helper()
+		ck, _, _, err := openCheckpoint(name+CheckpointSuffix, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := off0; off < size/2; off += cs {
+			ck.append(off, cs, adler(blob[off:off+cs]))
+		}
+		ck.close(true)
+	}
+	check := func(t *testing.T, c *Client, name string, stored []byte) {
+		t.Helper()
+		if !bytes.Equal(stored, blob) {
+			t.Fatal("resumed transfer is not byte-exact")
+		}
+		// Discarded, not re-checked: no record was held against the bytes.
+		if m := c.Metrics(); m.TransfersVerified != 1 || m.ResumedBytes != 0 || m.ResumeVerifyFailures != 0 {
+			t.Fatalf("TransfersVerified = %d, ResumedBytes = %d, ResumeVerifyFailures = %d, want 1, 0 and 0 (a clean start)",
+				m.TransfersVerified, m.ResumedBytes, m.ResumeVerifyFailures)
+		}
+		if _, err := os.Stat(name + CheckpointSuffix); !os.IsNotExist(err) {
+			t.Fatalf("completed transfer left its sidecar behind (err=%v)", err)
+		}
+	}
+
+	t.Run("download", func(t *testing.T) {
+		e := resumeEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: cs, MaxStreams: 2, Resume: true, VerifyTransfers: true}, blob)
+		dst := filepath.Join(t.TempDir(), "f.dat")
+		part := append(bytes.Clone(blob[:size/2]), make([]byte, size/2)...)
+		if err := os.WriteFile(dst, part, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		journal(t, dst, ckHeader{dir: 'D', size: size, algo: digest.Adler32, aux: fmt.Sprintf("adler32:%08x", adler(blob))}, 0)
+		f, err := os.OpenFile(dst, os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := e.client.DownloadMultiStreamTo(context.Background(), "dpm1:80", "/f", f); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := os.ReadFile(dst)
+		check(t, e.client, dst, got)
+	})
+
+	t.Run("upload", func(t *testing.T) {
+		e := newEnv(t, Options{ChunkSize: cs, MaxStreams: 2, Resume: true, VerifyTransfers: true})
+		e.startServer(t, dpm1, httpserv.Options{})
+		src := filepath.Join(t.TempDir(), "src.dat")
+		if err := os.WriteFile(src, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		journal(t, src, ckHeader{dir: 'U', size: size, algo: digest.Adler32, aux: dpm1 + " /up", id: "adler-era"}, cs)
+		f, err := os.Open(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := e.client.UploadMultiStream(context.Background(), dpm1, "/up", f, size); err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ := e.stores[dpm1].Get("/up")
+		check(t, e.client, src, got)
+	})
 }

@@ -103,7 +103,7 @@ type scatterResult struct {
 // chunk digest; perChunk additionally asks the server to commit to a
 // per-range Digest and compares it inline (the costlier mode — the server
 // must hash the range before its first body byte).
-func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, fastName, algo string, sum, perChunk bool) (res scatterResult, err error) {
+func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (res scatterResult, err error) {
 	path := replicas[0].Path
 	c.trace.EmitChunkStart(obs.Down, path, idx, off, ln)
 	defer func() { c.trace.EmitChunkDone(obs.Down, path, idx, off, ln, err) }()
@@ -137,14 +137,14 @@ func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, i
 // client memory. objPath labels the transfer for byte-path accounting.
 // Replica selection belongs to the caller; the engine applies redirects and
 // the retry budget but no failover here.
-func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string, off, ln int64, dst io.WriterAt, fastName, algo string, sum, perChunk bool) (scatterResult, error) {
+func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (scatterResult, error) {
 	rangeVal := "bytes=" + strconv.FormatInt(off, 10) + "-" + strconv.FormatInt(off+ln-1, 10)
 	var res scatterResult
 	err := c.exec(ctx, host, path, specChunk, func(h, p string) *wire.Request {
 		req := wire.NewRequest("GET", h, p)
 		req.Header.Set("Range", rangeVal)
 		if perChunk {
-			req.Header.Set("Want-Digest", algo)
+			req.Header.Set("Want-Digest", string(algo))
 		}
 		return req
 	}, func(_ Replica, resp *Response) error {
@@ -190,7 +190,7 @@ func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string
 // cancellation slam the connection deadline so a blocked body read returns
 // promptly. The slammed connection is poisoned and must be discarded, so
 // every exit closes the response through closeResp.
-func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln int64, dst io.WriterAt, fastName, objPath, algo string, sum bool, res *scatterResult) error {
+func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln int64, dst io.WriterAt, fastName, objPath string, algo digest.Algo, sum bool, res *scatterResult) error {
 	closeResp := armAbort(ctx, resp)
 	if skip > 0 {
 		if _, err := io.CopyN(io.Discard, resp.Body, skip); err != nil {
@@ -289,7 +289,7 @@ func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln 
 				if !bytes.Equal(sum, want.Sum) {
 					c.metrics.checksumMismatches.Add(1)
 					return &ChecksumError{
-						Path: objPath, Algo: algo, Off: off, Length: served,
+						Path: objPath, Algo: string(algo), Off: off, Length: served,
 						Got: hex.EncodeToString(sum), Want: hex.EncodeToString(want.Sum),
 					}
 				}
@@ -329,14 +329,14 @@ func armAbort(ctx context.Context, resp *Response) (closeResp func() error) {
 // chunkServerDigest asks one replica for the digest of [off, off+ln)
 // without re-reading the payload: a HEAD with Range and Want-Digest. ok is
 // false when the server would not commit to a range digest.
-func (c *Client) chunkServerDigest(ctx context.Context, host, path, algo string, off, ln int64) (uint32, bool) {
+func (c *Client) chunkServerDigest(ctx context.Context, host, path string, algo digest.Algo, off, ln int64) (uint32, bool) {
 	rangeVal := "bytes=" + strconv.FormatInt(off, 10) + "-" + strconv.FormatInt(off+ln-1, 10)
 	var sum uint32
 	ok := false
 	err := c.exec(ctx, host, path, specHead, func(h, p string) *wire.Request {
 		req := wire.NewRequest("HEAD", h, p)
 		req.Header.Set("Range", rangeVal)
-		req.Header.Set("Want-Digest", algo)
+		req.Header.Set("Want-Digest", string(algo))
 		return req
 	}, func(_ Replica, resp *Response) error {
 		defer resp.Close()
@@ -359,7 +359,7 @@ func (c *Client) chunkServerDigest(ctx context.Context, host, path, algo string,
 // during the transfer against per-range digests fetched with HEADs — the
 // payload is never re-read. Returns nil when no server on the ring will
 // commit to range digests; the caller falls back to the whole-object span.
-func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path, algo string, sums []digest.Span) *ChecksumError {
+func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path string, algo digest.Algo, sums []digest.Span) *ChecksumError {
 	for _, cs := range sums {
 		for _, rep := range c.health.order(replicas) {
 			want, ok := c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.Off, cs.N)
@@ -368,7 +368,7 @@ func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path,
 			}
 			if want != cs.Sum {
 				return &ChecksumError{
-					Path: path, Algo: algo, Off: cs.Off, Length: cs.N,
+					Path: path, Algo: string(algo), Off: cs.Off, Length: cs.N,
 					Got:  fmt.Sprintf("%08x", cs.Sum),
 					Want: fmt.Sprintf("%08x", want),
 				}
@@ -424,14 +424,15 @@ func (l *chunkLedger) close(keep bool) {
 type downloadPlan struct {
 	replicas []Replica // the primary, then the Metalink's in priority order
 	size     int64
-	want     string // server checksum, "" when none was reported
+	want     string // server checksum as "algo:hex", "" when none was reported
 }
 
 // planDownload resolves the replica ring, object size and server checksum
 // of host/path. ml is the Metalink the entry point's policy obtained (nil
 // for none); a Stat fills in whichever of size and — with VerifyTransfers —
-// checksum it lacks: a HEAD also reports the server's checksum, so
-// verification never costs a data read.
+// checksum it lacks: a HEAD also reports the server's checksum, in the
+// algorithm its Want-Digest negotiated, so verification never costs a data
+// read. A Metalink checksum keeps whatever algorithm it names.
 func (c *Client) planDownload(ctx context.Context, host, path string, ml *metalink.Metalink) (downloadPlan, error) {
 	p := downloadPlan{replicas: []Replica{{Host: host, Path: path}}, size: -1}
 	if ml != nil {
@@ -476,8 +477,9 @@ func (c *Client) planDownload(ctx context.Context, host, path string, ml *metali
 // path moves the payload (Snapshot's KernelBytesDown counts the wins).
 //
 // With Options.VerifyTransfers, every chunk is tee'd through an
-// incremental digest as it streams; the per-chunk sums combine
-// (adler32/crc32 combine math) into the whole-object value, verified
+// incremental digest as it streams, in the algorithm of the server's
+// checksum (crc32c where the server speaks it, adler32 where that is all it
+// offers); the per-chunk sums combine into the whole-object value, verified
 // against the server's checksum at zero extra reads. A mismatch fails the
 // download with ErrChecksumMismatch naming the offending byte span.
 // Per-chunk Want-Digest — which makes the server hash each range before
@@ -515,25 +517,26 @@ func (c *Client) fetchChunks(ctx context.Context, plan downloadPlan, w io.Writer
 	}
 
 	verify := c.opts.VerifyTransfers
-	algo := digest.Adler32
+	algo := digest.Default
+	var want digest.Checksum
 	var wantSum uint32
 	haveWant := false
 	if verify && plan.want != "" {
-		cs, err := digest.Parse(plan.want)
-		if err != nil {
+		var err error
+		if want, err = digest.Parse(plan.want); err != nil {
 			if errors.Is(err, digest.ErrUnsupported) {
 				return 0, fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
 			}
 			return 0, fmt.Errorf("davix: %s: bad server checksum: %w", path, err)
 		}
-		if digest.Combinable(cs.Algo) {
-			algo = cs.Algo
-			wantSum = binary.BigEndian.Uint32(cs.Sum)
+		if digest.Combinable(want.Algo) {
+			algo = want.Algo
+			wantSum = binary.BigEndian.Uint32(want.Sum)
 			haveWant = true
 		}
 		// Order-dependent algorithms (md5) cannot combine across parallel
 		// chunks; those fall back to per-chunk Want-Digest verification
-		// under the default 32-bit algorithm.
+		// under the client's preferred 32-bit algorithm.
 	}
 	// Per-chunk server digests cost the server a pre-body hash of every
 	// range; only pay that when the inline comparison buys something the
@@ -597,12 +600,12 @@ func (c *Client) fetchChunks(ctx context.Context, plan downloadPlan, w io.Writer
 				return 0, ce
 			}
 			return 0, &ChecksumError{
-				Path: path, Algo: algo, Off: 0, Length: size,
+				Path: path, Algo: string(algo), Off: 0, Length: size,
 				Got:  fmt.Sprintf("%08x", got),
 				Want: fmt.Sprintf("%08x", wantSum),
 			}
 		}
-		c.metrics.transfersVerified.Add(1)
+		c.verified(obs.Down, path, algo)
 	} else if mem, ok := w.(*chunkBuf); ok && verify && plan.want != "" {
 		// The server checksum is order-dependent (md5): the rollup cannot
 		// fold it, and the per-range Digests above only vouch for what each
@@ -612,11 +615,11 @@ func (c *Client) fetchChunks(ctx context.Context, plan downloadPlan, w io.Writer
 			c.metrics.checksumMismatches.Add(1)
 			return 0, err
 		}
-		c.metrics.transfersVerified.Add(1)
+		c.verified(obs.Down, path, want.Algo)
 	} else if led.rollup != nil && verifiedChunks.Load() == int64(len(led.rollup.Spans())) {
 		// No combinable server checksum, but every chunk matched the
 		// server's per-range Digest — the transfer is end-to-end verified.
-		c.metrics.transfersVerified.Add(1)
+		c.verified(obs.Down, path, algo)
 	}
 	led.close(false) // complete: the sidecar has served its purpose
 	return size, nil
@@ -679,14 +682,14 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 			return func() io.Reader { return bytes.NewReader(buf) }, func() { bufpool.Put(buf) }, nil
 		},
 		func() error { return c.copyStreamPipe(ctx, replicas, dHost, dPath, size) },
-		func() string { return want },
+		func(digest.Algo) string { return want },
 		nil)
 }
 
 // readChunkInto fetches chunk idx covering [off, off+len(buf)) into buf
 // through the chunk pipeline — the pull copy's source read.
 func (c *Client) readChunkInto(ctx context.Context, replicas []Replica, idx int, off int64, buf []byte) error {
-	_, err := c.scatterChunkReplicas(ctx, replicas, idx, off, int64(len(buf)), &chunkBuf{base: off, buf: buf}, "", digest.Adler32, false, false)
+	_, err := c.scatterChunkReplicas(ctx, replicas, idx, off, int64(len(buf)), &chunkBuf{base: off, buf: buf}, "", "", false, false)
 	return err
 }
 

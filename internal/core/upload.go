@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -8,9 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"hash/adler32"
 	"io"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,56 +116,102 @@ func (c *Client) finishPut(resp *Response, host, path string, size int64, checks
 // the kernel sendfile path — the payload never crosses userspace (see
 // Metrics.KernelBytesUp). With Options.VerifyTransfers the body is instead
 // tee'd through an incremental digest as it streams (forcing the pooled
-// path: verification must observe every byte); the digest primes the stat
-// cache and, when the server echoes a Digest header for what it stored, is
-// compared against it — a mismatch fails with ErrChecksumMismatch at zero
-// extra reads.
+// path: verification must observe every byte), under every algorithm in
+// digest.Preference, which the request offers: the body leaves before any
+// reply could name one. The digest the committing 2xx's Digest header names
+// primes the stat cache and is compared against it — a mismatch fails with
+// ErrChecksumMismatch at zero extra reads.
 func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, size int64) error {
 	if size == 0 {
 		return c.Put(ctx, host, path, nil)
 	}
 	body := r
-	var h hash.Hash32
+	var sums *bodySums
 	if c.opts.VerifyTransfers && size > 0 {
-		h = adler32.New()
-		body = io.TeeReader(r, h)
+		sums = newBodySums("")
+		body = io.TeeReader(r, sums)
 	}
 	return c.exec(ctx, host, path, specPutStream, func(hst, p string) *wire.Request {
 		req := wire.NewRequest("PUT", hst, p)
 		req.Body, req.ContentLength = body, size
+		if sums != nil {
+			req.Header.Set("Want-Digest", digest.Preference)
+		}
 		return req
 	}, func(_ Replica, resp *Response) error {
-		if h == nil {
+		if sums == nil {
 			_, err := c.finishPut(resp, host, path, size, "")
 			return err
 		}
 		echoed := resp.Header.Get("Digest")
-		if _, err := c.finishPut(resp, host, path, size, fmt.Sprintf("adler32:%08x", h.Sum32())); err != nil {
+		algo, sent := sums.named(echoed)
+		if _, err := c.finishPut(resp, host, path, size, digest.Format32(algo, sent)); err != nil {
 			return err
 		}
-		return c.checkStoredDigest(path, size, h.Sum32(), echoed)
+		return c.checkEcho(path, 0, size, algo, sent, echoed, true)
 	})
 }
 
-// checkStoredDigest closes a verified upload's integrity loop at zero extra
-// reads: sent is the adler32 the client computed over the size bytes it
-// streamed out, echoed the Digest header of the 2xx that committed them —
-// the server's account of what it stored. A server that echoes no adler32
-// leaves the upload unverified, not failed.
-func (c *Client) checkStoredDigest(path string, size int64, sent uint32, echoed string) error {
-	stored, ok := digest.FromDigestHeader(echoed, digest.Adler32)
-	if !ok {
-		return nil
+// bodySums hashes a request body as it streams: under algo, the one a
+// destination has already named, or — with algo "" for a body that leaves
+// before any reply, PutReader's or a chunked upload's probe — under every
+// algorithm in digest.Offered.
+type bodySums struct {
+	algos []digest.Algo
+	hs    []hash.Hash32
+}
+
+func newBodySums(algo digest.Algo) *bodySums {
+	b := &bodySums{algos: []digest.Algo{algo}}
+	if algo == "" {
+		b.algos = digest.Offered[:]
 	}
-	if sent != binary.BigEndian.Uint32(stored.Sum) {
+	for _, a := range b.algos {
+		b.hs = append(b.hs, digest.New32(a))
+	}
+	return b
+}
+
+func (b *bodySums) Write(p []byte) (int, error) {
+	for _, h := range b.hs {
+		h.Write(p)
+	}
+	return len(p), nil
+}
+
+// named returns the algorithm, of those summed, that a server's Digest
+// reply names, with the body's sum under it. A reply naming none gets the
+// last — of digest.Offered that is adler32, all that DPM and dCache speak:
+// the fallback for peers that negotiate nothing.
+func (b *bodySums) named(echoed string) (digest.Algo, uint32) {
+	named, _ := digest.FromDigestHeader(echoed, "")
+	i := slices.Index(b.algos, named.Algo)
+	if i < 0 {
+		i = len(b.algos) - 1
+	}
+	return b.algos[i], b.hs[i].Sum32()
+}
+
+// checkEcho holds sent, the client's digest under algo of the length bytes
+// at off it sent, against the entry under algo of echoed, the Digest header
+// the server answered them with: its account of what it received. A server
+// that echoes no such entry leaves the span unverified, not failed; a match
+// on a whole upload's commit counts it verified — the upload's integrity
+// loop closed at zero extra reads.
+func (c *Client) checkEcho(path string, off, length int64, algo digest.Algo, sent uint32, echoed string, whole bool) error {
+	stored, ok := digest.FromDigestHeader(echoed, algo)
+	switch {
+	case !ok:
+	case sent != binary.BigEndian.Uint32(stored.Sum):
 		c.metrics.checksumMismatches.Add(1)
 		return &ChecksumError{
-			Path: path, Algo: digest.Adler32, Off: 0, Length: size,
+			Path: path, Algo: string(algo), Off: off, Length: length,
 			Got:  fmt.Sprintf("%08x", sent),
 			Want: hex.EncodeToString(stored.Sum),
 		}
+	case whole:
+		c.verified(obs.Up, path, algo)
 	}
-	c.metrics.transfersVerified.Add(1)
 	return nil
 }
 
@@ -201,7 +247,7 @@ func (c *Client) UploadMultiStream(ctx context.Context, host, path string, src i
 	return c.multiStreamPut(ctx, host, path, size, par,
 		open,
 		func() error { return c.putSerial(ctx, host, path, src, size) },
-		func() string { return sourceAdler32(src, size) },
+		func(algo digest.Algo) string { return sourceChecksum(src, size, algo) },
 		src)
 }
 
@@ -219,7 +265,17 @@ type chunkBodies func(ctx context.Context, idx int, off, ln int64) (body func() 
 // fallback runs when the destination rejects ranged PUTs, and the commit is
 // checked: against the Digest of the 201 Created that assembled the object
 // when verifying, else — when no chunk answered 201 — by verifyCommitted
-// (wantChecksum supplies the expected content checksum, lazily).
+// (wantChecksum supplies the expected content checksum under the algorithm
+// the server reports, lazily).
+//
+// Inline integrity: with VerifyTransfers (or a journal to keep) every chunk
+// body is hashed as it streams to the socket, and every chunk PUT offers
+// digest.Preference. The probe is hashed under each offered algorithm; the
+// one its reply names — crc32c from a current gateway, adler32 from a peer
+// that names none — is then the algorithm of every later chunk, of each
+// chunk's 202 receipt check, of the whole-object rollup, of the journal and
+// of the commit comparison. A receipt that disagrees with the client's sum
+// fails the upload naming that chunk's span.
 //
 // resumeSrc, when a plain file and Options.Resume is on, enables the
 // checkpoint journal: completed chunks are journaled, an interrupted
@@ -230,40 +286,28 @@ type chunkBodies func(ctx context.Context, idx int, off, ln int64) (body func() 
 func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int64, par int,
 	open chunkBodies,
 	fallback func() error,
-	wantChecksum func() string,
+	wantChecksum func(digest.Algo) string,
 	resumeSrc io.ReaderAt) error {
 
-	uploadID := newUploadID()
 	probeLen := min(uploadProbeLen, c.opts.ChunkSize, size)
-
-	led := &chunkLedger{}
-	var skip map[int64]uint32
-	if resumeSrc != nil {
-		led.ck, skip, uploadID = c.uploadCheckpoint(resumeSrc, host, path, size, probeLen, uploadID)
-	}
-	// Inline integrity: with VerifyTransfers every chunk body is hashed as
-	// it streams to the socket, and the per-chunk sums combine into the
-	// whole-object adler32. That value is what the server's commit Digest
-	// is held against, replaces wantChecksum's lazy re-read of the entire
-	// source (sourceAdler32) with zero extra reads, and primes the stat
-	// cache on commit.
-	if c.opts.VerifyTransfers {
-		led.rollup, _ = digest.NewRollup(digest.Adler32)
-	}
+	ck, recs, hdr := c.uploadCheckpoint(resumeSrc, host, path, size, newUploadID())
+	led, uploadID := &chunkLedger{ck: ck}, hdr.id
+	summing := c.opts.VerifyTransfers || ck != nil
 
 	// commit is the Digest header of the 201 Created that assembled the
 	// object; nil while every chunk so far was merely received (202).
 	var commit atomic.Pointer[string]
-	// putChunk sends [off, off+ln) to tHost/tPath. srcIdx numbers the chunk
-	// for the body source, traceIdx for the trace (the probe is chunk 0).
-	putChunk := func(cctx context.Context, srcIdx, traceIdx int, tHost, tPath string, off, ln int64) (rangedPutResult, error) {
+	// putChunk sends [off, off+ln) to tHost/tPath, summed (when summing)
+	// under algo ("" for every offered one). srcIdx numbers the chunk for
+	// the body source, traceIdx for the trace (the probe is chunk 0).
+	putChunk := func(cctx context.Context, srcIdx, traceIdx int, tHost, tPath string, off, ln int64, algo digest.Algo) (rangedPutResult, error) {
 		body, done, err := open(cctx, srcIdx, off, ln)
 		if err != nil {
 			return rangedPutResult{}, err
 		}
 		defer done()
 		c.trace.EmitChunkStart(obs.Up, path, traceIdx, off, ln)
-		res, err := c.putRanged(cctx, tHost, tPath, body, off, ln, size, uploadID, led.wantsSums())
+		res, err := c.putRanged(cctx, tHost, tPath, body, off, ln, size, uploadID, summing, algo)
 		c.trace.EmitChunkDone(obs.Up, path, traceIdx, off, ln, err)
 		if err != nil {
 			return res, err
@@ -278,7 +322,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	// Only the destination's PUT verdict feeds the fallback classification
 	// — a failure to open the chunk source surfaces as-is (the fallback
 	// would just re-fail on it).
-	probe, err := putChunk(ctx, 0, 0, host, path, 0, probeLen)
+	probe, err := putChunk(ctx, 0, 0, host, path, 0, probeLen, "")
 	if err != nil {
 		if rangedPutUnsupported(err) {
 			// The serial fallback does not journal and commits in one
@@ -291,6 +335,17 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		led.close(true)
 		return err
 	}
+	algo := probe.algo
+	var skip map[int64]uint32
+	if ck != nil {
+		skip = c.bindUploadJournal(ck, recs, hdr, algo, resumeSrc, probeLen, path)
+	}
+	// The per-chunk sums combine into the whole-object digest: what the
+	// server's commit Digest is held against, in place of wantChecksum's
+	// lazy re-read of the entire source, and what primes the stat cache.
+	if c.opts.VerifyTransfers {
+		led.rollup, _ = digest.NewRollup(algo)
+	}
 	// Noted, never journaled: every attempt re-sends the probe.
 	led.note(0, probeLen, probe.sum)
 
@@ -301,7 +356,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			led.note(off, ln, sum)
 			return nil
 		}
-		res, err := putChunk(cctx, idx, idx+1, probe.host, probe.path, off, ln)
+		res, err := putChunk(cctx, idx, idx+1, probe.host, probe.path, off, ln, algo)
 		if err != nil {
 			return err
 		}
@@ -321,8 +376,8 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			led.close(true)
 			return err
 		}
-		checksum = fmt.Sprintf("adler32:%08x", sent)
-		wantChecksum = func() string { return checksum }
+		checksum = digest.Format32(algo, sent)
+		wantChecksum = func(digest.Algo) string { return checksum }
 	}
 	stored := commit.Load()
 	if stored == nil {
@@ -341,8 +396,13 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	// resume, and whatever the caches held for the path is stale.
 	led.close(false)
 	if led.rollup != nil {
-		if err := c.checkStoredDigest(path, size, sent, *stored); err != nil {
+		if err := c.checkEcho(path, 0, size, algo, sent, *stored, true); err != nil {
 			c.invalidateCache(host, path)
+			// The committing chunk had no receipt to check: narrow the
+			// blame with payload-free HEAD+Range probes of what was stored.
+			if ce := c.localizeMismatch(ctx, []Replica{{Host: host, Path: path}}, path, algo, led.rollup.Spans()); ce != nil {
+				return ce
+			}
 			return err
 		}
 	}
@@ -355,14 +415,18 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 // partial assembly from a transport failure.
 var errUploadNotCommitted = errors.New("davix: upload not committed")
 
-// sourceAdler32 renders the WLCG-style checksum of the upload source, for
-// commit verification ("" when the source cannot be re-read).
-func sourceAdler32(src io.ReaderAt, size int64) string {
-	h := adler32.New()
-	if _, err := io.Copy(h, io.NewSectionReader(src, 0, size)); err != nil {
+// sourceChecksum renders the WLCG-style checksum of the upload source under
+// algo, for commit verification ("" when the source cannot be re-read or
+// algo is unknown).
+func sourceChecksum(src io.ReaderAt, size int64, algo digest.Algo) string {
+	h, err := digest.New(algo)
+	if err == nil {
+		_, err = io.Copy(h, io.NewSectionReader(src, 0, size))
+	}
+	if err != nil {
 		return ""
 	}
-	return fmt.Sprintf("adler32:%08x", h.Sum32())
+	return digest.Checksum{Algo: algo, Sum: h.Sum(nil)}.String()
 }
 
 // verifyCommitted confirms a chunked upload actually assembled into the
@@ -375,7 +439,7 @@ func sourceAdler32(src io.ReaderAt, size int64) string {
 // computed lazily, since this whole path only runs when no commit signal
 // arrived. The closing HEAD doubles as the stat-cache prime, with the
 // server's own metadata instead of a client approximation.
-func (c *Client) verifyCommitted(ctx context.Context, host, path string, size int64, wantChecksum func() string) error {
+func (c *Client) verifyCommitted(ctx context.Context, host, path string, size int64, wantChecksum func(digest.Algo) string) error {
 	inf, err := c.statUncached(ctx, host, path)
 	if err != nil {
 		return fmt.Errorf("davix: upload verification: %w", err)
@@ -383,18 +447,16 @@ func (c *Client) verifyCommitted(ctx context.Context, host, path string, size in
 	if inf.Size != size {
 		return fmt.Errorf("%w: server reports %d bytes, want %d", errUploadNotCommitted, inf.Size, size)
 	}
-	if inf.Checksum != "" && wantChecksum != nil {
-		if want := wantChecksum(); want != "" && sameAlgo(want, inf.Checksum) {
-			if !strings.EqualFold(want, inf.Checksum) {
+	if got, perr := digest.Parse(inf.Checksum); perr == nil && wantChecksum != nil {
+		if want, werr := digest.Parse(wantChecksum(got.Algo)); werr == nil && want.Algo == got.Algo {
+			if !bytes.Equal(want.Sum, got.Sum) {
 				c.metrics.checksumMismatches.Add(1)
-				algo, wantHex, _ := strings.Cut(want, ":")
-				_, gotHex, _ := strings.Cut(inf.Checksum, ":")
 				return fmt.Errorf("%w: %w", errUploadNotCommitted, &ChecksumError{
-					Path: path, Algo: strings.ToLower(algo), Off: 0, Length: size,
-					Got: strings.ToLower(gotHex), Want: strings.ToLower(wantHex),
+					Path: path, Algo: string(got.Algo), Off: 0, Length: size,
+					Got: hex.EncodeToString(got.Sum), Want: hex.EncodeToString(want.Sum),
 				})
 			}
-			c.metrics.transfersVerified.Add(1)
+			c.verified(obs.Up, path, got.Algo)
 		}
 	}
 	c.invalidateCache(host, path)
@@ -402,14 +464,6 @@ func (c *Client) verifyCommitted(ctx context.Context, host, path string, size in
 		c.statc.PutIfAbsent(cacheKey(host, path), inf)
 	}
 	return nil
-}
-
-// sameAlgo reports whether two "algo:hex" checksums use the same
-// algorithm and are therefore comparable.
-func sameAlgo(a, b string) bool {
-	aa, _, ok1 := strings.Cut(a, ":")
-	bb, _, ok2 := strings.Cut(b, ":")
-	return ok1 && ok2 && strings.EqualFold(aa, bb)
 }
 
 // putSerial is the seed's whole-body PUT fed from a ReaderAt: one request,
@@ -431,25 +485,28 @@ func (c *Client) putSerial(ctx context.Context, host, path string, src io.Reader
 // target (so sibling chunks go there directly), whether the server answered
 // 201 Created — the commit signal distinguishing "assembled into the final
 // object" from a 202 per-chunk receipt — with the Digest header that came
-// with it, and the adler32 of the body as sent (when asked for).
+// with it, and the digest of the body as sent under the algorithm that
+// header named (when asked for).
 type rangedPutResult struct {
 	host, path string
 	created    bool
 	digest     string
+	algo       digest.Algo
 	sum        uint32
 }
 
 // putRanged PUTs the ln bytes body yields as the [off, off+ln) slice of a
 // total-byte object (Content-Range PUT), following redirects. body is
 // called for every send, so a redirected or retried chunk streams — and,
-// with sum, hashes — from its first byte again; the sum reported is that of
-// the send the server accepted. uploadID, when non-empty, travels as
-// X-Upload-Id so the server keeps concurrent uploads to one path in
-// separate assemblies.
-func (c *Client) putRanged(ctx context.Context, host, path string, body func() io.Reader, off, ln, total int64, uploadID string, sum bool) (rangedPutResult, error) {
+// with sum, hashes under algo ("" for every offered one) — from its first
+// byte again; the sum reported is that of the send the server accepted, and a 202 receipt
+// whose Digest disagrees with it fails the chunk with a *ChecksumError
+// naming its span. uploadID, when non-empty, travels as X-Upload-Id so the
+// server keeps concurrent uploads to one path in separate assemblies.
+func (c *Client) putRanged(ctx context.Context, host, path string, body func() io.Reader, off, ln, total int64, uploadID string, sum bool, algo digest.Algo) (rangedPutResult, error) {
 	cr := fmt.Sprintf("bytes %d-%d/%d", off, off+ln-1, total)
 	var res rangedPutResult
-	var h hash.Hash32
+	var sums *bodySums
 	err := c.exec(ctx, host, path, specPutRange, func(hst, p string) *wire.Request {
 		req := wire.NewRequest("PUT", hst, p)
 		req.Header.Set("Content-Range", cr)
@@ -458,8 +515,9 @@ func (c *Client) putRanged(ctx context.Context, host, path string, body func() i
 		}
 		req.Body, req.ContentLength = body(), ln
 		if sum {
-			h = adler32.New()
-			req.Body = io.TeeReader(req.Body, h)
+			sums = newBodySums(algo)
+			req.Body = io.TeeReader(req.Body, sums)
+			req.Header.Set("Want-Digest", digest.Preference)
 		}
 		return req
 	}, func(landed Replica, resp *Response) error {
@@ -473,10 +531,14 @@ func (c *Client) putRanged(ctx context.Context, host, path string, body func() i
 		// The redirect-resolved target lets sibling chunks go straight to
 		// the disk node the head node designated.
 		res = rangedPutResult{host: landed.Host, path: landed.Path, created: created, digest: echoed}
-		if h != nil {
-			res.sum = h.Sum32()
+		if sums == nil {
+			return nil
 		}
-		return nil
+		res.algo, res.sum = sums.named(echoed)
+		if created {
+			return nil // the object's Digest, held against the rollup
+		}
+		return c.checkEcho(path, off, ln, res.algo, res.sum, echoed, false)
 	})
 	if err != nil {
 		return rangedPutResult{}, err

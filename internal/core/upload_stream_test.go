@@ -63,12 +63,28 @@ func (c *tamperConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestUploadMultiStreamVerifiesCommit: a verified chunked upload that ends
-// in 201 Created holds the server's Digest of what it committed against
-// the sum of what the client sent. A byte flipped between the two — the
-// gateway assembles, hashes and stores the damaged chunk in good faith —
-// fails the upload with ErrChecksumMismatch; a clean one is counted as
-// verified.
+// flipFirstBody returns a Dialer that flips the first byte of the first
+// large write on any of its connections: large writes are body pieces,
+// never headers.
+func flipFirstBody(inner pool.Dialer) *tamperDialer {
+	var once sync.Once
+	return &tamperDialer{inner: inner, onWrite: func(_ int, _ int64, p []byte) ([]byte, bool) {
+		if len(p) >= 16<<10 {
+			once.Do(func() {
+				p = append([]byte(nil), p...)
+				p[0] ^= 0x5a
+			})
+		}
+		return p, false
+	}}
+}
+
+// TestUploadMultiStreamVerifiesCommit: a verified chunked upload holds the
+// server's Digest of each chunk it received (the 202 receipts) and of what
+// it committed (the 201) against the sums of what the client sent. A byte
+// flipped between the two — the gateway hashes the damaged chunk in good
+// faith — fails the upload with ErrChecksumMismatch naming that chunk; a
+// clean one is counted as verified.
 func TestUploadMultiStreamVerifiesCommit(t *testing.T) {
 	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, UploadParallelism: 2, VerifyTransfers: true}
 	blob := uploadBlob(4*32<<10, 71)
@@ -88,20 +104,8 @@ func TestUploadMultiStreamVerifiesCommit(t *testing.T) {
 	t.Run("damaged on the wire", func(t *testing.T) {
 		e := newEnv(t, opts)
 		e.startServer(t, dpm1, httpserv.Options{})
-		// Flip the last byte of one large write: large writes are body
-		// pieces, never headers.
-		var once sync.Once
-		flip := &tamperDialer{inner: e.net, onWrite: func(_ int, _ int64, p []byte) ([]byte, bool) {
-			if len(p) >= 16<<10 {
-				once.Do(func() {
-					p = append([]byte(nil), p...)
-					p[len(p)-1] ^= 0x5a
-				})
-			}
-			return p, false
-		}}
 		opts := opts
-		opts.Dialer = flip
+		opts.Dialer = flipFirstBody(e.net)
 		c, err := NewClient(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -113,20 +117,20 @@ func TestUploadMultiStreamVerifiesCommit(t *testing.T) {
 		if !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want a ChecksumError", err)
 		}
-		if ce.Off != 0 || ce.Length != int64(len(blob)) {
-			t.Fatalf("mismatch spans [%d,+%d), want the whole object", ce.Off, ce.Length)
+		// The first large write is the probe's body, the first 32 KiB.
+		if ce.Off != 0 || ce.Length != 32<<10 {
+			t.Fatalf("mismatch spans [%d,+%d), want the probe chunk [0,+32768)", ce.Off, ce.Length)
 		}
 		if m := c.Metrics(); m.ChecksumMismatches != 1 || m.TransfersVerified != 0 {
 			t.Fatalf("ChecksumMismatches = %d, TransfersVerified = %d, want 1 and 0", m.ChecksumMismatches, m.TransfersVerified)
 		}
-		// The server did commit something: it just is not what was sent.
-		got, _, gerr := e.stores[dpm1].Get("/f")
-		if gerr != nil || bytes.Equal(got, blob) {
-			t.Fatalf("store holds the pristine object (err=%v): the test damaged nothing", gerr)
+		// Caught at the chunk's receipt: nothing was committed.
+		if _, _, gerr := e.stores[dpm1].Get("/f"); gerr == nil {
+			t.Fatal("the upload committed after a chunk receipt disagreed")
 		}
 		// And the client must not vouch for it from its cache.
-		if inf, serr := c.Stat(ctx, dpm1, "/f"); serr != nil || inf.Checksum == storage.Checksum(blob) {
-			t.Fatalf("Stat after mismatch = %+v err=%v: cache still advertises the sent checksum", inf, serr)
+		if inf, serr := c.Stat(ctx, dpm1, "/f"); !errors.Is(serr, ErrNotFound) {
+			t.Fatalf("Stat after mismatch = %+v err=%v, want ErrNotFound", inf, serr)
 		}
 	})
 }

@@ -9,28 +9,51 @@
 // function of digest(A), digest(B) and len(B), so chunks hashed out of order
 // by concurrent workers roll up in O(chunks) time. md5 is not — it is only
 // available on single-stream paths where bytes arrive in order.
+//
+// Which algorithm a transfer uses is negotiated once, with RFC 3230
+// Want-Digest: the client offers Preference, the server answers with
+// Negotiate's pick, and the value then flows through every sum, rollup and
+// comparison of that transfer.
 package digest
 
 import (
 	"crypto/md5"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/adler32"
 	"hash/crc32"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Algorithm names as they appear on the wire (X-Checksum headers, Metalink
-// hashes, RFC 3230 Digest tokens). Compare case-insensitively.
+// Algo names a checksum algorithm as it appears on the wire (X-Checksum
+// headers, Metalink hashes, RFC 3230 Digest tokens). Functions taking one
+// compare case-insensitively.
+type Algo string
+
+// The algorithms this package implements.
 const (
-	Adler32 = "adler32"
-	CRC32   = "crc32"
-	CRC32C  = "crc32c"
-	MD5     = "md5"
+	Adler32 Algo = "adler32"
+	CRC32   Algo = "crc32"
+	CRC32C  Algo = "crc32c"
+	MD5     Algo = "md5"
 )
+
+// Default is the algorithm used wherever none is negotiated: crc32c, which
+// hashes at hardware speed.
+const Default = CRC32C
+
+// Preference is the Want-Digest value the client sends: Default, and
+// adler32 at half weight for peers (DPM, dCache) that offer nothing else.
+const Preference = "crc32c, adler32;q=0.5"
+
+// Offered is Preference as a list, best first.
+var Offered = [...]Algo{Default, Adler32}
 
 // ErrUnsupported reports a checksum whose algorithm the client does not
 // implement. Callers that must verify treat it as fatal; opportunistic
@@ -44,7 +67,7 @@ var ErrMalformed = errors.New("digest: malformed checksum")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // size returns the digest length in bytes for a supported algorithm.
-func size(algo string) (int, bool) {
+func size(algo Algo) (int, bool) {
 	switch algo {
 	case Adler32, CRC32, CRC32C:
 		return 4, true
@@ -55,24 +78,23 @@ func size(algo string) (int, bool) {
 }
 
 // Supported reports whether algo names an algorithm this package implements.
-func Supported(algo string) bool {
-	_, ok := size(strings.ToLower(algo))
+func Supported(algo Algo) bool {
+	_, ok := size(lower(algo))
 	return ok
 }
 
+func lower(algo Algo) Algo { return Algo(strings.ToLower(string(algo))) }
+
 // Combinable reports whether per-chunk digests of algo can be merged into
 // the whole-object digest (true for adler32 and the crc32 family).
-func Combinable(algo string) bool {
-	switch strings.ToLower(algo) {
-	case Adler32, CRC32, CRC32C:
-		return true
-	}
-	return false
+func Combinable(algo Algo) bool {
+	n, ok := size(lower(algo))
+	return ok && n == 4
 }
 
 // New returns a fresh incremental hash for algo, or ErrUnsupported.
-func New(algo string) (hash.Hash, error) {
-	switch strings.ToLower(algo) {
+func New(algo Algo) (hash.Hash, error) {
+	switch lower(algo) {
 	case Adler32:
 		return adler32.New(), nil
 	case CRC32:
@@ -85,17 +107,30 @@ func New(algo string) (hash.Hash, error) {
 	return nil, fmt.Errorf("%w: %q", ErrUnsupported, algo)
 }
 
+// New32 returns a fresh incremental hash for a 32-bit algo, nil for any
+// other.
+func New32(algo Algo) hash.Hash32 {
+	h, _ := New(algo)
+	h32, _ := h.(hash.Hash32)
+	return h32
+}
+
 // Checksum is a parsed algo:hex checksum value.
 type Checksum struct {
 	// Algo is the lower-cased algorithm name.
-	Algo string
+	Algo Algo
 	// Sum is the decoded digest, length-checked for Algo.
 	Sum []byte
 }
 
 // String renders the checksum back to wire form.
 func (c Checksum) String() string {
-	return c.Algo + ":" + hex.EncodeToString(c.Sum)
+	return string(c.Algo) + ":" + hex.EncodeToString(c.Sum)
+}
+
+// Format32 renders a 32-bit sum in checksum-string form ("crc32c:0a1b2c3d").
+func Format32(algo Algo, sum uint32) string {
+	return Checksum{algo, binary.BigEndian.AppendUint32(nil, sum)}.String()
 }
 
 // Parse splits an "algo:hex" checksum string strictly: the algorithm must be
@@ -108,10 +143,10 @@ func Parse(s string) (Checksum, error) {
 	if !ok || algo == "" || val == "" {
 		return Checksum{}, fmt.Errorf("%w: %q", ErrMalformed, s)
 	}
-	algo = strings.ToLower(algo)
-	n, known := size(algo)
+	a := lower(Algo(algo))
+	n, known := size(a)
 	if !known {
-		return Checksum{}, fmt.Errorf("%w: %q", ErrUnsupported, algo)
+		return Checksum{}, fmt.Errorf("%w: %q", ErrUnsupported, a)
 	}
 	sum, err := hex.DecodeString(val)
 	if err != nil {
@@ -121,37 +156,97 @@ func Parse(s string) (Checksum, error) {
 		return Checksum{}, fmt.Errorf("%w: %q: %s digest must be %d bytes, got %d",
 			ErrMalformed, s, algo, n, len(sum))
 	}
-	return Checksum{Algo: algo, Sum: sum}, nil
+	return Checksum{Algo: a, Sum: sum}, nil
 }
 
 // FromDigestHeader scans an RFC 3230-style Digest header value
-// ("adler32=03da0195, md5=...") for an entry under algo. Values are
-// hex-encoded, the WLCG storage convention davix-era servers follow.
-// A missing or malformed entry reports ok=false — the header is an
-// optional server hint, not a hard contract like Parse's input.
-func FromDigestHeader(v, algo string) (Checksum, bool) {
-	n, known := size(algo)
-	if !known {
-		return Checksum{}, false
-	}
-	for _, part := range strings.Split(v, ",") {
+// ("adler32=03da0195, md5=...") for an entry under algo, or — with algo ""
+// — for the first entry under any algorithm this package implements: the
+// one the server chose to name. Values are hex-encoded, the WLCG storage
+// convention davix-era servers follow. A missing or malformed entry
+// reports ok=false — the header is an optional server hint, not a hard
+// contract like Parse's input.
+func FromDigestHeader(v string, algo Algo) (Checksum, bool) {
+	for v != "" {
+		var part string
+		part, v, _ = strings.Cut(v, ",")
 		name, val, found := strings.Cut(part, "=")
-		if !found || !strings.EqualFold(strings.TrimSpace(name), algo) {
+		a := lower(Algo(strings.TrimSpace(name)))
+		n, known := size(a)
+		if !found || !known || algo != "" && a != lower(algo) {
 			continue
 		}
 		sum, err := hex.DecodeString(strings.TrimSpace(val))
 		if err != nil || len(sum) != n {
 			return Checksum{}, false
 		}
-		return Checksum{Algo: algo, Sum: sum}, true
+		return Checksum{Algo: a, Sum: sum}, true
 	}
 	return Checksum{}, false
 }
 
+// Negotiate answers a Want-Digest header value (RFC 3230 §4.3.1): a comma
+// list of algorithms, each with an optional RFC 7231 ";q=" weight (0 to 1,
+// at most three decimals; default 1). It returns the algorithm of highest
+// weight among those can accepts — ties go to the entry listed first — or
+// "" when none is acceptable. q=0 means "not acceptable": an algorithm listed
+// with it anywhere is never chosen. Names and parameter names are
+// case-insensitive, whitespace around every token is ignored, and an entry
+// whose weight does not parse is skipped.
+func Negotiate(want string, can func(Algo) bool) Algo {
+	var buf [4]Algo
+	refused := buf[:0]
+	eachWeight(want, func(a Algo, q int) {
+		if q == 0 && can(a) && !slices.Contains(refused, a) {
+			refused = append(refused, a)
+		}
+	})
+	var best Algo
+	bestQ := 0
+	eachWeight(want, func(a Algo, q int) {
+		if q > bestQ && can(a) && !slices.Contains(refused, a) {
+			best, bestQ = a, q
+		}
+	})
+	return best
+}
+
+// eachWeight calls f with every entry of a Want-Digest value whose weight
+// parses: its lower-cased algorithm name and its q in thousandths.
+func eachWeight(want string, f func(Algo, int)) {
+	for want != "" {
+		var entry, params string
+		entry, want, _ = strings.Cut(want, ",")
+		entry, params, _ = strings.Cut(entry, ";")
+		q := 1000
+		for params != "" && q >= 0 {
+			var param string
+			param, params, _ = strings.Cut(params, ";")
+			if k, v, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(k), "q") {
+				q = parseQ(strings.TrimSpace(v))
+			}
+		}
+		if q >= 0 {
+			f(lower(Algo(strings.TrimSpace(entry))), q)
+		}
+	}
+}
+
+// parseQ parses an RFC 7231 qvalue — "0", "1", "0.5", "1.000" — into
+// thousandths, or -1 when it is not one.
+func parseQ(v string) int {
+	whole, frac, _ := strings.Cut(v, ".")
+	q, err := strconv.ParseUint(whole+(frac + "000")[:3], 10, 11)
+	if err != nil || len(whole) != 1 || len(frac) > 3 || q > 1000 {
+		return -1
+	}
+	return int(q)
+}
+
 // Sum32 computes the 32-bit digest of b under algo (adler32/crc32/crc32c
 // only; callers must not pass md5).
-func Sum32(algo string, b []byte) uint32 {
-	switch strings.ToLower(algo) {
+func Sum32(algo Algo, b []byte) uint32 {
+	switch lower(algo) {
 	case Adler32:
 		return adler32.Checksum(b)
 	case CRC32:
@@ -159,23 +254,10 @@ func Sum32(algo string, b []byte) uint32 {
 	case CRC32C:
 		return crc32.Checksum(b, castagnoli)
 	}
-	panic("digest: Sum32 on non-32-bit algorithm " + algo)
+	panic("digest: Sum32 on non-32-bit algorithm " + string(algo))
 }
 
 const adlerMod = 65521
-
-// CombineAdler32 returns adler32(A||B) given a = adler32(A), b = adler32(B)
-// and the length of B, per the zlib adler32_combine construction:
-// s1(A||B) = s1(A) + s1(B) - 1 and s2(A||B) = s2(A) + len(B)*s1(A) + s2(B)
-// - len(B), everything mod 65521 (s1 of the empty string is 1, hence the
-// -1 and -len(B) corrections).
-func CombineAdler32(a, b uint32, lenB int64) uint32 {
-	rem := uint32(lenB % adlerMod)
-	s1 := (a&0xffff + b&0xffff + adlerMod - 1) % adlerMod
-	s2 := ((a>>16)&0xffff + (rem*(a&0xffff))%adlerMod + (b>>16)&0xffff +
-		2*adlerMod - rem) % adlerMod
-	return s2<<16 | s1
-}
 
 // crc32Combine merges crc(A) and crc(B) into crc(A||B) for the given
 // (reflected) polynomial, using the GF(2) matrix-squaring method from zlib:
@@ -242,28 +324,28 @@ func gf2MatrixSquare(square, mat *[32]uint32) {
 	}
 }
 
-// CombineCRC32 returns crc32(A||B) for the IEEE polynomial.
-func CombineCRC32(a, b uint32, lenB int64) uint32 {
-	return crc32Combine(a, b, lenB, 0xedb88320)
-}
-
-// CombineCRC32C returns crc32c(A||B) for the Castagnoli polynomial.
-func CombineCRC32C(a, b uint32, lenB int64) uint32 {
-	return crc32Combine(a, b, lenB, 0x82f63b78)
-}
-
 // Combine merges digest a of A and digest b of B into the digest of A||B
 // under algo. Only combinable algorithms are accepted.
-func Combine(algo string, a, b uint32, lenB int64) uint32 {
-	switch strings.ToLower(algo) {
+//
+// adler32 follows the zlib adler32_combine construction: s1(A||B) = s1(A) +
+// s1(B) - 1 and s2(A||B) = s2(A) + len(B)*s1(A) + s2(B) - len(B),
+// everything mod 65521 (s1 of the empty string is 1, hence the -1 and
+// -len(B) corrections). The crc32 family advances crc(A) through len(B)
+// zero bytes under its (reflected) polynomial and xors in crc(B).
+func Combine(algo Algo, a, b uint32, lenB int64) uint32 {
+	switch lower(algo) {
 	case Adler32:
-		return CombineAdler32(a, b, lenB)
+		rem := uint32(lenB % adlerMod)
+		s1 := (a&0xffff + b&0xffff + adlerMod - 1) % adlerMod
+		s2 := ((a>>16)&0xffff + (rem*(a&0xffff))%adlerMod + (b>>16)&0xffff +
+			2*adlerMod - rem) % adlerMod
+		return s2<<16 | s1
 	case CRC32:
-		return CombineCRC32(a, b, lenB)
+		return crc32Combine(a, b, lenB, 0xedb88320) // IEEE
 	case CRC32C:
-		return CombineCRC32C(a, b, lenB)
+		return crc32Combine(a, b, lenB, 0x82f63b78) // Castagnoli
 	}
-	panic("digest: Combine on non-combinable algorithm " + algo)
+	panic("digest: Combine on non-combinable algorithm " + string(algo))
 }
 
 // Rollup accumulates per-chunk 32-bit digests posted out of order by
@@ -272,7 +354,7 @@ func Combine(algo string, a, b uint32, lenB int64) uint32 {
 // callers serialize (the transfer layer posts under its own lock or from a
 // single goroutine after workers finish their chunk).
 type Rollup struct {
-	algo   string
+	algo   Algo
 	chunks []Span
 }
 
@@ -284,13 +366,16 @@ type Span struct {
 
 // NewRollup returns a rollup for a combinable algorithm, or ErrUnsupported
 // when algo is unknown / non-combinable.
-func NewRollup(algo string) (*Rollup, error) {
-	algo = strings.ToLower(algo)
+func NewRollup(algo Algo) (*Rollup, error) {
+	algo = lower(algo)
 	if !Combinable(algo) {
 		return nil, fmt.Errorf("%w: %q is not chunk-combinable", ErrUnsupported, algo)
 	}
 	return &Rollup{algo: algo}, nil
 }
+
+// Algo reports the algorithm the rollup combines.
+func (r *Rollup) Algo() Algo { return r.algo }
 
 // Add records the digest of the n bytes at offset off.
 func (r *Rollup) Add(off, n int64, sum uint32) {

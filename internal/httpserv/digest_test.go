@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"hash/adler32"
 	"io"
 	"math/rand"
 	"net"
@@ -14,14 +13,23 @@ import (
 	"testing/iotest"
 	"time"
 
+	"godavix/internal/digest"
 	"godavix/internal/storage"
 )
 
 // The gateway hashes every upload body while it streams in and combines the
 // chunk sums at commit, so nothing re-reads the object. The property that
 // must survive that: the digest a PUT's 201 advertises and the store records
-// is always the adler32 of the bytes committed, whatever order, overlap or
-// failure the chunks arrived with.
+// is always the digest of the bytes committed, under the algorithm the
+// upload negotiated, whatever order, overlap or failure the chunks arrived
+// with.
+
+// putAlgos are the algorithms an upload can negotiate, each with the
+// Want-Digest that asks for it: none at all gets crc32c.
+var putAlgos = []struct {
+	algo digest.Algo
+	want string
+}{{digest.CRC32C, ""}, {digest.Adler32, "adler32"}}
 
 // digestChunk is the chunk size of the assembly tests: not a multiple of
 // sumPiece, so every chunk is hashed in several pieces with a ragged tail.
@@ -35,6 +43,7 @@ type assembly struct {
 	addr  string
 	key   partialKey
 	total int
+	want  string // Want-Digest of every chunk, "" for none
 	// pu is the assembly, remembered from the moment it exists: the commit
 	// removes it from the server's table but not from under this pointer.
 	pu *partialUpload
@@ -54,8 +63,12 @@ func (a *assembly) start(off, n int) *chunkReq {
 		a.t.Fatal(err)
 	}
 	a.t.Cleanup(func() { conn.Close() })
-	fmt.Fprintf(conn, "PUT %s HTTP/1.1\r\nHost: gw\r\nX-Upload-Id: %s\r\nContent-Range: bytes %d-%d/%d\r\nContent-Length: %d\r\n\r\n",
-		a.key.path, a.key.id, off, off+n-1, a.total, n)
+	want := ""
+	if a.want != "" {
+		want = "Want-Digest: " + a.want + "\r\n"
+	}
+	fmt.Fprintf(conn, "PUT %s HTTP/1.1\r\nHost: gw\r\nX-Upload-Id: %s\r\n%sContent-Range: bytes %d-%d/%d\r\nContent-Length: %d\r\n\r\n",
+		a.key.path, a.key.id, want, off, off+n-1, a.total, n)
 	return &chunkReq{a: a, conn: conn}
 }
 
@@ -259,21 +272,25 @@ func TestRangedPutDigestIsOfCommittedBytes(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			srv, ts, st := newTestServer(t, Options{})
-			a := &assembly{
-				t: t, srv: srv, addr: ts.Listener.Addr().String(),
-				key: partialKey{path: "/obj", id: "u1"}, total: len(blob),
-			}
-			code, advertised := row.run(a)
-			if code != http.StatusCreated {
-				t.Fatalf("committing chunk: status %d, want 201", code)
-			}
-			checkStoredDigest(t, ts, st, "/obj", row.want, advertised)
-			a.srv.partialMu.Lock()
-			rehashed := a.pu.dirty
-			a.srv.partialMu.Unlock()
-			if rehashed != row.rehash {
-				t.Errorf("commit hashed the whole buffer: %v, want %v", rehashed, row.rehash)
+			for _, pa := range putAlgos {
+				t.Run(string(pa.algo), func(t *testing.T) {
+					srv, ts, st := newTestServer(t, Options{})
+					a := &assembly{
+						t: t, srv: srv, addr: ts.Listener.Addr().String(),
+						key: partialKey{path: "/obj", id: "u1"}, total: len(blob), want: pa.want,
+					}
+					code, advertised := row.run(a)
+					if code != http.StatusCreated {
+						t.Fatalf("committing chunk: status %d, want 201", code)
+					}
+					checkStoredDigest(t, ts, st, "/obj", pa.algo, row.want, advertised)
+					a.srv.partialMu.Lock()
+					rehashed := a.pu.dirty
+					a.srv.partialMu.Unlock()
+					if rehashed != row.rehash {
+						t.Errorf("commit hashed the whole buffer: %v, want %v", rehashed, row.rehash)
+					}
+				})
 			}
 		})
 	}
@@ -281,8 +298,8 @@ func TestRangedPutDigestIsOfCommittedBytes(t *testing.T) {
 
 // checkStoredDigest asserts the digest property for one committed object:
 // the bytes are want, and the PUT's Digest, the store's checksum and a GET's
-// X-Checksum all name the adler32 of exactly those bytes.
-func checkStoredDigest(t *testing.T, ts *httptest.Server, st storage.Store, p string, want []byte, advertised string) {
+// X-Checksum all name the digest under algo of exactly those bytes.
+func checkStoredDigest(t *testing.T, ts *httptest.Server, st storage.Store, p string, algo digest.Algo, want []byte, advertised string) {
 	t.Helper()
 	got, _, err := st.Get(p)
 	if err != nil {
@@ -291,15 +308,15 @@ func checkStoredDigest(t *testing.T, ts *httptest.Server, st storage.Store, p st
 	if !bytes.Equal(got, want) {
 		t.Fatalf("stored bytes differ from the bytes sent (%d vs %d)", len(got), len(want))
 	}
-	sum := adler32.Checksum(got)
-	if want := fmt.Sprintf("adler32=%08x", sum); advertised != want {
+	sum := digest.Sum32(algo, got)
+	if want := fmt.Sprintf("%s=%08x", algo, sum); advertised != want {
 		t.Errorf("201 Digest = %q, want %q", advertised, want)
 	}
 	inf, err := st.Stat(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("adler32:%08x", sum); inf.Checksum != want {
+	if want := digest.Format32(algo, sum); inf.Checksum != want {
 		t.Errorf("Stat checksum = %q, want %q", inf.Checksum, want)
 	}
 	resp, err := http.Get(ts.URL + p)
@@ -308,35 +325,41 @@ func checkStoredDigest(t *testing.T, ts *httptest.Server, st storage.Store, p st
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if want := fmt.Sprintf("adler32:%08x", sum); resp.Header.Get("X-Checksum") != want {
+	if want := digest.Format32(algo, sum); resp.Header.Get("X-Checksum") != want {
 		t.Errorf("GET X-Checksum = %q, want %q", resp.Header.Get("X-Checksum"), want)
 	}
 }
 
 // TestWholePutDigestIsOfCommittedBytes: a whole-body PUT is hashed while it
-// is read, whichever way it is framed, and a body that ends early commits
-// nothing.
+// is read, under the algorithm it negotiated, whichever way it is framed,
+// and a body that ends early commits nothing.
 func TestWholePutDigestIsOfCommittedBytes(t *testing.T) {
 	blob := make([]byte, 2*sumPiece+999)
 	rand.New(rand.NewSource(18)).Read(blob)
 	srv, ts, st := newTestServer(t, Options{})
 
-	for _, framing := range []string{"length", "chunked"} {
-		var body io.Reader = bytes.NewReader(blob)
-		if framing == "chunked" {
-			body = struct{ io.Reader }{body} // length unknown to net/http
+	for _, pa := range putAlgos {
+		for _, framing := range []string{"length", "chunked"} {
+			var body io.Reader = bytes.NewReader(blob)
+			if framing == "chunked" {
+				body = struct{ io.Reader }{body} // length unknown to net/http
+			}
+			p := "/whole-" + framing + "-" + string(pa.algo)
+			req, _ := http.NewRequest(http.MethodPut, ts.URL+p, body)
+			if pa.want != "" {
+				req.Header.Set("Want-Digest", pa.want)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("%s PUT: status %d, want 201", framing, resp.StatusCode)
+			}
+			checkStoredDigest(t, ts, st, p, pa.algo, blob, resp.Header.Get("Digest"))
 		}
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/whole-"+framing, body)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("%s PUT: status %d, want 201", framing, resp.StatusCode)
-		}
-		checkStoredDigest(t, ts, st, "/whole-"+framing, blob, resp.Header.Get("Digest"))
 	}
 
 	// A body cut half way, under either framing, through the handler itself
@@ -376,6 +399,120 @@ func BenchmarkRangedPutCommit(b *testing.B) {
 			if want := map[bool]int{false: http.StatusAccepted, true: http.StatusCreated}[off+chunk == total]; w.Code != want {
 				b.Fatalf("chunk at %d: status %d, want %d", off, w.Code, want)
 			}
+		}
+	}
+}
+
+// TestWantDigestQValues: the gateway answers Want-Digest by its RFC 7231
+// weights, not with whichever algorithm is listed first — on GET and HEAD,
+// whole and ranged, and, for the algorithms an upload can be summed under,
+// on a PUT's commit.
+func TestWantDigestQValues(t *testing.T) {
+	_, ts, st := newTestServer(t, Options{})
+	blob := rangeBlob(1000)
+	st.Put("/f", blob)
+	rows := []struct {
+		want string
+		algo digest.Algo // "" for no Digest
+	}{
+		{"adler32;q=0, crc32c", digest.CRC32C},
+		{"md5;q=0.1, adler32", digest.Adler32},
+		{digest.Preference, digest.CRC32C},
+		{"crc32c;q=0.4, Adler32;Q=0.5", digest.Adler32},
+		{"crc32c;q=1.0001, md5", digest.MD5},
+		{"adler32", digest.Adler32},
+		{"crc32c;q=0, adler32;q=0", ""},
+	}
+	for _, row := range rows {
+		for _, method := range []string{http.MethodGet, http.MethodHead} {
+			for _, span := range [][2]int{{0, len(blob)}, {10, 100}} {
+				req, _ := http.NewRequest(method, ts.URL+"/f", nil)
+				req.Header.Set("Want-Digest", row.want)
+				if span[0] != 0 {
+					req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", span[0], span[1]-1))
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				want := ""
+				if row.algo != "" {
+					h, _ := digest.New(row.algo)
+					h.Write(blob[span[0]:span[1]])
+					want = fmt.Sprintf("%s=%x", row.algo, h.Sum(nil))
+				}
+				if got := resp.Header.Get("Digest"); got != want {
+					t.Errorf("%s %v with Want-Digest %q: Digest %q, want %q", method, span, row.want, got, want)
+				}
+			}
+		}
+		if !digest.Combinable(row.algo) {
+			continue
+		}
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/put", bytes.NewReader(blob))
+		req.Header.Set("Want-Digest", row.want)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got, want := resp.Header.Get("Digest"), fmt.Sprintf("%s=%08x", row.algo, digest.Sum32(row.algo, blob)); got != want {
+			t.Errorf("PUT with Want-Digest %q: Digest %q, want %q", row.want, got, want)
+		}
+	}
+}
+
+// recordedStore reports a checksum its bytes do not have, so a Digest shows
+// whether it came from the store's record or from hashing the body.
+type recordedStore struct{ storage.Store }
+
+const recordedChecksum = "crc32c:0badf00d"
+
+func (s recordedStore) Get(p string) ([]byte, storage.Info, error) {
+	data, inf, err := s.Store.Get(p)
+	inf.Checksum = recordedChecksum
+	return data, inf, err
+}
+
+// TestWholeObjectDigestIsTheStoredChecksum: a whole-object GET or HEAD that
+// negotiates the algorithm the object is stored under is answered from the
+// stored checksum — no request hashes the object — while a range, or
+// another algorithm, is hashed over the bytes served.
+func TestWholeObjectDigestIsTheStoredChecksum(t *testing.T) {
+	st := recordedStore{storage.NewMemStore()}
+	ts := httptest.NewServer(New(st, Options{}))
+	t.Cleanup(ts.Close)
+	blob := rangeBlob(1000)
+	st.Put("/f", blob)
+
+	rows := []struct {
+		method, want, rng, digest string
+	}{
+		{http.MethodHead, "crc32c", "", "crc32c=0badf00d"},
+		{http.MethodGet, digest.Preference, "", "crc32c=0badf00d"},
+		{http.MethodGet, "crc32c", "bytes=0-999", "crc32c=0badf00d"},
+		{http.MethodGet, "crc32c", "bytes=10-99", fmt.Sprintf("crc32c=%08x", digest.Sum32(digest.CRC32C, blob[10:100]))},
+		{http.MethodHead, "adler32", "", fmt.Sprintf("adler32=%08x", digest.Sum32(digest.Adler32, blob))},
+	}
+	for _, row := range rows {
+		req, _ := http.NewRequest(row.method, ts.URL+"/f", nil)
+		req.Header.Set("Want-Digest", row.want)
+		if row.rng != "" {
+			req.Header.Set("Range", row.rng)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("Digest"); got != row.digest {
+			t.Errorf("%s %q Want-Digest %q: Digest %q, want %q", row.method, row.rng, row.want, got, row.digest)
+		}
+		if got := resp.Header.Get("X-Checksum"); got != recordedChecksum {
+			t.Errorf("%s %q: X-Checksum %q, want the stored %q", row.method, row.rng, got, recordedChecksum)
 		}
 	}
 }

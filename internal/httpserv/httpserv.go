@@ -24,7 +24,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/adler32"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -198,9 +197,10 @@ type partialUpload struct {
 	data      []byte
 	intervals []ivl // sorted, non-overlapping
 	covered   int64 // bytes the intervals cover
-	// sums holds the adler32 each chunk's request computed over its own
-	// bytes as they streamed in; commit combines them instead of hashing
-	// data again.
+	// sums holds the digest each chunk's request computed over its own
+	// bytes as they streamed in, under the algorithm the chunk that created
+	// the assembly negotiated; commit combines them instead of hashing data
+	// again.
 	sums *digest.Rollup
 	// dirty records that some byte of data may have been written more than
 	// once (a duplicate, overlapping or retried chunk, or a body cut short):
@@ -797,7 +797,7 @@ func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body, 
 		code, sp = http.StatusPartialContent, ranges[0]
 		h.Set("Content-Range", string(appendContentRange(make([]byte, 0, 64), sp, size)))
 	}
-	setDigestHeader(w, r, pristine[sp.start:sp.end])
+	setDigestHeader(w, r, inf.Checksum, sp == span{0, size}, pristine[sp.start:sp.end])
 	h.Set("Content-Length", strconv.FormatInt(sp.end-sp.start, 10))
 	w.WriteHeader(code)
 	if r.Method != http.MethodHead {
@@ -868,23 +868,33 @@ func serveMultipart(w http.ResponseWriter, r *http.Request, body []byte, ranges 
 
 // setDigestHeader answers a Want-Digest request (RFC 3230 style, hex
 // values per the WLCG convention) with the digest of payload, the pristine
-// bytes of the one contiguous span this response carries. Multi-range
-// answers get no Digest — the framing is not a single contiguous payload
-// there.
-func setDigestHeader(w http.ResponseWriter, r *http.Request, payload []byte) {
-	algo := strings.ToLower(strings.TrimSpace(r.Header.Get("Want-Digest")))
-	if i := strings.IndexAny(algo, ",;"); i >= 0 {
-		algo = strings.TrimSpace(algo[:i])
-	}
-	if algo == "" || !digest.Supported(algo) {
+// bytes of the one contiguous span this response carries, under the
+// algorithm the request negotiates. A whole object is answered from its
+// stored checksum when that is in the negotiated algorithm, without reading
+// a byte. Multi-range answers get no Digest — the framing is not a single
+// contiguous payload there.
+func setDigestHeader(w http.ResponseWriter, r *http.Request, stored string, whole bool, payload []byte) {
+	algo := digest.Negotiate(r.Header.Get("Want-Digest"), digest.Supported)
+	if algo == "" {
 		return
 	}
-	h, err := digest.New(algo)
-	if err != nil {
+	if v, ok := strings.CutPrefix(stored, string(algo)+":"); ok && whole {
+		w.Header().Set("Digest", string(algo)+"="+v)
 		return
 	}
+	h, _ := digest.New(algo)
 	h.Write(payload)
-	w.Header().Set("Digest", algo+"="+hex.EncodeToString(h.Sum(nil)))
+	w.Header().Set("Digest", string(algo)+"="+hex.EncodeToString(h.Sum(nil)))
+}
+
+// putAlgo is the algorithm an upload is summed, stored and echoed under:
+// the one its Want-Digest negotiates among the combinable algorithms, else
+// digest.Default.
+func putAlgo(r *http.Request) digest.Algo {
+	if algo := digest.Negotiate(r.Header.Get("Want-Digest"), digest.Combinable); algo != "" {
+		return algo
+	}
+	return digest.Default
 }
 
 func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
@@ -903,7 +913,8 @@ func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	data, sum, err := readBody(r)
+	algo := putAlgo(r)
+	data, sum, err := readBody(r, algo)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, errBodyTooLarge) {
@@ -921,52 +932,52 @@ func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 		}
 	}
 	s.partialMu.Unlock()
-	if err := s.commit(p, data, sum); err != nil {
+	if err := s.commit(p, data, algo, sum); err != nil {
 		writeStoreErr(w, err)
 		return
 	}
 	// Echo what was actually stored: a verifying client compares this
 	// against the digest it accumulated while streaming the body, closing
 	// the upload's end-to-end integrity loop at zero extra reads.
-	setStoredDigest(w, sum)
+	setSumDigest(w, algo, sum)
 	w.WriteHeader(http.StatusCreated)
 }
 
 // summedPutter is the optional commit path a Store may offer (MemStore
 // does): the server hands over the upload buffer, which the store keeps
-// instead of copying, together with the adler32 it computed while the body
+// instead of copying, together with the digest it computed while the body
 // streamed in, which the store records instead of hashing the bytes again.
 type summedPutter interface {
-	PutSummed(p string, data []byte, sum uint32) error
+	PutSummed(p string, data []byte, algo digest.Algo, sum uint32) error
 }
 
 // commit stores an upload. data is the server's own buffer, never touched
-// again, and sum its adler32.
-func (s *Server) commit(p string, data []byte, sum uint32) error {
+// again, and sum its digest under algo.
+func (s *Server) commit(p string, data []byte, algo digest.Algo, sum uint32) error {
 	if sp, ok := s.store.(summedPutter); ok {
-		return sp.PutSummed(p, data, sum)
+		return sp.PutSummed(p, data, algo, sum)
 	}
 	return s.store.Put(p, data)
 }
 
-// setStoredDigest attaches the Digest of committed upload bytes to a PUT
-// response (adler32, the WLCG default this testbed standardizes on).
-func setStoredDigest(w http.ResponseWriter, sum uint32) {
-	w.Header().Set("Digest", digest.Adler32+"="+fmt.Sprintf("%08x", sum))
+// setSumDigest attaches to a PUT response the Digest of the bytes it
+// received: the committed object on a 201, the chunk on a ranged 202.
+func setSumDigest(w http.ResponseWriter, algo digest.Algo, sum uint32) {
+	w.Header().Set("Digest", string(algo)+"="+fmt.Sprintf("%08x", sum))
 }
 
 // errBodyTooLarge marks a request body over the maxPartialTotal cap.
 var errBodyTooLarge = errors.New("httpserv: body too large")
 
 // sumPiece is how much of an upload body is read between two updates of its
-// running adler32: small enough that the bytes are still in cache when they
+// running digest: small enough that the bytes are still in cache when they
 // are hashed, large enough that the per-update cost vanishes.
 const sumPiece = 128 << 10
 
-// readSummed fills dst from r and returns the adler32 of dst, hashing each
-// piece straight after reading it.
-func readSummed(r io.Reader, dst []byte) (uint32, error) {
-	h := adler32.New()
+// readSummed fills dst from r and returns the digest of dst under algo,
+// hashing each piece straight after reading it.
+func readSummed(r io.Reader, dst []byte, algo digest.Algo) (uint32, error) {
+	h := digest.New32(algo)
 	for len(dst) > 0 {
 		piece := dst[:min(sumPiece, len(dst))]
 		if _, err := io.ReadFull(r, piece); err != nil {
@@ -978,16 +989,16 @@ func readSummed(r io.Reader, dst []byte) (uint32, error) {
 	return h.Sum32(), nil
 }
 
-// readBody drains a request body and returns it with its adler32, computed
-// while the bytes streamed in. Content-Length-framed bodies land in one
-// exactly-sized allocation, which the store then keeps — uploads are this
-// server's hottest write path. A body shorter than its declared length
+// readBody drains a request body and returns it with its digest under
+// algo, computed while the bytes streamed in. Content-Length-framed bodies
+// land in one exactly-sized allocation, which the store then keeps —
+// uploads are this server's hottest write path. A body shorter than its declared length
 // (connection cut mid-upload) is an error: truncated uploads must never
 // commit. Chunked bodies are bounded by the same maxPartialTotal cap the
 // length-framed paths enforce.
-func readBody(r *http.Request) ([]byte, uint32, error) {
+func readBody(r *http.Request, algo digest.Algo) ([]byte, uint32, error) {
 	if r.ContentLength < 0 {
-		h := adler32.New()
+		h := digest.New32(algo)
 		b, err := io.ReadAll(io.TeeReader(io.LimitReader(r.Body, maxPartialTotal+1), h))
 		if err == nil && int64(len(b)) > maxPartialTotal {
 			return nil, 0, errBodyTooLarge
@@ -995,7 +1006,7 @@ func readBody(r *http.Request) ([]byte, uint32, error) {
 		return b, h.Sum32(), err
 	}
 	buf := make([]byte, r.ContentLength)
-	sum, err := readSummed(r.Body, buf)
+	sum, err := readSummed(r.Body, buf, algo)
 	return buf, sum, err
 }
 
@@ -1032,8 +1043,9 @@ func parseContentRange(cr string) (start, end, total int64, ok bool) {
 
 // serveRangedPut assembles one Content-Range chunk into the path's partial
 // upload, committing to the store when every byte of the declared total
-// has arrived: 202 Accepted per partial chunk, 201 Created on commit. The
-// davix client PUTs disjoint chunks concurrently over pooled connections;
+// has arrived: 202 Accepted per partial chunk, with the Digest of that
+// chunk as received, and 201 Created with the object's on commit. The davix
+// client PUTs disjoint chunks concurrently over pooled connections;
 // out-of-order and duplicate arrivals are both tolerated. Chunk bodies
 // stream directly into the assembly buffer and are hashed as they land —
 // concurrent chunks copy and hash in parallel, only the interval and sum
@@ -1071,7 +1083,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 		// win the race, in which case ours is dropped.
 		s.partialMu.Unlock()
 		fresh := &partialUpload{data: make([]byte, total), idle: sync.NewCond(&s.partialMu)}
-		fresh.sums, _ = digest.NewRollup(digest.Adler32)
+		fresh.sums, _ = digest.NewRollup(putAlgo(r))
 		s.partialMu.Lock()
 		if pu = s.partials[key]; pu == nil {
 			// Re-check the cap: other first chunks may have inserted while
@@ -1110,7 +1122,8 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	// Stream the body straight into place. A failed read leaves the
 	// interval unmarked and no sum behind, so a retry simply overwrites the
 	// garbage.
-	sum, err := readSummed(r.Body, pu.data[start:end+1])
+	algo := pu.sums.Algo()
+	sum, err := readSummed(r.Body, pu.data[start:end+1], algo)
 	if err == nil && r.ContentLength < 0 { // chunked body: refuse trailing bytes
 		var one [1]byte
 		if n, _ := r.Body.Read(one[:]); n > 0 {
@@ -1137,6 +1150,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	// hashes the buffer itself once we are done.
 	if s.partials[key] != pu {
 		s.partialMu.Unlock()
+		setSumDigest(w, algo, sum)
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
@@ -1147,6 +1161,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	pu.dirty = pu.dirty || pu.covered != before+want
 	if pu.covered != total {
 		s.partialMu.Unlock()
+		setSumDigest(w, algo, sum)
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
@@ -1162,13 +1177,13 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	pu.writers.Wait()
 	sum, err = pu.sums.Sum(total)
 	if rehash || err != nil { // err: the sums do not tile [0, total)
-		sum = adler32.Checksum(pu.data)
+		sum = digest.Sum32(algo, pu.data)
 	}
-	if err := s.commit(p, pu.data, sum); err != nil {
+	if err := s.commit(p, pu.data, algo, sum); err != nil {
 		writeStoreErr(w, err)
 		return
 	}
-	setStoredDigest(w, sum)
+	setSumDigest(w, algo, sum)
 	w.WriteHeader(http.StatusCreated)
 }
 

@@ -38,7 +38,8 @@ type Metalink struct {
 	Name string
 	// Size is the resource size in bytes (-1 when unknown).
 	Size int64
-	// Checksum is the content checksum ("adler32:xxxxxxxx"), optional.
+	// Checksum is the content checksum ("algo:hex", e.g.
+	// "crc32c:xxxxxxxx"), optional.
 	Checksum string
 	// URLs lists replica locations.
 	URLs []URL

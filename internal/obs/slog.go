@@ -94,5 +94,8 @@ func SlogTrace(l *slog.Logger) *ClientTrace {
 		UploadFellBackSerial: func(path string, err error) {
 			l.Warn("davix upload fell back to serial", "path", path, "err", err)
 		},
+		Verified: func(dir Direction, path, algo string) {
+			l.Debug("davix transfer verified", "dir", string(dir), "path", path, "algo", algo)
+		},
 	}
 }

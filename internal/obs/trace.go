@@ -135,6 +135,10 @@ type ClientTrace struct {
 	// PUT that probes a chunked upload of path (err is its verdict) and the
 	// upload goes out as one whole-body PUT instead.
 	UploadFellBackSerial func(path string, err error)
+
+	// Verified fires when a transfer of path was verified end to end: its
+	// whole-object digest under algo matched the server's.
+	Verified func(dir Direction, path, algo string)
 }
 
 // The emit methods below are the engine-facing surface: all are safe on a
@@ -292,6 +296,14 @@ func (t *ClientTrace) EmitUploadFellBackSerial(path string, err error) {
 	t.UploadFellBackSerial(path, err)
 }
 
+// EmitVerified invokes Verified if installed.
+func (t *ClientTrace) EmitVerified(dir Direction, path, algo string) {
+	if t == nil || t.Verified == nil {
+		return
+	}
+	t.Verified(dir, path, algo)
+}
+
 // Merge composes two traces: every event fires a's hook, then b's. A nil
 // argument contributes nothing; merging with one nil returns the other
 // unchanged (no wrapper cost).
@@ -378,6 +390,10 @@ func Merge(a, b *ClientTrace) *ClientTrace {
 		UploadFellBackSerial: func(path string, err error) {
 			a.EmitUploadFellBackSerial(path, err)
 			b.EmitUploadFellBackSerial(path, err)
+		},
+		Verified: func(dir Direction, path, algo string) {
+			a.EmitVerified(dir, path, algo)
+			b.EmitVerified(dir, path, algo)
 		},
 	}
 }

@@ -8,7 +8,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/adler32"
 	"io/fs"
 	"os"
 	"path"
@@ -18,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"godavix/internal/digest"
 )
 
 // Common errors, comparable with errors.Is.
@@ -40,8 +41,9 @@ type Info struct {
 	ModTime time.Time
 	// Dir reports whether the entry is a directory.
 	Dir bool
-	// Checksum is the Adler-32 checksum of the content, rendered as
-	// "adler32:%08x" (the WLCG convention); empty for directories.
+	// Checksum is the checksum of the content as "algo:hex" (the WLCG
+	// convention): the algorithm the upload that stored it negotiated, else
+	// crc32c ("crc32c:%08x"); empty for directories.
 	Checksum string
 }
 
@@ -66,14 +68,9 @@ type Store interface {
 	Move(src, dst string) error
 }
 
-// Checksum renders the WLCG-style Adler-32 checksum of data.
+// Checksum renders the WLCG-style checksum of data under digest.Default.
 func Checksum(data []byte) string {
-	return renderAdler32(adler32.Checksum(data))
-}
-
-// renderAdler32 renders an Adler-32 value in the Info.Checksum form.
-func renderAdler32(sum uint32) string {
-	return fmt.Sprintf("adler32:%08x", sum)
+	return digest.Format32(digest.Default, digest.Sum32(digest.Default, data))
 }
 
 // Clean canonicalizes an object path to a rooted, slash-separated form.
@@ -318,19 +315,19 @@ func (s *MemStore) Put(p string, data []byte) error {
 // PutOwned stores data at p taking ownership of the slice: the caller must
 // not retain or mutate it afterwards. It skips Put's defensive copy.
 func (s *MemStore) PutOwned(p string, data []byte) error {
-	return s.PutSummed(p, data, adler32.Checksum(data))
+	return s.PutSummed(p, data, digest.Default, digest.Sum32(digest.Default, data))
 }
 
-// PutSummed is PutOwned for a caller that already holds the Adler-32 of
+// PutSummed is PutOwned for a caller that already holds a 32-bit digest of
 // data — the gateway hashes upload bodies as they stream in, so a commit
-// costs the store no pass over the bytes. sum must be adler32(data); it
+// costs the store no pass over the bytes. sum must be algo(data); it
 // becomes Info.Checksum as given.
-func (s *MemStore) PutSummed(p string, data []byte, sum uint32) error {
+func (s *MemStore) PutSummed(p string, data []byte, algo digest.Algo, sum uint32) error {
 	p = Clean(p)
 	if p == "/" {
 		return ErrIsDir
 	}
-	entry := &memEntry{data: data, checksum: renderAdler32(sum), modTime: s.now()}
+	entry := &memEntry{data: data, checksum: digest.Format32(algo, sum), modTime: s.now()}
 	return s.insert(p, entry, false)
 }
 

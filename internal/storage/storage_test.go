@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/adler32"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
+
+	"godavix/internal/digest"
 )
 
 // stores returns both implementations so every test runs against each.
@@ -192,8 +195,8 @@ func TestDiskStoreEscapePrevented(t *testing.T) {
 
 func TestChecksumFormat(t *testing.T) {
 	c := Checksum([]byte("hello"))
-	if len(c) != len("adler32:")+8 || c[:8] != "adler32:" {
-		t.Fatalf("checksum = %q", c)
+	if want := fmt.Sprintf("crc32c:%08x", crc32.Checksum([]byte("hello"), crc32.MakeTable(crc32.Castagnoli))); c != want {
+		t.Fatalf("checksum = %q, want %q", c, want)
 	}
 	if Checksum([]byte("hello")) != c {
 		t.Fatal("checksum not deterministic")
@@ -237,7 +240,8 @@ func TestMemStoreIsolation(t *testing.T) {
 
 // TestMemStorePutVariantsAgree: Put copies, PutOwned and PutSummed keep the
 // caller's slice, and all three record the same checksum for the same bytes
-// — PutSummed by taking the caller's word for it.
+// — PutSummed by taking the caller's word for it, under the algorithm it
+// names.
 func TestMemStorePutVariantsAgree(t *testing.T) {
 	s := NewMemStore()
 	data := []byte("the same bytes three ways")
@@ -246,7 +250,8 @@ func TestMemStorePutVariantsAgree(t *testing.T) {
 	if err := errors.Join(
 		s.Put("/copied", data),
 		s.PutOwned("/owned", owned),
-		s.PutSummed("/summed", summed, adler32.Checksum(summed)),
+		s.PutSummed("/summed", summed, digest.CRC32C, digest.Sum32(digest.CRC32C, summed)),
+		s.PutSummed("/adler", data, digest.Adler32, adler32.Checksum(data)),
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +264,10 @@ func TestMemStorePutVariantsAgree(t *testing.T) {
 			t.Fatalf("%s: the store copied a slice it was given to keep", p)
 		}
 	}
-	if err := s.PutSummed("/", nil, 1); !errors.Is(err, ErrIsDir) {
+	if inf, _ := s.Stat("/adler"); inf.Checksum != fmt.Sprintf("adler32:%08x", adler32.Checksum(data)) {
+		t.Fatalf("/adler: checksum %q, want the adler32 it was given", inf.Checksum)
+	}
+	if err := s.PutSummed("/", nil, digest.CRC32C, 1); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("PutSummed on the root: %v, want ErrIsDir", err)
 	}
 }
