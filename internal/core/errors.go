@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -39,15 +40,19 @@ func (e *StatusError) Is(target error) bool {
 
 // parseRetryAfter parses a Retry-After header value: either delta-seconds
 // ("120") or an HTTP-date (RFC 9110 §10.2.3), measured against now.
-// Malformed values and dates in the past report zero.
+// Malformed values and dates in the past report zero; a delay too long for
+// a Duration reports the longest one (retryDelay caps it anyway).
 func parseRetryAfter(v string, now time.Time) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
-		if secs < 0 {
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs < 0:
 			return 0
+		case secs > math.MaxInt64/int64(time.Second):
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}

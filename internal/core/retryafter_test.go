@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +30,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"http-date-past", now.Add(-time.Minute).Format("Mon, 02 Jan 2006 15:04:05 GMT"), 0},
 		{"garbage", "soon", 0},
 		{"float-rejected", "1.5", 0},
+		// Around the largest whole-second Duration: past it the product
+		// used to wrap negative, then small, then ParseInt gave up.
+		{"seconds-largest", "9223372036", 9223372036 * time.Second},
+		{"seconds-wraps-negative", "9223372037", math.MaxInt64},
+		{"seconds-wraps-small", "18446744074", math.MaxInt64},
+		{"seconds-past-int64", "99999999999999999999", math.MaxInt64},
+		{"seconds-past-int64-negative", "-99999999999999999999", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,6 +45,44 @@ func TestParseRetryAfter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRetryAfter holds parseRetryAfter to three properties: it never
+// reports a negative delay; an all-digit value is min(n s, the longest
+// Duration), computed with math/big; and a value http.ParseTime accepts is
+// max(0, t-now).
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, v := range []string{
+		"", "0", "3", "  7  ", "-5", "+5", "1.5", "soon", "007",
+		"9223372036", "9223372037", "18446744074", "99999999999999999999", "-99999999999999999999",
+		now.Add(90 * time.Second).Format(http.TimeFormat), now.Add(-time.Minute).Format(http.TimeFormat),
+		"Sunday, 06-Nov-94 08:49:37 GMT", "Sun Nov  6 08:49:37 1994", "Fri, 31 Dec 9999 23:59:59 GMT",
+	} {
+		f.Add(v)
+	}
+	longest := big.NewInt(math.MaxInt64)
+	f.Fuzz(func(t *testing.T, v string) {
+		got := parseRetryAfter(v, now)
+		if got < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, negative", v, got)
+		}
+		s := strings.TrimSpace(v)
+		if s != "" && strings.Trim(s, "0123456789") == "" {
+			n, _ := new(big.Int).SetString(s, 10)
+			if n.Mul(n, big.NewInt(int64(time.Second))).Cmp(longest) > 0 {
+				n = longest
+			}
+			if want := time.Duration(n.Int64()); got != want {
+				t.Fatalf("parseRetryAfter(%q) = %v, want %v", v, got, want)
+			}
+		}
+		if at, err := http.ParseTime(s); err == nil {
+			if want := max(0, at.Sub(now)); got != want {
+				t.Fatalf("parseRetryAfter(%q) = %v, want %v (date %v)", v, got, want, at)
+			}
+		}
+	})
 }
 
 func TestRetryDelayHonorsRetryAfter(t *testing.T) {

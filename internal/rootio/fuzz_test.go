@@ -11,17 +11,62 @@ import (
 	"testing"
 )
 
-// FuzzInflateBasket holds inflateBasket against compress/zlib read to EOF:
-// it never panics, fails only with ErrCorrupt, and whenever it returns
-// events the stdlib inflates the same blob without error to exactly usize
-// bytes that decode to the same events.
-func FuzzInflateBasket(f *testing.F) {
-	raw := encodeBasket(events2branch(randomEvents(39, 20, 1, 48), 0))
+// zlibInflater is the reference decoder inflateBasket is held against:
+// compress/zlib, re-armed through zlib.Resetter and read to EOF, which is
+// what makes it compare the adler32 trailer.
+type zlibInflater struct {
+	src  bytes.Reader
+	zr   io.ReadCloser
+	tail [1]byte
+}
+
+// inflate decompresses blob, which must hold exactly usize bytes, and
+// reports how many bytes follow its trailer (compress/zlib ignores them).
+func (inf *zlibInflater) inflate(blob []byte, usize int64) (raw []byte, trailing int, err error) {
+	inf.src.Reset(blob)
+	if inf.zr == nil {
+		inf.zr, err = zlib.NewReader(&inf.src)
+	} else {
+		err = inf.zr.(zlib.Resetter).Reset(&inf.src, nil)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	raw = make([]byte, usize)
+	if _, err := io.ReadFull(inf.zr, raw); err != nil {
+		return nil, 0, err
+	}
+	switch n, err := inf.zr.Read(inf.tail[:]); {
+	case n != 0:
+		return nil, 0, errors.New("stream longer than usize")
+	case err != io.EOF:
+		return nil, 0, err
+	}
+	return raw, inf.src.Len(), nil
+}
+
+// zlibCompress is raw as one zlib stream at the given level.
+func zlibCompress(tb testing.TB, level int, raw []byte) []byte {
 	var comp bytes.Buffer
-	zw := zlib.NewWriter(&comp)
+	zw, err := zlib.NewWriterLevel(&comp, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	zw.Write(raw)
 	zw.Close()
-	valid := comp.Bytes()
+	return comp.Bytes()
+}
+
+// FuzzInflateBasket holds inflateBasket against compress/zlib in both
+// directions. It never panics and fails only with ErrCorrupt. Whenever it
+// returns events, zlib inflates the same blob to exactly usize bytes, with
+// nothing after the trailer, that decode to the same events. Whenever zlib
+// does that and decodeBasket accepts its output, so does inflateBasket —
+// save for a preset dictionary (FDICT), which zlib takes when it is empty
+// and inflateBasket never does.
+func FuzzInflateBasket(f *testing.F) {
+	raw := encodeBasket(events2branch(randomEvents(39, 20, 1, 48), 0))
+	valid := zlibCompress(f, zlib.DefaultCompression, raw)
 	size := uint32(len(raw))
 	flipped := func(i int) []byte {
 		c := append([]byte(nil), valid...)
@@ -42,25 +87,58 @@ func FuzzInflateBasket(f *testing.F) {
 	f.Add([]byte{}, uint32(0))
 	f.Add([]byte{}, uint32(math.MaxUint32))
 
+	// The random payloads above compress to stored blocks. One stream per
+	// block type and encoder strategy over half-structured payloads: stored,
+	// fixed Huffman with a match (a few bytes; compress/flate picks stored
+	// or dynamic for them at BestSpeed), Huffman-only, BestCompression, the
+	// empty stream, and a >64 KiB basket spanning several blocks, dynamic
+	// and stored.
+	rng := rand.New(rand.NewSource(40))
+	payloads := make([][]byte, 300)
+	for ev := range payloads {
+		payloads[ev] = synthPayload(rng, ev, 3, 256)
+	}
+	text, big := encodeBasket(payloads[:20]), encodeBasket(payloads)
+	tiny := encodeBasket([][]byte{[]byte("abababababababab")})
+	textSize, bigSize := uint32(len(text)), uint32(len(big))
+	f.Add(zlibCompress(f, zlib.NoCompression, text), textSize)
+	f.Add(zlibCompress(f, zlib.DefaultCompression, tiny), uint32(len(tiny)))
+	f.Add(zlibCompress(f, zlib.HuffmanOnly, text), textSize)
+	f.Add(zlibCompress(f, zlib.BestCompression, text), textSize)
+	f.Add(zlibCompress(f, zlib.DefaultCompression, nil), uint32(0))
+	f.Add(zlibCompress(f, zlib.NoCompression, big), bigSize)
+	multi := zlibCompress(f, zlib.DefaultCompression, big)
+	f.Add(append(append([]byte(nil), multi...), 0), bigSize)
+	for _, usize := range []uint32{0, 1, bigSize - 1, bigSize, bigSize + 1, math.MaxUint32} {
+		f.Add(multi, usize)
+	}
+
 	f.Fuzz(func(t *testing.T, blob []byte, usize uint32) {
 		events, err := inflateBasket(blob, int64(usize))
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+		}
+		if int64(usize) > maxInflateRatio*int64(len(blob))+inflateSlack {
+			if err == nil {
+				t.Fatalf("accepted %d bytes from a %d-byte blob", usize, len(blob))
+			}
+			return // no zlib stream that short holds that much
+		}
+		got, trailing, zerr := new(zlibInflater).inflate(blob, int64(usize))
+		if err == nil {
+			if zerr != nil || trailing != 0 {
+				t.Fatalf("accepted as %d bytes; zlib: err %v, %d bytes after the trailer", usize, zerr, trailing)
+			}
+			if want, err := decodeBasket(got); err != nil || !reflect.DeepEqual(events, want) {
+				t.Fatalf("events differ from decodeBasket of zlib's output (err %v)", err)
 			}
 			return
 		}
-		zr, err := zlib.NewReader(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("accepted a blob zlib rejects: %v", err)
+		if zerr != nil || trailing != 0 || blob[1]&0x20 != 0 {
+			return
 		}
-		got, err := io.ReadAll(zr)
-		if err != nil || len(got) != int(usize) {
-			t.Fatalf("accepted as %d bytes; zlib reads %d bytes, err %v", usize, len(got), err)
-		}
-		want, err := decodeBasket(got)
-		if err != nil || !reflect.DeepEqual(events, want) {
-			t.Fatalf("events differ from decodeBasket of zlib's output (err %v)", err)
+		if _, derr := decodeBasket(got); derr == nil {
+			t.Fatalf("zlib inflates exactly %d bytes and they decode, but inflateBasket fails: %v", usize, err)
 		}
 	})
 }

@@ -2,12 +2,9 @@ package rootio
 
 import (
 	"bytes"
-	"compress/zlib"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -241,44 +238,8 @@ func (r *Reader) publish(keys []basketKey, events [][][]byte) {
 	r.mu.Unlock()
 }
 
-// inflater is a reusable zlib decompressor over an in-memory blob. A flate
-// decompressor is ≈ 44 KB of state; re-arming one through zlib.Resetter
-// costs nothing per basket.
-type inflater struct {
-	src  bytes.Reader
-	zr   io.ReadCloser
-	tail [1]byte
-}
-
-var inflaters sync.Pool
-
-// inflate decompresses blob, which must hold exactly usize bytes: reading
-// on to EOF is what makes compress/zlib compare its adler32 trailer.
-func (inf *inflater) inflate(blob []byte, usize int64) ([]byte, error) {
-	inf.src.Reset(blob)
-	var err error
-	if inf.zr == nil {
-		inf.zr, err = zlib.NewReader(&inf.src)
-	} else {
-		err = inf.zr.(zlib.Resetter).Reset(&inf.src, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// raw is not pooled: the payload slices handed to callers alias it.
-	raw := make([]byte, usize)
-	if _, err := io.ReadFull(inf.zr, raw); err != nil {
-		return nil, err
-	}
-	switch n, err := inf.zr.Read(inf.tail[:]); {
-	case n != 0:
-		return nil, errors.New("stream longer than the index claims")
-	case err != io.EOF:
-		return nil, err
-	}
-	inf.src.Reset(nil) // a pooled inflater must not pin the blob
-	return raw, nil
-}
+// inflaters pools decoder tables: one per basket being inflated at once.
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
 // maxInflateRatio is deflate's maximum expansion (RFC 1951: 258 bytes
 // from a 2-bit match); inflateSlack covers the zlib framing.
@@ -288,22 +249,23 @@ const (
 )
 
 // inflateBasket decompresses one basket blob that the index says holds
-// usize bytes, and splits it into event payloads. Damage anywhere in the
-// blob, and a size the blob cannot inflate to, are ErrCorrupt.
+// usize bytes, in one pass into a buffer of that size, and splits it into
+// event payloads. Damage anywhere in the blob, and a size the blob cannot
+// inflate to, are ErrCorrupt. So, unlike compress/zlib, are bytes after the
+// adler32 trailer — the index's CompressedSize says they belong to the
+// basket — and a preset dictionary, which no basket has.
 func inflateBasket(blob []byte, usize int64) ([][]byte, error) {
 	if usize < 0 || usize > maxInflateRatio*int64(len(blob))+inflateSlack {
 		return nil, fmt.Errorf("%w: basket claims %d bytes from a %d-byte blob", ErrCorrupt, usize, len(blob))
 	}
-	inf, _ := inflaters.Get().(*inflater)
-	if inf == nil {
-		inf = new(inflater)
-	}
-	raw, err := inf.inflate(blob, usize)
+	// raw is not pooled: the payload slices handed to callers alias it.
+	raw := make([]byte, usize)
+	inf := inflaters.Get().(*inflater)
+	err := inf.inflate(raw, blob)
+	inflaters.Put(inf)
 	if err != nil {
-		// The failed inflater is dropped, not pooled.
 		return nil, fmt.Errorf("%w: basket inflate: %w", ErrCorrupt, err)
 	}
-	inflaters.Put(inf)
 	return decodeBasket(raw)
 }
 

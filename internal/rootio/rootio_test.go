@@ -413,11 +413,11 @@ func TestSynthCompresses(t *testing.T) {
 	}
 }
 
-func TestDropCacheEviction(t *testing.T) {
+func TestTreeCacheEvictsToWindow(t *testing.T) {
 	events := randomEvents(13, 600, 2, 32)
 	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 100})
 	r, _ := OpenReader(BytesSource(img))
-	tc := NewTreeCache(r, 200, nil)
+	tc := NewTreeCache(r, 200, nil) // depth 0: BytesSource has no async read
 	defer tc.Close()
 
 	for ev := uint64(0); ev < 600; ev += 10 {
@@ -425,9 +425,10 @@ func TestDropCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Memory bound: at most one window's baskets resident
-	// (2 branches × 2 baskets per 200-event window).
-	if got := r.cachedBaskets(); got > 8 {
-		t.Fatalf("resident baskets = %d, eviction broken", got)
+	// Entering a window evicts every basket it does not need, so exactly
+	// the last window's baskets stay resident: 2 branches × 2 baskets per
+	// 200-event window.
+	if got := r.cachedBaskets(); got != 4 {
+		t.Fatalf("resident baskets = %d, want 4", got)
 	}
 }
