@@ -3,9 +3,12 @@
 //
 //	go test -bench=. -benchmem
 //
-// The full parameter sweeps with mean±σ tables live in cmd/davix-bench;
-// these testing.B entries measure the same workloads at benchmark-friendly
-// sizes and let `go test -bench` regenerate every figure's comparison.
+// Figures 1–3 are reproduced here only:
+//
+//	go test -bench 'Fig[123]' -run '^$' .
+//
+// Figure 4 also has a mean±σ sweep in cmd/davix-bench; these testing.B
+// entries measure the same workload at a benchmark-friendly size.
 package davix
 
 import (

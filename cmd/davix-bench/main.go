@@ -1,5 +1,7 @@
-// Command davix-bench regenerates every figure of the paper's evaluation
-// on the simulated testbed, printing one table per experiment.
+// Command davix-bench runs the experiments that have no exact package test
+// or committed benchmark workload yet on the simulated testbed, printing one
+// table per experiment. Figures 1–3 are reproduced by the root package's
+// benchmarks (go test -bench 'Fig[123]' -run '^$' .).
 //
 // Usage:
 //
@@ -7,11 +9,10 @@
 //	davix-bench -experiment fig4          # just Figure 4
 //	davix-bench -experiment fig4 -fractions 0.1,0.5,1.0
 //	davix-bench -repeats 10 -events 12000
-//	davix-bench -experiment meta -json BENCH_meta.json
+//	davix-bench -experiment resil -json BENCH_resil.json
 //
-// Experiments: fig1, fig2, fig3, fig4, fig4async, gap, failover,
-// multistream, window, poolsize, prefetch, federation, cache, vecpar,
-// meta, xfer, resil, obs, zerocopy, server, chaos, analysis, all.
+// Experiments: fig4, fig4async, cache, resil, zerocopy, server, chaos,
+// analysis, all.
 //
 // The analysis experiment compares the cold-cache event loop across HTTP
 // prefetch configurations (none, block-cache read-ahead, learned sync,
@@ -77,24 +78,10 @@ func main() {
 		run  func(bench.Options) (*bench.Table, error)
 	}
 	all := []exp{
-		{"fig1", bench.Fig1},
-		{"fig2", bench.Fig2},
-		{"fig3", bench.Fig3},
 		{"fig4", bench.Fig4},
 		{"fig4async", bench.Fig4HTTPAsync},
-		{"gap", bench.Fig3GapAblation},
-		{"failover", bench.Failover},
-		{"multistream", bench.MultiStream},
-		{"window", bench.WindowAblation},
-		{"poolsize", bench.PoolSizeAblation},
-		{"prefetch", bench.PrefetchAblation},
-		{"federation", bench.FederationCompare},
 		{"cache", bench.CacheBench},
-		{"vecpar", bench.VecPar},
-		{"meta", bench.Meta},
-		{"xfer", bench.Xfer},
 		{"resil", bench.Resil},
-		{"obs", bench.Obs},
 		{"zerocopy", bench.Zerocopy},
 		{"server", bench.ServerLoad},
 		{"chaos", bench.Chaos},

@@ -2,15 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"context"
-	"math/rand"
 	"strings"
 	"testing"
 
-	"godavix/internal/core"
 	"godavix/internal/httpserv"
 	"godavix/internal/netsim"
-	"godavix/internal/rangev"
 	"godavix/internal/rootio"
 )
 
@@ -128,187 +124,6 @@ func TestFig4TableRuns(t *testing.T) {
 	}
 }
 
-// TestFig1Shape: pipelining's fast requests are HOL-blocked behind the slow
-// one; pooled dispatch and multiplexing are not.
-func TestFig1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	table, err := Fig1(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %+v", table.Rows)
-	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	// Parse the fast-latency column back (ends with "ms").
-	parse := func(s string) float64 {
-		var v float64
-		if _, err := fmtSscanf(s, &v); err != nil {
-			t.Fatalf("cannot parse %q", s)
-		}
-		return v
-	}
-	pipelined := parse(table.Rows[0][2])
-	pooled := parse(table.Rows[1][2])
-	muxed := parse(table.Rows[2][2])
-	if pipelined < pooled*2 {
-		t.Fatalf("HOL blocking not visible: pipelined=%.1f pooled=%.1f", pipelined, pooled)
-	}
-	if pipelined < muxed*2 {
-		t.Fatalf("HOL blocking not visible vs mux: pipelined=%.1f mux=%.1f", pipelined, muxed)
-	}
-}
-
-// fmtSscanf parses a leading float out of "12.3ms".
-func fmtSscanf(s string, v *float64) (int, error) {
-	end := 0
-	for end < len(s) && (s[end] == '.' || s[end] == '-' || (s[end] >= '0' && s[end] <= '9')) {
-		end++
-	}
-	var err error
-	*v, err = parseFloat(s[:end])
-	return 1, err
-}
-
-func parseFloat(s string) (float64, error) {
-	var v float64
-	var frac float64 = 0
-	div := 1.0
-	seenDot := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '.' {
-			seenDot = true
-			continue
-		}
-		d := float64(c - '0')
-		if seenDot {
-			div *= 10
-			frac += d / div
-		} else {
-			v = v*10 + d
-		}
-	}
-	return v + frac, nil
-}
-
-// TestFig2Shape: connection-per-request must be slower and dial more.
-func TestFig2Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	const reqs = 15
-	rec, recDials, err := fig2Run(netsim.PAN(), reqs, 8<<10, false, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per, perDials, err := fig2Run(netsim.PAN(), reqs, 8<<10, true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recDials != 1 {
-		t.Fatalf("recycled dials = %d, want 1", recDials)
-	}
-	if perDials != reqs {
-		t.Fatalf("per-request dials = %d, want %d", perDials, reqs)
-	}
-	if per.Min() <= rec.Min() {
-		t.Fatalf("per-request (%.3fs) not slower than recycled (%.3fs)", per.Min(), rec.Min())
-	}
-}
-
-// TestFig3Shape: one vectored request beats K individual ranged GETs on a
-// latency-bearing link.
-func TestFig3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	env, err := NewEnv(netsim.PAN(), httpserv.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	blob := make([]byte, 1<<20)
-	env.Store.Put("/blob", blob)
-	client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	ctx := context.Background()
-
-	const k = 32
-	rr := make([]rangev.Range, k)
-	rng := rand.New(rand.NewSource(31))
-	for i := range rr {
-		rr[i] = rangev.Range{Off: rng.Int63n(1<<20 - 128), Len: 128}
-	}
-	dsts := make([][]byte, k)
-	for i := range dsts {
-		dsts[i] = make([]byte, 128)
-	}
-
-	timer := startTimer()
-	for _, r := range rr {
-		if _, err := client.GetRange(ctx, HTTPAddr, "/blob", r.Off, r.Len); err != nil {
-			t.Fatal(err)
-		}
-	}
-	indiv := timer()
-
-	timer = startTimer()
-	if err := client.ReadVec(ctx, HTTPAddr, "/blob", rr, dsts); err != nil {
-		t.Fatal(err)
-	}
-	vec := timer()
-
-	if vec*4 > indiv {
-		t.Fatalf("vectored (%v) not ≫ faster than individual (%v)", vec, indiv)
-	}
-}
-
-func TestFailoverTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	opts := tinyOpts()
-	opts.Repeats = 2
-	table, err := Failover(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("rows = %d", len(table.Rows))
-	}
-	// 0..2 dead: success. 3 dead: failure.
-	for i := 0; i < 3; i++ {
-		if table.Rows[i][1] != "true" {
-			t.Fatalf("row %d: %+v", i, table.Rows[i])
-		}
-	}
-	if table.Rows[3][1] != "false" {
-		t.Fatalf("all-dead row: %+v", table.Rows[3])
-	}
-}
-
-func TestMultiStreamFaster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	opts := tinyOpts()
-	opts.Repeats = 1
-	table, err := MultiStream(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("rows = %+v", table.Rows)
-	}
-}
-
 func TestStatsSample(t *testing.T) {
 	s := &Sample{}
 	for _, v := range []float64{1, 2, 3, 4} {
@@ -322,67 +137,5 @@ func TestStatsSample(t *testing.T) {
 	}
 	if Pct(2, 3) != "+50.0%" || Pct(0, 1) != "n/a" {
 		t.Fatalf("pct: %s %s", Pct(2, 3), Pct(0, 1))
-	}
-}
-
-// TestAblationTablesRun exercises every ablation experiment end to end at
-// tiny scale, asserting row counts and the key orderings.
-func TestAblationTablesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	opts := tinyOpts()
-	opts.Repeats = 1
-
-	win, err := WindowAblation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(win.Rows) != 4 {
-		t.Fatalf("window rows = %d", len(win.Rows))
-	}
-
-	ps, err := PoolSizeAblation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps.Rows) != 3 {
-		t.Fatalf("poolsize rows = %d", len(ps.Rows))
-	}
-	// Dials column: 1, 4, 16.
-	if ps.Rows[0][2] != "1" || ps.Rows[2][2] != "16" {
-		t.Fatalf("poolsize dials = %v", ps.Rows)
-	}
-
-	pf, err := PrefetchAblation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pf.Rows) != 2 {
-		t.Fatalf("prefetch rows = %d", len(pf.Rows))
-	}
-
-	fc, err := FederationCompare(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fc.Rows) != 2 {
-		t.Fatalf("federation rows = %d", len(fc.Rows))
-	}
-}
-
-// TestGapAblationRuns covers the data-sieving sweep.
-func TestGapAblationRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	opts := tinyOpts()
-	opts.Repeats = 1
-	table, err := Fig3GapAblation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("rows = %d", len(table.Rows))
 	}
 }

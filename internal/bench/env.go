@@ -1,7 +1,7 @@
-// Package bench implements the paper's evaluation (§3): the testbed
-// environment (storage servers over a simulated network), the ROOT-style
-// analysis job, and one experiment per figure of the paper, each emitting
-// the rows the paper reports.
+// Package bench holds the testbed environment (storage servers over a
+// simulated network), the ROOT-style analysis job of the paper's §3, and
+// the experiments that have no exact package test or committed benchmark
+// workload yet, each emitting one table.
 package bench
 
 import (

@@ -131,7 +131,8 @@ func Fig4(opts Options) (*Table, error) {
 // client (fresh TCP sessions, as between the paper's spaced test runs).
 // VectorParallelism is pinned to 1: the paper's davix ships one multi-range
 // request at a time, and Figure 4 reproduces that behaviour — the parallel
-// batch dispatch this repo adds on top is measured by VecParBench instead.
+// batch dispatch this repo adds on top is checked by core's
+// TestRequestsOverlapAtGateway instead.
 func runHTTPAnalysis(env *Env, opts Options, fraction float64) (AnalysisResult, error) {
 	client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone, VectorParallelism: 1})
 	if err != nil {

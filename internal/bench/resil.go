@@ -15,7 +15,7 @@ import (
 )
 
 // resil-benchmark geometry: enough chunks that the per-chunk cost of a
-// sick replica dominates once, and a vector-read shape matching the vecpar
+// sick replica dominates once, and a multi-batch vector-read shape for the
 // healthy-path baseline.
 const (
 	resilSize  = 2 << 20   // 2 MiB object
@@ -217,7 +217,7 @@ func runHealthyPath(resilient bool, repeats int) (vec, ms *Sample, err error) {
 // scoreboard saves when a replica goes dark mid-fleet (dead-primary
 // recovery wall-clock, breaker on vs off) and what the engine layers cost
 // on the healthy path versus the stripped seed semantics (target: <= 5%
-// on the PR 2-4 vecpar/xfer-style workloads).
+// on a multi-batch vectored read and a multi-stream transfer).
 func Resil(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	table := &Table{

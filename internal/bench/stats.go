@@ -152,9 +152,31 @@ func Seconds(s *Sample) string {
 	return fmt.Sprintf("%.3fs ±%.3f", s.Mean(), s.Stddev())
 }
 
-// Millis formats a mean±stddev pair in milliseconds.
-func Millis(s *Sample) string {
-	return fmt.Sprintf("%.1fms ±%.1f", s.Mean()*1000, s.Stddev()*1000)
+// formatDur formats a mean±stddev pair in milliseconds below a second and
+// in seconds above.
+func formatDur(s *Sample) string {
+	if s.Mean() < time.Second.Seconds() {
+		return fmt.Sprintf("%.1fms ±%.1f", s.Mean()*1000, s.Stddev()*1000)
+	}
+	return Seconds(s)
+}
+
+// fmtBytes formats a byte count with a binary unit.
+func fmtBytes(b float64) string {
+	switch {
+	case b >= 1<<20:
+		return fmt.Sprintf("%.1f MiB", b/(1<<20))
+	case b >= 1<<10:
+		return fmt.Sprintf("%.1f KiB", b/(1<<10))
+	default:
+		return fmt.Sprintf("%.0f B", b)
+	}
+}
+
+// startTimer returns a function reporting the elapsed time since the call.
+func startTimer() func() time.Duration {
+	t0 := time.Now()
+	return func() time.Duration { return time.Since(t0) }
 }
 
 // Pct formats the relative difference of b versus a ("+17.5%" means b is

@@ -17,10 +17,7 @@
 // chunk size; only the pull-mode copy still stages whole chunks.
 package bufpool
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 const (
 	// minBits/maxBits delimit the pooled size classes: 512 B .. 4 MiB.
@@ -39,12 +36,7 @@ const (
 
 var classes [maxBits - minBits + 1]chan []byte
 
-// enabled gates pooling globally; the vecpar benchmark flips it to measure
-// the pooled-versus-unpooled ablation.
-var enabled atomic.Bool
-
 func init() {
-	enabled.Store(true)
 	for i := range classes {
 		size := 1 << (minBits + i)
 		slots := classBudget / size
@@ -57,11 +49,6 @@ func init() {
 		classes[i] = make(chan []byte, slots)
 	}
 }
-
-// SetEnabled turns pooling on or off globally. With pooling off, Get
-// degrades to make and Put drops the buffer; used by benchmarks to
-// quantify what pooling saves.
-func SetEnabled(on bool) { enabled.Store(on) }
 
 // classFor returns the class index whose buffers hold n bytes, or -1 when
 // n is outside the pooled range.
@@ -84,7 +71,7 @@ func Get(n int) []byte {
 		return nil
 	}
 	ci := classFor(n)
-	if ci < 0 || !enabled.Load() {
+	if ci < 0 {
 		return make([]byte, n)
 	}
 	select {
@@ -101,7 +88,7 @@ func Get(n int) []byte {
 // retain any reference to b after Put.
 func Put(b []byte) {
 	c := cap(b)
-	if c == 0 || c&(c-1) != 0 || !enabled.Load() {
+	if c == 0 || c&(c-1) != 0 {
 		return
 	}
 	ci := classFor(c)

@@ -70,20 +70,6 @@ func TestPutForeignCapDropped(t *testing.T) {
 	}
 }
 
-func TestDisableDegradesToMake(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	b := Get(4096)
-	if len(b) != 4096 {
-		t.Fatalf("len = %d", len(b))
-	}
-	Put(b)
-	b2 := Get(4096)
-	if len(b2) != 4096 {
-		t.Fatalf("len = %d", len(b2))
-	}
-}
-
 func TestConcurrentGetPut(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"net/http"
 	"os"
 	"testing"
 	"time"
@@ -30,14 +31,26 @@ type testEnv struct {
 // startServer launches a DPM server on addr over the fabric.
 func (e *testEnv) startServer(t *testing.T, addr string, opts httpserv.Options) {
 	t.Helper()
+	e.startServerHandler(t, addr, opts, nil)
+}
+
+// startServerHandler launches a DPM server on addr whose root handler is
+// wrap(srv, st), or the server itself when wrap is nil.
+func (e *testEnv) startServerHandler(t *testing.T, addr string, opts httpserv.Options,
+	wrap func(*httpserv.Server, *storage.MemStore) http.Handler) {
+	t.Helper()
 	st := storage.NewMemStore()
 	srv := httpserv.New(st, opts)
+	var h http.Handler = srv
+	if wrap != nil {
+		h = wrap(srv, st)
+	}
 	l, err := e.net.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go srv.Serve(l)
+	go srv.ServeHandler(l, h)
 	e.stores[addr] = st
 	e.srvs[addr] = srv
 }

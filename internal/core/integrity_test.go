@@ -410,15 +410,9 @@ func (w *adlerWriter) Write(p []byte) (int, error) {
 // startAdlerOnly launches an adlerOnly gateway on addr over the fabric.
 func (e *testEnv) startAdlerOnly(t *testing.T, addr string) {
 	t.Helper()
-	st := storage.NewMemStore()
-	srv := httpserv.New(st, httpserv.Options{})
-	l, err := e.net.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go srv.ServeHandler(l, adlerOnly{srv: srv, st: st})
-	e.stores[addr], e.srvs[addr] = st, srv
+	e.startServerHandler(t, addr, httpserv.Options{}, func(srv *httpserv.Server, st *storage.MemStore) http.Handler {
+		return adlerOnly{srv: srv, st: st}
+	})
 }
 
 // TestAdlerOnlyPeerVerifies: against a peer that speaks adler32 alone, the

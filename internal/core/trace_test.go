@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log/slog"
 	"math/rand"
 	"sort"
@@ -88,58 +89,81 @@ func TestTraceEventsThroughRedirect(t *testing.T) {
 }
 
 // TestTraceUploadChunkBytesSumToSize: the ChunkDone events of a
-// multi-stream upload must tile the object exactly — offsets contiguous
-// from zero, lengths summing to the (deliberately unaligned) size.
+// multi-stream transfer must tile the object exactly — offsets contiguous
+// from zero, lengths summing to the (deliberately unaligned) size — in each
+// direction: an upload's chunk PUTs and a download's chunk GETs.
 func TestTraceUploadChunkBytesSumToSize(t *testing.T) {
-	type span struct{ off, ln int64 }
-	var mu sync.Mutex
-	var spans []span
-	var starts atomic.Int64
-	trace := &obs.ClientTrace{
-		ChunkStart: func(dir obs.Direction, path string, idx int, off, ln int64) {
-			if dir == obs.Up {
-				starts.Add(1)
-			}
-		},
-		ChunkDone: func(dir obs.Direction, path string, idx int, off, ln int64, err error) {
-			if dir != obs.Up {
-				return
-			}
-			if err != nil {
-				t.Errorf("chunk %d failed: %v", idx, err)
-				return
-			}
-			mu.Lock()
-			spans = append(spans, span{off, ln})
-			mu.Unlock()
-		},
-	}
-	e := newEnv(t, Options{Trace: trace, ChunkSize: 32 << 10, UploadParallelism: 4})
-	e.startServer(t, dpm1, httpserv.Options{})
-
 	const size = (256 << 10) + 12345
 	blob := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(blob)
-	if err := e.client.UploadMultiStream(context.Background(), dpm1, "/store/big", bytes.NewReader(blob), size); err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		dir obs.Direction
+		run func(c *Client) error
+	}{
+		{obs.Up, func(c *Client) error {
+			return c.UploadMultiStream(ctx, dpm1, "/store/up", bytes.NewReader(blob), size)
+		}},
+		{obs.Down, func(c *Client) error {
+			w := &bufWriterAt{b: make([]byte, size)}
+			if _, err := c.DownloadMultiStreamTo(ctx, dpm1, "/store/big", w); err != nil {
+				return err
+			}
+			if !bytes.Equal(w.b, blob) {
+				return errors.New("downloaded bytes differ")
+			}
+			return nil
+		}},
+	} {
+		t.Run(string(c.dir), func(t *testing.T) {
+			type span struct{ off, ln int64 }
+			var mu sync.Mutex
+			var spans []span
+			var starts atomic.Int64
+			trace := &obs.ClientTrace{
+				ChunkStart: func(dir obs.Direction, path string, idx int, off, ln int64) {
+					if dir == c.dir {
+						starts.Add(1)
+					}
+				},
+				ChunkDone: func(dir obs.Direction, path string, idx int, off, ln int64, err error) {
+					if dir != c.dir {
+						return
+					}
+					if err != nil {
+						t.Errorf("chunk %d failed: %v", idx, err)
+						return
+					}
+					mu.Lock()
+					spans = append(spans, span{off, ln})
+					mu.Unlock()
+				},
+			}
+			e := newEnv(t, Options{Trace: trace, ChunkSize: 32 << 10, UploadParallelism: 4, MaxStreams: 4})
+			e.startServer(t, dpm1, httpserv.Options{})
+			e.stores[dpm1].Put("/store/big", blob)
+			if err := c.run(e.client); err != nil {
+				t.Fatal(err)
+			}
 
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	var next, total int64
-	for _, s := range spans {
-		if s.off != next {
-			t.Fatalf("chunk at offset %d, want %d (gap or overlap)\nspans: %v", s.off, next, spans)
-		}
-		next = s.off + s.ln
-		total += s.ln
-	}
-	if total != size {
-		t.Fatalf("chunk bytes sum to %d, want %d", total, size)
-	}
-	if int64(len(spans)) != starts.Load() {
-		t.Fatalf("chunk starts = %d, dones = %d", starts.Load(), len(spans))
+			mu.Lock()
+			defer mu.Unlock()
+			sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+			var next, total int64
+			for _, s := range spans {
+				if s.off != next {
+					t.Fatalf("chunk at offset %d, want %d (gap or overlap)\nspans: %v", s.off, next, spans)
+				}
+				next = s.off + s.ln
+				total += s.ln
+			}
+			if total != size {
+				t.Fatalf("chunk bytes sum to %d, want %d", total, size)
+			}
+			if int64(len(spans)) != starts.Load() {
+				t.Fatalf("chunk starts = %d, dones = %d", starts.Load(), len(spans))
+			}
+		})
 	}
 }
 

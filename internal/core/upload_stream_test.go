@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -227,32 +230,67 @@ func loopbackGateway(t *testing.T, st storage.Store, opts Options) (c *Client, h
 	return c, l.Addr().String()
 }
 
-// TestUploadMultiStreamAllocBudget: an upload stages no chunk. Against an
-// in-process gateway over loopback TCP, a 32 MiB object in 8 MiB chunks
-// costs the whole process the gateway's one assembly buffer — the object
-// size — plus small change. Staging each chunk in a buffer of its own, as
-// this path once did, doubles that (8 MiB is past bufpool's top class).
+// TestUploadMultiStreamAllocBudget: a bulk transfer stages no chunk.
+// Against an in-process gateway over loopback TCP, a 32 MiB object in 8 MiB
+// chunks costs the whole process, client and gateway together:
+//   - UploadMultiStream: the gateway's one assembly buffer — the object size
+//     — plus small change. Staging each chunk in a buffer of its own, as this
+//     path once did, doubles that (8 MiB is past bufpool's top class).
+//   - PutReader: the gateway's one body buffer plus small change; the
+//     client streams the body through a pooled buffer, never the object.
+//   - DownloadMultiStreamTo into an *os.File: no object-sized buffer on
+//     either side, only per-chunk bookkeeping and pooled buffers. Measured
+//     23–31 KB per download, up to 45 KB under the race detector; the
+//     budget is that plus 25 %, a sixth of one percent of the object.
 func TestUploadMultiStreamAllocBudget(t *testing.T) {
 	const size = 32 << 20
-	c, host := loopbackGateway(t, storage.NewMemStore(),
-		Options{Strategy: StrategyNone, ChunkSize: 8 << 20, UploadParallelism: 2, VerifyTransfers: true})
+	st := storage.NewMemStore()
+	c, host := loopbackGateway(t, st,
+		Options{Strategy: StrategyNone, ChunkSize: 8 << 20, UploadParallelism: 2, MaxStreams: 2, VerifyTransfers: true})
 	blob := uploadBlob(size, 73)
-	upload := func(path string) {
-		t.Helper()
-		if err := c.UploadMultiStream(context.Background(), host, path, bytes.NewReader(blob), size); err != nil {
-			t.Fatal(err)
-		}
+	st.Put("/object", blob)
+	f, err := os.Create(filepath.Join(t.TempDir(), "object"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	upload("/warm") // dials, pooled buffers, lazily built tables
+	defer f.Close()
+	ctx := context.Background()
 
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	upload("/measured")
-	runtime.ReadMemStats(&m1)
-	allocated := m1.TotalAlloc - m0.TotalAlloc
-	t.Logf("allocated %.3f × object size", float64(allocated)/size)
-	if budget := uint64(size + size/10); allocated > budget {
-		t.Fatalf("upload of %d bytes allocated %d process-wide, budget %d (1.1 × size)", size, allocated, budget)
+	for _, row := range []struct {
+		name   string
+		budget uint64
+		op     func(path string) error
+	}{
+		{"UploadMultiStream", size + size/10, func(path string) error {
+			return c.UploadMultiStream(ctx, host, path, bytes.NewReader(blob), size)
+		}},
+		{"PutReader", size + size/10, func(path string) error {
+			return c.PutReader(ctx, host, path, bytes.NewReader(blob), size)
+		}},
+		{"DownloadMultiStreamTo", 56 << 10, func(string) error {
+			n, err := c.DownloadMultiStreamTo(ctx, host, "/object", f)
+			if err == nil && n != size {
+				err = fmt.Errorf("downloaded %d bytes, want %d", n, size)
+			}
+			return err
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if err := row.op("/warm"); err != nil { // dials, pooled buffers, lazily built tables
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := row.op("/measured"); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			allocated := m1.TotalAlloc - m0.TotalAlloc
+			t.Logf("allocated %d B, %.4f × object size", allocated, float64(allocated)/size)
+			if allocated > row.budget {
+				t.Fatalf("%d-byte transfer allocated %d B process-wide, budget %d", size, allocated, row.budget)
+			}
+		})
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"godavix/internal/bufpool"
 )
 
 // serveFrames builds a multipart/byteranges body carrying one part per
@@ -237,10 +235,9 @@ func TestVectorPathAllocsDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Seed path: parse every part into a fresh buffer, then scatter. Pool
-	// disabled to reproduce the pre-pool behaviour exactly.
-	bufpool.SetEnabled(false)
-	defer bufpool.SetEnabled(true)
+	// Seed path: parse every part into a fresh buffer, then scatter. The
+	// parts are never returned, so the pool drains after the first run and
+	// every later part is a fresh allocation, as before pooling.
 	seed := testing.AllocsPerRun(20, func() {
 		parts, err := ReadMultipart(bytes.NewReader(body), boundary)
 		if err != nil {

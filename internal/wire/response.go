@@ -50,13 +50,15 @@ func ReadResponse(br *bufio.Reader, method string) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	// An HTTP/1.x client reads HTTP/1.0 and HTTP/1.1 framing only; the
+	// status code is three digits (RFC 9112 §4).
 	proto, rest, ok := strings.Cut(line, " ")
-	if !ok || !strings.HasPrefix(proto, "HTTP/") {
+	if !ok || (proto != "HTTP/1.1" && proto != "HTTP/1.0") {
 		return nil, fmt.Errorf("%w: status line %q", ErrMalformedResponse, line)
 	}
 	codeStr, _, _ := strings.Cut(rest, " ")
 	code, err := strconv.Atoi(codeStr)
-	if err != nil || code < 100 || code > 599 {
+	if err != nil || len(codeStr) != 3 || code < 100 || code > 599 {
 		return nil, fmt.Errorf("%w: status code in %q", ErrMalformedResponse, line)
 	}
 
@@ -76,30 +78,37 @@ func ReadResponse(br *bufio.Reader, method string) (*Response, error) {
 	// Keep-alive: HTTP/1.1 defaults to persistent unless "Connection: close";
 	// HTTP/1.0 requires an explicit keep-alive.
 	conn := h.Get("Connection")
-	switch proto {
-	case "HTTP/1.1":
+	if proto == "HTTP/1.1" {
 		resp.KeepAlive = !hasToken(conn, "close")
-	case "HTTP/1.0":
+	} else {
 		resp.KeepAlive = hasToken(conn, "keep-alive")
-	default:
-		resp.KeepAlive = false
 	}
 
-	// Body framing per RFC 7230 §3.3.3.
+	// Body framing per RFC 9112 §6.3. The only transfer coding is chunked,
+	// alone, and an HTTP/1.0 message carrying one has faulty framing
+	// (§6.1). Every Content-Length field must be a decimal that agrees.
+	te, chunked := h["Transfer-Encoding"]
+	if chunked && (proto != "HTTP/1.1" || len(te) != 1 || !strings.EqualFold(te[0], "chunked")) {
+		return nil, fmt.Errorf("%w: transfer-encoding %q", ErrMalformedResponse, te)
+	}
+	length := int64(-1)
+	for _, v := range h["Content-Length"] {
+		n, err := strconv.ParseUint(v, 10, 63)
+		if err != nil || (length >= 0 && int64(n) != length) {
+			return nil, fmt.Errorf("%w: content-length %q", ErrMalformedResponse, v)
+		}
+		length = int64(n)
+	}
 	switch {
 	case method == "HEAD" || code/100 == 1 || code == 204 || code == 304:
 		resp.ContentLength = 0
 		resp.Body = &fixedBody{r: br, remaining: 0}
-	case hasToken(h.Get("Transfer-Encoding"), "chunked"):
+	case chunked:
 		resp.ContentLength = -1
 		resp.Body = &chunkedBody{br: br}
-	case h.Get("Content-Length") != "":
-		n, err := strconv.ParseInt(h.Get("Content-Length"), 10, 64)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("%w: content-length %q", ErrMalformedResponse, h.Get("Content-Length"))
-		}
-		resp.ContentLength = n
-		resp.Body = &fixedBody{r: br, remaining: n}
+	case length >= 0:
+		resp.ContentLength = length
+		resp.Body = &fixedBody{r: br, remaining: length}
 	default:
 		// Close-delimited: body runs to connection EOF; never reusable.
 		resp.ContentLength = -1
@@ -273,12 +282,10 @@ func (b *chunkedBody) nextChunk() error {
 	if err != nil {
 		return err
 	}
-	// Strip chunk extensions.
-	if i := strings.IndexByte(line, ';'); i >= 0 {
-		line = line[:i]
-	}
-	size, err := strconv.ParseInt(strings.TrimSpace(line), 16, 64)
-	if err != nil || size < 0 {
+	// Hex digits, then optional extensions, which are ignored.
+	digits, _, _ := strings.Cut(strings.TrimRight(line, " \t"), ";")
+	size, err := strconv.ParseUint(digits, 16, 63)
+	if err != nil {
 		return fmt.Errorf("%w: chunk size %q", ErrMalformedResponse, line)
 	}
 	if size == 0 {
@@ -294,7 +301,7 @@ func (b *chunkedBody) nextChunk() error {
 			}
 		}
 	}
-	b.chunkLeft = size
+	b.chunkLeft = int64(size)
 	return nil
 }
 
@@ -327,10 +334,19 @@ func (b *eofBody) Read(p []byte) (int, error) {
 
 func (b *eofBody) Close() error { return nil }
 
+// readLine reads one line of chunked framing without its CRLF. Chunked
+// framing ends every line with CRLF (RFC 9112 §7.1), so a bare LF is
+// malformed, and EOF before the line ends is a truncated body.
 func readLine(br *bufio.Reader) (string, error) {
 	line, err := br.ReadString('\n')
+	if err == io.EOF {
+		return "", io.ErrUnexpectedEOF
+	}
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	if !strings.HasSuffix(line, "\r\n") {
+		return "", fmt.Errorf("%w: chunked framing line %q ends without CRLF", ErrMalformedResponse, line)
+	}
+	return line[:len(line)-2], nil
 }

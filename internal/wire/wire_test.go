@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -225,17 +226,18 @@ func TestReadResponseCloseDelimited(t *testing.T) {
 	}
 }
 
+var keepAliveCases = []struct {
+	raw  string
+	want bool
+}{
+	{"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", true},
+	{"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n", false},
+	{"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n", false},
+	{"HTTP/1.0 200 OK\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n", true},
+}
+
 func TestKeepAliveMatrix(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want bool
-	}{
-		{"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", true},
-		{"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n", false},
-		{"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n", false},
-		{"HTTP/1.0 200 OK\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n", true},
-	}
-	for i, c := range cases {
+	for i, c := range keepAliveCases {
 		resp := readResp(t, c.raw, "GET")
 		if resp.KeepAlive != c.want {
 			t.Errorf("case %d: keepalive = %v, want %v", i, resp.KeepAlive, c.want)
@@ -243,17 +245,37 @@ func TestKeepAliveMatrix(t *testing.T) {
 	}
 }
 
+// malformedResponses are refused, by ReadResponse or by the body's reads.
+var malformedResponses = []string{
+	"garbage\r\n\r\n",
+	"HTTP/1.1 abc OK\r\n\r\n",
+	"HTTP/1.1 99 Too Low\r\n\r\n",
+	"HTTP/1.1 0200 OK\r\nContent-Length: 0\r\n\r\n",
+	"HTTP/ 200 OK\r\nContent-Length: 0\r\n\r\n",
+	"HTTP/2.0 200 OK\r\nContent-Length: 0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello",
+	"HTTP/1.1 200 OK\r\nContent-Length: xyz\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length:\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n",
+	"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\nhello\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5 ;ext\r\nhello\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n +5\r\nhello\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\n",
+}
+
 func TestReadResponseMalformed(t *testing.T) {
-	for _, raw := range []string{
-		"garbage\r\n\r\n",
-		"HTTP/1.1 abc OK\r\n\r\n",
-		"HTTP/1.1 99 Too Low\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: xyz\r\n\r\n",
-	} {
-		_, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)), "GET")
+	for _, raw := range malformedResponses {
+		resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)), "GET")
 		if err == nil {
-			t.Errorf("expected parse error for %q", raw)
+			_, err = io.ReadAll(resp.Body)
+		}
+		if !errors.Is(err, ErrMalformedResponse) {
+			t.Errorf("%q: err = %v, want ErrMalformedResponse", raw, err)
 		}
 	}
 }
@@ -264,6 +286,37 @@ func TestReadResponseTruncatedBody(t *testing.T) {
 	_, err := io.ReadAll(resp.Body)
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadResponseChunkedCutIsUnexpectedEOF: a chunked body whose
+// connection ends anywhere before the blank line after the last chunk is
+// truncated, however the cut falls against the framing. Only the
+// terminating blank line ends it cleanly.
+const chunkedHead = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+var chunkedCuts = []struct{ name, body string }{
+	{"right after the headers", ""},
+	{"inside a size line", "5"},
+	{"between chunks", "5\r\nhello\r\n"},
+	{"inside chunk data", "5\r\nhel"},
+	{"before the chunk's CRLF", "5\r\nhello"},
+	{"after the last chunk", "5\r\nhello\r\n0\r\n"},
+	{"inside the trailers", "5\r\nhello\r\n0\r\nX-Sum: 1\r\n"},
+}
+
+func TestReadResponseChunkedCutIsUnexpectedEOF(t *testing.T) {
+	for _, c := range chunkedCuts {
+		t.Run(c.name, func(t *testing.T) {
+			resp := readResp(t, chunkedHead+c.body, "GET")
+			b, err := io.ReadAll(resp.Body)
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("body %q, err = %v, want io.ErrUnexpectedEOF", b, err)
+			}
+			if resp.Consumed() {
+				t.Fatal("a truncated body reports itself consumed")
+			}
+		})
 	}
 }
 

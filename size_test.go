@@ -18,15 +18,16 @@ import (
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
 	".":                   285,
-	"cmd/davix-bench":     102,
+	"cmd/davix-bench":     88,
 	"cmd/davix-get":       243,
 	"cmd/dpm-server":      80,
 	"examples/analysis":   63,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        92,
+	"internal/bench":      2219,
 	"internal/blockcache": 733,
-	"internal/bufpool":    67,
+	"internal/bufpool":    61,
 	"internal/core":       3473,
 	"internal/digest":     274,
 	"internal/fed":        105,
@@ -40,13 +41,13 @@ var codeCeilings = map[string]int{
 	"internal/s3":         147,
 	"internal/storage":    503,
 	"internal/webdav":     851,
-	"internal/wire":       506,
-	"internal/xrootd":     906,
+	"internal/wire":       515,
+	"internal/xrootd":     680,
 }
 
-// ungatedDirs are the measurement harnesses: their size is reported, not
+// ungatedDirs holds the committed benchmark: its size is reported, not
 // budgeted.
-var ungatedDirs = map[string]bool{"internal/bench": true, "benchmark": true}
+var ungatedDirs = map[string]bool{"benchmark": true}
 
 // ceilingSlack is how far under its ceiling a package may fall before the
 // ceiling must come down with it.
