@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -176,6 +177,29 @@ func TestLateBasketDamageDetected(t *testing.T) {
 			t.Errorf("%s: pipelined TreeCache: err = %v, want ErrCorrupt", name, err)
 		}
 		tc.Close()
+	}
+}
+
+// hugeCountBasket is an 8-byte basket claiming 2^20 events: the count
+// bytes that cannot hold them.
+var hugeCountBasket = []byte{0, 0x10, 0, 0, 0, 0, 0, 0}
+
+// TestHugeEventCountRejectedBeforeAllocating: a basket's event count is
+// held against its bytes before the event table is sized, so a few
+// crafted bytes cannot make the reader allocate 24 bytes per claimed event
+// (24 MiB here; 96 GiB for a count of 2^32-1).
+func TestHugeEventCountRejectedBeforeAllocating(t *testing.T) {
+	blob := zlibCompress(t, zlib.DefaultCompression, hugeCountBasket)
+	inflateBasket(blob, int64(len(hugeCountBasket))) // warm the pools
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := inflateBasket(blob, int64(len(hugeCountBasket)))
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if n := m1.TotalAlloc - m0.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("rejecting the basket allocated %d bytes, want < 64 KiB", n)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Format constants.
@@ -223,14 +224,18 @@ func encodeBasket(events [][]byte) []byte {
 	return out
 }
 
-// decodeBasket reverses encodeBasket.
-func decodeBasket(raw []byte) ([][]byte, error) {
+// decodeBasket reverses encodeBasket, appending the payloads to events[:0].
+// An event count the bytes cannot hold is rejected before the table grows.
+func decodeBasket(events [][]byte, raw []byte) ([][]byte, error) {
 	if len(raw) < 4 {
 		return nil, ErrCorrupt
 	}
 	n := binary.BigEndian.Uint32(raw[0:4])
 	raw = raw[4:]
-	events := make([][]byte, 0, n)
+	if n > uint32(len(raw)/4) {
+		return nil, ErrCorrupt
+	}
+	events = slices.Grow(events[:0], int(n))
 	for i := uint32(0); i < n; i++ {
 		if len(raw) < 4 {
 			return nil, ErrCorrupt

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -86,6 +86,7 @@ func FuzzInflateBasket(f *testing.F) {
 	}
 	f.Add([]byte{}, uint32(0))
 	f.Add([]byte{}, uint32(math.MaxUint32))
+	f.Add(zlibCompress(f, zlib.DefaultCompression, hugeCountBasket), uint32(len(hugeCountBasket)))
 
 	// The random payloads above compress to stored blocks. One stream per
 	// block type and encoder strategy over half-structured payloads: stored,
@@ -114,7 +115,10 @@ func FuzzInflateBasket(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, blob []byte, usize uint32) {
-		events, err := inflateBasket(blob, int64(usize))
+		bk, err := inflateBasket(blob, int64(usize))
+		if err == nil {
+			defer bk.release()
+		}
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("error does not wrap ErrCorrupt: %v", err)
 		}
@@ -129,7 +133,7 @@ func FuzzInflateBasket(f *testing.F) {
 			if zerr != nil || trailing != 0 {
 				t.Fatalf("accepted as %d bytes; zlib: err %v, %d bytes after the trailer", usize, zerr, trailing)
 			}
-			if want, err := decodeBasket(got); err != nil || !reflect.DeepEqual(events, want) {
+			if want, err := decodeBasket(nil, got); err != nil || !slices.EqualFunc(bk.events, want, bytes.Equal) {
 				t.Fatalf("events differ from decodeBasket of zlib's output (err %v)", err)
 			}
 			return
@@ -137,7 +141,7 @@ func FuzzInflateBasket(f *testing.F) {
 		if zerr != nil || trailing != 0 || blob[1]&0x20 != 0 {
 			return
 		}
-		if _, derr := decodeBasket(got); derr == nil {
+		if _, derr := decodeBasket(nil, got); derr == nil {
 			t.Fatalf("zlib inflates exactly %d bytes and they decode, but inflateBasket fails: %v", usize, err)
 		}
 	})
@@ -147,8 +151,9 @@ func FuzzInflateBasket(f *testing.F) {
 // BytesSource: whatever the window, depth, basket size, branch subset and
 // access pattern — forward steps, jumps either way, branches first read
 // after training — every payload a TreeCache or a TrainingCache returns is
-// the naive read's, and the baskets a TreeCache holds never outgrow the
-// current window plus the lookahead.
+// the naive read's, a TreeCache payload is still intact while the current
+// window needs its basket, and the baskets a TreeCache holds never outgrow
+// the current window plus the lookahead.
 func FuzzTreeCacheScan(f *testing.F) {
 	f.Add(uint16(300), uint8(15), uint16(1), uint8(3), uint8(0b1011), int64(1))   // window 1
 	f.Add(uint16(300), uint8(15), uint16(300), uint8(2), uint8(0b0110), int64(2)) // window = events
@@ -200,7 +205,11 @@ func FuzzTreeCacheScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		tc := NewTreeCacheDepth(r, w, sel, d)
-		ev := uint64(0)
+		var (
+			ev, prevEv uint64
+			prevBi     int
+			prev       []byte
+		)
 		for i := 0; i < steps; i++ {
 			pos := rng.Intn(len(sel))
 			got, err := tc.Branch(ev, pos)
@@ -210,7 +219,11 @@ func FuzzTreeCacheScan(f *testing.F) {
 			if !bytes.Equal(got, want(ev, sel[pos])) {
 				t.Fatalf("TreeCache: event %d branch %d differs from ReadEvent", ev, sel[pos])
 			}
+			if prev != nil && tc.needs(ev, prevEv, prevBi) && !bytes.Equal(prev, want(prevEv, prevBi)) {
+				t.Fatalf("TreeCache: event %d branch %d changed while its basket was needed", prevEv, prevBi)
+			}
 			checkPipelineMemory(t, tc)
+			prevEv, prevBi, prev = ev, sel[pos], got
 			ev = next(ev)
 		}
 		tc.Close()
@@ -239,4 +252,12 @@ func FuzzTreeCacheScan(f *testing.F) {
 			ev = next(ev)
 		}
 	})
+}
+
+// needs reports whether the window holding event ev needs the basket of
+// branch bi that holds event held.
+func (tc *TreeCache) needs(ev, held uint64, bi int) bool {
+	bk, err := tc.reader.basketFor(bi, held)
+	keys, kerr := tc.windowKeys(ev - ev%tc.window)
+	return err == nil && kerr == nil && slices.Contains(keys, basketKey{branch: bi, basket: bk})
 }

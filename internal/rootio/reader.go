@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"godavix/internal/bufpool"
 	"godavix/internal/rangev"
 )
 
@@ -62,7 +63,36 @@ type Reader struct {
 	idx *Index
 
 	mu    sync.Mutex
-	cache map[basketKey][][]byte // decoded basket -> per-event payloads
+	cache map[basketKey]*basket
+}
+
+// basket is one decoded basket: the inflated bytes, a bufpool buffer the
+// reader owns from decode until a TreeCache window evicts the basket, and
+// the event table whose payloads alias them. Records are pooled, so a table
+// is reused by the next basket decoded.
+type basket struct {
+	raw    []byte
+	events [][]byte
+}
+
+var baskets = sync.Pool{New: func() any { return new(basket) }}
+
+// poisonReleased makes release fill the inflated bytes with 0xAA, so a
+// payload read after its basket was evicted shows. Only tests set it.
+var poisonReleased bool
+
+// release hands b's buffer and record back to their pools. Payloads taken
+// from b must not be used afterwards.
+func (b *basket) release() {
+	if poisonReleased {
+		for i := range b.raw {
+			b.raw[i] = 0xAA
+		}
+	}
+	bufpool.Put(b.raw)
+	clear(b.events)
+	b.raw, b.events = nil, b.events[:0]
+	baskets.Put(b)
 }
 
 type basketKey struct {
@@ -100,7 +130,7 @@ func OpenReader(src Source) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{src: src, idx: idx, cache: make(map[basketKey][][]byte)}, nil
+	return &Reader{src: src, idx: idx, cache: make(map[basketKey]*basket)}, nil
 }
 
 // Events returns the total number of events.
@@ -147,8 +177,9 @@ func (r *Reader) basketFor(bi int, ev uint64) (int, error) {
 	return 0, fmt.Errorf("rootio: event %d not covered by branch %q", ev, r.idx.Branches[bi].Name)
 }
 
-// loadBaskets fetches and decodes the given baskets in one vectored read.
-// Keys already cached are skipped.
+// loadBaskets fetches and decodes the given baskets in one vectored read,
+// into bufpool buffers it returns once they are decoded. Keys already
+// cached are skipped.
 func (r *Reader) loadBaskets(keys []basketKey) error {
 	r.mu.Lock()
 	var need []basketKey
@@ -167,36 +198,46 @@ func (r *Reader) loadBaskets(keys []basketKey) error {
 	for i, k := range need {
 		b := r.idx.Branches[k.branch].Baskets[k.basket]
 		ranges[i] = rangev.Range{Off: b.Offset, Len: b.CompressedSize}
-		dsts[i] = make([]byte, b.CompressedSize)
+		dsts[i] = bufpool.Get(int(b.CompressedSize))
 	}
-	if err := r.src.ReadVec(ranges, dsts); err != nil {
-		return err
+	err := r.src.ReadVec(ranges, dsts)
+	var decoded []*basket
+	if err == nil {
+		decoded, err = r.decodeBaskets(need, dsts)
 	}
-	events, err := r.decodeBaskets(need, dsts)
+	putAll(dsts)
 	if err != nil {
 		return err
 	}
-	r.publish(need, events)
+	r.publish(need, decoded)
 	return nil
 }
 
-// decodeBaskets inflates fetched basket blobs: the result's element i
-// holds the per-event payloads of keys[i]. It reads only the index, so a
-// window fill runs it on its own goroutine; the baskets are spread over up
-// to GOMAXPROCS workers, and of several failures the one earliest in keys
-// is reported.
-func (r *Reader) decodeBaskets(keys []basketKey, blobs [][]byte) ([][][]byte, error) {
-	out := make([][][]byte, len(keys))
+// putAll returns fetch buffers to bufpool.
+func putAll(bufs [][]byte) {
+	for _, buf := range bufs {
+		bufpool.Put(buf)
+	}
+}
+
+// decodeBaskets inflates fetched basket blobs: the result's element i is
+// the decoded basket of keys[i]. It reads only the index, so a window fill
+// runs it on its own goroutine; the baskets are spread over up to
+// GOMAXPROCS workers, and of several failures the one earliest in keys is
+// reported.
+func (r *Reader) decodeBaskets(keys []basketKey, blobs [][]byte) ([]*basket, error) {
+	out := make([]*basket, len(keys))
 	decode := func(i int) error {
 		b := r.idx.Branches[keys[i].branch].Baskets[keys[i].basket]
-		events, err := inflateBasket(blobs[i], b.UncompressedSize)
+		bk, err := inflateBasket(blobs[i], b.UncompressedSize)
 		if err != nil {
 			return err
 		}
-		if uint32(len(events)) != b.NumEvents {
+		if uint32(len(bk.events)) != b.NumEvents {
+			bk.release()
 			return ErrCorrupt
 		}
-		out[i] = events
+		out[i] = bk
 		return nil
 	}
 	// The caller is the first worker, so a lone basket or a single
@@ -230,10 +271,10 @@ func (r *Reader) decodeBaskets(keys []basketKey, blobs [][]byte) ([][][]byte, er
 }
 
 // publish makes decoded baskets visible to ReadEvent and payload.
-func (r *Reader) publish(keys []basketKey, events [][][]byte) {
+func (r *Reader) publish(keys []basketKey, decoded []*basket) {
 	r.mu.Lock()
 	for i, k := range keys {
-		r.cache[k] = events[i]
+		r.cache[k] = decoded[i]
 	}
 	r.mu.Unlock()
 }
@@ -249,24 +290,31 @@ const (
 )
 
 // inflateBasket decompresses one basket blob that the index says holds
-// usize bytes, in one pass into a buffer of that size, and splits it into
-// event payloads. Damage anywhere in the blob, and a size the blob cannot
-// inflate to, are ErrCorrupt. So, unlike compress/zlib, are bytes after the
-// adler32 trailer — the index's CompressedSize says they belong to the
-// basket — and a preset dictionary, which no basket has.
-func inflateBasket(blob []byte, usize int64) ([][]byte, error) {
+// usize bytes, in one pass into a bufpool buffer of that size, and splits
+// it into event payloads. The buffer is not zeroed: the decoder writes
+// exactly usize bytes or fails. Damage anywhere in the blob, and a size the
+// blob cannot inflate to, are ErrCorrupt. So, unlike compress/zlib, are
+// bytes after the adler32 trailer — the index's CompressedSize says they
+// belong to the basket — and a preset dictionary, which no basket has.
+func inflateBasket(blob []byte, usize int64) (*basket, error) {
 	if usize < 0 || usize > maxInflateRatio*int64(len(blob))+inflateSlack {
 		return nil, fmt.Errorf("%w: basket claims %d bytes from a %d-byte blob", ErrCorrupt, usize, len(blob))
 	}
-	// raw is not pooled: the payload slices handed to callers alias it.
-	raw := make([]byte, usize)
+	b := baskets.Get().(*basket)
+	b.raw = bufpool.Get(int(usize))
 	inf := inflaters.Get().(*inflater)
-	err := inf.inflate(raw, blob)
+	err := inf.inflate(b.raw, blob)
 	inflaters.Put(inf)
 	if err != nil {
-		return nil, fmt.Errorf("%w: basket inflate: %w", ErrCorrupt, err)
+		err = fmt.Errorf("%w: basket inflate: %w", ErrCorrupt, err)
+	} else {
+		b.events, err = decodeBasket(b.events, b.raw)
 	}
-	return decodeBasket(raw)
+	if err != nil {
+		b.release()
+		return nil, err
+	}
+	return b, nil
 }
 
 // payload returns branch bi of event ev from its decoded basket, fetching
@@ -279,23 +327,28 @@ func (r *Reader) payload(ev uint64, bi int) ([]byte, error) {
 	}
 	k := basketKey{branch: bi, basket: bk}
 	r.mu.Lock()
-	events, ok := r.cache[k]
+	b, ok := r.cache[k]
 	r.mu.Unlock()
 	if !ok {
 		if err := r.loadBaskets([]basketKey{k}); err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
-		events = r.cache[k]
+		b = r.cache[k]
 		r.mu.Unlock()
 	}
-	return events[ev-r.idx.Branches[bi].Baskets[bk].FirstEvent], nil
+	return b.events[ev-r.idx.Branches[bi].Baskets[bk].FirstEvent], nil
 }
 
 // ReadEvent returns the payloads of event ev for the selected branch
 // positions (nil selects every branch). Baskets are fetched on demand —
 // without a TreeCache every cold basket costs one network round trip,
 // which is precisely the naive pattern of Figure 3's left side.
+//
+// The payloads alias the decoded baskets. A plain Reader keeps every basket
+// it decodes, so they stay valid for its lifetime; under a TreeCache they
+// are valid until the cache enters a window that no longer needs their
+// basket.
 func (r *Reader) ReadEvent(ev uint64, branches []int) ([][]byte, error) {
 	if ev >= r.idx.Events {
 		return nil, fmt.Errorf("rootio: event %d out of range (%d events)", ev, r.idx.Events)
@@ -322,19 +375,20 @@ func (r *Reader) ReadEvent(ev uint64, branches []int) ([][]byte, error) {
 	defer r.mu.Unlock()
 	for i, k := range keys {
 		b := r.idx.Branches[k.branch].Baskets[k.basket]
-		out[i] = r.cache[k][ev-b.FirstEvent]
+		out[i] = r.cache[k].events[ev-b.FirstEvent]
 	}
 	return out, nil
 }
 
-// evict drops every decoded basket keep does not list — the TreeCache's
-// window eviction, under which a basket stays resident while the entered
-// window needs it.
+// evict drops every decoded basket keep does not list, and releases its
+// buffers — the TreeCache's window eviction, under which a basket stays
+// resident while the entered window needs it.
 func (r *Reader) evict(keep []basketKey) {
 	r.mu.Lock()
-	for k := range r.cache {
+	for k, b := range r.cache {
 		if !slices.Contains(keep, k) {
 			delete(r.cache, k)
+			b.release()
 		}
 	}
 	r.mu.Unlock()

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"godavix/internal/rangev"
 )
+
+// TestMain runs every test and fuzz target of the package with released
+// basket buffers poisoned, so a payload read after its basket's eviction
+// shows as 0xAA bytes instead of passing by luck.
+func TestMain(m *testing.M) {
+	poisonReleased = true
+	os.Exit(m.Run())
+}
 
 // buildFile writes events through the Writer and returns the image plus
 // the original payloads.
@@ -430,5 +439,30 @@ func TestTreeCacheEvictsToWindow(t *testing.T) {
 	// 200-event window.
 	if got := r.cachedBaskets(); got != 4 {
 		t.Fatalf("resident baskets = %d, want 4", got)
+	}
+}
+
+// TestEvictedPayloadIsPoisoned: a payload held past the window entry that
+// evicts its basket reads as 0xAA, which proves the poison TestMain turns
+// on is wired to eviction. Basket 0 inflates into a 1 MiB-class buffer,
+// a class nothing else the test decodes takes from the pool.
+func TestEvictedPayloadIsPoisoned(t *testing.T) {
+	big := bytes.Repeat([]byte("event zero "), 60000)
+	img := buildFile(t, []string{"a"}, [][][]byte{{big}, {[]byte("tiny")}}, WriterOptions{EventsPerBasket: 1})
+	r, err := OpenReader(BytesSource(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTreeCacheDepth(r, 1, nil, 0)
+	defer tc.Close()
+	p, err := tc.Branch(0, 0)
+	if err != nil || !bytes.Equal(p, big) {
+		t.Fatalf("event 0 before eviction: err %v, payload intact %v", err, bytes.Equal(p, big))
+	}
+	if _, err := tc.Branch(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(p, []byte{0xAA}); n != len(p) {
+		t.Fatalf("payload held past its basket's eviction: %d of %d bytes poisoned", n, len(p))
 	}
 }

@@ -17,6 +17,10 @@ import (
 // correctness never depends on the training window being representative.
 // The rebuild hands the widened branch set to the prefetch pipeline and
 // cancels any fills in flight for the stale set.
+//
+// Payloads follow the TreeCache lifetime, those read during training too:
+// each stays valid until the cache enters a window that no longer needs
+// its basket.
 type TrainingCache struct {
 	reader      *Reader
 	window      uint64

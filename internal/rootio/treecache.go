@@ -34,6 +34,12 @@ import (
 // synchronous cache of the paper's HTTP column: every fill is one blocking
 // round trip for all of its window's baskets, byte-for-byte the legacy
 // behaviour, decoded on the caller's goroutine.
+//
+// A payload from Event or Branch aliases its decoded basket, and entering
+// a window hands the buffers of every basket it evicts back to their pools
+// for the next decode: the payload is valid until the cache enters a
+// window that no longer needs its basket. Copy what must outlive that.
+// Close releases nothing.
 type TreeCache struct {
 	reader   *Reader
 	branches []int
@@ -67,11 +73,11 @@ type pendingFill struct {
 	keys  []basketKey
 	bytes int64
 	// done yields the fill's single completion error. A pipelined fill
-	// sets events before sending; a synchronous one leaves blobs to be
+	// sets decoded before sending; a synchronous one leaves blobs to be
 	// inflated by finishFill.
-	done   chan error
-	events [][][]byte // decoded baskets, aligned with keys
-	blobs  [][]byte   // fetched baskets of a synchronous fill, aligned with keys
+	done    chan error
+	decoded []*basket // aligned with keys
+	blobs   [][]byte  // fetched baskets of a synchronous fill, aligned with keys
 	// req is the request a pipelined fill shares with the other windows
 	// of its group.
 	req *fillRequest
@@ -174,14 +180,15 @@ func (tc *TreeCache) windowKeys(start uint64) ([]basketKey, error) {
 
 // startFillSync fetches a window's baskets, all of them, with one blocking
 // vectored read, one range per basket — the legacy synchronous fill,
-// preserved byte-for-byte for depth 0.
+// preserved byte-for-byte for depth 0. The blobs land in bufpool buffers
+// that finishFill returns.
 func (tc *TreeCache) startFillSync(keys []basketKey) *pendingFill {
 	ranges := make([]rangev.Range, len(keys))
 	dsts := make([][]byte, len(keys))
 	for i, k := range keys {
 		b := tc.reader.idx.Branches[k.branch].Baskets[k.basket]
 		ranges[i] = rangev.Range{Off: b.Offset, Len: b.CompressedSize}
-		dsts[i] = make([]byte, b.CompressedSize)
+		dsts[i] = bufpool.Get(int(b.CompressedSize))
 	}
 	tc.fills++
 	pf := &pendingFill{keys: keys, blobs: dsts, done: make(chan error, 1)}
@@ -315,13 +322,11 @@ func (tc *TreeCache) startGroup(run []uint64, demand bool) bool {
 		for i, pf := range fills {
 			werr := err
 			if werr == nil {
-				pf.events, werr = r.decodeBaskets(pf.keys, perKey[at:at+len(pf.keys)])
+				pf.decoded, werr = r.decodeBaskets(pf.keys, perKey[at:at+len(pf.keys)])
 			}
 			at += len(pf.keys)
 			if i == len(fills)-1 {
-				for _, buf := range runDsts {
-					bufpool.Put(buf)
-				}
+				putAll(runDsts)
 			}
 			pf.done <- werr
 		}
@@ -330,18 +335,20 @@ func (tc *TreeCache) startGroup(run []uint64, demand bool) bool {
 }
 
 // finishFill waits for pf and publishes its baskets into the reader cache,
-// on the caller's goroutine.
+// on the caller's goroutine; a synchronous fill's blobs are inflated here
+// and their buffers returned.
 func (tc *TreeCache) finishFill(pf *pendingFill) error {
-	if err := <-pf.done; err != nil {
+	err := <-pf.done
+	if pf.blobs != nil {
+		if err == nil {
+			pf.decoded, err = tc.reader.decodeBaskets(pf.keys, pf.blobs)
+		}
+		putAll(pf.blobs)
+	}
+	if err != nil {
 		return err
 	}
-	if pf.blobs != nil {
-		var err error
-		if pf.events, err = tc.reader.decodeBaskets(pf.keys, pf.blobs); err != nil {
-			return err
-		}
-	}
-	tc.reader.publish(pf.keys, pf.events)
+	tc.reader.publish(pf.keys, pf.decoded)
 	return nil
 }
 

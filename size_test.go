@@ -37,7 +37,7 @@ var codeCeilings = map[string]int{
 	"internal/obs":        598,
 	"internal/pool":       360,
 	"internal/rangev":     396,
-	"internal/rootio":     1494,
+	"internal/rootio":     1531,
 	"internal/s3":         147,
 	"internal/storage":    503,
 	"internal/webdav":     851,
