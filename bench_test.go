@@ -1,5 +1,4 @@
-// Benchmarks regenerating the paper's evaluation, one per figure (see
-// DESIGN.md §4 and EXPERIMENTS.md). Run with:
+// Benchmarks regenerating the paper's evaluation. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -7,8 +6,8 @@
 //
 //	go test -bench 'Fig[123]' -run '^$' .
 //
-// Figure 4 also has a mean±σ sweep in cmd/davix-bench; these testing.B
-// entries measure the same workload at a benchmark-friendly size.
+// Figure 4 is held as counts by internal/xrootd's TestHTTPXrootdParity
+// and timed by the committed benchmark's analysis workloads.
 package davix
 
 import (
@@ -34,95 +33,6 @@ import (
 	"godavix/internal/wire"
 	"godavix/internal/xrootd"
 )
-
-// benchSpec is the dataset used by the Figure 4 benchmarks: the paper's
-// 12000 events at reduced payload size (see DESIGN.md substitutions).
-var benchSpec = rootio.SynthSpec{Events: 3000, Branches: 8, MeanPayload: 48, Seed: 1}
-
-const benchWindow = 500
-
-// BenchmarkFig4AnalysisJob reproduces Figure 4: the ROOT-style analysis
-// job over each link class, davix/HTTP vs the XRootD-like baseline.
-func BenchmarkFig4AnalysisJob(b *testing.B) {
-	for _, prof := range []netsim.Profile{netsim.LAN(), netsim.PAN(), netsim.WAN()} {
-		env, err := bench.NewEnv(prof, httpserv.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := env.InstallDataset(bench.DatasetPath, benchSpec); err != nil {
-			b.Fatal(err)
-		}
-
-		b.Run(prof.Name+"/HTTP", func(b *testing.B) {
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, err := env.OpenHTTP(ctx, client, bench.DatasetPath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := bench.RunAnalysis(bench.HTTPSource(f), 1.0, benchWindow, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				client.Close()
-				b.ReportMetric(float64(res.Fills), "fills/op")
-			}
-		})
-		b.Run(prof.Name+"/XRootD", func(b *testing.B) {
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				client := env.NewXrdClient()
-				f, err := env.OpenXrd(ctx, client, bench.DatasetPath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := bench.RunAnalysis(bench.XrdSource(ctx, f), 1.0, benchWindow, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				client.Close()
-				b.ReportMetric(float64(res.Fills), "fills/op")
-			}
-		})
-		env.Close()
-	}
-}
-
-// BenchmarkFig4FractionSweep covers the paper's "a fraction or the
-// totality" wording: 10%, 50% and 100% of the events over the WAN.
-func BenchmarkFig4FractionSweep(b *testing.B) {
-	env, err := bench.NewEnv(netsim.WAN(), httpserv.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	if _, err := env.InstallDataset(bench.DatasetPath, benchSpec); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, fraction := range []float64{0.1, 0.5, 1.0} {
-		b.Run(fmt.Sprintf("HTTP/%.0f%%", fraction*100), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, err := env.OpenHTTP(ctx, client, bench.DatasetPath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := bench.RunAnalysis(bench.HTTPSource(f), fraction, benchWindow, nil); err != nil {
-					b.Fatal(err)
-				}
-				client.Close()
-			}
-		})
-	}
-}
 
 // BenchmarkFig1Pipelining measures the head-of-line blocking of Figure 1:
 // a slow request followed by fast ones, under strict pipelining versus the
@@ -294,11 +204,14 @@ func BenchmarkFig3VectoredIO(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			src := bench.XrdSource(ctx, f)
+			chunks := make([]xrootd.Chunk, len(ranges))
+			for i, r := range ranges {
+				chunks[i] = xrootd.Chunk{Offset: r.Off, Length: int32(r.Len)}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := src.ReadVec(ranges, dsts); err != nil {
+				if err := f.ReadV(ctx, chunks, dsts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -548,21 +461,6 @@ func BenchmarkPoolBorrowReturn(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.Put(c)
-	}
-}
-
-// BenchmarkXrootdFrameCodec measures binary frame encode+decode.
-func BenchmarkXrootdFrameCodec(b *testing.B) {
-	chunks := make([]xrootd.Chunk, 128)
-	for i := range chunks {
-		chunks[i] = xrootd.Chunk{Handle: 1, Offset: int64(i) * 4096, Length: 256}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := xrootd.DecodeChunksForTest(xrootd.EncodeChunksForTest(chunks)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -354,7 +354,7 @@ func TestNeverExceedsMaxPerHost(t *testing.T) {
 }
 
 // TestNoDoubleBorrow: a recycled conn is never handed to two workers at
-// once (DESIGN.md invariant).
+// once.
 func TestNoDoubleBorrow(t *testing.T) {
 	n, addr := newFabric(t)
 	p := New(n, Options{MaxPerHost: 2})

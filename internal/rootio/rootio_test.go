@@ -250,30 +250,34 @@ func TestTreeCacheMatchesNaiveRead(t *testing.T) {
 	}
 }
 
+// TestTreeCacheReducesVectoredCalls: a scan of the first n events costs
+// one vectored call per 1024-event window it enters, so reading a fraction
+// of the file costs that fraction of the calls.
 func TestTreeCacheReducesVectoredCalls(t *testing.T) {
 	events := randomEvents(8, 4096, 2, 32)
 	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 128})
 
-	var calls atomic.Int64
-	r, err := OpenReader(countingSource(BytesSource(img), &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls.Store(0) // ignore open-time reads
-
-	tc := NewTreeCache(r, 1024, nil)
-	defer tc.Close()
-	for ev := uint64(0); ev < 4096; ev++ {
-		if _, err := tc.Event(ev); err != nil {
+	for _, c := range []struct {
+		events uint64
+		fills  int64
+	}{{4096, 4}, {2048, 2}, {1025, 2}, {1, 1}} {
+		var calls atomic.Int64
+		r, err := OpenReader(countingSource(BytesSource(img), &calls))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// 4096 events / 1024-event windows = 4 fills.
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("vectored calls = %d, want 4", got)
-	}
-	if tc.Fills() != 4 {
-		t.Fatalf("fills = %d", tc.Fills())
+		calls.Store(0) // ignore open-time reads
+
+		tc := NewTreeCache(r, 1024, nil)
+		for ev := uint64(0); ev < c.events; ev++ {
+			if _, err := tc.Event(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tc.Close()
+		if got := calls.Load(); got != c.fills || tc.Fills() != c.fills {
+			t.Fatalf("%d events: %d vectored calls, %d fills; want %d", c.events, got, tc.Fills(), c.fills)
+		}
 	}
 }
 

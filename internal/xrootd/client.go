@@ -2,6 +2,7 @@ package xrootd
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"godavix/internal/pool"
 )
@@ -29,10 +31,13 @@ type Client struct {
 	wmu     sync.Mutex // serializes frame writes
 	pending map[uint16]chan *responseFrame
 	nextSID uint16
+	// dialing is closed when the in-progress dial and login finish; nil
+	// when none is.
+	dialing chan struct{}
 	connErr error
 	closed  bool
 
-	requests int64
+	requests atomic.Int64
 }
 
 // NewClient creates a Client for the server at addr, dialing through d.
@@ -42,73 +47,102 @@ func NewClient(d pool.Dialer, addr string) *Client {
 }
 
 // Requests reports how many requests this client has issued.
-func (c *Client) Requests() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.requests
-}
+func (c *Client) Requests() int64 { return c.requests.Load() }
 
-// connect establishes and handshakes the connection if needed.
+// connect establishes, handshakes and logs in the connection if there is
+// none. One caller dials; callers arriving meanwhile wait for its login to
+// finish, and every wait honours the caller's ctx. A connection is
+// installed only once its login succeeded.
 // Caller must NOT hold c.mu.
 func (c *Client) connect(ctx context.Context) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	for c.dialing != nil {
+		wait := c.dialing
+		c.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		c.mu.Lock()
+	}
 	if c.closed {
+		c.mu.Unlock()
 		return errors.New("xrootd: client closed")
 	}
 	if c.conn != nil {
-		return c.connErr
+		c.mu.Unlock()
+		return nil
 	}
-	nc, err := c.dialer.DialContext(ctx, c.addr)
+	done := make(chan struct{})
+	c.dialing = done
+	c.mu.Unlock()
+
+	nc, br, err := c.dial(ctx)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dialing = nil
+	close(done)
+	if err == nil && c.closed {
+		nc.Close()
+		err = errors.New("xrootd: client closed")
+	}
 	if err != nil {
 		return err
-	}
-	var hs [8]byte
-	binary.BigEndian.PutUint32(hs[0:4], Magic)
-	binary.BigEndian.PutUint32(hs[4:8], Version)
-	if _, err := nc.Write(hs[:]); err != nil {
-		nc.Close()
-		return err
-	}
-	if _, err := io.ReadFull(nc, hs[:]); err != nil {
-		nc.Close()
-		return fmt.Errorf("%w: %v", ErrBadHandshake, err)
-	}
-	if binary.BigEndian.Uint32(hs[0:4]) != Magic {
-		nc.Close()
-		return ErrBadHandshake
 	}
 	c.conn = nc
 	c.bw = bufio.NewWriterSize(nc, 64<<10)
 	c.connErr = nil
-	go c.readLoop(nc)
+	go c.readLoop(nc, br)
+	return nil
+}
 
-	// Login on the fresh connection (stream 0 is reserved for it here).
-	ch := make(chan *responseFrame, 1)
-	c.pending[0] = ch
-	c.requests++
-	c.wmu.Lock()
-	err = writeRequest(c.bw, &requestFrame{Stream: 0, Op: ReqLogin, Payload: []byte("godavix")})
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
+// dial opens a connection, handshakes and logs in (stream 0 is reserved
+// for the login). Cancelling ctx closes the connection, which unblocks
+// whichever step is waiting.
+func (c *Client) dial(ctx context.Context) (_ net.Conn, _ *bufio.Reader, err error) {
+	nc, err := c.dialer.DialContext(ctx, c.addr)
 	if err != nil {
-		c.teardownLocked(err)
-		return err
+		return nil, nil, err
 	}
-	c.mu.Unlock()
-	resp, ok := <-ch
-	c.mu.Lock()
-	if !ok {
-		return c.connErr
+	stop := context.AfterFunc(ctx, func() { nc.Close() })
+	defer func() {
+		if !stop() {
+			err = ctx.Err()
+		}
+		if err != nil {
+			nc.Close()
+		}
+	}()
+	br := bufio.NewReaderSize(nc, 64<<10)
+	var hs [8]byte
+	binary.BigEndian.PutUint32(hs[0:4], Magic)
+	binary.BigEndian.PutUint32(hs[4:8], Version)
+	if _, err := nc.Write(hs[:]); err != nil {
+		return nil, nil, err
 	}
-	return statusErr(resp.Status, "login")
+	if _, err := io.ReadFull(br, hs[:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+	}
+	if binary.BigEndian.Uint32(hs[0:4]) != Magic {
+		return nil, nil, ErrBadHandshake
+	}
+	var login bytes.Buffer
+	writeRequest(&login, &requestFrame{Stream: 0, Op: ReqLogin, Payload: []byte("godavix")})
+	c.requests.Add(1)
+	if _, err := nc.Write(login.Bytes()); err != nil {
+		return nil, nil, err
+	}
+	resp, err := readResponse(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nc, br, statusErr(resp.Status, "login")
 }
 
 // readLoop dispatches inbound frames to their pending stream channels.
-func (c *Client) readLoop(nc net.Conn) {
-	br := bufio.NewReaderSize(nc, 64<<10)
+func (c *Client) readLoop(nc net.Conn, br *bufio.Reader) {
 	for {
 		resp, err := readResponse(br)
 		if err != nil {
@@ -178,7 +212,7 @@ func (c *Client) call(ctx context.Context, req *requestFrame) (*responseFrame, e
 	req.Stream = sid
 	ch := make(chan *responseFrame, 1)
 	c.pending[sid] = ch
-	c.requests++
+	c.requests.Add(1)
 	c.mu.Unlock()
 
 	c.wmu.Lock()

@@ -121,12 +121,11 @@ func (s *Server) handle(sess *session, req *requestFrame) *responseFrame {
 
 	case ReqOpen:
 		path := string(req.Payload)
-		data, inf, err := s.store.Get(path)
+		_, inf, err := s.store.Get(path)
 		if err != nil {
 			resp.Status = storeStatus(err)
 			return resp
 		}
-		_ = data
 		sess.mu.Lock()
 		fh := sess.nextFH
 		sess.nextFH++
@@ -159,6 +158,10 @@ func (s *Server) handle(sess *session, req *requestFrame) *responseFrame {
 			resp.Status = storeStatus(err)
 			return resp
 		}
+		if req.Length > MaxFrame {
+			resp.Status = StatusBadRequest
+			return resp
+		}
 		resp.Payload = sliceRange(data, int64(req.Offset), int64(req.Length))
 
 	case ReqReadV:
@@ -168,9 +171,14 @@ func (s *Server) handle(sess *session, req *requestFrame) *responseFrame {
 			resp.Status = StatusBadRequest
 			return resp
 		}
-		var total int
+		// Summed in int64 so no chunk list can wrap past the bound.
+		var total int64
 		for _, ck := range chunks {
-			total += int(ck.Length)
+			if ck.Length < 0 {
+				resp.Status = StatusBadRequest
+				return resp
+			}
+			total += int64(ck.Length)
 		}
 		if total > MaxFrame {
 			resp.Status = StatusBadRequest
@@ -195,12 +203,12 @@ func (s *Server) handle(sess *session, req *requestFrame) *responseFrame {
 				}
 				byHandle[ck.Handle] = data
 			}
-			part := sliceRange(data, ck.Offset, int64(ck.Length))
-			if int64(len(part)) < int64(ck.Length) {
+			// Every chunk lies inside the object, or the readv is refused.
+			if ck.Offset < 0 || ck.Offset > int64(len(data))-int64(ck.Length) {
 				resp.Status = StatusBadRequest
 				return resp
 			}
-			out = append(out, part...)
+			out = append(out, data[ck.Offset:ck.Offset+int64(ck.Length)]...)
 		}
 		resp.Payload = out
 

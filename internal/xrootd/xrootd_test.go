@@ -1,11 +1,16 @@
 package xrootd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -99,6 +104,20 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeChunks(make([]byte, 7)); err == nil {
 		t.Fatal("odd-length payload accepted")
+	}
+}
+
+// BenchmarkChunkCodec measures readv chunk-list encode+decode.
+func BenchmarkChunkCodec(b *testing.B) {
+	chunks := make([]Chunk, 128)
+	for i := range chunks {
+		chunks[i] = Chunk{Handle: 1, Offset: int64(i) * 4096, Length: 256}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeChunks(encodeChunks(chunks)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -356,4 +375,185 @@ func TestLoginRequired(t *testing.T) {
 
 func binaryBigEndianPutUint32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
+}
+
+// loggedInConn dials the env's server, handshakes and logs in, returning
+// the raw connection for hand-built frames.
+func loggedInConn(t *testing.T, e *env) net.Conn {
+	t.Helper()
+	c, err := e.net.Dial("xrd:1094")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var hs [8]byte
+	binary.BigEndian.PutUint32(hs[0:4], Magic)
+	binary.BigEndian.PutUint32(hs[4:8], Version)
+	if _, err := c.Write(hs[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, hs[:]); err != nil {
+		t.Fatal(err)
+	}
+	if resp := exchange(t, c, &requestFrame{Op: ReqLogin}); resp.Status != StatusOK {
+		t.Fatalf("login status = %d", resp.Status)
+	}
+	return c
+}
+
+// exchange writes one request frame and reads its response.
+func exchange(t *testing.T, c net.Conn, req *requestFrame) *responseFrame {
+	t.Helper()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeRequest(c, req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := readResponse(c)
+	if err != nil {
+		t.Fatalf("op %d: %v", req.Op, err)
+	}
+	return resp
+}
+
+// TestReadVRejectsBadChunkLengths: a negative chunk length, or lengths
+// whose sum passes MaxFrame only by overflowing, get StatusBadRequest, and
+// the server goes on serving the connection.
+func TestReadVRejectsBadChunkLengths(t *testing.T) {
+	e := newEnv(t, netsim.Ideal())
+	blob := []byte("0123456789")
+	e.store.Put("/f", blob)
+	c := loggedInConn(t, e)
+	open := exchange(t, c, &requestFrame{Op: ReqOpen, Payload: []byte("/f")})
+	if open.Status != StatusOK {
+		t.Fatalf("open status = %d", open.Status)
+	}
+	fh := binary.BigEndian.Uint32(open.Payload[0:4])
+
+	for _, chunks := range [][]Chunk{
+		{{Handle: fh, Offset: 0, Length: -1}},
+		{{Handle: fh, Offset: 0, Length: 4}, {Handle: fh, Offset: 0, Length: -4}},
+		{{Handle: fh, Offset: 0, Length: math.MaxInt32}, {Handle: fh, Offset: 0, Length: math.MaxInt32}},
+	} {
+		resp := exchange(t, c, &requestFrame{Op: ReqReadV, Payload: encodeChunks(chunks)})
+		if resp.Status != StatusBadRequest || len(resp.Payload) != 0 {
+			t.Fatalf("readv %v: status %d, %d payload bytes; want bad request", chunks, resp.Status, len(resp.Payload))
+		}
+	}
+	resp := exchange(t, c, &requestFrame{Op: ReqReadV, Payload: encodeChunks([]Chunk{{Handle: fh, Offset: 2, Length: 3}})})
+	if resp.Status != StatusOK || string(resp.Payload) != "234" {
+		t.Fatalf("valid readv after rejects: status %d payload %q", resp.Status, resp.Payload)
+	}
+}
+
+// stallingServer accepts connections on addr, completes the handshake and
+// then reads forever without answering.
+func stallingServer(t *testing.T, n *netsim.Network, addr string) {
+	t.Helper()
+	l, err := n.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				var hs [8]byte
+				if _, err := io.ReadFull(c, hs[:]); err != nil {
+					return
+				}
+				c.Write(hs[:])
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+}
+
+// TestOpenHonoursContextDuringLogin: a server that handshakes and never
+// answers the login must not hold Open past its context — neither the
+// caller that dials nor one that arrives while the login is pending.
+func TestOpenHonoursContextDuringLogin(t *testing.T) {
+	n := netsim.New(netsim.Ideal())
+	stallingServer(t, n, "stall:1094")
+	c := NewClient(n, "stall:1094")
+	defer c.Close()
+
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			_, err := c.Open(ctx, "/f")
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Open = %v, want context.DeadlineExceeded", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Open ignored its context while the login was pending")
+		}
+	}
+}
+
+// TestFailedLoginIsNotASession: after a refused login the next call dials
+// again and logs in, instead of sending requests on the refused session.
+func TestFailedLoginIsNotASession(t *testing.T) {
+	e := newEnv(t, netsim.Ideal())
+	e.store.Put("/f", []byte("x"))
+	// The first connection's login is refused; later ones reach the server.
+	l, err := e.net.Listen("flaky:1094")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for first := true; ; first = false {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			if !first {
+				go e.server.serveConn(c)
+				continue
+			}
+			go func() {
+				defer c.Close()
+				var hs [8]byte
+				if _, err := io.ReadFull(c, hs[:]); err != nil {
+					return
+				}
+				c.Write(hs[:])
+				br := bufio.NewReader(c)
+				for {
+					req, err := readRequest(br)
+					if err != nil {
+						return
+					}
+					writeResponse(c, &responseFrame{Stream: req.Stream, Status: StatusBadRequest})
+				}
+			}()
+		}
+	}()
+	c := NewClient(e.net, "flaky:1094")
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c.Open(ctx, "/f"); err == nil || !strings.Contains(err.Error(), "login") {
+		t.Fatalf("first Open = %v, want the login refusal", err)
+	}
+	f, err := c.Open(ctx, "/f")
+	if err != nil {
+		t.Fatalf("Open after a refused login: %v", err)
+	}
+	if f.Size() != 1 || e.net.Dials() != 2 {
+		t.Fatalf("size %d after %d dials; want 1 byte over a second connection", f.Size(), e.net.Dials())
+	}
 }

@@ -18,14 +18,13 @@ import (
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
 	".":                   285,
-	"cmd/davix-bench":     88,
+	"cmd/davix-bench":     56,
 	"cmd/davix-get":       243,
 	"cmd/dpm-server":      80,
-	"examples/analysis":   63,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        92,
-	"internal/bench":      2219,
+	"internal/bench":      1666,
 	"internal/blockcache": 733,
 	"internal/bufpool":    61,
 	"internal/core":       3473,
@@ -42,7 +41,7 @@ var codeCeilings = map[string]int{
 	"internal/storage":    503,
 	"internal/webdav":     851,
 	"internal/wire":       515,
-	"internal/xrootd":     680,
+	"internal/xrootd":     708,
 }
 
 // ungatedDirs holds the committed benchmark: its size is reported, not
