@@ -614,7 +614,9 @@ func (c *Client) Copy(ctx context.Context, srcURL, destURL string) error {
 // with transparent Metalink failover.
 type File = core.File
 
-// Open stats url and returns a File for random-access reads.
+// Open returns a File for random-access reads of url. One GET learns the
+// size and fetches the object's first 4 KiB and last 60 KiB, which later
+// reads inside them are served from; a collection fails.
 func (c *Client) Open(ctx context.Context, url string) (*File, error) {
 	host, path, err := splitURL(url)
 	if err != nil {

@@ -32,7 +32,8 @@ func TestCachedReadAtServesRepeatsFromMemory(t *testing.T) {
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
-	blob := make([]byte, 8<<10)
+	// Larger than the ends Open keeps, and read between them.
+	blob := make([]byte, 96<<10)
 	rand.New(rand.NewSource(11)).Read(blob)
 	e.stores[dpm1].Put("/f", blob)
 
@@ -42,13 +43,13 @@ func TestCachedReadAtServesRepeatsFromMemory(t *testing.T) {
 	}
 	p := make([]byte, 2048)
 	for i := 0; i < 5; i++ {
-		n, err := f.ReadAt(p, 1024)
-		if err != nil || n != len(p) || !bytes.Equal(p, blob[1024:3072]) {
+		n, err := f.ReadAt(p, 5120)
+		if err != nil || n != len(p) || !bytes.Equal(p, blob[5120:7168]) {
 			t.Fatalf("read %d: n=%d err=%v", i, n, err)
 		}
 	}
-	if gets := e.srvs[dpm1].RequestsByMethod("GET"); gets != 2 {
-		t.Fatalf("server GETs = %d, want 2 (blocks fetched once)", gets)
+	if gets := e.srvs[dpm1].RequestsByMethod("GET"); gets != 1+2 {
+		t.Fatalf("server GETs = %d, want 1 open + 2 (blocks fetched once)", gets)
 	}
 	st := e.client.CacheStats()
 	if st.Misses != 2 || st.Hits != 8 {
@@ -235,7 +236,9 @@ func TestCachedConcurrentReadAt(t *testing.T) {
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
-	blob := make([]byte, 64<<10)
+	// The reads fall in a 64-block stretch between the ends Open keeps.
+	const lo, span = 64 << 10, 64 << 10
+	blob := make([]byte, 256<<10)
 	rand.New(rand.NewSource(14)).Read(blob)
 	e.stores[dpm1].Put("/f", blob)
 
@@ -251,7 +254,7 @@ func TestCachedConcurrentReadAt(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			p := make([]byte, 1500)
 			for i := 0; i < 50; i++ {
-				off := rng.Int63n(int64(len(blob)) - int64(len(p)))
+				off := lo + rng.Int63n(span-int64(len(p)))
 				n, err := f.ReadAt(p, off)
 				if err != nil || n != len(p) {
 					t.Errorf("read at %d: n=%d err=%v", off, n, err)
@@ -279,13 +282,16 @@ func TestFileCloseSemantics(t *testing.T) {
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
-	e.stores[dpm1].Put("/f", []byte("to be closed"))
+	// Read between the ends Open keeps, so the block goes through the
+	// cache.
+	const at = 8 << 10
+	e.stores[dpm1].Put("/f", bytes.Repeat([]byte("to be closed"), 10<<10))
 	f, err := e.client.Open(ctx, dpm1, "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := make([]byte, 4)
-	if _, err := f.ReadAt(p, 0); err != nil {
+	if _, err := f.ReadAt(p, at); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -314,11 +320,11 @@ func TestFileCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f2.ReadAt(p, 0); err != nil {
+	if _, err := f2.ReadAt(p, at); err != nil {
 		t.Fatal(err)
 	}
-	if now := e.srvs[dpm1].RequestsByMethod("GET"); now != gets+1 {
-		t.Fatalf("GETs %d -> %d, want one refetch after Close released blocks", gets, now)
+	if now := e.srvs[dpm1].RequestsByMethod("GET"); now != gets+1+1 {
+		t.Fatalf("GETs %d -> %d, want one open and one refetch after Close released blocks", gets, now)
 	}
 }
 
@@ -373,7 +379,8 @@ func TestCachedGetRangeScanWithPrefetch(t *testing.T) {
 // strides). Both must return exact bytes and be served in part by
 // speculation.
 func TestCachedReadAtPrefetchPatterns(t *testing.T) {
-	blob := make([]byte, 30*1024+300)
+	// The scan runs over 90 blocks between the ends Open keeps.
+	blob := make([]byte, 94*1024+300)
 	rand.New(rand.NewSource(17)).Read(blob)
 	for _, tc := range []struct {
 		name   string

@@ -336,7 +336,9 @@ func TestFailoverToSecondReplica(t *testing.T) {
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 
-	blob := []byte("replicated payload")
+	// Larger than the ends Open keeps, and read between them, so the
+	// reads go to a replica.
+	blob := bytes.Repeat([]byte("replicated payload"), 8<<10)
 	e.stores[dpm1].Put("/store/f", blob)
 	e.stores["dpm2:80"].Put("/store/f", blob)
 
@@ -363,7 +365,7 @@ func TestFailoverToSecondReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 10)
-	if _, err := f.ReadAt(buf, 0); err != nil {
+	if _, err := f.ReadAt(buf, 8<<10); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.srvs["fed:80"].Requests(); got != 0 {

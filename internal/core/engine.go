@@ -59,6 +59,9 @@ var (
 	specChunk    = reqSpec{op: "GET(chunk)", method: "GET", idempotent: true, follow: true}
 	specVector   = reqSpec{op: "GET(vector)", method: "GET", idempotent: true, follow: true}
 	specMetalink = reqSpec{op: "GET(metalink)", method: "GET", idempotent: true}
+	// Open fails over as a whole (it may fall back to a Stat of the same
+	// replica), so its GET does not.
+	specOpen     = reqSpec{op: "GET(open)", method: "GET", idempotent: true, follow: true}
 	specHead     = reqSpec{op: "HEAD", method: "HEAD", idempotent: true, follow: true}
 	specPropfind = reqSpec{op: "PROPFIND", method: "PROPFIND", idempotent: true}
 	specPut      = reqSpec{op: "PUT", method: "PUT", idempotent: true, follow: true}

@@ -1,6 +1,7 @@
 package httpserv
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -116,7 +117,11 @@ func TestMultiRangeMultipart(t *testing.T) {
 	if !ok {
 		t.Fatalf("content-type = %q", resp.Header.Get("Content-Type"))
 	}
-	parts, err := rangev.ReadMultipart(resp.Body, boundary)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := readParts(bytes.NewReader(body), boundary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +132,7 @@ func TestMultiRangeMultipart(t *testing.T) {
 	for i := range dsts {
 		dsts[i] = make([]byte, ranges[i].Len)
 	}
-	if err := rangev.ScatterParts(parts, frames, ranges, dsts); err != nil {
+	if err := rangev.ScatterMultipart(bytes.NewReader(body), boundary, frames, ranges, dsts); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range ranges {

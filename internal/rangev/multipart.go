@@ -6,23 +6,12 @@ import (
 	"fmt"
 	"io"
 	"mime"
-	"mime/multipart"
 	"sort"
 	"strings"
 	"sync"
 
 	"godavix/internal/bufpool"
 )
-
-// Part is one byterange part extracted from a multipart/byteranges body.
-type Part struct {
-	// Off is the starting offset declared by the part's Content-Range.
-	Off int64
-	// Data is the part payload.
-	Data []byte
-	// Total is the resource size declared by Content-Range (-1 if "*").
-	Total int64
-}
 
 // IsMultipartByteranges reports whether the Content-Type announces a
 // multipart/byteranges payload and returns its boundary.
@@ -38,135 +27,140 @@ func IsMultipartByteranges(contentType string) (boundary string, ok bool) {
 	return b, b != ""
 }
 
-// ReadMultipart parses a multipart/byteranges body with mime/multipart,
-// returning the parts in stream order. Servers may reorder or coalesce parts
-// relative to the request; callers match parts to frames by offset. Clients
-// scatter with ScatterMultipart; ReadMultipart, ScatterParts and
-// ReleaseParts are the reference its tests compare against.
-//
-// Part payloads are drawn from the shared buffer pool: callers that finish
-// scattering should hand the parts to ReleaseParts so steady-state vector
-// reads stay allocation-free. Keeping the data (or not releasing) is safe,
-// just slower.
-func ReadMultipart(body io.Reader, boundary string) ([]Part, error) {
-	mr := multipart.NewReader(body, boundary)
-	var parts []Part
+// prPool recycles part readers and their buffered readers, so the
+// steady-state vector-read path does not allocate a 4 KiB reader per
+// batch.
+var prPool = sync.Pool{New: func() any { return &partReader{br: bufio.NewReaderSize(nil, 4096)} }}
+
+// partReader walks a multipart/byteranges body one part at a time: the one
+// header loop under ScatterMultipart and Ends.ReadMultipart. next parses a
+// part's headers — only Content-Range matters, and no header map is built
+// — and leaves the reader at the part's payload; Read serves that payload
+// and nothing past it, and whatever a caller leaves unread is skipped by
+// the following next.
+type partReader struct {
+	br    *bufio.Reader
+	delim []byte
+	left  int64 // payload bytes of the current part not yet consumed
+}
+
+func newPartReader(body io.Reader, boundary string) *partReader {
+	p := prPool.Get().(*partReader)
+	p.br.Reset(body)
+	p.delim = append(append(p.delim[:0], "--"...), boundary...)
+	p.left = 0
+	return p
+}
+
+// release hands the reader back to its pool.
+func (p *partReader) release() {
+	p.br.Reset(nil)
+	prPool.Put(p)
+}
+
+// next skips to the following part and returns its Content-Range; ok is
+// false once the closing delimiter has been read.
+func (p *partReader) next() (off, length, total int64, ok bool, err error) {
+	if err := p.skip(p.left); err != nil {
+		return 0, 0, 0, false, err
+	}
+	// The preamble before the first delimiter and the line break after a
+	// payload are skipped alike.
+	closed, err := skipToDelim(p.br, p.delim)
+	if err != nil || closed {
+		return 0, 0, 0, false, err
+	}
+	length = -1
 	for {
-		p, err := mr.NextPart()
-		if err == io.EOF {
-			return parts, nil
-		}
+		line, err := readTrimmedLine(p.br)
 		if err != nil {
-			return parts, fmt.Errorf("rangev: multipart: %w", err)
+			return 0, 0, 0, false, fmt.Errorf("rangev: multipart headers: %w", err)
 		}
-		cr := p.Header.Get("Content-Range")
-		off, length, total, err := ParseContentRange(cr)
-		if err != nil {
-			p.Close()
-			return parts, err
+		if len(line) == 0 {
+			break
 		}
-		data := bufpool.Get(int(length))
-		if _, err := io.ReadFull(p, data); err != nil {
-			p.Close()
-			bufpool.Put(data)
-			return parts, fmt.Errorf("rangev: multipart part truncated: %w", err)
+		if v, ok := headerValue(line, "Content-Range"); ok {
+			if off, length, total, err = ParseContentRange(string(v)); err != nil {
+				return 0, 0, 0, false, err
+			}
 		}
-		p.Close()
-		parts = append(parts, Part{Off: off, Data: data, Total: total})
 	}
+	if length < 0 {
+		return 0, 0, 0, false, fmt.Errorf("rangev: multipart part missing Content-Range")
+	}
+	p.left = length
+	return off, length, total, true, nil
 }
 
-// ReleaseParts returns every part payload to the buffer pool and clears the
-// Data fields. Call once scattering is complete; the parts must not be
-// used afterwards.
-func ReleaseParts(parts []Part) {
-	for i := range parts {
-		bufpool.Put(parts[i].Data)
-		parts[i].Data = nil
+// Read reads the current part's payload, reporting io.EOF at its end and
+// io.ErrUnexpectedEOF when the body ends first.
+func (p *partReader) Read(b []byte) (int, error) {
+	if p.left <= 0 {
+		return 0, io.EOF
 	}
+	if int64(len(b)) > p.left {
+		b = b[:p.left]
+	}
+	n, err := p.br.Read(b)
+	p.left -= int64(n)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
 }
 
-// brPool recycles the buffered readers ScatterMultipart parses with, so the
-// steady-state vector-read path does not allocate a 4 KiB reader per batch.
-var brPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4096) }}
+// skip discards n payload bytes.
+func (p *partReader) skip(n int64) error {
+	for n > 0 {
+		d, err := p.br.Discard(int(min(n, 1<<30)))
+		p.left -= int64(d)
+		n -= int64(d)
+		if err != nil {
+			return fmt.Errorf("rangev: multipart part truncated: %w", io.ErrUnexpectedEOF)
+		}
+	}
+	return nil
+}
 
 // ScatterMultipart parses a multipart/byteranges body and scatters each
 // part's payload directly into the destination buffers as the bytes stream
-// past — the allocation-free fast path of the §2.3 vectored read. Unlike
-// ReadMultipart it never materializes part payloads, builds no header maps,
-// and copies through a pooled scratch block, so a response carrying
-// hundreds of fragments costs O(parts) small header parses instead of
-// O(bytes) of garbage.
+// past — the allocation-free fast path of the §2.3 vectored read. It never
+// materializes part payloads, builds no header maps, and copies through a
+// pooled scratch block, so a response carrying hundreds of fragments costs
+// O(parts) small header parses instead of O(bytes) of garbage.
 //
 // Every frame must be covered by exactly one part starting at the frame
 // offset (servers echo the requested ranges); parts may arrive in any
 // order, and parts matching no frame are drained and ignored.
 func ScatterMultipart(body io.Reader, boundary string, frames []Frame, ranges []Range, dsts [][]byte) error {
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(body)
-	defer func() { br.Reset(nil); brPool.Put(br) }()
-
+	pr := newPartReader(body, boundary)
+	defer pr.release()
 	scratch := bufpool.Get(64 << 10)
 	defer bufpool.Put(scratch)
-
-	delim := []byte("--" + boundary)
 	seen := make([]bool, len(frames))
 	covered := 0
-
-	// Skip the preamble: everything up to the first delimiter line.
-	closed, err := skipToDelim(br, delim)
-	if err != nil {
-		return err
-	}
-	for !closed {
-		// Part headers: only Content-Range matters; the rest are skipped
-		// without building a header map.
-		var off, length int64 = -1, -1
-		for {
-			line, err := readTrimmedLine(br)
-			if err != nil {
-				return fmt.Errorf("rangev: multipart headers: %w", err)
-			}
-			if len(line) == 0 {
-				break
-			}
-			if v, ok := headerValue(line, "Content-Range"); ok {
-				off, length, _, err = ParseContentRange(string(v))
-				if err != nil {
-					return err
-				}
-			}
+	for {
+		off, length, _, ok, err := pr.next()
+		if err != nil {
+			return err
 		}
-		if length < 0 {
-			return fmt.Errorf("rangev: multipart part missing Content-Range")
+		if !ok {
+			break
 		}
-
 		fi := findFrame(frames, off)
-		if fi >= 0 && length < frames[fi].Len {
+		if fi < 0 {
+			continue
+		}
+		if length < frames[fi].Len {
 			return fmt.Errorf("rangev: no part covers frame [%d,+%d)", frames[fi].Off, frames[fi].Len)
 		}
-		// Stream the payload through scratch, copying member overlaps in
-		// place; payload matching no frame (or past the frame end) drains.
-		consumed := int64(0)
-		for consumed < length {
-			n := int64(len(scratch))
-			if n > length-consumed {
-				n = length - consumed
-			}
-			if _, err := io.ReadFull(br, scratch[:n]); err != nil {
-				return fmt.Errorf("rangev: multipart part truncated: %w", err)
-			}
-			if fi >= 0 {
-				scatterChunk(frames[fi], off+consumed, scratch[:n], ranges, dsts)
-			}
-			consumed += n
+		// Payload past the frame end is drained by next.
+		if err := streamScatter(pr, off, frames[fi:fi+1], ranges, dsts, scratch); err != nil {
+			return fmt.Errorf("rangev: multipart part truncated: %w", err)
 		}
-		if fi >= 0 && !seen[fi] {
+		if !seen[fi] {
 			seen[fi] = true
 			covered++
-		}
-		if closed, err = skipToDelim(br, delim); err != nil {
-			return err
 		}
 	}
 	if covered != len(frames) {
@@ -264,25 +258,4 @@ func findFrame(frames []Frame, off int64) int {
 		return i
 	}
 	return -1
-}
-
-// ScatterParts distributes multipart parts into the destination buffers of
-// the original ranges, using the frame membership computed by Coalesce.
-// Each frame must be covered by exactly one part starting at the frame
-// offset (servers echo the requested ranges); parts are matched by offset.
-func ScatterParts(parts []Part, frames []Frame, ranges []Range, dsts [][]byte) error {
-	byOff := make(map[int64]*Part, len(parts))
-	for i := range parts {
-		byOff[parts[i].Off] = &parts[i]
-	}
-	for _, f := range frames {
-		p, ok := byOff[f.Off]
-		if !ok || int64(len(p.Data)) < f.Len {
-			return fmt.Errorf("rangev: no part covers frame [%d,+%d)", f.Off, f.Len)
-		}
-		if err := Scatter(f, p.Off, p.Data, ranges, dsts); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,16 +106,6 @@ func Coalesce(ranges []Range, gap int64) []Frame {
 	return append(frames, cur)
 }
 
-// TotalBytes sums the lengths of the frames (bytes that will cross the
-// network), used to bound sieving waste.
-func TotalBytes(frames []Frame) int64 {
-	var n int64
-	for _, f := range frames {
-		n += f.Len
-	}
-	return n
-}
-
 // RangeHeader renders the frames as an HTTP Range header value:
 // "bytes=0-99,200-249".
 func RangeHeader(frames []Frame) string {
@@ -130,7 +121,9 @@ func RangeHeader(frames []Frame) string {
 }
 
 // ParseContentRange parses a "bytes first-last/total" Content-Range value.
-// total is -1 when the server sent "*".
+// total is -1 when the server sent "*". A range ending at or past a known
+// total is invalid (RFC 9110 §14.4), and so is one whose length does not
+// fit an int64, so off+length never overflows.
 func ParseContentRange(v string) (off, length, total int64, err error) {
 	const pfx = "bytes "
 	if !strings.HasPrefix(v, pfx) {
@@ -156,9 +149,12 @@ func ParseContentRange(v string) (off, length, total int64, err error) {
 		total = -1
 	} else {
 		total, err = strconv.ParseInt(t, 10, 64)
-		if err != nil {
+		if err != nil || end >= total {
 			return 0, 0, 0, fmt.Errorf("rangev: bad Content-Range %q", v)
 		}
+	}
+	if end == math.MaxInt64 {
+		return 0, 0, 0, fmt.Errorf("rangev: bad Content-Range %q", v)
 	}
 	return off, end - off + 1, total, nil
 }
@@ -174,13 +170,17 @@ func ParseContentRange(v string) (off, length, total int64, err error) {
 // drop the connection when the tail is large). A body that ends before the
 // last frame byte yields an error wrapping io.ErrUnexpectedEOF.
 func StreamScatter(body io.Reader, bodyOff int64, frames []Frame, ranges []Range, dsts [][]byte) error {
+	scratch := bufpool.Get(64 << 10)
+	defer bufpool.Put(scratch)
+	return streamScatter(body, bodyOff, frames, ranges, dsts, scratch)
+}
+
+// streamScatter is StreamScatter through the caller's scratch block.
+func streamScatter(body io.Reader, bodyOff int64, frames []Frame, ranges []Range, dsts [][]byte, scratch []byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
 	maxEnd := frames[len(frames)-1].End()
-	scratch := bufpool.Get(64 << 10)
-	defer bufpool.Put(scratch)
-
 	pos := bodyOff
 	fi := 0
 	for pos < maxEnd {
@@ -228,21 +228,4 @@ func scatterChunk(f Frame, pos int64, chunk []byte, ranges []Range, dsts [][]byt
 			copy(dsts[m][lo-r.Off:hi-r.Off], chunk[lo-pos:hi-pos])
 		}
 	}
-}
-
-// Scatter copies the bytes of a fetched frame (frame data spanning
-// [frameOff, frameOff+len(data))) into the member ranges' destination
-// buffers. dsts[i] corresponds to ranges[i] and must be at least
-// ranges[i].Len long.
-func Scatter(frame Frame, frameOff int64, data []byte, ranges []Range, dsts [][]byte) error {
-	for _, m := range frame.Members {
-		r := ranges[m]
-		start := r.Off - frameOff
-		if start < 0 || start+r.Len > int64(len(data)) {
-			return fmt.Errorf("rangev: frame [%d,+%d) does not cover member range [%d,+%d)",
-				frameOff, len(data), r.Off, r.Len)
-		}
-		copy(dsts[m][:r.Len], data[start:start+r.Len])
-	}
-	return nil
 }

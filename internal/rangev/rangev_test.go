@@ -3,6 +3,7 @@ package rangev
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"mime/multipart"
 	"net/textproto"
@@ -124,8 +125,15 @@ func TestParseContentRange(t *testing.T) {
 	if err != nil || total != -1 {
 		t.Fatalf("star total: %d %v", total, err)
 	}
+	off, length, total, err = ParseContentRange("bytes 9223372036854775805-9223372036854775806/9223372036854775807")
+	if err != nil || off != math.MaxInt64-2 || length != 2 || total != math.MaxInt64 {
+		t.Fatalf("near MaxInt64: %d %d %d %v", off, length, total, err)
+	}
 	for _, bad := range []string{
 		"", "bytes", "bytes a-b/10", "bytes 5-2/10", "bytes 0-1/x", "items 0-1/10",
+		// Ranges reaching the total, and one whose length overflows.
+		"bytes 0-10/10", "bytes 12-15/10", "bytes 0-9223372036854775807/*",
+		"bytes 0-9223372036854775807/9223372036854775807",
 	} {
 		if _, _, _, err := ParseContentRange(bad); err == nil {
 			t.Errorf("accepted %q", bad)
@@ -275,4 +283,14 @@ func TestCoalesceDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TotalBytes sums the lengths of the frames (bytes that will cross the
+// network), used to bound sieving waste.
+func TotalBytes(frames []Frame) int64 {
+	var n int64
+	for _, f := range frames {
+		n += f.Len
+	}
+	return n
 }

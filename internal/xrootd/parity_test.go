@@ -34,14 +34,28 @@ const (
 	parityHTTP   = "dpm1:80"
 	parityXrd    = "dpm1:1094"
 
-	// The pinned counts of the job: its vectored requests, the ranges
-	// they carry and their bytes. The HTTP side adds one HEAD to its GETs,
-	// the xrootd side a login and an open to its readvs.
+	// The pinned counts of the job: rootio's vectored reads, the ranges
+	// they carry and their bytes. xrootd sends every vectored read as a
+	// readv after a login and an open.
 	parityVectored = 10
 	parityRanges   = 35
 	parityPayload  = 161559
-	// The HTTP framing budget: a response's status line and headers fit
-	// in 320 bytes, a multipart part's delimiter and headers in 160.
+	// davix opens with one GET for the file's first 4 KiB and last 60 KiB
+	// and serves the ranges lying wholly inside them from memory: the
+	// 8-byte header, the 16-byte trailer and the 2 823-byte index (all of
+	// rootio's two open-time reads) and three baskets of the last fills.
+	// The open's 206 is those 64 KiB plus 657 bytes of status line,
+	// headers and two parts' framing. Every other range goes out in the
+	// eight remaining vectored GETs; no HEAD is sent.
+	parityEndsHead   = 4 << 10
+	parityEndsTail   = 60 << 10
+	parityEndsRanges = 3 + 3
+	parityEndsBytes  = 8 + 16 + 2823 + 3288 + 3258 + 3299
+	parityEndsWire   = parityEndsHead + parityEndsTail + 657
+	parityHTTPGets   = 1 + parityVectored - 2
+	// The HTTP framing budget of every response but the open's: a
+	// response's status line and headers fit in 320 bytes, a multipart
+	// part's delimiter and headers in 160.
 	parityHTTPPerResponse = 320
 	parityHTTPPerRange    = 160
 	// xrootd framing is exact: the 8-byte handshake echo, an 8-byte header
@@ -56,18 +70,29 @@ var parityImage = sync.OnceValues(func() ([]byte, error) { return rootio.Synthes
 // parityJob is the counted outcome of one cold analysis job.
 type parityJob struct {
 	requests int64 // requests the server served
-	vectored int64 // of which multi-range GETs or readvs
+	vectored int64 // of which GETs or readvs
+	heads    int64 // of which HEADs
 	ranges   int64 // byte ranges rootio asked for
 	payload  int64 // their bytes
-	wire     int64 // bytes the client read off its connections
+	open     int64 // bytes the client read off its connections while opening
+	wire     int64 // bytes it read in all
 	sum      uint64
 	events   uint64
 	issued   int64
 	wasted   int64
 	elapsed  time.Duration
+
+	// The ranges, and their bytes, lying wholly inside the ends a davix
+	// Open keeps.
+	endsRanges, endsPayload int64
 }
 
+// framing is what the client read beyond the payload it was asked for.
 func (j parityJob) framing() int64 { return j.wire - j.payload }
+
+// httpFraming is framing without the open's bytes: the ranges served from
+// the ends crossed the wire in the open.
+func (j parityJob) httpFraming() int64 { return j.wire - j.open - (j.payload - j.endsPayload) }
 
 // parityBed is one link: a single MemStore served by httpserv and by the
 // xrootd Server, each client dialing through a byte-counting dialer.
@@ -122,12 +147,28 @@ func (c countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// payloadCount counts the ranges a Source is asked for and their bytes,
+// in all and of those inside the ends.
+type payloadCount struct {
+	ranges, bytes, endsRanges, endsBytes atomic.Int64
+}
+
+// inEnds reports whether r lies wholly inside the first parityEndsHead or
+// the last parityEndsTail bytes of an object of size bytes.
+func inEnds(size int64, r rangev.Range) bool {
+	return r.End() <= parityEndsHead || r.Off >= size-parityEndsTail
+}
+
 // countPayload counts the ranges src is asked for and their bytes.
-func countPayload(src rootio.Source, ranges, bytes *atomic.Int64) rootio.Source {
+func countPayload(src rootio.Source, c *payloadCount) rootio.Source {
 	add := func(rs []rangev.Range) {
-		ranges.Add(int64(len(rs)))
+		c.ranges.Add(int64(len(rs)))
 		for _, r := range rs {
-			bytes.Add(r.Len)
+			c.bytes.Add(r.Len)
+			if inEnds(src.Size, r) {
+				c.endsRanges.Add(1)
+				c.endsBytes.Add(r.Len)
+			}
 		}
 	}
 	out := src
@@ -177,8 +218,8 @@ func fold(h uint64, p []byte) uint64 {
 // trainedJob runs the event loop through a TrainingCache of the given
 // depth, counting the payload src is asked for.
 func trainedJob(src rootio.Source, depth int) (parityJob, error) {
-	var ranges, payload atomic.Int64
-	r, err := rootio.OpenReader(countPayload(src, &ranges, &payload))
+	var c payloadCount
+	r, err := rootio.OpenReader(countPayload(src, &c))
 	if err != nil {
 		return parityJob{}, err
 	}
@@ -194,7 +235,8 @@ func trainedJob(src rootio.Source, depth int) (parityJob, error) {
 			j.sum = fold(j.sum, p)
 		}
 	}
-	j.ranges, j.payload = ranges.Load(), payload.Load()
+	j.ranges, j.payload = c.ranges.Load(), c.bytes.Load()
+	j.endsRanges, j.endsPayload = c.endsRanges.Load(), c.endsBytes.Load()
 	j.issued, j.wasted, _ = tc.PrefetchStats()
 	return j, nil
 }
@@ -231,13 +273,14 @@ func (b *parityBed) httpJob(t *testing.T, opts core.Options, job func(*core.File
 		t.Fatal(err)
 	}
 	defer client.Close()
-	reqs0, gets0 := b.http.Requests(), b.http.RequestsByMethod("GET")
+	reqs0, gets0, heads0 := b.http.Requests(), b.http.RequestsByMethod("GET"), b.http.RequestsByMethod("HEAD")
 	start := time.Now()
 	f, err := client.Open(context.Background(), parityHTTP, parityPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	open := wire.Load()
 	j, err := job(f)
 	if err != nil {
 		t.Fatalf("http job: %v", err)
@@ -245,7 +288,8 @@ func (b *parityBed) httpJob(t *testing.T, opts core.Options, job func(*core.File
 	j.elapsed = time.Since(start)
 	j.requests = b.http.Requests() - reqs0
 	j.vectored = b.http.RequestsByMethod("GET") - gets0
-	j.wire = wire.Load()
+	j.heads = b.http.RequestsByMethod("HEAD") - heads0
+	j.open, j.wire = open, wire.Load()
 	return j
 }
 
@@ -281,10 +325,12 @@ func fileSource(f *core.File) rootio.Source {
 
 // TestHTTPXrootdParity holds the paper's Figure 4 claim as counts: the
 // same cold analysis job over davix/HTTP and over xrootd, on the LAN and
-// on the WAN, sends the same vectored requests for the same payload bytes
-// and computes the same physics; HTTP needs fewer round trips than xrootd,
-// its framing stays within a stated budget, and neither side wastes a
-// prefetched byte. Wall-clock times are logged, never gated on.
+// on the WAN, asks for the same ranges and payload bytes and computes the
+// same physics. xrootd sends every vectored read and opens in two round
+// trips; HTTP opens in one GET whose ends serve two of the vectored reads
+// outright, so it needs three requests fewer. Its framing stays within a
+// stated budget, and neither side wastes a prefetched byte. Wall-clock
+// times are logged, never gated on.
 func TestHTTPXrootdParity(t *testing.T) {
 	img, err := parityImage()
 	if err != nil {
@@ -304,24 +350,25 @@ func TestHTTPXrootdParity(t *testing.T) {
 			return trainedJob(fileSource(f), parityDepth)
 		})
 		x := b.xrootdJob(t)
-		t.Logf("%s: http %d requests (%d vectored), %d ranges, %d payload B, %d framing B, %v; xrootd %d requests (%d readv), %d ranges, %d payload B, %d framing B, %v",
-			prof.Name, h.requests, h.vectored, h.ranges, h.payload, h.framing(), h.elapsed, x.requests, x.vectored, x.ranges, x.payload, x.framing(), x.elapsed)
+		t.Logf("%s: http %d requests (%d GET, %d HEAD), open %d B, %d ranges of %d payload B (%d of %d B from the ends), %d framing B, %v; xrootd %d requests (%d readv), %d ranges, %d payload B, %d framing B, %v",
+			prof.Name, h.requests, h.vectored, h.heads, h.open, h.ranges, h.payload, h.endsRanges, h.endsPayload, h.httpFraming(), h.elapsed,
+			x.requests, x.vectored, x.ranges, x.payload, x.framing(), x.elapsed)
 		if prof.Name == "WAN" {
 			t.Logf("WAN wall clock, for information only: http/xrootd = %.2f", h.elapsed.Seconds()/x.elapsed.Seconds())
 		}
 		for _, c := range []struct {
-			name     string
-			j        parityJob
-			requests int64
+			name               string
+			j                  parityJob
+			requests, vectored int64
 		}{
-			{"http", h, 1 + parityVectored},
-			{"xrootd", x, 2 + parityVectored},
+			{"http", h, parityHTTPGets, parityHTTPGets},
+			{"xrootd", x, 2 + parityVectored, parityVectored},
 		} {
 			if c.j.sum != ref.sum || c.j.events != ref.events {
 				t.Errorf("%s %s: sum %#x over %d events, want %#x over %d", prof.Name, c.name, c.j.sum, c.j.events, ref.sum, ref.events)
 			}
-			if c.j.requests != c.requests || c.j.vectored != parityVectored {
-				t.Errorf("%s %s: %d requests, %d vectored; want %d, %d", prof.Name, c.name, c.j.requests, c.j.vectored, c.requests, parityVectored)
+			if c.j.requests != c.requests || c.j.vectored != c.vectored || c.j.heads != 0 {
+				t.Errorf("%s %s: %d requests, %d vectored, %d HEAD; want %d, %d, 0", prof.Name, c.name, c.j.requests, c.j.vectored, c.j.heads, c.requests, c.vectored)
 			}
 			if c.j.ranges != parityRanges || c.j.payload != parityPayload {
 				t.Errorf("%s %s: %d ranges of %d bytes, want %d of %d", prof.Name, c.name, c.j.ranges, c.j.payload, parityRanges, parityPayload)
@@ -333,8 +380,13 @@ func TestHTTPXrootdParity(t *testing.T) {
 		if h.requests >= x.requests {
 			t.Errorf("%s: http needed %d requests, xrootd %d; http should need fewer", prof.Name, h.requests, x.requests)
 		}
-		if budget := parityHTTPPerResponse*h.requests + parityHTTPPerRange*h.ranges; h.framing() > budget {
-			t.Errorf("%s http: %d framing bytes, budget %d", prof.Name, h.framing(), budget)
+		if h.open != parityEndsWire || h.endsRanges != parityEndsRanges || h.endsPayload != parityEndsBytes {
+			t.Errorf("%s http: open read %d B and served %d ranges of %d B; want %d B, %d ranges of %d B",
+				prof.Name, h.open, h.endsRanges, h.endsPayload, parityEndsWire, parityEndsRanges, parityEndsBytes)
+		}
+		budget := parityHTTPPerResponse*(h.requests-1) + parityHTTPPerRange*(h.ranges-h.endsRanges)
+		if h.httpFraming() > budget {
+			t.Errorf("%s http: %d framing bytes, budget %d", prof.Name, h.httpFraming(), budget)
 		}
 		if x.framing() != parityXrdFraming {
 			t.Errorf("%s xrootd: %d framing bytes, want exactly %d", prof.Name, x.framing(), parityXrdFraming)
