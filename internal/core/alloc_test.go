@@ -48,10 +48,7 @@ func listResponse(t *testing.T, n int) []byte {
 	for i := 0; i < n; i++ {
 		entries = append(entries, webdav.Entry{Href: fmt.Sprintf("/flat/f%05d.rnt", i), Size: int64(i)})
 	}
-	body, err := webdav.EncodeMultistatus(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := multistatus(t, entries...)
 	head := fmt.Sprintf("HTTP/1.1 207 Multi-Status\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
 		webdav.ContentType, len(body))
 	return append([]byte(head), body...)

@@ -57,17 +57,24 @@ func cutPropfindServer(t *testing.T, l net.Listener, bad, good []byte) *atomic.I
 func propfindDocs(t *testing.T) (bad, good []byte) {
 	t.Helper()
 	mt := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
-	enc := func(es ...webdav.Entry) []byte {
-		b, err := webdav.EncodeMultistatus(es)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	dir := webdav.Entry{Href: "/data", Dir: true, ModTime: mt}
-	bad = enc(dir, webdav.Entry{Href: "/data/ghost", Size: 1, ModTime: mt}, webdav.Entry{Href: "/data/z", Size: 9, ModTime: mt})
-	good = enc(dir, webdav.Entry{Href: "/data/a", Size: 1, ModTime: mt}, webdav.Entry{Href: "/data/b", Size: 2, ModTime: mt})
+	bad = multistatus(t, dir, webdav.Entry{Href: "/data/ghost", Size: 1, ModTime: mt}, webdav.Entry{Href: "/data/z", Size: 9, ModTime: mt})
+	good = multistatus(t, dir, webdav.Entry{Href: "/data/a", Size: 1, ModTime: mt}, webdav.Entry{Href: "/data/b", Size: 2, ModTime: mt})
 	return bad, good
+}
+
+// multistatus is the 207 body the gateway writes for entries.
+func multistatus(t *testing.T, entries ...webdav.Entry) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	mw := webdav.NewMultistatusWriter(&b)
+	for _, e := range entries {
+		mw.WriteEntry(e)
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // primed reports whether the stat cache holds host/path.

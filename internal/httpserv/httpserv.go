@@ -763,9 +763,6 @@ func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body, 
 		}
 	}
 
-	if !inf.ModTime.IsZero() && !inf.ModTime.Equal(time.Unix(0, 0)) {
-		h.Set("Last-Modified", inf.ModTime.UTC().Format(http.TimeFormat))
-	}
 	size := int64(len(body))
 	var store [8]span
 	ranges, err := parseRange(r.Header.Get("Range"), size, store[:0])
@@ -779,6 +776,11 @@ func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body, 
 		}
 		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
 		return
+	}
+	// Like ServeContent, only an answer that serves bytes says how old
+	// they are.
+	if !inf.ModTime.IsZero() && !inf.ModTime.Equal(time.Unix(0, 0)) {
+		h.Set("Last-Modified", string(webdav.AppendRFC1123(make([]byte, 0, 32), inf.ModTime, "GMT")))
 	}
 	var sum int64
 	for _, ra := range ranges {
@@ -1265,11 +1267,11 @@ func (s *Server) serveMkcol(w http.ResponseWriter, p string) {
 	w.WriteHeader(http.StatusCreated)
 }
 
-// servePropfind streams the 207 multistatus body entry by entry: the
-// listing is fetched before headers go out (so store errors still map to
-// proper statuses), but the XML is generated incrementally rather than
-// materialized — the response size no longer scales server memory with the
-// collection size, mirroring the client's streaming multistatus decoder.
+// servePropfind streams the 207 multistatus body: the listing is fetched
+// before headers go out (so store errors still map to proper statuses), but
+// the XML is generated incrementally rather than materialized and reaches w
+// in 32 KiB batches — the response size no longer scales server memory with
+// the collection size, mirroring the client's streaming multistatus decoder.
 func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, p string) {
 	inf, err := s.store.Stat(p)
 	if err != nil {
@@ -1286,13 +1288,13 @@ func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, p string)
 	w.Header().Set("Content-Type", webdav.ContentType)
 	w.WriteHeader(http.StatusMultiStatus)
 	mw := webdav.NewMultistatusWriter(w)
+	defer mw.Close() // returns the writer's pooled buffer on every path
 	mw.WriteEntry(webdav.Entry{Href: inf.Path, Size: inf.Size, Dir: inf.Dir, ModTime: inf.ModTime})
 	for _, c := range children {
 		if mw.WriteEntry(webdav.Entry{Href: c.Path, Size: c.Size, Dir: c.Dir, ModTime: c.ModTime}) != nil {
 			return // client gone; nothing useful left to send
 		}
 	}
-	mw.Close()
 }
 
 // serveTruncated declares the full object length but sends only n bytes

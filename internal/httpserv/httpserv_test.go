@@ -181,7 +181,7 @@ func TestMkcolAndPropfind(t *testing.T) {
 	if resp.StatusCode != http.StatusMultiStatus {
 		t.Fatalf("PROPFIND = %d", resp.StatusCode)
 	}
-	entries, err := webdav.DecodeMultistatus(body)
+	entries, err := webdav.DecodeMultistatusStream(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,53 @@ func TestMkcolAndPropfind(t *testing.T) {
 	resp, _ = http.DefaultClient.Do(req)
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	entries, _ = webdav.DecodeMultistatus(body)
+	entries, _ = webdav.DecodeMultistatusStream(bytes.NewReader(body))
 	if len(entries) != 1 {
 		t.Fatalf("depth 0 entries = %d", len(entries))
+	}
+}
+
+// writeCounter counts the body Writes a handler makes.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestPropfindBatchesWrites: a 400-child listing reaches the
+// ResponseWriter in a handful of 32 KiB batches, not one Write per entry,
+// and decodes to the same entries.
+func TestPropfindBatchesWrites(t *testing.T) {
+	srv, _, st := newTestServer(t, Options{})
+	for i := 0; i < 400; i++ {
+		st.Put(fmt.Sprintf("/big/f%03d", i), []byte(strings.Repeat("x", i)))
+	}
+	req := httptest.NewRequest("PROPFIND", "/big", nil)
+	req.Header.Set("Depth", "1")
+	w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusMultiStatus {
+		t.Fatalf("PROPFIND = %d", w.Code)
+	}
+	body := w.Body.Bytes()
+	if limit := (len(body)+32<<10-1)/(32<<10) + 1; w.writes > limit {
+		t.Fatalf("%d-byte listing took %d Writes, want at most %d", len(body), w.writes, limit)
+	}
+	entries, err := webdav.DecodeMultistatusStream(bytes.NewReader(body))
+	if err != nil || len(entries) != 401 {
+		t.Fatalf("%d entries, err %v", len(entries), err)
+	}
+	if !entries[0].Dir || entries[0].Href != "/big" {
+		t.Fatalf("self = %+v", entries[0])
+	}
+	for i, e := range entries[1:] {
+		if e.Href != fmt.Sprintf("/big/f%03d", i) || e.Size != int64(i) || e.Dir || e.ModTime.IsZero() {
+			t.Fatalf("entry %d = %+v", i, e)
+		}
 	}
 }
 

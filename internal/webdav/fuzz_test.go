@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -284,6 +285,33 @@ func FuzzMultistatusWriter(f *testing.F) {
 	f.Add("/", int64(1), false, int64(-62135596800)) // the zero time
 	f.Fuzz(func(t *testing.T, href string, size int64, dir bool, unix int64) {
 		checkWriter(t, Entry{Href: href, Size: size, Dir: dir, ModTime: time.Unix(unix, 0)})
+	})
+}
+
+// FuzzAppendRFC1123 holds the fixed-width appender to time.AppendFormat
+// for both layouts it stands in for, in any zone and with any nanoseconds,
+// including the years it hands back to AppendFormat.
+func FuzzAppendRFC1123(f *testing.F) {
+	for _, t := range []time.Time{
+		{}, time.Unix(0, 0),
+		time.Date(2016, 2, 29, 23, 59, 59, 999999999, time.UTC),
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 12, 31, 23, 59, 59, 0, time.UTC),
+	} {
+		f.Add(t.Unix(), int64(t.Nanosecond()), int32(0))
+	}
+	f.Add(int64(1404129600), int64(0), int32(-5*3600))
+	f.Add(int64(253402300799), int64(0), int32(3600)) // 9999-12-31 23:59:59 UTC, in 10000 locally
+	f.Fuzz(func(t *testing.T, sec, nsec int64, offset int32) {
+		tm := time.Unix(sec, nsec).In(time.FixedZone("X", int(offset)))
+		for zone, layout := range map[string]string{"UTC": TimeLayout, "GMT": http.TimeFormat} {
+			got := AppendRFC1123([]byte("<"), tm, zone)
+			if want := tm.UTC().AppendFormat([]byte("<"), layout); !bytes.Equal(got, want) {
+				t.Fatalf("%v with %s: appender %q, AppendFormat %q", tm, zone, got, want)
+			}
+		}
 	})
 }
 

@@ -12,6 +12,8 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+
+	"godavix/internal/bufpool"
 )
 
 // ContentType is the MIME type used for WebDAV XML bodies.
@@ -33,106 +35,57 @@ type Entry struct {
 	ModTime time.Time
 }
 
-// Multistatus wire structures.
-type msDoc struct {
-	XMLName   xml.Name     `xml:"DAV: multistatus"`
-	Responses []msResponse `xml:"response"`
-}
-
-type msResponse struct {
-	Href     string       `xml:"href"`
-	Propstat []msPropstat `xml:"propstat"`
-}
-
-type msPropstat struct {
-	Prop   msProp `xml:"prop"`
-	Status string `xml:"status"`
-}
-
-type msProp struct {
-	ContentLength *int64          `xml:"getcontentlength"`
-	LastModified  string          `xml:"getlastmodified"`
-	ResourceType  *msResourceType `xml:"resourcetype"`
-}
-
-type msResourceType struct {
-	Collection *struct{} `xml:"collection"`
-}
-
-// EncodeMultistatus renders entries as a 207 multistatus body.
-func EncodeMultistatus(entries []Entry) ([]byte, error) {
-	doc := msDoc{}
-	for _, e := range entries {
-		prop := msProp{}
-		if e.Dir {
-			prop.ResourceType = &msResourceType{Collection: &struct{}{}}
-		} else {
-			size := e.Size
-			prop.ContentLength = &size
-		}
-		if !e.ModTime.IsZero() {
-			prop.LastModified = e.ModTime.UTC().Format(TimeLayout)
-		}
-		doc.Responses = append(doc.Responses, msResponse{
-			Href: e.Href,
-			Propstat: []msPropstat{{
-				Prop:   prop,
-				Status: "HTTP/1.1 200 OK",
-			}},
-		})
-	}
-	out, err := xml.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(xml.Header), out...), nil
-}
-
 // MultistatusWriter streams a multistatus document entry by entry — the
-// generation-side mirror of ScanMultistatus. Where EncodeMultistatus
-// materializes the whole 207 body (O(entries) memory, a problem for a
-// collection listing millions of objects), this writer appends each
-// <response> into one reused buffer and hands it to the underlying writer
-// in a single Write, never holding more than one entry. The document is
-// byte-identical to EncodeMultistatus's output, so every decoder accepts it
-// unchanged.
+// generation-side mirror of ScanMultistatus. The document is never
+// materialized: each <response> is appended to one pooled 64 KiB buffer,
+// and the buffer goes to the underlying writer in one Write whenever it
+// holds flushAt bytes or more, and at Close. Memory stays bounded whatever
+// the collection size, and a listing costs one Write per 32 KiB rather
+// than one per entry. The document is byte-identical to what
+// encoding/xml marshals for the same entries, so every decoder accepts it.
 //
 // Usage: NewMultistatusWriter, WriteEntry per resource, then Close (which
-// emits the document frame even when no entries were written). Errors
-// stick: after a write failure every later call reports the same error.
+// emits the document frame even when no entries were written, and returns
+// the buffer to the pool on every path). Errors stick: after a write
+// failure every later call reports the same error.
 type MultistatusWriter struct {
-	w       io.Writer
-	buf     []byte
-	started bool
-	closed  bool
-	err     error
+	w      io.Writer
+	buf    []byte // pooled; nil until the document opens and after Close
+	closed bool
+	err    error
 }
+
+const (
+	// msBufSize is the pooled buffer's size. Below flushAt it holds any
+	// entry up to 32 KiB without growing.
+	msBufSize = 64 << 10
+	// flushAt is the fill at which WriteEntry hands the buffer on.
+	flushAt = 32 << 10
+)
 
 // NewMultistatusWriter returns a writer streaming a multistatus document
 // to w.
 func NewMultistatusWriter(w io.Writer) *MultistatusWriter {
-	return &MultistatusWriter{w: w, buf: make([]byte, 0, 512)}
+	return &MultistatusWriter{w: w}
 }
 
-// begin returns the reset buffer, opening the document on the first call.
-func (mw *MultistatusWriter) begin() []byte {
-	b := mw.buf[:0]
-	if !mw.started {
-		b = append(b, xml.Header...)
-		b = append(b, `<multistatus xmlns="DAV:">`...)
-		mw.started = true
+// open returns the buffer, taking it from the pool and opening the
+// document on first use.
+func (mw *MultistatusWriter) open() []byte {
+	if mw.buf == nil {
+		mw.buf = append(bufpool.Get(msBufSize)[:0], xml.Header+`<multistatus xmlns="DAV:">`...)
 	}
-	return b
+	return mw.buf
 }
 
-// flush writes b as one Write and keeps it as the buffer for the next call.
-func (mw *MultistatusWriter) flush(b []byte) error {
-	mw.buf = b
-	_, mw.err = mw.w.Write(b)
+// flush hands the buffered bytes to the underlying writer in one Write.
+func (mw *MultistatusWriter) flush() error {
+	_, mw.err = mw.w.Write(mw.buf)
+	mw.buf = mw.buf[:0]
 	return mw.err
 }
 
-// WriteEntry emits one <response> element for e.
+// WriteEntry appends one <response> element for e.
 func (mw *MultistatusWriter) WriteEntry(e Entry) error {
 	if mw.err != nil {
 		return mw.err
@@ -141,7 +94,7 @@ func (mw *MultistatusWriter) WriteEntry(e Entry) error {
 		mw.err = fmt.Errorf("webdav: WriteEntry after Close")
 		return mw.err
 	}
-	b := mw.begin()
+	b := mw.open()
 	b = append(b, "\n <response>\n  <href>"...)
 	b = appendEscaped(b, e.Href)
 	b = append(b, "</href>\n  <propstat>\n   <prop>"...)
@@ -155,30 +108,63 @@ func (mw *MultistatusWriter) WriteEntry(e Entry) error {
 	// that needs escaping.
 	b = append(b, "\n    <getlastmodified>"...)
 	if !e.ModTime.IsZero() {
-		b = e.ModTime.UTC().AppendFormat(b, TimeLayout)
+		b = AppendRFC1123(b, e.ModTime, "UTC")
 	}
 	b = append(b, "</getlastmodified>"...)
 	if e.Dir {
 		b = append(b, "\n    <resourcetype>\n     <collection></collection>\n    </resourcetype>"...)
 	}
-	b = append(b, "\n   </prop>\n   <status>HTTP/1.1 200 OK</status>\n  </propstat>\n </response>"...)
-	return mw.flush(b)
+	mw.buf = append(b, "\n   </prop>\n   <status>HTTP/1.1 200 OK</status>\n  </propstat>\n </response>"...)
+	if len(mw.buf) >= flushAt {
+		return mw.flush()
+	}
+	return nil
 }
 
-// Close terminates the document. An entry-less document closes to the same
-// compact frame EncodeMultistatus produces for no entries.
+// Close terminates the document, writes what is buffered and returns the
+// buffer to the pool. An entry-less document closes to the compact frame
+// encoding/xml produces for no entries. After a write error Close writes
+// nothing and returns that error. A later Close writes nothing and reports
+// the sticky error, if any.
 func (mw *MultistatusWriter) Close() error {
-	if mw.err != nil {
+	if mw.closed {
 		return mw.err
 	}
-	if mw.closed {
-		return nil
-	}
 	mw.closed = true
-	if !mw.started {
-		return mw.flush(append(mw.begin(), "</multistatus>"...))
+	if mw.err == nil {
+		if mw.buf == nil {
+			mw.buf = append(mw.open(), "</multistatus>"...)
+		} else {
+			mw.buf = append(mw.buf, "\n</multistatus>"...)
+		}
+		mw.flush()
 	}
-	return mw.flush(append(mw.begin(), "\n</multistatus>"...))
+	bufpool.Put(mw.buf)
+	mw.buf = nil
+	return mw.err
+}
+
+// AppendRFC1123 appends t, in UTC, as "Mon, 02 Jan 2006 15:04:05 " followed
+// by zone: for years 0–9999 exactly what t.UTC().AppendFormat writes for
+// TimeLayout with zone "UTC" and for http.TimeFormat with zone "GMT", but
+// field by field instead of through the layout interpreter. Other years,
+// which do not fit the fixed width, go through AppendFormat itself. It is
+// the mirror image of parseRFC1123UTC.
+func AppendRFC1123(b []byte, t time.Time, zone string) []byte {
+	t = t.UTC()
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return append(t.AppendFormat(b, "Mon, 02 Jan 2006 15:04:05 "), zone...)
+	}
+	hour, minute, sec := t.Clock()
+	wd, mo := int(t.Weekday())*3, (int(month)-1)*3
+	b = append(b, "SunMonTueWedThuFriSat"[wd:wd+3]...)
+	b = append(b, ',', ' ', byte('0'+day/10), byte('0'+day%10), ' ')
+	b = append(b, "JanFebMarAprMayJunJulAugSepOctNovDec"[mo:mo+3]...)
+	b = append(b, ' ', byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10),
+		' ', byte('0'+hour/10), byte('0'+hour%10), ':', byte('0'+minute/10), byte('0'+minute%10),
+		':', byte('0'+sec/10), byte('0'+sec%10), ' ')
+	return append(b, zone...)
 }
 
 // appendEscaped appends s escaped exactly as xml.EscapeText (and the
@@ -244,35 +230,6 @@ func DecodeMultistatusStream(r io.Reader) ([]Entry, error) {
 	var entries []Entry
 	if err := ScanMultistatus(r, func(e Entry) error { entries = append(entries, e); return nil }); err != nil {
 		return nil, err
-	}
-	return entries, nil
-}
-
-// DecodeMultistatus parses a multistatus body into entries, in document
-// order, with encoding/xml. Clients decode with ScanMultistatus; this is
-// the reference its tests compare against.
-func DecodeMultistatus(data []byte) ([]Entry, error) {
-	var doc msDoc
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("webdav: %w", err)
-	}
-	entries := make([]Entry, 0, len(doc.Responses))
-	for _, r := range doc.Responses {
-		e := Entry{Href: r.Href}
-		for _, ps := range r.Propstat {
-			if ps.Prop.ContentLength != nil {
-				e.Size = *ps.Prop.ContentLength
-			}
-			if ps.Prop.ResourceType != nil && ps.Prop.ResourceType.Collection != nil {
-				e.Dir = true
-			}
-			if ps.Prop.LastModified != "" {
-				if t, err := time.Parse(TimeLayout, ps.Prop.LastModified); err == nil {
-					e.ModTime = t
-				}
-			}
-		}
-		entries = append(entries, e)
 	}
 	return entries, nil
 }

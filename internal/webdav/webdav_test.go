@@ -2,7 +2,9 @@ package webdav
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -294,15 +296,7 @@ func TestMultistatusWriterMatchesEncode(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var buf bytes.Buffer
-		mw := NewMultistatusWriter(&buf)
-		for _, e := range in {
-			if err := mw.WriteEntry(e); err != nil {
-				t.Fatalf("%s: WriteEntry: %v", name, err)
-			}
-		}
-		if err := mw.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", name, err)
-		}
+		writeDoc(t, &buf, in)
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("%s: streamed document differs from EncodeMultistatus\nstreamed:\n%s\nwant:\n%s",
 				name, buf.Bytes(), want)
@@ -319,15 +313,7 @@ func TestMultistatusWriterDecodes(t *testing.T) {
 		{Href: `/store/a&b`, Size: 42, ModTime: now},
 	}
 	var buf bytes.Buffer
-	mw := NewMultistatusWriter(&buf)
-	for _, e := range in {
-		if err := mw.WriteEntry(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeDoc(t, &buf, in)
 	for name, dec := range map[string]func() ([]Entry, error){
 		"legacy": func() ([]Entry, error) { return DecodeMultistatus(buf.Bytes()) },
 		"stream": func() ([]Entry, error) { return DecodeMultistatusStream(bytes.NewReader(buf.Bytes())) },
@@ -378,5 +364,120 @@ func TestDecodeEmptyDoc(t *testing.T) {
 	got, err := DecodeMultistatus(body)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v err %v", got, err)
+	}
+}
+
+// countingWriter records what reaches it and how many Writes carried it,
+// failing every Write from the failAt-th on when failAt > 0.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+	failAt int
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	if c.failAt > 0 && c.writes >= c.failAt {
+		return 0, errWriteFailed
+	}
+	return c.buf.Write(p)
+}
+
+// writeDoc streams in through a MultistatusWriter onto w.
+func writeDoc(t *testing.T, w io.Writer, in []Entry) {
+	t.Helper()
+	mw := NewMultistatusWriter(w)
+	for _, e := range in {
+		if err := mw.WriteEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMultistatusWriterBatchesWrites: entries reach the underlying writer
+// in buffers of at least 32 KiB, not one Write each, and the document is
+// still byte for byte the oracle's.
+func TestMultistatusWriterBatchesWrites(t *testing.T) {
+	now := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
+	in := []Entry{{Href: "/tree", Dir: true, ModTime: now}}
+	for i := 0; i < 399; i++ {
+		in = append(in, Entry{Href: fmt.Sprintf("/tree/f%04d.dat", i), Size: int64(i), ModTime: now})
+	}
+	want, err := EncodeMultistatus(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw countingWriter
+	writeDoc(t, &cw, in)
+	if !bytes.Equal(cw.buf.Bytes(), want) {
+		t.Fatal("batched document differs from EncodeMultistatus")
+	}
+	if limit := (len(want)+flushAt-1)/flushAt + 1; cw.writes > limit {
+		t.Fatalf("%d entries (%d bytes) took %d Writes, want at most %d", len(in), len(want), cw.writes, limit)
+	}
+
+	cw = countingWriter{}
+	writeDoc(t, &cw, in[:1])
+	if cw.writes != 1 {
+		t.Fatalf("one entry and Close took %d Writes, want 1", cw.writes)
+	}
+}
+
+// TestMultistatusWriterHugeEntry: an entry larger than the pooled buffer
+// grows it and still comes out byte-identical and decodable.
+func TestMultistatusWriterHugeEntry(t *testing.T) {
+	in := []Entry{
+		{Href: "/a", Size: 1},
+		{Href: "/" + strings.Repeat("h&", 40<<10), Size: 2, ModTime: time.Unix(1404129600, 0)},
+		{Href: "/z", Dir: true},
+	}
+	want, err := EncodeMultistatus(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw countingWriter
+	writeDoc(t, &cw, in)
+	if !bytes.Equal(cw.buf.Bytes(), want) {
+		t.Fatal("document with a 80 KiB href differs from EncodeMultistatus")
+	}
+	got, err := DecodeMultistatusStream(bytes.NewReader(cw.buf.Bytes()))
+	if err != nil || len(got) != 3 || got[1].Href != in[1].Href || got[2].Href != "/z" {
+		t.Fatalf("decoded %d entries, err %v", len(got), err)
+	}
+}
+
+// TestMultistatusWriterErrorSticks: the first failed Write is the answer
+// to every later call, Close included, and a second Close writes nothing.
+func TestMultistatusWriterErrorSticks(t *testing.T) {
+	cw := countingWriter{failAt: 1}
+	mw := NewMultistatusWriter(&cw)
+	long := Entry{Href: "/" + strings.Repeat("x", flushAt)}
+	if err := mw.WriteEntry(long); err != errWriteFailed {
+		t.Fatalf("WriteEntry over the threshold: %v, want %v", err, errWriteFailed)
+	}
+	if err := mw.WriteEntry(Entry{Href: "/y"}); err != errWriteFailed {
+		t.Fatalf("WriteEntry after the failure: %v", err)
+	}
+	if err := mw.Close(); err != errWriteFailed {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := mw.Close(); err != errWriteFailed || cw.writes != 1 || mw.buf != nil {
+		t.Fatalf("second Close: %v after %d Writes, buffer released %v", err, cw.writes, mw.buf == nil)
+	}
+
+	// A failure at Close itself is Close's answer, and the buffer goes
+	// back all the same.
+	cw = countingWriter{failAt: 1}
+	mw = NewMultistatusWriter(&cw)
+	if err := mw.WriteEntry(Entry{Href: "/a"}); err != nil || cw.writes != 0 {
+		t.Fatalf("small entry: %v, %d Writes", err, cw.writes)
+	}
+	if err := mw.Close(); err != errWriteFailed || mw.buf != nil {
+		t.Fatalf("Close: %v, buffer released %v", err, mw.buf == nil)
 	}
 }

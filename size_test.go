@@ -39,7 +39,7 @@ var codeCeilings = map[string]int{
 	"internal/rootio":     1531,
 	"internal/s3":         147,
 	"internal/storage":    503,
-	"internal/webdav":     851,
+	"internal/webdav":     803,
 	"internal/wire":       515,
 	"internal/xrootd":     708,
 }
