@@ -11,7 +11,7 @@
 //	davix-bench -repeats 10
 //	davix-bench -experiment resil -json BENCH_resil.json
 //
-// Experiments: cache, resil, zerocopy, server, chaos, all.
+// Experiments: cache, resil, zerocopy, chaos, all.
 //
 // With -json, every table produced by the run is also written to the given
 // file as a JSON array — CI uses this to track the performance trajectory
@@ -32,10 +32,9 @@ func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
 	jsonPath := flag.String("json", "", "also write the run's tables to this file as JSON")
 	repeats := flag.Int("repeats", 5, "measurement repeats per configuration")
-	clients := flag.Int("clients", 128, "admission limit / client count for the server load scenario")
 	flag.Parse()
 
-	opts := bench.Options{Repeats: *repeats, Clients: *clients}
+	opts := bench.Options{Repeats: *repeats}
 
 	type exp struct {
 		name string
@@ -45,7 +44,6 @@ func main() {
 		{"cache", bench.CacheBench},
 		{"resil", bench.Resil},
 		{"zerocopy", bench.Zerocopy},
-		{"server", bench.ServerLoad},
 		{"chaos", bench.Chaos},
 	}
 

@@ -49,7 +49,7 @@ func main() {
 	perClientRate := flag.Float64("per-client-rate", 0, "sustained requests/s per client (0 = unlimited)")
 	perClientBurst := flag.Int("per-client-burst", 0, "per-client rate burst (default: rate rounded up)")
 	requestBudget := flag.Duration("request-budget", 0, "whole-request deadline (0 = none)")
-	bodyStall := flag.Duration("body-stall", 0, "kill uploads whose body stalls this long (0 = off)")
+	bodyStall := flag.Duration("body-stall", 0, "cut clients whose request headers or body stall this long (0 = off)")
 	partialTTL := flag.Duration("partial-ttl", 0, "reap idle partial uploads after this long (default 1m)")
 	flag.Parse()
 

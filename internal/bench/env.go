@@ -18,19 +18,11 @@ import (
 type Options struct {
 	// Repeats is how many times each measurement is taken (default 5).
 	Repeats int
-	// Clients sizes the server-load scenario: the gateway's admission
-	// limit equals Clients, the at-limit regime runs that many simulated
-	// clients and the overload regime twice as many plus the misbehaving
-	// cohorts (default 128; CI uses fewer).
-	Clients int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Repeats == 0 {
 		o.Repeats = 5
-	}
-	if o.Clients == 0 {
-		o.Clients = 128
 	}
 	return o
 }

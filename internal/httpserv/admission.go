@@ -44,13 +44,12 @@ type Limits struct {
 	// context is cancelled and the connection's write deadline armed so a
 	// response cannot dribble out forever. 0 = no budget.
 	RequestBudget time.Duration
-	// BodyStallTimeout arms a read deadline before every request-body
-	// read: a client that stops sending mid-body (slow loris) is cut off
-	// after this long, not held forever. 0 = no stall detection.
+	// BodyStallTimeout is the stall deadline on reads from a client: the
+	// request headers must arrive within it, and it is re-armed before
+	// every request-body read, so a client that stops sending (slow loris)
+	// is cut off after this long, not held forever. Idle keep-alive
+	// connections are not timed. 0 = no stall detection.
 	BodyStallTimeout time.Duration
-	// ReadHeaderTimeout / IdleTimeout pass through to the http.Server.
-	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
 
 	// PartialTTL overrides how long an idle ranged-upload assembly
 	// survives before the janitor reaps it. Defaults to one minute.

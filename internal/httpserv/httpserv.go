@@ -425,13 +425,13 @@ func (s *Server) Serve(l net.Listener) error {
 
 // ServeHandler runs an HTTP server on l with h as the root handler —
 // normally this Server wrapped in observability middleware (access log,
-// debug endpoints). Keep-alive policy follows Options.DisableKeepAlive
-// regardless of the wrapping.
+// debug endpoints). Keep-alive policy follows Options.DisableKeepAlive, and
+// the header-read deadline Limits.BodyStallTimeout, regardless of the
+// wrapping.
 func (s *Server) ServeHandler(l net.Listener, h http.Handler) error {
 	srv := &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: s.opts.Limits.ReadHeaderTimeout,
-		IdleTimeout:       s.opts.Limits.IdleTimeout,
+		ReadHeaderTimeout: s.opts.Limits.BodyStallTimeout,
 	}
 	srv.SetKeepAlivesEnabled(!s.opts.DisableKeepAlive)
 	err := srv.Serve(l)

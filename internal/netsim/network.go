@@ -80,21 +80,12 @@ func (n *Network) Dials() int64 {
 	return n.dials
 }
 
-// Listen starts accepting connections on addr with the default accept
-// backlog.
-func (n *Network) Listen(addr string) (net.Listener, error) {
-	return n.ListenBacklog(addr, 16)
-}
+// acceptBacklog is a listener's accept queue, the simulated SYN queue: a
+// Dial past it blocks until the server accepts.
+const acceptBacklog = 16
 
-// ListenBacklog starts accepting connections on addr with an explicit
-// accept backlog — the simulated SYN queue. Load benchmarks dialing
-// hundreds of clients at once need a deeper backlog than the default 16 so
-// connection setup is not serialized by Dial blocking on the accept
-// channel.
-func (n *Network) ListenBacklog(addr string, backlog int) (net.Listener, error) {
-	if backlog < 1 {
-		backlog = 1
-	}
+// Listen starts accepting connections on addr.
+func (n *Network) Listen(addr string) (net.Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.listeners[addr]; ok {
@@ -103,7 +94,7 @@ func (n *Network) ListenBacklog(addr string, backlog int) (net.Listener, error) 
 	l := &Listener{
 		net:    n,
 		addr:   Addr(addr),
-		accept: make(chan *Conn, backlog),
+		accept: make(chan *Conn, acceptBacklog),
 		done:   make(chan struct{}),
 	}
 	n.listeners[addr] = l

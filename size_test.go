@@ -18,21 +18,21 @@ import (
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
 	".":                   285,
-	"cmd/davix-bench":     56,
+	"cmd/davix-bench":     54,
 	"cmd/davix-get":       243,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        92,
-	"internal/bench":      1666,
+	"internal/bench":      1271,
 	"internal/blockcache": 733,
 	"internal/bufpool":    61,
 	"internal/core":       3587,
 	"internal/digest":     274,
 	"internal/fed":        105,
-	"internal/httpserv":   1338,
+	"internal/httpserv":   1335,
 	"internal/metalink":   113,
-	"internal/netsim":     500,
+	"internal/netsim":     495,
 	"internal/obs":        598,
 	"internal/pool":       360,
 	"internal/rangev":     469,
