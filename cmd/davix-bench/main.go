@@ -11,7 +11,7 @@
 //	davix-bench -repeats 10
 //	davix-bench -experiment resil -json BENCH_resil.json
 //
-// Experiments: cache, resil, zerocopy, chaos, all.
+// Experiments: cache, resil, zerocopy, all.
 //
 // With -json, every table produced by the run is also written to the given
 // file as a JSON array — CI uses this to track the performance trajectory
@@ -44,7 +44,6 @@ func main() {
 		{"cache", bench.CacheBench},
 		{"resil", bench.Resil},
 		{"zerocopy", bench.Zerocopy},
-		{"chaos", bench.Chaos},
 	}
 
 	ran := 0

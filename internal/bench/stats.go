@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -49,31 +48,6 @@ func (s *Sample) Stddev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample by linear
-// interpolation over the sorted measurements; 0 with no data.
-func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, s.values)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Min returns the smallest measurement.

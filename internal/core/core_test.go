@@ -74,6 +74,29 @@ func newEnv(t *testing.T, copts Options) *testEnv {
 
 const dpm1 = "dpm1:80"
 
+// fedReplicas are the storage nodes of replicaEnv, in metalink priority
+// order: a multi-stream download from dpm1 rings them in this order, so
+// chunk idx's ring primary is fedReplicas[idx%3] while all are healthy.
+var fedReplicas = []string{"dpm1:80", "dpm2:80", "dpm3:80"}
+
+// replicaEnv wires the three fedReplicas behind a metalink federation at
+// fed:80 and stores blob at /f on each.
+func replicaEnv(t *testing.T, copts Options, blob []byte) *testEnv {
+	t.Helper()
+	e := newEnv(t, copts)
+	var urls []metalink.URL
+	for i, r := range fedReplicas {
+		e.startServer(t, r, httpserv.Options{})
+		e.stores[r].Put("/f", blob)
+		urls = append(urls, metalink.URL{Loc: "http://" + r + "/f", Priority: i + 1})
+	}
+	ml := &metalink.Metalink{Name: "f", Size: int64(len(blob)), URLs: urls}
+	e.startServer(t, "fed:80", httpserv.Options{
+		Metalinks: func(string) *metalink.Metalink { return ml },
+	})
+	return e
+}
+
 func TestGetPutDeleteRoundTrip(t *testing.T) {
 	e := newEnv(t, Options{})
 	e.startServer(t, dpm1, httpserv.Options{})

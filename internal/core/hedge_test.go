@@ -3,32 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"godavix/internal/httpserv"
-	"godavix/internal/metalink"
+	"godavix/internal/obs"
 )
-
-// hedgeEnv wires three replicas behind a metalink federation and stores blob
-// at /f on each, returning the ready-to-use test environment.
-func hedgeEnv(t *testing.T, copts Options, blob []byte) *testEnv {
-	t.Helper()
-	e := newEnv(t, copts)
-	replicas := []string{"dpm1:80", "dpm2:80", "dpm3:80"}
-	var urls []metalink.URL
-	for i, r := range replicas {
-		e.startServer(t, r, httpserv.Options{})
-		e.stores[r].Put("/f", blob)
-		urls = append(urls, metalink.URL{Loc: "http://" + r + "/f", Priority: i + 1})
-	}
-	ml := &metalink.Metalink{Name: "f", Size: int64(len(blob)), URLs: urls}
-	e.startServer(t, "fed:80", httpserv.Options{
-		Metalinks: func(string) *metalink.Metalink { return ml },
-	})
-	return e
-}
 
 func TestHedgeStandbySelection(t *testing.T) {
 	ring := []Replica{
@@ -73,36 +56,69 @@ func TestHedgeBudgetModes(t *testing.T) {
 }
 
 func TestHedgedReadBeatsSlowReplica(t *testing.T) {
-	blob := make([]byte, 64<<10)
+	const size, cs = 128 << 10, 4 << 10
+	blob := make([]byte, size)
 	rand.New(rand.NewSource(41)).Read(blob)
-	e := hedgeEnv(t, Options{
+	var mu sync.Mutex
+	issued := map[int]bool{}
+	settled := map[int]string{}
+	e := replicaEnv(t, Options{
 		MetalinkHost: "fed:80",
-		ChunkSize:    8 << 10,
+		ChunkSize:    cs,
 		MaxStreams:   4,
-		HedgeDelay:   10 * time.Millisecond,
+		HedgeDelay:   20 * time.Millisecond,
+		Trace: &obs.ClientTrace{
+			HedgeIssued: func(path string, idx int, off, length int64, toHost string) {
+				mu.Lock()
+				defer mu.Unlock()
+				issued[idx] = true
+			},
+			HedgeSettled: func(path string, idx int, hedgeWon bool, wasted int64) {
+				mu.Lock()
+				defer mu.Unlock()
+				settled[idx] = fmt.Sprintf("won=%v wasted=%d", hedgeWon, wasted)
+			},
+		},
 	}, blob)
-	// dpm2 answers, slowly — the failure mode the health scoreboard cannot
-	// see. Chunks whose ring primary is dpm2 blow the 10ms budget and race a
-	// duplicate against another host.
-	e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{Delay: 150 * time.Millisecond, Remaining: -1})
+	// dpm2 answers, after an hour: the failure mode the health scoreboard
+	// cannot see, since nothing fails. The delay ends when the request is
+	// abandoned, so a chunk whose ring primary is dpm2 completes only if
+	// its hedge wins, and the ctx deadline turns a missing hedge into a
+	// failure instead of a hang.
+	e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{Delay: time.Hour, Remaining: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 
-	got, err := e.client.DownloadMultiStream(context.Background(), "dpm1:80", "/f")
+	got, err := e.client.DownloadMultiStream(ctx, "dpm1:80", "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, blob) {
 		t.Fatal("hedged download corrupted content")
 	}
-	m := e.client.Metrics()
-	if m.HedgesIssued == 0 || m.HedgeWins == 0 {
-		t.Fatalf("hedges issued=%d wins=%d, want both > 0", m.HedgesIssued, m.HedgeWins)
+	mu.Lock()
+	defer mu.Unlock()
+	// A healthy chunk may also outlive the budget on a loaded machine and
+	// be hedged, so only the slow-primary chunks are pinned exactly: the
+	// slow leg never sent a byte, so its loss wastes nothing.
+	for idx := 0; idx < size/cs; idx++ {
+		if fedReplicas[idx%len(fedReplicas)] != "dpm2:80" {
+			continue
+		}
+		if !issued[idx] || settled[idx] != "won=true wasted=0" {
+			t.Errorf("chunk %d (ring primary dpm2): hedge issued=%v, settled %q, want issued and \"won=true wasted=0\"",
+				idx, issued[idx], settled[idx])
+		}
+	}
+	if m := e.client.Metrics(); m.HedgeWastedBytes > size/10 {
+		t.Errorf("hedge duplicate traffic %d B exceeds 10%% of the %d B payload", m.HedgeWastedBytes, size)
 	}
 }
 
 func TestHedgeDisabledIssuesNone(t *testing.T) {
 	blob := make([]byte, 32<<10)
 	rand.New(rand.NewSource(43)).Read(blob)
-	e := hedgeEnv(t, Options{
+	e := replicaEnv(t, Options{
 		MetalinkHost: "fed:80",
 		ChunkSize:    8 << 10,
 		MaxStreams:   4,

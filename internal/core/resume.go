@@ -175,7 +175,7 @@ func openCheckpoint(name string, want ckHeader) (*checkpoint, []ckRecord, ckHead
 			ln:  int64(binary.BigEndian.Uint64(rec[8:])),
 			sum: binary.BigEndian.Uint32(rec[16:]),
 		}
-		if r.off < 0 || r.ln <= 0 || r.off+r.ln > hdr.size {
+		if r.off < 0 || r.ln <= 0 || r.ln > hdr.size-r.off {
 			break
 		}
 		recs = append(recs, r)

@@ -24,7 +24,7 @@ var codeCeilings = map[string]int{
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        92,
-	"internal/bench":      1271,
+	"internal/bench":      873,
 	"internal/blockcache": 733,
 	"internal/bufpool":    61,
 	"internal/core":       3587,
