@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"godavix/internal/bench"
 	"godavix/internal/core"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
@@ -40,30 +39,26 @@ import (
 func BenchmarkFig1Pipelining(b *testing.B) {
 	const nFast = 8
 	slow := 10 * time.Millisecond
-	setup := func(b *testing.B) *bench.Env {
-		env, err := bench.NewEnv(netsim.PAN(), httpserv.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+	setup := func(b *testing.B) *benchBed {
+		bed := newBenchBed(b, httpserv.Options{})
 		payload := make([]byte, 1024)
-		env.Store.Put("/slow", payload)
+		bed.store.Put("/slow", payload)
 		for i := 0; i < nFast; i++ {
-			env.Store.Put(fmt.Sprintf("/obj%d", i), payload)
+			bed.store.Put(fmt.Sprintf("/obj%d", i), payload)
 		}
-		env.HTTPServer.SetFault("/slow", httpserv.Fault{Delay: slow})
-		return env
+		bed.http.SetFault("/slow", httpserv.Fault{Delay: slow})
+		return bed
 	}
 
 	b.Run("pipelined", func(b *testing.B) {
-		env := setup(b)
-		defer env.Close()
+		bed := setup(b)
 		for i := 0; i < b.N; i++ {
-			conn, err := env.Net.Dial(bench.HTTPAddr)
+			conn, err := bed.net.Dial(benchHTTPAddr)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, p := range append([]string{"/slow"}, objPaths(nFast)...) {
-				if err := wire.NewRequest("GET", bench.HTTPAddr, p).Write(conn); err != nil {
+				if err := wire.NewRequest("GET", benchHTTPAddr, p).Write(conn); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -79,23 +74,17 @@ func BenchmarkFig1Pipelining(b *testing.B) {
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		env := setup(b)
-		defer env.Close()
-		client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer client.Close()
+		client := setup(b).client(b)
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			done := make(chan error, nFast+1)
 			go func() {
-				_, err := client.Get(ctx, bench.HTTPAddr, "/slow")
+				_, err := client.Get(ctx, benchHTTPAddr, "/slow")
 				done <- err
 			}()
 			for _, p := range objPaths(nFast) {
 				go func(p string) {
-					_, err := client.Get(ctx, bench.HTTPAddr, p)
+					_, err := client.Get(ctx, benchHTTPAddr, p)
 					done <- err
 				}(p)
 			}
@@ -124,21 +113,13 @@ func BenchmarkFig2SessionRecycling(b *testing.B) {
 		keepAlive bool
 	}{{"recycled", true}, {"per-request", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			env, err := bench.NewEnv(netsim.PAN(), httpserv.Options{DisableKeepAlive: !mode.keepAlive})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			env.Store.Put("/obj", make([]byte, 16<<10))
-			client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
+			bed := newBenchBed(b, httpserv.Options{DisableKeepAlive: !mode.keepAlive})
+			bed.store.Put("/obj", make([]byte, 16<<10))
+			client := bed.client(b)
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := client.Get(ctx, bench.HTTPAddr, "/obj"); err != nil {
+				if _, err := client.Get(ctx, benchHTTPAddr, "/obj"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,11 +134,8 @@ func BenchmarkFig3VectoredIO(b *testing.B) {
 	blob := make([]byte, 4<<20)
 	rand.New(rand.NewSource(1)).Read(blob)
 	for _, k := range []int{16, 128} {
-		env, err := bench.NewEnv(netsim.PAN(), httpserv.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		env.Store.Put("/blob", blob)
+		bed := newBenchBed(b, httpserv.Options{})
+		bed.store.Put("/blob", blob)
 		ranges := make([]rangev.Range, k)
 		dsts := make([][]byte, k)
 		rng := rand.New(rand.NewSource(int64(k)))
@@ -168,37 +146,29 @@ func BenchmarkFig3VectoredIO(b *testing.B) {
 		ctx := context.Background()
 
 		b.Run(fmt.Sprintf("individual/K=%d", k), func(b *testing.B) {
-			client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
+			client := bed.client(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, r := range ranges {
-					if _, err := client.GetRange(ctx, bench.HTTPAddr, "/blob", r.Off, r.Len); err != nil {
+					if _, err := client.GetRange(ctx, benchHTTPAddr, "/blob", r.Off, r.Len); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("vectored/K=%d", k), func(b *testing.B) {
-			client, err := env.NewHTTPClient(core.Options{Strategy: core.StrategyNone})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
+			client := bed.client(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := client.ReadVec(ctx, bench.HTTPAddr, "/blob", ranges, dsts); err != nil {
+				if err := client.ReadVec(ctx, benchHTTPAddr, "/blob", ranges, dsts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("xrootd-readv/K=%d", k), func(b *testing.B) {
-			client := env.NewXrdClient()
+			client := xrootd.NewClient(bed.net, benchXrdAddr)
 			defer client.Close()
 			f, err := client.Open(ctx, "/blob")
 			if err != nil {
@@ -216,7 +186,6 @@ func BenchmarkFig3VectoredIO(b *testing.B) {
 				}
 			}
 		})
-		env.Close()
 	}
 }
 
@@ -404,6 +373,50 @@ func BenchmarkRNTWriteRead(b *testing.B) {
 }
 
 // helpers
+
+// Testbed addresses: one storage node serving one namespace over HTTP
+// (DPM-like) and over the xrootd protocol.
+const (
+	benchHTTPAddr = "dpm1:80"
+	benchXrdAddr  = "dpm1:1094"
+)
+
+// benchBed is the paper's testbed for the figure benchmarks: a netsim
+// fabric on the PAN profile and one MemStore served over both protocols.
+// Its listeners close when the benchmark run ends.
+type benchBed struct {
+	net   *netsim.Network
+	store *storage.MemStore
+	http  *httpserv.Server
+}
+
+func newBenchBed(b *testing.B, httpOpts httpserv.Options) *benchBed {
+	b.Helper()
+	bed := &benchBed{net: netsim.New(netsim.PAN()), store: storage.NewMemStore()}
+	bed.http = httpserv.New(bed.store, httpOpts)
+	serve := func(addr string, srv interface{ Serve(net.Listener) error }) {
+		l, err := bed.net.Listen(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { l.Close() })
+		go srv.Serve(l)
+	}
+	serve(benchHTTPAddr, bed.http)
+	serve(benchXrdAddr, xrootd.NewServer(bed.store))
+	return bed
+}
+
+// client returns a davix client on the fabric, without Metalink failover.
+func (bed *benchBed) client(b *testing.B) *core.Client {
+	b.Helper()
+	c, err := core.NewClient(core.Options{Dialer: bed.net, Strategy: core.StrategyNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	return c
+}
 
 func newStoreWith(b *testing.B, path string, data []byte) *storage.MemStore {
 	b.Helper()

@@ -376,8 +376,9 @@ func TestCachedGetRangeScanWithPrefetch(t *testing.T) {
 // TestCachedReadAtPrefetchPatterns drives File.ReadAt through the cache's
 // read-ahead on the two patterns it detects: a contiguous scan (armed at
 // once) and a sparse every-third-block scan (armed after two equal
-// strides). Both must return exact bytes and be served in part by
-// speculation.
+// strides). Both must return exact bytes, be served in part by
+// speculation ("read-ahead-engages"), and cost the wire no GET beyond the
+// cache's own count ("wire-bound").
 func TestCachedReadAtPrefetchPatterns(t *testing.T) {
 	// The scan runs over 90 blocks between the ends Open keeps.
 	blob := make([]byte, 94*1024+300)
@@ -399,6 +400,7 @@ func TestCachedReadAtPrefetchPatterns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			opened := e.srvs[dpm1].RequestsByMethod("GET")
 			p := make([]byte, 1024)
 			for off := int64(0); off < int64(len(blob)); off += tc.stride * 1024 {
 				n, err := f.ReadAt(p, off)
@@ -409,10 +411,24 @@ func TestCachedReadAtPrefetchPatterns(t *testing.T) {
 					t.Fatalf("read at %d: %d bytes, want %d exact", off, n, len(want))
 				}
 			}
+			// Every GET after Open is a demand miss or a speculative span.
+			// Both counters are bumped before their request is issued, so
+			// with the GETs counted first the bound holds at any instant,
+			// speculation still in flight or not; hits and joins cost the
+			// wire nothing.
+			gets := e.srvs[dpm1].RequestsByMethod("GET") - opened
 			st := e.client.CacheStats()
-			if st.Prefetched == 0 || st.PrefetchUsefulBytes == 0 {
-				t.Fatalf("read-ahead never served the scan: %+v", st)
-			}
+			t.Run("read-ahead-engages", func(t *testing.T) {
+				if st.Prefetched == 0 || st.PrefetchUsefulBytes == 0 {
+					t.Fatalf("read-ahead never served the scan: %+v", st)
+				}
+			})
+			t.Run("wire-bound", func(t *testing.T) {
+				if gets > st.Misses+st.PrefetchIssuedSpans {
+					t.Fatalf("server GETs after Open = %d > misses %d + prefetch spans %d",
+						gets, st.Misses, st.PrefetchIssuedSpans)
+				}
+			})
 		})
 	}
 }

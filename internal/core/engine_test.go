@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"godavix/internal/httpserv"
 	"godavix/internal/obs"
+	"godavix/internal/rangev"
 	"godavix/internal/s3"
 	"godavix/internal/storage"
 )
@@ -609,39 +612,156 @@ func TestHealthScoreboardDisabled(t *testing.T) {
 	}
 }
 
-// TestChunkRingSkipsDemotedReplica: a multi-stream download across a sick
-// replica stops sending chunks its way once the scoreboard demotes it —
-// one dead disk node must not cost every chunk a failed round trip.
+// TestChunkRingSkipsDemotedReplica: multi-stream downloads across a sick
+// replica send it no chunk once the scoreboard demotes it — one dead disk
+// node must not cost every chunk a failed round trip. The first download's
+// size probe (a HEAD and its PROPFIND fallback) trips the breaker before
+// any chunk; the second download, whose chunk reads have armed the auto
+// hedge budget, must send the demoted replica nothing either, through the
+// serial ring walk or the hedged path. With the scoreboard off, every
+// chunk whose ring slot is the sick replica asks it once, per download.
 func TestChunkRingSkipsDemotedReplica(t *testing.T) {
-	e := newEnv(t, Options{
-		MetalinkHost:     "fed:80",
-		ChunkSize:        512,
-		MaxStreams:       2,
-		HealthThreshold:  2,
-		HealthProbeAfter: time.Minute,
-	})
-	blob := bytes.Repeat([]byte("chunky!!"), 4<<10) // 32 KiB -> 64 chunks
-	for _, r := range []string{"dpm1:80", "dpm2:80"} {
-		e.startServer(t, r, httpserv.Options{})
-		e.stores[r].Put("/f", blob)
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		hedge     time.Duration
+		gets      [2]int64 // GETs to the sick replica, per download
+		trips     int64
+	}{
+		{"scoreboard", 2, 0, [2]int64{0, 0}, 1},
+		{"scoreboard_off", -1, -1, [2]int64{32, 32}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, Options{
+				MetalinkHost:     "fed:80",
+				ChunkSize:        512,
+				MaxStreams:       2,
+				HealthThreshold:  tc.threshold,
+				HealthProbeAfter: time.Minute,
+				HedgeDelay:       tc.hedge,
+			})
+			blob := bytes.Repeat([]byte("chunky!!"), 4<<10) // 32 KiB -> 64 chunks
+			for _, r := range []string{"dpm1:80", "dpm2:80"} {
+				e.startServer(t, r, httpserv.Options{})
+				e.stores[r].Put("/f", blob)
+			}
+			e.startServer(t, "fed:80", httpserv.Options{
+				Metalinks: mlFor("http://dpm1:80/f", "http://dpm2:80/f"),
+			})
+			// dpm1 rejects every data request.
+			e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+
+			var before int64
+			for i, want := range tc.gets {
+				got, err := e.client.DownloadMultiStream(context.Background(), dpm1, "/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, blob) {
+					t.Fatalf("download %d: content mismatch", i+1)
+				}
+				now := e.srvs[dpm1].RequestsByMethod("GET")
+				if now-before != want {
+					t.Errorf("download %d: sick replica saw %d GETs, want %d", i+1, now-before, want)
+				}
+				before = now
+			}
+			if trips := e.client.Metrics().BreakerTrips; trips != tc.trips {
+				t.Errorf("BreakerTrips = %d, want %d", trips, tc.trips)
+			}
+		})
 	}
-	e.startServer(t, "fed:80", httpserv.Options{
-		Metalinks: mlFor("http://dpm1:80/f", "http://dpm2:80/f"),
-	})
-	// dpm1 rejects every data request.
+}
+
+// TestHealthyEngineIsWireIdentical: with every replica healthy, the retry
+// budget and the health scoreboard are pure bookkeeping. A client with
+// both on and one with both off put the same requests on the wire — per
+// server and method — and move the same bytes, over repeated vectored
+// reads and multi-stream downloads across three replicas.
+func TestHealthyEngineIsWireIdentical(t *testing.T) {
+	const size, k = 2 << 20, 64
+	blob := make([]byte, size)
+	rand.New(rand.NewSource(62)).Read(blob)
+	rng := rand.New(rand.NewSource(63))
+	ranges := make([]rangev.Range, k)
+	for i := range ranges {
+		ranges[i] = rangev.Range{Off: rng.Int63n(size - 512), Len: 512}
+	}
+	run := func(retry RetryPolicy, threshold int) string {
+		e := replicaEnv(t, Options{
+			MetalinkHost:    "fed:80",
+			ChunkSize:       128 << 10,
+			MaxStreams:      4,
+			HedgeDelay:      -1,
+			RetryPolicy:     retry,
+			HealthThreshold: threshold,
+		}, blob)
+		ctx := context.Background()
+		dsts := make([][]byte, k)
+		for i := range dsts {
+			dsts[i] = make([]byte, 512)
+		}
+		for i := 0; i < 3; i++ {
+			if err := e.client.ReadVec(ctx, dpm1, "/f", ranges, dsts); err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range ranges {
+				if !bytes.Equal(dsts[j], blob[r.Off:r.Off+r.Len]) {
+					t.Fatalf("range %d: content mismatch", j)
+				}
+			}
+			got, err := e.client.DownloadMultiStream(ctx, dpm1, "/f")
+			if err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("download: content mismatch (err=%v)", err)
+			}
+		}
+		var b strings.Builder
+		for _, addr := range []string{"dpm1:80", "dpm2:80", "dpm3:80", "fed:80"} {
+			for _, ctr := range e.srvs[addr].Snapshot().Counters {
+				fmt.Fprintf(&b, "%s %s=%d\n", addr, ctr.Name, ctr.Value)
+			}
+		}
+		m := e.client.Metrics()
+		fmt.Fprintf(&b, "client requests=%d bytes_up=%d bytes_down=%d", m.Requests, m.BytesUp, m.BytesDown)
+		return b.String()
+	}
+	resilient := run(RetryPolicy{Attempts: 3}, 0)
+	stripped := run(RetryPolicy{Attempts: 1}, -1)
+	t.Logf("wire:\n%s", resilient)
+	if resilient != stripped {
+		t.Fatalf("retry budget and scoreboard changed the healthy wire:\n--- on\n%s\n--- off\n%s", resilient, stripped)
+	}
+}
+
+// TestCancelDuringRingWalkReportsCancel: a download cancelled while a chunk
+// is failing over reports the cancellation, not ErrAllReplicasFailed — the
+// walk stops at the cancel, and the replica it never tried did not fail.
+func TestCancelDuringRingWalkReportsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The metalink states the size, so the download is its one chunk and
+	// no size probe.
+	e := replicaEnv(t, Options{
+		MetalinkHost: "fed:80",
+		HedgeDelay:   -1,
+		Trace: &obs.ClientTrace{
+			OpDone: func(op, host, path string, d time.Duration, err error) {
+				if host == dpm1 && err != nil {
+					cancel() // as dpm1's 503 lands
+				}
+			},
+		},
+	}, bytes.Repeat([]byte("x"), 4096))
 	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
 
-	got, err := e.client.DownloadMultiStream(context.Background(), dpm1, "/f")
-	if err != nil {
-		t.Fatal(err)
+	_, err := e.client.DownloadMultiStream(ctx, dpm1, "/f")
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrAllReplicasFailed) {
+		t.Fatalf("err = %v, want context.Canceled and not ErrAllReplicasFailed", err)
 	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("content mismatch")
-	}
-	// Without the scoreboard roughly half the 64 chunks would start at
-	// dpm1 and pay a 503 round trip; with it only the pre-demotion few do.
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got > 6 {
-		t.Fatalf("sick replica saw %d GETs, want <= 6 (ring skips demoted host)", got)
+	for _, r := range fedReplicas[1:] {
+		if gets := e.srvs[r].RequestsByMethod("GET"); gets != 0 {
+			t.Fatalf("healthy replica %s saw %d GETs after the cancel, want 0", r, gets)
+		}
 	}
 }
 

@@ -57,18 +57,25 @@ func (c *Client) hedgeBudget() (time.Duration, bool) {
 	return quantile(counts, total, 0.99), true
 }
 
-// hedgeStandby picks the hedge target: the first replica after the
-// primary's ring slot on a different host. Same-host "replicas" (alternate
-// paths) share the straggler's fate and are never worth racing.
-func hedgeStandby(ring []Replica, idx int) (Replica, bool) {
-	primary := ring[idx%len(ring)]
+// hedgePair picks the two legs of a hedged read of chunk idx: its ring
+// slot as the primary and, as the standby, the first replica after it on a
+// different host. Same-host "replicas" (alternate paths) share the
+// straggler's fate and are never worth racing. A demoted host is neither
+// leg: ok is false when the primary is demoted or no healthy standby
+// exists, and the chunk goes to the serial ring walk, whose half-open
+// probe is the only request a demoted host may get.
+func (b *healthBoard) hedgePair(ring []Replica, idx int) (primary, standby Replica, ok bool) {
+	primary = ring[idx%len(ring)]
+	if !b.healthy(primary.Host) {
+		return primary, Replica{}, false
+	}
 	for i := 1; i < len(ring); i++ {
 		rep := ring[(idx+i)%len(ring)]
-		if rep.Host != primary.Host {
-			return rep, true
+		if rep.Host != primary.Host && b.healthy(rep.Host) {
+			return primary, rep, true
 		}
 	}
-	return Replica{}, false
+	return primary, Replica{}, false
 }
 
 // chunkBuf adapts a []byte to io.WriterAt at a fixed object offset — how a
@@ -100,14 +107,14 @@ type hedgeLeg struct {
 
 // scatterChunkHedged fetches chunk idx covering [off, off+ln) with a
 // latency hedge. It returns handled=false when the race could not settle
-// the chunk — no distinct standby host, or both legs failed transiently —
-// and the caller falls back to the serial ring walk.
+// the chunk — a demoted primary, no healthy standby on another host, or
+// both legs failed transiently — and the caller falls back to the serial
+// ring walk.
 func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool, budget time.Duration) (scatterResult, bool, error) {
-	standby, ok := hedgeStandby(ring, idx)
+	primary, standby, ok := c.health.hedgePair(ring, idx)
 	if !ok {
 		return scatterResult{}, false, nil
 	}
-	primary := ring[idx%len(ring)]
 	objPath := primary.Path
 
 	run := func(ctx context.Context, rep Replica, w io.WriterAt, fast string) hedgeLeg {

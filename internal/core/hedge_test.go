@@ -18,14 +18,33 @@ func TestHedgeStandbySelection(t *testing.T) {
 		{Host: "a:80", Path: "/1"},
 		{Host: "a:80", Path: "/2"}, // alternate path on the primary's host
 		{Host: "b:80", Path: "/3"},
+		{Host: "c:80", Path: "/4"},
 	}
-	standby, ok := hedgeStandby(ring, 0)
-	if !ok || standby.Host != "b:80" {
-		t.Fatalf("standby = %+v ok=%v, want b:80 (same-host replicas skipped)", standby, ok)
+	b := newHealthBoard(1, time.Hour)
+	pair := func(ring []Replica, idx int) string {
+		p, s, ok := b.hedgePair(ring, idx)
+		return fmt.Sprintf("%s %s %v", p.Host, s.Host, ok)
+	}
+	if got := pair(ring, 0); got != "a:80 b:80 true" {
+		t.Fatalf("pair = %q, want a:80 b:80 (same-host replicas skipped)", got)
 	}
 	// Ring of one host: nothing worth racing.
-	if _, ok := hedgeStandby(ring[:2], 0); ok {
-		t.Fatal("single-host ring must not offer a standby")
+	if got := pair(ring[:2], 0); got != "a:80  false" {
+		t.Fatalf("single-host ring: pair = %q, want no standby", got)
+	}
+	// A demoted host is never a leg: the standby moves on to c, and a
+	// demoted primary leaves the chunk to the serial walk.
+	var m metrics
+	b.fail("b:80", &m)
+	if got := pair(ring, 0); got != "a:80 c:80 true" {
+		t.Fatalf("b demoted: pair = %q, want a:80 c:80", got)
+	}
+	if got := pair(ring, 2); got != "b:80  false" {
+		t.Fatalf("b demoted: pair at its slot = %q, want no hedge", got)
+	}
+	b.fail("c:80", &m)
+	if got := pair(ring, 0); got != "a:80  false" {
+		t.Fatalf("b and c demoted: pair = %q, want no healthy standby", got)
 	}
 }
 

@@ -25,10 +25,18 @@ import (
 // walkReplicaRing runs tryOne over the health-ordered replica ring starting
 // at idx mod len(replicas). tryOne returns (done, err): done means the walk
 // must stop — success, caller cancellation, or a semantic failure every
-// replica reproduces.
+// replica reproduces. A walk that ctx cut short reports ctx's error (joined
+// with the last replica's), not ErrAllReplicasFailed: the replicas it never
+// reached did not fail.
 func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx int, tryOne func(Replica) (bool, error)) error {
 	ring := c.health.order(replicas)
 	var lastErr error
+	fail := func() error {
+		if err := ctx.Err(); err != nil {
+			return errors.Join(err, lastErr)
+		}
+		return errors.Join(ErrAllReplicasFailed, lastErr)
+	}
 	var skipped []Replica
 	for attempt := 0; attempt < len(ring); attempt++ {
 		rep := ring[(idx+attempt)%len(ring)]
@@ -42,7 +50,7 @@ func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx in
 		}
 		lastErr = err
 		if done {
-			return errors.Join(ErrAllReplicasFailed, lastErr)
+			return fail()
 		}
 	}
 	// Last resort: the breaker-skipped replicas, in ring order — the
@@ -58,7 +66,7 @@ func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx in
 			break
 		}
 	}
-	return errors.Join(ErrAllReplicasFailed, lastErr)
+	return fail()
 }
 
 // metalinkReplicas appends ml's locations to reps in priority order,
@@ -113,9 +121,9 @@ func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, i
 			if r, handled, herr := c.scatterChunkHedged(ctx, ring, idx, off, ln, dst, fastName, algo, sum, perChunk, budget); handled {
 				return r, herr
 			}
-			// Not settled by the race (no distinct standby host, or both
-			// legs failed transiently): the serial walk below still owns
-			// the chunk.
+			// Not settled by the race (a demoted leg, no distinct standby
+			// host, or both legs failed transiently): the serial walk
+			// below still owns the chunk.
 		}
 	}
 	err = c.walkReplicaRing(ctx, replicas, idx, func(rep Replica) (bool, error) {

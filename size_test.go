@@ -18,16 +18,14 @@ import (
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
 	".":                   285,
-	"cmd/davix-bench":     54,
 	"cmd/davix-get":       243,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        92,
-	"internal/bench":      873,
 	"internal/blockcache": 733,
 	"internal/bufpool":    61,
-	"internal/core":       3587,
+	"internal/core":       3595,
 	"internal/digest":     274,
 	"internal/fed":        105,
 	"internal/httpserv":   1335,
