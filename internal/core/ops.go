@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -347,10 +348,26 @@ func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
 			c.statc.PutIfAbsent(cacheKey(host, inf.Path), inf)
 		}
 	}
-	if len(all) > 0 && all[0].Dir {
-		all = all[1:] // the collection itself (primed above, not listed)
+	// The collection itself is primed above, not listed. RFC 4918 does
+	// not fix its place among the responses, so it is found by its href.
+	for i, inf := range all {
+		if inf.Dir && hrefNames(inf.Path, path) {
+			return append(append(make([]Info, 0, len(all)-1), all[:i]...), all[i+1:]...), nil
+		}
 	}
 	return append(make([]Info, 0, len(all)), all...), nil
+}
+
+// hrefNames reports whether a PROPFIND href names path: the same path,
+// with or without one trailing slash and a scheme://host prefix.
+func hrefNames(href, path string) bool {
+	if _, rest, ok := strings.Cut(href, "://"); ok {
+		href = "/"
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			href = rest[i:]
+		}
+	}
+	return strings.TrimSuffix(href, "/") == strings.TrimSuffix(path, "/")
 }
 
 // listings pools the scratch listings PROPFINDs decode into, so a listing

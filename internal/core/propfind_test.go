@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,5 +179,100 @@ func BenchmarkPropfindList(b *testing.B) {
 		if err != nil || len(ls) != 400 {
 			b.Fatalf("list: %d entries, %v", len(ls), err)
 		}
+	}
+}
+
+// cannedDAV serves PROPFINDs on l from canned depth 1 listings, keyed by
+// path without a trailing slash; a depth 0 PROPFIND describes the path as
+// a collection, and every other method is refused, so Stat falls back to
+// PROPFIND.
+func cannedDAV(t *testing.T, l net.Listener, listings map[string][]webdav.Entry) {
+	t.Helper()
+	docs := map[string][]byte{}
+	for p, entries := range listings {
+		key := strings.TrimSuffix(p, "/")
+		docs[key] = multistatus(t, entries...)
+		docs[key+"#0"] = multistatus(t, webdav.Entry{Href: p, Dir: true})
+	}
+	go http.Serve(l, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		key := strings.TrimSuffix(r.URL.Path, "/")
+		if r.Header.Get("Depth") == "0" {
+			key += "#0"
+		}
+		doc, ok := docs[key]
+		switch {
+		case r.Method != "PROPFIND":
+			w.WriteHeader(http.StatusMethodNotAllowed)
+		case !ok:
+			w.WriteHeader(http.StatusNotFound)
+		default:
+			w.Header().Set("Content-Type", webdav.ContentType)
+			w.WriteHeader(http.StatusMultiStatus)
+			w.Write(doc)
+		}
+	}))
+}
+
+// TestListDropsTheCollectionByHref: List leaves out the response that
+// names the listed collection wherever it stands, and only that one.
+func TestListDropsTheCollectionByHref(t *testing.T) {
+	f, sub := webdav.Entry{Href: "/c/f", Size: 3}, webdav.Entry{Href: "/c/sub", Dir: true}
+	self := func(href string) webdav.Entry { return webdav.Entry{Href: href, Dir: true} }
+	for _, row := range []struct {
+		name, path string
+		listing    []webdav.Entry
+	}{
+		{"self first", "/c", []webdav.Entry{self("/c"), f, sub}},
+		{"self last", "/c", []webdav.Entry{sub, f, self("/c")}},
+		{"absent", "/c", []webdav.Entry{sub, f}},
+		{"trailing slash", "/c", []webdav.Entry{sub, self("/c/"), f}},
+		{"listed with a slash", "/c/", []webdav.Entry{sub, self("/c"), f}},
+		{"absolute URI", "/c", []webdav.Entry{sub, self("http://dav:80/c/"), f}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := newEnv(t, Options{})
+			l, err := e.net.Listen("dav:80")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			cannedDAV(t, l, map[string][]webdav.Entry{row.path: row.listing})
+			ls, err := e.client.List(context.Background(), "dav:80", row.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, inf := range ls {
+				got = append(got, inf.Path)
+			}
+			if want := []string{"/c/f", "/c/sub"}; !slices.Equal(slices.Sorted(slices.Values(got)), want) {
+				t.Fatalf("listed %q, want %q", got, want)
+			}
+		})
+	}
+}
+
+// TestWalkSelfLastListing: a walk over servers that put each collection's
+// own response last ends, and emits every entry once.
+func TestWalkSelfLastListing(t *testing.T) {
+	e := newEnv(t, Options{})
+	l, err := e.net.Listen("dav:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	cannedDAV(t, l, map[string][]webdav.Entry{
+		"/c":     {{Href: "/c/f", Size: 1}, {Href: "/c/sub", Dir: true}, {Href: "/c/", Dir: true}},
+		"/c/sub": {{Href: "/c/sub/g", Size: 2}, {Href: "/c/sub/", Dir: true}},
+	})
+	var got []string
+	err = e.client.Walk(context.Background(), "dav:80", "/c", func(inf Info) error {
+		if got = append(got, inf.Path); len(got) > 20 {
+			return errors.New("walk does not end")
+		}
+		return nil
+	})
+	if want := []string{"/c", "/c/f", "/c/sub", "/c/sub/g"}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("walk emitted %q (err %v), want %q", got, err, want)
 	}
 }

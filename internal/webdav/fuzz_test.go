@@ -80,6 +80,36 @@ func scanTable() [][]byte {
 	for _, d := range docs {
 		out = append(out, []byte(d))
 	}
+	// Many-entry documents for the skeleton fast path: two skeletons, a
+	// prefixed style whose uncaptured text differs per entry, entries that
+	// break a learned skeleton mid-way or carry text it cannot take as is,
+	// an error after good entries, an entry larger than the window, and
+	// entries cut by the window's end while matched or while learned from.
+	files := gatewayListing(12, 0, plain)
+	odd := func(s string) string {
+		if strings.HasSuffix(s, "5.dat") || strings.HasSuffix(s, "8.dat") {
+			return s + "&"
+		}
+		return s
+	}
+	out = append(out,
+		gatewayListing(20, 3, plain),
+		apacheListing(12),
+		replaceNth(files, "<prop>", `<prop><getetag>"x"</getetag>`, 4),
+		replaceNth(files, "</getlastmodified>", "</getlastmodified><!-- c -->", 6),
+		replaceNth(files, "<href>", "<href><![CDATA[/c]]>", 8),
+		replaceNth(gatewayListing(12, 0, odd), "f003-", "f003\r\n-", 1),
+		replaceNth(files, "<getcontentlength>", "<getcontentlength>x", 7),
+		replaceNth(files, "f004-", "f004-"+strings.Repeat("y", msWindow), 1),
+		[]byte(msHead+strings.Repeat("<response/>\n <response><href/></response>", 400)+"</multistatus>"),
+	)
+	for k := 1; k <= 4; k++ {
+		for _, at := range []string{"<response>", "</href>", "</response>"} {
+			out = append(out,
+				padListing(gatewayListing(30, 0, plain), at, 14, k),
+				padListing(gatewayListing(3, 0, plain), at, 1, k))
+		}
+	}
 	// A tag name, an entity and the CDATA and comment terminators split
 	// across the end of the first read window, at every offset.
 	for k := 1; k <= 4; k++ {
@@ -95,12 +125,39 @@ func scanTable() [][]byte {
 	return out
 }
 
-// scanAll runs ScanMultistatus over r, collecting the entries.
-func scanAll(r io.Reader) ([]Entry, error) {
+// nthIndex returns where the n-th (from 1) sub in doc begins.
+func nthIndex(doc []byte, sub string, n int) int {
+	at := -len(sub)
+	for ; n > 0; n-- {
+		at += len(sub) + bytes.Index(doc[at+len(sub):], []byte(sub))
+	}
+	return at
+}
+
+// replaceNth replaces the n-th (from 1) old in doc with new.
+func replaceNth(doc []byte, old, new string, n int) []byte {
+	at := nthIndex(doc, old, n)
+	return []byte(string(doc[:at]) + new + string(doc[at+len(old):]))
+}
+
+// padListing pads a listing with blanks ahead of its first <response> so
+// that the n-th (from 1) at begins k bytes before the end of the scanner's
+// first read window.
+func padListing(doc []byte, at string, n, k int) []byte {
+	first := bytes.Index(doc, []byte("<response>"))
+	pad := strings.Repeat(" ", msWindow-k-nthIndex(doc, at, n))
+	return []byte(string(doc[:first]) + pad + string(doc[first:]))
+}
+
+// scanAll runs the scanner over r, with or without the skeleton fast
+// path, collecting the entries.
+func scanAll(r io.Reader, fast bool) ([]Entry, error) {
 	var got []Entry
-	err := ScanMultistatus(r, func(e Entry) error { got = append(got, e); return nil })
+	_, err := scan(r, func(e Entry) error { got = append(got, e); return nil }, fast)
 	return got, err
 }
+
+var errStop = errors.New("stop")
 
 // sameEntries compares entries field by field; times are compared by
 // instant and zone, since time.Parse makes a new Location per call for
@@ -142,25 +199,44 @@ func surrogateRef(doc []byte) bool {
 }
 
 // checkScan is the fuzz property: the scanner never panics, gives the same
-// answer however the body is split into reads, and agrees with the
+// answer with and without its skeleton fast path and however the body is
+// split into reads, stops where fn stops it, and agrees with the
 // encoding/xml oracle on every document the oracle accepts. It reports
 // whether the oracle took part.
 func checkScan(t *testing.T, doc []byte, split int) (compared bool) {
 	t.Helper()
-	whole, werr := scanAll(bytes.NewReader(doc))
+	whole, werr := scanAll(bytes.NewReader(doc), true)
 	if split < 1 {
 		split = 1
 	}
-	for name, r := range map[string]io.Reader{
-		"one byte": iotest.OneByteReader(bytes.NewReader(doc)),
-		"split":    &chunkReader{doc, split},
-	} {
-		got, err := scanAll(r)
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("%s reads: err %v, whole: err %v", name, err, werr)
+	stop := split % (len(whole) + 1)
+	for _, fast := range []bool{true, false} {
+		for name, r := range map[string]io.Reader{
+			"whole":    bytes.NewReader(doc),
+			"one byte": iotest.OneByteReader(bytes.NewReader(doc)),
+			"split":    &chunkReader{doc, split},
+		} {
+			got, err := scanAll(r, fast)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("%s reads, fast path %v: err %v; whole, fast path: err %v", name, fast, err, werr)
+			}
+			if err := sameEntries(got, whole); err != nil {
+				t.Fatalf("%s reads, fast path %v, differ from whole with it: %v", name, fast, err)
+			}
 		}
-		if err := sameEntries(got, whole); err != nil {
-			t.Fatalf("%s reads differ from whole: %v", name, err)
+		var got []Entry
+		_, err := scan(&chunkReader{doc, split}, func(e Entry) error {
+			if len(got) == stop {
+				return errStop
+			}
+			got = append(got, e)
+			return nil
+		}, fast)
+		if stop < len(whole) && err != errStop || stop == len(whole) && (err == nil) != (werr == nil) {
+			t.Fatalf("fn stopping after %d of %d entries, fast path %v: err %v", stop, len(whole), fast, err)
+		}
+		if err := sameEntries(got, whole[:stop]); err != nil {
+			t.Fatalf("fn stopping after %d entries, fast path %v: %v", stop, fast, err)
 		}
 	}
 	oracle, oerr := DecodeMultistatus(doc)
@@ -201,8 +277,9 @@ func TestScanMatchesOracle(t *testing.T) {
 			checkScan(t, doc, split)
 		}
 	}
-	// Everything but the rejected rows and the legacy "---->" comment.
-	if want := len(scanTable()) - 14; compared != want {
+	// Everything but the rejected rows, the legacy "---->" comment and the
+	// listing with a bad getcontentlength.
+	if want := len(scanTable()) - 15; compared != want {
 		t.Fatalf("the oracle accepted %d documents of the table, want %d", compared, want)
 	}
 }

@@ -41,17 +41,29 @@ var (
 // precedence, and namespace prefixes are ignored: only local names matter,
 // which accepts both this package's default-namespace encoding and the
 // "<D:multistatus xmlns:D=...>" style real WebDAV servers emit.
+//
+// Within one document every <response> has the same markup and only its
+// text differs, so the scanner learns up to maxSkels entry skeletons from
+// entries it decodes tag by tag, and decodes later entries that match one
+// with bytes.HasPrefix and IndexByte instead (see fastPath).
 func ScanMultistatus(r io.Reader, fn func(Entry) error) error {
+	_, err := scan(r, fn, true)
+	return err
+}
+
+// scan is ScanMultistatus with the skeleton fast path on or off; it also
+// returns how many entries the fast path decoded.
+func scan(r io.Reader, fn func(Entry) error, fast bool) (int, error) {
 	s := scanners.Get().(*msScanner)
 	s.reset(r)
-	d := msDecoder{s: s, fn: fn}
+	d := msDecoder{s: s, fn: fn, fast: fast}
 	err := d.run()
 	s.reset(nil)
 	scanners.Put(s)
 	if err != nil && !d.stopped {
-		return fmt.Errorf("webdav: %w", err)
+		err = fmt.Errorf("webdav: %w", err)
 	}
-	return err
+	return d.fastN, err
 }
 
 // Captured property fields.
@@ -75,6 +87,11 @@ type msDecoder struct {
 	path     int
 	field    int // leaf property being captured
 	capDepth int // depth of the element being captured
+
+	fast     bool    // learn skeletons and match entries against them
+	fastN    int     // entries the fast path decoded
+	learning *msSkel // the open <response>, being recorded
+	fills    int     // s.fills when the recorded <response> began
 }
 
 // msProps collects one propstat's properties; they apply to the entry when
@@ -90,6 +107,11 @@ type msProps struct {
 func (d *msDecoder) run() error {
 	s := d.s
 	for {
+		if d.path == 1 && len(s.open) == 1 && !s.capture && s.nskel > 0 {
+			if err := d.fastPath(); err != nil {
+				return err
+			}
+		}
 		kind, err := s.next()
 		if err == io.EOF {
 			if d.path == 0 {
@@ -99,6 +121,9 @@ func (d *msDecoder) run() error {
 		}
 		if err != nil {
 			return err
+		}
+		if s.capture { // the text before this tag, ahead of its actions
+			d.act(actText)
 		}
 		if kind == msStart {
 			if err := d.start(); err != nil {
@@ -111,6 +136,12 @@ func (d *msDecoder) run() error {
 			}
 			if d.path == 0 {
 				return nil // the document element closed
+			}
+		}
+		if k := d.learning; k != nil {
+			k.steps = append(k.steps, msStep{at: s.tagAt, end: s.pos, text: s.capture})
+			if d.path == 1 { // the <response> closed
+				d.learned()
 			}
 		}
 		s.capture = d.field != fNone && len(s.open) == d.capDepth
@@ -137,6 +168,10 @@ func (d *msDecoder) start() error {
 	case 1:
 		if bytes.Equal(name, elResponse) {
 			d.path, d.cur = 2, Entry{}
+			if d.fast && s.nskel < maxSkels {
+				d.learning, d.fills = &s.skels[s.nskel], s.tagFills
+				d.learning.steps, d.learning.prog = d.learning.stepArr[:0], d.learning.progArr[:0]
+			}
 		}
 	case 2:
 		switch {
@@ -144,6 +179,7 @@ func (d *msDecoder) start() error {
 			d.capture(fHref, depth)
 		case bytes.Equal(name, elPropstat):
 			d.path, d.ps = 3, msProps{}
+			d.act(actPropstat)
 		}
 	case 3:
 		if bytes.Equal(name, elProp) {
@@ -161,6 +197,7 @@ func (d *msDecoder) start() error {
 	case 5:
 		if bytes.Equal(name, elCollection) {
 			d.ps.dir = true
+			d.act(actCollection)
 		}
 	}
 	return nil
@@ -169,6 +206,14 @@ func (d *msDecoder) start() error {
 func (d *msDecoder) capture(field, depth int) {
 	d.field, d.capDepth = field, depth
 	d.s.text = d.s.text[:0]
+	d.act(int8(field))
+}
+
+// act records a decoder action of the <response> being learned.
+func (d *msDecoder) act(a int8) {
+	if d.learning != nil {
+		d.learning.prog = append(d.learning.prog, a)
+	}
 }
 
 // end handles an end tag (or a self-closing tag's implicit one): finish a
@@ -180,6 +225,7 @@ func (d *msDecoder) end() error {
 		return fmt.Errorf("unbalanced </%s>", s.name)
 	}
 	if d.field != fNone && depth == d.capDepth {
+		d.act(actFinish)
 		if err := d.finish(); err != nil {
 			return err
 		}
@@ -189,23 +235,35 @@ func (d *msDecoder) end() error {
 	}
 	switch d.path {
 	case 2:
-		if err := d.fn(d.cur); err != nil {
-			d.stopped = true
+		if err := d.emit(); err != nil {
 			return err
 		}
 	case 3:
-		if d.ps.sized {
-			d.cur.Size = d.ps.size
-		}
-		if d.ps.dir {
-			d.cur.Dir = true
-		}
-		if d.ps.modOK {
-			d.cur.ModTime = d.ps.modTime
-		}
+		d.act(actPropstatEnd)
+		d.closePropstat()
 	}
 	d.path--
 	return nil
+}
+
+// emit hands the entry to fn.
+func (d *msDecoder) emit() error {
+	err := d.fn(d.cur)
+	d.stopped = err != nil
+	return err
+}
+
+// closePropstat applies the closing propstat's properties to the entry.
+func (d *msDecoder) closePropstat() {
+	if d.ps.sized {
+		d.cur.Size = d.ps.size
+	}
+	if d.ps.dir {
+		d.cur.Dir = true
+	}
+	if d.ps.modOK {
+		d.cur.ModTime = d.ps.modTime
+	}
 }
 
 // finish stores the captured text into its field; the last occurrence of a
@@ -231,6 +289,169 @@ func (d *msDecoder) finish() error {
 	}
 	d.field = fNone
 	return nil
+}
+
+// maxSkels is how many entry skeletons one document may learn.
+const maxSkels = 4
+
+// Decoder actions a skeleton replays, besides fHref, fLength and fModified,
+// which begin capturing that field.
+const (
+	actText = fModified + 1 + iota // append the next captured hole
+	actFinish
+	actPropstat
+	actPropstatEnd
+	actCollection
+)
+
+// msSkel is a learned <response>: its tags, and the character data between
+// them as learned, back to back in lits; a step per tag; and the decoder
+// actions, in order, with the captured holes (actText) among them.
+type msSkel struct {
+	lits  []byte
+	steps []msStep
+	prog  []int8
+
+	// Where they start out, so that learning does not allocate.
+	litArr  [1 << 10]byte
+	stepArr [32]msStep
+	progArr [32]int8
+}
+
+// msStep is one tag of a skeleton: lits[at:end] (buf[at:end] while being
+// learned), and whether the hole before it is captured. Steps up to next
+// have uncaptured holes, so from this tag up to there the entry is
+// lits[at:steps[next-1].end] when those holes are as learned.
+type msStep struct {
+	at, end, next int
+	text          bool
+}
+
+// learned makes the <response> just recorded, which lay in one window, a
+// skeleton, unless a captured hole is one a match would refuse: one whose
+// raw bytes are not its text (a reference, a '\r', CDATA or a comment).
+// Markup in an uncaptured hole is part of the hole.
+func (d *msDecoder) learned() {
+	s, k := d.s, d.learning
+	if d.learning = nil; s.fills != d.fills {
+		return
+	}
+	k.lits = k.litArr[:0]
+	prev := k.steps[0].at
+	for i := range k.steps {
+		st := &k.steps[i]
+		if hole := s.buf[prev:st.at]; !st.text {
+			k.lits = append(k.lits, hole...)
+		} else if bytes.ContainsAny(hole, "&\r<") {
+			return
+		}
+		prev = st.end
+		k.lits = append(k.lits, s.buf[st.at:st.end]...)
+		st.at, st.end = len(k.lits)-(st.end-st.at), len(k.lits)
+	}
+	for i := len(k.steps) - 1; i >= 0; i-- {
+		k.steps[i].next = i + 1
+		if i+1 < len(k.steps) && !k.steps[i+1].text {
+			k.steps[i].next = k.steps[i+1].next
+		}
+	}
+	s.nskel++
+}
+
+// fastPath decodes the <response>s ahead while one matches a skeleton,
+// and consumes nothing of the first that does not. A window that ends
+// inside a possible match is filled once. It is never full then: the tag
+// scanner consumes at least a byte after each of its fills, and a match
+// consumes the entry, so pos > 0 whenever filled is false.
+func (d *msDecoder) fastPath() error {
+	s := d.s
+	for filled := false; ; {
+		b := s.buf[s.pos:s.end]
+		lt := bytes.IndexByte(b, '<')
+		// The latest learned is tried first: a leaf listing learns its own
+		// collection, then its files.
+		k, n, short := s.nskel-1, 0, lt < 0
+		for ; lt >= 0 && k >= 0; k-- {
+			if n = s.match(&s.skels[k], b[lt:]); n > 0 {
+				break
+			}
+			short = short || n < 0
+		}
+		if n > 0 {
+			d.fastN++
+			if err := d.replay(&s.skels[k], b[lt:]); err != nil {
+				return err
+			}
+			s.pos += lt + n
+		} else if !short || filled || s.fill() != nil {
+			return nil
+		}
+		filled = n <= 0
+	}
+}
+
+// match returns the length of the <response> at the start of b if it
+// matches k, 0 if it does not, and -1 if b may end first. Each run of tags
+// is compared whole first, then tag by tag, skipping each uncaptured hole
+// to its '<'. A captured hole must hold no reference and no '\r'; its
+// bounds go to s.spans.
+func (s *msScanner) match(k *msSkel, b []byte) int {
+	s.spans = s.spanArr[:0]
+	pos := 0
+	for j := 0; j < len(k.steps); j++ {
+		st := &k.steps[j]
+		if j > 0 {
+			n := bytes.IndexByte(b[pos:], '<')
+			if n < 0 {
+				return -1
+			}
+			if hole := b[pos : pos+n]; st.text {
+				if bytes.IndexByte(hole, '&') >= 0 || bytes.IndexByte(hole, '\r') >= 0 {
+					return 0
+				}
+				s.spans = append(s.spans, pos, pos+n)
+			}
+			pos += n
+		}
+		lit := k.lits[st.at:st.end]
+		if run := k.lits[st.at:k.steps[st.next-1].end]; bytes.HasPrefix(b[pos:], run) {
+			lit, j = run, st.next-1
+		} else if len(b)-pos < len(lit) {
+			return -1
+		} else if !bytes.HasPrefix(b[pos:], lit) {
+			return 0
+		}
+		pos += len(lit)
+	}
+	return pos
+}
+
+// replay decodes the <response> at the start of b that matched k: the
+// skeleton's actions run on its captured holes, as the tag scanner's did.
+func (d *msDecoder) replay(k *msSkel, b []byte) error {
+	s := d.s
+	d.cur = Entry{}
+	spans := s.spans
+	for _, a := range k.prog {
+		switch a {
+		case actText:
+			s.text = append(s.text, b[spans[0]:spans[1]]...)
+			spans = spans[2:]
+		case actFinish:
+			if err := d.finish(); err != nil {
+				return err
+			}
+		case actPropstat:
+			d.ps = msProps{}
+		case actPropstatEnd:
+			d.closePropstat()
+		case actCollection:
+			d.ps.dir = true
+		default: // fHref, fLength or fModified
+			d.field, s.text = int(a), s.text[:0]
+		}
+	}
+	return d.emit()
 }
 
 // parseModTime returns what time.Parse(TimeLayout, text) returns, and
@@ -270,7 +491,7 @@ func parseRFC1123UTC(b []byte) (t time.Time, ok bool) {
 // listed back to back in names, or 0.
 func name3(b []byte, names string) int {
 	for i := 0; i < len(names); i += 3 {
-		if string(b) == names[i:i+3] {
+		if b[0] == names[i] && b[1] == names[i+1] && b[2] == names[i+2] {
 			return i/3 + 1
 		}
 	}
@@ -335,6 +556,16 @@ type msScanner struct {
 	// cr reports that the last captured raw byte was a '\r', so a '\n'
 	// right after it belongs to the same line break.
 	cr bool
+
+	// fills counts fills, which move the window's bytes; tagAt is where the
+	// last tag's '<' was, and tagFills the count then.
+	fills, tagAt, tagFills int
+
+	// The document's skeletons, and the captured holes of the last match.
+	skels   [maxSkels]msSkel
+	nskel   int
+	spans   []int
+	spanArr [16]int
 }
 
 func (s *msScanner) reset(r io.Reader) {
@@ -342,6 +573,7 @@ func (s *msScanner) reset(r io.Reader) {
 	s.pos, s.end = 0, 0
 	s.name, s.local, s.names, s.open = s.name[:0], nil, s.names[:0], s.open[:0]
 	s.capture, s.cr, s.text = false, false, s.text[:0]
+	s.nskel = 0
 }
 
 // fill moves the unread bytes to the front of the window and reads more
@@ -351,6 +583,7 @@ func (s *msScanner) fill() error {
 	if s.rerr != nil {
 		return s.rerr
 	}
+	s.fills++
 	s.end = copy(s.buf, s.buf[s.pos:s.end])
 	s.pos = 0
 	for range 100 {
@@ -420,6 +653,7 @@ func (s *msScanner) next() (int, error) {
 		if s.pos == s.end {
 			continue
 		}
+		s.tagAt, s.tagFills = s.pos, s.fills
 		s.pos++ // '<'
 		s.cr = false
 		c, err := s.byte()
