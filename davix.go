@@ -16,7 +16,7 @@
 //     coalescing, stride-learning read-ahead prefetch, and a TTL'd stat
 //     cache with negative entries, hiding round trips on high-RTT links
 //     (Options.CacheSize, BlockSize, PrefetchDepth, StatTTL; see
-//     CacheStats);
+//     Snapshot.Cache);
 //   - a parallel namespace engine: Walk fans PROPFINDs out across pooled
 //     connections while preserving serial emission order, multistatus
 //     bodies are decoded streaming off the wire, and List/Walk results
@@ -31,7 +31,7 @@
 //     detection and cross-host credential hygiene, bounded retry with
 //     backoff (Options.Retry), Metalink replica failover, and a per-host
 //     health scoreboard that demotes flapping nodes and re-probes them
-//     (Options.HealthThreshold) — all observable via Client.Metrics();
+//     (Options.HealthThreshold) — all observable via Client.Snapshot;
 //   - self-healing transfers: hedged chunk reads race a straggling
 //     replica against the next-ranked one under a live-P99-derived (or
 //     fixed) latency budget (Options.HedgeDelay), and checkpointed resume
@@ -58,13 +58,9 @@ package davix
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
-	"time"
 
 	"godavix/internal/blockcache"
 	"godavix/internal/core"
@@ -116,154 +112,13 @@ type StatusError = core.StatusError
 // for simulations; the zero Options uses real TCP.
 type Dialer = pool.Dialer
 
-// Options configures a Client. The zero value dials real TCP with the
-// failover strategy enabled.
-type Options struct {
-	// Dialer overrides the transport (nil = TCP via net.Dialer).
-	Dialer Dialer
+// Options configures a Client. It is the engine's own option set, so the
+// zero value dials real TCP with the failover strategy enabled.
+type Options = core.Options
 
-	// MaxIdlePerHost bounds pooled idle connections per host (default 64).
-	MaxIdlePerHost int
-	// MaxPerHost caps concurrent connections per host (0 = grow with
-	// concurrency, the paper's default behaviour).
-	MaxPerHost int
-	// IdleTTL expires pooled idle connections (default 60s).
-	IdleTTL time.Duration
-
-	// RequestTimeout bounds each request round trip (0 = none).
-	RequestTimeout time.Duration
-
-	// CoalesceGap is the vectored-read data-sieving threshold in bytes.
-	CoalesceGap int64
-	// MaxRangesPerRequest splits huge vectored reads (default 256).
-	MaxRangesPerRequest int
-	// VectorParallelism bounds how many multi-range batches of one
-	// vectored read run concurrently on separate pooled connections
-	// (0 = one per batch capped by MaxPerHost; 1 = serial).
-	VectorParallelism int
-	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
-	// concurrently (0 = 8 capped by MaxPerHost; 1 = serial recursion).
-	// Entry delivery order is identical at every setting.
-	WalkParallelism int
-	// UploadParallelism bounds how many ChunkSize chunks of one
-	// UploadMultiStream or pull-mode CopyStream are in flight concurrently
-	// as Content-Range PUTs (0 = 4 capped by MaxPerHost; 1 = the serial
-	// single-stream PUT, byte-identical on the wire to Put).
-	UploadParallelism int
-
-	// Strategy selects the replica policy (default StrategyFailover).
-	Strategy Strategy
-	// MetalinkHost, when set, is the federation endpoint consulted for
-	// replica lists ("fed.example.org:80").
-	MetalinkHost string
-	// MaxStreams bounds multi-stream parallelism (default 4).
-	MaxStreams int
-	// ChunkSize is the multi-stream chunk size (default 1 MiB).
-	ChunkSize int64
-
-	// UserAgent overrides the User-Agent header.
-	UserAgent string
-
-	// MaxRedirects bounds followed 3xx redirects (default 5); DPM-style
-	// head nodes redirect data operations to disk nodes.
-	MaxRedirects int
-	// Retry bounds the engine's retry-with-backoff layer for idempotent
-	// operations. The zero value means no retries (Attempts normalized to
-	// 1), today's behaviour; set Attempts > 1 to absorb transient 5xx and
-	// transport failures with exponential backoff.
-	Retry RetryPolicy
-	// HealthThreshold is how many consecutive host-level failures demote
-	// a host on the per-host health scoreboard: replica rings then prefer
-	// other hosts until a half-open probe readmits it. 0 uses the default
-	// of 3; negative disables the scoreboard.
-	HealthThreshold int
-	// HealthProbeAfter is how long a demoted host stays skipped before
-	// one probe request is let through (default 2s).
-	HealthProbeAfter time.Duration
-	// Auth attaches Bearer or Basic credentials to every request.
-	Auth *Credentials
-	// VerifyChecksums enables end-to-end verification of full GETs
-	// against the server's X-Checksum, in whatever algorithm it names
-	// (crc32c from this repository's gateway, adler32 from DPM/dCache).
-	VerifyChecksums bool
-	// VerifyTransfers enables inline end-to-end integrity for streaming
-	// transfers: incremental digests accumulate per chunk as the bytes
-	// move and combine into the whole-object value (adler32/crc32 combine
-	// math), verified against the server's Digest/Want-Digest headers or
-	// checksum property at zero extra reads. The algorithm is negotiated
-	// once per transfer with Want-Digest "crc32c, adler32;q=0.5": crc32c,
-	// hashed at hardware speed, wherever the server names it, adler32 with
-	// peers that name nothing else. Failures surface as
-	// ErrChecksumMismatch naming the offending byte span; a server
-	// checksum in an unimplemented algorithm fails with
-	// ErrChecksumUnsupported instead of being skipped. Verification must
-	// observe every byte in userspace, so it routes transfers onto the
-	// pooled-buffer path instead of the kernel sendfile/splice fast path.
-	VerifyTransfers bool
-	// HedgeDelay tunes hedged chunk reads for multi-replica downloads: a
-	// chunk read that outlives this latency budget is raced against a
-	// duplicate request to the next-ranked healthy replica; the first
-	// complete result wins and the loser is cancelled. Zero (the default)
-	// derives the budget from the engine's live chunk-read P99 once enough
-	// samples exist; positive fixes the budget; negative disables hedging.
-	// Snapshot reports HedgesIssued/HedgeWins/HedgeWastedBytes.
-	HedgeDelay time.Duration
-	// Resume enables checkpointed transfers: multi-stream downloads to (and
-	// uploads from) a local *os.File journal each completed chunk's offset,
-	// length and digest to a "<file>.davix-ck" sidecar. An interrupted
-	// transfer restarted with Resume still on re-verifies the journaled
-	// chunks against the bytes actually on disk and moves only what is
-	// missing or corrupt; the sidecar is removed on completion. The journal
-	// is never trusted without re-verification, so a torn journal write or
-	// an unflushed page can never yield a phantom-complete chunk.
-	Resume bool
-	// S3 signs every request with AWS Signature V4 (cloud-storage mode).
-	S3 *S3Credentials
-	// TLS, when non-nil, upgrades every pooled connection to TLS with this
-	// configuration. A session cache shared across the pool's host shards
-	// is installed when the config does not bring its own, so reconnects
-	// resume sessions instead of paying full handshakes.
-	TLS *tls.Config
-
-	// CacheSize enables the shared client-side block cache: total bytes
-	// of remote data kept in memory across all files (0 = no caching,
-	// today's behaviour). Reads served from cache cost no round trip;
-	// concurrent misses on one block issue a single GET.
-	CacheSize int64
-	// BlockSize is the cache page granularity (default 64 KiB).
-	BlockSize int64
-	// PrefetchDepth is the block cache's read-ahead lookahead (needs
-	// CacheSize > 0): > 0 keeps that many predicted reads in flight as
-	// coalesced speculative requests once a scan is detected — at once for
-	// a contiguous scan, after two equal strides for a sparse one — and
-	// accepts layout hints from readers (File.PrefetchHint). 0 (the
-	// default) disables read-ahead. It does not size rootio's window
-	// pipeline over File.ReadVecAsyncCtx; that depth is the caller's
-	// NewTreeCacheDepth argument.
-	PrefetchDepth int
-	// PrefetchBudget caps the speculative bytes in flight at once so
-	// speculation never starves demand reads (0 = 16 MiB when
-	// PrefetchDepth > 0, unlimited otherwise; negative = unlimited).
-	PrefetchBudget int64
-	// StatTTL caches Stat/Open metadata — 404s included, as negative
-	// entries — for this duration (0 disables).
-	StatTTL time.Duration
-
-	// Trace, when non-nil, receives a callback for every engine event:
-	// operation start/end, wire requests, connection acquisition, redirect
-	// hops, retries, replica failovers, breaker trips, cache hits and
-	// misses, and per-chunk progress of multi-stream transfers. Callbacks
-	// run inline on hot paths (concurrently during multi-stream transfers)
-	// and must be fast and thread-safe. Unset hooks cost one nil check.
-	Trace *ClientTrace
-	// Logger, when non-nil, records every trace event as a structured
-	// log/slog record: engine decisions (retry, failover, breaker trip) at
-	// Warn, completed operations at Info, per-request and per-chunk detail
-	// at Debug. Composes with Trace — both observe every event.
-	Logger *slog.Logger
-}
-
-// CacheStats are the client cache counters; see Client.CacheStats.
+// CacheStats are the block-cache and stat-cache counters (hits, misses,
+// evictions, prefetches, single-flight joins; all zeros when caching is
+// disabled); see Snapshot.Cache.
 type CacheStats = blockcache.Stats
 
 // ClientTrace is the httptrace-style hook set invoked at each engine
@@ -301,7 +156,9 @@ type Snapshot = core.Snapshot
 // RetryPolicy bounds the retry-with-backoff layer; see Options.Retry.
 type RetryPolicy = core.RetryPolicy
 
-// Metrics is the client-wide observability snapshot; see Client.Metrics.
+// Metrics are the client-wide engine counters — requests, retries,
+// redirects, failovers, breaker trips, wire bytes up/down — and per-op
+// latency quantiles; see Snapshot.Engine.
 type Metrics = core.Metrics
 
 // OpStats is one operation's latency summary inside Metrics.Ops.
@@ -332,13 +189,6 @@ var ErrFileClosed = core.ErrFileClosed
 // next to its local file ("<file>" + CheckpointSuffix); see Options.Resume.
 const CheckpointSuffix = core.CheckpointSuffix
 
-// tcpDialer adapts net.Dialer to the pool.Dialer interface.
-type tcpDialer struct{ d net.Dialer }
-
-func (t *tcpDialer) DialContext(ctx context.Context, addr string) (net.Conn, error) {
-	return t.d.DialContext(ctx, "tcp", addr)
-}
-
 // Client is the davix entry point. It is safe for concurrent use; all
 // requests share one dynamic connection pool.
 type Client struct {
@@ -347,47 +197,7 @@ type Client struct {
 
 // New creates a Client.
 func New(opts Options) (*Client, error) {
-	d := opts.Dialer
-	if d == nil {
-		d = &tcpDialer{}
-	}
-	c, err := core.NewClient(core.Options{
-		Dialer: d,
-		Pool: pool.Options{
-			MaxIdlePerHost: opts.MaxIdlePerHost,
-			MaxPerHost:     opts.MaxPerHost,
-			IdleTTL:        opts.IdleTTL,
-		},
-		RequestTimeout:      opts.RequestTimeout,
-		CoalesceGap:         opts.CoalesceGap,
-		MaxRangesPerRequest: opts.MaxRangesPerRequest,
-		VectorParallelism:   opts.VectorParallelism,
-		WalkParallelism:     opts.WalkParallelism,
-		UploadParallelism:   opts.UploadParallelism,
-		Strategy:            opts.Strategy,
-		MetalinkHost:        opts.MetalinkHost,
-		MaxStreams:          opts.MaxStreams,
-		ChunkSize:           opts.ChunkSize,
-		UserAgent:           opts.UserAgent,
-		MaxRedirects:        opts.MaxRedirects,
-		RetryPolicy:         opts.Retry,
-		HealthThreshold:     opts.HealthThreshold,
-		HealthProbeAfter:    opts.HealthProbeAfter,
-		Auth:                opts.Auth,
-		VerifyChecksums:     opts.VerifyChecksums,
-		VerifyTransfers:     opts.VerifyTransfers,
-		HedgeDelay:          opts.HedgeDelay,
-		Resume:              opts.Resume,
-		S3:                  opts.S3,
-		TLS:                 opts.TLS,
-		CacheSize:           opts.CacheSize,
-		BlockSize:           opts.BlockSize,
-		PrefetchDepth:       opts.PrefetchDepth,
-		PrefetchBudget:      opts.PrefetchBudget,
-		StatTTL:             opts.StatTTL,
-		Trace:               opts.Trace,
-		Logger:              opts.Logger,
-	})
+	c, err := core.NewClient(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -396,22 +206,6 @@ func New(opts Options) (*Client, error) {
 
 // Close releases all pooled connections.
 func (c *Client) Close() { c.core.Close() }
-
-// PoolStats reports connection pool counters.
-func (c *Client) PoolStats() (dials, reuses, discards int64) {
-	st := c.core.PoolStats()
-	return st.Dials, st.Reuses, st.Discards
-}
-
-// CacheStats reports block-cache and stat-cache counters (hits, misses,
-// evictions, prefetches, single-flight joins). All zeros when caching is
-// disabled.
-func (c *Client) CacheStats() CacheStats { return c.core.CacheStats() }
-
-// Metrics snapshots the client-wide engine counters — requests, retries,
-// redirects, failovers, breaker trips, wire bytes up/down — and per-op
-// latency quantiles. Safe to call concurrently with in-flight operations.
-func (c *Client) Metrics() Metrics { return c.core.Metrics() }
 
 // Snapshot captures all three stat surfaces — engine metrics, cache
 // counters, pool counters — in one call, the shape the exposition

@@ -133,9 +133,8 @@ func TestPublicPoolStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dials, reuses, _ := c.PoolStats()
-	if dials != 1 || reuses != 3 {
-		t.Fatalf("dials=%d reuses=%d", dials, reuses)
+	if ps := c.Snapshot().Pool; ps.Dials != 1 || ps.Reuses != 3 {
+		t.Fatalf("dials=%d reuses=%d", ps.Dials, ps.Reuses)
 	}
 }
 
@@ -360,7 +359,7 @@ func TestPublicCacheOptionsAndStats(t *testing.T) {
 	if !bytes.Equal(buf, blob[8<<10:10<<10]) {
 		t.Fatal("cached read corrupt")
 	}
-	cs := c.CacheStats()
+	cs := c.Snapshot().Cache
 	if cs.Hits == 0 || cs.Misses == 0 {
 		t.Fatalf("cache stats = %+v, want hits and misses", cs)
 	}
@@ -370,7 +369,7 @@ func TestPublicCacheOptionsAndStats(t *testing.T) {
 	if _, err := c.Stat(ctx, "http://dpm1:80/f"); err != nil {
 		t.Fatal(err)
 	}
-	if cs := c.CacheStats(); cs.StatHits == 0 {
+	if cs := c.Snapshot().Cache; cs.StatHits == 0 {
 		t.Fatalf("stat cache never hit: %+v", cs)
 	}
 
@@ -483,7 +482,7 @@ func TestPublicTransferEngine(t *testing.T) {
 }
 
 // TestPublicMetricsAndRetry: Options.Retry reaches the engine and
-// Client.Metrics() reports what the client actually did.
+// Snapshot().Engine reports what the client actually did.
 func TestPublicMetricsAndRetry(t *testing.T) {
 	n := netsim.New(netsim.Ideal())
 	st := storage.NewMemStore()
@@ -517,7 +516,7 @@ func TestPublicMetricsAndRetry(t *testing.T) {
 		t.Fatalf("get = %q err=%v", got, err)
 	}
 
-	m := c.Metrics()
+	m := c.Snapshot().Engine
 	if m.Requests != 2 || m.Retries != 1 {
 		t.Fatalf("requests=%d retries=%d, want 2/1", m.Requests, m.Retries)
 	}

@@ -29,10 +29,13 @@ func main() {
 	authorize := func(a string) bool { return a == token }
 
 	// Site A: head node + disk node (DPM style). The head node owns the
-	// namespace; GET/PUT are redirected to the disk node.
+	// namespace and authorizes every request; GET/PUT are redirected to
+	// the disk node. The client drops its token on that cross-host hop, as
+	// it must, so the disk node serves whoever the head node sent: it
+	// trusts the head's redirect, not the bearer token. (DPM signs that
+	// redirect; here only the head node hands out diskA's address.)
 	diskStore := storage.NewMemStore()
-	disk := httpserv.New(diskStore, httpserv.Options{Authorize: authorize})
-	serve(fabric, "diskA:80", disk)
+	serve(fabric, "diskA:80", httpserv.New(diskStore, httpserv.Options{}))
 
 	// The head node pushes third-party copies through its own client.
 	headCopier, err := core.NewClient(core.Options{
@@ -111,8 +114,8 @@ func main() {
 	fmt.Printf("[4] third-party COPY headA→siteB: %.1f MiB moved server-to-server\n",
 		float64(len(landed))/(1<<20))
 
-	dials, reuses, _ := client.PoolStats()
-	fmt.Printf("    client pool: %d dials, %d recycled requests\n", dials, reuses)
+	pool := client.Snapshot().Pool
+	fmt.Printf("    client pool: %d dials, %d recycled requests\n", pool.Dials, pool.Reuses)
 }
 
 func serve(n *netsim.Network, addr string, srv *httpserv.Server) {

@@ -207,9 +207,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// BlockSize returns the configured page size.
-func (c *Cache) BlockSize() int64 { return c.bs }
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

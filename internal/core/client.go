@@ -41,14 +41,24 @@ const (
 	StrategyNone
 )
 
-// Options configures a Client.
+// Options configures a Client. The zero value dials real TCP with the
+// failover strategy enabled.
 type Options struct {
-	// Dialer establishes transport connections (netsim.Network or a real
-	// TCP dialer). Required.
+	// Dialer establishes transport connections (netsim.Network for
+	// simulations); nil dials TCP via net.Dialer.
 	Dialer pool.Dialer
 
-	// Pool tunes the connection pool.
-	Pool pool.Options
+	// MaxIdlePerHost bounds the pooled idle connections kept per host
+	// (default 64).
+	MaxIdlePerHost int
+
+	// MaxPerHost caps concurrent connections per host; 0 lets the pool
+	// grow with the level of concurrency, the paper's default behaviour.
+	MaxPerHost int
+
+	// IdleTTL expires pooled idle connections older than this (default
+	// 60s).
+	IdleTTL time.Duration
 
 	// RequestTimeout bounds each individual request round trip (header
 	// received); 0 means no timeout beyond ctx.
@@ -68,12 +78,12 @@ type Options struct {
 	// VectorParallelism bounds how many of a vectored read's multi-range
 	// batches are in flight concurrently, each on its own pooled
 	// connection. 0 (the default) opens one connection per batch, capped
-	// by Pool.MaxPerHost; 1 restores fully serial dispatch.
+	// by MaxPerHost; 1 restores fully serial dispatch.
 	VectorParallelism int
 
 	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
 	// concurrently across pooled connections. 0 (the default) uses
-	// defaultWalkParallelism capped by Pool.MaxPerHost; 1 restores the
+	// defaultWalkParallelism (8) capped by MaxPerHost; 1 restores the
 	// serial depth-first recursion. Entry delivery order is identical
 	// at every setting.
 	WalkParallelism int
@@ -81,8 +91,8 @@ type Options struct {
 	// UploadParallelism bounds how many ChunkSize chunks of one
 	// UploadMultiStream (or pull-mode CopyStream) are in flight
 	// concurrently, each as a Content-Range PUT on its own pooled
-	// connection. 0 (the default) uses defaultUploadParallelism capped by
-	// Pool.MaxPerHost; 1 restores the single-stream whole-body PUT, which
+	// connection. 0 (the default) uses defaultUploadParallelism (4) capped
+	// by MaxPerHost; 1 restores the single-stream whole-body PUT, which
 	// is byte-identical on the wire to Put (the paper-faithful path).
 	UploadParallelism int
 
@@ -90,8 +100,8 @@ type Options struct {
 	Strategy Strategy
 
 	// MetalinkHost, when set, is the federation front-end queried for
-	// Metalink documents ("fed:80"). When empty the original host itself
-	// is asked (?metalink).
+	// Metalink replica lists ("fed.example.org:80"). When empty the
+	// original host itself is asked (?metalink).
 	MetalinkHost string
 
 	// MaxStreams bounds parallel per-replica streams in multi-stream mode
@@ -101,7 +111,8 @@ type Options struct {
 	// ChunkSize is the multi-stream chunk granularity (default 1 MiB).
 	ChunkSize int64
 
-	// UserAgent is sent on every request (default "godavix/1.0").
+	// UserAgent is the User-Agent header sent on every request (default
+	// "godavix/1.0").
 	UserAgent string
 
 	// MaxRedirects bounds how many 3xx redirects a request follows
@@ -109,22 +120,24 @@ type Options struct {
 	// from the head node to disk nodes.
 	MaxRedirects int
 
-	// RetryPolicy bounds the engine's retry-with-backoff layer for
-	// idempotent operations. The zero value (and any Attempts < 1) is
-	// normalized to Attempts=1: no retries, the seed semantics.
-	RetryPolicy RetryPolicy
+	// Retry bounds the engine's retry-with-backoff layer for idempotent
+	// operations. The zero value (and any Attempts < 1) is normalized to
+	// Attempts=1: no retries. Attempts > 1 absorbs transient 5xx and
+	// transport failures with exponential backoff.
+	Retry RetryPolicy
 
 	// HealthThreshold is how many consecutive host-level failures demote
 	// a host on the per-host health scoreboard (breaker opens; replica
-	// rings then prefer other hosts). 0 uses the default of 3; negative
-	// disables the scoreboard.
+	// rings then prefer other hosts until a half-open probe readmits it).
+	// 0 uses the default of 3; negative disables the scoreboard.
 	HealthThreshold int
 
 	// HealthProbeAfter is how long a demoted host stays skipped before a
 	// single half-open probe request is let through (default 2s).
 	HealthProbeAfter time.Duration
 
-	// Auth, when non-nil, is attached to every request.
+	// Auth, when non-nil, attaches Bearer or Basic credentials to every
+	// request. They are not forwarded across a cross-host redirect.
 	Auth *Credentials
 
 	// S3, when non-nil, signs every request with AWS Signature V4 —
@@ -133,7 +146,8 @@ type Options struct {
 
 	// VerifyChecksums enables end-to-end integrity checking: full-object
 	// GETs are compared against the server's X-Checksum header, in
-	// whatever algorithm it names, and multi-stream downloads against the
+	// whatever algorithm it names (crc32c from this repository's gateway,
+	// adler32 from DPM/dCache), and multi-stream downloads against the
 	// Metalink checksum.
 	VerifyChecksums bool
 
@@ -143,9 +157,10 @@ type Options struct {
 	// value (adler32/crc32 combine math), verified against the server's
 	// Digest/Want-Digest headers or checksum property at zero extra reads.
 	// The algorithm is negotiated once per transfer — the client offers
-	// digest.Preference (crc32c, adler32 at half weight) and uses what the
-	// reply names, adler32 when it names nothing — and then flows through
-	// every sum, rollup, journal and comparison of that transfer.
+	// digest.Preference (Want-Digest "crc32c, adler32;q=0.5") and uses what
+	// the reply names: crc32c, hashed at hardware speed, wherever the
+	// server names it, adler32 when it names nothing else — and then flows
+	// through every sum, rollup, journal and comparison of that transfer.
 	// Failures surface as ErrChecksumMismatch naming the offending byte
 	// span; known-but-unimplemented server algorithms fail with
 	// ErrChecksumUnsupported instead of being skipped. Verification needs
@@ -158,30 +173,38 @@ type Options struct {
 	// when a chunk read outlives this latency budget, the engine races a
 	// duplicate request against the next-ranked healthy replica; the first
 	// complete result wins and the loser is cancelled. Zero (the default)
-	// derives the budget from the engine's live per-op P99 once enough
-	// chunk samples exist; a positive value fixes the budget; a negative
-	// value disables hedging. Hedging never engages with a single replica.
+	// derives the budget from the engine's live chunk-read P99 once enough
+	// samples exist; a positive value fixes the budget; a negative value
+	// disables hedging. Hedging never engages with a single replica.
+	// Snapshot reports HedgesIssued, HedgeWins and HedgeWastedBytes.
 	HedgeDelay time.Duration
 
 	// Resume enables checkpointed transfers: DownloadMultiStreamTo and
-	// UploadMultiStream journal each completed chunk (offset, length,
-	// digest) to a sidecar file next to the local *os.File, and an
-	// interrupted transfer restarted with the same geometry re-verifies
-	// the journaled chunks against their recorded digests, re-fetching
-	// only what is missing or no longer matches. The sidecar is removed
-	// when the transfer completes (or when nothing was journaled).
+	// UploadMultiStream with a local *os.File journal each completed
+	// chunk (offset, length, digest) to a "<file>" + CheckpointSuffix
+	// sidecar, and an interrupted transfer restarted with Resume on and
+	// the same geometry re-verifies each journaled chunk's recorded digest
+	// against the bytes actually on disk, moving only what is missing or
+	// no longer matches.
+	// The journal is never trusted without re-verification, so a torn
+	// journal write or an unflushed page can never yield a phantom-complete
+	// chunk. The sidecar is removed when the transfer completes (or when
+	// nothing was journaled).
 	Resume bool
 
 	// TLS, when non-nil, upgrades every pooled connection to a TLS client
-	// session with this configuration. A ClientSessionCache shared across
-	// all pool shards is installed when the config does not bring its own,
-	// so reconnect-heavy profiles resume sessions instead of paying full
-	// handshakes (pool.Stats.TLSResumes counts the saves).
+	// session with this configuration (ServerName defaults to the dialed
+	// host). A ClientSessionCache shared across all pool shards is
+	// installed when the config does not bring its own, so reconnect-heavy
+	// profiles resume sessions instead of paying full handshakes
+	// (pool.Stats.TLSResumes counts the saves).
 	TLS *tls.Config
 
 	// CacheSize enables the shared client-side block cache: the total
 	// number of remote-data bytes kept in memory across all files
 	// (0 disables caching; every read then hits the network as before).
+	// Reads served from cache cost no round trip; concurrent misses on one
+	// block issue a single GET.
 	CacheSize int64
 
 	// BlockSize is the cache page granularity in bytes (default 64 KiB;
@@ -194,8 +217,8 @@ type Options struct {
 	// one, keeping that many predicted reads in flight as coalesced
 	// speculative requests, and makes File.PrefetchHint feed layout
 	// foreknowledge into it. 0 (the default) disables read-ahead. rootio's
-	// window pipeline is sized by its own depth (NewTreeCacheDepth), not by
-	// this option.
+	// window pipeline over File.ReadVecAsyncCtx is sized by its own depth
+	// (NewTreeCacheDepth), not by this option.
 	PrefetchDepth int
 
 	// PrefetchBudget bounds the speculative bytes the cache keeps in
@@ -209,14 +232,18 @@ type Options struct {
 	StatTTL time.Duration
 
 	// Trace, when non-nil, installs httptrace-style hooks the engine fires
-	// as operations progress: requests, retries, redirects, failovers,
-	// breaker trips, pool and cache activity, chunk progress. Hooks run
-	// inline on the hot path and may fire concurrently; nil costs nothing.
+	// for every event: operation start/end, wire requests, connection
+	// acquisition, redirect hops, retries, replica failovers, breaker
+	// trips, cache hits and misses, and per-chunk progress of multi-stream
+	// transfers. Hooks run inline on hot paths and may fire concurrently,
+	// so they must be fast and thread-safe; an unset hook costs one nil
+	// check.
 	Trace *obs.ClientTrace
 
-	// Logger, when non-nil, emits structured slog events for the same
-	// trace stream (resilience events at Warn, completed operations at
-	// Info, per-request detail at Debug). Composes with Trace: both fire.
+	// Logger, when non-nil, records every trace event as a structured
+	// log/slog record: engine decisions (retry, failover, breaker trip) at
+	// Warn, completed operations at Info, per-request and per-chunk detail
+	// at Debug. Composes with Trace: both observe every event.
 	Logger *slog.Logger
 }
 
@@ -243,6 +270,12 @@ func (cr *Credentials) header() string {
 // default", and negative sizes/counts that have no meaning are normalized
 // the same way rather than reaching arithmetic as-is.
 func (o Options) withDefaults() Options {
+	// A nil Dialer dials plain TCP.
+	if o.Dialer == nil {
+		o.Dialer = pool.DialerFunc(func(ctx context.Context, addr string) (net.Conn, error) {
+			return new(net.Dialer).DialContext(ctx, "tcp", addr)
+		})
+	}
 	if o.MaxRangesPerRequest <= 0 {
 		o.MaxRangesPerRequest = 256
 	}
@@ -296,17 +329,17 @@ func (o Options) withDefaults() Options {
 	}
 	// Retry budget: Attempts < 1 means no retries; backoff fields only
 	// matter once retries are possible.
-	if o.RetryPolicy.Attempts < 1 {
-		o.RetryPolicy.Attempts = 1
+	if o.Retry.Attempts < 1 {
+		o.Retry.Attempts = 1
 	}
-	if o.RetryPolicy.BaseBackoff <= 0 {
-		o.RetryPolicy.BaseBackoff = 50 * time.Millisecond
+	if o.Retry.BaseBackoff <= 0 {
+		o.Retry.BaseBackoff = 50 * time.Millisecond
 	}
-	if o.RetryPolicy.CapBackoff <= 0 {
-		o.RetryPolicy.CapBackoff = 2 * time.Second
+	if o.Retry.CapBackoff <= 0 {
+		o.Retry.CapBackoff = 2 * time.Second
 	}
-	if o.RetryPolicy.CapBackoff < o.RetryPolicy.BaseBackoff {
-		o.RetryPolicy.CapBackoff = o.RetryPolicy.BaseBackoff
+	if o.Retry.CapBackoff < o.Retry.BaseBackoff {
+		o.Retry.CapBackoff = o.Retry.BaseBackoff
 	}
 	// Health scoreboard: 0 = default threshold, negative = disabled
 	// (kept negative so NewClient knows to build a disabled board).
@@ -344,9 +377,6 @@ type Client struct {
 
 // NewClient creates a Client.
 func NewClient(opts Options) (*Client, error) {
-	if opts.Dialer == nil {
-		return nil, errors.New("davix: Options.Dialer is required")
-	}
 	opts = opts.withDefaults()
 	c := &Client{opts: opts}
 	c.trace = obs.Merge(opts.Trace, obs.SlogTrace(opts.Logger))
@@ -355,9 +385,12 @@ func NewClient(opts Options) (*Client, error) {
 	// Every connection counts its wire bytes into the client metrics. TLS,
 	// when configured, wraps OVER the counting layer so the counters see
 	// ciphertext — the bytes that actually crossed the wire.
-	poolOpts := opts.Pool
-	poolOpts.TLS = opts.TLS
-	c.pool = pool.New(countingDialer{d: opts.Dialer, m: &c.metrics}, poolOpts)
+	c.pool = pool.New(countingDialer{d: opts.Dialer, m: &c.metrics}, pool.Options{
+		MaxIdlePerHost: opts.MaxIdlePerHost,
+		MaxPerHost:     opts.MaxPerHost,
+		IdleTTL:        opts.IdleTTL,
+		TLS:            opts.TLS,
+	})
 	if opts.CacheSize > 0 {
 		bg, cancel := context.WithCancel(context.Background())
 		c.bgCancel = cancel
@@ -463,9 +496,6 @@ func (c *Client) cacheFetchVec() blockcache.FetchVec {
 		})
 	}
 }
-
-// PoolStats exposes connection pool counters (dials, reuses, discards).
-func (c *Client) PoolStats() pool.Stats { return c.pool.Stats() }
 
 // CloseIdlePool drops pooled idle connections for host, e.g. once the host
 // is known to be down.

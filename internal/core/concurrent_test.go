@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"godavix/internal/httpserv"
-	"godavix/internal/pool"
 	"godavix/internal/rangev"
 )
 
@@ -25,7 +24,7 @@ func TestConcurrentVectorReadsUnderCap(t *testing.T) {
 	env := newEnv(t, Options{
 		Strategy:            StrategyNone,
 		MaxRangesPerRequest: 4, // force multi-batch vector reads
-		Pool:                pool.Options{MaxPerHost: maxPerHost},
+		MaxPerHost:          maxPerHost,
 	})
 	env.startServer(t, "dpm1:80", httpserv.Options{})
 	blob := make([]byte, 1<<20)

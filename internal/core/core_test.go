@@ -135,7 +135,7 @@ func TestSessionRecyclingAcrossRequests(t *testing.T) {
 	if dials := e.net.Dials(); dials != 1 {
 		t.Fatalf("network dials = %d, want 1 (session recycling)", dials)
 	}
-	st := e.client.PoolStats()
+	st := e.client.Snapshot().Pool
 	if st.Reuses != 9 {
 		t.Fatalf("pool reuses = %d, want 9", st.Reuses)
 	}
@@ -600,9 +600,29 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-func TestNewClientRequiresDialer(t *testing.T) {
-	if _, err := NewClient(Options{}); err == nil {
-		t.Fatal("expected error without dialer")
+// TestZeroOptionsDialTCP: a nil Dialer dials real TCP, so the zero
+// Options complete a Put and a Get against a gateway on a loopback
+// listener.
+func TestZeroOptionsDialTCP(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go httpserv.New(storage.NewMemStore(), httpserv.Options{}).Serve(l)
+
+	c, err := NewClient(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ctx := context.Background()
+	host := l.Addr().String()
+	if err := c.Put(ctx, host, "/f", []byte("over tcp")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(ctx, host, "/f"); err != nil || string(got) != "over tcp" {
+		t.Fatalf("Get = %q, %v", got, err)
 	}
 }
 

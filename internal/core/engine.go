@@ -170,7 +170,7 @@ func (c *Client) execAttempts(ctx context.Context, rep Replica, spec reqSpec,
 	build func(host, path string) *wire.Request,
 	handle func(landed Replica, resp *Response) error) error {
 
-	attempts := c.opts.RetryPolicy.Attempts
+	attempts := c.opts.Retry.Attempts
 	if !spec.idempotent {
 		attempts = 1
 	}
@@ -186,7 +186,7 @@ func (c *Client) execAttempts(ctx context.Context, rep Replica, spec reqSpec,
 		}
 		c.metrics.retries.Add(1)
 		c.trace.EmitRetry(spec.op, rep.Host, attempt, err)
-		if err := sleepCtx(ctx, retryDelay(c.opts.RetryPolicy, attempt, err)); err != nil {
+		if err := sleepCtx(ctx, retryDelay(c.opts.Retry, attempt, err)); err != nil {
 			return lastErr
 		}
 	}

@@ -235,7 +235,7 @@ func TestS3ResignsPerRedirectHop(t *testing.T) {
 func TestRetryPolicyRetriesRetryableStatus(t *testing.T) {
 	e := newEnv(t, Options{
 		Strategy: StrategyNone,
-		RetryPolicy: RetryPolicy{
+		Retry: RetryPolicy{
 			Attempts:    3,
 			BaseBackoff: time.Millisecond,
 			Jitter:      func(time.Duration) time.Duration { return 0 },
@@ -262,7 +262,7 @@ func TestRetryPolicyRetriesRetryableStatus(t *testing.T) {
 func TestRetryPolicyBudgetExhausted(t *testing.T) {
 	e := newEnv(t, Options{
 		Strategy: StrategyNone,
-		RetryPolicy: RetryPolicy{
+		Retry: RetryPolicy{
 			Attempts:    2,
 			BaseBackoff: time.Millisecond,
 			Jitter:      func(time.Duration) time.Duration { return 0 },
@@ -306,7 +306,7 @@ func TestRetryPolicyDefaultNoRetry(t *testing.T) {
 func TestRetryPolicyNoRetryOnSemanticFailure(t *testing.T) {
 	e := newEnv(t, Options{
 		Strategy: StrategyNone,
-		RetryPolicy: RetryPolicy{
+		Retry: RetryPolicy{
 			Attempts:    5,
 			BaseBackoff: time.Millisecond,
 			Jitter:      func(time.Duration) time.Duration { return 0 },
@@ -330,7 +330,7 @@ func TestRetryBackoffSequence(t *testing.T) {
 	var seen []time.Duration
 	e := newEnv(t, Options{
 		Strategy: StrategyNone,
-		RetryPolicy: RetryPolicy{
+		Retry: RetryPolicy{
 			Attempts:    4,
 			BaseBackoff: 10 * time.Millisecond,
 			CapBackoff:  25 * time.Millisecond,
@@ -375,8 +375,8 @@ func TestOptionsNormalization(t *testing.T) {
 			if o.ChunkSize != 1<<20 || o.UserAgent != "godavix/1.0" {
 				t.Errorf("chunk %d ua %q", o.ChunkSize, o.UserAgent)
 			}
-			if o.RetryPolicy.Attempts != 1 {
-				t.Errorf("RetryPolicy.Attempts = %d, want 1 (no retries)", o.RetryPolicy.Attempts)
+			if o.Retry.Attempts != 1 {
+				t.Errorf("Retry.Attempts = %d, want 1 (no retries)", o.Retry.Attempts)
 			}
 			if o.HealthThreshold != 3 || o.HealthProbeAfter != 2*time.Second {
 				t.Errorf("health = %d/%v", o.HealthThreshold, o.HealthProbeAfter)
@@ -408,17 +408,17 @@ func TestOptionsNormalization(t *testing.T) {
 			}
 		}},
 		{"zero retry fields get documented defaults", Options{
-			RetryPolicy: RetryPolicy{Attempts: 4},
+			Retry: RetryPolicy{Attempts: 4},
 		}, func(t *testing.T, o Options) {
-			if o.RetryPolicy.BaseBackoff != 50*time.Millisecond || o.RetryPolicy.CapBackoff != 2*time.Second {
-				t.Errorf("backoff = %v/%v", o.RetryPolicy.BaseBackoff, o.RetryPolicy.CapBackoff)
+			if o.Retry.BaseBackoff != 50*time.Millisecond || o.Retry.CapBackoff != 2*time.Second {
+				t.Errorf("backoff = %v/%v", o.Retry.BaseBackoff, o.Retry.CapBackoff)
 			}
 		}},
 		{"cap below base is raised to base", Options{
-			RetryPolicy: RetryPolicy{Attempts: 2, BaseBackoff: time.Second, CapBackoff: time.Millisecond},
+			Retry: RetryPolicy{Attempts: 2, BaseBackoff: time.Second, CapBackoff: time.Millisecond},
 		}, func(t *testing.T, o Options) {
-			if o.RetryPolicy.CapBackoff != time.Second {
-				t.Errorf("cap = %v, want raised to base", o.RetryPolicy.CapBackoff)
+			if o.Retry.CapBackoff != time.Second {
+				t.Errorf("cap = %v, want raised to base", o.Retry.CapBackoff)
 			}
 		}},
 		{"negative health threshold stays disabled", Options{
@@ -693,7 +693,7 @@ func TestHealthyEngineIsWireIdentical(t *testing.T) {
 			ChunkSize:       128 << 10,
 			MaxStreams:      4,
 			HedgeDelay:      -1,
-			RetryPolicy:     retry,
+			Retry:           retry,
 			HealthThreshold: threshold,
 		}, blob)
 		ctx := context.Background()

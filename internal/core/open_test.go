@@ -215,7 +215,7 @@ func TestOpenRangeIgnoringServer(t *testing.T) {
 	if down := e.client.Metrics().BytesDown; down > 32<<10 {
 		t.Fatalf("open read %d bytes of a 1 MiB body", down)
 	}
-	if st := e.client.PoolStats(); st.Discards != 1 {
+	if st := e.client.Snapshot().Pool; st.Discards != 1 {
 		t.Fatalf("pool discards = %d, want the open's connection dropped", st.Discards)
 	}
 	readAt(t, f, blob, 0, 10)

@@ -91,8 +91,8 @@ func primed(c *Client, host, path string) bool {
 // the cut attempt, and only the good attempt primes the stat cache.
 func TestListRetriesACutDocumentWhole(t *testing.T) {
 	e := newEnv(t, Options{
-		StatTTL:     time.Minute,
-		RetryPolicy: RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, Jitter: func(d time.Duration) time.Duration { return d }},
+		StatTTL: time.Minute,
+		Retry:   RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, Jitter: func(d time.Duration) time.Duration { return d }},
 	})
 	l, err := e.net.Listen("cut:80")
 	if err != nil {

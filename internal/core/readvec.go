@@ -116,7 +116,7 @@ func (c *Client) vectorParallelism(nBatches int) int {
 	par := c.opts.VectorParallelism
 	if par <= 0 {
 		par = nBatches
-		if m := c.opts.Pool.MaxPerHost; m > 0 && par > m {
+		if m := c.opts.MaxPerHost; m > 0 && par > m {
 			par = m
 		}
 	}

@@ -305,7 +305,7 @@ func resumeClient(t *testing.T, e *testEnv, cs int64, verify bool, trace *obs.Cl
 	t.Helper()
 	o := Options{
 		Dialer: e.net, ChunkSize: cs, MaxStreams: 4,
-		RetryPolicy: RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond}, VerifyTransfers: verify, Resume: true,
+		Retry: RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond}, VerifyTransfers: verify, Resume: true,
 		Trace: trace,
 	}
 	if e.srvs["fed:80"] != nil {

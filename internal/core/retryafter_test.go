@@ -120,7 +120,7 @@ func TestRetryDelayHonorsRetryAfter(t *testing.T) {
 // engine: with the admission limit saturated, the 503 surfaced to the
 // caller carries the server-advertised Retry-After.
 func TestRetryAfterCapturedFromShed(t *testing.T) {
-	e := newEnv(t, Options{RetryPolicy: RetryPolicy{Attempts: 1}})
+	e := newEnv(t, Options{Retry: RetryPolicy{Attempts: 1}})
 	e.startServer(t, dpm1, httpserv.Options{
 		Limits: httpserv.Limits{
 			MaxInFlight: 1,

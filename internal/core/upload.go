@@ -21,7 +21,7 @@ import (
 )
 
 // defaultUploadParallelism is the chunk fan-out used when
-// Options.UploadParallelism is zero, capped by Pool.MaxPerHost.
+// Options.UploadParallelism is zero, capped by Options.MaxPerHost.
 const defaultUploadParallelism = 4
 
 // uploadProbeLen caps the first slice of a multi-stream upload. The probe
@@ -50,7 +50,7 @@ func (c *Client) uploadParallelism(nChunks int) int {
 	par := c.opts.UploadParallelism
 	if par <= 0 {
 		par = defaultUploadParallelism
-		if m := c.opts.Pool.MaxPerHost; m > 0 && par > m {
+		if m := c.opts.MaxPerHost; m > 0 && par > m {
 			par = m
 		}
 	}

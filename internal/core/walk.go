@@ -31,7 +31,7 @@ func (c *Client) walkParallelism() int {
 	par := c.opts.WalkParallelism
 	if par <= 0 {
 		par = defaultWalkParallelism
-		if m := c.opts.Pool.MaxPerHost; m > 0 && par > m {
+		if m := c.opts.MaxPerHost; m > 0 && par > m {
 			par = m
 		}
 	}

@@ -42,9 +42,6 @@ func New(prof Profile) *Network {
 	}
 }
 
-// Profile returns the network's default profile.
-func (n *Network) Profile() Profile { return n.prof }
-
 // SetHostProfile overrides the link profile used when dialing addr,
 // letting one fabric host e.g. both a LAN replica and a WAN replica.
 func (n *Network) SetHostProfile(addr string, p Profile) {

@@ -66,35 +66,6 @@ func (t *ServerTrace) EmitPartialReaped(path string, age time.Duration) {
 	t.PartialReaped(path, age)
 }
 
-// MergeServer composes two server traces the way Merge composes client
-// traces: each event fires a's hook then b's; a nil side is free.
-func MergeServer(a, b *ServerTrace) *ServerTrace {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &ServerTrace{
-		Admitted: func(client string, queued bool, wait time.Duration) {
-			a.EmitAdmitted(client, queued, wait)
-			b.EmitAdmitted(client, queued, wait)
-		},
-		Shed: func(client, reason string, retryAfter time.Duration) {
-			a.EmitShed(client, reason, retryAfter)
-			b.EmitShed(client, reason, retryAfter)
-		},
-		SlowClient: func(client, reason string) {
-			a.EmitSlowClient(client, reason)
-			b.EmitSlowClient(client, reason)
-		},
-		PartialReaped: func(path string, age time.Duration) {
-			a.EmitPartialReaped(path, age)
-			b.EmitPartialReaped(path, age)
-		},
-	}
-}
-
 // SlogServerTrace renders gateway events as structured log records on l:
 // overload actions (shed, slow-client kill, reaped assembly) at Warn —
 // they mean the server defended itself — and per-request admissions at

@@ -20,46 +20,6 @@ func TestServerTraceNilSafe(t *testing.T) {
 	partial.EmitShed("c", "capacity", 0)
 }
 
-func TestMergeServer(t *testing.T) {
-	if got := MergeServer(nil, nil); got != nil {
-		t.Fatal("MergeServer(nil, nil) != nil")
-	}
-	a := &ServerTrace{}
-	if got := MergeServer(a, nil); got != a {
-		t.Fatal("MergeServer(a, nil) != a")
-	}
-	if got := MergeServer(nil, a); got != a {
-		t.Fatal("MergeServer(nil, a) != a")
-	}
-
-	var order []string
-	first := &ServerTrace{
-		Shed: func(client, reason string, ra time.Duration) {
-			order = append(order, "first:"+reason)
-		},
-	}
-	second := &ServerTrace{
-		Shed: func(client, reason string, ra time.Duration) {
-			order = append(order, "second:"+reason)
-		},
-		Admitted: func(client string, queued bool, wait time.Duration) {
-			order = append(order, "second:admitted")
-		},
-	}
-	m := MergeServer(first, second)
-	m.EmitShed("c", "capacity", time.Second)
-	m.EmitAdmitted("c", false, 0)
-	want := []string{"first:capacity", "second:capacity", "second:admitted"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestSlogServerTrace(t *testing.T) {
 	if SlogServerTrace(nil) != nil {
 		t.Fatal("SlogServerTrace(nil) != nil")

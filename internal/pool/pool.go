@@ -54,11 +54,6 @@ type Options struct {
 	// IdleTTL discards idle connections older than this (default 60s).
 	IdleTTL time.Duration
 
-	// MaxUses recycles a connection at most this many times; 0 = unlimited.
-	// Some servers cap requests per connection; this models the client
-	// honouring that politely.
-	MaxUses int
-
 	// TLS, when non-nil, upgrades every dialed connection to a TLS client
 	// session with this configuration (the handshake runs inside Get, under
 	// the caller's context). The config is cloned once at New; when it does
@@ -86,7 +81,7 @@ type Stats struct {
 	Dials int64
 	// Reuses counts requests served on a recycled connection.
 	Reuses int64
-	// Discards counts connections dropped (TTL, MaxUses, error, overflow).
+	// Discards counts connections dropped (TTL, error, overflow).
 	Discards int64
 	// TLSHandshakes counts completed TLS handshakes (only with Options.TLS).
 	TLSHandshakes int64
@@ -217,9 +212,6 @@ func (c *Conn) NetConn() net.Conn { return c.netConn }
 // across recycling.
 func (c *Conn) Reader() *bufio.Reader { return c.br }
 
-// Host returns the host this connection is bound to.
-func (c *Conn) Host() string { return c.host }
-
 // Uses reports how many times the connection has been borrowed.
 func (c *Conn) Uses() int { return c.uses }
 
@@ -313,10 +305,7 @@ func (p *Pool) Put(c *Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c.borrowed = false
-	drop := p.closed.Load() ||
-		(p.opts.MaxUses > 0 && c.uses >= p.opts.MaxUses) ||
-		len(s.idle[c.host]) >= p.opts.MaxIdlePerHost
-	if drop {
+	if p.closed.Load() || len(s.idle[c.host]) >= p.opts.MaxIdlePerHost {
 		s.active[c.host]--
 		p.discards.Add(1)
 		s.notifyLocked(c.host)

@@ -273,25 +273,6 @@ func TestShardedHostsConcurrent(t *testing.T) {
 	}
 }
 
-func TestMaxUsesRetiresConnection(t *testing.T) {
-	n, addr := newFabric(t)
-	p := New(n, Options{MaxUses: 2})
-	defer p.Close()
-
-	c1, _ := p.Get(context.Background(), addr)
-	p.Put(c1)
-	c2, _ := p.Get(context.Background(), addr)
-	if c2 != c1 {
-		t.Fatal("second use should recycle")
-	}
-	p.Put(c2) // uses == MaxUses: retired
-	c3, _ := p.Get(context.Background(), addr)
-	if c3 == c1 {
-		t.Fatal("connection past MaxUses must be retired")
-	}
-	_ = n
-}
-
 func TestMaxIdleOverflowCloses(t *testing.T) {
 	n, addr := newFabric(t)
 	p := New(n, Options{MaxIdlePerHost: 1})

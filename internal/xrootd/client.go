@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"godavix/internal/pool"
 )
@@ -36,8 +35,6 @@ type Client struct {
 	dialing chan struct{}
 	connErr error
 	closed  bool
-
-	requests atomic.Int64
 }
 
 // NewClient creates a Client for the server at addr, dialing through d.
@@ -45,9 +42,6 @@ type Client struct {
 func NewClient(d pool.Dialer, addr string) *Client {
 	return &Client{dialer: d, addr: addr, pending: make(map[uint16]chan *responseFrame)}
 }
-
-// Requests reports how many requests this client has issued.
-func (c *Client) Requests() int64 { return c.requests.Load() }
 
 // connect establishes, handshakes and logs in the connection if there is
 // none. One caller dials; callers arriving meanwhile wait for its login to
@@ -130,7 +124,6 @@ func (c *Client) dial(ctx context.Context) (_ net.Conn, _ *bufio.Reader, err err
 	}
 	var login bytes.Buffer
 	writeRequest(&login, &requestFrame{Stream: 0, Op: ReqLogin, Payload: []byte("godavix")})
-	c.requests.Add(1)
 	if _, err := nc.Write(login.Bytes()); err != nil {
 		return nil, nil, err
 	}
@@ -212,7 +205,6 @@ func (c *Client) call(ctx context.Context, req *requestFrame) (*responseFrame, e
 	req.Stream = sid
 	ch := make(chan *responseFrame, 1)
 	c.pending[sid] = ch
-	c.requests.Add(1)
 	c.mu.Unlock()
 
 	c.wmu.Lock()
@@ -290,9 +282,6 @@ func (c *Client) Open(ctx context.Context, path string) (*File, error) {
 
 // Size returns the file size at open time.
 func (f *File) Size() int64 { return f.size }
-
-// Path returns the remote path.
-func (f *File) Path() string { return f.path }
 
 // ReadAt reads len(p) bytes at offset off.
 func (f *File) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {

@@ -17,29 +17,29 @@ import (
 // shrinks one by more than ceilingSlack lowers it, so the budget follows
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
-	".":                   285,
+	".":                   197,
 	"cmd/davix-get":       243,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
-	"examples/tpc":        92,
-	"internal/blockcache": 733,
+	"examples/tpc":        91,
+	"internal/blockcache": 732,
 	"internal/bufpool":    61,
-	"internal/core":       3607,
+	"internal/core":       3613,
 	"internal/digest":     274,
 	"internal/fed":        105,
 	"internal/httpserv":   1335,
 	"internal/metalink":   113,
-	"internal/netsim":     495,
-	"internal/obs":        598,
-	"internal/pool":       360,
+	"internal/netsim":     494,
+	"internal/obs":        572,
+	"internal/pool":       355,
 	"internal/rangev":     469,
 	"internal/rootio":     1531,
 	"internal/s3":         147,
 	"internal/storage":    503,
 	"internal/webdav":     979,
 	"internal/wire":       515,
-	"internal/xrootd":     708,
+	"internal/xrootd":     702,
 }
 
 // ungatedDirs holds the committed benchmark: its size is reported, not
