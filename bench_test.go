@@ -491,7 +491,7 @@ func BenchmarkTreeCacheScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tc := rootio.NewTreeCache(r, 500, nil)
+		tc := rootio.NewTreeCacheDepth(r, 500, nil, -1)
 		for ev := uint64(0); ev < 2000; ev++ {
 			if _, err := tc.Event(ev); err != nil {
 				b.Fatal(err)

@@ -95,7 +95,7 @@ func (f *File) open(r Replica) (dir bool, err error) {
 		err := readEnds(&e, resp)
 		resp.Close()
 		if stat = err != nil; stat {
-			// No ends this client can place (a collection's 409, a 416, an
+			// No ends this client can place (a collection's 409, another 416, an
 			// unknown size): open the way a Stat does.
 			bufpool.Put(e.Buf())
 			return nil
@@ -112,18 +112,22 @@ func (f *File) open(r Replica) (dir bool, err error) {
 }
 
 // readEnds fills e from a 206 answer to the ends request, or from a 200
-// carrying the whole object.
+// carrying the whole object. An empty object has no range to send:
+// net/http answers 206 with "bytes 0--1/0", RFC 9110 a 416 with
+// "bytes */0"; either is size 0 with no ends.
 func readEnds(e *rangev.Ends, resp *Response) error {
 	off, n, total := int64(0), resp.ContentLength, resp.ContentLength
-	switch resp.StatusCode {
-	case 200:
-	case 206:
+	switch cr := resp.Header.Get("Content-Range"); {
+	case resp.StatusCode == 206 && cr == "bytes 0--1/0", resp.StatusCode == 416 && cr == "bytes */0":
+		return e.SetSize(0)
+	case resp.StatusCode == 200:
+	case resp.StatusCode == 206:
 		if boundary, ok := rangev.IsMultipartByteranges(resp.Header.Get("Content-Type")); ok {
 			return e.ReadMultipart(resp.Body, boundary)
 		}
 		// One part: the server coalesced the ranges or served one of them.
 		var err error
-		if off, n, total, err = rangev.ParseContentRange(resp.Header.Get("Content-Range")); err != nil {
+		if off, n, total, err = rangev.ParseContentRange(cr); err != nil {
 			return err
 		}
 	default:

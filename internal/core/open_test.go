@@ -118,16 +118,40 @@ func TestOpenSmallObjectIsOneRequest(t *testing.T) {
 	}
 }
 
-// TestOpenEmptyObject: the gateway answers the ends request on an empty
-// object with a 206 whose Content-Range ("bytes 0--1/0") names no range,
-// as net/http does; Open falls back to the Stat path and the size is 0.
+// TestOpenEmptyObject: the ends request on an empty object names no
+// range. The gateway answers it as net/http does, with a 206 whose
+// Content-Range is "bytes 0--1/0"; RFC 9110 would have a 416 with
+// "bytes */0". Either is size 0 from the one GET, with no HEAD.
 func TestOpenEmptyObject(t *testing.T) {
-	e, f := openEnv(t, nil, nil)
-	if n, err := f.ReadAt(make([]byte, 1), 0); n != 0 || err != io.EOF {
-		t.Fatalf("ReadAt on an empty object: n=%d err=%v", n, err)
-	}
-	if got, heads := e.srvs[dpm1].Requests(), e.srvs[dpm1].RequestsByMethod("HEAD"); got != 2 || heads != 1 {
-		t.Fatalf("%d requests (%d HEAD), want the GET and the Stat's HEAD", got, heads)
+	for _, answer416 := range []bool{false, true} {
+		t.Run(map[bool]string{false: "gateway 206", true: "416"}[answer416], func(t *testing.T) {
+			var mu sync.Mutex
+			methods := map[string]int{}
+			_, f := openEnv(t, nil, func(srv *httpserv.Server, _ *storage.MemStore) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					mu.Lock()
+					methods[r.Method]++
+					mu.Unlock()
+					if answer416 && r.Header.Get("Range") == endsRange {
+						w.Header().Set("Content-Range", "bytes */0")
+						w.WriteHeader(http.StatusRequestedRangeNotSatisfiable)
+						return
+					}
+					srv.ServeHTTP(w, r)
+				})
+			})
+			if n, err := f.ReadAt(make([]byte, 1), 0); n != 0 || err != io.EOF {
+				t.Fatalf("ReadAt on an empty object: n=%d err=%v", n, err)
+			}
+			if all, err := io.ReadAll(f); err != nil || len(all) != 0 {
+				t.Fatalf("ReadAll on an empty object: %d bytes, err %v", len(all), err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if methods["GET"] != 1 || len(methods) != 1 {
+				t.Fatalf("requests by method %v, want the one GET", methods)
+			}
+		})
 	}
 }
 

@@ -254,10 +254,40 @@ func FuzzTreeCacheScan(f *testing.F) {
 	})
 }
 
+// FuzzTrainingScan holds the training lookahead on a sequential scan:
+// whatever the training length, window, depth and basket size, and
+// whichever order and training events the branches are first met in,
+// every payload is ReadEvent's, no basket is fetched twice across
+// training, lookahead and pipeline, and no speculative byte is wasted (see
+// lookaheadScan). Its seeds are lookaheadRows.
+func FuzzTrainingScan(f *testing.F) {
+	for i, c := range lookaheadRows {
+		f.Add(uint16(c.events), uint8(c.perBasket-1), uint16(c.train), uint16(c.window), uint8(c.depth), int64(i))
+	}
+	f.Add(uint16(5), uint8(0), uint16(3), uint16(1), uint8(4), int64(7))        // one event per basket and window
+	f.Add(uint16(600), uint8(255), uint16(700), uint16(50), uint8(2), int64(8)) // training outlasts the file
+
+	f.Fuzz(func(t *testing.T, nEvents uint16, perBasket uint8, train, window uint16, depth uint8, seed int64) {
+		n := int(nEvents%1200) + 2
+		img := buildFile(t, []string{"a", "b", "c", "d"}, randomEvents(seed, n, 4, 16), WriterOptions{EventsPerBasket: int(perBasket) + 1})
+		tr := uint64(train%1500) + 2
+		rng := rand.New(rand.NewSource(seed))
+		order := rng.Perm(4)[:rng.Intn(4)+1]
+		// First meetings before the last training event, so none forces a
+		// retrain; the first at event 0.
+		touch := make([]uint64, len(order))
+		for i := 1; i < len(touch); i++ {
+			touch[i] = uint64(rng.Int63n(int64(min(tr-1, uint64(n)))))
+		}
+		slices.Sort(touch)
+		lookaheadScan(t, img, tr, uint64(window)%uint64(n)+1, int(depth%5), order, touch)
+	})
+}
+
 // needs reports whether the window holding event ev needs the basket of
 // branch bi that holds event held.
 func (tc *TreeCache) needs(ev, held uint64, bi int) bool {
 	bk, err := tc.reader.basketFor(bi, held)
-	keys, kerr := tc.windowKeys(ev - ev%tc.window)
+	keys, kerr := tc.windowKeys(ev-ev%tc.window, tc.branches, 0)
 	return err == nil && kerr == nil && slices.Contains(keys, basketKey{branch: bi, basket: bk})
 }

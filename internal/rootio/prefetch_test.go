@@ -100,7 +100,7 @@ func TestTreeCacheDepthZeroByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc1 := NewTreeCache(r1, 400, nil) // sync-only source: automatic depth 0
+	tc1 := NewTreeCacheDepth(r1, 400, nil, -1) // sync-only source: automatic depth 0
 	defer tc1.Close()
 
 	var asyncCalls atomic.Int64
@@ -255,9 +255,10 @@ func retrainCancelsPendingFills(t *testing.T, depth int) {
 	tr := NewTrainingCacheDepth(r, 50, 200, depth)
 	defer tr.Close()
 
-	// Train on branch 0 only, then read past training so the pipeline
-	// issues speculative fills for the learned {0} set.
-	for ev := uint64(0); ev < 60; ev++ {
+	// Train on branch 0 only, then read on into window 2, past the windows
+	// the training lookahead carried, so the pipeline has speculative fills
+	// of its own in flight for the learned {0} set.
+	for ev := uint64(0); ev <= 400; ev++ {
 		p, err := tr.Branch(ev, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -272,11 +273,11 @@ func retrainCancelsPendingFills(t *testing.T, depth int) {
 	before := a.cancelledCtxs()
 
 	// First touch of branch 2 after training: transparent retrain.
-	p, err := tr.Branch(60, 2)
+	p, err := tr.Branch(401, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p, events[60][2]) {
+	if !bytes.Equal(p, events[401][2]) {
 		t.Fatal("late-discovered branch mismatch")
 	}
 	if tr.Retrains() != 1 {
@@ -287,7 +288,7 @@ func retrainCancelsPendingFills(t *testing.T, depth int) {
 	}
 
 	// The widened branch set keeps serving correctly across windows.
-	for ev := uint64(61); ev < 1200; ev += 97 {
+	for ev := uint64(402); ev < 1200; ev += 97 {
 		for _, bi := range []int{0, 2} {
 			p, err := tr.Branch(ev, bi)
 			if err != nil {
@@ -370,11 +371,12 @@ func TestDiscardedFillNeverPublishes(t *testing.T) {
 	events := randomEvents(35, 1600, 3, 256)
 	img := buildFile(t, []string{"a", "b", "c"}, events, WriterOptions{EventsPerBasket: 64})
 
-	// At depth 2 fetch 1 is window 0's demand fill, 2 and 3 the fills for
-	// windows 1 and 2 that get retired, 4 the demand fill of whatever window
-	// is entered after that. At depth 3 fetch 1 carries windows 0 and 1, 2
-	// carries windows 2 and 3, and 3 is the next demand fill; window 1 is
-	// retired although its bytes are in, and only request 2 is cancelled.
+	// Fetch 1 is the training lookahead, windows 0 to depth. At depth 2,
+	// fetches 2 and 3 are the fills for windows 3 and 4 that get retired, 4
+	// the demand fill of whatever window is entered after that. At depth 3
+	// fetch 2 carries windows 4 and 5, and 3 is the next demand fill;
+	// window 3 is retired although its bytes are in, and only request 2 is
+	// cancelled.
 	for _, c := range []discardCase{
 		{prefix: "", depth: 2, gated: 2, windows: 2, reqs: 2, demandAfter: 4},
 		{prefix: "depth=3/", depth: 3, gated: 1, windows: 3, reqs: 1, demandAfter: 3},
@@ -390,9 +392,10 @@ func TestDiscardedFillNeverPublishes(t *testing.T) {
 }
 
 // discardCase is one depth of TestDiscardedFillNeverPublishes. Once window
-// 0 is entered, windows windows are in flight, carried by gated fetches
-// held at the gate; retiring them cancels reqs requests, and the next
-// demand fill is fetch number demandAfter.
+// 2 is entered, windows windows are in flight, carried by gated fetches
+// held at the gate and, at depth 3, the landed lookahead; retiring them
+// cancels reqs requests, and the next demand fill is fetch number
+// demandAfter.
 type discardCase struct {
 	prefix                                   string
 	depth, gated, windows, reqs, demandAfter int
@@ -419,14 +422,14 @@ func discardedFillNeverPublishes(t *testing.T, events [][][]byte, img []byte, c 
 			t.Fatalf("event %d branch %d mismatch", ev, bi)
 		}
 	}
-	// Train on branch 0 (synchronous demand reads), then event 10 enters
-	// window 0 of the trained cache.
+	// Train on branch 0 (synchronous demand reads), then read on until
+	// event 256 enters window 2, past the windows the lookahead carried.
 	tr := NewTrainingCacheDepth(r, 10, 128, c.depth)
-	for ev := uint64(0); ev <= 10; ev++ {
+	for ev := uint64(0); ev <= 256; ev++ {
 		branch(tr, ev, 0)
 	}
 	if n := len(tr.tc.pending); n != c.windows {
-		t.Fatalf("%d windows in flight after entering window 0, want %d", n, c.windows)
+		t.Fatalf("%d windows in flight after entering window 2, want %d", n, c.windows)
 	}
 	want := residentKeys(r)
 	if landed {
@@ -445,7 +448,7 @@ func discardedFillNeverPublishes(t *testing.T, events [][][]byte, img []byte, c 
 		tr.Close()
 	}
 	if how != "close" {
-		if want, err = tr.tc.windowKeys(tr.tc.curStart); err != nil {
+		if want, err = tr.tc.windowKeys(tr.tc.curStart, tr.tc.branches, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -727,7 +730,7 @@ func checkPipelineMemory(t *testing.T, tc *TreeCache) {
 		if start >= tc.reader.Events() {
 			break
 		}
-		keys, err := tc.windowKeys(start)
+		keys, err := tc.windowKeys(start, tc.branches, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

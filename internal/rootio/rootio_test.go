@@ -230,7 +230,7 @@ func TestTreeCacheMatchesNaiveRead(t *testing.T) {
 
 	r1, _ := OpenReader(BytesSource(img))
 	r2, _ := OpenReader(BytesSource(img))
-	tc := NewTreeCache(r2, 500, nil)
+	tc := NewTreeCacheDepth(r2, 500, nil, -1)
 	defer tc.Close()
 
 	for ev := uint64(0); ev < 2000; ev++ {
@@ -268,7 +268,7 @@ func TestTreeCacheReducesVectoredCalls(t *testing.T) {
 		}
 		calls.Store(0) // ignore open-time reads
 
-		tc := NewTreeCache(r, 1024, nil)
+		tc := NewTreeCacheDepth(r, 1024, nil, -1)
 		for ev := uint64(0); ev < c.events; ev++ {
 			if _, err := tc.Event(ev); err != nil {
 				t.Fatal(err)
@@ -298,7 +298,7 @@ func TestTreeCachePrefetchOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := NewTreeCache(r, 256, nil)
+	tc := NewTreeCacheDepth(r, 256, nil, -1)
 	defer tc.Close()
 	for ev := uint64(0); ev < 1024; ev++ {
 		got, err := tc.Event(ev)
@@ -318,7 +318,7 @@ func TestTreeCacheRandomAccess(t *testing.T) {
 	events := randomEvents(10, 1000, 2, 32)
 	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 50})
 	r, _ := OpenReader(BytesSource(img))
-	tc := NewTreeCache(r, 200, nil)
+	tc := NewTreeCacheDepth(r, 200, nil, -1)
 	defer tc.Close()
 
 	rng := rand.New(rand.NewSource(11))
@@ -352,7 +352,7 @@ func TestTreeCacheBranchSubset(t *testing.T) {
 	r, _ := OpenReader(src)
 	baseline := bytesRead.Load()
 
-	tc := NewTreeCache(r, 500, []int{0}) // single branch
+	tc := NewTreeCacheDepth(r, 500, []int{0}, -1) // single branch
 	defer tc.Close()
 	for ev := uint64(0); ev < 500; ev++ {
 		got, err := tc.Event(ev)
@@ -430,7 +430,7 @@ func TestTreeCacheEvictsToWindow(t *testing.T) {
 	events := randomEvents(13, 600, 2, 32)
 	img := buildFile(t, []string{"a", "b"}, events, WriterOptions{EventsPerBasket: 100})
 	r, _ := OpenReader(BytesSource(img))
-	tc := NewTreeCache(r, 200, nil) // depth 0: BytesSource has no async read
+	tc := NewTreeCacheDepth(r, 200, nil, -1) // depth 0: BytesSource has no async read
 	defer tc.Close()
 
 	for ev := uint64(0); ev < 600; ev += 10 {

@@ -30,10 +30,13 @@ import (
 // Every basket is fetched and inflated once: entering a window evicts only
 // the baskets it does not need, and a pipelined fill leaves out baskets that
 // are resident or brought by a fill for an earlier window, so a basket that
-// straddles a window boundary stays resident across it. A depth of 0 is the
-// synchronous cache of the paper's HTTP column: every fill is one blocking
-// round trip for all of its window's baskets, byte-for-byte the legacy
-// behaviour, decoded on the caller's goroutine.
+// straddles a window boundary stays resident across it. A TrainingCache
+// starts the pipeline during training: its lookahead fills become this
+// cache's pending fills, and a demand fill for a window they carry part of
+// takes only the rest. A depth of 0 is the synchronous cache of the
+// paper's HTTP column: every fill is one blocking round trip for all of
+// its window's baskets, byte-for-byte the legacy behaviour, decoded on the
+// caller's goroutine.
 //
 // A payload from Event or Branch aliases its decoded basket, and entering
 // a window hands the buffers of every basket it evicts back to their pools
@@ -50,8 +53,9 @@ type TreeCache struct {
 	curStart uint64 // first event of the filled window; curStart==^0 when none
 	fills    int64
 
-	// pending holds the in-flight window fills, one per window: the
-	// current window's while it is being entered, and windows after it.
+	// pending holds the in-flight window fills: the current window's while
+	// it is being entered, and windows after it. A window may have several,
+	// each carrying part of its baskets.
 	pending []*pendingFill
 
 	// Speculation accounting: issued counts compressed bytes requested for
@@ -91,24 +95,16 @@ type fillRequest struct {
 	live   int // windows not discarded
 }
 
-// NewTreeCache creates a TreeCache over r reading the given branch
-// positions (nil = all branches) with the given window size in events
-// (0 selects 1000). The prefetch depth is automatic: one window ahead when
-// the Source provides an asynchronous vectored read, zero (synchronous)
-// otherwise — the legacy behaviour. Use NewTreeCacheDepth to pipeline
-// deeper.
-func NewTreeCache(r *Reader, windowEvents uint64, branches []int) *TreeCache {
-	return NewTreeCacheDepth(r, windowEvents, branches, -1)
-}
-
-// NewTreeCacheDepth creates a TreeCache with an explicit prefetch depth:
-// the number of windows beyond the current one kept in flight, shipped as
-// requests of ⌊(depth+1)/2⌋ windows each (depths 1 and 2 send one window
-// per request, depth 3 two). Depth 0 disables speculation entirely — fills
-// are synchronous and byte-identical to the legacy TreeCache. A negative
-// depth selects the automatic default (1 with an asynchronous source, else
-// 0). A positive depth needs the Source to support asynchronous or hinted
-// prefetch; without either it degrades to 0.
+// NewTreeCacheDepth creates a TreeCache over r reading the given branch
+// positions (nil = all branches) with the given window size in events (0
+// selects 1000) and prefetch depth: the number of windows beyond the
+// current one kept in flight, shipped as requests of ⌊(depth+1)/2⌋ windows
+// each (depths 1 and 2 send one window per request, depth 3 two). Depth 0
+// disables speculation entirely — fills are synchronous and byte-identical
+// to the legacy TreeCache. A negative depth selects the automatic default
+// (1 with an asynchronous source, else 0). A positive depth needs the
+// Source to support asynchronous or hinted prefetch; without either it
+// degrades to 0.
 func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int) *TreeCache {
 	if windowEvents == 0 {
 		windowEvents = 1000
@@ -155,14 +151,15 @@ func (tc *TreeCache) PrefetchStats() (issued, wasted, cancelled int64) {
 	return tc.issuedBytes, tc.wastedBytes, tc.cancelledFills
 }
 
-// windowKeys computes the basket set covering events [start, start+window).
-func (tc *TreeCache) windowKeys(start uint64) ([]basketKey, error) {
+// windowKeys computes the basket set of branches covering events
+// [start, start+window), leaving out baskets that begin before event from.
+func (tc *TreeCache) windowKeys(start uint64, branches []int, from uint64) ([]basketKey, error) {
 	end := start + tc.window
 	if end > tc.reader.idx.Events {
 		end = tc.reader.idx.Events
 	}
 	var keys []basketKey
-	for _, bi := range tc.branches {
+	for _, bi := range branches {
 		first, err := tc.reader.basketFor(bi, start)
 		if err != nil {
 			return nil, err
@@ -172,7 +169,9 @@ func (tc *TreeCache) windowKeys(start uint64) ([]basketKey, error) {
 			return nil, err
 		}
 		for bk := first; bk <= last; bk++ {
-			keys = append(keys, basketKey{branch: bi, basket: bk})
+			if tc.reader.idx.Branches[bi].Baskets[bk].FirstEvent >= from {
+				keys = append(keys, basketKey{branch: bi, basket: bk})
+			}
 		}
 	}
 	return keys, nil
@@ -242,14 +241,14 @@ func coalesceFill(r *Reader, keys []basketKey) (ranges []rangev.Range, runDsts [
 	return ranges, runDsts, perKey
 }
 
-// broughtBefore reports whether basket k is resident or brought by an
-// in-flight fill for a window before start.
-func (tc *TreeCache) broughtBefore(k basketKey, start uint64) bool {
+// brought reports whether basket k is resident or brought by an in-flight
+// fill for a window at or before start.
+func (tc *TreeCache) brought(k basketKey, start uint64) bool {
 	if tc.reader.resident(k) {
 		return true
 	}
 	for _, pf := range tc.pending {
-		if pf.start < start && slices.Contains(pf.keys, k) {
+		if pf.start <= start && slices.Contains(pf.keys, k) {
 			return true
 		}
 	}
@@ -257,30 +256,31 @@ func (tc *TreeCache) broughtBefore(k basketKey, start uint64) bool {
 }
 
 // startGroup issues one background vectored request for run, consecutive
-// windows none of which is in flight; run[0] is the window being entered
-// when demand is set. Each window's fill takes the baskets of its window
-// that neither are resident nor are brought by a fill for an earlier
-// window, this request's earlier windows included, and all of them are
-// fetched as one coalesced read. The request's own goroutine waits for the
-// fetch, inflates the baskets window by window, handing each window its
-// result as soon as its baskets are done, and returns the run buffers to
-// bufpool — it is their only owner once the fetch has returned, whatever
-// the outcome — before it signals the last window. It never touches the
+// windows; run[0] is the window being entered when demand is set. Each
+// window's fill takes the baskets of branches in its window that begin at
+// or after event from and neither are resident nor are brought by a fill
+// for run[0] or an earlier window, this request's earlier windows
+// included, and all of them are fetched as one coalesced read. The
+// request's own goroutine waits for the fetch, inflates the baskets window
+// by window, handing each window its result as soon as its baskets are
+// done, and returns the run buffers to bufpool — it is their only owner
+// once the fetch has returned, whatever the outcome — before it signals
+// the last window. It never touches the
 // reader's cache: publishing is finishFill's, so a discarded window leaves
 // no trace. A window whose basket layout cannot be resolved ends the run
 // before it; it reports false when that leaves nothing to issue.
-func (tc *TreeCache) startGroup(run []uint64, demand bool) bool {
+func (tc *TreeCache) startGroup(run []uint64, demand bool, branches []int, from uint64) bool {
 	r := tc.reader
 	fills := make([]*pendingFill, 0, len(run))
 	var keys []basketKey // every window's keys, in window order
 	for _, start := range run {
-		wk, err := tc.windowKeys(start)
+		wk, err := tc.windowKeys(start, branches, from)
 		if err != nil {
 			break // the demand fill will surface the problem when reached
 		}
 		lo := len(keys)
 		for _, k := range wk {
-			if !tc.broughtBefore(k, run[0]) && !slices.Contains(keys, k) {
+			if !tc.brought(k, run[0]) && !slices.Contains(keys, k) {
 				keys = append(keys, k)
 			}
 		}
@@ -399,55 +399,57 @@ func (tc *TreeCache) seek(ev uint64) error {
 }
 
 // enterWindow makes ws the current window: evicts the baskets ws does not
-// need, uses the matching pipelined fill when one is in flight, discards
-// fills the access pattern jumped away from, tops the pipeline back up,
-// then awaits and publishes ws.
+// need, uses the fills for ws in flight, discards fills the access pattern
+// jumped away from, tops the pipeline back up, then awaits and publishes
+// ws. Several fills may carry parts of one window: those a TrainingCache
+// sent for it during training, and a demand fill for the rest.
 func (tc *TreeCache) enterWindow(ws uint64) error {
-	keys, err := tc.windowKeys(ws)
+	keys, err := tc.windowKeys(ws, tc.branches, 0)
 	if err != nil {
 		return err
 	}
 	tc.reader.evict(keys)
 
-	// Partition the in-flight fills: the one for ws is consumed, fills
-	// still inside the new lookahead stay, everything else was a pattern
-	// jump and is discarded.
-	var cur *pendingFill
+	// The fills for ws and those still inside the new lookahead stay (the
+	// former visible to topUp's fetch-once check until consumed); anything
+	// else was a pattern jump and is discarded.
 	horizon := ws + tc.window*uint64(tc.depth)
 	keep := tc.pending[:0]
 	for _, pf := range tc.pending {
-		switch {
-		case pf.start == ws:
-			cur = pf
-			keep = append(keep, pf) // stays visible to topUp's fetch-once check
-		case pf.start > ws && pf.start <= horizon:
+		if pf.start >= ws && pf.start <= horizon {
 			keep = append(keep, pf)
-		default:
+		} else {
 			tc.discard(pf)
 		}
 	}
 	clear(tc.pending[len(keep):])
 	tc.pending = keep
 
+	var cur []*pendingFill
 	switch {
 	case tc.depth > 0 && tc.reader.src.ReadVecAsyncCtx != nil:
 		// Overlap: top the pipeline back up before waiting on this window,
 		// so the next windows' transfers ride under this window's compute;
-		// without a fill for ws, ws heads the first request.
-		tc.topUp(ws, cur == nil)
-		if cur == nil {
-			cur = tc.pendingFor(ws)
+		// ws heads the first request unless fills for it are in flight and
+		// they bring what is not resident.
+		tc.topUp(ws, tc.pendingFor(ws) == nil || slices.ContainsFunc(keys, func(k basketKey) bool { return !tc.brought(k, ws) }))
+		for _, pf := range tc.pending {
+			if pf.start == ws {
+				cur = append(cur, pf)
+			}
 		}
-		tc.pending = slices.DeleteFunc(tc.pending, func(pf *pendingFill) bool { return pf == cur })
+		tc.pending = slices.DeleteFunc(tc.pending, func(pf *pendingFill) bool { return pf.start == ws })
 	default:
-		cur = tc.startFillSync(keys)
+		cur = []*pendingFill{tc.startFillSync(keys)}
 		tc.hint(ws)
 	}
 
 	// A basket the fill left to the fill of a window the access pattern
 	// then skipped is missing; payload fetches it on first use.
-	if err := tc.finishFill(cur); err != nil {
-		return err
+	for _, pf := range cur {
+		if err := tc.finishFill(pf); err != nil {
+			return err
+		}
 	}
 	tc.curStart = ws
 	return nil
@@ -464,7 +466,7 @@ func (tc *TreeCache) topUp(ws uint64, demand bool) {
 		run = append(run, ws)
 	}
 	issue := func() bool {
-		ok := len(run) == 0 || tc.startGroup(run, demand && run[0] == ws)
+		ok := len(run) == 0 || tc.startGroup(run, demand && run[0] == ws, tc.branches, 0)
 		run = run[:0]
 		return ok
 	}
@@ -499,7 +501,7 @@ func (tc *TreeCache) hint(ws uint64) {
 		if nxt >= tc.reader.idx.Events {
 			break
 		}
-		keys, err := tc.windowKeys(nxt)
+		keys, err := tc.windowKeys(nxt, tc.branches, 0)
 		if err != nil {
 			break
 		}
