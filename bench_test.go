@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"godavix/internal/core"
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
 	"godavix/internal/netsim"
@@ -46,7 +47,7 @@ func BenchmarkFig1Pipelining(b *testing.B) {
 		for i := 0; i < nFast; i++ {
 			bed.store.Put(fmt.Sprintf("/obj%d", i), payload)
 		}
-		bed.http.SetFault("/slow", httpserv.Fault{Delay: slow})
+		bed.faults.Set("/slow", faults.Fault{Delay: slow})
 		return bed
 	}
 
@@ -382,28 +383,30 @@ const (
 )
 
 // benchBed is the paper's testbed for the figure benchmarks: a netsim
-// fabric on the PAN profile and one MemStore served over both protocols.
-// Its listeners close when the benchmark run ends.
+// fabric on the PAN profile and one MemStore served over both protocols,
+// the HTTP gateway behind a fault layer. Its listeners close when the
+// benchmark run ends.
 type benchBed struct {
-	net   *netsim.Network
-	store *storage.MemStore
-	http  *httpserv.Server
+	net    *netsim.Network
+	store  *storage.MemStore
+	faults *faults.Layer
 }
 
 func newBenchBed(b *testing.B, httpOpts httpserv.Options) *benchBed {
 	b.Helper()
 	bed := &benchBed{net: netsim.New(netsim.PAN()), store: storage.NewMemStore()}
-	bed.http = httpserv.New(bed.store, httpOpts)
-	serve := func(addr string, srv interface{ Serve(net.Listener) error }) {
+	srv := httpserv.New(bed.store, httpOpts)
+	bed.faults = faults.New(srv)
+	listen := func(addr string) net.Listener {
 		l, err := bed.net.Listen(addr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { l.Close() })
-		go srv.Serve(l)
+		return l
 	}
-	serve(benchHTTPAddr, bed.http)
-	serve(benchXrdAddr, xrootd.NewServer(bed.store))
+	go srv.ServeHandler(listen(benchHTTPAddr), bed.faults)
+	go xrootd.NewServer(bed.store).Serve(listen(benchXrdAddr))
 	return bed
 }
 

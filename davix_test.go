@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
 	"godavix/internal/netsim"
@@ -487,12 +488,13 @@ func TestPublicMetricsAndRetry(t *testing.T) {
 	n := netsim.New(netsim.Ideal())
 	st := storage.NewMemStore()
 	srv := httpserv.New(st, httpserv.Options{})
+	fl := faults.New(srv)
 	l, err := n.Listen("dpm1:80")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go srv.Serve(l)
+	go srv.ServeHandler(l, fl)
 
 	c, err := New(Options{
 		Dialer:   n,
@@ -510,7 +512,7 @@ func TestPublicMetricsAndRetry(t *testing.T) {
 	ctx := context.Background()
 
 	st.Put("/f", []byte("observable"))
-	srv.SetFault("/f", httpserv.Fault{Status: 503, Remaining: 1})
+	fl.Set("/f", faults.Fault{Status: 503, Remaining: 1})
 	got, err := c.Get(ctx, "http://dpm1:80/f")
 	if err != nil || string(got) != "observable" {
 		t.Fatalf("get = %q err=%v", got, err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
 	"godavix/internal/netsim"
@@ -26,6 +27,7 @@ type testEnv struct {
 	client *Client
 	stores map[string]*storage.MemStore
 	srvs   map[string]*httpserv.Server
+	faults map[string]*faults.Layer
 }
 
 // startServer launches a DPM server on addr over the fabric.
@@ -35,7 +37,8 @@ func (e *testEnv) startServer(t *testing.T, addr string, opts httpserv.Options) 
 }
 
 // startServerHandler launches a DPM server on addr whose root handler is
-// wrap(srv, st), or the server itself when wrap is nil.
+// a fault layer around wrap(srv, st), or around the server itself when
+// wrap is nil.
 func (e *testEnv) startServerHandler(t *testing.T, addr string, opts httpserv.Options,
 	wrap func(*httpserv.Server, *storage.MemStore) http.Handler) {
 	t.Helper()
@@ -50,7 +53,8 @@ func (e *testEnv) startServerHandler(t *testing.T, addr string, opts httpserv.Op
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go srv.ServeHandler(l, h)
+	e.faults[addr] = faults.New(h)
+	go srv.ServeHandler(l, e.faults[addr])
 	e.stores[addr] = st
 	e.srvs[addr] = srv
 }
@@ -61,6 +65,7 @@ func newEnv(t *testing.T, copts Options) *testEnv {
 		net:    netsim.New(netsim.Ideal()),
 		stores: map[string]*storage.MemStore{},
 		srvs:   map[string]*httpserv.Server{},
+		faults: map[string]*faults.Layer{},
 	}
 	copts.Dialer = e.net
 	c, err := NewClient(copts)
@@ -462,7 +467,7 @@ func TestFailoverOn503(t *testing.T) {
 	e.stores[dpm1].Put("/f", []byte("data"))
 	e.stores["dpm2:80"].Put("/f", []byte("data"))
 	// Primary serves 503s (overloaded) but can still hand out metalinks.
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 	ctx := context.Background()
 	f, err := e.client.Open(ctx, dpm1, "/f")
@@ -587,7 +592,7 @@ func TestRequestTimeout(t *testing.T) {
 	e := newEnv(t, Options{RequestTimeout: 30 * time.Millisecond})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/slow", []byte("x"))
-	e.srvs[dpm1].SetFault("/slow", httpserv.Fault{Delay: 500 * time.Millisecond})
+	e.faults[dpm1].Set("/slow", faults.Fault{Delay: 500 * time.Millisecond})
 
 	ctx := context.Background()
 	start := time.Now()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/obs"
 	"godavix/internal/rangev"
@@ -243,13 +244,13 @@ func TestRetryPolicyRetriesRetryableStatus(t *testing.T) {
 	})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("eventually"))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503, Remaining: 2})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503, Remaining: 2})
 
 	got, err := e.client.Get(context.Background(), dpm1, "/f")
 	if err != nil || string(got) != "eventually" {
 		t.Fatalf("get = %q err=%v", got, err)
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got != 3 {
+	if got := e.faults[dpm1].Requests("GET"); got != 3 {
 		t.Fatalf("server saw %d GETs, want 3 (two retries)", got)
 	}
 	if m := e.client.Metrics(); m.Retries != 2 {
@@ -270,14 +271,14 @@ func TestRetryPolicyBudgetExhausted(t *testing.T) {
 	})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("x"))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 	_, err := e.client.Get(context.Background(), dpm1, "/f")
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != 503 {
 		t.Fatalf("err = %v, want 503", err)
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got != 2 {
+	if got := e.faults[dpm1].Requests("GET"); got != 2 {
 		t.Fatalf("server saw %d GETs, want 2", got)
 	}
 }
@@ -288,12 +289,12 @@ func TestRetryPolicyDefaultNoRetry(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("x"))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503, Remaining: 1})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503, Remaining: 1})
 
 	if _, err := e.client.Get(context.Background(), dpm1, "/f"); err == nil {
 		t.Fatal("expected 503 to surface without retries")
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got != 1 {
+	if got := e.faults[dpm1].Requests("GET"); got != 1 {
 		t.Fatalf("server saw %d GETs, want 1 (no retry at default settings)", got)
 	}
 	if m := e.client.Metrics(); m.Retries != 0 {
@@ -344,7 +345,7 @@ func TestRetryBackoffSequence(t *testing.T) {
 	})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("x"))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 502, Remaining: 3})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 502, Remaining: 3})
 
 	if _, err := e.client.Get(context.Background(), dpm1, "/f"); err != nil {
 		t.Fatal(err)
@@ -548,7 +549,7 @@ func TestHealthScoreboardDemotesAndReprobes(t *testing.T) {
 	e.startServer(t, "fed:80", httpserv.Options{Metalinks: mlFor("http://dpm1:80/f", "http://dpm2:80/f")})
 
 	// The primary answers everything with 503 until further notice.
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -559,7 +560,7 @@ func TestHealthScoreboardDemotesAndReprobes(t *testing.T) {
 	}
 	// Reads 1-2 paid the sick primary and tripped the breaker; reads 3-5
 	// must not have touched it at all.
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got != 2 {
+	if got := e.faults[dpm1].Requests("GET"); got != 2 {
 		t.Fatalf("primary saw %d GETs, want 2 (demoted after threshold)", got)
 	}
 	if m := e.client.Metrics(); m.BreakerTrips != 1 {
@@ -568,14 +569,14 @@ func TestHealthScoreboardDemotesAndReprobes(t *testing.T) {
 
 	// The primary recovers; after the cooldown one half-open probe
 	// re-admits it.
-	e.srvs[dpm1].ClearFault("/f")
+	e.faults[dpm1].Clear("/f")
 	time.Sleep(60 * time.Millisecond)
 	for i := 0; i < 2; i++ {
 		if _, err := e.client.GetRange(ctx, dpm1, "/f", 0, 4); err != nil {
 			t.Fatalf("post-recovery read %d: %v", i, err)
 		}
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got != 4 {
+	if got := e.faults[dpm1].Requests("GET"); got != 4 {
 		t.Fatalf("primary saw %d GETs after recovery, want 4 (probe + closed breaker)", got)
 	}
 	if m := e.client.Metrics(); m.BreakerTrips != 1 {
@@ -596,7 +597,7 @@ func TestHealthScoreboardDisabled(t *testing.T) {
 	e.stores[dpm1].Put("/f", blob)
 	e.stores["dpm2:80"].Put("/f", blob)
 	e.startServer(t, "fed:80", httpserv.Options{Metalinks: mlFor("http://dpm2:80/f")})
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -604,7 +605,7 @@ func TestHealthScoreboardDisabled(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got != 5 {
+	if got := e.faults[dpm1].Requests("GET"); got != 5 {
 		t.Fatalf("primary saw %d GETs, want 5 (scoreboard disabled)", got)
 	}
 	if m := e.client.Metrics(); m.BreakerTrips != 0 {
@@ -649,7 +650,7 @@ func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 				Metalinks: mlFor("http://dpm1:80/f", "http://dpm2:80/f"),
 			})
 			// dpm1 rejects every data request.
-			e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+			e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 			var before int64
 			for i, want := range tc.gets {
@@ -660,7 +661,7 @@ func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 				if !bytes.Equal(got, blob) {
 					t.Fatalf("download %d: content mismatch", i+1)
 				}
-				now := e.srvs[dpm1].RequestsByMethod("GET")
+				now := e.faults[dpm1].Requests("GET")
 				if now-before != want {
 					t.Errorf("download %d: sick replica saw %d GETs, want %d", i+1, now-before, want)
 				}
@@ -752,14 +753,14 @@ func TestCancelDuringRingWalkReportsCancel(t *testing.T) {
 			},
 		},
 	}, bytes.Repeat([]byte("x"), 4096))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 	_, err := e.client.DownloadMultiStream(ctx, dpm1, "/f")
 	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrAllReplicasFailed) {
 		t.Fatalf("err = %v, want context.Canceled and not ErrAllReplicasFailed", err)
 	}
 	for _, r := range fedReplicas[1:] {
-		if gets := e.srvs[r].RequestsByMethod("GET"); gets != 0 {
+		if gets := e.faults[r].Requests("GET"); gets != 0 {
 			t.Fatalf("healthy replica %s saw %d GETs after the cancel, want 0", r, gets)
 		}
 	}
@@ -780,7 +781,7 @@ func TestBreakerSkippedPrimaryStillLastResort(t *testing.T) {
 
 	ctx := context.Background()
 	// Trip the breaker with one failing read.
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503, Remaining: 1})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503, Remaining: 1})
 	if _, err := e.client.GetRange(ctx, dpm1, "/f", 0, 4); err == nil {
 		t.Fatal("expected the tripping read to fail")
 	}

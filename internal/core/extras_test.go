@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"testing"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
 	"godavix/internal/rangev"
@@ -125,7 +126,7 @@ func TestRedirectWithoutLocationFails(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("x"))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: http.StatusFound})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: http.StatusFound})
 	_, err := e.client.Get(context.Background(), dpm1, "/f")
 	if err == nil {
 		t.Fatal("expected error for Location-less redirect")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
 )
@@ -17,7 +18,7 @@ func TestAbortedRequestFailsCleanly(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("x"))
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Abort: true, Remaining: 1})
+	e.faults[dpm1].Set("/f", faults.Fault{Abort: true, Remaining: 1})
 
 	_, err := e.client.Get(context.Background(), dpm1, "/f")
 	if err == nil {
@@ -40,7 +41,7 @@ func TestMidBodyTruncationDetected(t *testing.T) {
 		blob[i] = byte(i)
 	}
 	e.stores[dpm1].Put("/f", blob)
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{TruncateBody: 32 << 10, Remaining: 1})
+	e.faults[dpm1].Set("/f", faults.Fault{DropAfter: 32 << 10, Remaining: 1})
 
 	_, err := e.client.Get(context.Background(), dpm1, "/f")
 	if err == nil {
@@ -67,7 +68,7 @@ func TestMidBodyCutFailsOverToReplica(t *testing.T) {
 	e.startServer(t, "fed:80", httpserv.Options{Metalinks: mlFor("http://dpm2:80/f")})
 
 	// Primary always cuts transfers of /f halfway.
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{TruncateBody: 16 << 10})
+	e.faults[dpm1].Set("/f", faults.Fault{DropAfter: 16 << 10})
 
 	got, err := e.client.Get(context.Background(), dpm1, "/f")
 	if err != nil {
@@ -97,7 +98,7 @@ func TestFileReadRetriesThroughCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Abort: true})
+	e.faults[dpm1].Set("/f", faults.Fault{Abort: true})
 
 	buf := make([]byte, len(blob))
 	if _, err := io.ReadFull(io.NewSectionReader(readAtAdapter{f}, 0, f.Size()), buf); err != nil {
@@ -136,8 +137,8 @@ func TestMultiStreamCancelsSiblingsOnError(t *testing.T) {
 		Metalinks: func(string) *metalink.Metalink { return ml },
 	})
 	// The path fault shadows "*" until its one use is spent.
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 403, Remaining: 1})
-	e.srvs[dpm1].SetFault("*", httpserv.Fault{Delay: hold})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 403, Remaining: 1})
+	e.faults[dpm1].Set("*", faults.Fault{Delay: hold})
 
 	start := time.Now()
 	_, err := e.client.DownloadMultiStream(context.Background(), dpm1, "/f")
@@ -147,7 +148,7 @@ func TestMultiStreamCancelsSiblingsOnError(t *testing.T) {
 	if d := time.Since(start); d > hold/2 {
 		t.Fatalf("returned after %v: a cancelled sibling sat out the server's %v hold", d, hold)
 	}
-	if got := e.srvs[dpm1].RequestsByMethod("GET"); got > streams {
+	if got := e.faults[dpm1].Requests("GET"); got > streams {
 		t.Fatalf("server saw %d chunk GETs, want at most %d; siblings not cancelled", got, streams)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"godavix/internal/httpserv"
+	"godavix/internal/faults"
 	"godavix/internal/obs"
 )
 
@@ -104,7 +104,7 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	// abandoned, so a chunk whose ring primary is dpm2 completes only if
 	// its hedge wins, and the ctx deadline turns a missing hedge into a
 	// failure instead of a hang.
-	e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{Delay: time.Hour, Remaining: -1})
+	e.faults["dpm2:80"].Set("/f", faults.Fault{Delay: time.Hour, Remaining: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -143,7 +143,7 @@ func TestHedgeDisabledIssuesNone(t *testing.T) {
 		MaxStreams:   4,
 		HedgeDelay:   -1,
 	}, blob)
-	e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{Delay: 30 * time.Millisecond, Remaining: -1})
+	e.faults["dpm2:80"].Set("/f", faults.Fault{Delay: 30 * time.Millisecond, Remaining: -1})
 
 	got, err := e.client.DownloadMultiStream(context.Background(), "dpm1:80", "/f")
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/metalink"
 	"godavix/internal/obs"
@@ -33,7 +34,7 @@ func TestDownloadVerifiedCatchesCorruption(t *testing.T) {
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 47)
 	e.stores[dpm1].Put("/f", blob)
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{CorruptXOR: 0x01, CorruptAt: corruptAt})
+	e.faults[dpm1].Set("/f", faults.Fault{CorruptXOR: 0x01, CorruptAt: corruptAt})
 
 	w := &bufWriterAt{b: make([]byte, len(blob))}
 	_, err := e.client.DownloadMultiStreamTo(context.Background(), dpm1, "/f", w)
@@ -65,7 +66,7 @@ func TestDownloadUnverifiedMissesCorruption(t *testing.T) {
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 48)
 	e.stores[dpm1].Put("/f", blob)
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{CorruptXOR: 0x01, CorruptAt: 9000})
+	e.faults[dpm1].Set("/f", faults.Fault{CorruptXOR: 0x01, CorruptAt: 9000})
 
 	w := &bufWriterAt{b: make([]byte, len(blob))}
 	if _, err := e.client.DownloadMultiStreamTo(context.Background(), dpm1, "/f", w); err != nil {
@@ -254,7 +255,7 @@ func TestDownloadMultiStreamVerifiesWithoutMetalinkHash(t *testing.T) {
 		t.Fatalf("TransfersVerified = %d, want 1 (verified against the HEAD checksum)", v)
 	}
 
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{CorruptXOR: 0x01, CorruptAt: corruptAt})
+	e.faults[dpm1].Set("/f", faults.Fault{CorruptXOR: 0x01, CorruptAt: corruptAt})
 	_, err = e.client.DownloadMultiStream(ctx, dpm1, "/f")
 	var ce *ChecksumError
 	if !errors.Is(err, ErrChecksumMismatch) || !errors.As(err, &ce) {
@@ -342,7 +343,7 @@ func TestCorruptReplicaChunkFailsOver(t *testing.T) {
 					}}
 			}})
 			// Odd chunks start on the second replica; it corrupts chunk 1.
-			e.srvs["dpm2:80"].SetFault("/f", httpserv.Fault{CorruptXOR: 0x80, CorruptAt: chunk + 17})
+			e.faults["dpm2:80"].Set("/f", faults.Fault{CorruptXOR: 0x80, CorruptAt: chunk + 17})
 
 			w := &bufWriterAt{b: make([]byte, len(blob))}
 			n, err := e.client.DownloadMultiStreamTo(context.Background(), dpm1, "/f", w)
@@ -458,7 +459,7 @@ func TestAdlerOnlyPeerVerifies(t *testing.T) {
 			}
 
 			// Damaged: the download reads a flipped byte, an upload sends one.
-			e.srvs[dpm1].SetFault("/f", httpserv.Fault{CorruptXOR: 0x01, CorruptAt: 9000})
+			e.faults[dpm1].Set("/f", faults.Fault{CorruptXOR: 0x01, CorruptAt: 9000})
 			opts.Dialer = flipFirstBody(e.net)
 			if op.name == "DownloadMultiStreamTo" {
 				opts.Dialer = e.net

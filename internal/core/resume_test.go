@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"godavix/internal/digest"
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/obs"
 )
@@ -346,17 +347,17 @@ func TestDownloadResumeRefetchesOnlyMissing(t *testing.T) {
 			rand.New(rand.NewSource(tc.seed)).Read(blob)
 			rng := rand.New(rand.NewSource(tc.seed ^ 0x5eed))
 			e := replicaEnv(t, Options{}, blob)
-			fault := func(f httpserv.Fault) {
+			fault := func(f faults.Fault) {
 				rep := fedReplicas[rng.Intn(len(fedReplicas))]
 				if tc.faults {
-					e.srvs[rep].SetFault("/f", f)
+					e.faults[rep].Set("/f", f)
 				}
 			}
 			// Every row draws the whole schedule, so a row's seed alone
 			// fixes its interruption point.
-			fault(httpserv.Fault{CorruptXOR: 0x5a, CorruptAt: rng.Int63n(size), Remaining: 2 + rng.Intn(3)})
-			fault(httpserv.Fault{Status: 503, Remaining: 1 + rng.Intn(3)})
-			fault(httpserv.Fault{DropAfter: 1 + rng.Int63n(cs), Remaining: 1 + rng.Intn(2)})
+			fault(faults.Fault{CorruptXOR: 0x5a, CorruptAt: rng.Int63n(size), Remaining: 2 + rng.Intn(3)})
+			fault(faults.Fault{Status: 503, Remaining: 1 + rng.Intn(3)})
+			fault(faults.Fault{DropAfter: 1 + rng.Int63n(cs), Remaining: 1 + rng.Intn(2)})
 			cancelAfter := 3 + rng.Intn(5)
 
 			dst := filepath.Join(t.TempDir(), "f.dat")
@@ -401,7 +402,7 @@ func TestDownloadResumeRefetchesOnlyMissing(t *testing.T) {
 
 			// A fresh client carries nothing over but the sidecar and the
 			// partial file.
-			fault(httpserv.Fault{Status: 503, Remaining: 2})
+			fault(faults.Fault{Status: 503, Remaining: 2})
 			var log2 chunkLog
 			c2 := resumeClient(t, e, cs, tc.faults, log2.trace(obs.Down, 0, nil))
 			if _, err := c2.DownloadMultiStreamTo(context.Background(), "dpm1:80", "/f", f); err != nil {
@@ -537,7 +538,7 @@ func TestUploadResumeReattaches(t *testing.T) {
 			}
 
 			if tc.storm {
-				e.srvs[dpm1].SetFault("/up", httpserv.Fault{Status: 503, Remaining: 2})
+				e.faults[dpm1].Set("/up", faults.Fault{Status: 503, Remaining: 2})
 			}
 			var log2 chunkLog
 			c2 := resumeClient(t, e, cs, tc.storm, log2.trace(obs.Up, 0, nil))

@@ -133,11 +133,16 @@ func TestRetryAfterCapturedFromShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Park two requests in a delay fault: one holds the single in-flight
-	// slot, one fills the queue, so the probe below must be shed.
-	e.srvs[dpm1].SetFault("/slow", httpserv.Fault{Delay: 400 * time.Millisecond, Remaining: 2})
+	// Park two uploads whose bodies the test keeps open: one holds the
+	// single in-flight slot, one fills the queue, so the probe below must
+	// be shed.
 	for i := 0; i < 2; i++ {
-		go e.client.Get(ctx, dpm1, "/slow")
+		c, err := e.net.Dial(dpm1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		fmt.Fprintf(c, "PUT /slow-%d HTTP/1.1\r\nHost: %s\r\nContent-Length: 2\r\n\r\nx", i, dpm1)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for snapCounter(e.srvs[dpm1], "inflight")+snapCounter(e.srvs[dpm1], "admission_queue") < 2 {

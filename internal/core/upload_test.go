@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/netsim"
 	"godavix/internal/obs"
@@ -249,8 +250,8 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 	blob := uploadBlob(64<<8, 37) // 64 chunks
 	// Probe passes (After: 1), the next chunk PUT gets a non-retryable 403;
 	// the path fault shadows "*" until then.
-	e.srvs[dpm1].SetFault("/cancel", httpserv.Fault{Status: 403, After: 1, Remaining: 1})
-	e.srvs[dpm1].SetFault("*", httpserv.Fault{Delay: hold})
+	e.faults[dpm1].Set("/cancel", faults.Fault{Status: 403, After: 1, Remaining: 1})
+	e.faults[dpm1].Set("*", faults.Fault{Delay: hold})
 
 	start := time.Now()
 	err := e.client.UploadMultiStream(context.Background(), dpm1, "/cancel", bytes.NewReader(blob), int64(len(blob)))
@@ -267,12 +268,12 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 	// A PUT already on the wire when the error surfaced may still reach the
 	// server; once those have landed, no straggler may keep uploading.
 	time.Sleep(50 * time.Millisecond)
-	puts := e.srvs[dpm1].RequestsByMethod("PUT")
+	puts := e.faults[dpm1].Requests("PUT")
 	if puts > 1+streams {
 		t.Fatalf("server saw %d PUTs, want at most probe + %d; siblings not cancelled", puts, streams)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if now := e.srvs[dpm1].RequestsByMethod("PUT"); now != puts {
+	if now := e.faults[dpm1].Requests("PUT"); now != puts {
 		t.Fatalf("PUTs grew %d -> %d after the upload returned", puts, now)
 	}
 	if _, err := e.stores[dpm1].Stat("/cancel"); !errors.Is(err, storage.ErrNotFound) {
@@ -286,7 +287,7 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 func TestUploadCancelledNeverReportsSuccess(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: 2})
 	e.startServer(t, dpm1, httpserv.Options{})
-	e.srvs[dpm1].SetFault("*", httpserv.Fault{Delay: 5 * time.Millisecond})
+	e.faults[dpm1].Set("*", faults.Fault{Delay: 5 * time.Millisecond})
 
 	blob := uploadBlob(64<<8, 38) // 64 chunks x 5ms: plenty of time to cancel
 	ctx, cancel := context.WithCancel(context.Background())
@@ -509,7 +510,7 @@ func TestCopyStreamSourceFailover(t *testing.T) {
 	e.startServer(t, "fed:80", httpserv.Options{Metalinks: mlFor("http://dpm2:80/f")})
 
 	// The primary refuses every request for /f with a retryable 503.
-	e.srvs[dpm1].SetFault("/f", httpserv.Fault{Status: 503})
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
 
 	if err := e.client.CopyStream(context.Background(), dpm1, "/f", "http://dpm3:80/copy"); err != nil {
 		t.Fatalf("pull copy with dead primary: %v", err)
@@ -644,7 +645,7 @@ func TestUploadPhantomSuccessCaught(t *testing.T) {
 
 	// One non-probe chunk PUT is answered 202 by the fault layer without
 	// its bytes ever reaching the assembly.
-	e.srvs[dpm1].SetFault("/phantom", httpserv.Fault{Status: 202, After: 1, Remaining: 1})
+	e.faults[dpm1].Set("/phantom", faults.Fault{Status: 202, After: 1, Remaining: 1})
 
 	blob := uploadBlob(32<<10, 48)
 	err := e.client.UploadMultiStream(context.Background(), dpm1, "/phantom", bytes.NewReader(blob), int64(len(blob)))
@@ -660,7 +661,7 @@ func TestUploadPhantomSuccessCaught(t *testing.T) {
 	// comparison can tell the stale predecessor from the new content.
 	old := uploadBlob(32<<10, 49)
 	e.stores[dpm1].Put("/phantom2", old)
-	e.srvs[dpm1].SetFault("/phantom2", httpserv.Fault{Status: 202, After: 1, Remaining: 1})
+	e.faults[dpm1].Set("/phantom2", faults.Fault{Status: 202, After: 1, Remaining: 1})
 	err = e.client.UploadMultiStream(context.Background(), dpm1, "/phantom2", bytes.NewReader(blob), int64(len(blob)))
 	if err == nil {
 		t.Fatal("failed same-size overwrite reported success (checksum not compared)")

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/storage"
 )
@@ -396,7 +397,7 @@ func TestWalkSkipDirCancelsInFlight(t *testing.T) {
 	}
 	st.Put("/slow/zfile", []byte("z"))
 	// Slow every PROPFIND down so pruning lands while listings are queued.
-	e.srvs[dpm1].SetFault("*", httpserv.Fault{Delay: 2 * time.Millisecond})
+	e.faults[dpm1].Set("*", faults.Fault{Delay: 2 * time.Millisecond})
 
 	err := e.client.Walk(context.Background(), dpm1, "/slow", func(inf Info) error {
 		if inf.Path == "/slow/pruned" {
@@ -410,7 +411,7 @@ func TestWalkSkipDirCancelsInFlight(t *testing.T) {
 	// Serial semantics: /slow, /slow/pruned (pruned), /slow/zfile. The
 	// speculative engine may have started some of the 64 subtree listings
 	// before the prune, but must not run all of them to completion.
-	if pf := e.srvs[dpm1].RequestsByMethod("PROPFIND"); pf > 40 {
+	if pf := e.faults[dpm1].Requests("PROPFIND"); pf > 40 {
 		t.Fatalf("server saw %d PROPFINDs despite pruning a 64-dir subtree", pf)
 	}
 }

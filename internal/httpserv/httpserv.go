@@ -13,9 +13,8 @@
 // where ServeContent copied them through a reader, a per-response buffer
 // and, for multi-range, a pipe and a goroutine. ServeContent stays the
 // oracle: a differential table and FuzzRangeResponder hold serveBytes to
-// its status, headers and bytes. Knobs exist to disable keep-alive (to
-// measure the Figure-2 effect) and to inject faults (to exercise the §2.4
-// Metalink failover).
+// its status, headers and bytes. A knob disables keep-alive, to measure
+// the Figure-2 effect.
 package httpserv
 
 import (
@@ -102,53 +101,10 @@ type Copier interface {
 	Put(ctx context.Context, host, path string, data []byte) error
 }
 
-// Fault describes injected misbehaviour for a path ("*" matches all).
-type Fault struct {
-	// Status, when non-zero, is returned instead of serving the request.
-	Status int
-	// Delay is slept before handling (creates head-of-line blocking).
-	Delay time.Duration
-	// Abort, when true, kills the connection without writing a response
-	// (models a server crash mid-request).
-	Abort bool
-	// TruncateBody, when positive, serves only that many body bytes and
-	// then aborts the connection (models a transfer cut mid-stream).
-	TruncateBody int64
-	// CorruptXOR, when non-zero, serves GET responses from a copy of the
-	// object whose byte at offset CorruptAt has been XORed with it, while
-	// X-Checksum and Digest headers keep advertising the pristine content
-	// — models silent storage or wire corruption that only end-to-end
-	// integrity verification can catch.
-	CorruptXOR byte
-	// CorruptAt is the absolute object offset of the flipped byte.
-	CorruptAt int64
-	// DropAfter, when positive, kills the TCP connection after N body
-	// bytes have moved: a GET serves N payload bytes then aborts, a
-	// bodied request drains N upload bytes then aborts — a mid-transfer
-	// connection drop, not a status code.
-	DropAfter int64
-	// StallBody, when positive, pauses mid-body for that long: a GET
-	// writes half the payload, flushes, and goes silent before finishing;
-	// a bodied request stops draining the upload at the halfway point.
-	// Models a stalled server so client-side stall detection has a real
-	// adversary.
-	StallBody time.Duration
-	// Remaining, when positive, auto-expires the fault after that many
-	// requests; negative means unlimited.
-	Remaining int
-	// After, when positive, lets that many matching requests through
-	// unharmed before the fault starts firing — e.g. pass a multi-stream
-	// upload's probe chunk and fail a sibling.
-	After int
-}
-
 // Server is a DPM-like storage server.
 type Server struct {
 	store storage.Store
 	opts  Options
-
-	mu     sync.Mutex
-	faults map[string]*Fault
 
 	// partials assembles in-progress ranged (Content-Range) uploads, one
 	// per path and upload id (the client's X-Upload-Id keeps concurrent
@@ -264,7 +220,6 @@ func New(store storage.Store, opts Options) *Server {
 	s := &Server{
 		store:    store,
 		opts:     opts,
-		faults:   make(map[string]*Fault),
 		partials: make(map[partialKey]*partialUpload),
 		closeCh:  make(chan struct{}),
 	}
@@ -288,49 +243,6 @@ func (s *Server) partialTTLValue() time.Duration {
 		return s.opts.Limits.PartialTTL
 	}
 	return partialTTL
-}
-
-// SetFault installs (or replaces) a fault for path p ("*" = every path).
-func (s *Server) SetFault(p string, f Fault) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f.Remaining == 0 {
-		f.Remaining = -1
-	}
-	cp := f
-	s.faults[p] = &cp
-}
-
-// ClearFault removes the fault for p.
-func (s *Server) ClearFault(p string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.faults, p)
-}
-
-// takeFault fetches the active fault for p, consuming one use.
-func (s *Server) takeFault(p string) *Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, key := range []string{p, "*"} {
-		f, ok := s.faults[key]
-		if !ok {
-			continue
-		}
-		if f.After > 0 {
-			f.After--
-			return nil
-		}
-		if f.Remaining > 0 {
-			f.Remaining--
-			if f.Remaining == 0 {
-				delete(s.faults, key)
-			}
-		}
-		cp := *f
-		return &cp
-	}
-	return nil
 }
 
 // Requests reports the total number of requests served.
@@ -520,54 +432,6 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if f := s.takeFault(p); f != nil {
-		if f.Delay > 0 {
-			// The head-of-line delay honours cancellation: an abandoned
-			// client (or an expired request budget) releases the slot
-			// instead of pinning it for the full injected delay.
-			select {
-			case <-time.After(f.Delay):
-			case <-r.Context().Done():
-				panic(http.ErrAbortHandler)
-			}
-		}
-		if f.Abort {
-			panic(http.ErrAbortHandler)
-		}
-		if f.TruncateBody > 0 && r.Method == http.MethodGet {
-			s.serveTruncated(w, p, f.TruncateBody)
-			return
-		}
-		if f.DropAfter > 0 {
-			if r.Method == http.MethodGet {
-				// Downstream drop: serve DropAfter payload bytes, then cut.
-				s.serveTruncated(w, p, f.DropAfter)
-				return
-			}
-			// Upstream drop: drain DropAfter upload bytes, then cut the
-			// connection with no response at all.
-			io.CopyN(io.Discard, r.Body, f.DropAfter)
-			panic(http.ErrAbortHandler)
-		}
-		if f.StallBody > 0 {
-			if r.Method == http.MethodGet {
-				s.serveStalled(w, p, f.StallBody)
-				return
-			}
-			// Bodied request: stop draining at the halfway point for the
-			// stall, then continue normally — the client sees its upload
-			// freeze mid-body.
-			r.Body = &pauseBody{rc: r.Body, pause: f.StallBody, at: r.ContentLength / 2}
-		}
-		if f.CorruptXOR != 0 && r.Method == http.MethodGet {
-			s.serveCorrupt(w, r, p, f)
-			return
-		}
-		if f.Status != 0 {
-			http.Error(w, fmt.Sprintf("injected fault %d", f.Status), f.Status)
-			return
-		}
-	}
 	if s.opts.DisableKeepAlive {
 		w.Header().Set("Connection", "close")
 	}
@@ -641,25 +505,7 @@ func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, p string) {
 		writeStoreErr(w, err)
 		return
 	}
-	serveBytes(w, r, inf, data, data)
-}
-
-// serveCorrupt is the CorruptXOR fault: the body comes from a flipped copy
-// of the object while every integrity header (X-Checksum, Digest) keeps
-// describing the pristine content, so a verifying client must detect the
-// damage and a non-verifying one must not.
-func (s *Server) serveCorrupt(w http.ResponseWriter, r *http.Request, p string, f *Fault) {
-	data, inf, err := s.store.Get(p)
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	bad := make([]byte, len(data))
-	copy(bad, data)
-	if f.CorruptAt >= 0 && f.CorruptAt < int64(len(bad)) {
-		bad[f.CorruptAt] ^= f.CorruptXOR
-	}
-	serveBytes(w, r, inf, bad, data)
+	serveBytes(w, r, inf, data)
 }
 
 // span is one resolved byte range of an object: body[start:end].
@@ -744,10 +590,8 @@ var preconditionHeaders = [...]string{"If-Range", "If-Match", "If-None-Match", "
 // themselves: the Range header is resolved once, the headers are set from
 // that, and the body is written from body directly — whole, one range, or
 // multipart/byteranges framed like mime/multipart's — with no reader, pipe or
-// copy buffer in between. pristine is the true stored content, which the
-// Digest header describes; it differs from body only under a corruption
-// fault.
-func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body, pristine []byte) {
+// copy buffer in between.
+func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body []byte) {
 	h := w.Header()
 	h.Set("Accept-Ranges", "bytes")
 	h.Set("X-Checksum", inf.Checksum)
@@ -799,7 +643,7 @@ func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body, 
 		code, sp = http.StatusPartialContent, ranges[0]
 		h.Set("Content-Range", string(appendContentRange(make([]byte, 0, 64), sp, size)))
 	}
-	setDigestHeader(w, r, inf.Checksum, sp == span{0, size}, pristine[sp.start:sp.end])
+	setDigestHeader(w, r, inf.Checksum, sp == span{0, size}, body[sp.start:sp.end])
 	h.Set("Content-Length", strconv.FormatInt(sp.end-sp.start, 10))
 	w.WriteHeader(code)
 	if r.Method != http.MethodHead {
@@ -869,7 +713,7 @@ func serveMultipart(w http.ResponseWriter, r *http.Request, body []byte, ranges 
 }
 
 // setDigestHeader answers a Want-Digest request (RFC 3230 style, hex
-// values per the WLCG convention) with the digest of payload, the pristine
+// values per the WLCG convention) with the digest of payload, the stored
 // bytes of the one contiguous span this response carries, under the
 // algorithm the request negotiates. A whole object is answered from its
 // stored checksum when that is in the negotiated algorithm, without reading
@@ -1297,26 +1141,6 @@ func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, p string)
 	}
 }
 
-// serveTruncated declares the full object length but sends only n bytes
-// before killing the connection, so the client observes a mid-body cut.
-func (s *Server) serveTruncated(w http.ResponseWriter, p string, n int64) {
-	data, _, err := s.store.Get(p)
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	if n > int64(len(data)) {
-		n = int64(len(data))
-	}
-	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data[:n])
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	panic(http.ErrAbortHandler)
-}
-
 // localDest resolves a Destination header against this server: a path-only
 // Destination, or an absolute URL whose host (modulo default port) is this
 // server's own, names a local namespace path.
@@ -1404,51 +1228,6 @@ func (s *Server) serveMove(w http.ResponseWriter, r *http.Request, p string) {
 	}
 	w.WriteHeader(http.StatusCreated)
 }
-
-// serveStalled is the StallBody fault's GET side: declare the full length,
-// send half, flush, go silent for the stall, then finish. A client with
-// stall detection should cut the connection during the pause.
-func (s *Server) serveStalled(w http.ResponseWriter, p string, pause time.Duration) {
-	data, inf, err := s.store.Get(p)
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
-	w.Header().Set("X-Checksum", inf.Checksum)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	half := len(data) / 2
-	w.Write(data[:half])
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	time.Sleep(pause)
-	w.Write(data[half:])
-}
-
-// pauseBody is the StallBody fault's upload side: the server stops draining
-// the request body once at the configured byte mark, freezing the client's
-// upload mid-stream.
-type pauseBody struct {
-	rc     io.ReadCloser
-	pause  time.Duration
-	at     int64
-	n      int64
-	paused bool
-}
-
-func (b *pauseBody) Read(p []byte) (int, error) {
-	if !b.paused && b.n >= b.at {
-		b.paused = true
-		time.Sleep(b.pause)
-	}
-	n, err := b.rc.Read(p)
-	b.n += int64(n)
-	return n, err
-}
-
-func (b *pauseBody) Close() error { return b.rc.Close() }
 
 func writeStoreErr(w http.ResponseWriter, err error) {
 	switch {

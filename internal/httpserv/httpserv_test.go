@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"godavix/internal/metalink"
 	"godavix/internal/rangev"
@@ -302,55 +301,6 @@ func TestMetalinkNegotiation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing metalink status = %d", resp.StatusCode)
-	}
-}
-
-func TestFaultStatusInjection(t *testing.T) {
-	srv, ts, st := newTestServer(t, Options{})
-	st.Put("/f", []byte("x"))
-	srv.SetFault("/f", Fault{Status: http.StatusServiceUnavailable, Remaining: 2})
-
-	for i := 0; i < 2; i++ {
-		resp, _ := http.Get(ts.URL + "/f")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("request %d status = %d", i, resp.StatusCode)
-		}
-	}
-	// Fault expired after two uses.
-	resp, _ := http.Get(ts.URL + "/f")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status after fault expiry = %d", resp.StatusCode)
-	}
-}
-
-func TestFaultDelay(t *testing.T) {
-	srv, ts, st := newTestServer(t, Options{})
-	st.Put("/slow", []byte("x"))
-	srv.SetFault("/slow", Fault{Delay: 50 * time.Millisecond})
-	start := time.Now()
-	resp, _ := http.Get(ts.URL + "/slow")
-	resp.Body.Close()
-	if time.Since(start) < 50*time.Millisecond {
-		t.Fatal("delay fault not applied")
-	}
-}
-
-func TestWildcardFault(t *testing.T) {
-	srv, ts, st := newTestServer(t, Options{})
-	st.Put("/a", []byte("x"))
-	srv.SetFault("*", Fault{Status: 500, Remaining: 1})
-	resp, _ := http.Get(ts.URL + "/a")
-	resp.Body.Close()
-	if resp.StatusCode != 500 {
-		t.Fatalf("wildcard fault status = %d", resp.StatusCode)
-	}
-	srv.ClearFault("*")
-	resp, _ = http.Get(ts.URL + "/a")
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("after clear = %d", resp.StatusCode)
 	}
 }
 

@@ -128,7 +128,7 @@ func stdlibAnswer(method, rng string, data []byte, mod time.Time) *httptest.Resp
 
 func ourAnswer(method, rng string, data []byte, mod time.Time) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	serveBytes(rec, rangeRequest(method, rng), storage.Info{ModTime: mod, Checksum: "adler32:00000001"}, data, data)
+	serveBytes(rec, rangeRequest(method, rng), storage.Info{ModTime: mod, Checksum: "adler32:00000001"}, data)
 	return rec
 }
 
