@@ -149,7 +149,6 @@ func main() {
 		RequestTimeout:  *timeout,
 		MetalinkHost:    *metalinkHost,
 		Auth:            creds,
-		VerifyChecksums: *verify,
 		VerifyTransfers: *verify,
 		HedgeDelay:      *hedge,
 		Resume:          *resume,

@@ -30,8 +30,8 @@
 //     pooled-connection stale-recycle replays, redirect following with loop
 //     detection and cross-host credential hygiene, bounded retry with
 //     backoff (Options.Retry), Metalink replica failover, and a per-host
-//     health scoreboard that demotes flapping nodes and re-probes them
-//     (Options.HealthThreshold) — all observable via Client.Snapshot;
+//     health scoreboard that demotes a node after 3 consecutive failures
+//     and re-probes it after 2 s — all observable via Client.Snapshot;
 //   - self-healing transfers: hedged chunk reads race a straggling
 //     replica against the next-ranked one under a live-P99-derived (or
 //     fixed) latency budget (Options.HedgeDelay), and checkpointed resume
@@ -40,7 +40,7 @@
 //     (Options.Resume);
 //   - an observability plane: httptrace-style per-event hooks
 //     (Options.Trace), structured logging of every engine decision through
-//     log/slog (Options.Logger), a unified counter snapshot spanning
+//     log/slog (Trace: SlogTrace(l)), a unified counter snapshot spanning
 //     engine, cache and pool (Client.Snapshot), and zero-dependency
 //     exposition as Prometheus text (Client.MetricsHandler) or expvar JSON
 //     (Client.PublishExpvar).
@@ -98,10 +98,10 @@ var (
 	ErrNotFound = core.ErrNotFound
 	// ErrAllReplicasFailed reports an exhausted Metalink failover.
 	ErrAllReplicasFailed = core.ErrAllReplicasFailed
-	// ErrTooManyRedirects reports a redirect chain past MaxRedirects.
+	// ErrTooManyRedirects reports a redirect chain longer than 5 hops.
 	ErrTooManyRedirects = core.ErrTooManyRedirects
 	// ErrRedirectLoop reports a redirect cycle (A→B→A), detected on the
-	// first revisited target instead of burning the MaxRedirects budget.
+	// first revisited target instead of burning the redirect budget.
 	ErrRedirectLoop = core.ErrRedirectLoop
 )
 
@@ -124,6 +124,13 @@ type CacheStats = blockcache.Stats
 // ClientTrace is the httptrace-style hook set invoked at each engine
 // event; see Options.Trace. The zero value (or nil) observes nothing.
 type ClientTrace = obs.ClientTrace
+
+// SlogTrace(l) returns a ClientTrace that records every engine event on
+// the *slog.Logger l as a structured record: retries, failovers and
+// breaker trips at Warn, completed operations at Info, per-request and
+// per-chunk detail at Debug. Install it as Options.Trace; a nil l yields a
+// nil trace.
+var SlogTrace = obs.SlogTrace
 
 // Direction distinguishes download from upload chunk events.
 type Direction = obs.Direction

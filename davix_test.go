@@ -319,7 +319,7 @@ func TestPublicAuthAndChecksums(t *testing.T) {
 		Dialer:          n,
 		Strategy:        StrategyNone,
 		Auth:            &Credentials{Bearer: "tok"},
-		VerifyChecksums: true,
+		VerifyTransfers: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,8 +35,8 @@ func main() {
 	go server.Serve(l)
 
 	// davix client, with trace hooks subscribed: every wire request and any
-	// redirect/retry/failover prints as it happens. Set Options.Logger to a
-	// *slog.Logger instead (or as well) for structured log lines.
+	// redirect/retry/failover prints as it happens. Set Trace to
+	// davix.SlogTrace(logger) instead for structured log lines.
 	trace := &davix.ClientTrace{
 		Request: func(method, host, path string) {
 			fmt.Printf("TRACE  %s %s%s\n", method, host, path)

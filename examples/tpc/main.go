@@ -64,7 +64,7 @@ func main() {
 	client, err := davix.New(davix.Options{
 		Dialer:          fabric,
 		Auth:            &davix.Credentials{Bearer: "wlcg-demo-token"},
-		VerifyChecksums: true,
+		VerifyTransfers: true,
 		Strategy:        davix.StrategyNone,
 	})
 	if err != nil {

@@ -43,16 +43,12 @@ func (e *ChecksumError) Unwrap() error { return ErrChecksumMismatch }
 // verifyChecksum compares data against an "algo:hex" checksum string.
 // Malformed values (non-hex payload, wrong digest length) always fail — a
 // value that cannot be parsed must not pass verification. Unknown algorithms
-// fail with ErrChecksumUnsupported when strict (Options.VerifyTransfers) and
-// are skipped otherwise (the server may use one we do not implement).
-func verifyChecksum(data []byte, want, path string, strict bool) error {
+// fail with ErrChecksumUnsupported rather than being skipped.
+func verifyChecksum(data []byte, want, path string) error {
 	cs, err := digest.Parse(want)
 	if err != nil {
 		if errors.Is(err, digest.ErrUnsupported) {
-			if strict {
-				return fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
-			}
-			return nil
+			return fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
 		}
 		return fmt.Errorf("davix: %s: invalid checksum %q: %w", path, want, err)
 	}
@@ -75,5 +71,5 @@ func verifyChecksum(data []byte, want, path string, strict bool) error {
 // matched the server's.
 func (c *Client) verified(dir obs.Direction, path string, algo digest.Algo) {
 	c.metrics.transfersVerified.Add(1)
-	c.trace.EmitVerified(dir, path, string(algo))
+	c.opts.Trace.EmitVerified(dir, path, string(algo))
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"strings"
 	"time"
@@ -48,17 +47,10 @@ type Options struct {
 	// simulations); nil dials TCP via net.Dialer.
 	Dialer pool.Dialer
 
-	// MaxIdlePerHost bounds the pooled idle connections kept per host
-	// (default 64).
-	MaxIdlePerHost int
-
 	// MaxPerHost caps concurrent connections per host; 0 lets the pool
 	// grow with the level of concurrency, the paper's default behaviour.
+	// Idle connections are kept up to 64 per host, for 60 s each.
 	MaxPerHost int
-
-	// IdleTTL expires pooled idle connections older than this (default
-	// 60s).
-	IdleTTL time.Duration
 
 	// RequestTimeout bounds each individual request round trip (header
 	// received); 0 means no timeout beyond ctx.
@@ -111,30 +103,11 @@ type Options struct {
 	// ChunkSize is the multi-stream chunk granularity (default 1 MiB).
 	ChunkSize int64
 
-	// UserAgent is the User-Agent header sent on every request (default
-	// "godavix/1.0").
-	UserAgent string
-
-	// MaxRedirects bounds how many 3xx redirects a request follows
-	// (default 5). DPM-style storage systems redirect data operations
-	// from the head node to disk nodes.
-	MaxRedirects int
-
 	// Retry bounds the engine's retry-with-backoff layer for idempotent
 	// operations. The zero value (and any Attempts < 1) is normalized to
 	// Attempts=1: no retries. Attempts > 1 absorbs transient 5xx and
 	// transport failures with exponential backoff.
 	Retry RetryPolicy
-
-	// HealthThreshold is how many consecutive host-level failures demote
-	// a host on the per-host health scoreboard (breaker opens; replica
-	// rings then prefer other hosts until a half-open probe readmits it).
-	// 0 uses the default of 3; negative disables the scoreboard.
-	HealthThreshold int
-
-	// HealthProbeAfter is how long a demoted host stays skipped before a
-	// single half-open probe request is let through (default 2s).
-	HealthProbeAfter time.Duration
 
 	// Auth, when non-nil, attaches Bearer or Basic credentials to every
 	// request. They are not forwarded across a cross-host redirect.
@@ -144,15 +117,11 @@ type Options struct {
 	// davix's cloud-storage mode (paper §1: S3 REST APIs over HTTP).
 	S3 *s3.Credentials
 
-	// VerifyChecksums enables end-to-end integrity checking: full-object
-	// GETs are compared against the server's X-Checksum header, in
-	// whatever algorithm it names (crc32c from this repository's gateway,
-	// adler32 from DPM/dCache), and multi-stream downloads against the
-	// Metalink checksum.
-	VerifyChecksums bool
-
-	// VerifyTransfers enables inline end-to-end integrity for streaming
-	// transfers: tee'd incremental digests accumulate per chunk during
+	// VerifyTransfers enables end-to-end integrity checking. A
+	// full-object Get is compared against the server's X-Checksum header,
+	// in whatever algorithm it names (crc32c from this repository's
+	// gateway, adler32 from DPM/dCache). Streaming transfers verify
+	// inline: tee'd incremental digests accumulate per chunk during
 	// multi-stream uploads and downloads and combine into the whole-object
 	// value (adler32/crc32 combine math), verified against the server's
 	// Digest/Want-Digest headers or checksum property at zero extra reads.
@@ -216,16 +185,11 @@ type Options struct {
 	// once on a contiguous scan and after two equal strides on a sparse
 	// one, keeping that many predicted reads in flight as coalesced
 	// speculative requests, and makes File.PrefetchHint feed layout
-	// foreknowledge into it. 0 (the default) disables read-ahead. rootio's
-	// window pipeline over File.ReadVecAsyncCtx is sized by its own depth
-	// (NewTreeCacheDepth), not by this option.
+	// foreknowledge into it. At most 16 MiB of speculation is in flight at
+	// once, so it never starves demand reads. 0 (the default) disables
+	// read-ahead. rootio's window pipeline over File.ReadVecAsyncCtx is
+	// sized by its own depth (NewTreeCacheDepth), not by this option.
 	PrefetchDepth int
-
-	// PrefetchBudget bounds the speculative bytes the cache keeps in
-	// flight at once, so speculation never starves demand reads. 0 picks
-	// the default (16 MiB when PrefetchDepth > 0, unlimited otherwise);
-	// negative means explicitly unlimited.
-	PrefetchBudget int64
 
 	// StatTTL caches Stat/Open metadata — including negative 404 results —
 	// for this duration, absorbing stat storms (0 disables).
@@ -237,14 +201,8 @@ type Options struct {
 	// trips, cache hits and misses, and per-chunk progress of multi-stream
 	// transfers. Hooks run inline on hot paths and may fire concurrently,
 	// so they must be fast and thread-safe; an unset hook costs one nil
-	// check.
+	// check. obs.SlogTrace renders every event as a log/slog record.
 	Trace *obs.ClientTrace
-
-	// Logger, when non-nil, records every trace event as a structured
-	// log/slog record: engine decisions (retry, failover, breaker trip) at
-	// Warn, completed operations at Info, per-request and per-chunk detail
-	// at Debug. Composes with Trace: both observe every event.
-	Logger *slog.Logger
 }
 
 // Credentials carries request authentication. Exactly one mechanism
@@ -279,17 +237,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxRangesPerRequest <= 0 {
 		o.MaxRangesPerRequest = 256
 	}
-	if o.MaxRedirects <= 0 {
-		o.MaxRedirects = 5
-	}
 	if o.MaxStreams <= 0 {
 		o.MaxStreams = 4
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 1 << 20
-	}
-	if o.UserAgent == "" {
-		o.UserAgent = "godavix/1.0"
 	}
 	// Parallelism knobs: 0 already means "derive from the pool"; negative
 	// values have no meaning and collapse to the same derivation.
@@ -318,12 +270,6 @@ func (o Options) withDefaults() Options {
 	if o.PrefetchDepth < 0 {
 		o.PrefetchDepth = 0
 	}
-	if o.PrefetchBudget == 0 && o.PrefetchDepth > 0 {
-		o.PrefetchBudget = 16 << 20
-	}
-	if o.PrefetchBudget < 0 {
-		o.PrefetchBudget = 0
-	}
 	if o.StatTTL < 0 {
 		o.StatTTL = 0
 	}
@@ -341,16 +287,15 @@ func (o Options) withDefaults() Options {
 	if o.Retry.CapBackoff < o.Retry.BaseBackoff {
 		o.Retry.CapBackoff = o.Retry.BaseBackoff
 	}
-	// Health scoreboard: 0 = default threshold, negative = disabled
-	// (kept negative so NewClient knows to build a disabled board).
-	if o.HealthThreshold == 0 {
-		o.HealthThreshold = 3
-	}
-	if o.HealthProbeAfter <= 0 {
-		o.HealthProbeAfter = 2 * time.Second
-	}
 	return o
 }
+
+// userAgent is the User-Agent header stamped on every request.
+const userAgent = "godavix/1.0"
+
+// prefetchBudget bounds the speculative bytes the block cache's read-ahead
+// keeps in flight at once.
+const prefetchBudget = 16 << 20
 
 // Client executes HTTP I/O through a shared connection pool. It is safe
 // for concurrent use; the pool grows with the level of concurrency, which
@@ -361,9 +306,6 @@ type Client struct {
 
 	// metrics collects the client-wide counters behind Metrics().
 	metrics metrics
-	// trace is the merged Options.Trace + Options.Logger hook set (nil
-	// when neither is configured; every emit site is nil-safe).
-	trace *obs.ClientTrace
 	// health is the per-host scoreboard reordering replica rings.
 	health *healthBoard
 
@@ -379,17 +321,14 @@ type Client struct {
 func NewClient(opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	c := &Client{opts: opts}
-	c.trace = obs.Merge(opts.Trace, obs.SlogTrace(opts.Logger))
-	c.health = newHealthBoard(opts.HealthThreshold, opts.HealthProbeAfter)
-	c.health.trace = c.trace
+	c.health = newHealthBoard()
+	c.health.trace = opts.Trace
 	// Every connection counts its wire bytes into the client metrics. TLS,
 	// when configured, wraps OVER the counting layer so the counters see
 	// ciphertext — the bytes that actually crossed the wire.
 	c.pool = pool.New(countingDialer{d: opts.Dialer, m: &c.metrics}, pool.Options{
-		MaxIdlePerHost: opts.MaxIdlePerHost,
-		MaxPerHost:     opts.MaxPerHost,
-		IdleTTL:        opts.IdleTTL,
-		TLS:            opts.TLS,
+		MaxPerHost: opts.MaxPerHost,
+		TLS:        opts.TLS,
 	})
 	if opts.CacheSize > 0 {
 		bg, cancel := context.WithCancel(context.Background())
@@ -400,17 +339,17 @@ func NewClient(opts Options) (*Client, error) {
 			ReadAhead:      opts.PrefetchDepth,
 			Background:     bg,
 			FetchVec:       c.cacheFetchVec(),
-			PrefetchBudget: opts.PrefetchBudget,
+			PrefetchBudget: prefetchBudget,
 		}
 		cfg.OnPrefetchIssued = func(key string, spans int, bytes int64) {
 			c.metrics.prefetchIssued.Add(1)
 			c.metrics.prefetchBytes.Add(bytes)
-			c.trace.EmitPrefetchIssued(prettyKey(key), spans, bytes)
+			c.opts.Trace.EmitPrefetchIssued(prettyKey(key), spans, bytes)
 		}
 		cfg.OnPrefetchSettled = func(key string, bytes int64, err error) {
-			c.trace.EmitPrefetchSettled(prettyKey(key), bytes, err)
+			c.opts.Trace.EmitPrefetchSettled(prettyKey(key), bytes, err)
 		}
-		if tr := c.trace; tr != nil {
+		if tr := opts.Trace; tr != nil {
 			if tr.CacheHit != nil {
 				cfg.OnHit = func(key string, blocks int64) { tr.CacheHit(prettyKey(key), blocks) }
 			}
@@ -572,7 +511,7 @@ func (c *Client) doOnce(ctx context.Context, host string, spec reqSpec, req *wir
 		return nil, false, err
 	}
 	reused := conn.Uses() > 1
-	c.trace.EmitConnAcquired(host, reused)
+	c.opts.Trace.EmitConnAcquired(host, reused)
 	// Cancellation must reach a round trip blocked writing the request or
 	// awaiting response headers: connection I/O only honours deadlines, so
 	// a cancelled ctx (a settled hedge race, an abandoned transfer) would
@@ -618,7 +557,7 @@ func ctxExpired(ctx context.Context) bool {
 func (c *Client) roundTrip(ctx context.Context, conn *pool.Conn, spec reqSpec, req *wire.Request, authHost string) (resp *wire.Response, spent bool, err error) {
 	c.prepare(req, authHost)
 	c.metrics.requests.Add(1)
-	c.trace.EmitRequest(req.Method, req.Host, req.Path)
+	c.opts.Trace.EmitRequest(req.Method, req.Host, req.Path)
 	if spec.expect {
 		return c.sendExpecting(ctx, conn, req)
 	}
@@ -752,7 +691,7 @@ func (c *Client) prepare(req *wire.Request, authHost string) {
 		req.Header = wire.Header{}
 	}
 	if req.Header.Get("User-Agent") == "" {
-		req.Header.Set("User-Agent", c.opts.UserAgent)
+		req.Header.Set("User-Agent", userAgent)
 	}
 	if c.opts.Auth != nil && req.Host == authHost && req.Header.Get("Authorization") == "" {
 		req.Header.Set("Authorization", c.opts.Auth.header())

@@ -148,11 +148,11 @@ func (c *Client) exec(ctx context.Context, host, path string, spec reqSpec,
 	handle func(landed Replica, resp *Response) error) (err error) {
 
 	start := time.Now()
-	c.trace.EmitOpStart(spec.op, host, path)
+	c.opts.Trace.EmitOpStart(spec.op, host, path)
 	defer func() {
 		d := time.Since(start)
 		c.metrics.observe(spec.op, d)
-		c.trace.EmitOpDone(spec.op, host, path, d, err)
+		c.opts.Trace.EmitOpDone(spec.op, host, path, d, err)
 	}()
 	if spec.failover && c.opts.Strategy != StrategyNone {
 		return c.withFailover(ctx, host, path, func(r Replica) error {
@@ -185,7 +185,7 @@ func (c *Client) execAttempts(ctx context.Context, rep Replica, spec reqSpec,
 			return lastErr
 		}
 		c.metrics.retries.Add(1)
-		c.trace.EmitRetry(spec.op, rep.Host, attempt, err)
+		c.opts.Trace.EmitRetry(spec.op, rep.Host, attempt, err)
 		if err := sleepCtx(ctx, retryDelay(c.opts.Retry, attempt, err)); err != nil {
 			return lastErr
 		}
@@ -217,11 +217,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// maxRedirects bounds how many 3xx redirects a request follows.
+// DPM-style storage systems redirect data operations from the head node to
+// disk nodes.
+const maxRedirects = 5
+
 // hopKey identifies one redirect target for loop detection.
 type hopKey struct{ host, path string }
 
 // execHops is the redirect layer: it executes the request against rep,
-// following 3xx hops (when the spec allows) up to Options.MaxRedirects,
+// following 3xx hops (when the spec allows) up to maxRedirects,
 // failing fast on revisited (host, path) targets, and feeding the per-host
 // health scoreboard with every hop's outcome. DPM-style storage answers data
 // operations on the head node with a redirect to the disk node holding the
@@ -264,7 +269,7 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 		c.metrics.redirects.Add(1)
 		code := resp.StatusCode
 		loc := resp.Header.Get("Location")
-		c.trace.EmitRedirect(spec.op, host, loc)
+		c.opts.Trace.EmitRedirect(spec.op, host, loc)
 		// The request is about to be re-sent in full to the next target;
 		// charging this hop's exchange too would double-count its bytes.
 		resp.dropWire = true
@@ -284,8 +289,8 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 			return fmt.Errorf("%w: %s%s revisits %s%s", ErrRedirectLoop, host, path, h, p)
 		}
 		seen[hopKey{h, p}] = true
-		if hops++; hops > c.opts.MaxRedirects {
-			return fmt.Errorf("%w (> %d hops)", ErrTooManyRedirects, c.opts.MaxRedirects)
+		if hops++; hops > maxRedirects {
+			return fmt.Errorf("%w (> %d hops)", ErrTooManyRedirects, maxRedirects)
 		}
 		host, path = h, p
 	}
@@ -317,7 +322,7 @@ func (c *Client) doHop(ctx context.Context, spec reqSpec, originHost, host, path
 		}
 		// The replay is about to happen; count it only now.
 		c.metrics.retries.Add(1)
-		c.trace.EmitRetry(spec.op, host, 1, err)
+		c.opts.Trace.EmitRetry(spec.op, host, 1, err)
 	}
 }
 
@@ -399,6 +404,11 @@ func (c *Client) withFailover(ctx context.Context, host, path string, op func(Re
 			// exists: the primary is still the only candidate.
 			return op(primary)
 		}
+		if err := ctx.Err(); err != nil {
+			// The cancel cut the Metalink lookup short: report it, not
+			// the primary's failure alone.
+			return errors.Join(err, firstErr)
+		}
 		return firstErr
 	}
 	tried := map[Replica]bool{primary: true}
@@ -425,7 +435,7 @@ func (c *Client) withFailover(ctx context.Context, host, path string, op func(Re
 			return ctx.Err()
 		}
 		c.metrics.failovers.Add(1)
-		c.trace.EmitFailover(host, rep.Host, firstErr)
+		c.opts.Trace.EmitFailover(host, rep.Host, firstErr)
 		err := op(rep)
 		if err == nil || !replicaUnavailable(err) {
 			return err
@@ -473,13 +483,13 @@ type hostHealth struct {
 }
 
 // healthBoard tracks per-host availability across the whole client:
-// HealthThreshold consecutive failures demote a host (breaker opens,
-// BreakerTrips increments); after HealthProbeAfter one probe request is let
+// threshold consecutive failures demote a host (breaker opens,
+// BreakerTrips increments); after probeAfter one probe request is let
 // through (half-open) — its success restores the host, its failure re-arms
 // the cooldown. Replica rings are ordered healthy-first so one dead disk
 // node stops costing every chunk a timeout.
 type healthBoard struct {
-	threshold  int // <= 0 disables the scoreboard entirely
+	threshold  int
 	probeAfter time.Duration
 	// trace receives BreakerTrip events (nil-safe; set by NewClient).
 	trace *obs.ClientTrace
@@ -491,8 +501,10 @@ type healthBoard struct {
 	open atomic.Int32
 }
 
-func newHealthBoard(threshold int, probeAfter time.Duration) *healthBoard {
-	return &healthBoard{threshold: threshold, probeAfter: probeAfter, hosts: map[string]*hostHealth{}}
+// newHealthBoard builds a board that demotes a host after 3 consecutive
+// failures and probes it again after 2 s.
+func newHealthBoard() *healthBoard {
+	return &healthBoard{threshold: 3, probeAfter: 2 * time.Second, hosts: map[string]*hostHealth{}}
 }
 
 // get returns host's entry, creating it on first sight.
@@ -514,9 +526,6 @@ func (b *healthBoard) get(host string) *hostHealth {
 
 // ok records a successful (or semantically-answered) request to host.
 func (b *healthBoard) ok(host string) {
-	if b.threshold <= 0 {
-		return
-	}
 	h := b.get(host)
 	h.fails.Store(0)
 	h.probing.Store(false)
@@ -528,9 +537,6 @@ func (b *healthBoard) ok(host string) {
 // fail records a host-level failure, demoting the host once the
 // consecutive-failure threshold is reached.
 func (b *healthBoard) fail(host string, m *metrics) {
-	if b.threshold <= 0 {
-		return
-	}
 	h := b.get(host)
 	now := time.Now().UnixNano()
 	if h.state.Load() == hostOpen {
@@ -552,17 +558,11 @@ func (b *healthBoard) fail(host string, m *metrics) {
 // release clears the probe gate without recording an outcome (caller
 // cancellation: no evidence either way).
 func (b *healthBoard) release(host string) {
-	if b.threshold <= 0 {
-		return
-	}
 	b.get(host).probing.Store(false)
 }
 
 // healthy reports whether host's breaker is closed (ordering decisions).
 func (b *healthBoard) healthy(host string) bool {
-	if b.threshold <= 0 {
-		return true
-	}
 	return b.get(host).state.Load() == hostClosed
 }
 
@@ -571,9 +571,6 @@ func (b *healthBoard) healthy(host string) bool {
 // half-open probe. Callers that acquire must issue the request, so the
 // outcome (ok/fail/release) re-opens the gate.
 func (b *healthBoard) acquire(host string) bool {
-	if b.threshold <= 0 {
-		return true
-	}
 	h := b.get(host)
 	if h.state.Load() == hostClosed {
 		return true
@@ -590,7 +587,7 @@ func (b *healthBoard) acquire(host string) bool {
 // a breaker flipping mid-sort must not hand the comparator inconsistent
 // answers (and the board lookup is paid O(hosts), not O(n log n)).
 func (b *healthBoard) order(reps []Replica) []Replica {
-	if b.threshold <= 0 || b.open.Load() == 0 || len(reps) < 2 {
+	if b.open.Load() == 0 || len(reps) < 2 {
 		return reps
 	}
 	healthy := make(map[string]bool, len(reps))

@@ -85,11 +85,11 @@ func seed(e *testEnv, op, host, path string, body []byte) {
 }
 
 // TestRedirectCycleAcrossHosts: an A→B→A 302 cycle must fail fast with
-// ErrRedirectLoop — one request per distinct target, not MaxRedirects hops.
+// ErrRedirectLoop — one request per distinct target, not the whole hop cap.
 func TestRedirectCycleAcrossHosts(t *testing.T) {
 	for _, op := range redirectOps {
 		t.Run(op.label, func(t *testing.T) {
-			e, log := opEnv(t, Options{Strategy: StrategyNone, MaxRedirects: 10})
+			e, log := opEnv(t, Options{Strategy: StrategyNone})
 			startHeadNode(t, e, "a:80", "b:80")
 			startHeadNode(t, e, "b:80", "a:80")
 
@@ -370,24 +370,21 @@ func TestOptionsNormalization(t *testing.T) {
 		check func(t *testing.T, o Options)
 	}{
 		{"zero value gets documented defaults", Options{}, func(t *testing.T, o Options) {
-			if o.MaxRangesPerRequest != 256 || o.MaxRedirects != 5 || o.MaxStreams != 4 {
-				t.Errorf("defaults = ranges %d redirects %d streams %d", o.MaxRangesPerRequest, o.MaxRedirects, o.MaxStreams)
+			if o.MaxRangesPerRequest != 256 || o.MaxStreams != 4 {
+				t.Errorf("defaults = ranges %d streams %d", o.MaxRangesPerRequest, o.MaxStreams)
 			}
-			if o.ChunkSize != 1<<20 || o.UserAgent != "godavix/1.0" {
-				t.Errorf("chunk %d ua %q", o.ChunkSize, o.UserAgent)
+			if o.ChunkSize != 1<<20 {
+				t.Errorf("chunk %d", o.ChunkSize)
 			}
 			if o.Retry.Attempts != 1 {
 				t.Errorf("Retry.Attempts = %d, want 1 (no retries)", o.Retry.Attempts)
 			}
-			if o.HealthThreshold != 3 || o.HealthProbeAfter != 2*time.Second {
-				t.Errorf("health = %d/%v", o.HealthThreshold, o.HealthProbeAfter)
-			}
 		}},
 		{"negative sizes and counts collapse to defaults", Options{
-			MaxRangesPerRequest: -7, MaxRedirects: -1, MaxStreams: -2, ChunkSize: -64,
+			MaxRangesPerRequest: -7, MaxStreams: -2, ChunkSize: -64,
 			CoalesceGap: -5, RequestTimeout: -time.Second,
 		}, func(t *testing.T, o Options) {
-			if o.MaxRangesPerRequest != 256 || o.MaxRedirects != 5 || o.MaxStreams != 4 || o.ChunkSize != 1<<20 {
+			if o.MaxRangesPerRequest != 256 || o.MaxStreams != 4 || o.ChunkSize != 1<<20 {
 				t.Errorf("negatives not normalized: %+v", o)
 			}
 			if o.CoalesceGap != 0 || o.RequestTimeout != 0 {
@@ -420,13 +417,6 @@ func TestOptionsNormalization(t *testing.T) {
 		}, func(t *testing.T, o Options) {
 			if o.Retry.CapBackoff != time.Second {
 				t.Errorf("cap = %v, want raised to base", o.Retry.CapBackoff)
-			}
-		}},
-		{"negative health threshold stays disabled", Options{
-			HealthThreshold: -1,
-		}, func(t *testing.T, o Options) {
-			if o.HealthThreshold != -1 {
-				t.Errorf("threshold = %d, want -1 (disabled)", o.HealthThreshold)
 			}
 		}},
 	}
@@ -533,14 +523,11 @@ func TestMetricsConcurrentSnapshots(t *testing.T) {
 }
 
 // TestHealthScoreboardDemotesAndReprobes: a flapping replica is demoted
-// after HealthThreshold consecutive failures (ops stop paying its latency),
-// then re-admitted by a half-open probe once it recovers.
+// after the board's threshold of consecutive failures (ops stop paying its
+// latency), then re-admitted by a half-open probe once it recovers.
 func TestHealthScoreboardDemotesAndReprobes(t *testing.T) {
-	e := newEnv(t, Options{
-		MetalinkHost:     "fed:80",
-		HealthThreshold:  2,
-		HealthProbeAfter: 50 * time.Millisecond,
-	})
+	e := newEnv(t, Options{MetalinkHost: "fed:80"})
+	e.client.health.threshold, e.client.health.probeAfter = 2, 50*time.Millisecond
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 	blob := []byte("replicated")
@@ -584,101 +571,55 @@ func TestHealthScoreboardDemotesAndReprobes(t *testing.T) {
 	}
 }
 
-// TestHealthScoreboardDisabled: HealthThreshold < 0 keeps the seed
-// behaviour — every operation pays the sick primary, nothing ever trips.
-func TestHealthScoreboardDisabled(t *testing.T) {
-	e := newEnv(t, Options{
-		MetalinkHost:    "fed:80",
-		HealthThreshold: -1,
-	})
-	e.startServer(t, dpm1, httpserv.Options{})
-	e.startServer(t, "dpm2:80", httpserv.Options{})
-	blob := []byte("replicated")
-	e.stores[dpm1].Put("/f", blob)
-	e.stores["dpm2:80"].Put("/f", blob)
-	e.startServer(t, "fed:80", httpserv.Options{Metalinks: mlFor("http://dpm2:80/f")})
-	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
-
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := e.client.GetRange(ctx, dpm1, "/f", 0, 4); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	if got := e.faults[dpm1].Requests("GET"); got != 5 {
-		t.Fatalf("primary saw %d GETs, want 5 (scoreboard disabled)", got)
-	}
-	if m := e.client.Metrics(); m.BreakerTrips != 0 {
-		t.Fatalf("BreakerTrips = %d, want 0", m.BreakerTrips)
-	}
-}
-
 // TestChunkRingSkipsDemotedReplica: multi-stream downloads across a sick
 // replica send it no chunk once the scoreboard demotes it — one dead disk
 // node must not cost every chunk a failed round trip. The first download's
 // size probe (a HEAD and its PROPFIND fallback) trips the breaker before
 // any chunk; the second download, whose chunk reads have armed the auto
 // hedge budget, must send the demoted replica nothing either, through the
-// serial ring walk or the hedged path. With the scoreboard off, every
-// chunk whose ring slot is the sick replica asks it once, per download.
+// serial ring walk or the hedged path.
 func TestChunkRingSkipsDemotedReplica(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		threshold int
-		hedge     time.Duration
-		gets      [2]int64 // GETs to the sick replica, per download
-		trips     int64
-	}{
-		{"scoreboard", 2, 0, [2]int64{0, 0}, 1},
-		{"scoreboard_off", -1, -1, [2]int64{32, 32}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t, Options{
-				MetalinkHost:     "fed:80",
-				ChunkSize:        512,
-				MaxStreams:       2,
-				HealthThreshold:  tc.threshold,
-				HealthProbeAfter: time.Minute,
-				HedgeDelay:       tc.hedge,
-			})
-			blob := bytes.Repeat([]byte("chunky!!"), 4<<10) // 32 KiB -> 64 chunks
-			for _, r := range []string{"dpm1:80", "dpm2:80"} {
-				e.startServer(t, r, httpserv.Options{})
-				e.stores[r].Put("/f", blob)
-			}
-			e.startServer(t, "fed:80", httpserv.Options{
-				Metalinks: mlFor("http://dpm1:80/f", "http://dpm2:80/f"),
-			})
-			// dpm1 rejects every data request.
-			e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
-
-			var before int64
-			for i, want := range tc.gets {
-				got, err := e.client.DownloadMultiStream(context.Background(), dpm1, "/f")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, blob) {
-					t.Fatalf("download %d: content mismatch", i+1)
-				}
-				now := e.faults[dpm1].Requests("GET")
-				if now-before != want {
-					t.Errorf("download %d: sick replica saw %d GETs, want %d", i+1, now-before, want)
-				}
-				before = now
-			}
-			if trips := e.client.Metrics().BreakerTrips; trips != tc.trips {
-				t.Errorf("BreakerTrips = %d, want %d", trips, tc.trips)
-			}
+	t.Run("scoreboard", func(t *testing.T) {
+		e := newEnv(t, Options{
+			MetalinkHost: "fed:80",
+			ChunkSize:    512,
+			MaxStreams:   2,
 		})
-	}
+		e.client.health.threshold, e.client.health.probeAfter = 2, time.Minute
+		blob := bytes.Repeat([]byte("chunky!!"), 4<<10) // 32 KiB -> 64 chunks
+		for _, r := range []string{"dpm1:80", "dpm2:80"} {
+			e.startServer(t, r, httpserv.Options{})
+			e.stores[r].Put("/f", blob)
+		}
+		e.startServer(t, "fed:80", httpserv.Options{
+			Metalinks: mlFor("http://dpm1:80/f", "http://dpm2:80/f"),
+		})
+		// dpm1 rejects every data request.
+		e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
+
+		for i := 1; i <= 2; i++ {
+			got, err := e.client.DownloadMultiStream(context.Background(), dpm1, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, blob) {
+				t.Fatalf("download %d: content mismatch", i)
+			}
+			if gets := e.faults[dpm1].Requests("GET"); gets != 0 {
+				t.Errorf("download %d: sick replica saw %d GETs, want 0", i, gets)
+			}
+		}
+		if trips := e.client.Metrics().BreakerTrips; trips != 1 {
+			t.Errorf("BreakerTrips = %d, want 1", trips)
+		}
+	})
 }
 
 // TestHealthyEngineIsWireIdentical: with every replica healthy, the retry
-// budget and the health scoreboard are pure bookkeeping. A client with
-// both on and one with both off put the same requests on the wire — per
-// server and method — and move the same bytes, over repeated vectored
-// reads and multi-stream downloads across three replicas.
+// budget is pure bookkeeping. A client with retries on and one with them
+// off put the same requests on the wire — per server and method — and
+// move the same bytes, over repeated vectored reads and multi-stream
+// downloads across three replicas.
 func TestHealthyEngineIsWireIdentical(t *testing.T) {
 	const size, k = 2 << 20, 64
 	blob := make([]byte, size)
@@ -688,14 +629,13 @@ func TestHealthyEngineIsWireIdentical(t *testing.T) {
 	for i := range ranges {
 		ranges[i] = rangev.Range{Off: rng.Int63n(size - 512), Len: 512}
 	}
-	run := func(retry RetryPolicy, threshold int) string {
+	run := func(retry RetryPolicy) string {
 		e := replicaEnv(t, Options{
-			MetalinkHost:    "fed:80",
-			ChunkSize:       128 << 10,
-			MaxStreams:      4,
-			HedgeDelay:      -1,
-			Retry:           retry,
-			HealthThreshold: threshold,
+			MetalinkHost: "fed:80",
+			ChunkSize:    128 << 10,
+			MaxStreams:   4,
+			HedgeDelay:   -1,
+			Retry:        retry,
 		}, blob)
 		ctx := context.Background()
 		dsts := make([][]byte, k)
@@ -726,11 +666,11 @@ func TestHealthyEngineIsWireIdentical(t *testing.T) {
 		fmt.Fprintf(&b, "client requests=%d bytes_up=%d bytes_down=%d", m.Requests, m.BytesUp, m.BytesDown)
 		return b.String()
 	}
-	resilient := run(RetryPolicy{Attempts: 3}, 0)
-	stripped := run(RetryPolicy{Attempts: 1}, -1)
+	resilient := run(RetryPolicy{Attempts: 3})
+	stripped := run(RetryPolicy{Attempts: 1})
 	t.Logf("wire:\n%s", resilient)
 	if resilient != stripped {
-		t.Fatalf("retry budget and scoreboard changed the healthy wire:\n--- on\n%s\n--- off\n%s", resilient, stripped)
+		t.Fatalf("retry budget changed the healthy wire:\n--- on\n%s\n--- off\n%s", resilient, stripped)
 	}
 }
 
@@ -766,15 +706,43 @@ func TestCancelDuringRingWalkReportsCancel(t *testing.T) {
 	}
 }
 
+// TestCancelDuringFailoverReportsCancel: a read cancelled while its
+// failover asks the federation for replicas reports the cancellation, not
+// the primary's 503 alone — the lookup never finished, so no replica was
+// ever tried.
+func TestCancelDuringFailoverReportsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := replicaEnv(t, Options{
+		MetalinkHost: "fed:80",
+		Trace: &obs.ClientTrace{
+			Request: func(method, host, path string) {
+				if host == "fed:80" {
+					cancel() // as the metalink request is written
+				}
+			},
+		},
+	}, []byte("replicated"))
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 503})
+
+	_, err := e.client.GetRange(ctx, dpm1, "/f", 0, 4)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for _, r := range fedReplicas[1:] {
+		if gets := e.faults[r].Requests("GET"); gets != 0 {
+			t.Fatalf("replica %s saw %d GETs after the cancel, want 0", r, gets)
+		}
+	}
+}
+
 // TestBreakerSkippedPrimaryStillLastResort: when the breaker has demoted
 // the primary and no other replica can serve, the engine must still try
 // the primary rather than fail outright.
 func TestBreakerSkippedPrimaryStillLastResort(t *testing.T) {
-	e := newEnv(t, Options{
-		MetalinkHost:     "fed:80",
-		HealthThreshold:  1,
-		HealthProbeAfter: time.Hour, // no half-open window during the test
-	})
+	e := newEnv(t, Options{MetalinkHost: "fed:80"})
+	// No half-open window during the test.
+	e.client.health.threshold, e.client.health.probeAfter = 1, time.Hour
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", []byte("solo"))
 	e.startServer(t, "fed:80", httpserv.Options{Metalinks: mlFor("http://dpm1:80/f")})
@@ -796,7 +764,8 @@ func TestBreakerSkippedPrimaryStillLastResort(t *testing.T) {
 // TestMetalinkReplicaOrderPrefersHealthy: order() moves demoted hosts
 // behind healthy ones without dropping or reordering within a class.
 func TestMetalinkReplicaOrderPrefersHealthy(t *testing.T) {
-	b := newHealthBoard(1, time.Hour)
+	b := newHealthBoard()
+	b.threshold, b.probeAfter = 1, time.Hour
 	var m metrics
 	b.fail("b:80", &m)
 	reps := []Replica{{Host: "a:80", Path: "/f"}, {Host: "b:80", Path: "/f"}, {Host: "c:80", Path: "/f"}}

@@ -79,13 +79,12 @@ func retryableStatus(code int) bool {
 // replica listed in the Metalink.
 var ErrAllReplicasFailed = errors.New("davix: all replicas failed")
 
-// ErrTooManyRedirects is returned when a redirect chain exceeds
-// Options.MaxRedirects.
+// ErrTooManyRedirects is returned when a redirect chain exceeds 5 hops.
 var ErrTooManyRedirects = errors.New("davix: too many redirects")
 
 // ErrRedirectLoop is returned when a redirect chain revisits a target it
 // already passed through (A→B→A): the cycle would burn the whole
-// MaxRedirects budget without ever terminating, so the engine fails fast.
+// redirect budget without ever terminating, so the engine fails fast.
 var ErrRedirectLoop = errors.New("davix: redirect loop")
 
 // ErrFileClosed is returned by File operations after Close, and by a

@@ -87,8 +87,8 @@ func TestRedirectFollowedForPutAndRanges(t *testing.T) {
 }
 
 // TestRedirectLoopDetected: a head node redirecting to itself is caught on
-// the first revisit, not after burning the whole MaxRedirects budget; a
-// chain of distinct hops longer than MaxRedirects is cut at the cap.
+// the first revisit, not after burning the whole redirect budget; a chain
+// of distinct hops longer than the 5-hop cap is cut at the cap.
 func TestRedirectLoopDetected(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -97,13 +97,13 @@ func TestRedirectLoopDetected(t *testing.T) {
 		saw   map[string]int64 // requests each head node served
 	}{
 		{"self loop", [][2]string{{"loop:80", "loop:80"}}, ErrRedirectLoop, map[string]int64{"loop:80": 1}},
-		{"hop cap", [][2]string{{"a:80", "b:80"}, {"b:80", "c:80"}, {"c:80", "d:80"}, {"d:80", "e:80"}},
-			ErrTooManyRedirects, map[string]int64{"a:80": 1, "b:80": 1, "c:80": 1, "d:80": 1}},
+		{"hop cap", [][2]string{{"a:80", "b:80"}, {"b:80", "c:80"}, {"c:80", "d:80"}, {"d:80", "e:80"}, {"e:80", "f:80"}, {"f:80", "g:80"}},
+			ErrTooManyRedirects, map[string]int64{"a:80": 1, "b:80": 1, "c:80": 1, "d:80": 1, "e:80": 1, "f:80": 1}},
 	}
 	for _, tc := range cases {
 		for _, op := range redirectOps {
 			t.Run(tc.name+"/"+op.label, func(t *testing.T) {
-				e, log := opEnv(t, Options{Strategy: StrategyNone, MaxRedirects: 3})
+				e, log := opEnv(t, Options{Strategy: StrategyNone})
 				for _, n := range tc.nodes {
 					startHeadNode(t, e, n[0], n[1])
 				}
@@ -178,7 +178,7 @@ func TestBasicAuth(t *testing.T) {
 }
 
 func TestChecksumVerification(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, VerifyChecksums: true})
+	e := newEnv(t, Options{Strategy: StrategyNone, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := []byte("verified payload")
 	e.stores[dpm1].Put("/f", blob)
@@ -193,31 +193,28 @@ func TestChecksumVerification(t *testing.T) {
 	// Simulate by serving through a raw handler is heavy; instead verify
 	// the checker directly and via a corrupted store entry with a stale
 	// checksum header captured from the original object.
-	if err := verifyChecksum(blob, storage.Checksum(blob), "/f", false); err != nil {
+	if err := verifyChecksum(blob, storage.Checksum(blob), "/f"); err != nil {
 		t.Fatalf("matching checksum rejected: %v", err)
 	}
-	if err := verifyChecksum([]byte("tampered!"), storage.Checksum(blob), "/f", false); !errors.Is(err, ErrChecksumMismatch) {
+	if err := verifyChecksum([]byte("tampered!"), storage.Checksum(blob), "/f"); !errors.Is(err, ErrChecksumMismatch) {
 		t.Fatalf("mismatch not detected: %v", err)
 	}
-	// Unknown algorithms are skipped opportunistically but fail strict mode.
-	if err := verifyChecksum(blob, "sha256:00", "/f", false); err != nil {
-		t.Fatalf("unknown algo rejected in lax mode: %v", err)
+	// Unknown algorithms fail rather than being skipped.
+	if err := verifyChecksum(blob, "sha256:00", "/f"); !errors.Is(err, ErrChecksumUnsupported) {
+		t.Fatalf("unknown algo: got %v, want ErrChecksumUnsupported", err)
 	}
-	if err := verifyChecksum(blob, "sha256:00", "/f", true); !errors.Is(err, ErrChecksumUnsupported) {
-		t.Fatalf("unknown algo in strict mode: got %v, want ErrChecksumUnsupported", err)
-	}
-	// Malformed values must never pass verification, strict or not.
-	if err := verifyChecksum(blob, "garbage-no-colon", "/f", false); err == nil {
+	// Malformed values must never pass verification.
+	if err := verifyChecksum(blob, "garbage-no-colon", "/f"); err == nil {
 		t.Fatal("malformed (no colon) accepted")
 	}
-	if err := verifyChecksum(blob, "md5:abcdef", "/f", false); err == nil {
+	if err := verifyChecksum(blob, "md5:abcdef", "/f"); err == nil {
 		t.Fatal("wrong-length md5 accepted")
 	}
-	if err := verifyChecksum(blob, "adler32:zzzzzzzz", "/f", false); err == nil {
+	if err := verifyChecksum(blob, "adler32:zzzzzzzz", "/f"); err == nil {
 		t.Fatal("non-hex adler32 accepted")
 	}
 	// The mismatch error names the offending byte span.
-	err = verifyChecksum([]byte("tampered!"), storage.Checksum(blob), "/f", false)
+	err = verifyChecksum([]byte("tampered!"), storage.Checksum(blob), "/f")
 	var ce *ChecksumError
 	if !errors.As(err, &ce) || ce.Length != int64(len("tampered!")) {
 		t.Fatalf("mismatch error lacks span: %v", err)

@@ -260,7 +260,7 @@ func (f *File) ReadVecAsyncCtx(ctx context.Context, ranges []rangev.Range, dsts 
 	}
 	f.client.metrics.prefetchIssued.Add(1)
 	f.client.metrics.prefetchBytes.Add(total)
-	f.client.trace.EmitPrefetchIssued(f.path, len(ranges), total)
+	f.client.opts.Trace.EmitPrefetchIssued(f.path, len(ranges), total)
 	go func() {
 		inner, cancel := context.WithCancel(ctx)
 		stop := context.AfterFunc(f.ctx, cancel)
@@ -270,7 +270,7 @@ func (f *File) ReadVecAsyncCtx(ctx context.Context, ranges []rangev.Range, dsts 
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			f.client.metrics.prefetchCancelled.Add(1)
 		}
-		f.client.trace.EmitPrefetchSettled(f.path, total, err)
+		f.client.opts.Trace.EmitPrefetchSettled(f.path, total, err)
 		done <- err
 	}()
 	return done

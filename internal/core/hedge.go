@@ -154,7 +154,7 @@ func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int
 	// Budget blown: race a duplicate request against the standby, into a
 	// private buffer so the loser can never touch committed bytes.
 	c.metrics.hedgesIssued.Add(1)
-	c.trace.EmitHedgeIssued(objPath, idx, off, ln, standby.Host)
+	c.opts.Trace.EmitHedgeIssued(objPath, idx, off, ln, standby.Host)
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	hbuf := &chunkBuf{base: off, buf: bufpool.Get(int(ln))}
@@ -205,6 +205,6 @@ func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int
 	}
 	bufpool.Put(hbuf.buf)
 	c.metrics.hedgeWastedBytes.Add(wasted)
-	c.trace.EmitHedgeSettled(objPath, idx, hedgeWon, wasted)
+	c.opts.Trace.EmitHedgeSettled(objPath, idx, hedgeWon, wasted)
 	return winner.res, true, nil
 }

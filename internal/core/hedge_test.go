@@ -20,7 +20,8 @@ func TestHedgeStandbySelection(t *testing.T) {
 		{Host: "b:80", Path: "/3"},
 		{Host: "c:80", Path: "/4"},
 	}
-	b := newHealthBoard(1, time.Hour)
+	b := newHealthBoard()
+	b.threshold, b.probeAfter = 1, time.Hour
 	pair := func(ring []Replica, idx int) string {
 		p, s, ok := b.hedgePair(ring, idx)
 		return fmt.Sprintf("%s %s %v", p.Host, s.Host, ok)

@@ -356,5 +356,5 @@ func (c *Client) recordBytePath(dir obs.Direction, path string, bp obs.BytePath,
 	case dir == obs.Up && bp == obs.PathPooled:
 		c.metrics.pooledBytesUp.Add(n)
 	}
-	c.trace.EmitTransferPath(dir, path, bp, n)
+	c.opts.Trace.EmitTransferPath(dir, path, bp, n)
 }

@@ -49,8 +49,8 @@ func (c *Client) Get(ctx context.Context, host, path string) ([]byte, error) {
 		if err != nil {
 			return err
 		}
-		if c.opts.VerifyChecksums && want != "" {
-			if err := verifyChecksum(body, want, path, c.opts.VerifyTransfers); err != nil {
+		if c.opts.VerifyTransfers && want != "" {
+			if err := verifyChecksum(body, want, path); err != nil {
 				return err
 			}
 		}

@@ -293,7 +293,7 @@ func (c *Client) verifyJournal(recs []ckRecord, src io.ReaderAt, spans map[int64
 		resumed += r.ln
 	}
 	c.metrics.resumedBytes.Add(resumed)
-	c.trace.EmitResume(dir, path, resumed, len(skip), failed)
+	c.opts.Trace.EmitResume(dir, path, resumed, len(skip), failed)
 	return skip
 }
 

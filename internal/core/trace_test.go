@@ -251,12 +251,12 @@ func TestTraceConcurrentWithSnapshots(t *testing.T) {
 	}
 }
 
-// TestLoggerRecordsOperations: Options.Logger alone (no Trace) must record
-// engine activity as structured slog lines.
+// TestLoggerRecordsOperations: obs.SlogTrace installed as Options.Trace
+// records engine activity as structured slog lines.
 func TestLoggerRecordsOperations(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	e := newEnv(t, Options{Logger: logger})
+	e := newEnv(t, Options{Trace: obs.SlogTrace(logger)})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/store/f", []byte("data"))
 

@@ -113,8 +113,8 @@ type scatterResult struct {
 // must hash the range before its first body byte).
 func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (res scatterResult, err error) {
 	path := replicas[0].Path
-	c.trace.EmitChunkStart(obs.Down, path, idx, off, ln)
-	defer func() { c.trace.EmitChunkDone(obs.Down, path, idx, off, ln, err) }()
+	c.opts.Trace.EmitChunkStart(obs.Down, path, idx, off, ln)
+	defer func() { c.opts.Trace.EmitChunkDone(obs.Down, path, idx, off, ln, err) }()
 	if len(replicas) > 1 {
 		if budget, ok := c.hedgeBudget(); ok {
 			ring := c.health.order(replicas)
@@ -619,7 +619,7 @@ func (c *Client) fetchChunks(ctx context.Context, plan downloadPlan, w io.Writer
 		// fold it, and the per-range Digests above only vouch for what each
 		// replica itself holds. An in-memory sink still has the whole
 		// object, so hashing it costs no extra read.
-		if err := verifyChecksum(mem.buf, plan.want, path, true); err != nil {
+		if err := verifyChecksum(mem.buf, plan.want, path); err != nil {
 			c.metrics.checksumMismatches.Add(1)
 			return 0, err
 		}

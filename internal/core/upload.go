@@ -306,9 +306,9 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			return rangedPutResult{}, err
 		}
 		defer done()
-		c.trace.EmitChunkStart(obs.Up, path, traceIdx, off, ln)
+		c.opts.Trace.EmitChunkStart(obs.Up, path, traceIdx, off, ln)
 		res, err := c.putRanged(cctx, tHost, tPath, body, off, ln, size, uploadID, summing, algo)
-		c.trace.EmitChunkDone(obs.Up, path, traceIdx, off, ln, err)
+		c.opts.Trace.EmitChunkDone(obs.Up, path, traceIdx, off, ln, err)
 		if err != nil {
 			return res, err
 		}
@@ -329,7 +329,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			// request — an old journal would only mislead a later resume.
 			led.close(false)
 			c.metrics.uploadsFellBackSerial.Add(1)
-			c.trace.EmitUploadFellBackSerial(path, err)
+			c.opts.Trace.EmitUploadFellBackSerial(path, err)
 			return fallback()
 		}
 		led.close(true)

@@ -306,7 +306,7 @@ func TestGetAllocBudget(t *testing.T) {
 	const size = 16 << 10
 	st := storage.NewMemStore()
 	st.Put("/small", uploadBlob(size, 7))
-	c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, VerifyChecksums: true})
+	c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, VerifyTransfers: true})
 	get := func() {
 		t.Helper()
 		if b, err := c.Get(context.Background(), host, "/small"); err != nil || len(b) != size {

@@ -32,30 +32,6 @@ func TestEmitNilSafety(t *testing.T) {
 	}
 }
 
-// TestMerge: a merged trace fires both hooks in order, and merging with nil
-// returns the other trace unchanged.
-func TestMerge(t *testing.T) {
-	var order []string
-	a := &ClientTrace{Request: func(m, h, p string) { order = append(order, "a:"+m) }}
-	b := &ClientTrace{
-		Request:     func(m, h, p string) { order = append(order, "b:"+m) },
-		BreakerTrip: func(h string) { order = append(order, "b:trip:"+h) },
-	}
-	m := Merge(a, b)
-	m.EmitRequest("GET", "h", "/p")
-	m.EmitBreakerTrip("h1") // only b has the hook; a's nil must be skipped
-	want := []string{"a:GET", "b:GET", "b:trip:h1"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	if got := Merge(nil, a); got != a {
-		t.Fatalf("Merge(nil, a) = %p, want a", got)
-	}
-	if got := Merge(a, nil); got != a {
-		t.Fatalf("Merge(a, nil) = %p, want a", got)
-	}
-}
-
 // recordingHandler captures slog records for assertions.
 type recordingHandler struct {
 	mu   sync.Mutex

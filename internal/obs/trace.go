@@ -303,97 +303,3 @@ func (t *ClientTrace) EmitVerified(dir Direction, path, algo string) {
 	}
 	t.Verified(dir, path, algo)
 }
-
-// Merge composes two traces: every event fires a's hook, then b's. A nil
-// argument contributes nothing; merging with one nil returns the other
-// unchanged (no wrapper cost).
-func Merge(a, b *ClientTrace) *ClientTrace {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &ClientTrace{
-		OpStart: func(op, host, path string) {
-			a.EmitOpStart(op, host, path)
-			b.EmitOpStart(op, host, path)
-		},
-		OpDone: func(op, host, path string, d time.Duration, err error) {
-			a.EmitOpDone(op, host, path, d, err)
-			b.EmitOpDone(op, host, path, d, err)
-		},
-		Request: func(method, host, path string) {
-			a.EmitRequest(method, host, path)
-			b.EmitRequest(method, host, path)
-		},
-		ConnAcquired: func(host string, reused bool) {
-			a.EmitConnAcquired(host, reused)
-			b.EmitConnAcquired(host, reused)
-		},
-		Redirect: func(op, fromHost, location string) {
-			a.EmitRedirect(op, fromHost, location)
-			b.EmitRedirect(op, fromHost, location)
-		},
-		Retry: func(op, host string, attempt int, err error) {
-			a.EmitRetry(op, host, attempt, err)
-			b.EmitRetry(op, host, attempt, err)
-		},
-		Failover: func(fromHost, toHost string, err error) {
-			a.EmitFailover(fromHost, toHost, err)
-			b.EmitFailover(fromHost, toHost, err)
-		},
-		BreakerTrip: func(host string) {
-			a.EmitBreakerTrip(host)
-			b.EmitBreakerTrip(host)
-		},
-		CacheHit: func(key string, blocks int64) {
-			a.EmitCacheHit(key, blocks)
-			b.EmitCacheHit(key, blocks)
-		},
-		CacheMiss: func(key string, blocks int64) {
-			a.EmitCacheMiss(key, blocks)
-			b.EmitCacheMiss(key, blocks)
-		},
-		ChunkStart: func(dir Direction, path string, idx int, off, length int64) {
-			a.EmitChunkStart(dir, path, idx, off, length)
-			b.EmitChunkStart(dir, path, idx, off, length)
-		},
-		ChunkDone: func(dir Direction, path string, idx int, off, length int64, err error) {
-			a.EmitChunkDone(dir, path, idx, off, length, err)
-			b.EmitChunkDone(dir, path, idx, off, length, err)
-		},
-		TransferPath: func(dir Direction, path string, bp BytePath, bytes int64) {
-			a.EmitTransferPath(dir, path, bp, bytes)
-			b.EmitTransferPath(dir, path, bp, bytes)
-		},
-		HedgeIssued: func(path string, idx int, off, length int64, toHost string) {
-			a.EmitHedgeIssued(path, idx, off, length, toHost)
-			b.EmitHedgeIssued(path, idx, off, length, toHost)
-		},
-		HedgeSettled: func(path string, idx int, hedgeWon bool, wasted int64) {
-			a.EmitHedgeSettled(path, idx, hedgeWon, wasted)
-			b.EmitHedgeSettled(path, idx, hedgeWon, wasted)
-		},
-		PrefetchIssued: func(path string, spans int, bytes int64) {
-			a.EmitPrefetchIssued(path, spans, bytes)
-			b.EmitPrefetchIssued(path, spans, bytes)
-		},
-		PrefetchSettled: func(path string, bytes int64, err error) {
-			a.EmitPrefetchSettled(path, bytes, err)
-			b.EmitPrefetchSettled(path, bytes, err)
-		},
-		Resume: func(dir Direction, path string, resumed int64, verified, failed int) {
-			a.EmitResume(dir, path, resumed, verified, failed)
-			b.EmitResume(dir, path, resumed, verified, failed)
-		},
-		UploadFellBackSerial: func(path string, err error) {
-			a.EmitUploadFellBackSerial(path, err)
-			b.EmitUploadFellBackSerial(path, err)
-		},
-		Verified: func(dir Direction, path, algo string) {
-			a.EmitVerified(dir, path, algo)
-			b.EmitVerified(dir, path, algo)
-		},
-	}
-}

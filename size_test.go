@@ -17,22 +17,22 @@ import (
 // shrinks one by more than ceilingSlack lowers it, so the budget follows
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
-	".":                   197,
-	"cmd/davix-get":       243,
+	".":                   198,
+	"cmd/davix-get":       242,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        91,
 	"internal/blockcache": 732,
 	"internal/bufpool":    61,
-	"internal/core":       3615,
+	"internal/core":       3571,
 	"internal/digest":     274,
 	"internal/faults":     133,
 	"internal/fed":        105,
 	"internal/httpserv":   1179,
 	"internal/metalink":   113,
 	"internal/netsim":     494,
-	"internal/obs":        572,
+	"internal/obs":        482,
 	"internal/pool":       355,
 	"internal/rangev":     469,
 	"internal/rootio":     1531,
