@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,7 +18,9 @@ import (
 
 // Info describes a remote resource, as learned from HEAD or PROPFIND.
 type Info struct {
-	// Path is the resource path on the server.
+	// Path is the resource path on the server. From a listing it is the
+	// server's href, percent-encoded where a name needs it, which Stat,
+	// Get and List take back as is.
 	Path string
 	// Size is the content length in bytes.
 	Size int64
@@ -330,18 +333,28 @@ func (c *Client) statPropfind(ctx context.Context, host, path string) (Info, err
 }
 
 // List returns the entries of the collection at host/path (PROPFIND depth
-// 1, without the collection itself). With Options.StatTTL set, every entry
-// primes the stat cache — a Walk- or List-then-Stat storm is then absorbed
-// without re-hitting the server. Primed entries carry the PROPFIND
-// properties (no checksum), the same as a Stat that fell back to PROPFIND;
-// a live entry from a direct Stat is never overwritten, so a HEAD-won
-// checksum survives its TTL.
+// 1, without the collection itself), in a slice the caller owns. With
+// Options.StatTTL set, every entry primes the stat cache — a Walk- or
+// List-then-Stat storm is then absorbed without re-hitting the server.
+// Primed entries carry the PROPFIND properties (no checksum), the same as
+// a Stat that fell back to PROPFIND; a live entry from a direct Stat is
+// never overwritten, so a HEAD-won checksum survives its TTL.
 func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
-	listing, err := c.propfind(ctx, host, path, "1")
+	listing, err := c.list(ctx, host, path)
 	if err != nil {
 		return nil, err
 	}
 	defer putListing(listing)
+	return append(make([]Info, 0, len(*listing)), *listing...), nil
+}
+
+// list is List without its copy: the entries stay in the pooled scratch
+// listing, which the caller hands back with putListing once done with it.
+func (c *Client) list(ctx context.Context, host, path string) (*[]Info, error) {
+	listing, err := c.propfind(ctx, host, path, "1")
+	if err != nil {
+		return nil, err
+	}
 	all := *listing
 	if c.statc != nil {
 		for _, inf := range all {
@@ -349,17 +362,22 @@ func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
 		}
 	}
 	// The collection itself is primed above, not listed. RFC 4918 does
-	// not fix its place among the responses, so it is found by its href.
+	// not fix its place among the responses, so it is found by its href
+	// and removed in place.
 	for i, inf := range all {
 		if inf.Dir && hrefNames(inf.Path, path) {
-			return append(append(make([]Info, 0, len(all)-1), all[:i]...), all[i+1:]...), nil
+			copy(all[i:], all[i+1:])
+			all[len(all)-1] = Info{}
+			*listing = all[:len(all)-1]
+			break
 		}
 	}
-	return append(make([]Info, 0, len(all)), all...), nil
+	return listing, nil
 }
 
 // hrefNames reports whether a PROPFIND href names path: the same path,
-// with or without one trailing slash and a scheme://host prefix.
+// with or without one trailing slash and a scheme://host prefix, and
+// compared unescaped when either holds a percent-encoding.
 func hrefNames(href, path string) bool {
 	if _, rest, ok := strings.Cut(href, "://"); ok {
 		href = "/"
@@ -367,11 +385,17 @@ func hrefNames(href, path string) bool {
 			href = rest[i:]
 		}
 	}
-	return strings.TrimSuffix(href, "/") == strings.TrimSuffix(path, "/")
+	href, path = strings.TrimSuffix(href, "/"), strings.TrimSuffix(path, "/")
+	if href == path || !strings.Contains(href, "%") && !strings.Contains(path, "%") {
+		return href == path
+	}
+	h, herr := url.PathUnescape(href)
+	p, perr := url.PathUnescape(path)
+	return herr == nil && perr == nil && h == p
 }
 
 // listings pools the scratch listings PROPFINDs decode into, so a listing
-// costs its callers one exact-size copy instead of a doubling slice.
+// costs Walk no slice at all and List one exact-size copy.
 var listings = sync.Pool{New: func() any { return new([]Info) }}
 
 // putListing returns a scratch listing to the pool, dropping its strings.

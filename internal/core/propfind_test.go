@@ -228,6 +228,7 @@ func TestListDropsTheCollectionByHref(t *testing.T) {
 		{"trailing slash", "/c", []webdav.Entry{sub, self("/c/"), f}},
 		{"listed with a slash", "/c/", []webdav.Entry{sub, self("/c"), f}},
 		{"absolute URI", "/c", []webdav.Entry{sub, self("http://dav:80/c/"), f}},
+		{"percent-encoded href", "/c", []webdav.Entry{sub, self("/%63/"), f}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			e := newEnv(t, Options{})

@@ -88,18 +88,19 @@ func (c *Client) walkSerial(ctx context.Context, host string, inf Info, fn WalkF
 	if !inf.Dir {
 		return nil
 	}
-	entries, err := c.List(ctx, host, inf.Path)
+	listing, err := c.list(ctx, host, inf.Path)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
+	for _, e := range *listing {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if err := c.walkSerial(ctx, host, e, fn); err != nil {
-			return err
+			return err // the listing is left to the collector
 		}
 	}
+	putListing(listing)
 	return nil
 }
 
@@ -127,10 +128,11 @@ type walkNode struct {
 	// starts, read only by that goroutine).
 	ticketed bool
 
-	// entries is the collection's listing in lexical (server) order.
-	entries []Info
+	// listing is the collection's pooled listing in lexical (server)
+	// order; emit hands it back once every entry has been emitted.
+	listing *[]Info
 	// children holds one node per entry, nil for non-collections;
-	// indexes parallel entries.
+	// indexes parallel the listing.
 	children []*walkNode
 	// err is the listing failure, surfaced only if the merge stage
 	// actually descends into this node (a pruned subtree's speculative
@@ -194,15 +196,15 @@ func (w *walker) list(n *walkNode) {
 		n.err = n.ctx.Err()
 		return
 	}
-	entries, err := w.c.List(n.ctx, w.host, n.info.Path)
+	listing, err := w.c.list(n.ctx, w.host, n.info.Path)
 	<-w.sem
 	if err != nil {
 		n.err = err
 		return
 	}
-	n.entries = entries
-	n.children = make([]*walkNode, len(entries))
-	for i, e := range entries {
+	n.listing = listing
+	n.children = make([]*walkNode, len(*listing))
+	for i, e := range *listing {
 		if !e.Dir {
 			continue
 		}
@@ -271,7 +273,7 @@ func (w *walker) emit(ctx context.Context, n *walkNode) error {
 			break
 		}
 	}
-	for i, e := range n.entries {
+	for i, e := range *n.listing {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -295,5 +297,8 @@ func (w *walker) emit(ctx context.Context, n *walkNode) error {
 			// read this slot yet, and the node holds no entries to free.
 		}
 	}
+	// Every entry is out, and children copied their Info: nothing reads
+	// the listing again. An early return leaves it to the collector.
+	putListing(n.listing)
 	return nil
 }

@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -1111,6 +1112,10 @@ func (s *Server) serveMkcol(w http.ResponseWriter, p string) {
 	w.WriteHeader(http.StatusCreated)
 }
 
+// listings pools the scratch listings PROPFINDs are served from, so a
+// listing copies the store's entries into reused memory, not a new slice.
+var listings = sync.Pool{New: func() any { return new([]storage.Info) }}
+
 // servePropfind streams the 207 multistatus body: the listing is fetched
 // before headers go out (so store errors still map to proper statuses), but
 // the XML is generated incrementally rather than materialized and reaches w
@@ -1122,9 +1127,14 @@ func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, p string)
 		writeStoreErr(w, err)
 		return
 	}
-	var children []storage.Info
+	listing := listings.Get().(*[]storage.Info)
+	defer func() { // after mw.Close: the writer is done with the hrefs
+		clear(*listing)
+		*listing = (*listing)[:0]
+		listings.Put(listing)
+	}()
 	if inf.Dir && r.Header.Get("Depth") != "0" {
-		if children, err = s.store.List(p); err != nil {
+		if *listing, err = s.store.AppendList(*listing, p); err != nil {
 			writeStoreErr(w, err)
 			return
 		}
@@ -1133,12 +1143,26 @@ func (s *Server) servePropfind(w http.ResponseWriter, r *http.Request, p string)
 	w.WriteHeader(http.StatusMultiStatus)
 	mw := webdav.NewMultistatusWriter(w)
 	defer mw.Close() // returns the writer's pooled buffer on every path
-	mw.WriteEntry(webdav.Entry{Href: inf.Path, Size: inf.Size, Dir: inf.Dir, ModTime: inf.ModTime})
-	for _, c := range children {
-		if mw.WriteEntry(webdav.Entry{Href: c.Path, Size: c.Size, Dir: c.Dir, ModTime: c.ModTime}) != nil {
+	mw.WriteEntry(webdav.Entry{Href: hrefFor(inf.Path), Size: inf.Size, Dir: inf.Dir, ModTime: inf.ModTime})
+	for _, c := range *listing {
+		if mw.WriteEntry(webdav.Entry{Href: hrefFor(c.Path), Size: c.Size, Dir: c.Dir, ModTime: c.ModTime}) != nil {
 			return // client gone; nothing useful left to send
 		}
 	}
+}
+
+// hrefFor is the store path p as a PROPFIND href: the escaped path that
+// (&url.URL{Path: p}).EscapedPath() gives (RFC 4918 §8.3, RFC 3986 §3.3),
+// so a client can send it back as a request target. Only a path that
+// needs escaping allocates.
+func hrefFor(p string) string {
+	for i := 0; i < len(p); i++ {
+		if c := p[i]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			strings.IndexByte("-_.~$&+,/:;=@", c) >= 0) {
+			return (&url.URL{Path: p}).EscapedPath()
+		}
+	}
+	return p
 }
 
 // localDest resolves a Destination header against this server: a path-only

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -242,6 +243,28 @@ func TestPropfindBatchesWrites(t *testing.T) {
 		if e.Href != fmt.Sprintf("/big/f%03d", i) || e.Size != int64(i) || e.Dir || e.ModTime.IsZero() {
 			t.Fatalf("entry %d = %+v", i, e)
 		}
+	}
+}
+
+// TestHrefForMatchesNetURL: a PROPFIND href is the escaped path net/url
+// writes, for every byte in every position, and a path with nothing to
+// escape comes back as is, without allocating.
+func TestHrefForMatchesNetURL(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		for _, p := range []string{"/" + string(rune(c)), "/d/a" + string([]byte{byte(c)}) + "b"} {
+			if got, want := hrefFor(p), (&url.URL{Path: p}).EscapedPath(); got != want {
+				t.Fatalf("hrefFor(%q) = %q, want %q", p, got, want)
+			}
+		}
+	}
+	for _, p := range []string{"/t/a b/x?.dat", "/t/100%/#1&2", "/t/é€/;=@+$,:~"} {
+		if got, want := hrefFor(p), (&url.URL{Path: p}).EscapedPath(); got != want {
+			t.Fatalf("hrefFor(%q) = %q, want %q", p, got, want)
+		}
+	}
+	clean := "/tree/d00/c01/f000-1a2b.dat"
+	if a := testing.AllocsPerRun(100, func() { _ = hrefFor(clean) }); a != 0 {
+		t.Fatalf("hrefFor(%q): %.1f allocs, want 0", clean, a)
 	}
 }
 

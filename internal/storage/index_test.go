@@ -177,7 +177,8 @@ func TestListDuringSiblingChurn(t *testing.T) {
 	checkIndex(t, s)
 }
 
-// TestMemStoreListAllocs: List is one allocation per call, the result.
+// TestMemStoreListAllocs: List is one allocation per call, the result, and
+// AppendList into a slice with room for the listing is none.
 func TestMemStoreListAllocs(t *testing.T) {
 	s := NewMemStore()
 	for i := 0; i < 400; i++ {
@@ -191,6 +192,15 @@ func TestMemStoreListAllocs(t *testing.T) {
 		}
 	}); a != 1 {
 		t.Fatalf("List: %.1f allocs per call, want 1", a)
+	}
+	scratch := make([]Info, 0, 400)
+	if a := testing.AllocsPerRun(50, func() {
+		var err error
+		if scratch, err = s.AppendList(scratch[:0], "/wide"); err != nil || len(scratch) != 400 {
+			t.Fatalf("AppendList: %d entries, %v", len(scratch), err)
+		}
+	}); a != 0 {
+		t.Fatalf("AppendList: %.1f allocs per call, want 0", a)
 	}
 	if _, err := s.List("/wide/f000"); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("List of an object: %v", err)

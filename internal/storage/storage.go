@@ -57,8 +57,14 @@ type Store interface {
 	Delete(p string) error
 	// Stat describes the entry at p.
 	Stat(p string) (Info, error)
-	// List returns the direct children of the directory at p, sorted by name.
+	// List returns the direct children of the directory at p, sorted by
+	// name, in a new slice the caller owns: AppendList(nil, p).
 	List(p string) ([]Info, error)
+	// AppendList appends the direct children of the directory at p, sorted
+	// by name, to dst and returns the extended slice, so a caller that
+	// lists into reused scratch allocates nothing for the listing. On an
+	// error dst comes back unextended.
+	AppendList(dst []Info, p string) ([]Info, error)
 	// Mkdir creates a directory at p (parents required to exist).
 	Mkdir(p string) error
 	// Copy duplicates the object at src to dst, creating dst's parents.
@@ -411,26 +417,32 @@ func (s *MemStore) Stat(p string) (Info, error) {
 	return infoFor(p, e), nil
 }
 
-// List implements Store: one copy of the directory's sorted child index,
-// under the directory's shard read lock alone (child entries are immutable
-// once registered, and are registered and replaced under this lock).
-func (s *MemStore) List(p string) ([]Info, error) {
+// List implements Store.
+func (s *MemStore) List(p string) ([]Info, error) { return s.AppendList(nil, p) }
+
+// AppendList implements Store: one copy of the directory's sorted child
+// index onto dst, grown at most once, under the directory's shard read
+// lock alone (child entries are immutable once registered, and are
+// registered and replaced under this lock).
+func (s *MemStore) AppendList(dst []Info, p string) ([]Info, error) {
 	p = Clean(p)
 	sh := s.shardFor(p)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e := sh.entries[p]
 	if e == nil {
-		return nil, ErrNotFound
+		return dst, ErrNotFound
 	}
 	if e.dir == nil {
-		return nil, ErrNotDir
+		return dst, ErrNotDir
 	}
-	out := make([]Info, len(e.dir.children))
-	for i, c := range e.dir.children {
-		out[i] = infoFor(c.path, c.e)
+	if n := len(dst) + len(e.dir.children); n > cap(dst) {
+		dst = append(make([]Info, 0, n), dst...) // slices.Grow is two allocations under -race
 	}
-	return out, nil
+	for _, c := range e.dir.children {
+		dst = append(dst, infoFor(c.path, c.e))
+	}
+	return dst, nil
 }
 
 // Mkdir implements Store.
@@ -612,25 +624,28 @@ func (s *DiskStore) Stat(p string) (Info, error) {
 }
 
 // List implements Store.
-func (s *DiskStore) List(p string) ([]Info, error) {
+func (s *DiskStore) List(p string) ([]Info, error) { return s.AppendList(nil, p) }
+
+// AppendList implements Store.
+func (s *DiskStore) AppendList(dst []Info, p string) ([]Info, error) {
 	entries, err := os.ReadDir(s.fsPath(p))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, ErrNotFound
+			return dst, ErrNotFound
 		}
-		return nil, err
+		return dst, err
 	}
 	// os.ReadDir returns the entries sorted by name.
 	dir := Clean(p)
-	out := make([]Info, 0, len(entries))
+	dst = slices.Grow(dst, len(entries))
 	for _, e := range entries {
 		st, err := e.Info()
 		if err != nil {
 			continue
 		}
-		out = append(out, s.infoFromFS(path.Join(dir, e.Name()), st, nil))
+		dst = append(dst, s.infoFromFS(path.Join(dir, e.Name()), st, nil))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Mkdir implements Store.
