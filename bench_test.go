@@ -264,8 +264,7 @@ func BenchmarkMultiStream(b *testing.B) {
 	go fedSrv.Serve(fl)
 
 	client, err := New(Options{
-		Dialer: n, Strategy: StrategyMultiStream,
-		MetalinkHost: "fed:80", MaxStreams: 3, ChunkSize: 512 << 10,
+		Dialer: n, MetalinkHost: "fed:80", MaxStreams: 3, ChunkSize: 512 << 10,
 	})
 	if err != nil {
 		b.Fatal(err)

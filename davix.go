@@ -82,13 +82,15 @@ type Strategy = core.Strategy
 
 // Replica strategies.
 const (
-	// StrategyFailover transparently retries unavailable resources on the
-	// next Metalink replica (default; zero cost while healthy).
+	// StrategyFailover (the default) resolves an object's replicas from
+	// its Metalink. An operation tries its primary first and asks for the
+	// Metalink only if the primary fails or its breaker is open; it then
+	// walks the replicas in priority order, demoted hosts last, so it is
+	// free while the primary is healthy. A multi-stream download asks for
+	// the Metalink up front and spreads its chunks over every replica.
 	StrategyFailover = core.StrategyFailover
-	// StrategyMultiStream downloads chunks from several replicas in
-	// parallel.
-	StrategyMultiStream = core.StrategyMultiStream
-	// StrategyNone disables Metalink processing.
+	// StrategyNone disables Metalink processing: every operation,
+	// multi-stream downloads included, reads its primary alone.
 	StrategyNone = core.StrategyNone
 )
 

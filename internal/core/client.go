@@ -31,12 +31,11 @@ type Strategy int
 const (
 	// StrategyFailover retries unavailable resources replica-by-replica in
 	// Metalink priority order (the paper's default: resilience at no
-	// performance cost).
+	// performance cost), and spreads multi-stream downloads over the
+	// Metalink replicas.
 	StrategyFailover Strategy = iota
-	// StrategyMultiStream downloads different chunks from different
-	// replicas in parallel (maximizes client bandwidth, loads servers).
-	StrategyMultiStream
-	// StrategyNone disables Metalink handling entirely.
+	// StrategyNone disables Metalink handling entirely: every operation
+	// reads its primary alone.
 	StrategyNone
 )
 
@@ -430,7 +429,7 @@ func (c *Client) cacheFetchVec() blockcache.FetchVec {
 		for i, sp := range spans {
 			ranges[i] = rangev.Range{Off: sp.Off, Len: sp.Len}
 		}
-		return c.withFailover(ctx, host, path, func(r Replica) error {
+		return c.withFailover(ctx, host, path, nil, func(r Replica) error {
 			return c.readVecOnce(ctx, r.Host, r.Path, ranges, dsts)
 		})
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,7 +156,7 @@ func (c *Client) exec(ctx context.Context, host, path string, spec reqSpec,
 		c.opts.Trace.EmitOpDone(spec.op, host, path, d, err)
 	}()
 	if spec.failover && c.opts.Strategy != StrategyNone {
-		return c.withFailover(ctx, host, path, func(r Replica) error {
+		return c.withFailover(ctx, host, path, nil, func(r Replica) error {
 			return c.execAttempts(ctx, r, spec, build, handle)
 		})
 	}
@@ -358,91 +359,141 @@ func replicaUnavailable(err error) bool {
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// replicasFor resolves the replica list for host/path: the primary first,
-// then the Metalink replicas in priority order (duplicates excluded).
-// Metalink resolution failures degrade to primary-only.
-func (c *Client) replicasFor(ctx context.Context, host, path string) []Replica {
-	reps := []Replica{{Host: host, Path: path}}
+// replicaSet is what the resolver knows of one object: its replica ring
+// and, from the Metalink, its size and checksum.
+type replicaSet struct {
+	replicas []Replica // the primary, then the Metalink's in priority order
+	size     int64     // -1 when unknown
+	want     string    // server checksum as "algo:hex", "" when none was reported
+}
+
+// resolveReplicas is the one replica resolver. It returns host/path's ring
+// — the primary, then the Metalink's locations in priority order, without
+// duplicates — with the Metalink's size and checksum. Under StrategyNone no
+// Metalink is asked for, and a failed lookup returns its error; either way
+// the ring is the primary alone and the size unknown.
+func (c *Client) resolveReplicas(ctx context.Context, host, path string) (replicaSet, error) {
+	set := replicaSet{replicas: []Replica{{Host: host, Path: path}}, size: -1}
 	if c.opts.Strategy == StrategyNone {
-		return reps
+		return set, nil
 	}
 	ml, err := c.GetMetalink(ctx, host, path)
 	if err != nil {
-		return reps
+		return set, err
 	}
-	return metalinkReplicas(reps, ml)
-}
-
-// withFailover runs op against the primary replica and, if it reports
-// unavailability, transparently retries against each Metalink replica in
-// priority order — the paper's default "fail-over" strategy, which costs
-// nothing while the primary is healthy. A primary whose health breaker is
-// open is skipped up front (the Metalink replicas are consulted first and
-// the primary demoted to last resort), so a known-dead node stops taxing
-// every operation with its timeout.
-func (c *Client) withFailover(ctx context.Context, host, path string, op func(Replica) error) error {
-	primary := Replica{Host: host, Path: path}
-	skipPrimary := c.opts.Strategy != StrategyNone && !c.health.acquire(host)
-	var firstErr error
-	if !skipPrimary {
-		err := op(primary)
-		// op may have been answered from a cache without any network I/O
-		// (a Stat hitting the TTL stat cache): a half-open probe token
-		// claimed by acquire must never stay latched, or the host could
-		// never be probed again. Idempotent when the op did report.
-		c.health.release(host)
-		if err == nil || c.opts.Strategy == StrategyNone || !replicaUnavailable(err) {
-			return err
-		}
-		firstErr = err
-	}
-
-	ml, mlErr := c.GetMetalink(ctx, host, path)
-	if mlErr != nil {
-		if firstErr == nil {
-			// The breaker skipped the primary but no replica information
-			// exists: the primary is still the only candidate.
-			return op(primary)
-		}
-		if err := ctx.Err(); err != nil {
-			// The cancel cut the Metalink lookup short: report it, not
-			// the primary's failure alone.
-			return errors.Join(err, firstErr)
-		}
-		return firstErr
-	}
-	tried := map[Replica]bool{primary: true}
-	var ring []Replica
 	for _, u := range ml.URLs {
 		h, p, err := metalink.SplitURL(u.Loc)
-		if err != nil {
-			continue
+		if rep := (Replica{Host: h, Path: p}); err == nil && !slices.Contains(set.replicas, rep) {
+			set.replicas = append(set.replicas, rep)
 		}
-		rep := Replica{Host: h, Path: p}
-		if tried[rep] {
-			continue
-		}
-		tried[rep] = true
-		ring = append(ring, rep)
 	}
-	if skipPrimary {
-		// Last resort: the breaker's opinion must never make an operation
-		// impossible.
-		ring = append(ring, primary)
+	set.size, set.want = ml.Size, ml.Checksum
+	return set, nil
+}
+
+// withFailover runs op against the primary replica and, only if that
+// fails with unavailability or its breaker is open, resolves host/path's
+// replicas and walks them — the paper's default "fail-over" strategy,
+// which costs nothing while the primary is healthy. Under StrategyNone op
+// runs once, on the primary. set, when non-nil, receives what the resolver
+// returned, so a caller that needs the ring afterwards asks for it once.
+func (c *Client) withFailover(ctx context.Context, host, path string, set *replicaSet, op func(Replica) error) error {
+	primary := [1]Replica{{Host: host, Path: path}}
+	if c.opts.Strategy == StrategyNone {
+		return op(primary[0])
 	}
-	for _, rep := range c.health.order(ring) {
-		if ctx.Err() != nil {
-			return ctx.Err()
+	return c.walkRing(ctx, primary[:], 0, func() ([]Replica, error) {
+		s, err := c.resolveReplicas(ctx, host, path)
+		if set != nil {
+			*set = s
 		}
-		c.metrics.failovers.Add(1)
-		c.opts.Trace.EmitFailover(host, rep.Host, firstErr)
-		err := op(rep)
+		return s.replicas[1:], err
+	}, op)
+}
+
+// walkRing is the one replica ring walk: every failover and every chunk
+// read picks its replicas here. It runs op on ring's replicas in health
+// order, demoted hosts last, from slot start (a chunk's index, which
+// spreads a transfer's chunks over the replicas), until one succeeds or
+// fails in a way every replica would reproduce (a 404, a cancel).
+//
+//   - Breaker gating: while an alternative may exist, a replica whose
+//     breaker is open is skipped, and tried again only as a last resort
+//     once everything else has failed: the scoreboard must never make a
+//     read impossible.
+//   - Failover: resolve, when non-nil, supplies the replicas beyond ring
+//     and is called only once ring has run out, so a healthy primary costs
+//     no lookup. Such a walk fails over: each attempt on a replica other
+//     than its first choice counts in Failovers and fires the Failover
+//     event. A walk over a ring the caller already resolved spreads load
+//     and counts neither.
+//   - Errors: a walk cut short by ctx reports ctx's error joined with the
+//     first failure, as the replicas it never reached did not fail. An
+//     exhausted walk reports ErrAllReplicasFailed joined with it, unless
+//     the lookup failed: then there was no ring to exhaust, and the first
+//     failure stands alone.
+func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolve func() ([]Replica, error), op func(Replica) error) error {
+	ring = c.health.order(ring)
+	first := ring[start%len(ring)]
+	gate := len(ring) > 1 || resolve != nil
+	var firstErr, err error
+	var skipped []Replica
+	// try runs op on rep unless its breaker skips it, and reports whether
+	// the walk is over, with its outcome in err.
+	try := func(rep Replica) bool {
+		if gate && !c.health.acquire(rep.Host) {
+			skipped = append(skipped, rep)
+			return false
+		}
+		if resolve != nil && rep != first {
+			c.metrics.failovers.Add(1)
+			c.opts.Trace.EmitFailover(first.Host, rep.Host, firstErr)
+		}
+		err = op(rep)
+		if gate {
+			// op may have been answered without network I/O (a Stat from
+			// the stat cache): a probe token acquire handed out must
+			// never stay latched. Idempotent when the op did report.
+			c.health.release(rep.Host)
+		}
 		if err == nil || !replicaUnavailable(err) {
-			return err
+			return true
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
+		if ctx.Err() != nil {
+			err = errors.Join(ctx.Err(), firstErr)
+			return true
+		}
+		return false
+	}
+	for i := range ring {
+		if try(ring[(start+i)%len(ring)]) {
+			return err
+		}
+	}
+	lookupFailed := false
+	if resolve != nil {
+		more, lerr := resolve()
+		lookupFailed = lerr != nil
+		for _, rep := range c.health.order(more) {
+			if try(rep) {
+				return err
+			}
+		}
+	}
+	gate = false
+	for _, rep := range skipped {
+		if try(rep) {
+			return err
+		}
+	}
+	switch {
+	case ctx.Err() != nil:
+		return errors.Join(ctx.Err(), firstErr)
+	case lookupFailed:
+		return firstErr
 	}
 	return errors.Join(ErrAllReplicasFailed, firstErr)
 }

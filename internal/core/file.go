@@ -59,7 +59,7 @@ var endsRange = rangev.EndsHeader(endsHead, endsTail)
 func (c *Client) Open(ctx context.Context, host, path string) (*File, error) {
 	f := &File{client: c, ctx: ctx, host: host, path: path}
 	var dir bool
-	err := c.withFailover(ctx, host, path, func(r Replica) error {
+	err := c.withFailover(ctx, host, path, nil, func(r Replica) error {
 		var err error
 		dir, err = f.open(r)
 		return err

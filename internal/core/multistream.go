@@ -12,15 +12,16 @@ import (
 // next replica, so the download succeeds as long as one replica holds
 // every byte. The paper notes this maximizes client bandwidth at the cost
 // of server load. It is DownloadMultiStreamTo into memory — same chunk
-// pipeline, same verification — except that the Metalink is mandatory and
-// that a checksum the chunk sums cannot combine into (md5) is verified over
-// the finished buffer.
+// pipeline, same verification — except that a failed Metalink lookup fails
+// it (under StrategyNone none is made, and the primary serves every chunk)
+// and that a checksum the chunk sums cannot combine into (md5) is verified
+// over the finished buffer.
 func (c *Client) DownloadMultiStream(ctx context.Context, host, path string) ([]byte, error) {
-	ml, err := c.GetMetalink(ctx, host, path)
+	set, err := c.resolveReplicas(ctx, host, path)
 	if err != nil {
 		return nil, fmt.Errorf("davix: multi-stream needs a metalink: %w", err)
 	}
-	plan, err := c.planDownload(ctx, host, path, ml)
+	plan, err := c.planDownload(ctx, set)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func (c *Client) ReadVec(ctx context.Context, host, path string, ranges []rangev
 	if c.cache != nil {
 		return c.readVecCached(ctx, host, path, ranges, dsts)
 	}
-	return c.withFailover(ctx, host, path, func(r Replica) error {
+	return c.withFailover(ctx, host, path, nil, func(r Replica) error {
 		return c.readVecOnce(ctx, r.Host, r.Path, ranges, dsts)
 	})
 }
@@ -54,7 +54,7 @@ func (c *Client) readVecCached(ctx context.Context, host, path string, ranges []
 		return nil
 	}
 	gen := c.cache.Generation()
-	err := c.withFailover(ctx, host, path, func(r Replica) error {
+	err := c.withFailover(ctx, host, path, nil, func(r Replica) error {
 		return c.readVecOnce(ctx, r.Host, r.Path, missR, missD)
 	})
 	if err != nil {

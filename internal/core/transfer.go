@@ -22,74 +22,6 @@ import (
 	"godavix/internal/wire"
 )
 
-// walkReplicaRing runs tryOne over the health-ordered replica ring starting
-// at idx mod len(replicas). tryOne returns (done, err): done means the walk
-// must stop — success, caller cancellation, or a semantic failure every
-// replica reproduces. A walk that ctx cut short reports ctx's error (joined
-// with the last replica's), not ErrAllReplicasFailed: the replicas it never
-// reached did not fail.
-func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx int, tryOne func(Replica) (bool, error)) error {
-	ring := c.health.order(replicas)
-	var lastErr error
-	fail := func() error {
-		if err := ctx.Err(); err != nil {
-			return errors.Join(err, lastErr)
-		}
-		return errors.Join(ErrAllReplicasFailed, lastErr)
-	}
-	var skipped []Replica
-	for attempt := 0; attempt < len(ring); attempt++ {
-		rep := ring[(idx+attempt)%len(ring)]
-		if len(ring) > 1 && !c.health.acquire(rep.Host) {
-			skipped = append(skipped, rep)
-			continue
-		}
-		done, err := tryOne(rep)
-		if done && err == nil {
-			return nil
-		}
-		lastErr = err
-		if done {
-			return fail()
-		}
-	}
-	// Last resort: the breaker-skipped replicas, in ring order — the
-	// scoreboard must never make a chunk impossible when everything it
-	// preferred has failed too.
-	for _, rep := range skipped {
-		done, err := tryOne(rep)
-		if done && err == nil {
-			return nil
-		}
-		lastErr = err
-		if done {
-			break
-		}
-	}
-	return fail()
-}
-
-// metalinkReplicas appends ml's locations to reps in priority order,
-// skipping malformed URLs and duplicates of entries already present.
-func metalinkReplicas(reps []Replica, ml *metalink.Metalink) []Replica {
-	seen := make(map[Replica]bool, len(reps))
-	for _, r := range reps {
-		seen[r] = true
-	}
-	for _, u := range ml.URLs {
-		h, p, err := metalink.SplitURL(u.Loc)
-		if err != nil {
-			continue
-		}
-		r := Replica{Host: h, Path: p}
-		if !seen[r] {
-			seen[r] = true
-			reps = append(reps, r)
-		}
-	}
-	return reps
-}
-
 // scatterResult reports one streamed chunk fetch.
 type scatterResult struct {
 	n        int64  // payload bytes delivered
@@ -100,14 +32,11 @@ type scatterResult struct {
 
 // scatterChunkReplicas streams chunk idx covering [off, off+ln) straight
 // into dst — every chunk read of every transfer goes through here. Load is
-// spread by starting at replica idx mod len(replicas) and walking the ring
-// on unavailability, so one dead replica costs one retry per chunk rather
-// than the whole transfer. The ring is health-ordered first and replicas
-// whose breaker is open are skipped while alternatives exist — once the
-// scoreboard has demoted a dead disk node, later chunks stop paying its
-// timeout at all (a half-open probe re-admits it when it recovers).
-// fastName names the target file for the kernel splice path ("" disables
-// it); algo is the inline digest algorithm. sum tees the body through the
+// spread by starting walkRing at replica idx, so one dead replica costs one
+// retry per chunk rather than the whole transfer, and once the scoreboard
+// has demoted a dead disk node, later chunks stop paying its timeout at
+// all (a half-open probe re-admits it when it recovers). fastName names
+// the target file for the kernel splice path ("" disables it); algo is the inline digest algorithm. sum tees the body through the
 // chunk digest; perChunk additionally asks the server to commit to a
 // per-range Digest and compares it inline (the costlier mode — the server
 // must hash the range before its first body byte).
@@ -126,16 +55,13 @@ func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, i
 			// below still owns the chunk.
 		}
 	}
-	err = c.walkReplicaRing(ctx, replicas, idx, func(rep Replica) (bool, error) {
+	err = c.walkRing(ctx, replicas, idx, nil, func(rep Replica) error {
 		r, err := c.getRangeScatter(ctx, rep.Host, rep.Path, path, off, ln, dst, fastName, algo, sum, perChunk)
-		if err == nil && r.n == ln {
-			res = r
-			return true, nil
-		}
-		if err == nil {
+		if err == nil && r.n != ln {
 			err = fmt.Errorf("davix: short chunk from %s: %d < %d", rep.Host, r.n, ln)
 		}
-		return ctx.Err() != nil || !replicaUnavailable(err), err
+		res = r
+		return err
 	})
 	return res, err
 }
@@ -362,6 +288,10 @@ func (c *Client) chunkServerDigest(ctx context.Context, host, path string, algo 
 	return sum, ok && err == nil
 }
 
+// errNoRangeDigest reports a replica that would not commit to a range
+// digest; localizeMismatch's ring walk then asks the next one.
+var errNoRangeDigest = errors.New("davix: no range digest")
+
 // localizeMismatch narrows a whole-object checksum mismatch to the first
 // offending chunk by comparing the client-side sums the rollup was fed
 // during the transfer against per-range digests fetched with HEADs — the
@@ -369,19 +299,20 @@ func (c *Client) chunkServerDigest(ctx context.Context, host, path string, algo 
 // commit to range digests; the caller falls back to the whole-object span.
 func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path string, algo digest.Algo, sums []digest.Span) *ChecksumError {
 	for _, cs := range sums {
-		for _, rep := range c.health.order(replicas) {
-			want, ok := c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.Off, cs.N)
-			if !ok {
-				continue
+		var want uint32
+		err := c.walkRing(ctx, replicas, 0, nil, func(rep Replica) error {
+			var ok bool
+			if want, ok = c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.Off, cs.N); !ok {
+				return errNoRangeDigest
 			}
-			if want != cs.Sum {
-				return &ChecksumError{
-					Path: path, Algo: string(algo), Off: cs.Off, Length: cs.N,
-					Got:  fmt.Sprintf("%08x", cs.Sum),
-					Want: fmt.Sprintf("%08x", want),
-				}
+			return nil
+		})
+		if err == nil && want != cs.Sum {
+			return &ChecksumError{
+				Path: path, Algo: string(algo), Off: cs.Off, Length: cs.N,
+				Got:  fmt.Sprintf("%08x", cs.Sum),
+				Want: fmt.Sprintf("%08x", want),
 			}
-			break
 		}
 	}
 	return nil
@@ -427,36 +358,22 @@ func (l *chunkLedger) close(keep bool) {
 	}
 }
 
-// downloadPlan is what a multi-stream download knows before its first
-// chunk GET.
-type downloadPlan struct {
-	replicas []Replica // the primary, then the Metalink's in priority order
-	size     int64
-	want     string // server checksum as "algo:hex", "" when none was reported
-}
-
-// planDownload resolves the replica ring, object size and server checksum
-// of host/path. ml is the Metalink the entry point's policy obtained (nil
-// for none); a Stat fills in whichever of size and — with VerifyTransfers —
-// checksum it lacks: a HEAD also reports the server's checksum, in the
-// algorithm its Want-Digest negotiated, so verification never costs a data
-// read. A Metalink checksum keeps whatever algorithm it names.
-func (c *Client) planDownload(ctx context.Context, host, path string, ml *metalink.Metalink) (downloadPlan, error) {
-	p := downloadPlan{replicas: []Replica{{Host: host, Path: path}}, size: -1}
-	if ml != nil {
-		p.replicas = metalinkReplicas(p.replicas, ml)
-		p.size, p.want = ml.Size, ml.Checksum
-	}
+// planDownload completes p, the resolver's answer for a download, with
+// the object size and, with VerifyTransfers, the server checksum the
+// Metalink did not state: a Stat, walked over the ring, fills them in. A
+// HEAD also reports the server's checksum, in the algorithm its
+// Want-Digest negotiated, so verification never costs a data read. A
+// Metalink checksum keeps whatever algorithm it names.
+func (c *Client) planDownload(ctx context.Context, p replicaSet) (replicaSet, error) {
 	if p.size >= 0 && (p.want != "" || !c.opts.VerifyTransfers) {
 		return p, nil
 	}
 	var inf Info
-	var err error
-	for _, r := range c.health.order(p.replicas) {
-		if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
-			break
-		}
-	}
+	err := c.walkRing(ctx, p.replicas, 0, nil, func(r Replica) error {
+		var err error
+		inf, err = c.Stat(ctx, r.Host, r.Path)
+		return err
+	})
 	switch {
 	case err != nil && p.size < 0:
 		return p, fmt.Errorf("davix: cannot determine size: %w", err)
@@ -465,7 +382,7 @@ func (c *Client) planDownload(ctx context.Context, host, path string, ml *metali
 		// whatever per-chunk digests the replicas offer.
 		return p, nil
 	case inf.Dir:
-		return p, fmt.Errorf("davix: download %s: is a collection", path)
+		return p, fmt.Errorf("davix: download %s: is a collection", p.replicas[0].Path)
 	}
 	if p.size < 0 {
 		p.size = inf.Size
@@ -504,11 +421,8 @@ func (c *Client) planDownload(ctx context.Context, host, path string, ml *metali
 // WriteAt must tolerate concurrent disjoint writes (os.File does). Returns
 // the object size written.
 func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w io.WriterAt) (int64, error) {
-	var ml *metalink.Metalink
-	if c.opts.Strategy != StrategyNone {
-		ml, _ = c.GetMetalink(ctx, host, path) // best effort: primary-only without one
-	}
-	plan, err := c.planDownload(ctx, host, path, ml)
+	set, _ := c.resolveReplicas(ctx, host, path) // best effort: primary-only without a Metalink
+	plan, err := c.planDownload(ctx, set)
 	if err != nil {
 		return 0, err
 	}
@@ -518,7 +432,7 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 // fetchChunks is the fetch/verify/commit stage of every multi-stream
 // download: it streams plan's chunks into w, verifies them as
 // DownloadMultiStreamTo documents, and returns the object size written.
-func (c *Client) fetchChunks(ctx context.Context, plan downloadPlan, w io.WriterAt) (int64, error) {
+func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt) (int64, error) {
 	replicas, size, path := plan.replicas, plan.size, plan.replicas[0].Path
 	if size == 0 {
 		return 0, nil
@@ -652,8 +566,11 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 		return errors.New("davix: empty host in destination URL")
 	}
 
+	// The source Stat fails over like any read; the ring its failover
+	// resolved, or one resolved now, feeds the chunk reads.
 	var inf Info
-	err = c.withFailover(ctx, srcHost, srcPath, func(r Replica) error {
+	var set replicaSet
+	err = c.withFailover(ctx, srcHost, srcPath, &set, func(r Replica) error {
 		var err error
 		inf, err = c.Stat(ctx, r.Host, r.Path)
 		return err
@@ -668,7 +585,10 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 	if size == 0 {
 		return c.Put(ctx, dHost, dPath, nil)
 	}
-	replicas := c.replicasFor(ctx, srcHost, srcPath)
+	if set.replicas == nil {
+		set, _ = c.resolveReplicas(ctx, srcHost, srcPath)
+	}
+	replicas := set.replicas
 
 	cs := c.opts.ChunkSize
 	nChunks := int((size + cs - 1) / cs)

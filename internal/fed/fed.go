@@ -9,6 +9,7 @@ package fed
 import (
 	"context"
 	"errors"
+	"net/url"
 	"path"
 	"sort"
 	"sync"
@@ -116,7 +117,9 @@ func isTransportErr(err error) bool {
 // MetalinkFor builds the Metalink document for a federated path: every
 // live endpoint that actually holds the resource, ordered by priority.
 // Returns nil when no live replica holds it (the HTTP front-end then
-// answers 404). The signature matches httpserv.MetalinkProvider.
+// answers 404). The signature matches httpserv.MetalinkProvider: p arrives
+// decoded ("/store/a b"), so the endpoint path is escaped once, and that
+// form is both the probe's request target and the listed location.
 func (f *Federation) MetalinkFor(p string) *metalink.Metalink {
 	ctx := context.Background()
 	ml := &metalink.Metalink{Name: path.Base(p), Size: -1}
@@ -124,7 +127,7 @@ func (f *Federation) MetalinkFor(p string) *metalink.Metalink {
 		if !f.alive(ctx, ep.Host) {
 			continue
 		}
-		rp := ep.Prefix + p
+		rp := (&url.URL{Path: ep.Prefix + p}).EscapedPath()
 		pctx, cancel := context.WithTimeout(ctx, f.opts.ProbeTimeout)
 		inf, err := f.client.Stat(pctx, ep.Host, rp)
 		cancel()

@@ -221,3 +221,45 @@ func TestEndToEndWithFailoverClient(t *testing.T) {
 	}
 	_ = metalink.MediaType
 }
+
+// TestEndToEndEscapedName: a name that needs escaping survives the whole
+// federated failover. The client asks for /store/a%20b, the gateway hands
+// the federation the decoded /store/a b, and the Metalink it lists must
+// lead the client to the live replica under the escaped name.
+func TestEndToEndEscapedName(t *testing.T) {
+	e := newEnv(t)
+	e.startServer(t, "dpm1:80")
+	e.startServer(t, "dpm2:80")
+	blob := []byte("federated payload under a spaced name")
+	e.stores["dpm1:80"].Put("/store/a b", blob)
+	e.stores["dpm2:80"].Put("/store/a b", blob)
+	e.net.SetDown("dpm1:80", true)
+
+	f := New(e.client, []Endpoint{
+		{Host: "dpm1:80", Priority: 1},
+		{Host: "dpm2:80", Priority: 2},
+	}, Options{})
+	fedSrv := httpserv.New(storage.NewMemStore(), httpserv.Options{Metalinks: f.MetalinkFor})
+	l, err := e.net.Listen("fed:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go fedSrv.Serve(l)
+
+	ac, err := core.NewClient(core.Options{Dialer: e.net, MetalinkHost: "fed:80"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Close()
+	got, err := ac.Get(context.Background(), "dpm1:80", "/store/a%20b")
+	if err != nil {
+		t.Fatalf("federated failover read: %v", err)
+	}
+	if string(got) != string(blob) {
+		t.Fatalf("content = %q", got)
+	}
+	if ml := f.MetalinkFor("/store/a b"); ml == nil || ml.URLs[0].Loc != "http://dpm2:80/store/a%20b" {
+		t.Fatalf("metalink = %+v", ml)
+	}
+}

@@ -40,13 +40,15 @@ import (
 	"godavix/internal/digest"
 	"godavix/internal/metalink"
 	"godavix/internal/obs"
+	"godavix/internal/rangev"
 	"godavix/internal/s3"
 	"godavix/internal/storage"
 	"godavix/internal/webdav"
 )
 
 // MetalinkProvider resolves the Metalink document for a namespace path.
-// Returning nil means no replica information is available.
+// Returning nil means no replica information is available. The path
+// arrives decoded ("/a b"): a location URL built from it must escape it.
 type MetalinkProvider func(path string) *metalink.Metalink
 
 // Options configures a Server.
@@ -62,7 +64,8 @@ type Options struct {
 	// Redirect, when set, lets this server act as a DPM head node: data
 	// operations (GET/HEAD/PUT) whose path it maps are answered with a
 	// 302 to the disk node returned ("http://disk1:80/pool/f"); metadata
-	// operations are always handled locally.
+	// operations are always handled locally. The path arrives decoded
+	// ("/a b"): a location built from it must escape it.
 	Redirect func(method, path string) (location string, ok bool)
 
 	// Authorize, when set, validates the Authorization header of every
@@ -857,37 +860,6 @@ func readBody(r *http.Request, algo digest.Algo) ([]byte, uint32, error) {
 	return buf, sum, err
 }
 
-// parseContentRange parses a "bytes start-end/total" upload range. The
-// total must be concrete (no "*"): commit is decided by coverage of it.
-func parseContentRange(cr string) (start, end, total int64, ok bool) {
-	rest, found := strings.CutPrefix(cr, "bytes ")
-	if !found {
-		return 0, 0, 0, false
-	}
-	span, totalStr, found := strings.Cut(rest, "/")
-	if !found {
-		return 0, 0, 0, false
-	}
-	startStr, endStr, found := strings.Cut(span, "-")
-	if !found {
-		return 0, 0, 0, false
-	}
-	var err error
-	if start, err = strconv.ParseInt(startStr, 10, 64); err != nil {
-		return 0, 0, 0, false
-	}
-	if end, err = strconv.ParseInt(endStr, 10, 64); err != nil {
-		return 0, 0, 0, false
-	}
-	if total, err = strconv.ParseInt(totalStr, 10, 64); err != nil {
-		return 0, 0, 0, false
-	}
-	if start < 0 || end < start || total <= end {
-		return 0, 0, 0, false
-	}
-	return start, end, total, true
-}
-
 // serveRangedPut assembles one Content-Range chunk into the path's partial
 // upload, committing to the store when every byte of the declared total
 // has arrived: 202 Accepted per partial chunk, with the Digest of that
@@ -901,12 +873,13 @@ func parseContentRange(cr string) (start, end, total int64, ok bool) {
 // still always that of the bytes committed: whenever a byte may have been
 // written twice the commit hashes the whole buffer instead.
 func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr string) {
-	start, end, total, ok := parseContentRange(cr)
-	if !ok {
+	start, want, total, err := rangev.ParseContentRange(cr)
+	if err != nil || total < 0 {
+		// Commit is decided by coverage of the total: it must be concrete.
 		http.Error(w, "malformed Content-Range: "+cr, http.StatusBadRequest)
 		return
 	}
-	want := end - start + 1
+	end := start + want // exclusive
 	if r.ContentLength >= 0 && r.ContentLength != want {
 		http.Error(w, fmt.Sprintf("body is %d bytes, Content-Range promises %d", r.ContentLength, want), http.StatusBadRequest)
 		return
@@ -959,7 +932,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	// A duplicate of a chunk still streaming in (a retry racing the attempt
 	// it gave up on) takes its turn after it: the later body then lands
 	// whole, and the two never write the same bytes at once.
-	mine := ivl{start, end + 1}
+	mine := ivl{start, end}
 	for slices.ContainsFunc(pu.streaming, mine.overlaps) {
 		pu.idle.Wait()
 	}
@@ -970,7 +943,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	// interval unmarked and no sum behind, so a retry simply overwrites the
 	// garbage.
 	algo := pu.sums.Algo()
-	sum, err := readSummed(r.Body, pu.data[start:end+1], algo)
+	sum, err := readSummed(r.Body, pu.data[start:end], algo)
 	if err == nil && r.ContentLength < 0 { // chunked body: refuse trailing bytes
 		var one [1]byte
 		if n, _ := r.Body.Read(one[:]); n > 0 {
@@ -1002,7 +975,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 		return
 	}
 	before := pu.covered
-	pu.covered = pu.add(start, end+1)
+	pu.covered = pu.add(start, end)
 	pu.sums.Add(start, want, sum)
 	// Coverage grew by less than the chunk: part of it was written before.
 	pu.dirty = pu.dirty || pu.covered != before+want

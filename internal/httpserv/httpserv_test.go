@@ -431,6 +431,10 @@ func TestRangedPutRejectsMalformed(t *testing.T) {
 		"bytes 0-3/*",   // indeterminate total
 		"chunks 0-3/16", // wrong unit
 		"bytes zero-3/16",
+		"bytes -4--1/16", // negative start
+		"bytes 16-19/16", // starts at the total
+		"bytes 9223372036854775804-9223372036854775807/*",                   // end = MaxInt64
+		"bytes 9223372036854775804-9223372036854775807/9223372036854775807", // end = MaxInt64 = total
 	} {
 		req, _ := http.NewRequest(http.MethodPut, url, strings.NewReader("xxxx"))
 		req.Header.Set("Content-Range", cr)

@@ -17,7 +17,7 @@ import (
 // shrinks one by more than ceilingSlack lowers it, so the budget follows
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
-	".":                   198,
+	".":                   197,
 	"cmd/davix-get":       242,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
@@ -25,11 +25,11 @@ var codeCeilings = map[string]int{
 	"examples/tpc":        91,
 	"internal/blockcache": 732,
 	"internal/bufpool":    61,
-	"internal/core":       3590,
+	"internal/core":       3554,
 	"internal/digest":     274,
 	"internal/faults":     133,
-	"internal/fed":        105,
-	"internal/httpserv":   1195,
+	"internal/fed":        106,
+	"internal/httpserv":   1168,
 	"internal/metalink":   113,
 	"internal/netsim":     494,
 	"internal/obs":        482,
