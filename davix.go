@@ -349,7 +349,8 @@ func (c *Client) Mkdir(ctx context.Context, url string) error {
 	return c.core.Mkdir(ctx, host, path)
 }
 
-// Stat describes the resource at url.
+// Stat describes the resource at url, failing over to its Metalink
+// replicas like a read.
 func (c *Client) Stat(ctx context.Context, url string) (Info, error) {
 	host, path, err := splitURL(url)
 	if err != nil {

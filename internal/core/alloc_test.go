@@ -147,3 +147,42 @@ func TestClientAllocBudgets(t *testing.T) {
 		})
 	}
 }
+
+// TestHealthyStatCostsNoFailover: Stat fails over, but a healthy primary
+// pays nothing for it: one HEAD per Stat, no Metalink lookup, and not one
+// allocation more than under StrategyNone, where nothing fails over.
+func TestHealthyStatCostsNoFailover(t *testing.T) {
+	ctx := context.Background()
+	resp := []byte("HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n")
+	allocs := map[Strategy]float64{}
+	for _, strategy := range []Strategy{StrategyFailover, StrategyNone} {
+		c, err := NewClient(Options{
+			Dialer: pool.DialerFunc(func(context.Context, string) (net.Conn, error) {
+				return &replayConn{resp: resp}, nil
+			}),
+			Strategy:     strategy,
+			MetalinkHost: "fed:80",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		stat := func() {
+			if inf, err := c.Stat(ctx, "replay:80", "/f"); err != nil || inf.Size != 42 {
+				t.Fatalf("Stat: %+v, %v", inf, err)
+			}
+		}
+		for i := 0; i < 3; i++ { // the conn, the pools
+			stat()
+		}
+		before := c.Metrics().Requests
+		allocs[strategy] = testing.AllocsPerRun(20, stat)
+		if n := c.Metrics().Requests - before; n != 21 { // AllocsPerRun's warm-up call, then 20
+			t.Errorf("strategy %d: %d requests for 21 Stats, want one HEAD each", strategy, n)
+		}
+	}
+	t.Logf("allocs per Stat: %.0f failing over, %.0f without", allocs[StrategyFailover], allocs[StrategyNone])
+	if allocs[StrategyFailover] != allocs[StrategyNone] {
+		t.Fatalf("a healthy Stat allocates %.0f times failing over, %.0f without", allocs[StrategyFailover], allocs[StrategyNone])
+	}
+}

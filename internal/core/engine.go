@@ -423,10 +423,10 @@ func (c *Client) withFailover(ctx context.Context, host, path string, set *repli
 //     read impossible.
 //   - Failover: resolve, when non-nil, supplies the replicas beyond ring
 //     and is called only once ring has run out, so a healthy primary costs
-//     no lookup. Such a walk fails over: each attempt on a replica other
-//     than its first choice counts in Failovers and fires the Failover
-//     event. A walk over a ring the caller already resolved spreads load
-//     and counts neither.
+//     no lookup. On any walk, one over a ring the caller resolved too,
+//     each attempt on a replica other than its first choice (ring's slot
+//     start) counts in Failovers and fires the Failover event: the first
+//     choice failed or its breaker skipped it.
 //   - Errors: a walk cut short by ctx reports ctx's error joined with the
 //     first failure, as the replicas it never reached did not fail. An
 //     exhausted walk reports ErrAllReplicasFailed joined with it, unless
@@ -445,7 +445,7 @@ func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolv
 			skipped = append(skipped, rep)
 			return false
 		}
-		if resolve != nil && rep != first {
+		if rep != first {
 			c.metrics.failovers.Add(1)
 			c.opts.Trace.EmitFailover(first.Host, rep.Host, firstErr)
 		}

@@ -106,7 +106,7 @@ func (f *File) open(r Replica) (dir bool, err error) {
 	if err != nil || !stat {
 		return false, err
 	}
-	inf, err := f.client.Stat(f.ctx, r.Host, r.Path)
+	inf, err := f.client.statReplica(f.ctx, r.Host, r.Path)
 	f.size = inf.Size
 	return inf.Dir, err
 }

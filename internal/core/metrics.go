@@ -31,8 +31,9 @@ type Metrics struct {
 	Retries int64
 	// Redirects counts followed 3xx hops.
 	Redirects int64
-	// Failovers counts switches to an alternate Metalink replica after
-	// the preferred one failed or was breaker-skipped.
+	// Failovers counts attempts on a replica other than the one a replica
+	// ring walk chose first (a read's primary, a chunk's slot), after that
+	// choice failed or was breaker-skipped.
 	Failovers int64
 	// BreakerTrips counts per-host health-scoreboard demotions
 	// (consecutive-failure threshold reached, host enters cooldown).

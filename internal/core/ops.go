@@ -246,10 +246,23 @@ func (c *Client) Copy(ctx context.Context, srcHost, srcPath, destURL string) err
 }
 
 // Stat describes the resource at host/path using HEAD, falling back to
-// PROPFIND for collections (HEAD reports no size/type for them). With
-// Options.StatTTL set, results — including 404s, cached as negative
-// entries — are served from the metadata cache for the TTL.
+// PROPFIND for collections (HEAD reports no size/type for them). It fails
+// over as a whole, HEAD and PROPFIND together, like a read: a primary that
+// is unavailable or breaker-open sends it to the Metalink's replicas. With
+// Options.StatTTL set, each replica's results — including 404s, cached as
+// negative entries — are served from the metadata cache for the TTL.
 func (c *Client) Stat(ctx context.Context, host, path string) (Info, error) {
+	var inf Info
+	err := c.withFailover(ctx, host, path, nil, func(r Replica) (err error) {
+		inf, err = c.statReplica(ctx, r.Host, r.Path)
+		return err
+	})
+	return inf, err
+}
+
+// statReplica is Stat of exactly one replica, through the metadata cache:
+// what a walk over an already resolved ring runs on each replica.
+func (c *Client) statReplica(ctx context.Context, host, path string) (Info, error) {
 	if c.statc == nil {
 		return c.statUncached(ctx, host, path)
 	}
@@ -267,9 +280,9 @@ func (c *Client) Stat(ctx context.Context, host, path string) (Info, error) {
 	return inf, err
 }
 
-// statUncached performs the network Stat. A verifying client offers its
-// digest preference, so the checksum comes back in the algorithm its
-// transfers will verify with.
+// statUncached performs the network Stat of one replica. A verifying
+// client offers its digest preference, so the checksum comes back in the
+// algorithm its transfers will verify with.
 func (c *Client) statUncached(ctx context.Context, host, path string) (Info, error) {
 	var inf Info
 	tryPropfind := false

@@ -116,23 +116,31 @@ func TestReplicaResolutionTable(t *testing.T) {
 			"DownloadMultiStream":   "data=ok fed=1 failovers=0 err=nil",
 			"CopyStream":            "data=ok fed=1 failovers=0 err=nil",
 		},
+		// The chunk walks of a download start at slot idx of the ring
+		// dpm1, dpm2, dpm3: chunks 0 and 3 start on the failing dpm1 and
+		// move on, two failures that leave its breaker closed. CopyStream's
+		// source Stat fails over (one), then its probe chunk 0 trips the
+		// breaker on dpm1 (two), which reorders the ring so that chunk 2's
+		// slot holds the demoted dpm1 and skips it (three).
 		"503 primary": {
-			"Stat":                  "data=- fed=0 failovers=0 err=status 503",
+			"Stat":                  "data=- fed=1 failovers=1 err=nil",
 			"Get":                   "data=ok fed=1 failovers=1 err=nil",
 			"Open+ReadAt":           "data=ok fed=2 failovers=2 err=nil",
 			"ReadVec":               "data=ok fed=1 failovers=1 err=nil",
-			"DownloadMultiStreamTo": "data=ok fed=1 failovers=0 err=nil",
-			"DownloadMultiStream":   "data=ok fed=1 failovers=0 err=nil",
-			"CopyStream":            "data=ok fed=1 failovers=1 err=nil",
+			"DownloadMultiStreamTo": "data=ok fed=1 failovers=2 err=nil",
+			"DownloadMultiStream":   "data=ok fed=1 failovers=2 err=nil",
+			"CopyStream":            "data=ok fed=1 failovers=3 err=nil",
 		},
+		// Health order puts the demoted dpm1 last: only chunk 2's slot holds
+		// it, and the breaker skips it.
 		"breaker-open primary": {
-			"Stat":                  "data=- fed=0 failovers=0 err=nil",
+			"Stat":                  "data=- fed=1 failovers=1 err=nil",
 			"Get":                   "data=ok fed=1 failovers=1 err=nil",
 			"Open+ReadAt":           "data=ok fed=2 failovers=2 err=nil",
 			"ReadVec":               "data=ok fed=1 failovers=1 err=nil",
-			"DownloadMultiStreamTo": "data=ok fed=1 failovers=0 err=nil",
-			"DownloadMultiStream":   "data=ok fed=1 failovers=0 err=nil",
-			"CopyStream":            "data=ok fed=1 failovers=1 err=nil",
+			"DownloadMultiStreamTo": "data=ok fed=1 failovers=1 err=nil",
+			"DownloadMultiStream":   "data=ok fed=1 failovers=1 err=nil",
+			"CopyStream":            "data=ok fed=1 failovers=2 err=nil",
 		},
 		"metalink host down": {
 			"Stat":                  "data=- fed=0 failovers=0 err=nil",
@@ -144,7 +152,7 @@ func TestReplicaResolutionTable(t *testing.T) {
 			"CopyStream":            "data=ok fed=0 failovers=0 err=nil",
 		},
 		"cancel during lookup": {
-			"Stat":                  "data=- fed=0 failovers=0 err=status 503",
+			"Stat":                  "data=- fed=1 failovers=0 err=canceled",
 			"Get":                   "data=- fed=1 failovers=0 err=canceled",
 			"Open+ReadAt":           "data=- fed=1 failovers=0 err=canceled",
 			"ReadVec":               "data=- fed=1 failovers=0 err=canceled",

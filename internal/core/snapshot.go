@@ -42,7 +42,7 @@ func (s Snapshot) Expo() obs.Snapshot {
 		{Name: "requests_total", Help: "HTTP requests written to a connection (hops, retries and failover attempts each count).", Value: s.Engine.Requests},
 		{Name: "retries_total", Help: "Extra attempts at the same target (stale-connection replays plus policy retries).", Value: s.Engine.Retries},
 		{Name: "redirects_total", Help: "Followed 3xx hops.", Value: s.Engine.Redirects},
-		{Name: "failovers_total", Help: "Switches to an alternate Metalink replica.", Value: s.Engine.Failovers},
+		{Name: "failovers_total", Help: "Attempts on a replica other than a ring walk's first choice.", Value: s.Engine.Failovers},
 		{Name: "breaker_trips_total", Help: "Per-host health-scoreboard demotions.", Value: s.Engine.BreakerTrips},
 		{Name: "bytes_up_total", Help: "Wire bytes sent across settled exchanges (headers included).", Value: s.Engine.BytesUp},
 		{Name: "bytes_down_total", Help: "Wire bytes received across settled exchanges (headers included).", Value: s.Engine.BytesDown},

@@ -371,7 +371,7 @@ func (c *Client) planDownload(ctx context.Context, p replicaSet) (replicaSet, er
 	var inf Info
 	err := c.walkRing(ctx, p.replicas, 0, nil, func(r Replica) error {
 		var err error
-		inf, err = c.Stat(ctx, r.Host, r.Path)
+		inf, err = c.statReplica(ctx, r.Host, r.Path)
 		return err
 	})
 	switch {
@@ -572,7 +572,7 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 	var set replicaSet
 	err = c.withFailover(ctx, srcHost, srcPath, &set, func(r Replica) error {
 		var err error
-		inf, err = c.Stat(ctx, r.Host, r.Path)
+		inf, err = c.statReplica(ctx, r.Host, r.Path)
 		return err
 	})
 	if err != nil {

@@ -54,7 +54,8 @@ func (c *Client) walkParallelism() int {
 // large the namespace, only a fixed window of directories is held listed
 // ahead of the callback.
 func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error {
-	inf, err := c.Stat(ctx, host, path)
+	// Every listing goes to host, so the root is stat'ed there too.
+	inf, err := c.statReplica(ctx, host, path)
 	if err != nil {
 		return err
 	}

@@ -65,7 +65,9 @@ type healthEntry struct {
 	at    time.Time
 }
 
-// New creates a Federation probing endpoints through client.
+// New creates a Federation probing endpoints through client, which should
+// use core.StrategyNone: a probe is a Stat, and a Stat that failed over
+// would answer for an endpoint from another one.
 func New(client *core.Client, endpoints []Endpoint, opts Options) *Federation {
 	eps := append([]Endpoint(nil), endpoints...)
 	sort.SliceStable(eps, func(i, j int) bool { return eps[i].Priority < eps[j].Priority })

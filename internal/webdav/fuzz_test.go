@@ -31,13 +31,16 @@ func straddle(open, token, close string, k int) []byte {
 // reject, and tokens split across the scanner's read window.
 func scanTable() [][]byte {
 	now := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
-	enc, _ := EncodeMultistatus([]Entry{
+	shapes := []Entry{
 		{Href: "/store", Dir: true, ModTime: now},
 		{Href: `/store/a&b <c> "d" 'e'` + "\t\r\n", Size: 700 << 20, ModTime: now},
 		{Href: "/store/empty"},
-	})
+	}
+	enc, _ := EncodeMultistatus(shapes)
+	indented, _ := EncodeMultistatusIndented(shapes)
 	docs := []string{
 		string(enc),
+		string(indented),
 		`<?xml version="1.0"?>
 <D:multistatus xmlns:D="DAV:">
  <D:response><D:href>/data/run1</D:href>
@@ -80,36 +83,41 @@ func scanTable() [][]byte {
 	for _, d := range docs {
 		out = append(out, []byte(d))
 	}
-	// Many-entry documents for the skeleton fast path: two skeletons, a
-	// prefixed style whose uncaptured text differs per entry, entries that
-	// break a learned skeleton mid-way or carry text it cannot take as is,
-	// an error after good entries, an entry larger than the window, and
-	// entries cut by the window's end while matched or while learned from.
-	files := gatewayListing(12, 0, plain)
-	odd := func(s string) string {
+	// Many-entry documents for the skeleton fast path, in the gateway's
+	// compact layout and indented: two skeletons, entries that break a
+	// learned skeleton mid-way or carry text it cannot take as is, an error
+	// after good entries, an entry larger than the window, and entries cut
+	// by the window's end while matched or while learned from. Then a
+	// prefixed style whose uncaptured text differs per entry.
+	oddRefs := func(s string) string {
 		if strings.HasSuffix(s, "5.dat") || strings.HasSuffix(s, "8.dat") {
 			return s + "&"
 		}
 		return s
 	}
-	out = append(out,
-		gatewayListing(20, 3, plain),
-		apacheListing(12),
-		replaceNth(files, "<prop>", `<prop><getetag>"x"</getetag>`, 4),
-		replaceNth(files, "</getlastmodified>", "</getlastmodified><!-- c -->", 6),
-		replaceNth(files, "<href>", "<href><![CDATA[/c]]>", 8),
-		replaceNth(gatewayListing(12, 0, odd), "f003-", "f003\r\n-", 1),
-		replaceNth(files, "<getcontentlength>", "<getcontentlength>x", 7),
-		replaceNth(files, "f004-", "f004-"+strings.Repeat("y", msWindow), 1),
-		[]byte(msHead+strings.Repeat("<response/>\n <response><href/></response>", 400)+"</multistatus>"),
-	)
-	for k := 1; k <= 4; k++ {
-		for _, at := range []string{"<response>", "</href>", "</response>"} {
-			out = append(out,
-				padListing(gatewayListing(30, 0, plain), at, 14, k),
-				padListing(gatewayListing(3, 0, plain), at, 1, k))
+	for _, listing := range []func(n, dirEvery int, esc func(string) string) []byte{gatewayListing, indentedListing} {
+		files := listing(12, 0, plain)
+		out = append(out,
+			listing(20, 3, plain),
+			replaceNth(files, "<prop>", `<prop><getetag>"x"</getetag>`, 4),
+			replaceNth(files, "</getlastmodified>", "</getlastmodified><!-- c -->", 6),
+			replaceNth(files, "<href>", "<href><![CDATA[/c]]>", 8),
+			replaceNth(listing(12, 0, oddRefs), "f003-", "f003\r\n-", 1),
+			replaceNth(files, "<getcontentlength>", "<getcontentlength>x", 7),
+			replaceNth(files, "f004-", "f004-"+strings.Repeat("y", msWindow), 1),
+		)
+		for k := 1; k <= 4; k++ {
+			for _, at := range []string{"<response>", "</href>", "</response>"} {
+				out = append(out,
+					padListing(listing(30, 0, plain), at, 14, k),
+					padListing(listing(3, 0, plain), at, 1, k))
+			}
 		}
 	}
+	out = append(out,
+		apacheListing(12),
+		[]byte(msHead+strings.Repeat("<response/>\n <response><href/></response>", 400)+"</multistatus>"),
+	)
 	// A tag name, an entity and the CDATA and comment terminators split
 	// across the end of the first read window, at every offset.
 	for k := 1; k <= 4; k++ {
@@ -278,8 +286,8 @@ func TestScanMatchesOracle(t *testing.T) {
 		}
 	}
 	// Everything but the rejected rows, the legacy "---->" comment and the
-	// listing with a bad getcontentlength.
-	if want := len(scanTable()) - 15; compared != want {
+	// listings with a bad getcontentlength, one per layout.
+	if want := len(scanTable()) - 16; compared != want {
 		t.Fatalf("the oracle accepted %d documents of the table, want %d", compared, want)
 	}
 }
@@ -309,7 +317,8 @@ func xmlText(s string) string {
 }
 
 // checkWriter is the writer's fuzz property: byte-equal to
-// EncodeMultistatus, and read back by both decoders as written.
+// EncodeMultistatus (xml.Marshal's compact document), and read back by
+// both decoders as written.
 func checkWriter(t *testing.T, e Entry) {
 	t.Helper()
 	want, err := EncodeMultistatus([]Entry{e, e})

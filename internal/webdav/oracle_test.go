@@ -36,8 +36,29 @@ type msResourceType struct {
 	Collection *struct{} `xml:"collection"`
 }
 
-// EncodeMultistatus renders entries as a 207 multistatus body.
+// EncodeMultistatus renders entries as a 207 multistatus body the way
+// MultistatusWriter must: xml.Header, then xml.Marshal's compact document.
 func EncodeMultistatus(entries []Entry) ([]byte, error) {
+	out, err := xml.Marshal(msDocFor(entries))
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(xml.Header), out...), nil
+}
+
+// EncodeMultistatusIndented renders the same document indented one space
+// per level by xml.MarshalIndent, as servers that indent write it: the
+// scanner must read both layouts.
+func EncodeMultistatusIndented(entries []Entry) ([]byte, error) {
+	out, err := xml.MarshalIndent(msDocFor(entries), "", " ")
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(xml.Header), out...), nil
+}
+
+// msDocFor builds the wire structure for entries.
+func msDocFor(entries []Entry) msDoc {
 	doc := msDoc{}
 	for _, e := range entries {
 		prop := msProp{}
@@ -58,11 +79,7 @@ func EncodeMultistatus(entries []Entry) ([]byte, error) {
 			}},
 		})
 	}
-	out, err := xml.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(xml.Header), out...), nil
+	return doc
 }
 
 // DecodeMultistatus parses a multistatus body into entries, in document

@@ -8,26 +8,53 @@ import (
 	"time"
 )
 
-// gatewayListing is what the gateway writes for a PROPFIND depth 1 on
-// /tree/d: the collection itself, then n children, every dirEvery-th of
-// them a collection (0: files only). Each href is passed through esc.
-func gatewayListing(n, dirEvery int, esc func(string) string) []byte {
+// listingEntries is a PROPFIND depth 1 on /tree/d: the collection itself,
+// then n children, every dirEvery-th of them a collection (0: files only).
+// Each href is passed through esc.
+func listingEntries(n, dirEvery int, esc func(string) string) []Entry {
 	now := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
-	var buf bytes.Buffer
-	mw := NewMultistatusWriter(&buf)
-	mw.WriteEntry(Entry{Href: esc("/tree/d"), Dir: true, ModTime: now})
+	entries := []Entry{{Href: esc("/tree/d"), Dir: true, ModTime: now}}
 	for i := 0; i < n; i++ {
 		e := Entry{Href: esc(fmt.Sprintf("/tree/d/f%03d-%04x.dat", i, i*7919%65536)), Size: int64(10 + i%90), ModTime: now.Add(time.Duration(i) * time.Second)}
 		if dirEvery > 0 && i%dirEvery == dirEvery-1 {
 			e = Entry{Href: esc(fmt.Sprintf("/tree/d/sub%03d", i)), Dir: true, ModTime: now}
 		}
+		entries = append(entries, e)
+	}
+	return entries
+}
+
+// gatewayListing is what the gateway writes for listingEntries: the
+// compact document.
+func gatewayListing(n, dirEvery int, esc func(string) string) []byte {
+	var buf bytes.Buffer
+	mw := NewMultistatusWriter(&buf)
+	for _, e := range listingEntries(n, dirEvery, esc) {
 		mw.WriteEntry(e)
 	}
 	mw.Close()
 	return buf.Bytes()
 }
 
+// indentedListing is the same listing indented one space per level.
+func indentedListing(n, dirEvery int, esc func(string) string) []byte {
+	doc, _ := EncodeMultistatusIndented(listingEntries(n, dirEvery, esc))
+	return doc
+}
+
 func plain(s string) string { return s }
+
+// amp appends a reference to every href: a listing the fast path can
+// never take as is.
+func amp(s string) string { return s + "&" }
+
+// escSelf escapes only the listed collection's own href.
+func escSelf(s string) string {
+	if s == "/tree/d" {
+		return amp(s)
+	}
+	return s
+}
 
 // apacheListing is an Apache mod_dav style listing: "D:" and "lp1:"
 // prefixes, and an etag and a creation date that differ per entry.
@@ -58,12 +85,11 @@ func apacheListing(n int) []byte {
 	return []byte(b.String())
 }
 
-// TestSkeletonEngagement counts the entries the fast path decodes: every
-// entry but those it learned from, none when no captured text can be taken
-// as is, and none learned from an entry the window cut or a match would
-// refuse.
+// TestSkeletonEngagement counts the entries the fast path decodes, in
+// compact and indented listings alike: every entry but those it learned
+// from, none when no captured text can be taken as is, and none learned
+// from an entry the window cut or a match would refuse.
 func TestSkeletonEngagement(t *testing.T) {
-	amp := func(s string) string { return s + "&" }
 	for _, row := range []struct {
 		name    string
 		doc     []byte
@@ -72,20 +98,20 @@ func TestSkeletonEngagement(t *testing.T) {
 	}{
 		{"gateway leaf", gatewayListing(400, 0, plain), 401, 399},
 		{"gateway mixed", gatewayListing(400, 7, plain), 401, 399},
+		{"indented leaf", indentedListing(400, 0, plain), 401, 399},
+		{"indented mixed", indentedListing(400, 7, plain), 401, 399},
 		{"apache", apacheListing(300), 301, 299},
 		{"escaped hrefs", gatewayListing(400, 0, amp), 401, 0},
+		{"indented escaped hrefs", indentedListing(400, 0, amp), 401, 0},
 		// Nothing is learned from an entry a match would refuse: with the
 		// collection's own href escaped, the collection skeleton comes from
 		// the first subcollection.
-		{"escaped self", gatewayListing(400, 7, func(s string) string {
-			if s == "/tree/d" {
-				return amp(s)
-			}
-			return s
-		}), 401, 398},
+		{"escaped self", gatewayListing(400, 7, escSelf), 401, 398},
+		{"indented escaped self", indentedListing(400, 7, escSelf), 401, 398},
 		// The end of the first window cuts the collection's own entry, the
 		// first one learned from, so nothing is learned from it.
 		{"cut while learning", padListing(gatewayListing(3, 0, plain), "</href>", 1, 2), 4, 2},
+		{"indented cut while learning", padListing(indentedListing(3, 0, plain), "</href>", 1, 2), 4, 2},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var got []Entry
@@ -108,17 +134,19 @@ func TestSkeletonEngagement(t *testing.T) {
 }
 
 // BenchmarkScanMultistatus decodes 400-entry listings: the gateway's files
-// and its mixed files and collections (two skeletons), Apache's prefixed
-// style, and one the fast path never matches (every href has a reference).
+// (compact, and indented as it used to write them) and its mixed files and
+// collections (two skeletons), Apache's prefixed style, and one the fast
+// path never matches (every href has a reference).
 func BenchmarkScanMultistatus(b *testing.B) {
 	for _, row := range []struct {
 		name string
 		doc  []byte
 	}{
 		{"files", gatewayListing(400, 0, plain)},
+		{"files indented", indentedListing(400, 0, plain)},
 		{"mixed", gatewayListing(400, 3, plain)},
 		{"prefixed", apacheListing(400)},
-		{"never", gatewayListing(400, 0, func(s string) string { return s + "&" })},
+		{"never", gatewayListing(400, 0, amp)},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			b.SetBytes(int64(len(row.doc)))

@@ -304,6 +304,35 @@ func TestMultistatusWriterMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestMultistatusWriterBytesPerEntry pins what a listing costs on the
+// wire. A leaf collection of the meta_walk_tcp benchmark's shape (27-byte
+// hrefs, 2-digit sizes) costs exactly 230 B per file entry, on top of a
+// fixed frame: the XML header, the multistatus element (79 B) and the
+// collection's own entry (231 B). Whitespace between elements would add to
+// every entry.
+func TestMultistatusWriterBytesPerEntry(t *testing.T) {
+	const files, perFile, frame = 400, 230, 79 + 231
+	now := time.Date(2014, 6, 30, 12, 0, 0, 0, time.UTC)
+	listing := func(n int) int {
+		var buf bytes.Buffer
+		in := []Entry{{Href: "/tree/d00/c00", Dir: true, ModTime: now}}
+		for i := 0; i < n; i++ {
+			in = append(in, Entry{Href: fmt.Sprintf("/tree/d00/c00/f%03d-%04x.dat", i, i*7919%65536), Size: int64(10 + i%90), ModTime: now})
+		}
+		writeDoc(t, &buf, in)
+		return buf.Len()
+	}
+	if got := listing(0); got != frame {
+		t.Errorf("frame: %d B, want %d", got, frame)
+	}
+	if got := listing(1) - listing(0); got != perFile {
+		t.Errorf("one file entry: %d B, want %d", got, perFile)
+	}
+	if got, want := listing(files), frame+files*perFile; got != want {
+		t.Errorf("%d-file listing: %d B (%.2f B per file entry), want %d", files, got, float64(got-frame)/files, want)
+	}
+}
+
 // TestMultistatusWriterDecodes round-trips a streamed document through both
 // decoders.
 func TestMultistatusWriterDecodes(t *testing.T) {
