@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"godavix/internal/blockcache"
@@ -440,9 +441,12 @@ func (c *Client) cacheFetchVec() blockcache.FetchVec {
 func (c *Client) CloseIdlePool(host string) { c.pool.CloseIdle(host) }
 
 // Response couples a parsed wire response with the pooled connection it
-// arrived on. Closing the Response recycles or discards the connection.
+// arrived on, in one struct that exchanges recycle. Closing the Response
+// recycles or discards the connection. A Response lives until the handler
+// it was given returns: the strings its Header holds stay valid after
+// that, its Header slice and Body do not.
 type Response struct {
-	*wire.Response
+	wire.Response
 	conn   *pool.Conn
 	client *Client
 	closed bool
@@ -453,6 +457,15 @@ type Response struct {
 	// spent marks the response to a request whose one-shot body has been
 	// read: a redirect it carries cannot be followed, the body is gone.
 	spent bool
+}
+
+// responses recycles Responses once their handlers have returned.
+var responses = sync.Pool{New: func() any { return new(Response) }}
+
+// release hands r back for a later exchange to reuse.
+func (r *Response) release() {
+	*r = Response{}
+	responses.Put(r)
 }
 
 // Close finishes the response: a fully-consumed keep-alive body recycles
@@ -523,11 +536,17 @@ func (c *Client) doOnce(ctx context.Context, host string, spec reqSpec, req *wir
 		c.pool.Discard(conn)
 		return nil, reused, err
 	}
-	stop := context.AfterFunc(ctx, func() {
-		conn.NetConn().SetDeadline(time.Unix(1, 0))
-	})
-	wr, spent, err := c.roundTrip(ctx, conn, spec, req, authHost)
-	if !stop() || err != nil && ctxExpired(ctx) {
+	// A ctx that can never be cancelled (Done is nil) needs no hook.
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() {
+			conn.NetConn().SetDeadline(time.Unix(1, 0))
+		})
+	}
+	resp = responses.Get().(*Response)
+	resp.conn, resp.client = conn, c
+	spent, err := c.roundTrip(ctx, conn, spec, req, authHost, &resp.Response)
+	if stop != nil && !stop() || err != nil && ctxExpired(ctx) {
 		// ctx is done (the hook fired, or the standing deadline — ctx's
 		// own — beat ctx's timer). Report the cancellation itself, not the
 		// i/o timeout the deadline manufactured: callers classify context
@@ -537,9 +556,11 @@ func (c *Client) doOnce(ctx context.Context, host string, spec reqSpec, req *wir
 	}
 	if err != nil {
 		c.pool.Discard(conn)
+		resp.release()
 		return nil, reused && !spent, err
 	}
-	return &Response{Response: wr, conn: conn, client: c, spent: spent}, reused, nil
+	resp.spent = spent
+	return resp, reused, nil
 }
 
 // ctxExpired reports whether ctx's deadline has passed, even if ctx's
@@ -549,25 +570,24 @@ func ctxExpired(ctx context.Context) bool {
 	return ctx.Err() != nil || ok && !time.Now().Before(d)
 }
 
-// roundTrip writes req and reads the response header on conn, whose
-// deadline the caller has armed. An expect spec sends the body behind the
-// Expect: 100-continue exchange; spent reports that the body's source was
-// read.
-func (c *Client) roundTrip(ctx context.Context, conn *pool.Conn, spec reqSpec, req *wire.Request, authHost string) (resp *wire.Response, spent bool, err error) {
+// roundTrip writes req and reads the response header into resp on conn,
+// whose deadline the caller has armed. An expect spec sends the body behind
+// the Expect: 100-continue exchange; spent reports that the body's source
+// was read.
+func (c *Client) roundTrip(ctx context.Context, conn *pool.Conn, spec reqSpec, req *wire.Request, authHost string, resp *wire.Response) (spent bool, err error) {
 	c.prepare(req, authHost)
 	c.metrics.requests.Add(1)
 	c.opts.Trace.EmitRequest(req.Method, req.Host, req.Path)
 	if spec.expect {
-		return c.sendExpecting(ctx, conn, req)
+		return c.sendExpecting(ctx, conn, req, resp)
 	}
 	if err := req.Write(conn.NetConn()); err != nil {
-		return nil, false, fmt.Errorf("davix: write request: %w", err)
+		return false, fmt.Errorf("davix: write request: %w", err)
 	}
-	resp, err = wire.ReadResponse(conn.Reader(), req.Method)
-	if err != nil {
-		return nil, false, fmt.Errorf("davix: read response: %w", err)
+	if err := wire.ReadResponseInto(resp, conn.Reader(), req.Method); err != nil {
+		return false, fmt.Errorf("davix: read response: %w", err)
 	}
-	return resp, false, nil
+	return false, nil
 }
 
 // expectContinueWait bounds how long a streaming PUT waits for the
@@ -578,47 +598,45 @@ const expectContinueWait = time.Second
 
 // sendExpecting writes req's headers with Expect: 100-continue, then —
 // after the server's 100 Continue, or after expectContinueWait if the
-// server never speaks — its body, and reads the final response, skipping
-// any late interim. A final
+// server never speaks — its body, and reads the final response into resp,
+// skipping any late interim. A final
 // verdict before the body (a redirect, a refusal, an early 2xx) is returned
 // as the response with the source untouched, so a redirect can be followed
 // with the same reader; the server may still believe the body is coming on
 // this connection, so KeepAlive is cleared and Close discards it.
-func (c *Client) sendExpecting(ctx context.Context, conn *pool.Conn, req *wire.Request) (*wire.Response, bool, error) {
+func (c *Client) sendExpecting(ctx context.Context, conn *pool.Conn, req *wire.Request, resp *wire.Response) (bool, error) {
 	nc := conn.NetConn()
 	req.Header.Set("Expect", "100-continue")
 	if err := req.WriteHeader(nc); err != nil {
-		return nil, false, fmt.Errorf("davix: write request: %w", err)
+		return false, fmt.Errorf("davix: write request: %w", err)
 	}
 	// Peek consumes nothing, so a silent server cannot desync the stream:
 	// on timeout the body simply goes out.
 	if err := c.awaitInterim(ctx, conn); err == nil {
-		interim, err := wire.ReadResponse(conn.Reader(), req.Method)
-		if err != nil {
-			return nil, false, fmt.Errorf("davix: read response: %w", err)
+		if err := wire.ReadResponseInto(resp, conn.Reader(), req.Method); err != nil {
+			return false, fmt.Errorf("davix: read response: %w", err)
 		}
-		if interim.StatusCode != 100 {
-			interim.KeepAlive = false
-			return interim, false, nil
+		if resp.StatusCode != 100 {
+			resp.KeepAlive = false
+			return false, nil
 		}
 	} else if !isTimeout(err) {
-		return nil, false, err
+		return false, err
 	}
 	bp := obs.PathPooled
 	if req.DirectBody(nc) && kernelEligible(nc) {
 		bp = obs.PathKernel
 	}
 	if err := req.WriteBody(nc); err != nil {
-		return nil, true, fmt.Errorf("davix: write body: %w", err)
+		return true, fmt.Errorf("davix: write body: %w", err)
 	}
 	c.recordBytePath(obs.Up, req.Path, bp, req.ContentLength)
 	for {
-		resp, err := wire.ReadResponse(conn.Reader(), req.Method)
-		if err != nil {
-			return nil, true, fmt.Errorf("davix: read response: %w", err)
+		if err := wire.ReadResponseInto(resp, conn.Reader(), req.Method); err != nil {
+			return true, fmt.Errorf("davix: read response: %w", err)
 		}
 		if resp.StatusCode != 100 {
-			return resp, true, nil
+			return true, nil
 		}
 	}
 }
@@ -686,9 +704,6 @@ func (c *Client) applyDeadline(ctx context.Context, conn *pool.Conn) error {
 // signed fresh for every request: SigV4 covers the Host header, so each
 // hop gets a signature valid for its own host, never a replayable one.
 func (c *Client) prepare(req *wire.Request, authHost string) {
-	if req.Header == nil {
-		req.Header = wire.Header{}
-	}
 	if req.Header.Get("User-Agent") == "" {
 		req.Header.Set("User-Agent", userAgent)
 	}

@@ -254,13 +254,16 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 				// the host now so handlers that swallow it (HEAD→PROPFIND
 				// fallback) still leave the failure on the scoreboard.
 				c.health.fail(host, &c.metrics)
-				return handle(Replica{Host: host, Path: path}, resp)
+				herr := handle(Replica{Host: host, Path: path}, resp)
+				resp.release()
+				return herr
 			}
 			// Health is judged only after the handler has consumed the
 			// body: a host that sends clean headers and then cuts every
 			// transfer mid-body must still accumulate failures (and a
 			// half-open probe must not be readmitted on headers alone).
 			herr := handle(Replica{Host: host, Path: path}, resp)
+			resp.release()
 			c.recordHealth(host, herr)
 			return herr
 		}
@@ -276,6 +279,7 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 		resp.dropWire = true
 		resp.Discard()
 		resp.Close()
+		resp.release()
 		if loc == "" {
 			return fmt.Errorf("davix: redirect %d without Location from %s", code, host)
 		}
@@ -314,6 +318,7 @@ func (c *Client) doHop(ctx context.Context, spec reqSpec, originHost, host, path
 		req := build(host, path)
 		req.Method = spec.method
 		resp, replayable, err := c.doOnce(ctx, host, spec, req, originHost)
+		req.Release()
 		if err == nil {
 			return resp, nil
 		}

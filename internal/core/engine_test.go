@@ -574,10 +574,10 @@ func TestHealthScoreboardDemotesAndReprobes(t *testing.T) {
 // TestChunkRingSkipsDemotedReplica: multi-stream downloads across a sick
 // replica send it no chunk once the scoreboard demotes it — one dead disk
 // node must not cost every chunk a failed round trip. The first download's
-// size probe (a HEAD and its PROPFIND fallback) trips the breaker before
-// any chunk; the second download, whose chunk reads have armed the auto
-// hedge budget, must send the demoted replica nothing either, through the
-// serial ring walk or the hedged path.
+// size probe (a HEAD, whose 503 sends it to the next replica) trips the
+// breaker before any chunk; the second download, whose chunk reads have
+// armed the auto hedge budget, must send the demoted replica nothing
+// either, through the serial ring walk or the hedged path.
 func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 	t.Run("scoreboard", func(t *testing.T) {
 		e := newEnv(t, Options{
@@ -585,7 +585,7 @@ func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 			ChunkSize:    512,
 			MaxStreams:   2,
 		})
-		e.client.health.threshold, e.client.health.probeAfter = 2, time.Minute
+		e.client.health.threshold, e.client.health.probeAfter = 1, time.Minute
 		blob := bytes.Repeat([]byte("chunky!!"), 4<<10) // 32 KiB -> 64 chunks
 		for _, r := range []string{"dpm1:80", "dpm2:80"} {
 			e.startServer(t, r, httpserv.Options{})

@@ -294,18 +294,20 @@ func (c *Client) statUncached(ctx context.Context, host, path string) (Info, err
 		return req
 	}, func(_ Replica, resp *Response) error {
 		tryPropfind = false
-		if resp.StatusCode != 200 {
-			status := resp.Status
-			code := resp.StatusCode
+		switch resp.StatusCode {
+		case 200:
+		case 404, 502, 503, 504:
+			// Not there, or the replica is unavailable: a PROPFIND to the
+			// same replica would only repeat the answer, so the status
+			// (with its Retry-After) goes to the failover walk.
+			return statusErr(resp, "HEAD", path)
+		default:
+			// Collections on some servers refuse HEAD (405, 501), and some
+			// frontends 4xx or 500 it while PROPFIND works fine: fall back
+			// rather than surface the status. A 500 was already charged to
+			// the health scoreboard by the engine; the PROPFIND gets its
+			// own retry budget.
 			resp.Close()
-			if code == 404 {
-				return &StatusError{Code: 404, Status: status, Method: "HEAD", Path: path}
-			}
-			// Collections on some servers refuse HEAD (and some frontends
-			// 5xx it while PROPFIND works fine): fall back rather than
-			// surface the status. Retryable statuses were already charged
-			// to the health scoreboard by the engine; the PROPFIND gets
-			// its own retry budget.
 			tryPropfind = true
 			return nil
 		}
@@ -316,10 +318,8 @@ func (c *Client) statUncached(ctx context.Context, host, path string) (Info, err
 		if cl := resp.Header.Get("Content-Length"); cl != "" {
 			inf.Size, _ = strconv.ParseInt(cl, 10, 64)
 		}
-		if lm := resp.Header.Get("Last-Modified"); lm != "" {
-			if t, err := time.Parse(time.RFC1123, lm); err == nil {
-				inf.ModTime = t
-			}
+		if t, ok := parseHTTPDate(resp.Header.Get("Last-Modified")); ok {
+			inf.ModTime = t
 		}
 		resp.Close()
 		return nil
@@ -331,6 +331,16 @@ func (c *Client) statUncached(ctx context.Context, host, path string) (Info, err
 		return c.statPropfind(ctx, host, path)
 	}
 	return inf, nil
+}
+
+// parseHTTPDate reads a Last-Modified or Date value: an HTTP date in GMT
+// without allocating, any other RFC 1123 time through time.Parse.
+func parseHTTPDate(v string) (time.Time, bool) {
+	if t, ok := webdav.ParseRFC1123(v, "GMT"); ok || v == "" {
+		return t, ok
+	}
+	t, err := time.Parse(time.RFC1123, v)
+	return t, err == nil
 }
 
 func (c *Client) statPropfind(ctx context.Context, host, path string) (Info, error) {

@@ -277,3 +277,52 @@ func TestWalkSelfLastListing(t *testing.T) {
 		t.Fatalf("walk emitted %q (err %v), want %q", got, err, want)
 	}
 }
+
+// TestStatHeadFallback: a HEAD that the server refuses for its own reasons
+// (405 and 501 on collections, another 4xx, a frontend's 500) falls back to
+// PROPFIND on the same replica, but a 404 and the statuses of an
+// unavailable replica (502, 503, 504) end the Stat with that status and its
+// Retry-After, so a failover walk moves on after one request.
+func TestStatHeadFallback(t *testing.T) {
+	const size = 4096
+	for _, c := range []struct {
+		code      int
+		propfinds int64
+	}{
+		{405, 1}, {501, 1}, {403, 1}, {500, 1},
+		{404, 0}, {502, 0}, {503, 0}, {504, 0},
+	} {
+		t.Run(fmt.Sprint(c.code), func(t *testing.T) {
+			e := newEnv(t, Options{Strategy: StrategyNone})
+			e.startServerHandler(t, dpm1, httpserv.Options{}, func(srv *httpserv.Server, _ *storage.MemStore) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.Method != "HEAD" {
+						srv.ServeHTTP(w, r)
+						return
+					}
+					w.Header().Set("Retry-After", "7")
+					w.WriteHeader(c.code)
+				})
+			})
+			e.stores[dpm1].Put("/f", make([]byte, size))
+
+			inf, err := e.client.Stat(context.Background(), dpm1, "/f")
+			if heads := e.faults[dpm1].Requests("HEAD"); heads != 1 {
+				t.Errorf("%d HEADs, want 1", heads)
+			}
+			if pf := e.faults[dpm1].Requests("PROPFIND"); pf != c.propfinds {
+				t.Errorf("%d PROPFINDs, want %d", pf, c.propfinds)
+			}
+			if c.propfinds > 0 {
+				if err != nil || inf.Size != size {
+					t.Fatalf("Stat after HEAD %d: %+v, %v; want the PROPFIND's size %d", c.code, inf, err, size)
+				}
+				return
+			}
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != c.code || se.Method != "HEAD" || se.RetryAfter != 7*time.Second {
+				t.Fatalf("Stat after HEAD %d: %v; want the HEAD's StatusError with Retry-After 7s", c.code, err)
+			}
+		})
+	}
+}

@@ -78,11 +78,9 @@ func (c *Client) primeAfterWrite(host, path string, size int64, date, checksum s
 	if c.statc == nil || size < 0 {
 		return gen
 	}
-	mt := time.Now()
-	if date != "" {
-		if t, err := time.Parse(time.RFC1123, date); err == nil {
-			mt = t
-		}
+	mt, ok := parseHTTPDate(date)
+	if !ok {
+		mt = time.Now()
 	}
 	c.statc.PutIfAbsent(cacheKey(host, path), Info{Path: path, Size: size, ModTime: mt, Checksum: checksum})
 	return gen

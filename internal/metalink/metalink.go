@@ -144,12 +144,12 @@ func SplitURL(u string) (host, path string, err error) {
 	if strings.Contains(s, "://") {
 		return "", "", fmt.Errorf("metalink: unsupported scheme in %q", u)
 	}
-	host, path, ok := strings.Cut(s, "/")
-	if !ok {
+	i := strings.IndexByte(s, '/')
+	switch {
+	case i < 0:
 		return s, "/", nil
-	}
-	if host == "" {
+	case i == 0:
 		return "", "", fmt.Errorf("metalink: missing host in %q", u)
 	}
-	return host, "/" + path, nil
+	return s[:i], s[i:], nil
 }

@@ -123,9 +123,6 @@ func Sign(req *wire.Request, creds Credentials, now time.Time) {
 	shortDate := amzDate[:8]
 	payloadHash := UnsignedPayload
 
-	if req.Header == nil {
-		req.Header = wire.Header{}
-	}
 	req.Header.Set("X-Amz-Date", amzDate)
 	req.Header.Set("X-Amz-Content-Sha256", payloadHash)
 

@@ -376,7 +376,8 @@ func FuzzMultistatusWriter(f *testing.F) {
 
 // FuzzAppendRFC1123 holds the fixed-width appender to time.AppendFormat
 // for both layouts it stands in for, in any zone and with any nanoseconds,
-// including the years it hands back to AppendFormat.
+// including the years it hands back to AppendFormat; within years 0–9999
+// ParseRFC1123 reads every text back to its second, in UTC.
 func FuzzAppendRFC1123(f *testing.F) {
 	for _, t := range []time.Time{
 		{}, time.Unix(0, 0),
@@ -397,12 +398,21 @@ func FuzzAppendRFC1123(f *testing.F) {
 			if want := tm.UTC().AppendFormat([]byte("<"), layout); !bytes.Equal(got, want) {
 				t.Fatalf("%v with %s: appender %q, AppendFormat %q", tm, zone, got, want)
 			}
+			if y := tm.UTC().Year(); y < 0 || y > 9999 {
+				continue
+			}
+			if back, ok := ParseRFC1123(string(got[1:]), zone); !ok || back.Unix() != tm.Unix() || back.Location() != time.UTC {
+				t.Fatalf("%v with %s: %q parses back as %v, %v", tm, zone, got[1:], back, ok)
+			}
 		}
 	})
 }
 
-// TestRFC1123FastPathIsTimeParse: wherever the in-place parser answers, it
-// answers exactly what time.Parse does, Location included.
+// TestRFC1123FastPathIsTimeParse: wherever the in-place parser answers for
+// zone "UTC", it answers exactly what time.Parse does, Location included.
+// For zone "GMT" it answers the same instant as time.Parse with
+// http.TimeFormat, in UTC rather than a fabricated "GMT" zone, and it
+// refuses the same texts.
 func TestRFC1123FastPathIsTimeParse(t *testing.T) {
 	base := time.Date(1999, 12, 31, 23, 59, 59, 0, time.UTC)
 	var inputs []string
@@ -419,12 +429,20 @@ func TestRFC1123FastPathIsTimeParse(t *testing.T) {
 	)
 	fast := 0
 	for _, s := range inputs {
-		got, ok := parseRFC1123UTC([]byte(s))
+		got, ok := ParseRFC1123(s, "UTC")
 		want, err := time.Parse(TimeLayout, s)
 		if ok {
 			fast++
 			if err != nil || got != want {
 				t.Fatalf("%q: fast path %v, time.Parse %v (%v)", s, got, want, err)
+			}
+		}
+		if g, cut := strings.CutSuffix(s, " UTC"); cut {
+			g += " GMT"
+			gmt, gok := ParseRFC1123(g, "GMT")
+			want, err := time.Parse(http.TimeFormat, g)
+			if gok != ok || gok && (err != nil || !gmt.Equal(want) || gmt.Location() != time.UTC) {
+				t.Fatalf("%q: GMT fast path %v %v, UTC %v, time.Parse %v (%v)", g, gmt, gok, ok, want, err)
 			}
 		}
 		if got, ok := parseModTime([]byte(s)); ok != (err == nil) || ok && !got.Equal(want) {

@@ -459,25 +459,28 @@ func (d *msDecoder) replay(k *msSkel, b []byte) error {
 // form every encoder here writes — fixed width, "UTC" — are decoded in
 // place; anything else goes through time.Parse.
 func parseModTime(b []byte) (time.Time, bool) {
-	if t, ok := parseRFC1123UTC(b); ok || len(b) == 0 {
+	if t, ok := ParseRFC1123(string(b), "UTC"); ok || len(b) == 0 {
 		return t, ok
 	}
 	t, err := time.Parse(TimeLayout, string(b))
 	return t, err == nil
 }
 
-// parseRFC1123UTC decodes exactly "Mon, 02 Jan 2006 15:04:05 UTC" with
-// canonical day and month names and in-range fields, returning the value
-// time.Parse gives it; ok is false for anything else.
-func parseRFC1123UTC(b []byte) (t time.Time, ok bool) {
-	if len(b) != 29 || b[3] != ',' || b[4] != ' ' || b[7] != ' ' || b[11] != ' ' ||
-		b[16] != ' ' || b[19] != ':' || b[22] != ':' || string(b[25:]) != " UTC" {
+// ParseRFC1123 decodes exactly "Mon, 02 Jan 2006 15:04:05 " followed by
+// zone, with canonical day and month names and in-range fields, into a
+// time in UTC; ok is false for anything else. It is the mirror image of
+// AppendRFC1123: zone "UTC" reads what TimeLayout writes (the value
+// time.Parse gives, Location included), zone "GMT" an HTTP date
+// (http.TimeFormat), both without allocating.
+func ParseRFC1123(s, zone string) (t time.Time, ok bool) {
+	if len(s) != 26+len(zone) || s[3] != ',' || s[4] != ' ' || s[7] != ' ' || s[11] != ' ' ||
+		s[16] != ' ' || s[19] != ':' || s[22] != ':' || s[25] != ' ' || s[26:] != zone {
 		return t, false
 	}
-	month := name3(b[8:11], "JanFebMarAprMayJunJulAugSepOctNovDec")
-	day, year := num(b[5:7]), num(b[12:16])
-	hour, minute, sec := num(b[17:19]), num(b[20:22]), num(b[23:25])
-	if name3(b[:3], "SunMonTueWedThuFriSat") == 0 || month == 0 || day < 1 || year < 0 ||
+	month := name3(s[8:11], "JanFebMarAprMayJunJulAugSepOctNovDec")
+	day, year := num(s[5:7]), num(s[12:16])
+	hour, minute, sec := num(s[17:19]), num(s[20:22]), num(s[23:25])
+	if name3(s[:3], "SunMonTueWedThuFriSat") == 0 || month == 0 || day < 1 || year < 0 ||
 		uint(hour) > 23 || uint(minute) > 59 || uint(sec) > 59 {
 		return t, false
 	}
@@ -487,11 +490,11 @@ func parseRFC1123UTC(b []byte) (t time.Time, ok bool) {
 	return t, t.Day() == day
 }
 
-// name3 returns the 1-based position of b among the three-letter names
+// name3 returns the 1-based position of s among the three-letter names
 // listed back to back in names, or 0.
-func name3(b []byte, names string) int {
+func name3(s, names string) int {
 	for i := 0; i < len(names); i += 3 {
-		if b[0] == names[i] && b[1] == names[i+1] && b[2] == names[i+2] {
+		if s[0] == names[i] && s[1] == names[i+1] && s[2] == names[i+2] {
 			return i/3 + 1
 		}
 	}
@@ -499,9 +502,9 @@ func name3(b []byte, names string) int {
 }
 
 // num parses an all-decimal field, or returns -1.
-func num(b []byte) int {
+func num(s string) int {
 	n := 0
-	for _, c := range b {
+	for _, c := range []byte(s) {
 		if c < '0' || c > '9' {
 			return -1
 		}

@@ -146,7 +146,7 @@ func (mw *MultistatusWriter) Close() error {
 // TimeLayout with zone "UTC" and for http.TimeFormat with zone "GMT", but
 // field by field instead of through the layout interpreter. Other years,
 // which do not fit the fixed width, go through AppendFormat itself. It is
-// the mirror image of parseRFC1123UTC.
+// the mirror image of ParseRFC1123.
 func AppendRFC1123(b []byte, t time.Time, zone string) []byte {
 	t = t.UTC()
 	year, month, day := t.Date()

@@ -3,8 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,9 +15,10 @@ import (
 // FuzzReadResponse is differential in one direction, with net/http as the
 // oracle: a response that ReadResponse accepts and whose body reads to EOF
 // without error is accepted by http.ReadResponse too, with the same status
-// code and the same body bytes, under GET and under HEAD framing. The
-// converse is not asked: this parser may refuse what net/http tolerates.
-// The one leniency it keeps is named by trailerFields.
+// code, the same body bytes and the same header values (sameHeader), under
+// GET and under HEAD framing. The converse is not asked: this parser may
+// refuse what net/http tolerates. The one leniency it keeps is named by
+// trailerFields.
 func FuzzReadResponse(f *testing.F) {
 	for _, c := range keepAliveCases {
 		f.Add([]byte(c.raw))
@@ -41,6 +44,24 @@ func FuzzReadResponse(f *testing.F) {
 		"HTTP/1.1 304 Not Modified\r\nContent-Length: 10\r\n\r\n",
 		"HTTP/1.0 200 OK\r\n\r\nall the way to eof",
 		"HTTP/1.1 200 OK\r\nContent-Length: 700\r\n\r\n",
+		// Header field syntax (RFC 9112 §5): obs-fold continuations, with
+		// and without a value before them; whitespace around values;
+		// repeated and mixed-case keys; empty values; bare LF endings; and
+		// fields net/http refuses.
+		"HTTP/1.1 200 OK\r\nX-Fold: a\r\n  b \r\n\tc\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Fold:\r\n b\r\n \r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Pad: \t lead and trail \t \r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nx-checksum: adler32:1\r\nX-CHECKSUM: adler32:2\r\nX-Checksum: adler32:3\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Empty:\r\nX-Blank:   \r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\nX-Lf: 1\nContent-Length: 2\n\nhi",
+		"HTTP/1.1 200 OK\r\nX-Checksum: crc32c:f3178639\r\nPragma: no-cache\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Bad\x01Key: v\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Bad-Value: a\x7fb\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Space : v\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\n continued: first\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\n: no key\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Obs-Text: caf\xc3\xa9\r\nConnection: keep-alive, close\r\nContent-Length: 0\r\n\r\n",
+		gatewayGET + strings.Repeat("x", 16384),
 	} {
 		f.Add([]byte(raw))
 	}
@@ -72,8 +93,31 @@ func FuzzReadResponse(f *testing.F) {
 				t.Fatalf("%s: %q reads as %d %q, net/http reads %d %q",
 					method, data, resp.StatusCode, body, want.StatusCode, wantBody)
 			}
+			if err := sameHeader(resp.Header, want.Header); err != nil {
+				t.Fatalf("%s: %q: %v", method, data, err)
+			}
 		}
 	})
+}
+
+// sameHeader checks that every key of net/http's parse of a header block
+// gives the same Get and the same Values, in order, from this parser's.
+// net/http rewrites a few fields after parsing them, which sameHeader
+// allows for: it deletes Transfer-Encoding, Trailer and a Connection that
+// says close, so those keys may be missing from it; it keeps one of several
+// agreeing Content-Length fields, so only their Get is compared; and it
+// adds Cache-Control: no-cache to a Pragma: no-cache.
+func sameHeader(h Header, want http.Header) error {
+	for k, vs := range want {
+		if k == "Cache-Control" && h.Get(k) == "" {
+			continue
+		}
+		got := h.Values(k)
+		if h.Get(k) != want.Get(k) || k != "Content-Length" && !slices.Equal(got, vs) {
+			return fmt.Errorf("%s: Get %q, Values %q; net/http: Get %q, Values %q", k, h.Get(k), got, want.Get(k), vs)
+		}
+	}
+	return nil
 }
 
 // trailerFields reports whether a chunked body that ReadResponse read

@@ -40,16 +40,37 @@ type Request struct {
 	// Close requests that the server close the connection after responding
 	// (sends "Connection: close").
 	Close bool
+
+	// store backs Header's first fields and bytesBody a SetBodyBytes body,
+	// so a request with few headers costs nothing beyond itself.
+	store     [4]field
+	bytesBody bytes.Reader
 }
 
-// NewRequest returns a bodyless request with an initialized header map.
+// requests recycles the requests Release hands back.
+var requests = sync.Pool{New: func() any { return new(Request) }}
+
+// NewRequest returns a bodyless request whose Header has room for a few
+// fields without allocating; it may be one a Release handed back. The
+// request must not be copied: its Header points into it.
 func NewRequest(method, host, path string) *Request {
-	return &Request{Method: method, Host: host, Path: path, Header: Header{}}
+	r := requests.Get().(*Request)
+	r.Method, r.Host, r.Path = method, host, path
+	r.Header = r.store[:0]
+	return r
+}
+
+// Release hands r back for a later NewRequest to reuse. Neither r nor its
+// Header may be used afterwards; its Body is not closed.
+func (r *Request) Release() {
+	*r = Request{}
+	requests.Put(r)
 }
 
 // SetBodyBytes attaches b as the request body with a known length.
 func (r *Request) SetBodyBytes(b []byte) {
-	r.Body = bytes.NewReader(b)
+	r.bytesBody.Reset(b)
+	r.Body = &r.bytesBody
 	r.ContentLength = int64(len(b))
 }
 
@@ -222,6 +243,12 @@ func (r *Request) writeBodyTo(bw *bufio.Writer) error {
 	}
 	if r.ContentLength < 0 {
 		return writeChunked(bw, r.Body)
+	}
+	if br, ok := r.Body.(*bytes.Reader); ok && int64(br.Len()) == r.ContentLength {
+		// An in-memory body goes out whole: the buffered writer sends
+		// what fits behind the headers and the rest in one write.
+		_, err := br.WriteTo(bw)
+		return err
 	}
 	buf := bufpool.Get(64 << 10)
 	defer bufpool.Put(buf)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/textproto"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,17 @@ func TestHeaderBasics(t *testing.T) {
 	c.Set("A", "2")
 	if h.Get("A") != "1" {
 		t.Fatal("Clone is not a deep copy")
+	}
+}
+
+// TestCanonicalMatchesTextproto: the keys Set and Add store are the ones
+// net/textproto's canonicalization gives.
+func TestCanonicalMatchesTextproto(t *testing.T) {
+	for _, k := range []string{"content-type", "CONTENT-TYPE", "Content-Type", "x-amz-date",
+		"a", "-a-b", "ab cd", "X_y-Z", "www-authenticate", "1-a", "caf\xc3\xa9", ""} {
+		if got, want := canonical(k), textproto.CanonicalMIMEHeaderKey(k); got != want {
+			t.Errorf("canonical(%q) = %q, net/textproto says %q", k, got, want)
+		}
 	}
 }
 
@@ -380,5 +392,39 @@ func TestResponseHeaderRoundTrip(t *testing.T) {
 	}
 	if got := resp.Header.Values("X-Replica"); len(got) != 2 {
 		t.Fatalf("x-replica = %v", got)
+	}
+}
+
+// gatewayGET is the head the gateway sends with a 16 KiB object.
+const gatewayGET = "HTTP/1.1 200 OK\r\nAccept-Ranges: bytes\r\nContent-Length: 16384\r\n" +
+	"Content-Type: application/octet-stream\r\nLast-Modified: Sun, 18 Oct 2026 11:27:48 GMT\r\n" +
+	"X-Checksum: crc32c:f3178639\r\nDate: Sun, 18 Oct 2026 11:27:48 GMT\r\n\r\n"
+
+// TestReadResponseAllocBudget: parsing a gateway GET response costs the
+// Response, which holds its fields and its fixed-length body reader, and
+// one string holding the header block: 2 allocations, measured 2.
+func TestReadResponseAllocBudget(t *testing.T) {
+	raw := []byte(gatewayGET + strings.Repeat("x", 16384))
+	rd := bytes.NewReader(raw)
+	br := bufio.NewReaderSize(rd, 16<<10)
+	var resp *Response
+	sink := make([]byte, 16384)
+	allocs, b := bytesPerOp(func() {
+		rd.Reset(raw)
+		br.Reset(rd)
+		var err error
+		if resp, err = ReadResponse(br, "GET"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(resp.Body, sink); err != nil || !resp.Consumed() {
+			t.Fatalf("body: %v", err)
+		}
+	})
+	t.Logf("gateway GET: %.0f allocs, %d B per response", allocs, b)
+	if allocs > 2 {
+		t.Fatalf("gateway GET: %.0f allocs per response, budget 2", allocs)
+	}
+	if got := resp.Header.Get("x-checksum"); got != "crc32c:f3178639" || len(resp.Header) != 6 {
+		t.Fatalf("X-Checksum %q, %d fields", got, len(resp.Header))
 	}
 }
