@@ -417,11 +417,16 @@ func (c *Client) withFailover(ctx context.Context, host, path string, set *repli
 }
 
 // walkRing is the one replica ring walk: every failover and every chunk
-// read picks its replicas here. It runs op on ring's replicas in health
-// order, demoted hosts last, from slot start (a chunk's index, which
-// spreads a transfer's chunks over the replicas), until one succeeds or
-// fails in a way every replica would reproduce (a 404, a cancel).
+// read picks its replicas here. It runs op on ring's replicas in the
+// order given, from slot start (a chunk's index, which spreads a
+// transfer's chunks over the replicas), until one succeeds or fails in a
+// way every replica would reproduce (a 404, a cancel).
 //
+//   - Ring order: the caller puts ring in health order (health.order,
+//     demoted hosts last) once, when its operation starts, and every walk
+//     of that operation uses that one ring: a breaker that trips while a
+//     transfer's chunk walks run must not move the slots of the chunks
+//     that start later, or which chunks fail over would depend on timing.
 //   - Breaker gating: while an alternative may exist, a replica whose
 //     breaker is open is skipped, and tried again only as a last resort
 //     once everything else has failed: the scoreboard must never make a
@@ -438,7 +443,6 @@ func (c *Client) withFailover(ctx context.Context, host, path string, set *repli
 //     the lookup failed: then there was no ring to exhaust, and the first
 //     failure stands alone.
 func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolve func() ([]Replica, error), op func(Replica) error) error {
-	ring = c.health.order(ring)
 	first := ring[start%len(ring)]
 	gate := len(ring) > 1 || resolve != nil
 	var firstErr, err error

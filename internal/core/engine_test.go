@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"godavix/internal/rangev"
 	"godavix/internal/s3"
 	"godavix/internal/storage"
+	"godavix/internal/wire"
 )
 
 // startRecordingServer launches a server that records the Authorization
@@ -671,6 +673,43 @@ func TestHealthyEngineIsWireIdentical(t *testing.T) {
 	t.Logf("wire:\n%s", resilient)
 	if resilient != stripped {
 		t.Fatalf("retry budget changed the healthy wire:\n--- on\n%s\n--- off\n%s", resilient, stripped)
+	}
+}
+
+// TestAbortHookHoldsItsConnection: armAbort's hook may still be running
+// after closeResp returns (stop reports only that it has started), so it
+// holds the connection it was armed for and never reads the Response,
+// which its handler may drop or reuse once it returns. Each round cancels
+// a chunk read's ctx as its body read completes, then wipes the Response
+// as a later exchange reusing it would; the exchanges after it on the same
+// client must all succeed. Under -race, a hook that reads the wiped field
+// is a data race; without it, a nil dereference.
+func TestAbortHookHoldsItsConnection(t *testing.T) {
+	e := newEnv(t, Options{Strategy: StrategyNone})
+	e.startServer(t, dpm1, httpserv.Options{})
+	blob := bytes.Repeat([]byte("abort!"), 1<<10)
+	e.stores[dpm1].Put("/f", blob)
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := e.client.exec(ctx, dpm1, "/f", specChunk, func(h, p string) *wire.Request {
+			return wire.NewRequest("GET", h, p)
+		}, func(_ Replica, resp *Response) error {
+			closeResp := armAbort(ctx, resp)
+			_, err := io.Copy(io.Discard, resp.Body)
+			cancel()
+			if cerr := closeResp(); err == nil {
+				err = cerr
+			}
+			*resp = Response{}
+			return err
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if got, err := e.client.Get(context.Background(), dpm1, "/f"); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("round %d: Get after a cancelled chunk: err=%v, %d bytes", i, err, len(got))
+		}
 	}
 }
 

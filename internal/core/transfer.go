@@ -31,23 +31,25 @@ type scatterResult struct {
 }
 
 // scatterChunkReplicas streams chunk idx covering [off, off+ln) straight
-// into dst — every chunk read of every transfer goes through here. Load is
-// spread by starting walkRing at replica idx, so one dead replica costs one
-// retry per chunk rather than the whole transfer, and once the scoreboard
-// has demoted a dead disk node, later chunks stop paying its timeout at
-// all (a half-open probe re-admits it when it recovers). fastName names
-// the target file for the kernel splice path ("" disables it); algo is the inline digest algorithm. sum tees the body through the
-// chunk digest; perChunk additionally asks the server to commit to a
-// per-range Digest and compares it inline (the costlier mode — the server
-// must hash the range before its first body byte).
+// into dst — every chunk read of every transfer goes through here.
+// replicas is the transfer's ring, put in health order once when the
+// transfer started (see walkRing). Load is spread by starting walkRing at
+// replica idx, so one dead replica costs one retry per chunk rather than
+// the whole transfer, and once the scoreboard has demoted a dead disk
+// node, later chunks stop paying its timeout at all (a half-open probe
+// re-admits it when it recovers). fastName names the target file for the
+// kernel splice path ("" disables it); algo is the inline digest
+// algorithm. sum tees the body through the chunk digest; perChunk
+// additionally asks the server to commit to a per-range Digest and
+// compares it inline (the costlier mode — the server must hash the range
+// before its first body byte).
 func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (res scatterResult, err error) {
 	path := replicas[0].Path
 	c.opts.Trace.EmitChunkStart(obs.Down, path, idx, off, ln)
 	defer func() { c.opts.Trace.EmitChunkDone(obs.Down, path, idx, off, ln, err) }()
 	if len(replicas) > 1 {
 		if budget, ok := c.hedgeBudget(); ok {
-			ring := c.health.order(replicas)
-			if r, handled, herr := c.scatterChunkHedged(ctx, ring, idx, off, ln, dst, fastName, algo, sum, perChunk, budget); handled {
+			if r, handled, herr := c.scatterChunkHedged(ctx, replicas, idx, off, ln, dst, fastName, algo, sum, perChunk, budget); handled {
 				return r, herr
 			}
 			// Not settled by the race (a demoted leg, no distinct standby
@@ -244,8 +246,11 @@ func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln 
 // response non-keep-alive so the poisoned connection is discarded instead
 // of recycled.
 func armAbort(ctx context.Context, resp *Response) (closeResp func() error) {
+	// The hook may still be running after stop reports false, so it holds
+	// the connection itself, not resp.
+	conn := resp.conn
 	stop := context.AfterFunc(ctx, func() {
-		resp.conn.NetConn().SetDeadline(time.Unix(1, 0))
+		conn.NetConn().SetDeadline(time.Unix(1, 0))
 	})
 	closed := false
 	return func() error {
@@ -298,6 +303,7 @@ var errNoRangeDigest = errors.New("davix: no range digest")
 // payload is never re-read. Returns nil when no server on the ring will
 // commit to range digests; the caller falls back to the whole-object span.
 func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path string, algo digest.Algo, sums []digest.Span) *ChecksumError {
+	replicas = c.health.order(replicas)
 	for _, cs := range sums {
 		var want uint32
 		err := c.walkRing(ctx, replicas, 0, nil, func(rep Replica) error {
@@ -369,7 +375,7 @@ func (c *Client) planDownload(ctx context.Context, p replicaSet) (replicaSet, er
 		return p, nil
 	}
 	var inf Info
-	err := c.walkRing(ctx, p.replicas, 0, nil, func(r Replica) error {
+	err := c.walkRing(ctx, c.health.order(p.replicas), 0, nil, func(r Replica) error {
 		var err error
 		inf, err = c.statReplica(ctx, r.Host, r.Path)
 		return err
@@ -433,7 +439,8 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 // download: it streams plan's chunks into w, verifies them as
 // DownloadMultiStreamTo documents, and returns the object size written.
 func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt) (int64, error) {
-	replicas, size, path := plan.replicas, plan.size, plan.replicas[0].Path
+	// One health order for the whole transfer (walkRing's ring order).
+	replicas, size, path := c.health.order(plan.replicas), plan.size, plan.replicas[0].Path
 	if size == 0 {
 		return 0, nil
 	}
@@ -588,7 +595,7 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 	if set.replicas == nil {
 		set, _ = c.resolveReplicas(ctx, srcHost, srcPath)
 	}
-	replicas := set.replicas
+	replicas := c.health.order(set.replicas)
 
 	cs := c.opts.ChunkSize
 	nChunks := int((size + cs - 1) / cs)
