@@ -69,23 +69,26 @@ type Options struct {
 
 	// VectorParallelism bounds how many of a vectored read's multi-range
 	// batches are in flight concurrently, each on its own pooled
-	// connection. 0 (the default) opens one connection per batch, capped
-	// by MaxPerHost; 1 restores fully serial dispatch.
+	// connection. The three parallelism knobs share one rule: a value
+	// set wins; 0 (the default) takes the knob's default capped by
+	// MaxPerHost; and no more run than there is work. Here the default is
+	// one connection per batch; 1 restores fully serial dispatch.
 	VectorParallelism int
 
 	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
-	// concurrently across pooled connections. 0 (the default) uses
-	// defaultWalkParallelism (8) capped by MaxPerHost; 1 restores the
-	// serial depth-first recursion. Entry delivery order is identical
-	// at every setting.
+	// concurrently across pooled connections, by the rule of
+	// VectorParallelism with a default of defaultWalkParallelism (8); 1
+	// restores the serial depth-first recursion. Entry delivery order is
+	// identical at every setting.
 	WalkParallelism int
 
 	// UploadParallelism bounds how many ChunkSize chunks of one
 	// UploadMultiStream (or pull-mode CopyStream) are in flight
 	// concurrently, each as a Content-Range PUT on its own pooled
-	// connection. 0 (the default) uses defaultUploadParallelism (4) capped
-	// by MaxPerHost; 1 restores the single-stream whole-body PUT, which
-	// is byte-identical on the wire to Put (the paper-faithful path).
+	// connection, by the rule of VectorParallelism with a default of
+	// defaultUploadParallelism (4). When that leaves one worker (1, or an
+	// object of one chunk) the upload is the single-stream whole-body PUT,
+	// which is byte-identical on the wire to Put (the paper-faithful path).
 	UploadParallelism int
 
 	// Strategy selects the Metalink policy (default StrategyFailover).
@@ -430,9 +433,7 @@ func (c *Client) cacheFetchVec() blockcache.FetchVec {
 		for i, sp := range spans {
 			ranges[i] = rangev.Range{Off: sp.Off, Len: sp.Len}
 		}
-		return c.withFailover(ctx, host, path, nil, func(r Replica) error {
-			return c.readVecOnce(ctx, r.Host, r.Path, ranges, dsts)
-		})
+		return c.readVecReplicas(ctx, host, path, ranges, dsts)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"godavix/internal/digest"
 	"godavix/internal/metalink"
+	"godavix/internal/rangev"
 	"godavix/internal/webdav"
 	"godavix/internal/wire"
 )
@@ -109,7 +110,7 @@ func (c *Client) getRangeCached(ctx context.Context, host, path string, off, len
 // and replica failover all apply). Servers ignoring Range (status 200) are
 // handled by slicing the full body.
 func (c *Client) getRange(ctx context.Context, host, path string, off, length int64) ([]byte, error) {
-	rangeVal := "bytes=" + strconv.FormatInt(off, 10) + "-" + strconv.FormatInt(off+length-1, 10)
+	rangeVal := rangev.SingleRangeHeader(off, length)
 	var out []byte
 	err := c.exec(ctx, host, path, specRange, func(h, p string) *wire.Request {
 		req := wire.NewRequest("GET", h, p)

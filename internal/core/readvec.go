@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"godavix/internal/rangev"
 	"godavix/internal/wire"
@@ -31,9 +30,7 @@ func (c *Client) ReadVec(ctx context.Context, host, path string, ranges []rangev
 	if c.cache != nil {
 		return c.readVecCached(ctx, host, path, ranges, dsts)
 	}
-	return c.withFailover(ctx, host, path, nil, func(r Replica) error {
-		return c.readVecOnce(ctx, r.Host, r.Path, ranges, dsts)
-	})
+	return c.readVecReplicas(ctx, host, path, ranges, dsts)
 }
 
 // readVecCached serves fragments wholly resident in the block cache from
@@ -54,10 +51,7 @@ func (c *Client) readVecCached(ctx context.Context, host, path string, ranges []
 		return nil
 	}
 	gen := c.cache.Generation()
-	err := c.withFailover(ctx, host, path, nil, func(r Replica) error {
-		return c.readVecOnce(ctx, r.Host, r.Path, missR, missD)
-	})
-	if err != nil {
+	if err := c.readVecReplicas(ctx, host, path, missR, missD); err != nil {
 		return err
 	}
 	for i, r := range missR {
@@ -85,98 +79,24 @@ func validateVec(ranges []rangev.Range, dsts [][]byte) error {
 	return nil
 }
 
-// readVecOnce executes the vectored read against exactly one replica. The
-// coalesced frames are cut into MaxRangesPerRequest batches; with more than
-// one batch and parallelism available, the batches fan out concurrently,
-// each on its own pooled connection.
-func (c *Client) readVecOnce(ctx context.Context, host, path string, ranges []rangev.Range, dsts [][]byte) error {
+// readVecReplicas executes a validated vectored read with replica
+// failover: the whole read moves to the next replica together. The
+// coalesced frames are cut into MaxRangesPerRequest batches that fan out
+// over pooled connections, VectorParallelism at a time. Batches write
+// disjoint destination buffers (each caller range is a member of exactly
+// one frame, and each frame sits in exactly one batch), so scattering needs
+// no coordination.
+func (c *Client) readVecReplicas(ctx context.Context, host, path string, ranges []rangev.Range, dsts [][]byte) error {
 	frames := rangev.Coalesce(ranges, c.opts.CoalesceGap)
 	per := c.opts.MaxRangesPerRequest
-	nBatches := (len(frames) + per - 1) / per
-	if par := c.vectorParallelism(nBatches); par > 1 {
-		return c.readVecParallel(ctx, host, path, frames, ranges, dsts, par)
-	}
-	for start := 0; start < len(frames); start += per {
-		end := start + per
-		if end > len(frames) {
-			end = len(frames)
-		}
-		if err := c.readVecBatch(ctx, host, path, frames[start:end], ranges, dsts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// vectorParallelism resolves the fan-out for a vectored read that splits
-// into nBatches multi-range requests. Options.VectorParallelism wins when
-// set; the default is one connection per batch, capped by the pool's
-// MaxPerHost so vector reads cannot starve other traffic of pool slots.
-func (c *Client) vectorParallelism(nBatches int) int {
-	par := c.opts.VectorParallelism
-	if par <= 0 {
-		par = nBatches
-		if m := c.opts.MaxPerHost; m > 0 && par > m {
-			par = m
-		}
-	}
-	if par > nBatches {
-		par = nBatches
-	}
-	return par
-}
-
-// readVecParallel dispatches the frame batches concurrently, at most par in
-// flight. Batches write disjoint destination buffers (each caller range is
-// a member of exactly one frame, and each frame sits in exactly one batch),
-// so scattering needs no coordination. The first batch error cancels the
-// remaining work; the error recorded before cancellation is the one
-// returned, so replica failover still sees the genuine failure rather than
-// a sibling's context.Canceled.
-func (c *Client) readVecParallel(ctx context.Context, host, path string, frames []rangev.Frame, ranges []rangev.Range, dsts [][]byte, par int) error {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, par)
-	per := c.opts.MaxRangesPerRequest
-	for start := 0; start < len(frames); start += per {
-		end := start + per
-		if end > len(frames) {
-			end = len(frames)
-		}
-		batch := frames[start:end]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-gctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			if err := c.readVecBatch(gctx, host, path, batch, ranges, dsts); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				errMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr == nil {
-		// Cancellation can drain queued batches without any of them
-		// recording an error; success must never be reported while dsts
-		// are only partially filled (readVecCached would cache garbage).
-		firstErr = ctx.Err()
-	}
-	return firstErr
+	n := (len(frames) + per - 1) / per
+	par := c.parallelism(c.opts.VectorParallelism, n, n)
+	return c.withFailover(ctx, host, path, nil, func(r Replica) error {
+		return fanOut(ctx, n, par, func(ctx context.Context, i int) error {
+			batch := frames[i*per : min((i+1)*per, len(frames))]
+			return c.readVecBatch(ctx, r.Host, r.Path, batch, ranges, dsts)
+		})
+	})
 }
 
 // readVecBatch executes one multi-range request for a batch of frames.

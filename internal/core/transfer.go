@@ -10,7 +10,6 @@ import (
 	"hash"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"godavix/internal/digest"
 	"godavix/internal/metalink"
 	"godavix/internal/obs"
+	"godavix/internal/rangev"
 	"godavix/internal/wire"
 )
 
@@ -74,7 +74,7 @@ func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, i
 // Replica selection belongs to the caller; the engine applies redirects and
 // the retry budget but no failover here.
 func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (scatterResult, error) {
-	rangeVal := "bytes=" + strconv.FormatInt(off, 10) + "-" + strconv.FormatInt(off+ln-1, 10)
+	rangeVal := rangev.SingleRangeHeader(off, ln)
 	var res scatterResult
 	err := c.exec(ctx, host, path, specChunk, func(h, p string) *wire.Request {
 		req := wire.NewRequest("GET", h, p)
@@ -269,7 +269,7 @@ func armAbort(ctx context.Context, resp *Response) (closeResp func() error) {
 // without re-reading the payload: a HEAD with Range and Want-Digest. ok is
 // false when the server would not commit to a range digest.
 func (c *Client) chunkServerDigest(ctx context.Context, host, path string, algo digest.Algo, off, ln int64) (uint32, bool) {
-	rangeVal := "bytes=" + strconv.FormatInt(off, 10) + "-" + strconv.FormatInt(off+ln-1, 10)
+	rangeVal := rangev.SingleRangeHeader(off, ln)
 	var sum uint32
 	ok := false
 	err := c.exec(ctx, host, path, specHead, func(h, p string) *wire.Request {
@@ -597,17 +597,10 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 	}
 	replicas := c.health.order(set.replicas)
 
-	cs := c.opts.ChunkSize
-	nChunks := int((size + cs - 1) / cs)
-	par := c.uploadParallelism(nChunks)
-	if par <= 1 || nChunks <= 1 {
-		return c.copyStreamPipe(ctx, replicas, dHost, dPath, size)
-	}
-
 	// The source Stat's checksum (when its server reported one) is the
 	// ground truth the destination must match if commit verification runs.
 	want := inf.Checksum
-	return c.multiStreamPut(ctx, dHost, dPath, size, par,
+	return c.multiStreamPut(ctx, dHost, dPath, size,
 		func(cctx context.Context, idx int, off, ln int64) (func() io.Reader, func(), error) {
 			buf := bufpool.Get(int(ln))
 			if err := c.readChunkInto(cctx, replicas, idx, off, buf); err != nil {

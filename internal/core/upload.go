@@ -11,12 +11,12 @@ import (
 	"hash"
 	"io"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"godavix/internal/digest"
 	"godavix/internal/obs"
+	"godavix/internal/rangev"
 	"godavix/internal/wire"
 )
 
@@ -39,25 +39,6 @@ func newUploadID() string {
 		return ""
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// uploadParallelism resolves the chunk fan-out for an upload or pull-mode
-// copy that splits into nChunks Content-Range PUTs. An explicit
-// Options.UploadParallelism wins; the default is defaultUploadParallelism
-// capped by the pool's MaxPerHost, so uploads never starve other traffic
-// of pool slots.
-func (c *Client) uploadParallelism(nChunks int) int {
-	par := c.opts.UploadParallelism
-	if par <= 0 {
-		par = defaultUploadParallelism
-		if m := c.opts.MaxPerHost; m > 0 && par > m {
-			par = m
-		}
-	}
-	if par > nChunks {
-		par = nChunks
-	}
-	return par
 }
 
 // primeAfterWrite restores cache coherence after this client stored size
@@ -230,19 +211,12 @@ func (c *Client) UploadMultiStream(ctx context.Context, host, path string, src i
 	if size == 0 {
 		return c.Put(ctx, host, path, nil)
 	}
-	cs := c.opts.ChunkSize
-	nChunks := int((size + cs - 1) / cs)
-	par := c.uploadParallelism(nChunks)
-	if par <= 1 || nChunks <= 1 {
-		return c.putSerial(ctx, host, path, src, size)
-	}
-
 	// No chunk is ever staged in memory: each send streams its slice of src
 	// through the wire layer's one pooled 64 KiB buffer.
 	open := func(_ context.Context, _ int, off, ln int64) (func() io.Reader, func(), error) {
 		return func() io.Reader { return io.NewSectionReader(src, off, ln) }, func() {}, nil
 	}
-	return c.multiStreamPut(ctx, host, path, size, par,
+	return c.multiStreamPut(ctx, host, path, size,
 		open,
 		func() error { return c.putSerial(ctx, host, path, src, size) },
 		func(algo digest.Algo) string { return sourceChecksum(src, size, algo) },
@@ -259,12 +233,14 @@ type chunkBodies func(ctx context.Context, idx int, off, ln int64) (body func() 
 // multiStreamPut drives the shared orchestration of every chunked upload
 // (UploadMultiStream and the pull-mode CopyStream): a small probe slice
 // resolves the redirect target and ranged-PUT support, the remaining
-// chunks fan out over par workers streaming the bodies open supplies,
-// fallback runs when the destination rejects ranged PUTs, and the commit is
-// checked: against the Digest of the 201 Created that assembled the object
-// when verifying, else — when no chunk answered 201 — by verifyCommitted
-// (wantChecksum supplies the expected content checksum under the algorithm
-// the server reports, lazily).
+// chunks fan out over UploadParallelism workers streaming the bodies open
+// supplies, and the commit is checked: against the Digest of the 201
+// Created that assembled the object when verifying, else — when no chunk
+// answered 201 — by verifyCommitted (wantChecksum supplies the expected
+// content checksum under the algorithm the server reports, lazily).
+// fallback, the serial single-stream path, runs instead when that width
+// resolves to one worker (one chunk, or UploadParallelism=1) and when the
+// destination rejects ranged PUTs.
 //
 // Inline integrity: with VerifyTransfers (or a journal to keep) every chunk
 // body is hashed as it streams to the socket, and every chunk PUT offers
@@ -281,13 +257,18 @@ type chunkBodies func(ctx context.Context, idx int, off, ln int64) (body func() 
 // and re-sends only the rest under the journaled upload id, and a resume
 // whose server-side partial assembly has meanwhile been reaped detects the
 // phantom (no commit signal) and re-uploads from scratch once.
-func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int64, par int,
+func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int64,
 	open chunkBodies,
 	fallback func() error,
 	wantChecksum func(digest.Algo) string,
 	resumeSrc io.ReaderAt) error {
 
-	probeLen := min(uploadProbeLen, c.opts.ChunkSize, size)
+	cs := c.opts.ChunkSize
+	par := c.parallelism(c.opts.UploadParallelism, defaultUploadParallelism, int((size+cs-1)/cs))
+	if par <= 1 {
+		return fallback()
+	}
+	probeLen := min(uploadProbeLen, cs, size)
 	ck, recs, hdr := c.uploadCheckpoint(resumeSrc, host, path, size, newUploadID())
 	led, uploadID := &chunkLedger{ck: ck}, hdr.id
 	summing := c.opts.VerifyTransfers || ck != nil
@@ -385,7 +366,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			// gone (TTL sweep, restart): self-heal with one clean
 			// journal-free re-upload instead of surfacing the phantom.
 			led.close(false)
-			return c.multiStreamPut(ctx, host, path, size, par, open, fallback, wantChecksum, nil)
+			return c.multiStreamPut(ctx, host, path, size, open, fallback, wantChecksum, nil)
 		}
 		led.close(err != nil)
 		return err
@@ -502,7 +483,7 @@ type rangedPutResult struct {
 // naming its span. uploadID, when non-empty, travels as X-Upload-Id so the
 // server keeps concurrent uploads to one path in separate assemblies.
 func (c *Client) putRanged(ctx context.Context, host, path string, body func() io.Reader, off, ln, total int64, uploadID string, sum bool, algo digest.Algo) (rangedPutResult, error) {
-	cr := fmt.Sprintf("bytes %d-%d/%d", off, off+ln-1, total)
+	cr := string(rangev.AppendContentRange(make([]byte, 0, 64), off, ln, total))
 	var res rangedPutResult
 	var sums *bodySums
 	err := c.exec(ctx, host, path, specPutRange, func(hst, p string) *wire.Request {
@@ -561,60 +542,12 @@ func rangedPutUnsupported(err error) bool {
 }
 
 // forEachChunk runs fn once per Options.ChunkSize chunk of the [start,
-// size) byte range of an object, across up to streams workers. The first
-// chunk error cancels the siblings through a derived context: in-flight
-// requests abort and queued chunks are abandoned. Parent-context
-// cancellation surfaces as ctx.Err even when no worker recorded an error.
+// size) byte range of an object: a fanOut over streams workers, whose first
+// chunk error cancels the siblings.
 func (c *Client) forEachChunk(ctx context.Context, start, size int64, streams int, fn func(ctx context.Context, idx int, off, ln int64) error) error {
 	cs := c.opts.ChunkSize
-	nChunks := int((size - start + cs - 1) / cs)
-	if nChunks <= 0 {
-		return ctx.Err()
-	}
-	if streams > nChunks {
-		streams = nChunks
-	}
-	if streams < 1 {
-		streams = 1
-	}
-
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		next     atomic.Int64
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		errMu.Unlock()
-	}
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for dctx.Err() == nil {
-				idx := int(next.Add(1)) - 1
-				if idx >= nChunks {
-					return
-				}
-				off := start + int64(idx)*cs
-				ln := min(cs, size-off)
-				if err := fn(dctx, idx, off, ln); err != nil {
-					setErr(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return firstErr
+	return fanOut(ctx, int((size-start+cs-1)/cs), streams, func(ctx context.Context, idx int) error {
+		off := start + int64(idx)*cs
+		return fn(ctx, idx, off, min(cs, size-off))
+	})
 }

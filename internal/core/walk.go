@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 )
 
@@ -22,21 +23,6 @@ const defaultWalkParallelism = 8
 // emitter, so memory and goroutine count stay bounded on arbitrarily large
 // namespaces while the PROPFIND pipeline never starves.
 const walkSpeculate = 8
-
-// walkParallelism resolves the PROPFIND fan-out for Walk. An explicit
-// Options.WalkParallelism wins; the default is defaultWalkParallelism
-// capped by the pool's MaxPerHost, so a walk never starves other traffic
-// of pool slots. 1 restores the serial depth-first recursion.
-func (c *Client) walkParallelism() int {
-	par := c.opts.WalkParallelism
-	if par <= 0 {
-		par = defaultWalkParallelism
-		if m := c.opts.MaxPerHost; m > 0 && par > m {
-			par = m
-		}
-	}
-	return par
-}
 
 // Walk traverses the remote namespace rooted at host/path depth-first in
 // lexical order (the davix-ls -r behaviour), calling fn for every entry
@@ -59,7 +45,7 @@ func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error
 	if err != nil {
 		return err
 	}
-	par := c.walkParallelism()
+	par := c.parallelism(c.opts.WalkParallelism, defaultWalkParallelism, math.MaxInt)
 	if par <= 1 || !inf.Dir {
 		return c.walkSerial(ctx, host, inf, fn)
 	}

@@ -645,7 +645,7 @@ func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body [
 	code, sp := http.StatusOK, span{0, size}
 	if len(ranges) == 1 {
 		code, sp = http.StatusPartialContent, ranges[0]
-		h.Set("Content-Range", string(appendContentRange(make([]byte, 0, 64), sp, size)))
+		h.Set("Content-Range", string(rangev.AppendContentRange(make([]byte, 0, 64), sp.start, sp.end-sp.start, size)))
 	}
 	setDigestHeader(w, r, inf.Checksum, sp == span{0, size}, body[sp.start:sp.end])
 	h.Set("Content-Length", strconv.FormatInt(sp.end-sp.start, 10))
@@ -653,16 +653,6 @@ func serveBytes(w http.ResponseWriter, r *http.Request, inf storage.Info, body [
 	if r.Method != http.MethodHead {
 		w.Write(body[sp.start:sp.end])
 	}
-}
-
-// appendContentRange appends "bytes start-last/size".
-func appendContentRange(b []byte, ra span, size int64) []byte {
-	b = append(b, "bytes "...)
-	b = strconv.AppendInt(b, ra.start, 10)
-	b = append(b, '-')
-	b = strconv.AppendInt(b, ra.end-1, 10)
-	b = append(b, '/')
-	return strconv.AppendInt(b, size, 10)
 }
 
 // appendPartHeader appends what precedes one part's payload in a
@@ -675,7 +665,7 @@ func appendPartHeader(b []byte, first bool, boundary string, ra span, size int64
 	b = append(b, "--"...)
 	b = append(b, boundary...)
 	b = append(b, "\r\nContent-Range: "...)
-	b = appendContentRange(b, ra, size)
+	b = rangev.AppendContentRange(b, ra.start, ra.end-ra.start, size)
 	return append(b, "\r\nContent-Type: "+objectType+"\r\n\r\n"...)
 }
 

@@ -110,14 +110,38 @@ func Coalesce(ranges []Range, gap int64) []Frame {
 // "bytes=0-99,200-249".
 func RangeHeader(frames []Frame) string {
 	var b strings.Builder
+	b.Grow(len("bytes=") + len(frames)*24)
 	b.WriteString("bytes=")
+	var num [48]byte
 	for i, f := range frames {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d-%d", f.Off, f.End()-1)
+		b.Write(appendSpan(num[:0], f.Off, f.Len))
 	}
 	return b.String()
+}
+
+// SingleRangeHeader renders the one range [off, off+length) as an HTTP
+// Range header value: "bytes=100-199".
+func SingleRangeHeader(off, length int64) string {
+	var b [64]byte
+	return string(appendSpan(append(b[:0], "bytes="...), off, length))
+}
+
+// AppendContentRange appends the Content-Range value of the length bytes
+// at off in a total-byte object: "bytes 100-199/1000".
+func AppendContentRange(b []byte, off, length, total int64) []byte {
+	b = appendSpan(append(b, "bytes "...), off, length)
+	b = append(b, '/')
+	return strconv.AppendInt(b, total, 10)
+}
+
+// appendSpan appends "first-last" for the length bytes at off.
+func appendSpan(b []byte, off, length int64) []byte {
+	b = strconv.AppendInt(b, off, 10)
+	b = append(b, '-')
+	return strconv.AppendInt(b, off+length-1, 10)
 }
 
 // ParseContentRange parses a "bytes first-last/total" Content-Range value.

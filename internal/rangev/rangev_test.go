@@ -114,6 +114,20 @@ func TestRangeHeader(t *testing.T) {
 	if got := RangeHeader(frames); got != "bytes=0-99,200-249" {
 		t.Fatalf("header = %q", got)
 	}
+	// The single-range and Content-Range renderers agree with fmt at the
+	// int64 extremes too.
+	for _, r := range []Range{{0, 1}, {100, 512}, {math.MaxInt64 - 9, 10}} {
+		if got, want := SingleRangeHeader(r.Off, r.Len), fmt.Sprintf("bytes=%d-%d", r.Off, r.End()-1); got != want {
+			t.Errorf("SingleRangeHeader = %q, want %q", got, want)
+		}
+		if got, want := RangeHeader([]Frame{{Off: r.Off, Len: r.Len}}), fmt.Sprintf("bytes=%d-%d", r.Off, r.End()-1); got != want {
+			t.Errorf("RangeHeader = %q, want %q", got, want)
+		}
+		got := string(AppendContentRange([]byte("x"), r.Off, r.Len, math.MaxInt64))
+		if want := fmt.Sprintf("xbytes %d-%d/%d", r.Off, r.End()-1, int64(math.MaxInt64)); got != want {
+			t.Errorf("AppendContentRange = %q, want %q", got, want)
+		}
+	}
 }
 
 func TestParseContentRange(t *testing.T) {

@@ -62,6 +62,12 @@ func FuzzReadResponse(f *testing.F) {
 		"HTTP/1.1 200 OK\r\n: no key\r\nContent-Length: 0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nX-Obs-Text: caf\xc3\xa9\r\nConnection: keep-alive, close\r\nContent-Length: 0\r\n\r\n",
 		gatewayGET + strings.Repeat("x", 16384),
+		// Heads longer than the 4 KiB bufio.Reader: one line that fills it
+		// (readHead's ErrBufferFull path) and many short lines that
+		// outgrow its stack buffer. Seeded, so a fresh fuzz cache does not
+		// spend its run minimizing the first such input it finds.
+		"HTTP/1.1 200 OK\r\nX-Long: " + strings.Repeat("a", 5000) + "\r\nContent-Length: 2\r\n\r\nhi",
+		"HTTP/1.1 200 OK\r\n" + strings.Repeat("X-Many: b\r\n", 500) + "Content-Length: 2\r\n\r\nhi",
 	} {
 		f.Add([]byte(raw))
 	}

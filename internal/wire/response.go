@@ -80,9 +80,9 @@ func ReadResponseInto(resp *Response, br *bufio.Reader, method string) error {
 	// HTTP/1.0 requires an explicit keep-alive. Body framing per RFC 9112
 	// §6.3: the only transfer coding is chunked, alone, and an HTTP/1.0
 	// message carrying one has faulty framing (§6.1). Every Content-Length
-	// field must be a decimal that agrees.
+	// field must be a decimal, and a repeated one the same text.
 	closing, keepAlive := false, false
-	te, teFields := "", 0
+	te, teFields, cl := "", 0, ""
 	length := int64(-1)
 	for _, f := range h {
 		switch {
@@ -93,10 +93,10 @@ func ReadResponseInto(resp *Response, br *bufio.Reader, method string) error {
 			te, teFields = f.value, teFields+1
 		case strings.EqualFold(f.key, "Content-Length"):
 			n, err := strconv.ParseUint(f.value, 10, 63)
-			if err != nil || (length >= 0 && int64(n) != length) {
+			if err != nil || (length >= 0 && f.value != cl) {
 				return fmt.Errorf("%w: content-length %q", ErrMalformedResponse, f.value)
 			}
-			length = int64(n)
+			cl, length = f.value, int64(n)
 		}
 	}
 	if proto == "HTTP/1.1" {

@@ -270,6 +270,7 @@ var malformedResponses = []string{
 	"HTTP/1.1 200 OK\r\nContent-Length: xyz\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nContent-Length:\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 05\r\n\r\nhello",
 	"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n",
 	"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
