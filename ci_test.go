@@ -217,6 +217,13 @@ func parseGoTest(words []string) goTestCmd {
 // of the given package patterns ("./dir", "./dir/..."), by name.
 func testFuncs(pkgs []string) (map[string]bool, error) {
 	funcs := map[string]bool{}
+	err := eachTestFunc(pkgs, func(_ string, fd *ast.FuncDecl) { funcs[fd.Name.Name] = true })
+	return funcs, err
+}
+
+// eachTestFunc calls fn with every top-level function declared in the
+// _test.go files of the given package patterns, and its directory.
+func eachTestFunc(pkgs []string, fn func(dir string, fd *ast.FuncDecl)) error {
 	fset := token.NewFileSet()
 	add := func(dir string) error {
 		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
@@ -230,7 +237,7 @@ func testFuncs(pkgs []string) (map[string]bool, error) {
 			}
 			for _, d := range af.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-					funcs[fd.Name.Name] = true
+					fn(dir, fd)
 				}
 			}
 		}
@@ -243,7 +250,7 @@ func testFuncs(pkgs []string) (map[string]bool, error) {
 		}
 		if !recursive {
 			if err := add(dir); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -257,8 +264,99 @@ func testFuncs(pkgs []string) (map[string]bool, error) {
 			return add(path)
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return funcs, nil
+	return nil
+}
+
+// TestAllocChecksRunWithoutRace: every test that measures allocations —
+// it calls testing.AllocsPerRun or runtime.ReadMemStats, itself or
+// through a helper of its package — is selected by the workflow's
+// "alloc budgets" step, which runs without the race detector. Under
+// -race, sync.Pool drops what it is given at random, so an exact count
+// holds only in that step; a measuring test it does not select runs only
+// under -race, where its budget must be loosened or it flakes.
+func TestAllocChecksRunWithoutRace(t *testing.T) {
+	src, err := os.ReadFile(ciFiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, step, ok := strings.Cut(string(src), "- name: alloc budgets")
+	if !ok {
+		t.Fatalf("%s: no \"alloc budgets\" step", ciFiles[0])
+	}
+	step, _, _ = strings.Cut(step, "- name:")
+	cmds := goTestCommands(step, false)
+	if len(cmds) != 1 || len(cmds[0].sels) != 1 || cmds[0].sels[0].flag != "run" || strings.Contains(step, "-race") {
+		t.Fatalf("the alloc budgets step must be one go test -run command without -race:%s", step)
+	}
+	run, err := regexp.Compile(cmds[0].sels[0].pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := map[string]bool{}
+	if err := eachTestFunc(cmds[0].pkgs, func(dir string, fd *ast.FuncDecl) {
+		selected[filepath.Join(dir, fd.Name.Name)] = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Per directory: which functions measure, and which call which.
+	type pkgFuncs struct {
+		measures map[string]bool
+		calls    map[string][]string
+	}
+	pkgs := map[string]*pkgFuncs{}
+	if err := eachTestFunc([]string{"./..."}, func(dir string, fd *ast.FuncDecl) {
+		p := pkgs[dir]
+		if p == nil {
+			p = &pkgFuncs{measures: map[string]bool{}, calls: map[string][]string{}}
+			pkgs[dir] = p
+		}
+		name := fd.Name.Name
+		ast.Inspect(fd, func(n ast.Node) bool {
+			switch f := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := f.X.(*ast.Ident); ok && (x.Name == "testing" && f.Sel.Name == "AllocsPerRun" ||
+					x.Name == "runtime" && f.Sel.Name == "ReadMemStats") {
+					p.measures[name] = true
+				}
+			case *ast.CallExpr:
+				if id, ok := f.Fun.(*ast.Ident); ok {
+					p.calls[name] = append(p.calls[name], id.Name)
+				}
+			}
+			return true
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	measuring := 0
+	for dir, p := range pkgs {
+		for changed := true; changed; {
+			changed = false
+			for name, callees := range p.calls {
+				for _, c := range callees {
+					if p.measures[c] && !p.measures[name] {
+						p.measures[name], changed = true, true
+					}
+				}
+			}
+		}
+		for name := range p.measures {
+			if !strings.HasPrefix(name, "Test") {
+				continue
+			}
+			measuring++
+			if !selected[filepath.Join(dir, name)] || !run.MatchString(name) {
+				t.Errorf("%s.%s measures allocations, but the alloc budgets step (-run %q %v) does not run it", dir, name, run, cmds[0].pkgs)
+			}
+		}
+	}
+	// A dozen tests measure; far fewer means the reader above went wrong.
+	if measuring < 10 {
+		t.Fatalf("found only %d tests that measure allocations", measuring)
+	}
+	t.Logf("%d tests measure allocations", measuring)
 }

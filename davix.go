@@ -394,7 +394,8 @@ var SkipDir = core.SkipDir
 // Walk traverses the namespace under url depth-first, calling fn for every
 // entry (davix-ls -r behaviour). fn may return SkipDir to prune. Directory
 // listings are fetched concurrently (see Options.WalkParallelism), but fn
-// is always called sequentially, in the exact serial-walk order.
+// is always called sequentially, in depth-first lexical order; at
+// WalkParallelism 1 a collection is listed only once fn has accepted it.
 func (c *Client) Walk(ctx context.Context, url string, fn func(Info) error) error {
 	host, path, err := splitURL(url)
 	if err != nil {

@@ -237,9 +237,13 @@ func TestClientAllocBudgets(t *testing.T) {
 }
 
 // TestHealthyStatCostsNoFailover: Stat fails over, but a healthy primary
-// pays nothing for it: one HEAD per Stat, no Metalink lookup, and not one
-// allocation more than under StrategyNone, where nothing fails over.
+// pays nothing for it: not one allocation more than under StrategyNone,
+// where nothing fails over. That it sends one HEAD and no Metalink lookup
+// is the Stat line of testdata/wire/healthy.txt.
 func TestHealthyStatCostsNoFailover(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation count: CI runs it without -race, in the alloc budgets step")
+	}
 	ctx := context.Background()
 	resp := []byte("HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n")
 	allocs := map[Strategy]float64{}
@@ -263,11 +267,7 @@ func TestHealthyStatCostsNoFailover(t *testing.T) {
 		for i := 0; i < 3; i++ { // the conn, the pools
 			stat()
 		}
-		before := c.Metrics().Requests
 		allocs[strategy] = testing.AllocsPerRun(20, stat)
-		if n := c.Metrics().Requests - before; n != 21 { // AllocsPerRun's warm-up call, then 20
-			t.Errorf("strategy %d: %d requests for 21 Stats, want one HEAD each", strategy, n)
-		}
 	}
 	t.Logf("allocs per Stat: %.0f failing over, %.0f without", allocs[StrategyFailover], allocs[StrategyNone])
 	if allocs[StrategyFailover] != allocs[StrategyNone] {

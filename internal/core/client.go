@@ -77,9 +77,10 @@ type Options struct {
 
 	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
 	// concurrently across pooled connections, by the rule of
-	// VectorParallelism with a default of defaultWalkParallelism (8); 1
-	// restores the serial depth-first recursion. Entry delivery order is
-	// identical at every setting.
+	// VectorParallelism with a default of defaultWalkParallelism (8). At 1
+	// the walk speculates nothing: one PROPFIND at a time, each sent only
+	// once the callback has accepted its collection. Entry delivery order
+	// is identical at every setting.
 	WalkParallelism int
 
 	// UploadParallelism bounds how many ChunkSize chunks of one

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"godavix/internal/faults"
 	"godavix/internal/httpserv"
 	"godavix/internal/obs"
-	"godavix/internal/rangev"
 	"godavix/internal/s3"
 	"godavix/internal/storage"
 	"godavix/internal/wire"
@@ -615,65 +612,6 @@ func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 			t.Errorf("BreakerTrips = %d, want 1", trips)
 		}
 	})
-}
-
-// TestHealthyEngineIsWireIdentical: with every replica healthy, the retry
-// budget is pure bookkeeping. A client with retries on and one with them
-// off put the same requests on the wire — per server and method — and
-// move the same bytes, over repeated vectored reads and multi-stream
-// downloads across three replicas.
-func TestHealthyEngineIsWireIdentical(t *testing.T) {
-	const size, k = 2 << 20, 64
-	blob := make([]byte, size)
-	rand.New(rand.NewSource(62)).Read(blob)
-	rng := rand.New(rand.NewSource(63))
-	ranges := make([]rangev.Range, k)
-	for i := range ranges {
-		ranges[i] = rangev.Range{Off: rng.Int63n(size - 512), Len: 512}
-	}
-	run := func(retry RetryPolicy) string {
-		e := replicaEnv(t, Options{
-			MetalinkHost: "fed:80",
-			ChunkSize:    128 << 10,
-			MaxStreams:   4,
-			HedgeDelay:   -1,
-			Retry:        retry,
-		}, blob)
-		ctx := context.Background()
-		dsts := make([][]byte, k)
-		for i := range dsts {
-			dsts[i] = make([]byte, 512)
-		}
-		for i := 0; i < 3; i++ {
-			if err := e.client.ReadVec(ctx, dpm1, "/f", ranges, dsts); err != nil {
-				t.Fatal(err)
-			}
-			for j, r := range ranges {
-				if !bytes.Equal(dsts[j], blob[r.Off:r.Off+r.Len]) {
-					t.Fatalf("range %d: content mismatch", j)
-				}
-			}
-			got, err := e.client.DownloadMultiStream(ctx, dpm1, "/f")
-			if err != nil || !bytes.Equal(got, blob) {
-				t.Fatalf("download: content mismatch (err=%v)", err)
-			}
-		}
-		var b strings.Builder
-		for _, addr := range []string{"dpm1:80", "dpm2:80", "dpm3:80", "fed:80"} {
-			for _, ctr := range e.srvs[addr].Snapshot().Counters {
-				fmt.Fprintf(&b, "%s %s=%d\n", addr, ctr.Name, ctr.Value)
-			}
-		}
-		m := e.client.Metrics()
-		fmt.Fprintf(&b, "client requests=%d bytes_up=%d bytes_down=%d", m.Requests, m.BytesUp, m.BytesDown)
-		return b.String()
-	}
-	resilient := run(RetryPolicy{Attempts: 3})
-	stripped := run(RetryPolicy{Attempts: 1})
-	t.Logf("wire:\n%s", resilient)
-	if resilient != stripped {
-		t.Fatalf("retry budget changed the healthy wire:\n--- on\n%s\n--- off\n%s", resilient, stripped)
-	}
 }
 
 // TestAbortHookHoldsItsConnection: armAbort's hook may still be running

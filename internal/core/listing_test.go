@@ -19,19 +19,8 @@ import (
 // that the client can send again. Every entry is emitted, in order, and
 // each emitted Path can be Stat-ed and, for an object, fetched.
 func TestWalkEscapedNames(t *testing.T) {
-	objects := map[string]string{
-		"/t/a b/x.dat":       "space",
-		"/t/a b/c d/y z.dat": "nested spaces",
-		"/t/q?uery.dat":      "question mark",
-		"/t/100%.dat":        "percent",
-		"/t/100%/%41.dat":    "percent dir",
-		"/t/hash#1/z.dat":    "hash",
-		"/t/a&b.dat":         "ampersand",
-		"/t/été €.dat":       "non-ASCII",
-		"/t/plain.dat":       "plain",
-	}
 	st := storage.NewMemStore()
-	for p, body := range objects {
+	for p, body := range escapedObjects {
 		if err := st.Put(p, []byte(body)); err != nil {
 			t.Fatal(err)
 		}
@@ -82,8 +71,8 @@ func TestWalkEscapedNames(t *testing.T) {
 					continue
 				}
 				body, err := c.Get(ctx, host, inf.Path)
-				if err != nil || string(body) != objects[names[i]] {
-					t.Fatalf("Get(%q) = %q, %v; want %q", inf.Path, body, err, objects[names[i]])
+				if err != nil || string(body) != escapedObjects[names[i]] {
+					t.Fatalf("Get(%q) = %q, %v; want %q", inf.Path, body, err, escapedObjects[names[i]])
 				}
 			}
 		})

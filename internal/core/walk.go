@@ -38,16 +38,25 @@ const walkSpeculate = 8
 // cancels that subtree's remaining in-flight work, and an error from fn
 // (or ctx) cancels the whole fleet. Speculation is bounded: no matter how
 // large the namespace, only a fixed window of directories is held listed
-// ahead of the callback.
+// ahead of the callback. At WalkParallelism 1 the walk speculates nothing:
+// it lists a collection only once fn has accepted it, one PROPFIND at a
+// time, so a pruned subtree or an aborted walk costs no request.
 func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error {
 	// Every listing goes to host, so the root is stat'ed there too.
 	inf, err := c.statReplica(ctx, host, path)
 	if err != nil {
 		return err
 	}
+	if !inf.Dir {
+		if err := fn(inf); err != SkipDir {
+			return err
+		}
+		return nil
+	}
 	par := c.parallelism(c.opts.WalkParallelism, defaultWalkParallelism, math.MaxInt)
-	if par <= 1 || !inf.Dir {
-		return c.walkSerial(ctx, host, inf, fn)
+	ahead := par
+	if par == 1 {
+		ahead = 0
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -55,40 +64,16 @@ func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error
 		c:       c,
 		host:    host,
 		fn:      fn,
+		ahead:   ahead,
 		sem:     make(chan struct{}, par),
-		tickets: make(chan struct{}, par*walkSpeculate),
+		tickets: make(chan struct{}, ahead*walkSpeculate),
 	}
 	root := newWalkNode(inf, wctx, cancel)
+	if ahead > 0 {
+		root.rush() // list the root while fn looks at it
+	}
 	go w.expand(root)
 	return w.emit(ctx, root)
-}
-
-// walkSerial is the seed's depth-first recursion, used for WalkParallelism=1
-// (the meta benchmark's serial baseline) and for single-file roots.
-func (c *Client) walkSerial(ctx context.Context, host string, inf Info, fn WalkFunc) error {
-	if err := fn(inf); err != nil {
-		if err == SkipDir {
-			return nil
-		}
-		return err
-	}
-	if !inf.Dir {
-		return nil
-	}
-	listing, err := c.list(ctx, host, inf.Path)
-	if err != nil {
-		return err
-	}
-	for _, e := range *listing {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := c.walkSerial(ctx, host, e, fn); err != nil {
-			return err // the listing is left to the collector
-		}
-	}
-	putListing(listing)
-	return nil
 }
 
 // walkNode is one collection in the traversal tree. Its listing is
@@ -144,14 +129,18 @@ func (n *walkNode) rush() {
 	n.urgentOnce.Do(func() { close(n.urgent) })
 }
 
-// walker drives one parallel Walk: expand goroutines fan PROPFINDs out
-// across the pool (at most cap(sem) in flight, at most cap(tickets)
-// directories speculated ahead of the emitter) while emit merges results
-// back into deterministic depth-first order.
+// walker drives one Walk: expand goroutines fan PROPFINDs out across the
+// pool (at most cap(sem) in flight, at most cap(tickets) directories
+// speculated ahead of the emitter) while emit merges results back into
+// deterministic depth-first order.
 type walker struct {
 	c    *Client
 	host string
 	fn   WalkFunc
+	// ahead is how many child collections the emitter rushes as soon as
+	// their parent is listed: the width, or 0 for a walk that speculates
+	// nothing (and then holds no tickets either).
+	ahead int
 	// sem bounds concurrent PROPFINDs.
 	sem chan struct{}
 	// tickets bounds listed-but-unconsumed directories (the speculation
@@ -174,9 +163,18 @@ func (w *walker) expand(n *walkNode) {
 	}
 }
 
-// list runs the PROPFIND for n and publishes entries/children.
+// list runs the PROPFIND for n and publishes entries/children. A node
+// without a ticket lists only once the emitter needs it.
 func (w *walker) list(n *walkNode) {
 	defer close(n.done)
+	if !n.ticketed {
+		select {
+		case <-n.urgent:
+		case <-n.ctx.Done():
+			n.err = n.ctx.Err()
+			return
+		}
+	}
 	select {
 	case w.sem <- struct{}{}:
 	case <-n.ctx.Done():
@@ -246,18 +244,18 @@ func (w *walker) emit(ctx context.Context, n *walkNode) error {
 	if n.err != nil {
 		return n.err
 	}
-	// Rush the first parallelism child collections: they are the listings
+	// Rush the first w.ahead child collections: they are the listings
 	// this walk needs soonest, and prioritizing them keeps the depth-first
 	// critical path pipelined even when every speculation ticket is held
 	// by a later subtree.
 	rushed := 0
 	for _, child := range n.children {
-		if child == nil {
-			continue
-		}
-		child.rush()
-		if rushed++; rushed == cap(w.sem) {
+		if rushed == w.ahead {
 			break
+		}
+		if child != nil {
+			child.rush()
+			rushed++
 		}
 	}
 	for i, e := range *n.listing {
@@ -267,7 +265,7 @@ func (w *walker) emit(ctx context.Context, n *walkNode) error {
 		child := n.children[i]
 		if child == nil {
 			// Plain file: emit inline. SkipDir on a non-collection is a
-			// no-op beyond not descending, as in the serial walk.
+			// no-op beyond not descending.
 			if err := w.fn(e); err != nil && err != SkipDir {
 				return err
 			}

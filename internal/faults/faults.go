@@ -7,13 +7,19 @@
 // The Layer sits in front of everything the handler does, so a fault fires
 // before the gateway's admission control and authorization: a delayed
 // request holds no gateway slot, and a request the Layer answers or kills
-// itself never reaches the gateway's counters. Requests counts every
-// request that arrives, faulted or not.
+// itself never reaches the gateway's counters. The Layer records every
+// request that arrives, faulted or not (Exchanges), and Requests counts
+// that recording.
 package faults
 
 import (
 	"errors"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,15 +61,48 @@ type Fault struct {
 
 // Layer is an http.Handler that injects the armed faults in front of next.
 type Layer struct {
-	next     http.Handler
-	mu       sync.Mutex
-	faults   map[string]*Fault
-	byMethod map[string]int64
+	next   http.Handler
+	mu     sync.Mutex
+	faults map[string]*Fault
+	log    []Exchange
 }
 
 // New wraps next in a Layer with no fault armed.
 func New(next http.Handler) *Layer {
-	return &Layer{next: next, faults: map[string]*Fault{}, byMethod: map[string]int64{}}
+	return &Layer{next: next, faults: map[string]*Fault{}}
+}
+
+// Exchange is one request as it reached the Layer, before any fault fired,
+// and how it ended.
+type Exchange struct {
+	Host, Method, Target string
+	// Header holds the request's header fields as sorted "Name: value"
+	// lines, the masked names' values replaced by "*".
+	Header []string
+	// BodyLen and BodySum are the length and FNV-1a hash of the request
+	// body as far as the handler read it.
+	BodyLen int64
+	BodySum uint64
+	// Status is the response's status code: 0 when none was written.
+	Status int
+	// Done is set once the handler has returned.
+	Done bool
+}
+
+// masked names the request headers whose values differ from run to run
+// (a fresh upload id per transfer).
+var masked = []string{"X-Upload-Id"}
+
+// String renders x on one line: method, host, target, header fields,
+// the body's length and hash, and the status, "pending" while the request
+// is being served and 0 if it was killed without a response.
+func (x Exchange) String() string {
+	status := "pending"
+	if x.Done {
+		status = strconv.Itoa(x.Status)
+	}
+	return fmt.Sprintf("%s %s %s | %s | body %d %016x | %s",
+		x.Method, x.Host, x.Target, strings.Join(x.Header, " | "), x.BodyLen, x.BodySum, status)
 }
 
 // Set arms (or replaces) the fault for path p ("*" = every path).
@@ -84,35 +123,74 @@ func (l *Layer) Clear(p string) {
 func (l *Layer) Requests(method string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.byMethod[method]
+	n := int64(0)
+	for _, x := range l.log {
+		if x.Method == method {
+			n++
+		}
+	}
+	return n
 }
 
-// arrive counts r and returns a copy of the fault that fires on it,
-// consuming one use. The exact path's fault shadows the wildcard, even
-// while it is still letting requests through.
-func (l *Layer) arrive(r *http.Request) *Fault {
+// Exchanges returns every request that has arrived, in arrival order.
+func (l *Layer) Exchanges() []Exchange {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.byMethod[r.Method]++
+	return slices.Clone(l.log)
+}
+
+// arrive records r and returns its index in the log and a copy of the
+// fault that fires on it, consuming one use. The exact path's fault
+// shadows the wildcard, even while it is still letting requests through.
+func (l *Layer) arrive(r *http.Request) (int, *Fault) {
+	x := Exchange{Host: r.Host, Method: r.Method, Target: r.RequestURI}
+	for name, vals := range r.Header {
+		for _, v := range vals {
+			if slices.Contains(masked, name) {
+				v = "*"
+			}
+			x.Header = append(x.Header, name+": "+v)
+		}
+	}
+	slices.Sort(x.Header)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := len(l.log)
+	l.log = append(l.log, x)
 	for _, key := range []string{storage.Clean(r.URL.Path), "*"} {
 		if f := l.faults[key]; f != nil && f.After > 0 {
 			f.After--
-			return nil
+			return i, nil
 		} else if f != nil {
 			// Counting down from zero or below never reaches zero again.
 			if f.Remaining--; f.Remaining == 0 {
 				delete(l.faults, key)
 			}
 			cp := *f
-			return &cp
+			return i, &cp
 		}
 	}
-	return nil
+	return i, nil
+}
+
+// settle completes the log entry at i once its handler has returned.
+func (l *Layer) settle(i int, st *statusWriter, body *bodyHash) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	x := &l.log[i]
+	x.Status, x.BodyLen, x.BodySum, x.Done = st.status, body.n, body.h.Sum64(), true
 }
 
 // ServeHTTP implements http.Handler.
 func (l *Layer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f := l.arrive(r)
+	i, f := l.arrive(r)
+	st := &statusWriter{ResponseWriter: w}
+	body := &bodyHash{ReadCloser: r.Body, h: fnv.New64a()}
+	defer l.settle(i, st, body) // also when a fault or a cut kills the request
+	// A shallow copy carries the hashed body: the server reads its own
+	// Request's Body to decide how to answer Expect: 100-continue.
+	r = r.WithContext(r.Context())
+	w, r.Body = st, body
 	if f != nil && f.Delay > 0 {
 		select {
 		case <-time.After(f.Delay):
@@ -196,3 +274,39 @@ func (c *corrupter) Write(p []byte) (int, error) {
 }
 
 func (c *corrupter) Unwrap() http.ResponseWriter { return c.ResponseWriter }
+
+// statusWriter notes the status code of the response written through it.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (s *statusWriter) WriteHeader(code int) {
+	if s.status == 0 && code >= 200 {
+		s.status = code
+	}
+	s.ResponseWriter.WriteHeader(code)
+}
+
+func (s *statusWriter) Write(p []byte) (int, error) {
+	if s.status == 0 {
+		s.status = http.StatusOK
+	}
+	return s.ResponseWriter.Write(p)
+}
+
+func (s *statusWriter) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
+// bodyHash hashes the request body as the handler reads it.
+type bodyHash struct {
+	io.ReadCloser
+	h hash.Hash64
+	n int64
+}
+
+func (b *bodyHash) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.h.Write(p[:n])
+	b.n += int64(n)
+	return n, err
+}

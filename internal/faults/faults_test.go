@@ -2,9 +2,13 @@ package faults
 
 import (
 	"bytes"
+	"context"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,5 +222,80 @@ func TestCorruptRefusesMultiRange(t *testing.T) {
 	}
 	if gw := srv.RequestsByMethod("GET"); gw != 0 {
 		t.Fatalf("gateway served %d GETs, want 0", gw)
+	}
+}
+
+// TestExchangesRecordEveryArrival: the Layer records each request as it
+// arrives, faulted or not, with its headers sorted and masked and its body
+// hashed, and completes the record with the status once the handler
+// returns. A request still being served shows as not Done.
+func TestExchangesRecordEveryArrival(t *testing.T) {
+	l, _, ts, st := newGateway(t)
+	st.Put("/f", []byte("x"))
+	body := []byte("payload")
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/up", bytes.NewReader(body))
+	req.Header.Set("X-Upload-Id", "random-id")
+	req.Header.Set("Want-Digest", "adler32")
+	if resp, err := ts.Client().Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	l.Set("/f", Fault{Status: http.StatusServiceUnavailable, Remaining: 1})
+	get(t, ts, "bytes=0-0")
+	l.Set("/f", Fault{Abort: true, Remaining: 1})
+	http.Get(ts.URL + "/f")
+
+	l.Set("/slow", Fault{Delay: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/slow", nil)
+		if resp, err := ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	for len(l.Exchanges()) < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	if x := l.Exchanges()[3]; x.Done || !strings.HasSuffix(x.String(), " | pending") {
+		t.Errorf("a delayed request reads %q, want it pending", x)
+	}
+	cancel()
+	<-done
+	for !l.Exchanges()[3].Done {
+		time.Sleep(time.Millisecond)
+	}
+
+	h := fnv.New64a()
+	h.Write(body)
+	host := strings.TrimPrefix(ts.URL, "http://")
+	want := []Exchange{
+		{Host: host, Method: "PUT", Target: "/up", Header: []string{
+			"Accept-Encoding: gzip", "Content-Length: 7", "User-Agent: Go-http-client/1.1",
+			"Want-Digest: adler32", "X-Upload-Id: *",
+		}, BodyLen: 7, BodySum: h.Sum64(), Status: http.StatusCreated},
+		{Host: host, Method: "GET", Target: "/f", Header: []string{
+			"Connection: close", "Range: bytes=0-0", "User-Agent: Go-http-client/1.1", "Want-Digest: adler32",
+		}, Status: http.StatusServiceUnavailable},
+		{Host: host, Method: "GET", Target: "/f", Header: []string{"Accept-Encoding: gzip", "User-Agent: Go-http-client/1.1"}},
+		{Host: host, Method: "GET", Target: "/slow", Header: []string{"Accept-Encoding: gzip", "User-Agent: Go-http-client/1.1"}},
+	}
+	got := l.Exchanges()
+	if len(got) != len(want) {
+		t.Fatalf("%d exchanges recorded, want %d", len(got), len(want))
+	}
+	for i := range want {
+		want[i].Done = true
+		if i > 0 {
+			want[i].BodySum = fnv.New64a().Sum64()
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("exchange %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	if n := l.Requests("GET"); n != 3 {
+		t.Errorf("Requests(GET) = %d, want 3: a count over the recording", n)
 	}
 }

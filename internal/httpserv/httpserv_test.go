@@ -262,6 +262,9 @@ func TestHrefForMatchesNetURL(t *testing.T) {
 			t.Fatalf("hrefFor(%q) = %q, want %q", p, got, want)
 		}
 	}
+	if raceEnabled {
+		t.Skip("exact allocation count: CI runs it without -race, in the alloc budgets step")
+	}
 	clean := "/tree/d00/c01/f000-1a2b.dat"
 	if a := testing.AllocsPerRun(100, func() { _ = hrefFor(clean) }); a != 0 {
 		t.Fatalf("hrefFor(%q): %.1f allocs, want 0", clean, a)
