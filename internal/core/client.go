@@ -77,10 +77,11 @@ type Options struct {
 
 	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
 	// concurrently across pooled connections, by the rule of
-	// VectorParallelism with a default of defaultWalkParallelism (8). At 1
-	// the walk speculates nothing: one PROPFIND at a time, each sent only
-	// once the callback has accepted its collection. Entry delivery order
-	// is identical at every setting.
+	// VectorParallelism with a default of defaultWalkParallelism (8). The
+	// root is listed before the callback sees it, at every setting. At 1
+	// the walk speculates nothing: one PROPFIND at a time, each below the
+	// root sent only once the callback has accepted its collection. Entry
+	// delivery order is identical at every setting.
 	WalkParallelism int
 
 	// UploadParallelism bounds how many ChunkSize chunks of one
@@ -444,13 +445,17 @@ func (c *Client) CloseIdlePool(host string) { c.pool.CloseIdle(host) }
 
 // Response couples a parsed wire response with the pooled connection it
 // arrived on, in one struct that exchanges recycle. Closing the Response
-// recycles or discards the connection. A Response lives until the handler
-// it was given returns: the strings its Header holds stay valid after
-// that, its Header slice and Body do not.
+// disarms the exchange's cancellation hook and recycles or discards the
+// connection. A Response lives until the handler it was given returns: the
+// strings its Header holds stay valid after that, its Header slice and Body
+// do not.
 type Response struct {
 	wire.Response
 	conn   *pool.Conn
 	client *Client
+	// stop disarms the exchange's cancellation hook (nil for a ctx that
+	// can never be cancelled); it reports false once the hook has fired.
+	stop   func() bool
 	closed bool
 	// dropWire marks an exchange whose wire bytes must not be charged to
 	// BytesUp/BytesDown: an abandoned redirect hop, whose request is about
@@ -464,16 +469,22 @@ type Response struct {
 // responses recycles Responses once their handlers have returned.
 var responses = sync.Pool{New: func() any { return new(Response) }}
 
-// release hands r back for a later exchange to reuse.
+// release hands r back for a later exchange to reuse, disarming the
+// cancellation hook of a handler that did not close it.
 func (r *Response) release() {
+	if r.stop != nil {
+		r.stop()
+	}
 	*r = Response{}
 	responses.Put(r)
 }
 
 // Close finishes the response: a fully-consumed keep-alive body recycles
-// the connection; anything else discards it. Either way, the exchange's
-// pending wire bytes are settled into the client counters first (committed
-// normally, dropped for an abandoned redirect hop).
+// the connection; anything else discards it, as does a cancellation whose
+// hook has fired (the slammed deadline poisons the connection). Either way,
+// the exchange's pending wire bytes are settled into the client counters
+// first (committed normally, dropped for an abandoned redirect hop). It
+// never fails: the error is always nil.
 func (r *Response) Close() error {
 	if r.closed {
 		return nil
@@ -485,6 +496,9 @@ func (r *Response) Close() error {
 		if _, err := io.CopyN(io.Discard, r.Body, 64<<10); err == io.EOF && r.Consumed() {
 			recycle = true
 		}
+	}
+	if r.stop != nil && !r.stop() {
+		recycle = false
 	}
 	if cc, ok := r.conn.NetConn().(*countingConn); ok {
 		if r.dropWire {
@@ -505,10 +519,7 @@ func (r *Response) Close() error {
 // bodies are read with one exactly-sized allocation (wire.Response.ReadAll).
 func (r *Response) ReadAllAndClose() ([]byte, error) {
 	b, err := r.ReadAll()
-	cerr := r.Close()
-	if err == nil {
-		err = cerr
-	}
+	r.Close()
 	return b, err
 }
 
@@ -520,56 +531,59 @@ func (r *Response) ReadAllAndClose() ([]byte, error) {
 // that host, so a cross-host redirect hop never leaks them to a
 // neighbouring node.
 func (c *Client) doOnce(ctx context.Context, host string, spec reqSpec, req *wire.Request, authHost string) (resp *Response, replayable bool, err error) {
+	// A cancelled operation never reaches the wire: the pool hands out an
+	// idle connection without looking at ctx.
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	conn, err := c.pool.Get(ctx, host)
 	if err != nil {
 		return nil, false, err
 	}
 	reused := conn.Uses() > 1
 	c.opts.Trace.EmitConnAcquired(host, reused)
-	// Cancellation must reach a round trip blocked writing the request or
-	// awaiting response headers: connection I/O only honours deadlines, so
-	// a cancelled ctx (a settled hedge race, an abandoned transfer) would
-	// otherwise pin this goroutine until the server answers. The slammed
-	// deadline poisons the connection, so every path below that saw the
-	// hook fire discards it rather than recycling it. The standing deadline
-	// is armed first: set after the hook, it would erase a cancellation
-	// that had already fired.
+	// The standing deadline is armed first: set after the hook below, it
+	// would erase a cancellation that had already fired.
 	if err := c.applyDeadline(ctx, conn); err != nil {
 		c.pool.Discard(conn)
 		return nil, reused, err
 	}
-	// A ctx that can never be cancelled (Done is nil) needs no hook.
-	var stop func() bool
+	// The exchange's one cancellation hook. Connection I/O only honours
+	// deadlines, so a cancelled ctx (a settled hedge race, an abandoned
+	// transfer) slams the deadline into the past, which fails a write of
+	// the request, a wait for its head or a read of its body at once.
+	// Response.Close (or release) disarms it. The hook may still be running
+	// after stop reports false, and the Response is recycled once its
+	// handler returns, so the hook holds the connection, never the Response.
+	resp = responses.Get().(*Response)
+	resp.conn, resp.client = conn, c
 	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() {
+		resp.stop = context.AfterFunc(ctx, func() {
 			conn.NetConn().SetDeadline(time.Unix(1, 0))
 		})
 	}
-	resp = responses.Get().(*Response)
-	resp.conn, resp.client = conn, c
 	spent, err := c.roundTrip(ctx, conn, spec, req, authHost, &resp.Response)
-	if stop != nil && !stop() || err != nil && ctxExpired(ctx) {
-		// ctx is done (the hook fired, or the standing deadline — ctx's
-		// own — beat ctx's timer). Report the cancellation itself, not the
-		// i/o timeout the deadline manufactured: callers classify context
-		// errors specially (they must propagate, never trigger failover).
-		<-ctx.Done()
-		err = ctx.Err()
-	}
 	if err != nil {
 		c.pool.Discard(conn)
 		resp.release()
-		return nil, reused && !spent, err
+		return nil, reused && !spent, ctxErr(ctx, err)
 	}
 	resp.spent = spent
 	return resp, reused, nil
 }
 
-// ctxExpired reports whether ctx's deadline has passed, even if ctx's
-// timer has not fired yet.
-func ctxExpired(ctx context.Context) bool {
+// ctxErr reports err, a failure of an exchange under ctx, as ctx's own
+// error once ctx is done (its hook fired, or the standing deadline, ctx's
+// own, beat ctx's timer): callers classify context errors specially (they
+// propagate, never trigger failover, never charge a host), and the i/o
+// timeout the slammed deadline manufactured is no fault of the server.
+func ctxErr(ctx context.Context, err error) error {
 	d, ok := ctx.Deadline()
-	return ctx.Err() != nil || ok && !time.Now().Before(d)
+	if err == nil || ctx.Err() == nil && (!ok || time.Now().Before(d)) {
+		return err
+	}
+	<-ctx.Done()
+	return ctx.Err()
 }
 
 // roundTrip writes req and reads the response header into resp on conn,

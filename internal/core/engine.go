@@ -249,22 +249,23 @@ func (c *Client) execHops(ctx context.Context, rep Replica, spec reqSpec,
 			return err
 		}
 		if !spec.follow || !isRedirect(resp.StatusCode) || resp.spent {
-			if retryableStatus(resp.StatusCode) {
-				// The handler will surface this as a StatusError; charge
-				// the host now so handlers that swallow it (HEAD→PROPFIND
-				// fallback) still leave the failure on the scoreboard.
+			// A retryable status is charged now, so handlers that swallow
+			// it (HEAD→PROPFIND fallback) still leave the failure on the
+			// scoreboard. Any other answer is judged only after the
+			// handler has consumed the body: a host that sends clean
+			// headers and then cuts every transfer mid-body must still
+			// accumulate failures (and a half-open probe must not be
+			// readmitted on headers alone). A handler that failed once ctx
+			// was done was cut by the cancellation, which charges no host.
+			retryable := retryableStatus(resp.StatusCode)
+			if retryable {
 				c.health.fail(host, &c.metrics)
-				herr := handle(Replica{Host: host, Path: path}, resp)
-				resp.release()
-				return herr
 			}
-			// Health is judged only after the handler has consumed the
-			// body: a host that sends clean headers and then cuts every
-			// transfer mid-body must still accumulate failures (and a
-			// half-open probe must not be readmitted on headers alone).
-			herr := handle(Replica{Host: host, Path: path}, resp)
+			herr := ctxErr(ctx, handle(Replica{Host: host, Path: path}, resp))
 			resp.release()
-			c.recordHealth(host, herr)
+			if !retryable {
+				c.recordHealth(host, herr)
+			}
 			return herr
 		}
 		// The hop answered as designed — it is healthy even though it

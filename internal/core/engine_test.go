@@ -614,14 +614,15 @@ func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 	})
 }
 
-// TestAbortHookHoldsItsConnection: armAbort's hook may still be running
-// after closeResp returns (stop reports only that it has started), so it
-// holds the connection it was armed for and never reads the Response,
-// which its handler may drop or reuse once it returns. Each round cancels
-// a chunk read's ctx as its body read completes, then wipes the Response
-// as a later exchange reusing it would; the exchanges after it on the same
-// client must all succeed. Under -race, a hook that reads the wiped field
-// is a data race; without it, a nil dereference.
+// TestAbortHookHoldsItsConnection: an exchange's cancellation hook may
+// still be running after Response.Close returns (stop reports only that it
+// has started), so it holds the connection it was armed for and never
+// reads the Response, which its handler may drop or reuse once it returns.
+// Each round cancels a chunk read's ctx as its body read completes, closes
+// the response, then wipes it as a later exchange reusing it would; the
+// exchanges after it on the same client must all succeed. Under -race, a
+// hook that reads the wiped field is a data race; without it, a nil
+// dereference.
 func TestAbortHookHoldsItsConnection(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
@@ -632,12 +633,9 @@ func TestAbortHookHoldsItsConnection(t *testing.T) {
 		err := e.client.exec(ctx, dpm1, "/f", specChunk, func(h, p string) *wire.Request {
 			return wire.NewRequest("GET", h, p)
 		}, func(_ Replica, resp *Response) error {
-			closeResp := armAbort(ctx, resp)
 			_, err := io.Copy(io.Discard, resp.Body)
 			cancel()
-			if cerr := closeResp(); err == nil {
-				err = cerr
-			}
+			resp.Close()
 			*resp = Response{}
 			return err
 		})

@@ -83,6 +83,26 @@ func coreGoroutines() map[string]string {
 	return out
 }
 
+// awaitCoreGoroutinesGone fails t unless every goroutine of the package's
+// own code that is not in before ends within overlapPatience.
+func awaitCoreGoroutinesGone(t *testing.T, before map[string]string) {
+	t.Helper()
+	for deadline := time.Now().Add(overlapPatience); ; time.Sleep(time.Millisecond) {
+		var left []string
+		for id, g := range coreGoroutines() {
+			if _, ok := before[id]; !ok {
+				left = append(left, g)
+			}
+		}
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the call:\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+	}
+}
+
 // TestFanOutFirstErrorWins pins what every parallel path of the client
 // returns when one of its requests fails while its siblings are held at
 // the gateway: that request's 503, not the context.Canceled the siblings
@@ -161,20 +181,7 @@ func TestFanOutFirstErrorWins(t *testing.T) {
 				case !cancelRow && errors.Is(err, context.Canceled):
 					t.Errorf("err = %v wraps context.Canceled", err)
 				}
-				for deadline := time.Now().Add(overlapPatience); ; time.Sleep(time.Millisecond) {
-					var left []string
-					for id, g := range coreGoroutines() {
-						if _, ok := before[id]; !ok {
-							left = append(left, g)
-						}
-					}
-					if len(left) == 0 {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("%d goroutines outlive the call:\n%s", len(left), strings.Join(left, "\n\n"))
-					}
-				}
+				awaitCoreGoroutinesGone(t, before)
 			})
 		}
 	}

@@ -96,9 +96,10 @@ func (f *File) open(r Replica) (dir bool, err error) {
 		resp.Close()
 		if stat = err != nil; stat {
 			// No ends this client can place (a collection's 409, another 416, an
-			// unknown size): open the way a Stat does.
+			// unknown size): open the way a Stat does. A read the cancel cut
+			// is no answer at all.
 			bufpool.Put(e.Buf())
-			return nil
+			return f.ctx.Err()
 		}
 		f.ends, f.size = e, e.Size
 		return nil

@@ -351,9 +351,15 @@ func (c *Client) statPropfind(ctx context.Context, host, path string) (Info, err
 	}
 	defer putListing(listing)
 	if len(*listing) == 0 {
-		return Info{}, &StatusError{Code: 404, Status: "404 Not Found", Method: "PROPFIND", Path: path}
+		return Info{}, errNoResponse(path)
 	}
 	return (*listing)[0], nil
+}
+
+// errNoResponse is the 404 that a multistatus document without a single
+// response stands for.
+func errNoResponse(path string) error {
+	return &StatusError{Code: 404, Status: "404 Not Found", Method: "PROPFIND", Path: path}
 }
 
 // List returns the entries of the collection at host/path (PROPFIND depth
@@ -364,7 +370,7 @@ func (c *Client) statPropfind(ctx context.Context, host, path string) (Info, err
 // a Stat that fell back to PROPFIND; a live entry from a direct Stat is
 // never overwritten, so a HEAD-won checksum survives its TTL.
 func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
-	listing, err := c.list(ctx, host, path)
+	listing, _, err := c.list(ctx, host, path)
 	if err != nil {
 		return nil, err
 	}
@@ -374,10 +380,11 @@ func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
 
 // list is List without its copy: the entries stay in the pooled scratch
 // listing, which the caller hands back with putListing once done with it.
-func (c *Client) list(ctx context.Context, host, path string) (*[]Info, error) {
-	listing, err := c.propfind(ctx, host, path, "1")
-	if err != nil {
-		return nil, err
+// self is the response that names path itself, zero when none does; a
+// collection's is taken out of the listing.
+func (c *Client) list(ctx context.Context, host, path string) (listing *[]Info, self Info, err error) {
+	if listing, err = c.propfind(ctx, host, path, "1"); err != nil {
+		return nil, Info{}, err
 	}
 	all := *listing
 	if c.statc != nil {
@@ -389,14 +396,17 @@ func (c *Client) list(ctx context.Context, host, path string) (*[]Info, error) {
 	// not fix its place among the responses, so it is found by its href
 	// and removed in place.
 	for i, inf := range all {
-		if inf.Dir && hrefNames(inf.Path, path) {
-			copy(all[i:], all[i+1:])
-			all[len(all)-1] = Info{}
-			*listing = all[:len(all)-1]
+		if hrefNames(inf.Path, path) {
+			self = inf
+			if inf.Dir {
+				copy(all[i:], all[i+1:])
+				all[len(all)-1] = Info{}
+				*listing = all[:len(all)-1]
+			}
 			break
 		}
 	}
-	return listing, nil
+	return listing, self, nil
 }
 
 // hrefNames reports whether a PROPFIND href names path: the same path,
@@ -449,11 +459,11 @@ func (c *Client) propfind(ctx context.Context, host, path, depth string) (*[]Inf
 			*listing = append(*listing, Info{Path: e.Href, Size: e.Size, Dir: e.Dir, ModTime: e.ModTime})
 			return nil
 		})
-		cerr := resp.Close()
+		resp.Close()
 		if err != nil {
 			return fmt.Errorf("davix: PROPFIND %s: %w", path, err)
 		}
-		return cerr
+		return nil
 	})
 	if err != nil {
 		putListing(listing)

@@ -254,7 +254,8 @@ func TestListDropsTheCollectionByHref(t *testing.T) {
 }
 
 // TestWalkSelfLastListing: a walk over servers that put each collection's
-// own response last ends, and emits every entry once.
+// own response last ends, and emits every entry once. The root's entry is
+// the root listing's own response, href as the server wrote it.
 func TestWalkSelfLastListing(t *testing.T) {
 	e := newEnv(t, Options{})
 	l, err := e.net.Listen("dav:80")
@@ -273,7 +274,7 @@ func TestWalkSelfLastListing(t *testing.T) {
 		}
 		return nil
 	})
-	if want := []string{"/c", "/c/f", "/c/sub", "/c/sub/g"}; err != nil || !slices.Equal(got, want) {
+	if want := []string{"/c/", "/c/f", "/c/sub", "/c/sub/g"}; err != nil || !slices.Equal(got, want) {
 		t.Fatalf("walk emitted %q (err %v), want %q", got, err, want)
 	}
 }
@@ -324,5 +325,42 @@ func TestStatHeadFallback(t *testing.T) {
 				t.Fatalf("Stat after HEAD %d: %v; want the HEAD's StatusError with Retry-After 7s", c.code, err)
 			}
 		})
+	}
+}
+
+// TestWalkRootNamedByNoHref: a root that no response's href names is
+// still walked by what the listing holds. A lone file is the root itself,
+// emitted once; a listing without a response is a missing root; anything
+// else is a collection's listing.
+func TestWalkRootNamedByNoHref(t *testing.T) {
+	e := newEnv(t, Options{})
+	l, err := e.net.Listen("dav:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	cannedDAV(t, l, map[string][]webdav.Entry{
+		"/file.dat": {{Href: "/mnt/file.dat", Size: 5}},
+		"/empty":    {},
+		"/c":        {{Href: "/mnt/c/f", Size: 1}, {Href: "/mnt/c/g", Size: 2}},
+	})
+	walk := func(path string) ([]Info, error) {
+		var got []Info
+		err := e.client.Walk(context.Background(), "dav:80", path, func(inf Info) error {
+			got = append(got, inf)
+			return nil
+		})
+		return got, err
+	}
+	got, err := walk("/file.dat")
+	if want := []Info{{Path: "/mnt/file.dat", Size: 5}}; err != nil || !slices.Equal(got, want) {
+		t.Errorf("file root: walk emitted %+v (err %v), want %+v", got, err, want)
+	}
+	if got, err := walk("/empty"); !errors.Is(err, ErrNotFound) || len(got) != 0 {
+		t.Errorf("empty multistatus: walk emitted %+v, err %v; want nothing and ErrNotFound", got, err)
+	}
+	got, err = walk("/c")
+	if want := []Info{{Path: "/c", Dir: true}, {Path: "/mnt/c/f", Size: 1}, {Path: "/mnt/c/g", Size: 2}}; err != nil || !slices.Equal(got, want) {
+		t.Errorf("collection root: walk emitted %+v (err %v), want %+v", got, err, want)
 	}
 }

@@ -116,38 +116,29 @@ func (c *Client) readVecBatch(ctx context.Context, host, path string, frames []r
 // scatterVecResponse consumes one multi-range response, scattering the
 // payload into dsts.
 func (c *Client) scatterVecResponse(resp *Response, path string, frames []rangev.Frame, ranges []rangev.Range, dsts [][]byte) error {
+	defer resp.Close()
 	switch resp.StatusCode {
 	case 206:
 		if boundary, ok := rangev.IsMultipartByteranges(resp.Header.Get("Content-Type")); ok {
 			// Streaming scatter: part payloads land in dsts as they arrive,
 			// never materialized — the batch costs no payload allocations.
-			if err := rangev.ScatterMultipart(resp.Body, boundary, frames, ranges, dsts); err != nil {
-				resp.Close()
-				return err
-			}
-			return resp.Close()
+			return rangev.ScatterMultipart(resp.Body, boundary, frames, ranges, dsts)
 		}
 		// Single Content-Range part: the server coalesced (or we sent one
 		// frame); scatter straight out of the stream.
 		off, length, _, err := rangev.ParseContentRange(resp.Header.Get("Content-Range"))
 		if err != nil {
 			resp.Discard()
-			resp.Close()
 			return fmt.Errorf("%w: %v", ErrVectorUnsupported, err)
 		}
 		for _, f := range frames {
 			if f.Off < off || f.End() > off+length {
 				resp.Discard()
-				resp.Close()
 				return fmt.Errorf("%w: single part [%d,+%d) does not cover frame [%d,+%d)",
 					ErrVectorUnsupported, off, length, f.Off, f.Len)
 			}
 		}
-		if err := rangev.StreamScatter(resp.Body, off, frames, ranges, dsts); err != nil {
-			resp.Close()
-			return err
-		}
-		return resp.Close()
+		return rangev.StreamScatter(resp.Body, off, frames, ranges, dsts)
 
 	case 200:
 		// Range-ignorant server: the full body covers every frame. Stream
@@ -157,17 +148,13 @@ func (c *Client) scatterVecResponse(resp *Response, path string, frames []rangev
 		maxEnd := frames[len(frames)-1].End()
 		if resp.ContentLength >= 0 && maxEnd > resp.ContentLength {
 			resp.Discard()
-			resp.Close()
 			return fmt.Errorf("%w: body size %d < frame end %d", ErrVectorUnsupported, resp.ContentLength, maxEnd)
 		}
-		if err := rangev.StreamScatter(resp.Body, 0, frames, ranges, dsts); err != nil {
-			resp.Close()
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("%w: body ends before frame end %d", ErrVectorUnsupported, maxEnd)
-			}
-			return err
+		err := rangev.StreamScatter(resp.Body, 0, frames, ranges, dsts)
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("%w: body ends before frame end %d", ErrVectorUnsupported, maxEnd)
 		}
-		return resp.Close()
+		return err
 
 	default:
 		return statusErr(resp, "GET(vector)", path)

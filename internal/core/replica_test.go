@@ -190,15 +190,12 @@ var replicaScenarios = []replicaScenario{
 
 // runReplicaCell runs ent under sc in an environment of its own and
 // returns the table cell, the operation's wire transcript and its error.
-// A cancelled operation's transcript ends where the cancel fell: a request
-// it still sends after that (DownloadMultiStreamTo's size Stat) races the
-// cancel to the wire.
+// A cancelled operation sends nothing after the cancel.
 func runReplicaCell(t *testing.T, sc replicaScenario, ent replicaEntry) (cell string, wire []string, err error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var e *testEnv
-	cut := make(chan *wireLog, 1)
 	e = replicaEnv(t, Options{
 		MetalinkHost: "fed:80",
 		ChunkSize:    replicaChunk,
@@ -215,7 +212,6 @@ func runReplicaCell(t *testing.T, sc replicaScenario, ent replicaEntry) (cell st
 					for e.faults["fed:80"].Requests("GET") == 0 && ctx.Err() == nil {
 						time.Sleep(time.Millisecond)
 					}
-					cut <- e.wireMark()
 					cancel()
 				}()
 			},
@@ -239,15 +235,7 @@ func runReplicaCell(t *testing.T, sc replicaScenario, ent replicaEntry) (cell st
 	// answered 201 rather than 202, depends on timing; the healthy
 	// transcript holds that side.
 	delete(e.faults, "dst:80")
-	var upTo *wireLog
-	if sc.cancelOnLookup {
-		select {
-		case upTo = <-cut:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the Metalink lookup never reached the federation")
-		}
-	}
-	return cell, newWireLog().take(t, e, ent.name, upTo, nil), err
+	return cell, newWireLog().take(t, e, ent.name, nil), err
 }
 
 // errClass names the class of an operation's error the replica layer

@@ -68,19 +68,10 @@ type wireLog struct{ seen map[string]int }
 
 func newWireLog() *wireLog { return &wireLog{seen: map[string]int{}} }
 
-// wireMark marks where e's transcripts stand now.
-func (e *testEnv) wireMark() *wireLog {
-	w := newWireLog()
-	for addr, l := range e.faults {
-		w.seen[addr] = len(l.Exchanges())
-	}
-	return w
-}
-
 // take appends to lines, labelled op, each request e's gateways have seen
-// since w and, unless upTo is nil, before upTo: server by server, each in
-// arrival order, once it has been answered. It then moves w past them.
-func (w *wireLog) take(t *testing.T, e *testEnv, op string, upTo *wireLog, lines []string) []string {
+// since w: server by server, each in arrival order, once it has been
+// answered. It then moves w past them.
+func (w *wireLog) take(t *testing.T, e *testEnv, op string, lines []string) []string {
 	t.Helper()
 	addrs := make([]string, 0, len(e.faults))
 	for addr := range e.faults {
@@ -90,9 +81,6 @@ func (w *wireLog) take(t *testing.T, e *testEnv, op string, upTo *wireLog, lines
 	deadline := time.Now().Add(5 * time.Second)
 	for _, addr := range addrs {
 		xs := e.faults[addr].Exchanges()
-		if upTo != nil {
-			xs = xs[:upTo.seen[addr]]
-		}
 		for i := w.seen[addr]; i < len(xs); i++ {
 			for !xs[i].Done {
 				if time.Now().After(deadline) {
@@ -235,7 +223,7 @@ func healthyTranscript(t *testing.T, attempts int) []string {
 		if err := op.run(); err != nil {
 			t.Fatalf("%s: %v", op.name, err)
 		}
-		lines = w.take(t, e, op.name, nil, lines)
+		lines = w.take(t, e, op.name, lines)
 	}
 	return lines
 }
@@ -273,7 +261,7 @@ func shedTranscript(t *testing.T) []string {
 	for _, c := range held {
 		c.Write([]byte("y"))
 	}
-	return w.take(t, e, "shed", nil, nil)
+	return w.take(t, e, "shed", nil)
 }
 
 // escapedObjects is a tree whose names are not plain URL path characters.
@@ -324,5 +312,5 @@ func walkTranscript(t *testing.T, par int, row walkRow, lines []string) []string
 	if row.stop != "" && !errors.Is(err, errStop) || row.stop == "" && err != nil {
 		t.Fatalf("%s: Walk = %v", row.name, err)
 	}
-	return newWireLog().take(t, e, row.name, nil, lines)
+	return newWireLog().take(t, e, row.name, lines)
 }

@@ -12,7 +12,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"godavix/internal/bufpool"
 	"godavix/internal/digest"
@@ -95,7 +94,7 @@ func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string
 		default:
 			return statusErr(resp, "GET", path)
 		}
-		return c.scatterBody(ctx, resp, skip, off, ln, dst, fastName, objPath, algo, sum, &res)
+		return c.scatterBody(resp, skip, off, ln, dst, fastName, objPath, algo, sum, &res)
 	})
 	if err != nil {
 		// res may still carry the partial byte count of the failed last
@@ -119,18 +118,10 @@ func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string
 //
 // Either way the chunk is never materialized and res reports exactly which
 // bytes moved how (Snapshot counters + TransferPath trace event).
-//
-// Connection I/O is deadline-bounded, not ctx-bounded, so a cancelled
-// sibling (first-error fan-out cancel, a hedged race's loser) would
-// otherwise block until the request deadline: armAbort makes ctx
-// cancellation slam the connection deadline so a blocked body read returns
-// promptly. The slammed connection is poisoned and must be discarded, so
-// every exit closes the response through closeResp.
-func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln int64, dst io.WriterAt, fastName, objPath string, algo digest.Algo, sum bool, res *scatterResult) error {
-	closeResp := armAbort(ctx, resp)
+func (c *Client) scatterBody(resp *Response, skip, off, ln int64, dst io.WriterAt, fastName, objPath string, algo digest.Algo, sum bool, res *scatterResult) error {
+	defer resp.Close()
 	if skip > 0 {
 		if _, err := io.CopyN(io.Discard, resp.Body, skip); err != nil {
-			closeResp()
 			if err == io.EOF {
 				return &StatusError{Code: 416, Status: "416 Requested Range Not Satisfiable", Method: "GET", Path: objPath}
 			}
@@ -161,10 +152,6 @@ func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln 
 			cc.addPendDown(direct)
 			c.recordBytePath(obs.Down, objPath, obs.PathKernel, direct)
 			c.recordBytePath(obs.Down, objPath, obs.PathPooled, n-direct)
-			cerr := closeResp()
-			if err == nil {
-				err = cerr
-			}
 			res.n = n
 			return err
 		}
@@ -183,7 +170,6 @@ func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln 
 		n, rerr := resp.Body.Read(b)
 		if n > 0 {
 			if _, werr := dst.WriteAt(b[:n], pos); werr != nil {
-				closeResp()
 				return werr
 			}
 			if h != nil {
@@ -202,10 +188,6 @@ func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln 
 	served := pos - off
 	res.n = served
 	c.recordBytePath(obs.Down, objPath, obs.PathPooled, served)
-	cerr := closeResp()
-	if err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return err
 	}
@@ -234,35 +216,6 @@ func (c *Client) scatterBody(ctx context.Context, resp *Response, skip, off, ln 
 		}
 	}
 	return nil
-}
-
-// armAbort couples ctx cancellation to resp's connection: pool I/O is
-// deadline-bounded, not ctx-bounded, so without this a reader blocked in
-// resp.Body.Read would survive cancellation until the request deadline.
-// When ctx is cancelled the hook slams the connection deadline into the
-// past, failing the blocked read immediately. The returned closeResp must
-// replace every resp.Close() on the caller's paths: it disarms the hook
-// first and, when the hook already fired (or may be firing), marks the
-// response non-keep-alive so the poisoned connection is discarded instead
-// of recycled.
-func armAbort(ctx context.Context, resp *Response) (closeResp func() error) {
-	// The hook may still be running after stop reports false, so it holds
-	// the connection itself, not resp.
-	conn := resp.conn
-	stop := context.AfterFunc(ctx, func() {
-		conn.NetConn().SetDeadline(time.Unix(1, 0))
-	})
-	closed := false
-	return func() error {
-		if closed {
-			return nil
-		}
-		closed = true
-		if !stop() {
-			resp.KeepAlive = false
-		}
-		return resp.Close()
-	}
 }
 
 // chunkServerDigest asks one replica for the digest of [off, off+ln)
@@ -427,7 +380,12 @@ func (c *Client) planDownload(ctx context.Context, p replicaSet) (replicaSet, er
 // WriteAt must tolerate concurrent disjoint writes (os.File does). Returns
 // the object size written.
 func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w io.WriterAt) (int64, error) {
-	set, _ := c.resolveReplicas(ctx, host, path) // best effort: primary-only without a Metalink
+	// Best effort: without a Metalink the primary streams alone, but a
+	// cancelled lookup ends the download.
+	set, err := c.resolveReplicas(ctx, host, path)
+	if err != nil && ctx.Err() != nil {
+		return 0, ctx.Err()
+	}
 	plan, err := c.planDownload(ctx, set)
 	if err != nil {
 		return 0, err

@@ -28,6 +28,9 @@ const walkSpeculate = 8
 // lexical order (the davix-ls -r behaviour), calling fn for every entry
 // including the root. Collections are enumerated with PROPFIND depth 1;
 // fn may return SkipDir to prune a subtree or any other error to abort.
+// The root is listed before fn sees it, at every width: its entry is the
+// listing's response for the root itself, so a file root, like every
+// other walked entry, carries PROPFIND properties and no checksum.
 //
 // With WalkParallelism > 1 (the default) the PROPFINDs for discovered
 // collections are issued concurrently across pooled connections, while a
@@ -39,20 +42,10 @@ const walkSpeculate = 8
 // (or ctx) cancels the whole fleet. Speculation is bounded: no matter how
 // large the namespace, only a fixed window of directories is held listed
 // ahead of the callback. At WalkParallelism 1 the walk speculates nothing:
-// it lists a collection only once fn has accepted it, one PROPFIND at a
-// time, so a pruned subtree or an aborted walk costs no request.
+// below the root it lists a collection only once fn has accepted it, one
+// PROPFIND at a time, so a pruned subtree or an aborted walk costs no
+// further request.
 func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error {
-	// Every listing goes to host, so the root is stat'ed there too.
-	inf, err := c.statReplica(ctx, host, path)
-	if err != nil {
-		return err
-	}
-	if !inf.Dir {
-		if err := fn(inf); err != SkipDir {
-			return err
-		}
-		return nil
-	}
 	par := c.parallelism(c.opts.WalkParallelism, defaultWalkParallelism, math.MaxInt)
 	ahead := par
 	if par == 1 {
@@ -68,12 +61,39 @@ func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error
 		sem:     make(chan struct{}, par),
 		tickets: make(chan struct{}, ahead*walkSpeculate),
 	}
-	root := newWalkNode(inf, wctx, cancel)
-	if ahead > 0 {
-		root.rush() // list the root while fn looks at it
+	// The root is listed on host like every collection, by its own
+	// expand, and its entry is what that listing says of it.
+	w.root = newWalkNode(Info{Path: path, Dir: true}, wctx, cancel)
+	w.root.rush()
+	go w.expand(w.root)
+	<-w.root.done
+	if w.root.err != nil {
+		return w.root.err
 	}
-	go w.expand(root)
-	return w.emit(ctx, root)
+	inf, listing := w.rootSelf, *w.root.listing
+	if inf.Path == "" {
+		// No href names the root: a lone file's response is the root
+		// itself, no response at all is no root, and anything else lists
+		// a collection.
+		switch {
+		case len(listing) == 0:
+			putListing(w.root.listing)
+			return errNoResponse(path)
+		case len(listing) == 1 && !listing[0].Dir:
+			inf = listing[0]
+		default:
+			inf = w.root.info
+		}
+	}
+	if !inf.Dir {
+		putListing(w.root.listing)
+		if err := fn(inf); err != SkipDir {
+			return err
+		}
+		return nil
+	}
+	w.root.info = inf
+	return w.emit(ctx, w.root)
 }
 
 // walkNode is one collection in the traversal tree. Its listing is
@@ -146,6 +166,10 @@ type walker struct {
 	// tickets bounds listed-but-unconsumed directories (the speculation
 	// frontier). The emitter's urgency signal bypasses it.
 	tickets chan struct{}
+	// root is the walk's root node, and rootSelf the response its listing
+	// gave for the root itself (list's self), zero when none named it.
+	root     *walkNode
+	rootSelf Info
 }
 
 // expand produces n's listing, schedules the listing of its child
@@ -181,11 +205,14 @@ func (w *walker) list(n *walkNode) {
 		n.err = n.ctx.Err()
 		return
 	}
-	listing, err := w.c.list(n.ctx, w.host, n.info.Path)
+	listing, self, err := w.c.list(n.ctx, w.host, n.info.Path)
 	<-w.sem
 	if err != nil {
 		n.err = err
 		return
+	}
+	if n == w.root {
+		w.rootSelf = self
 	}
 	n.listing = listing
 	n.children = make([]*walkNode, len(*listing))

@@ -25,8 +25,6 @@ func TestEmitNilSafety(t *testing.T) {
 		tr.EmitRetry("GET", "h", 1, errors.New("x"))
 		tr.EmitFailover("h", "h2", nil)
 		tr.EmitBreakerTrip("h")
-		tr.EmitCacheHit("k", 1)
-		tr.EmitCacheMiss("k", 2)
 		tr.EmitChunkStart(Down, "/p", 0, 0, 10)
 		tr.EmitChunkDone(Up, "/p", 0, 0, 10, nil)
 	}

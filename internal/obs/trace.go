@@ -208,22 +208,6 @@ func (t *ClientTrace) EmitBreakerTrip(host string) {
 	t.BreakerTrip(host)
 }
 
-// EmitCacheHit invokes CacheHit if installed.
-func (t *ClientTrace) EmitCacheHit(key string, blocks int64) {
-	if t == nil || t.CacheHit == nil {
-		return
-	}
-	t.CacheHit(key, blocks)
-}
-
-// EmitCacheMiss invokes CacheMiss if installed.
-func (t *ClientTrace) EmitCacheMiss(key string, blocks int64) {
-	if t == nil || t.CacheMiss == nil {
-		return
-	}
-	t.CacheMiss(key, blocks)
-}
-
 // EmitChunkStart invokes ChunkStart if installed.
 func (t *ClientTrace) EmitChunkStart(dir Direction, path string, idx int, off, length int64) {
 	if t == nil || t.ChunkStart == nil {
