@@ -53,9 +53,6 @@ func verboseTrace(chunkBytes *atomic.Int64) *davix.ClientTrace {
 			fmt.Fprintf(os.Stderr, "davix-get: chunk %d (%s) done: %d bytes at offset %d (%d total)\n",
 				idx, dir, length, off, total)
 		},
-		TransferPath: func(dir davix.Direction, path string, bp davix.BytePath, bytes int64) {
-			fmt.Fprintf(os.Stderr, "davix-get: %d bytes (%s) moved via %s path\n", bytes, dir, bp)
-		},
 		HedgeIssued: func(path string, idx int, off, length int64, toHost string) {
 			fmt.Fprintf(os.Stderr, "davix-get: chunk %d slow, hedging %d bytes at %d against %s\n",
 				idx, length, off, toHost)
@@ -83,9 +80,8 @@ func printSummary(s davix.Snapshot) {
 	fmt.Fprintf(os.Stderr, "davix-get: %d requests, %d retries, %d redirects, %d failovers, %d bytes up, %d bytes down\n",
 		s.Engine.Requests, s.Engine.Retries, s.Engine.Redirects, s.Engine.Failovers,
 		s.Engine.BytesUp, s.Engine.BytesDown)
-	fmt.Fprintf(os.Stderr, "davix-get: byte path: %d kernel down, %d pooled down, %d kernel up, %d pooled up; %d transfers verified, %d mismatches, %d uploads fell back to serial\n",
-		s.Engine.KernelBytesDown, s.Engine.PooledBytesDown,
-		s.Engine.KernelBytesUp, s.Engine.PooledBytesUp,
+	fmt.Fprintf(os.Stderr, "davix-get: payload: %d bytes down, %d bytes up; %d transfers verified, %d mismatches, %d uploads fell back to serial\n",
+		s.Engine.PooledBytesDown, s.Engine.PooledBytesUp,
 		s.Engine.TransfersVerified, s.Engine.ChecksumMismatches, s.Engine.UploadsFellBackSerial)
 	if s.Engine.HedgesIssued > 0 || s.Engine.ResumedBytes > 0 || s.Engine.ResumeVerifyFailures > 0 {
 		fmt.Fprintf(os.Stderr, "davix-get: self-heal: %d hedges (%d won, %d bytes wasted), %d bytes resumed, %d resume re-verify failures\n",
@@ -173,8 +169,7 @@ func main() {
 
 	case *putFile != "":
 		// Stream straight from the open file: the body never materializes
-		// in client memory, and on a plain-TCP connection the kernel
-		// sendfile path moves it without a userspace copy.
+		// in client memory.
 		f, err := os.Open(*putFile)
 		if err != nil {
 			log.Fatalf("davix-get: %v", err)
@@ -248,10 +243,9 @@ func main() {
 		if *out != "" {
 			// Download straight into the opened file: chunks scatter to
 			// their offsets without the object ever materializing in client
-			// memory, and with -verify off the kernel splice path moves the
-			// payload without a userspace copy (-v shows which path ran).
-			// With -resume the existing bytes must survive the reopen —
-			// they are what the checkpoint journal re-verifies against.
+			// memory. With -resume the existing bytes must survive the
+			// reopen — they are what the checkpoint journal re-verifies
+			// against.
 			var f *os.File
 			var err error
 			if *resume {

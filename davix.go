@@ -145,19 +145,6 @@ const (
 	Up = obs.Up
 )
 
-// BytePath tells a TransferPath trace hook which copy machinery moved a
-// transfer span's payload.
-type BytePath = obs.BytePath
-
-// Byte paths reported by the TransferPath trace hook.
-const (
-	// PathKernel marks payload moved by the kernel zero-copy fast path
-	// (sendfile/splice) without entering userspace.
-	PathKernel = obs.PathKernel
-	// PathPooled marks payload copied through pooled userspace buffers.
-	PathPooled = obs.PathPooled
-)
-
 // Snapshot is the unified client stat surface: engine, cache and pool
 // counters captured in one call; see Client.Snapshot.
 type Snapshot = core.Snapshot

@@ -137,10 +137,9 @@ type Options struct {
 	// through every sum, rollup, journal and comparison of that transfer.
 	// Failures surface as ErrChecksumMismatch naming the offending byte
 	// span; known-but-unimplemented server algorithms fail with
-	// ErrChecksumUnsupported instead of being skipped. Verification needs
-	// to observe every byte in userspace, so it routes transfers onto the
-	// pooled-buffer path (the kernel sendfile/splice path reports itself
-	// via Snapshot counters when this is off).
+	// ErrChecksumUnsupported instead of being skipped. The digest tees off
+	// the same pooled buffers every payload byte already passes through, so
+	// verification costs no extra read.
 	VerifyTransfers bool
 
 	// HedgeDelay tunes hedged chunk reads for multi-replica downloads:
@@ -639,14 +638,10 @@ func (c *Client) sendExpecting(ctx context.Context, conn *pool.Conn, req *wire.R
 	} else if !isTimeout(err) {
 		return false, err
 	}
-	bp := obs.PathPooled
-	if req.DirectBody(nc) && kernelEligible(nc) {
-		bp = obs.PathKernel
-	}
 	if err := req.WriteBody(nc); err != nil {
 		return true, fmt.Errorf("davix: write body: %w", err)
 	}
-	c.recordBytePath(obs.Up, req.Path, bp, req.ContentLength)
+	c.recordPayload(obs.Up, req.ContentLength)
 	for {
 		if err := wire.ReadResponseInto(resp, conn.Reader(), req.Method); err != nil {
 			return true, fmt.Errorf("davix: read response: %w", err)

@@ -17,8 +17,7 @@ import (
 // budget gets a duplicate request raced against the next-ranked replica.
 // The health scoreboard routes around replicas that fail; hedging covers
 // the gap it cannot see — a replica that answers, slowly. The primary leg
-// streams straight into the destination (keeping the kernel splice path);
-// the standby leg streams into a private pooled buffer and is committed
+// streams straight into the destination; the standby leg streams into a private pooled buffer and is committed
 // with a single WriteAt only after the primary leg has fully exited, so a
 // cancelled loser can never touch bytes the winner committed.
 
@@ -110,26 +109,26 @@ type hedgeLeg struct {
 // the chunk — a demoted primary, no healthy standby on another host, or
 // both legs failed transiently — and the caller falls back to the serial
 // ring walk.
-func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool, budget time.Duration) (scatterResult, bool, error) {
+func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int, off, ln int64, dst io.WriterAt, algo digest.Algo, sum, perChunk bool, budget time.Duration) (scatterResult, bool, error) {
 	primary, standby, ok := c.health.hedgePair(ring, idx)
 	if !ok {
 		return scatterResult{}, false, nil
 	}
 	objPath := primary.Path
 
-	run := func(ctx context.Context, rep Replica, w io.WriterAt, fast string) hedgeLeg {
-		r, err := c.getRangeScatter(ctx, rep.Host, rep.Path, objPath, off, ln, w, fast, algo, sum, perChunk)
+	run := func(ctx context.Context, rep Replica, w io.WriterAt) hedgeLeg {
+		r, err := c.getRangeScatter(ctx, rep.Host, rep.Path, objPath, off, ln, w, algo, sum, perChunk)
 		if err == nil && r.n != ln {
 			err = fmt.Errorf("davix: short chunk from %s: %d < %d", rep.Host, r.n, ln)
 		}
 		return hedgeLeg{res: r, err: err}
 	}
 
-	// Primary leg: straight into dst, splice path intact.
+	// Primary leg: straight into dst.
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	pch := make(chan hedgeLeg, 1)
-	go func() { pch <- run(pctx, primary, dst, fastName) }()
+	go func() { pch <- run(pctx, primary, dst) }()
 
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
@@ -159,7 +158,7 @@ func (c *Client) scatterChunkHedged(ctx context.Context, ring []Replica, idx int
 	defer hcancel()
 	hbuf := &chunkBuf{base: off, buf: bufpool.Get(int(ln))}
 	hch := make(chan hedgeLeg, 1)
-	go func() { hch <- run(hctx, standby, hbuf, "") }()
+	go func() { hch <- run(hctx, standby, hbuf) }()
 
 	var pl, hl *hedgeLeg
 	var winner *hedgeLeg

@@ -2,15 +2,12 @@ package core
 
 import (
 	"context"
-	"io"
 	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"godavix/internal/bufpool"
 	"godavix/internal/obs"
 	"godavix/internal/pool"
 )
@@ -46,13 +43,14 @@ type Metrics struct {
 	// charged once.
 	BytesUp   int64
 	BytesDown int64
-	// KernelBytesUp/KernelBytesDown count transfer payload bytes the kernel
-	// fast path moved (sendfile/splice — the bytes never crossed userspace);
-	// PooledBytesUp/PooledBytesDown count payload bytes that went through
-	// the pooled copy buffers instead. Only the streaming transfer paths
-	// (DownloadMultiStreamTo to a file, PutReader/UploadMultiStream from a
-	// file) classify their bytes; header traffic and byte-slice operations
-	// never count here.
+	// PooledBytesUp/PooledBytesDown count transfer payload bytes as they
+	// pass through the pooled 64 KiB copy buffers: the chunks of every
+	// multi-stream download, and the bodies of PutReader and
+	// UploadMultiStream. Header traffic and single-request byte-slice
+	// operations never count here.
+	// KernelBytesUp/KernelBytesDown are always 0: every payload takes the
+	// pooled path. They stay until the committed benchmark stops reading
+	// them.
 	KernelBytesUp   int64
 	KernelBytesDown int64
 	PooledBytesUp   int64
@@ -158,7 +156,6 @@ func quantile(counts []int64, total int64, q float64) time.Duration {
 type metrics struct {
 	requests, retries, redirects, failovers, breakerTrips atomic.Int64
 	bytesUp, bytesDown                                    atomic.Int64
-	kernelBytesUp, kernelBytesDown                        atomic.Int64
 	pooledBytesUp, pooledBytesDown                        atomic.Int64
 	transfersVerified, checksumMismatches                 atomic.Int64
 	hedgesIssued, hedgeWins, hedgeWastedBytes             atomic.Int64
@@ -192,8 +189,6 @@ func (m *metrics) snapshot() Metrics {
 		BreakerTrips:          m.breakerTrips.Load(),
 		BytesUp:               m.bytesUp.Load(),
 		BytesDown:             m.bytesDown.Load(),
-		KernelBytesUp:         m.kernelBytesUp.Load(),
-		KernelBytesDown:       m.kernelBytesDown.Load(),
 		PooledBytesUp:         m.pooledBytesUp.Load(),
 		PooledBytesDown:       m.pooledBytesDown.Load(),
 		TransfersVerified:     m.transfersVerified.Load(),
@@ -294,68 +289,15 @@ func (c *countingConn) drop() {
 	c.pendUp.Store(0)
 }
 
-// Unwrap exposes the transport connection underneath the counting layer.
-// The zero-copy download path hands the raw conn to os.File.ReadFrom so the
-// kernel splice engages (an interface-embedding wrapper hides the
-// syscall.Conn the runtime needs); the caller then accounts the moved bytes
-// via addPendDown, keeping the exchange's wire accounting exact.
-func (c *countingConn) Unwrap() net.Conn { return c.Conn }
-
-// addPendDown stages n payload bytes read directly off the raw conn (past
-// the counting Read) into the exchange's pending downlink counter.
-func (c *countingConn) addPendDown(n int64) {
-	if n > 0 {
-		c.pendDown.Add(n)
-	}
-}
-
-// ReadFrom forwards to the transport's own ReadFrom when it has one, so an
-// io.Copy from an *os.File body lands in net.TCPConn.ReadFrom and the
-// kernel sendfile path engages — the counting layer would otherwise hide
-// the interface and silently force userspace copies. Bytes are staged into
-// the pending uplink counter either way.
-func (c *countingConn) ReadFrom(r io.Reader) (int64, error) {
-	if rf, ok := c.Conn.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(r)
-		c.pendUp.Add(n)
-		return n, err
-	}
-	// No transport support: plain copy through the counting Write.
-	buf := bufpool.Get(64 << 10)
-	n, err := io.CopyBuffer(struct{ io.Writer }{c}, r, buf)
-	bufpool.Put(buf)
-	return n, err
-}
-
-// kernelEligible reports whether conn's transport can run kernel zero-copy
-// against a file: the raw connection (beneath the counting layer) must
-// expose a syscall descriptor for sendfile/splice — true for real TCP,
-// false for netsim's in-memory pipes and for TLS (the record layer must see
-// every byte).
-func kernelEligible(conn net.Conn) bool {
-	cc, ok := conn.(*countingConn)
-	if !ok {
-		return false
-	}
-	_, ok = cc.Unwrap().(syscall.Conn)
-	return ok
-}
-
-// recordBytePath settles one transfer span's byte-path accounting: the
-// Snapshot counters and the TransferPath trace event.
-func (c *Client) recordBytePath(dir obs.Direction, path string, bp obs.BytePath, n int64) {
+// recordPayload counts n transfer payload bytes moved in direction dir. A
+// chunked upload body (ContentLength -1) reports nothing.
+func (c *Client) recordPayload(dir obs.Direction, n int64) {
 	if n <= 0 {
 		return
 	}
-	switch {
-	case dir == obs.Down && bp == obs.PathKernel:
-		c.metrics.kernelBytesDown.Add(n)
-	case dir == obs.Down && bp == obs.PathPooled:
+	if dir == obs.Down {
 		c.metrics.pooledBytesDown.Add(n)
-	case dir == obs.Up && bp == obs.PathKernel:
-		c.metrics.kernelBytesUp.Add(n)
-	case dir == obs.Up && bp == obs.PathPooled:
+	} else {
 		c.metrics.pooledBytesUp.Add(n)
 	}
-	c.opts.Trace.EmitTransferPath(dir, path, bp, n)
 }

@@ -46,10 +46,8 @@ func (s Snapshot) Expo() obs.Snapshot {
 		{Name: "breaker_trips_total", Help: "Per-host health-scoreboard demotions.", Value: s.Engine.BreakerTrips},
 		{Name: "bytes_up_total", Help: "Wire bytes sent across settled exchanges (headers included).", Value: s.Engine.BytesUp},
 		{Name: "bytes_down_total", Help: "Wire bytes received across settled exchanges (headers included).", Value: s.Engine.BytesDown},
-		{Name: "kernel_bytes_up_total", Help: "Upload payload bytes moved by the kernel zero-copy path (sendfile/splice).", Value: s.Engine.KernelBytesUp},
-		{Name: "kernel_bytes_down_total", Help: "Download payload bytes moved by the kernel zero-copy path (sendfile/splice).", Value: s.Engine.KernelBytesDown},
-		{Name: "pooled_bytes_up_total", Help: "Upload payload bytes copied through pooled userspace buffers.", Value: s.Engine.PooledBytesUp},
-		{Name: "pooled_bytes_down_total", Help: "Download payload bytes copied through pooled userspace buffers.", Value: s.Engine.PooledBytesDown},
+		{Name: "pooled_bytes_up_total", Help: "Upload transfer payload bytes.", Value: s.Engine.PooledBytesUp},
+		{Name: "pooled_bytes_down_total", Help: "Download transfer payload bytes.", Value: s.Engine.PooledBytesDown},
 		{Name: "transfers_verified_total", Help: "Transfers whose inline end-to-end digest matched the server value.", Value: s.Engine.TransfersVerified},
 		{Name: "checksum_mismatches_total", Help: "Transfers failed by an inline digest mismatch.", Value: s.Engine.ChecksumMismatches},
 		{Name: "hedges_issued_total", Help: "Chunk reads that outlived their latency budget and were raced against a standby replica.", Value: s.Engine.HedgesIssued},

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -36,19 +35,17 @@ type scatterResult struct {
 // replica idx, so one dead replica costs one retry per chunk rather than
 // the whole transfer, and once the scoreboard has demoted a dead disk
 // node, later chunks stop paying its timeout at all (a half-open probe
-// re-admits it when it recovers). fastName names the target file for the
-// kernel splice path ("" disables it); algo is the inline digest
-// algorithm. sum tees the body through the chunk digest; perChunk
+// re-admits it when it recovers). algo is the inline digest algorithm. sum tees the body through the chunk digest; perChunk
 // additionally asks the server to commit to a per-range Digest and
 // compares it inline (the costlier mode — the server must hash the range
 // before its first body byte).
-func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (res scatterResult, err error) {
+func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, idx int, off, ln int64, dst io.WriterAt, algo digest.Algo, sum, perChunk bool) (res scatterResult, err error) {
 	path := replicas[0].Path
 	c.opts.Trace.EmitChunkStart(obs.Down, path, idx, off, ln)
 	defer func() { c.opts.Trace.EmitChunkDone(obs.Down, path, idx, off, ln, err) }()
 	if len(replicas) > 1 {
 		if budget, ok := c.hedgeBudget(); ok {
-			if r, handled, herr := c.scatterChunkHedged(ctx, replicas, idx, off, ln, dst, fastName, algo, sum, perChunk, budget); handled {
+			if r, handled, herr := c.scatterChunkHedged(ctx, replicas, idx, off, ln, dst, algo, sum, perChunk, budget); handled {
 				return r, herr
 			}
 			// Not settled by the race (a demoted leg, no distinct standby
@@ -57,7 +54,7 @@ func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, i
 		}
 	}
 	err = c.walkRing(ctx, replicas, idx, nil, func(rep Replica) error {
-		r, err := c.getRangeScatter(ctx, rep.Host, rep.Path, path, off, ln, dst, fastName, algo, sum, perChunk)
+		r, err := c.getRangeScatter(ctx, rep.Host, rep.Path, path, off, ln, dst, algo, sum, perChunk)
 		if err == nil && r.n != ln {
 			err = fmt.Errorf("davix: short chunk from %s: %d < %d", rep.Host, r.n, ln)
 		}
@@ -69,10 +66,10 @@ func (c *Client) scatterChunkReplicas(ctx context.Context, replicas []Replica, i
 
 // getRangeScatter fetches [off, off+ln) from exactly one replica, streaming
 // the body into dst at its object offset — the chunk never exists whole in
-// client memory. objPath labels the transfer for byte-path accounting.
+// client memory. objPath names the transfer in errors.
 // Replica selection belongs to the caller; the engine applies redirects and
 // the retry budget but no failover here.
-func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string, off, ln int64, dst io.WriterAt, fastName string, algo digest.Algo, sum, perChunk bool) (scatterResult, error) {
+func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string, off, ln int64, dst io.WriterAt, algo digest.Algo, sum, perChunk bool) (scatterResult, error) {
 	rangeVal := rangev.SingleRangeHeader(off, ln)
 	var res scatterResult
 	err := c.exec(ctx, host, path, specChunk, func(h, p string) *wire.Request {
@@ -94,7 +91,7 @@ func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string
 		default:
 			return statusErr(resp, "GET", path)
 		}
-		return c.scatterBody(resp, skip, off, ln, dst, fastName, objPath, algo, sum, &res)
+		return c.scatterBody(resp, skip, off, ln, dst, objPath, algo, sum, &res)
 	})
 	if err != nil {
 		// res may still carry the partial byte count of the failed last
@@ -104,21 +101,13 @@ func (c *Client) getRangeScatter(ctx context.Context, host, path, objPath string
 	return res, nil
 }
 
-// scatterBody drains resp's payload slice into dst at offset off. Three
-// shapes, fastest first:
-//
-//   - kernel: dst is a real file (fastName), nothing needs the bytes in
-//     userspace (no digest), and the connection bottoms out in a socket —
-//     Response.WriteBodyTo hands the raw conn to os.File.ReadFrom and the
-//     runtime's splice moves the payload entirely inside the kernel.
-//   - pooled: a 64 KiB pooled buffer streams body → dst.WriteAt at an
-//     advancing offset, optionally teeing each read into the chunk digest.
-//   - prefix-skip (skip > 0): a range-ignorant server sent the whole
-//     object; the prefix is discarded, then the pooled path runs.
-//
-// Either way the chunk is never materialized and res reports exactly which
-// bytes moved how (Snapshot counters + TransferPath trace event).
-func (c *Client) scatterBody(resp *Response, skip, off, ln int64, dst io.WriterAt, fastName, objPath string, algo digest.Algo, sum bool, res *scatterResult) error {
+// scatterBody drains resp's payload slice into dst at offset off: a 64
+// KiB pooled buffer streams body → dst.WriteAt at an advancing offset,
+// optionally teeing each read into the chunk digest. When a
+// range-ignorant server sent the whole object (skip > 0) the prefix is
+// discarded first. The chunk is never materialized, and res and the
+// payload counter report how many bytes moved.
+func (c *Client) scatterBody(resp *Response, skip, off, ln int64, dst io.WriterAt, objPath string, algo digest.Algo, sum bool, res *scatterResult) error {
 	defer resp.Close()
 	if skip > 0 {
 		if _, err := io.CopyN(io.Discard, resp.Body, skip); err != nil {
@@ -131,31 +120,6 @@ func (c *Client) scatterBody(resp *Response, skip, off, ln int64, dst io.WriterA
 	var h hash.Hash
 	if sum {
 		h, _ = digest.New(algo)
-	}
-
-	// Kernel fast path: only for range-honouring responses (skip == 0 —
-	// after a prefix skip the bufio layer is mid-object anyway) with no
-	// digest to feed.
-	if fastName != "" && h == nil && skip == 0 && kernelEligible(resp.conn.NetConn()) {
-		if f, ferr := os.OpenFile(fastName, os.O_WRONLY, 0); ferr == nil {
-			cc := resp.conn.NetConn().(*countingConn)
-			_, err := f.Seek(off, io.SeekStart)
-			var n, direct int64
-			if err == nil {
-				n, direct, err = resp.WriteBodyTo(f, cc.Unwrap())
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			// The direct bytes bypassed the counting Read; the buffered
-			// prefix was already counted when bufio filled.
-			cc.addPendDown(direct)
-			c.recordBytePath(obs.Down, objPath, obs.PathKernel, direct)
-			c.recordBytePath(obs.Down, objPath, obs.PathPooled, n-direct)
-			res.n = n
-			return err
-		}
-		// Re-open failed (unlinked temp file, exotic fd): pooled path below.
 	}
 
 	buf := bufpool.Get(64 << 10)
@@ -187,7 +151,7 @@ func (c *Client) scatterBody(resp *Response, skip, off, ln int64, dst io.WriterA
 	}
 	served := pos - off
 	res.n = served
-	c.recordBytePath(obs.Down, objPath, obs.PathPooled, served)
+	c.recordPayload(obs.Down, served)
 	if err != nil {
 		return err
 	}
@@ -355,10 +319,7 @@ func (c *Client) planDownload(ctx context.Context, p replicaSet) (replicaSet, er
 // DownloadMultiStreamTo downloads host/path into w without materializing
 // the object: every chunk streams straight from its response body to
 // w.WriteAt through at most one pooled 64 KiB buffer, so memory stays
-// O(64 KiB × streams) regardless of object and chunk size. When w is a
-// real *os.File and verification is off, chunks skip userspace entirely —
-// the raw socket is handed to the file's ReadFrom and the kernel splice
-// path moves the payload (Snapshot's KernelBytesDown counts the wins).
+// O(64 KiB × streams) regardless of object and chunk size.
 //
 // With Options.VerifyTransfers, every chunk is tee'd through an
 // incremental digest as it streams, in the algorithm of the server's
@@ -433,18 +394,12 @@ func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt
 
 	// Checkpointed resume: journal completed chunks to the sidecar and skip
 	// the chunks a previous interrupted run already proved intact on disk.
-	// Journaling needs per-chunk digests, so it forces the tee on (and the
-	// kernel splice path off) even when verification is otherwise disabled.
+	// Journaling needs per-chunk digests, so it forces the tee on even when
+	// verification is otherwise disabled.
 	ck, skip := c.downloadCheckpoint(w, path, size, algo, plan.want)
 	led := &chunkLedger{ck: ck}
 	if verify {
 		led.rollup, _ = digest.NewRollup(algo)
-	}
-
-	// The kernel fast path needs a real file target and no digest tee.
-	fastName := ""
-	if f, ok := w.(*os.File); ok && !led.wantsSums() {
-		fastName = f.Name()
 	}
 
 	var verifiedChunks atomic.Int64
@@ -454,7 +409,7 @@ func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt
 			led.note(off, ln, sum)
 			return nil
 		}
-		res, err := c.scatterChunkReplicas(cctx, replicas, idx, off, ln, w, fastName, algo, led.wantsSums(), perChunk)
+		res, err := c.scatterChunkReplicas(cctx, replicas, idx, off, ln, w, algo, led.wantsSums(), perChunk)
 		if err != nil {
 			return err
 		}
@@ -575,7 +530,7 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 // readChunkInto fetches chunk idx covering [off, off+len(buf)) into buf
 // through the chunk pipeline — the pull copy's source read.
 func (c *Client) readChunkInto(ctx context.Context, replicas []Replica, idx int, off int64, buf []byte) error {
-	_, err := c.scatterChunkReplicas(ctx, replicas, idx, off, int64(len(buf)), &chunkBuf{base: off, buf: buf}, "", "", false, false)
+	_, err := c.scatterChunkReplicas(ctx, replicas, idx, off, int64(len(buf)), &chunkBuf{base: off, buf: buf}, "", false, false)
 	return err
 }
 

@@ -91,11 +91,9 @@ func (c *Client) finishPut(resp *Response, host, path string, size int64, checks
 // The upload gets every engine rule — cancellation, host health, credential
 // scoping across hops — except retries: its body cannot be read twice.
 //
-// A file-backed r of useful size on a plain-TCP connection is handed to
-// the kernel sendfile path — the payload never crosses userspace (see
-// Metrics.KernelBytesUp). With Options.VerifyTransfers the body is instead
-// tee'd through an incremental digest as it streams (forcing the pooled
-// path: verification must observe every byte), under every algorithm in
+// The body leaves through the pooled 64 KiB copy buffer (counted in
+// Metrics.PooledBytesUp). With Options.VerifyTransfers it is also tee'd
+// through an incremental digest as it streams, under every algorithm in
 // digest.Preference, which the request offers: the body leaves before any
 // reply could name one. The digest the committing 2xx's Digest header names
 // primes the stat cache and is compared against it — a mismatch fails with
@@ -291,7 +289,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		if err != nil {
 			return res, err
 		}
-		c.recordBytePath(obs.Up, path, obs.PathPooled, ln)
+		c.recordPayload(obs.Up, ln)
 		if res.created {
 			commit.Store(&res.digest)
 		}

@@ -124,7 +124,8 @@ type walkNode struct {
 	// order; emit hands it back once every entry has been emitted.
 	listing *[]Info
 	// children holds one node per entry, nil for non-collections;
-	// indexes parallel the listing.
+	// indexes parallel the listing. It stays nil when the listing holds
+	// no collection, and emit reads a nil slice as all files.
 	children []*walkNode
 	// err is the listing failure, surfaced only if the merge stage
 	// actually descends into this node (a pruned subtree's speculative
@@ -215,10 +216,12 @@ func (w *walker) list(n *walkNode) {
 		w.rootSelf = self
 	}
 	n.listing = listing
-	n.children = make([]*walkNode, len(*listing))
 	for i, e := range *listing {
 		if !e.Dir {
 			continue
+		}
+		if n.children == nil {
+			n.children = make([]*walkNode, len(*listing))
 		}
 		cctx, cancel := context.WithCancel(n.ctx)
 		n.children[i] = newWalkNode(e, cctx, cancel)
@@ -289,7 +292,10 @@ func (w *walker) emit(ctx context.Context, n *walkNode) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		child := n.children[i]
+		var child *walkNode
+		if n.children != nil {
+			child = n.children[i]
+		}
 		if child == nil {
 			// Plain file: emit inline. SkipDir on a non-collection is a
 			// no-op beyond not descending.

@@ -295,6 +295,14 @@ func (s *statusWriter) Write(p []byte) (int, error) {
 	return s.ResponseWriter.Write(p)
 }
 
+// Flush forwards to the underlying writer when it supports flushing, so
+// the layer never hides the http.Flusher capability handlers probe for.
+func (s *statusWriter) Flush() {
+	if f, ok := s.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 func (s *statusWriter) Unwrap() http.ResponseWriter { return s.ResponseWriter }
 
 // bodyHash hashes the request body as the handler reads it.

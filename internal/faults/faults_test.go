@@ -225,6 +225,32 @@ func TestCorruptRefusesMultiRange(t *testing.T) {
 	}
 }
 
+// TestLayerKeepsFlusher: a handler behind the Layer that flushes a partial
+// body finds http.Flusher, the flush reaches the server's writer, and the
+// exchange still records the status it wrote.
+func TestLayerKeepsFlusher(t *testing.T) {
+	l := New(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte("part"))
+		if f, ok := w.(http.Flusher); !ok {
+			t.Error("the Layer hides http.Flusher")
+		} else {
+			f.Flush()
+		}
+	}))
+	rec := httptest.NewRecorder()
+	l.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/f", nil))
+	if !rec.Flushed {
+		t.Error("the flush did not reach the server's writer")
+	}
+	if rec.Body.String() != "part" {
+		t.Errorf("body %q, want %q", rec.Body.String(), "part")
+	}
+	if x := l.Exchanges(); len(x) != 1 || x[0].Status != http.StatusOK || !x[0].Done {
+		t.Errorf("exchanges %v, want one done with status 200", x)
+	}
+}
+
 // TestExchangesRecordEveryArrival: the Layer records each request as it
 // arrives, faulted or not, with its headers sorted and masked and its body
 // hashed, and completes the record with the status once the handler

@@ -64,10 +64,6 @@ func SlogTrace(l *slog.Logger) *ClientTrace {
 			l.Debug("davix chunk done", "dir", string(dir), "path", path,
 				"idx", idx, "off", off, "len", length)
 		},
-		TransferPath: func(dir Direction, path string, bp BytePath, bytes int64) {
-			l.Debug("davix byte path", "dir", string(dir), "path", path,
-				"via", string(bp), "bytes", bytes)
-		},
 		HedgeIssued: func(path string, idx int, off, length int64, toHost string) {
 			l.Warn("davix hedge issued", "path", path, "idx", idx,
 				"off", off, "len", length, "to", toHost)

@@ -23,20 +23,6 @@ const (
 	Up Direction = "up"
 )
 
-// BytePath labels which copy machinery moved a transfer's payload bytes.
-type BytePath string
-
-// Byte paths.
-const (
-	// PathKernel means the bytes moved kernel-side (sendfile/splice/
-	// copy_file_range) and never entered a userspace buffer.
-	PathKernel BytePath = "kernel"
-	// PathPooled means the bytes crossed userspace through pooled copy
-	// buffers (the fallback when an endpoint, TLS, or inline verification
-	// needs to observe the stream).
-	PathPooled BytePath = "pooled"
-)
-
 // ClientTrace is a set of hooks the engine invokes as an operation
 // progresses, in the style of net/http/httptrace.ClientTrace. Any field may
 // be nil; a nil function (or a nil *ClientTrace) costs the engine nothing
@@ -96,13 +82,6 @@ type ClientTrace struct {
 	// lengths of the successful ChunkDone events of one transfer sum to
 	// exactly the object size.
 	ChunkDone func(dir Direction, path string, idx int, off, length int64, err error)
-
-	// TransferPath fires when a transfer span of path has moved, reporting
-	// which byte path carried it: kernel (sendfile/splice, zero userspace
-	// copies) or pooled (userspace copy buffers). One transfer may emit
-	// both — e.g. a kernel-ineligible chunk falling back while its siblings
-	// splice.
-	TransferPath func(dir Direction, path string, bp BytePath, bytes int64)
 
 	// HedgeIssued fires when a chunk read outlives its latency budget and
 	// the engine launches a duplicate request for [off, off+length) of path
@@ -222,14 +201,6 @@ func (t *ClientTrace) EmitChunkDone(dir Direction, path string, idx int, off, le
 		return
 	}
 	t.ChunkDone(dir, path, idx, off, length, err)
-}
-
-// EmitTransferPath invokes TransferPath if installed.
-func (t *ClientTrace) EmitTransferPath(dir Direction, path string, bp BytePath, bytes int64) {
-	if t == nil || t.TransferPath == nil {
-		return
-	}
-	t.TransferPath(dir, path, bp, bytes)
 }
 
 // EmitHedgeIssued invokes HedgeIssued if installed.

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"sync"
 
@@ -74,24 +73,13 @@ func (r *Request) SetBodyBytes(b []byte) {
 	r.ContentLength = int64(len(b))
 }
 
-// Write serializes the request to w in HTTP/1.1 wire format. A large
-// file-backed body going to a connection that can ingest readers directly
-// (io.ReaderFrom — net.TCPConn and the client's counting wrapper) skips the
-// buffered writer: the headers are flushed and the body handed to the
-// connection as an io.LimitedReader over the file, which is the exact shape
-// the runtime's sendfile probe unwraps. Everything else keeps the coalesced
-// buffered path.
+// Write serializes the request to w in HTTP/1.1 wire format, headers and
+// body coalesced through one buffered writer.
 func (r *Request) Write(w io.Writer) error {
 	bw := getWriter(w)
 	defer putWriter(bw)
 	if err := r.writeHeaderTo(bw); err != nil {
 		return err
-	}
-	if r.directBodyOK(w) {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return r.writeBodyDirect(w)
 	}
 	if err := r.writeBodyTo(bw); err != nil {
 		return err
@@ -114,13 +102,8 @@ func (r *Request) WriteHeader(w io.Writer) error {
 
 // WriteBody streams the request body using the framing the headers declared
 // (Content-Length copy or chunked transfer encoding). It must follow a
-// WriteHeader on the same connection. File-backed bodies going to an
-// io.ReaderFrom connection are handed over directly (no buffered writer in
-// between) so the kernel sendfile path engages.
+// WriteHeader on the same connection.
 func (r *Request) WriteBody(w io.Writer) error {
-	if r.directBodyOK(w) {
-		return r.writeBodyDirect(w)
-	}
 	bw := getWriter(w)
 	defer putWriter(bw)
 	if err := r.writeBodyTo(bw); err != nil {
@@ -145,58 +128,6 @@ func getWriter(w io.Writer) *bufio.Writer {
 func putWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
 	bwPool.Put(bw)
-}
-
-// directBodyMin is the smallest body worth the separate header flush the
-// direct handoff costs: below this, coalescing header and body into one
-// buffered write wins.
-const directBodyMin = 64 << 10
-
-// DirectBody reports whether Write/WriteBody will hand the body to w whole
-// (the zero-copy handoff) rather than copy it through pooled buffers —
-// callers use it to classify the transfer's byte path.
-func (r *Request) DirectBody(w io.Writer) bool { return r.directBodyOK(w) }
-
-// directBodyOK reports whether the body should bypass the buffered writer
-// and be handed to w whole: a known-length file-backed body of useful size,
-// going to a connection that ingests readers (io.ReaderFrom). TLS
-// connections do not implement ReaderFrom, so they keep the buffered path
-// naturally.
-func (r *Request) directBodyOK(w io.Writer) bool {
-	if r.Body == nil || r.ContentLength < directBodyMin {
-		return false
-	}
-	if _, ok := w.(io.ReaderFrom); !ok {
-		return false
-	}
-	return FileBacked(r.Body)
-}
-
-// writeBodyDirect hands the body to w as an io.LimitedReader so w's
-// ReadFrom — and, underneath it on a real socket, sendfile(2) — moves the
-// bytes without a userspace copy.
-func (r *Request) writeBodyDirect(w io.Writer) error {
-	n, err := io.Copy(w, io.LimitReader(r.Body, r.ContentLength))
-	if err == nil && n < r.ContentLength {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// FileBacked reports whether body bottoms out in an *os.File — the shape
-// the kernel zero-copy paths (sendfile on send, splice on receive) accept.
-// io.LimitedReader layers are unwrapped the same way the runtime does.
-func FileBacked(body io.Reader) bool {
-	for {
-		switch b := body.(type) {
-		case *os.File:
-			return true
-		case *io.LimitedReader:
-			body = b.R
-		default:
-			return false
-		}
-	}
 }
 
 // writeHeaderTo renders the request line and headers, choosing the body

@@ -242,63 +242,6 @@ func (r *Response) ReadAll() ([]byte, error) {
 	return io.ReadAll(r.Body)
 }
 
-// WriteBodyTo streams the rest of a Content-Length-framed body into dst,
-// returning the bytes written and how many of them were read from raw
-// rather than the response's buffered reader. The buffered prefix — bytes
-// the header parse already pulled into the bufio.Reader — is drained into
-// dst first; the remainder is then copied from raw, the connection
-// underneath the buffering, as an io.LimitedReader. When dst is an
-// *os.File and raw a real socket, that copy is the runtime's splice path:
-// the payload never enters a userspace buffer. The body is left fully
-// consumed (Consumed() true) on success, so the connection can recycle.
-//
-// Callers own the byte accounting for the raw portion: those reads bypass
-// any counting wrapper above raw. Non-fixed bodies and raw == nil fall
-// back to a plain copy from Body.
-func (r *Response) WriteBodyTo(dst io.Writer, raw io.Reader) (n, direct int64, err error) {
-	fb, okFixed := r.Body.(*fixedBody)
-	var br *bufio.Reader
-	if okFixed {
-		br, _ = fb.r.(*bufio.Reader)
-	}
-	if !okFixed || br == nil || raw == nil {
-		m, cerr := io.Copy(dst, r.Body)
-		return m, 0, cerr
-	}
-	// 1. Drain what the bufio layer already holds.
-	for fb.remaining > 0 && br.Buffered() > 0 {
-		take := br.Buffered()
-		if int64(take) > fb.remaining {
-			take = int(fb.remaining)
-		}
-		peek, perr := br.Peek(take)
-		if perr != nil {
-			return n, direct, perr
-		}
-		m, werr := dst.Write(peek)
-		br.Discard(m)
-		fb.remaining -= int64(m)
-		n += int64(m)
-		if werr != nil {
-			return n, direct, werr
-		}
-	}
-	// 2. Move the remainder straight off the connection.
-	if fb.remaining > 0 {
-		m, cerr := io.Copy(dst, io.LimitReader(raw, fb.remaining))
-		fb.remaining -= m
-		n += m
-		direct += m
-		if cerr != nil {
-			return n, direct, cerr
-		}
-		if fb.remaining > 0 {
-			return n, direct, io.ErrUnexpectedEOF
-		}
-	}
-	return n, direct, nil
-}
-
 // Discard drains and closes the body so the connection can be recycled.
 func (r *Response) Discard() error {
 	_, err := io.Copy(io.Discard, r.Body)

@@ -17,29 +17,29 @@ import (
 // shrinks one by more than ceilingSlack lowers it, so the budget follows
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
-	".":                   197,
-	"cmd/davix-get":       242,
+	".":                   192,
+	"cmd/davix-get":       238,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        91,
 	"internal/blockcache": 732,
 	"internal/bufpool":    61,
-	"internal/core":       3478,
+	"internal/core":       3417,
 	"internal/digest":     274,
-	"internal/faults":     216,
+	"internal/faults":     221,
 	"internal/fed":        106,
 	"internal/httpserv":   1160,
 	"internal/metalink":   113,
 	"internal/netsim":     494,
-	"internal/obs":        470,
+	"internal/obs":        454,
 	"internal/pool":       355,
 	"internal/rangev":     485,
 	"internal/rootio":     1531,
 	"internal/s3":         144,
 	"internal/storage":    508,
 	"internal/webdav":     975,
-	"internal/wire":       637,
+	"internal/wire":       556,
 	"internal/xrootd":     702,
 }
 
