@@ -410,8 +410,10 @@ func (c *Client) Copy(ctx context.Context, srcURL, destURL string) error {
 type File = core.File
 
 // Open returns a File for random-access reads of url. One GET learns the
-// size and fetches the object's first 4 KiB and last 60 KiB, which later
-// reads inside them are served from; a collection fails.
+// size and fetches the object's first 1 KiB and last 38 KiB, which later
+// reads inside them are served from; the reply fits a fresh connection's
+// first two congestion windows, and a ROOT index bigger than the tail
+// costs one more round trip. A collection fails.
 func (c *Client) Open(ctx context.Context, url string) (*File, error) {
 	host, path, err := splitURL(url)
 	if err != nil {

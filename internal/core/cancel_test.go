@@ -152,8 +152,8 @@ func holdEnv(t *testing.T, opts Options, match func(*http.Request) bool) (*testE
 	return e, h
 }
 
-// cancelBlob is an object of six 16 KiB chunks, over the 64 KiB a File
-// keeps of its ends.
+// cancelBlob is an object of six 16 KiB chunks, larger than the ends a
+// File keeps.
 var cancelBlob = uploadBlob(6*cancelChunk, 53)
 
 const cancelChunk = 16 << 10

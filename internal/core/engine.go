@@ -403,12 +403,21 @@ func (c *Client) resolveReplicas(ctx context.Context, host, path string) (replic
 // which costs nothing while the primary is healthy. Under StrategyNone op
 // runs once, on the primary. set, when non-nil, receives what the resolver
 // returned, so a caller that needs the ring afterwards asks for it once.
+//
+// A primary that sheds the request (503 with Retry-After) is overloaded,
+// and without Options.MetalinkHost the lookup would go to that same host
+// and be shed too: the shed is returned as it is, Retry-After included,
+// and no lookup is sent.
 func (c *Client) withFailover(ctx context.Context, host, path string, set *replicaSet, op func(Replica) error) error {
 	primary := [1]Replica{{Host: host, Path: path}}
 	if c.opts.Strategy == StrategyNone {
 		return op(primary[0])
 	}
-	return c.walkRing(ctx, primary[:], 0, func() ([]Replica, error) {
+	return c.walkRing(ctx, primary[:], 0, func(firstErr error) ([]Replica, error) {
+		var se *StatusError
+		if c.opts.MetalinkHost == "" && errors.As(firstErr, &se) && se.Code == 503 && se.RetryAfter > 0 {
+			return nil, firstErr
+		}
 		s, err := c.resolveReplicas(ctx, host, path)
 		if set != nil {
 			*set = s
@@ -433,17 +442,18 @@ func (c *Client) withFailover(ctx context.Context, host, path string, set *repli
 //     once everything else has failed: the scoreboard must never make a
 //     read impossible.
 //   - Failover: resolve, when non-nil, supplies the replicas beyond ring
-//     and is called only once ring has run out, so a healthy primary costs
-//     no lookup. On any walk, one over a ring the caller resolved too,
-//     each attempt on a replica other than its first choice (ring's slot
-//     start) counts in Failovers and fires the Failover event: the first
-//     choice failed or its breaker skipped it.
+//     and is called only once ring has run out, with the walk's first
+//     failure (nil when breakers skipped every replica), so a healthy
+//     primary costs no lookup. On any walk, one over a ring the caller
+//     resolved too, each attempt on a replica other than its first choice
+//     (ring's slot start) counts in Failovers and fires the Failover
+//     event: the first choice failed or its breaker skipped it.
 //   - Errors: a walk cut short by ctx reports ctx's error joined with the
 //     first failure, as the replicas it never reached did not fail. An
 //     exhausted walk reports ErrAllReplicasFailed joined with it, unless
 //     the lookup failed: then there was no ring to exhaust, and the first
 //     failure stands alone.
-func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolve func() ([]Replica, error), op func(Replica) error) error {
+func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolve func(firstErr error) ([]Replica, error), op func(Replica) error) error {
 	first := ring[start%len(ring)]
 	gate := len(ring) > 1 || resolve != nil
 	var firstErr, err error
@@ -485,7 +495,7 @@ func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolv
 	}
 	lookupFailed := false
 	if resolve != nil {
-		more, lerr := resolve()
+		more, lerr := resolve(firstErr)
 		lookupFailed = lerr != nil
 		for _, rep := range c.health.order(more) {
 			if try(rep) {

@@ -24,7 +24,8 @@ import (
 //
 // Open fetches the object's first endsHead and last endsTail bytes with
 // its size, and reads lying wholly inside them are copied from memory: a
-// ROOT file's header, trailer and index cost no round trip of their own.
+// ROOT file's header, trailer and index cost no round trip of their own,
+// unless the index is bigger than the tail, which costs one more.
 //
 // A File is safe for concurrent ReadAt/ReadVec; Read/Seek share a cursor
 // and need external synchronization.
@@ -43,10 +44,14 @@ type File struct {
 }
 
 // The ends Open fetches: a ROOT file's header sits in its first bytes, its
-// trailer and index in its last, and 64 KiB in all is one pooled buffer.
+// trailer and index in its last. The whole reply, its 206 framing
+// included, fits a fresh connection's first two slow-start windows
+// (RFC 6928's 10 segments, 14 600 B, then 29 200 B), so Open's body costs
+// one stall, not two; an index bigger than the tail costs a round trip of
+// its own instead.
 const (
-	endsHead = 4 << 10
-	endsTail = 60 << 10
+	endsHead = 1 << 10
+	endsTail = 38 << 10
 )
 
 var endsRange = rangev.EndsHeader(endsHead, endsTail)
@@ -54,7 +59,9 @@ var endsRange = rangev.EndsHeader(endsHead, endsTail)
 // Open learns the size of host/path and returns a File positioned at 0.
 // It sends one GET for the object's first endsHead and last endsTail bytes
 // (with failover), taking the size from the reply and keeping the bytes
-// for later reads. A server that answers otherwise — a collection, an
+// for later reads: the reply fits two congestion windows of a fresh
+// connection, and a ROOT index bigger than the tail costs one more round
+// trip. A server that answers otherwise — a collection, an
 // unsatisfiable range — is stat'ed instead, as the collection check needs.
 func (c *Client) Open(ctx context.Context, host, path string) (*File, error) {
 	f := &File{client: c, ctx: ctx, host: host, path: path}

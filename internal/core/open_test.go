@@ -73,7 +73,7 @@ func readAt(t *testing.T, f *File, blob []byte, off, n int64) {
 
 // TestOpenThenOpenReaderIsOneGet: opening a ROOT-style file and reading
 // its header, trailer and index costs one GET and no HEAD, since the index
-// sits in the file's last 60 KiB.
+// sits in the file's last endsTail bytes.
 func TestOpenThenOpenReaderIsOneGet(t *testing.T) {
 	img, err := rootio.Synthesize(rootio.SynthSpec{Events: 512, Branches: 12, MeanPayload: 16, Seed: 1})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestOpenThenOpenReaderIsOneGet(t *testing.T) {
 // TestOpenSmallObjectIsOneRequest: an object no larger than the ends comes
 // whole with the open, and no read of it touches the wire.
 func TestOpenSmallObjectIsOneRequest(t *testing.T) {
-	for _, size := range []int{1, 4095, 4097, 10 << 10, endsHead + endsTail - 1, endsHead + endsTail} {
+	for _, size := range []int{1, endsHead - 1, endsHead + 1, 10 << 10, endsHead + endsTail - 1, endsHead + endsTail} {
 		blob := randomBlob(size, int64(size))
 		e, f := openEnv(t, blob, nil)
 		n := int64(size)
@@ -156,7 +156,7 @@ func TestOpenEmptyObject(t *testing.T) {
 }
 
 // TestOpenLargeObjectReadsOutsideEndsGoToTheWire: reads wholly inside the
-// first 4 KiB or the last 60 KiB are copied from memory, whichever read
+// first endsHead or the last endsTail bytes are copied from memory, whichever read
 // call makes them; a call with other ranges sends only those.
 func TestOpenLargeObjectReadsOutsideEndsGoToTheWire(t *testing.T) {
 	blob := randomBlob(200<<10, 3)

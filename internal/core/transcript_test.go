@@ -48,7 +48,10 @@ func TestWireTranscripts(t *testing.T) {
 		})
 	}
 	t.Run("overload_shed", func(t *testing.T) {
-		checkGolden(t, "overload_shed", shedTranscript(t), false)
+		checkGolden(t, "overload_shed", shedTranscript(t, ""), false)
+	})
+	t.Run("overload_shed/metalink_host", func(t *testing.T) {
+		checkGolden(t, "overload_shed_metalink_host", shedTranscript(t, "fed:80"), false)
 	})
 	t.Run("walk/width_1", func(t *testing.T) {
 		var lines []string
@@ -230,12 +233,18 @@ func healthyTranscript(t *testing.T, attempts int) []string {
 
 // shedTranscript overloads a gateway of one slot and one queue place: two
 // uploads whose bodies the test holds open take both, so a Get is shed
-// with 503. Then the held bodies complete and both uploads commit.
-func shedTranscript(t *testing.T) []string {
-	e := newEnv(t, Options{})
+// with 503. With no MetalinkHost the replica lookup would go to the host
+// that shed, so the Get returns the shed, Retry-After included, without
+// asking for a Metalink; a metalinkHost, which knows no replica, is still
+// asked. Then the held bodies complete and both uploads commit.
+func shedTranscript(t *testing.T, metalinkHost string) []string {
+	e := newEnv(t, Options{MetalinkHost: metalinkHost})
 	e.startServer(t, dpm1, httpserv.Options{
 		Limits: httpserv.Limits{MaxInFlight: 1, QueueDepth: 1, QueueWait: time.Minute},
 	})
+	if metalinkHost != "" {
+		e.startServer(t, metalinkHost, httpserv.Options{})
+	}
 	w := newWireLog()
 	var held []interface{ Write([]byte) (int, error) }
 	for i := 0; i < 2; i++ {
@@ -255,8 +264,8 @@ func shedTranscript(t *testing.T) []string {
 		time.Sleep(time.Millisecond)
 	}
 	var se *StatusError
-	if _, err := e.client.Get(context.Background(), dpm1, "/f"); !errors.As(err, &se) || se.Code != 503 {
-		t.Fatalf("Get past a full gateway: %v, want a 503 shed", err)
+	if _, err := e.client.Get(context.Background(), dpm1, "/f"); !errors.As(err, &se) || se.Code != 503 || se.RetryAfter <= 0 {
+		t.Fatalf("Get past a full gateway: %v, want a 503 shed with its Retry-After", err)
 	}
 	for _, c := range held {
 		c.Write([]byte("y"))

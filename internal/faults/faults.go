@@ -226,16 +226,28 @@ func (l *Layer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // cut then kills the connection.
 type dropper struct {
 	http.ResponseWriter
-	left int64
+	left    int64
+	dropped bool // a write was cut short
 }
 
 func (d *dropper) Write(p []byte) (int, error) {
 	n := min(int64(len(p)), d.left)
 	d.left -= n
+	if n < int64(len(p)) {
+		d.dropped = true
+	}
 	if _, err := d.ResponseWriter.Write(p[:n]); err != nil || n < int64(len(p)) {
 		return int(n), errDropped
 	}
 	return len(p), nil
+}
+
+// Flush forwards until the body has been cut: what was written before the
+// cut reaches the client when cut flushes it.
+func (d *dropper) Flush() {
+	if !d.dropped {
+		flush(d.ResponseWriter)
+	}
 }
 
 var errDropped = errors.New("faults: connection dropped")
@@ -273,6 +285,8 @@ func (c *corrupter) Write(p []byte) (int, error) {
 	return c.ResponseWriter.Write(p)
 }
 
+func (c *corrupter) Flush() { flush(c.ResponseWriter) }
+
 func (c *corrupter) Unwrap() http.ResponseWriter { return c.ResponseWriter }
 
 // statusWriter notes the status code of the response written through it.
@@ -295,10 +309,12 @@ func (s *statusWriter) Write(p []byte) (int, error) {
 	return s.ResponseWriter.Write(p)
 }
 
-// Flush forwards to the underlying writer when it supports flushing, so
-// the layer never hides the http.Flusher capability handlers probe for.
-func (s *statusWriter) Flush() {
-	if f, ok := s.ResponseWriter.(http.Flusher); ok {
+func (s *statusWriter) Flush() { flush(s.ResponseWriter) }
+
+// flush forwards a Flush to w when it supports flushing: none of the
+// layer's writers hides the http.Flusher capability handlers probe for.
+func flush(w http.ResponseWriter) {
+	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
 }

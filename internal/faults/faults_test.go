@@ -227,27 +227,54 @@ func TestCorruptRefusesMultiRange(t *testing.T) {
 
 // TestLayerKeepsFlusher: a handler behind the Layer that flushes a partial
 // body finds http.Flusher, the flush reaches the server's writer, and the
-// exchange still records the status it wrote.
+// exchange still records the status it wrote — with no fault armed, and
+// through the writers a DropAfter or a CorruptXOR fault wraps around it.
 func TestLayerKeepsFlusher(t *testing.T) {
-	l := New(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte("part"))
-		if f, ok := w.(http.Flusher); !ok {
-			t.Error("the Layer hides http.Flusher")
-		} else {
-			f.Flush()
-		}
-	}))
-	rec := httptest.NewRecorder()
-	l.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/f", nil))
-	if !rec.Flushed {
-		t.Error("the flush did not reach the server's writer")
-	}
-	if rec.Body.String() != "part" {
-		t.Errorf("body %q, want %q", rec.Body.String(), "part")
-	}
-	if x := l.Exchanges(); len(x) != 1 || x[0].Status != http.StatusOK || !x[0].Done {
-		t.Errorf("exchanges %v, want one done with status 200", x)
+	for _, c := range []struct {
+		name  string
+		fault *Fault
+		body  string
+	}{
+		{"no fault", nil, "part"},
+		{"DropAfter", &Fault{DropAfter: 100}, "part"},
+		{"CorruptXOR", &Fault{CorruptXOR: 1}, "qart"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			flushed := false // before a DropAfter fault's cut flushes too
+			l := New(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusOK)
+				w.Write([]byte("part"))
+				if f, ok := w.(http.Flusher); !ok {
+					t.Error("the Layer hides http.Flusher")
+				} else {
+					f.Flush()
+				}
+				flushed = rec.Flushed
+			}))
+			if c.fault != nil {
+				l.Set("/f", *c.fault)
+			}
+			func() {
+				// A DropAfter fault kills the connection once the body
+				// ends; here the server's writer is only a recorder.
+				defer func() {
+					if p := recover(); p != nil && p != http.ErrAbortHandler {
+						panic(p)
+					}
+				}()
+				l.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/f", nil))
+			}()
+			if !flushed {
+				t.Error("the flush did not reach the server's writer")
+			}
+			if rec.Body.String() != c.body {
+				t.Errorf("body %q, want %q", rec.Body.String(), c.body)
+			}
+			if x := l.Exchanges(); len(x) != 1 || x[0].Status != http.StatusOK || !x[0].Done {
+				t.Errorf("exchanges %v, want one done with status 200", x)
+			}
+		})
 	}
 }
 

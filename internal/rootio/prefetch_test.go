@@ -651,8 +651,10 @@ func TestTreeCacheBranchEqualsEvent(t *testing.T) {
 // dataset, selection and training phase, a pipelined scan requests every
 // basket it touches exactly once, whether windows straddle baskets (100,
 // 1000) or align with them (256) — window 0 is not fetched again after
-// training — and depth 3 ships the 47 windows of 256 events in 24
-// requests. The baskets held, resident or in flight, never outgrow the
+// training — and depth 3 ships the 47 windows of 256 events in 23
+// background requests: the lookahead's one, sent with training's first
+// branch, and 22 of the pipeline; the other branches' lookahead rides
+// their training demand reads. The baskets held, resident or in flight, never outgrow the
 // current window plus the lookahead.
 func TestWindowPipelineFetchesEachBasketOnce(t *testing.T) {
 	img := scanImage(t, 12000)
@@ -708,7 +710,7 @@ func TestWindowPipelineFetchesEachBasketOnce(t *testing.T) {
 			if _, wasted, _ := tr.PrefetchStats(); wasted != 0 {
 				t.Errorf("window %d depth %d: sequential scan wasted %d bytes", window, depth, wasted)
 			}
-			if want := map[int]int64{1: 47, 3: 24}[depth]; window == 256 && tr.Fills() != want {
+			if want := map[int]int64{1: 46, 3: 23}[depth]; window == 256 && tr.Fills() != want {
 				t.Errorf("depth %d: %d fills per job, want %d", depth, tr.Fills(), want)
 			}
 			tr.Close()

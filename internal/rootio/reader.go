@@ -177,10 +177,11 @@ func (r *Reader) basketFor(bi int, ev uint64) (int, error) {
 	return 0, fmt.Errorf("rootio: event %d not covered by branch %q", ev, r.idx.Branches[bi].Name)
 }
 
-// loadBaskets fetches and decodes the given baskets in one vectored read,
-// into bufpool buffers it returns once they are decoded. Keys already
-// cached are skipped.
-func (r *Reader) loadBaskets(keys []basketKey) error {
+// loadBaskets fetches and decodes the given baskets in one vectored read
+// through read, into bufpool buffers it returns once they are decoded.
+// Keys already cached are skipped, and read is not called when none is
+// left.
+func (r *Reader) loadBaskets(keys []basketKey, read func([]rangev.Range, [][]byte) error) error {
 	r.mu.Lock()
 	var need []basketKey
 	for _, k := range keys {
@@ -200,7 +201,7 @@ func (r *Reader) loadBaskets(keys []basketKey) error {
 		ranges[i] = rangev.Range{Off: b.Offset, Len: b.CompressedSize}
 		dsts[i] = bufpool.Get(int(b.CompressedSize))
 	}
-	err := r.src.ReadVec(ranges, dsts)
+	err := read(ranges, dsts)
 	var decoded []*basket
 	if err == nil {
 		decoded, err = r.decodeBaskets(need, dsts)
@@ -330,7 +331,7 @@ func (r *Reader) payload(ev uint64, bi int) ([]byte, error) {
 	b, ok := r.cache[k]
 	r.mu.Unlock()
 	if !ok {
-		if err := r.loadBaskets([]basketKey{k}); err != nil {
+		if err := r.loadBaskets([]basketKey{k}, r.src.ReadVec); err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
@@ -367,7 +368,7 @@ func (r *Reader) ReadEvent(ev uint64, branches []int) ([][]byte, error) {
 		}
 		keys[i] = basketKey{branch: bi, basket: bk}
 	}
-	if err := r.loadBaskets(keys); err != nil {
+	if err := r.loadBaskets(keys, r.src.ReadVec); err != nil {
 		return nil, err
 	}
 	out := make([][]byte, len(branches))

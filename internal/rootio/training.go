@@ -1,8 +1,11 @@
 package rootio
 
 import (
+	"context"
 	"fmt"
 	"sort"
+
+	"godavix/internal/rangev"
 )
 
 // TrainingCache reproduces the ROOT TTreeCache learning phase: for the
@@ -13,18 +16,20 @@ import (
 // — typically a small fraction of the file.
 //
 // A pipelined cache (depth D > 0 over an asynchronous Source) starts its
-// window pipeline during training. Training's demand reads are serial
-// round trips on one connection; while they run, each learned branch's
-// first post-training baskets are already on their way on another: those
-// of windows ws0..ws0+D, where ws0 holds the last training event, that
-// begin at or after event trainEvents, so no training read needs them.
-// The first branch an event learns gets its fill at once, before its
-// demand read; the event's later branches share one fill, sent at the
-// next event's first call. The fills are the window cache's own pending
-// fills, so the pipeline consumes them instead of fetching those baskets
-// again, and Close or a jump books them as waste like any other
+// window pipeline during training. Each learned branch's first
+// post-training baskets are fetched as soon as the branch is learned:
+// those of windows ws0..ws0+D, where ws0 holds the last training event,
+// that begin at or after event trainEvents, so no training read needs
+// them. The first branch an event learns sends its lookahead in the
+// background before its demand read, on another connection than
+// training's serial demand reads, which it opens off the critical path;
+// a branch the same event learns later carries its lookahead in its own
+// demand read, which costs no round trip of its own. Either way the
+// lookahead becomes the window cache's own pending fills, decoded in the
+// background, so the pipeline consumes them instead of fetching those
+// baskets again, and Close or a jump books them as waste like any other
 // speculation. The schedule depends only on the caller's call sequence.
-// Depth 0 issues no lookahead.
+// Depth 0, or a Source without asynchronous reads, issues no lookahead.
 //
 // A branch first touched after training triggers a transparent retrain
 // (the new branch joins the set and the windowed cache is rebuilt), so
@@ -47,12 +52,9 @@ type TrainingCache struct {
 	// holds only the lookahead fills.
 	tc *TreeCache
 
-	// ev is the event of the last training call, sent whether a lookahead
-	// fill went out during it, and unsent the branches learned since the
-	// last one.
-	ev     uint64
-	sent   bool
-	unsent []int
+	// learnedAt is the event that learned the last new branch, ^0 before
+	// the first.
+	learnedAt uint64
 
 	retrains int
 }
@@ -69,6 +71,7 @@ func NewTrainingCacheDepth(r *Reader, trainEvents, windowEvents uint64, depth in
 		reader:      r,
 		trainEvents: trainEvents,
 		tc:          NewTreeCacheDepth(r, windowEvents, []int{}, depth),
+		learnedAt:   ^uint64(0),
 	}
 }
 
@@ -106,15 +109,6 @@ func (t *TrainingCache) Branch(ev uint64, bi int) ([]byte, error) {
 	}
 	pos, isNew := t.learn(bi)
 	if !t.trained {
-		// The lookahead goes out with an event's first new branch, and
-		// at the first call of the event after one that met several.
-		if isNew {
-			t.unsent = append(t.unsent, bi)
-		}
-		if ev != t.ev || isNew && !t.sent {
-			t.ev, t.sent = ev, isNew
-			t.lookahead()
-		}
 		// Batch the demand reads: one vectored fetch brings this event's
 		// basket for every branch learned so far (already-decoded baskets
 		// are skipped by loadBaskets), instead of a one-branch round trip
@@ -128,7 +122,38 @@ func (t *TrainingCache) Branch(ev uint64, bi int) ([]byte, error) {
 			}
 			keys = append(keys, basketKey{branch: ubi, basket: bk})
 		}
-		if err := t.reader.loadBaskets(keys); err != nil {
+		// A new branch's lookahead: the event's first sends it in the
+		// background, later ones ride their demand reads.
+		var ride *fillPlan
+		if isNew {
+			switch run := t.lookaheadRun(); {
+			case run == nil:
+			case ev != t.learnedAt:
+				t.tc.startGroup(run, false, []int{bi}, t.trainEvents)
+			default:
+				ride = t.tc.planGroup(run, []int{bi}, t.trainEvents)
+			}
+			t.learnedAt = ev
+		}
+		read := t.reader.src.ReadVec
+		if ride != nil {
+			read = func(ranges []rangev.Range, dsts [][]byte) error {
+				err := t.reader.src.ReadVec(append(ranges, ride.ranges...), append(dsts, ride.runDsts...))
+				t.tc.launch(ride, false, func(context.Context) <-chan error {
+					landed := make(chan error, 1)
+					landed <- err
+					return landed
+				})
+				ride = nil
+				return err
+			}
+		}
+		err := t.reader.loadBaskets(keys, read)
+		if ride != nil {
+			// Nothing was missing, so no demand read went out to carry it.
+			t.tc.send(ride, false)
+		}
+		if err != nil {
 			return nil, err
 		}
 		p, err := t.reader.payload(ev, bi)
@@ -152,28 +177,26 @@ func (t *TrainingCache) Branch(ev uint64, bi int) ([]byte, error) {
 }
 
 // finishTraining hands the learned set to the window cache, whose first
-// window keeps the baskets training decoded and adopts the lookahead. The
-// call that ends training is its event's first, so nothing is unsent.
+// window keeps the baskets training decoded and adopts the lookahead.
 func (t *TrainingCache) finishTraining() {
 	t.trained = true
 	t.tc.branches = t.UsedBranches()
 }
 
-// lookahead sends one background fill for the branches learned since the
-// last one: their baskets in windows ws0..ws0+depth that begin at or after
-// event trainEvents, ws0 the window of the last training event, which the
-// pipeline enters first.
-func (t *TrainingCache) lookahead() {
+// lookaheadRun returns the windows a learned branch's lookahead covers:
+// ws0..ws0+depth, ws0 the window of the last training event, which the
+// pipeline enters first. It is nil when the cache sends no lookahead.
+func (t *TrainingCache) lookaheadRun() []uint64 {
 	tc := t.tc
-	if len(t.unsent) > 0 && tc.depth > 0 && tc.reader.src.ReadVecAsyncCtx != nil {
-		last := t.trainEvents - 1
-		var run []uint64
-		for ws := last - last%tc.window; ws < tc.reader.idx.Events && len(run) <= tc.depth; ws += tc.window {
-			run = append(run, ws)
-		}
-		tc.startGroup(run, false, t.unsent, t.trainEvents)
+	if tc.depth == 0 || tc.reader.src.ReadVecAsyncCtx == nil {
+		return nil
 	}
-	t.unsent = t.unsent[:0]
+	last := t.trainEvents - 1
+	var run []uint64
+	for ws := last - last%tc.window; ws < tc.reader.idx.Events && len(run) <= tc.depth; ws += tc.window {
+		run = append(run, ws)
+	}
+	return run
 }
 
 // Fills reports the vectored fill count of the window cache, lookahead

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"godavix/internal/rangev"
 )
@@ -252,7 +253,8 @@ func lookaheadScan(t *testing.T, img []byte, train, window uint64, depth int, or
 // longer than a window, depths 0 to 3, windows that straddle baskets, and
 // branches met at a later training event. fills is how many reads go out
 // in the background before training ends: the first branch an event meets
-// gets its own, the event's later ones share the next.
+// sends its own, and the event's later ones carry theirs in their demand
+// reads.
 var lookaheadRows = []struct {
 	name              string
 	events, perBasket int
@@ -262,10 +264,10 @@ var lookaheadRows = []struct {
 	touch             []uint64
 	fills             int
 }{
-	{"straddling basket/depth=3", 1024, 64, 100, 256, 3, []int{2, 0, 3, 1}, []uint64{0, 0, 0, 0}, 2},
-	{"train>window/depth=2", 1024, 50, 300, 128, 2, []int{1, 3}, []uint64{0, 0}, 2},
-	{"window=train/depth=1", 1024, 64, 100, 100, 1, []int{0, 1, 2, 3}, []uint64{0, 0, 0, 0}, 2},
-	{"late branch/depth=2", 1024, 64, 100, 128, 2, []int{3, 0, 1}, []uint64{0, 0, 70}, 3},
+	{"straddling basket/depth=3", 1024, 64, 100, 256, 3, []int{2, 0, 3, 1}, []uint64{0, 0, 0, 0}, 1},
+	{"train>window/depth=2", 1024, 50, 300, 128, 2, []int{1, 3}, []uint64{0, 0}, 1},
+	{"window=train/depth=1", 1024, 64, 100, 100, 1, []int{0, 1, 2, 3}, []uint64{0, 0, 0, 0}, 1},
+	{"late branch/depth=2", 1024, 64, 100, 128, 2, []int{3, 0, 1}, []uint64{0, 0, 70}, 2},
 	{"late branch at a basket boundary/depth=3", 1024, 64, 100, 100, 3, []int{0, 2}, []uint64{0, 64}, 2},
 	{"depth=0", 1024, 64, 100, 256, 0, []int{0, 1}, []uint64{0, 0}, 0},
 }
@@ -286,20 +288,24 @@ func TestLookaheadFetchesEachBasketOnce(t *testing.T) {
 	}
 }
 
-// TestLookaheadRidesUnderTraining: the learned branches' lookahead fills go
+// TestLookaheadRidesUnderTraining: the learned branches' lookahead goes
 // out while training's demand reads are still to come, and no demand read
-// waits for one: the lookahead fetches stay held at the gate until training
-// is over. Branch 0, met at event 0, gets its fill before its demand read;
-// branch 2, met after it at event 0, gets its fill at event 1's first
-// call; branch 3, met at event 30, at once. Event 64 starts the second
-// basket of every branch: training's last demand read, one for all three.
+// waits for it: the background lookahead fetches stay held at the gate
+// until the pipeline leaves window 0. Branch 0, met at event 0, sends its
+// lookahead in the background before its demand read; branch 2, met after
+// it at event 0, carries its lookahead in its own demand read; branch 3,
+// met at event 30, is its event's first and sends in the background. Event
+// 64 starts the second basket of every branch: training's last demand
+// read, one for all three. Window 0 (events 0–127) needs only baskets
+// training decoded, so the scan enters it and reads it through without
+// the held fetches.
 func TestLookaheadRidesUnderTraining(t *testing.T) {
 	events := randomEvents(42, 1024, 4, 32)
 	img := buildFile(t, []string{"a", "b", "c", "d"}, events, WriterOptions{EventsPerBasket: 64})
 	g := &gatedSource{
 		gate:      make(chan struct{}),
 		delivered: make(chan struct{}, 16),
-		ungated:   func(call int) bool { return call > 3 },
+		ungated:   func(call int) bool { return call > 2 },
 	}
 	var log []fetch
 	r, err := OpenReader(loggedSource(g.source(img), &log))
@@ -325,17 +331,64 @@ func TestLookaheadRidesUnderTraining(t *testing.T) {
 			}
 		}
 	}
-	// Event 99 ends training, and its second call enters window 0, whose
-	// lookahead is still held: the gate opens before it.
-	scan(0, 99)
-	if got, want := kinds(log), "ASSAASS"; got != want {
-		t.Fatalf("reads during training %s, want %s (A: lookahead, S: demand)", got, want)
+	scan(0, 128)
+	if got, want := kinds(log), "ASSASS"; got != want {
+		t.Fatalf("reads through window 0 %s, want %s (A: background lookahead, S: demand)", got, want)
+	}
+	if n := len(log[2].ranges); n < 2 {
+		t.Fatalf("branch 2's demand read carries %d ranges, want its basket and its lookahead", n)
 	}
 	close(g.gate)
-	scan(99, r.Events())
+	scan(128, r.Events())
 	checkFetchedOnce(t, r, log)
 	if issued, wasted, _ := tr.PrefetchStats(); issued == 0 || wasted != 0 {
 		t.Fatalf("issued %d B, wasted %d B; want some and none", issued, wasted)
+	}
+}
+
+// TestResidentWindowNeedsNoFetch: entering a window whose baskets are all
+// resident returns at once, even while the lookahead request that carries
+// the window's (empty) fill together with later windows' is held at the
+// gate. One basket of 128 events covers window 0 and every training event,
+// so window 0's lookahead fill has nothing to bring.
+func TestResidentWindowNeedsNoFetch(t *testing.T) {
+	events := randomEvents(46, 1024, 1, 24)
+	img := buildFile(t, []string{"a"}, events, WriterOptions{EventsPerBasket: 128})
+	g := &gatedSource{
+		gate:      make(chan struct{}),
+		delivered: make(chan struct{}, 16),
+		ungated:   func(int) bool { return false },
+	}
+	r, err := OpenReader(g.source(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTrainingCacheDepth(r, 100, 128, 3)
+	defer tr.Close()
+	defer close(g.gate)
+	for ev := uint64(0); ev < 100; ev++ {
+		if _, err := tr.Branch(ev, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered := make(chan error, 1)
+	go func() {
+		p, err := tr.Branch(100, 0)
+		if err == nil && !bytes.Equal(p, events[100][0]) {
+			err = fmt.Errorf("event 100 mismatch")
+		}
+		entered <- err
+	}()
+	select {
+	case err := <-entered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("entering a resident window waits for the held lookahead fetch")
+	}
+	if len(g.ctxs) != 1 {
+		t.Fatalf("%d background fetches, want the lookahead's one", len(g.ctxs))
 	}
 }
 
@@ -401,21 +454,23 @@ func TestCloseDuringTrainingCancelsLookahead(t *testing.T) {
 					}
 				}
 			}
-			// Branch 0's fill went out at event 0, branch 2's at event 1.
+			// Branch 0's lookahead went out in the background at event 0,
+			// and branch 2's in its demand read.
 			var lookahead int64
 			for _, pf := range tr.tc.pending {
 				lookahead += pf.bytes
 			}
-			if len(g.ctxs) != 2 || lookahead == 0 {
-				t.Fatalf("%d lookahead fetches of %d B in flight, want 2", len(g.ctxs), lookahead)
+			if len(g.ctxs) != 1 || lookahead == 0 {
+				t.Fatalf("%d background lookahead fetches, %d B in all, want 1", len(g.ctxs), lookahead)
 			}
 			want := residentKeys(r)
 			if landed {
 				close(g.gate)
 				<-g.delivered
-				<-g.delivered
 			}
 			tr.Close()
+			// Both lookahead requests are retired: the background one and
+			// the one that rode branch 2's demand read.
 			if issued, wasted, cancelled := tr.PrefetchStats(); issued != lookahead || wasted != lookahead || cancelled != 2 {
 				t.Fatalf("issued %d B, wasted %d B, cancelled %d; want %d, %d and 2", issued, wasted, cancelled, lookahead, lookahead)
 			}

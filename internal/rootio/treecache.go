@@ -140,7 +140,8 @@ func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int
 // request (one network round trip on the davix path): one window's at
 // depth 0, up to ⌊(depth+1)/2⌋ windows' when pipelined. A pipelined fill
 // whose baskets are all resident already completes without touching the
-// source.
+// source. A TrainingCache lookahead that rides a demand read is no fill
+// of its own.
 func (tc *TreeCache) Fills() int64 { return tc.fills }
 
 // PrefetchStats reports the speculation accounting: compressed bytes
@@ -255,83 +256,121 @@ func (tc *TreeCache) brought(k basketKey, start uint64) bool {
 	return false
 }
 
-// startGroup issues one background vectored request for run, consecutive
-// windows; run[0] is the window being entered when demand is set. Each
-// window's fill takes the baskets of branches in its window that begin at
-// or after event from and neither are resident nor are brought by a fill
-// for run[0] or an earlier window, this request's earlier windows
-// included, and all of them are fetched as one coalesced read. The
-// request's own goroutine waits for the fetch, inflates the baskets window
-// by window, handing each window its result as soon as its baskets are
-// done, and returns the run buffers to bufpool — it is their only owner
-// once the fetch has returned, whatever the outcome — before it signals
-// the last window. It never touches the
-// reader's cache: publishing is finishFill's, so a discarded window leaves
-// no trace. A window whose basket layout cannot be resolved ends the run
-// before it; it reports false when that leaves nothing to issue.
-func (tc *TreeCache) startGroup(run []uint64, demand bool, branches []int, from uint64) bool {
+// fillPlan is a group of consecutive windows' fills laid out as one
+// coalesced vectored read: keys holds every fill's baskets in window order,
+// ranges the merged runs the read asks for, runDsts their bufpool buffers
+// and perKey each key's view into them.
+type fillPlan struct {
+	fills   []*pendingFill
+	keys    []basketKey
+	ranges  []rangev.Range
+	runDsts [][]byte
+	perKey  [][]byte
+}
+
+// planGroup plans the fills of run, consecutive windows. Each window's fill
+// takes the baskets of branches in its window that begin at or after event
+// from and neither are resident nor are brought by a fill for run[0] or an
+// earlier window, the plan's earlier windows included. A window whose
+// basket layout cannot be resolved ends the run before it; planGroup
+// returns nil when that leaves nothing to plan.
+func (tc *TreeCache) planGroup(run []uint64, branches []int, from uint64) *fillPlan {
 	r := tc.reader
-	fills := make([]*pendingFill, 0, len(run))
-	var keys []basketKey // every window's keys, in window order
+	p := &fillPlan{fills: make([]*pendingFill, 0, len(run))}
 	for _, start := range run {
 		wk, err := tc.windowKeys(start, branches, from)
 		if err != nil {
 			break // the demand fill will surface the problem when reached
 		}
-		lo := len(keys)
+		lo := len(p.keys)
 		for _, k := range wk {
-			if !tc.brought(k, run[0]) && !slices.Contains(keys, k) {
-				keys = append(keys, k)
+			if !tc.brought(k, run[0]) && !slices.Contains(p.keys, k) {
+				p.keys = append(p.keys, k)
 			}
 		}
-		pf := &pendingFill{start: start, keys: keys[lo:len(keys):len(keys)], done: make(chan error, 1)}
+		pf := &pendingFill{start: start, keys: p.keys[lo:len(p.keys):len(p.keys)], done: make(chan error, 1)}
 		for _, k := range pf.keys {
 			pf.bytes += r.idx.Branches[k.branch].Baskets[k.basket].CompressedSize
 		}
-		fills = append(fills, pf)
+		p.fills = append(p.fills, pf)
 	}
-	if len(fills) == 0 {
+	if len(p.fills) == 0 {
+		return nil
+	}
+	p.ranges, p.runDsts, p.perKey = coalesceFill(r, p.keys)
+	return p
+}
+
+// startGroup sends the plan of run as one background vectored request;
+// run[0] is the window being entered when demand is set. It reports false
+// when there is nothing to send.
+func (tc *TreeCache) startGroup(run []uint64, demand bool, branches []int, from uint64) bool {
+	p := tc.planGroup(run, branches, from)
+	if p == nil {
 		return false
 	}
+	tc.send(p, demand)
+	return true
+}
 
-	ranges, runDsts, perKey := coalesceFill(r, keys)
+// send launches p as a fill of its own through the source's asynchronous
+// read.
+func (tc *TreeCache) send(p *fillPlan, demand bool) {
 	tc.fills++
-	req := &fillRequest{live: len(fills)}
+	tc.launch(p, demand, func(ctx context.Context) <-chan error {
+		return tc.reader.src.ReadVecAsyncCtx(ctx, p.ranges, p.runDsts)
+	})
+}
+
+// launch registers p's fills as pending and starts their fetch, whose
+// single completion fetch returns: a background read of p's own, or the
+// outcome of a demand read that carried p's ranges. A fill with no
+// baskets needs nothing from the fetch and completes at once, though it
+// stays pending for the fetch-once check. The request's own goroutine
+// waits for the fetch, inflates the baskets window by window, handing each
+// window its result as soon as its baskets are done, and returns the run
+// buffers to bufpool — it is their only owner once the fetch has returned,
+// whatever the outcome — before it signals the last window. It never
+// touches the reader's cache: publishing is finishFill's, so a discarded
+// window leaves no trace.
+func (tc *TreeCache) launch(p *fillPlan, demand bool, fetch func(context.Context) <-chan error) {
+	r := tc.reader
 	ctx, cancel := context.WithCancel(context.Background())
-	req.cancel = cancel
-	var fetched <-chan error
-	if len(ranges) > 0 {
-		fetched = r.src.ReadVecAsyncCtx(ctx, ranges, runDsts)
-	}
-	for i, pf := range fills {
+	req := &fillRequest{cancel: cancel, live: len(p.fills)}
+	for i, pf := range p.fills {
 		pf.req = req
 		if i > 0 || !demand {
 			tc.issuedBytes += pf.bytes
 		}
+		if len(pf.keys) == 0 {
+			pf.done <- nil
+		}
 		tc.pending = append(tc.pending, pf)
 	}
+	if len(p.keys) == 0 {
+		return
+	}
+	fetched := fetch(ctx)
 	go func() {
-		var err error
-		if fetched != nil {
-			err = <-fetched
-		}
+		err := <-fetched
 		if err == nil {
 			err = ctx.Err() // every window discarded meanwhile: nobody will read the baskets
 		}
 		at := 0
-		for i, pf := range fills {
+		for _, pf := range p.fills {
+			if len(pf.keys) == 0 {
+				continue
+			}
 			werr := err
 			if werr == nil {
-				pf.decoded, werr = r.decodeBaskets(pf.keys, perKey[at:at+len(pf.keys)])
+				pf.decoded, werr = r.decodeBaskets(pf.keys, p.perKey[at:at+len(pf.keys)])
 			}
-			at += len(pf.keys)
-			if i == len(fills)-1 {
-				putAll(runDsts)
+			if at += len(pf.keys); at == len(p.keys) {
+				putAll(p.runDsts)
 			}
 			pf.done <- werr
 		}
 	}()
-	return true
 }
 
 // finishFill waits for pf and publishes its baskets into the reader cache,

@@ -37,22 +37,27 @@ const (
 	// The pinned counts of the job: rootio's vectored reads, the ranges
 	// they carry and their bytes. xrootd sends every vectored read as a
 	// readv after a login and an open.
-	parityVectored = 10
+	parityVectored = 9
 	parityRanges   = 35
 	parityPayload  = 161559
-	// davix opens with one GET for the file's first 4 KiB and last 60 KiB
+	// davix opens with one GET for the file's first 1 KiB and last 38 KiB
 	// and serves the ranges lying wholly inside them from memory: the
 	// 8-byte header, the 16-byte trailer and the 2 823-byte index (all of
 	// rootio's two open-time reads) and three baskets of the last fills.
-	// The open's 206 is those 64 KiB plus 657 bytes of status line,
-	// headers and two parts' framing. Every other range goes out in the
-	// eight remaining vectored GETs; no HEAD is sent.
-	parityEndsHead   = 4 << 10
-	parityEndsTail   = 60 << 10
+	// The open's 206 is those 39 KiB plus 657 bytes of status line,
+	// headers and two parts' framing, within a fresh connection's first
+	// two slow-start windows. Every other range goes out in the seven
+	// remaining vectored GETs; no HEAD is sent.
+	parityEndsHead   = 1 << 10
+	parityEndsTail   = 38 << 10
 	parityEndsRanges = 3 + 3
 	parityEndsBytes  = 8 + 16 + 2823 + 3288 + 3258 + 3299
 	parityEndsWire   = parityEndsHead + parityEndsTail + 657
 	parityHTTPGets   = 1 + parityVectored - 2
+	// parityTwoWindows is what a fresh connection delivers before its
+	// second slow-start stall: the 10-segment initial window and its
+	// double.
+	parityTwoWindows = 14600 + 29200
 	// The HTTP framing budget of every response but the open's: a
 	// response's status line and headers fit in 320 bytes, a multipart
 	// part's delimiter and headers in 160.
@@ -97,11 +102,13 @@ func (j parityJob) httpFraming() int64 { return j.wire - j.open - (j.payload - j
 // parityBed is one link: a single MemStore served by httpserv and by the
 // xrootd Server, each client dialing through a byte-counting dialer.
 type parityBed struct {
-	net  *netsim.Network
-	http *httpserv.Server
-	xrd  *Server
+	net       *netsim.Network
+	http      *httpserv.Server
+	xrd       *Server
+	listeners []net.Listener
 }
 
+// newParityBed starts both servers on a new network; close stops them.
 func newParityBed(t *testing.T, prof netsim.Profile, img []byte) *parityBed {
 	t.Helper()
 	b := &parityBed{net: netsim.New(prof)}
@@ -116,10 +123,17 @@ func newParityBed(t *testing.T, prof netsim.Profile, img []byte) *parityBed {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { l.Close() })
+		b.listeners = append(b.listeners, l)
 		go serve(l)
 	}
 	return b
+}
+
+// close closes both listeners, so both Serve loops return.
+func (b *parityBed) close() {
+	for _, l := range b.listeners {
+		l.Close()
+	}
 }
 
 // countingDialer counts the bytes its connections read.
@@ -346,6 +360,7 @@ func TestHTTPXrootdParity(t *testing.T) {
 
 	for _, prof := range []netsim.Profile{netsim.LAN(), netsim.WAN()} {
 		b := newParityBed(t, prof, img)
+		defer b.close()
 		h := b.httpJob(t, core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
 			return trainedJob(fileSource(f), parityDepth)
 		})
@@ -380,6 +395,9 @@ func TestHTTPXrootdParity(t *testing.T) {
 		if h.requests >= x.requests {
 			t.Errorf("%s: http needed %d requests, xrootd %d; http should need fewer", prof.Name, h.requests, x.requests)
 		}
+		if parityEndsWire > parityTwoWindows {
+			t.Errorf("the open's %d B reply crosses a fresh connection's first two windows (%d B)", parityEndsWire, parityTwoWindows)
+		}
 		if h.open != parityEndsWire || h.endsRanges != parityEndsRanges || h.endsPayload != parityEndsBytes {
 			t.Errorf("%s http: open read %d B and served %d ranges of %d B; want %d B, %d ranges of %d B",
 				prof.Name, h.open, h.endsRanges, h.endsPayload, parityEndsWire, parityEndsRanges, parityEndsBytes)
@@ -397,6 +415,7 @@ func TestHTTPXrootdParity(t *testing.T) {
 	// physics: synchronous learned fills, demand reads with no cache, and
 	// demand reads through the block cache's read-ahead.
 	b := newParityBed(t, netsim.LAN(), img)
+	defer b.close()
 	for _, c := range []struct {
 		name string
 		opts core.Options
