@@ -12,15 +12,13 @@
 //     parallel downloads (paper §2.4);
 //   - POSIX-like remote file operations over plain HTTP/WebDAV: Open,
 //     ReadAt, vectored Read, Stat, List, Put, Delete, Mkdir;
-//   - an optional client-side block cache with single-flight miss
-//     coalescing, stride-learning read-ahead prefetch, and a TTL'd stat
-//     cache with negative entries, hiding round trips on high-RTT links
-//     (Options.CacheSize, BlockSize, PrefetchDepth, StatTTL; see
-//     Snapshot.Cache);
+//   - read-ahead as ROOT's TTreeCache does it: internal/rootio's window
+//     pipeline keeps the next analysis windows' vectored reads in flight
+//     through File.ReadVecAsyncCtx under the current window's compute; the
+//     client keeps no block or stat cache of its own;
 //   - a parallel namespace engine: Walk fans PROPFINDs out across pooled
-//     connections while preserving serial emission order, multistatus
-//     bodies are decoded streaming off the wire, and List/Walk results
-//     prime the stat cache (Options.WalkParallelism);
+//     connections while preserving serial emission order, and multistatus
+//     bodies are decoded streaming off the wire (Options.WalkParallelism);
 //   - a parallel transfer engine: streaming uploads that never materialize
 //     the body (PutReader), multi-stream chunked uploads over Content-Range
 //     PUTs (UploadMultiStream, Options.UploadParallelism), client-mediated
@@ -41,7 +39,7 @@
 //   - an observability plane: httptrace-style per-event hooks
 //     (Options.Trace), structured logging of every engine decision through
 //     log/slog (Trace: SlogTrace(l)), a unified counter snapshot spanning
-//     engine, cache and pool (Client.Snapshot), and zero-dependency
+//     engine and pool (Client.Snapshot), and zero-dependency
 //     exposition as Prometheus text (Client.MetricsHandler) or expvar JSON
 //     (Client.PublishExpvar).
 //
@@ -62,7 +60,6 @@ import (
 	"io"
 	"net/http"
 
-	"godavix/internal/blockcache"
 	"godavix/internal/core"
 	"godavix/internal/metalink"
 	"godavix/internal/obs"
@@ -118,11 +115,6 @@ type Dialer = pool.Dialer
 // zero value dials real TCP with the failover strategy enabled.
 type Options = core.Options
 
-// CacheStats are the block-cache and stat-cache counters (hits, misses,
-// evictions, prefetches, single-flight joins; all zeros when caching is
-// disabled); see Snapshot.Cache.
-type CacheStats = blockcache.Stats
-
 // ClientTrace is the httptrace-style hook set invoked at each engine
 // event; see Options.Trace. The zero value (or nil) observes nothing.
 type ClientTrace = obs.ClientTrace
@@ -145,8 +137,8 @@ const (
 	Up = obs.Up
 )
 
-// Snapshot is the unified client stat surface: engine, cache and pool
-// counters captured in one call; see Client.Snapshot.
+// Snapshot is the unified client stat surface: engine and pool counters
+// captured in one call; see Client.Snapshot.
 type Snapshot = core.Snapshot
 
 // RetryPolicy bounds the retry-with-backoff layer; see Options.Retry.
@@ -203,8 +195,8 @@ func New(opts Options) (*Client, error) {
 // Close releases all pooled connections.
 func (c *Client) Close() { c.core.Close() }
 
-// Snapshot captures all three stat surfaces — engine metrics, cache
-// counters, pool counters — in one call, the shape the exposition
+// Snapshot captures both stat surfaces — engine metrics and pool
+// counters — in one call, the shape the exposition
 // endpoints serve. Safe to call concurrently with in-flight operations.
 func (c *Client) Snapshot() Snapshot { return c.core.Snapshot() }
 

@@ -114,6 +114,13 @@ func TestPublicFileAndVectored(t *testing.T) {
 	if err != nil || !bytes.Equal(all, blob) {
 		t.Fatalf("ReadAll: %d bytes err=%v", len(all), err)
 	}
+
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(buf, 0); !errors.Is(err, ErrFileClosed) {
+		t.Fatalf("ReadAt after Close = %v, want ErrFileClosed", err)
+	}
 }
 
 func TestPublicGetRange(t *testing.T) {
@@ -140,17 +147,15 @@ func TestPublicPoolStats(t *testing.T) {
 }
 
 // TestPublicObservability exercises the public observability surface in
-// one pass: Options.Trace receives events, Snapshot unifies the three stat
-// surfaces, and MetricsHandler serves them as Prometheus text.
+// one pass: Options.Trace receives events, Snapshot unifies the engine and
+// pool stat surfaces, and MetricsHandler serves them as Prometheus text.
 func TestPublicObservability(t *testing.T) {
-	var requests, cacheHits int64
+	var requests int64
 	var mu sync.Mutex
 	_, st, c := startFabric(t, Options{
-		Strategy:  StrategyNone,
-		CacheSize: 1 << 20,
+		Strategy: StrategyNone,
 		Trace: &ClientTrace{
-			Request:  func(method, host, path string) { mu.Lock(); requests++; mu.Unlock() },
-			CacheHit: func(key string, blocks int64) { mu.Lock(); cacheHits += blocks; mu.Unlock() },
+			Request: func(method, host, path string) { mu.Lock(); requests++; mu.Unlock() },
 		},
 	})
 	st.Put("/f", []byte("observable payload"))
@@ -162,17 +167,14 @@ func TestPublicObservability(t *testing.T) {
 	}
 
 	mu.Lock()
-	gotReqs, gotHits := requests, cacheHits
+	gotReqs := requests
 	mu.Unlock()
 	if gotReqs == 0 {
 		t.Error("trace saw no requests")
 	}
-	if gotHits == 0 {
-		t.Error("trace saw no cache hits (reads 2-3 should hit)")
-	}
 
 	s := c.Snapshot()
-	if s.Engine.Requests == 0 || s.Pool.Dials == 0 || s.Cache.Hits == 0 {
+	if s.Engine.Requests == 0 || s.Pool.Dials == 0 {
 		t.Fatalf("snapshot misses a surface: %+v", s)
 	}
 
@@ -181,7 +183,6 @@ func TestPublicObservability(t *testing.T) {
 	body := rec.Body.String()
 	for _, want := range []string{
 		"davix_client_requests_total",
-		"davix_client_cache_hits_total",
 		"davix_client_pool_dials_total",
 		`davix_client_op_latency_seconds{op="GET(range)",quantile="0.5"}`,
 	} {
@@ -328,57 +329,6 @@ func TestPublicAuthAndChecksums(t *testing.T) {
 	got, err := c.Get(context.Background(), "http://s:80/f")
 	if err != nil || string(got) != "locked" {
 		t.Fatalf("got %q err=%v", got, err)
-	}
-}
-
-func TestPublicCacheOptionsAndStats(t *testing.T) {
-	_, st, c := startFabric(t, Options{
-		Strategy:      StrategyNone,
-		CacheSize:     1 << 20,
-		BlockSize:     1 << 10,
-		PrefetchDepth: 2,
-		StatTTL:       time.Minute,
-	})
-	ctx := context.Background()
-
-	// Larger than the ends Open keeps, and read between them, so the
-	// reads go through the block cache.
-	blob := make([]byte, 96<<10)
-	rand.New(rand.NewSource(9)).Read(blob)
-	st.Put("/f", blob)
-
-	f, err := c.Open(ctx, "http://dpm1:80/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 2048)
-	for i := 0; i < 3; i++ {
-		if _, err := f.ReadAt(buf, 8<<10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(buf, blob[8<<10:10<<10]) {
-		t.Fatal("cached read corrupt")
-	}
-	cs := c.Snapshot().Cache
-	if cs.Hits == 0 || cs.Misses == 0 {
-		t.Fatalf("cache stats = %+v, want hits and misses", cs)
-	}
-	if _, err := c.Stat(ctx, "http://dpm1:80/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stat(ctx, "http://dpm1:80/f"); err != nil {
-		t.Fatal(err)
-	}
-	if cs := c.Snapshot().Cache; cs.StatHits == 0 {
-		t.Fatalf("stat cache never hit: %+v", cs)
-	}
-
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadAt(buf, 0); !errors.Is(err, ErrFileClosed) {
-		t.Fatalf("ReadAt after Close = %v, want ErrFileClosed", err)
 	}
 }
 

@@ -11,24 +11,16 @@ import (
 	"time"
 )
 
-// sourceFetch serves fetches out of src, counting calls and recording the
-// requested spans, optionally blocking on gate to let tests hold a fetch
-// in flight.
+// sourceFetch serves fetches out of src, counting calls, optionally
+// blocking on gate to let tests hold a fetch in flight.
 type sourceFetch struct {
 	src   []byte
 	calls atomic.Int64
 	gate  chan struct{} // nil = never block
-	spans struct {
-		sync.Mutex
-		seen []Span
-	}
 }
 
 func (s *sourceFetch) fetch(ctx context.Context, off, length int64) ([]byte, error) {
 	s.calls.Add(1)
-	s.spans.Lock()
-	s.spans.seen = append(s.spans.seen, Span{Off: off, Len: length})
-	s.spans.Unlock()
 	if s.gate != nil {
 		select {
 		case <-s.gate:
@@ -74,9 +66,8 @@ func TestReadThroughHitMiss(t *testing.T) {
 	if err != nil || n != 1536 || sf.calls.Load() != 2 {
 		t.Fatalf("n=%d err=%v calls=%d", n, err, sf.calls.Load())
 	}
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 2 || st.BytesCached != 2048 {
-		t.Fatalf("stats = %+v", st)
+	if len(c.blocks) != 2 || c.used != 2048 {
+		t.Fatalf("resident blocks = %d of %d bytes, want 2 of 2048", len(c.blocks), c.used)
 	}
 }
 
@@ -106,15 +97,11 @@ func TestLRUEvictionAtCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 4 {
-		t.Fatalf("resident blocks = %d, want 4", c.Len())
-	}
-	st := c.Stats()
-	if st.Evictions != 4 || st.BytesCached != 4096 {
-		t.Fatalf("stats = %+v", st)
+	if len(c.blocks) != 4 || c.lru.Len() != 4 || c.used != 4096 {
+		t.Fatalf("resident blocks = %d of %d bytes, want 4 of 4096", len(c.blocks), c.used)
 	}
 	// Oldest blocks are gone, newest present.
-	if c.Contains("k", 0) || !c.Contains("k", 7*1024) {
+	if resident(c, "k", 0) || !resident(c, "k", 7*1024) {
 		t.Fatal("LRU order violated")
 	}
 	// Re-reading an evicted block is a miss again.
@@ -173,10 +160,6 @@ func TestSingleFlightCoalescesConcurrentMisses(t *testing.T) {
 	if got := sf.calls.Load(); got != 1 {
 		t.Fatalf("fetch calls = %d, want 1 (single-flight)", got)
 	}
-	st := c.Stats()
-	if st.Misses != 1 || st.SingleFlightJoins != readers-1 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 func TestConcurrentRandomReads(t *testing.T) {
@@ -209,47 +192,6 @@ func TestConcurrentRandomReads(t *testing.T) {
 	wg.Wait()
 }
 
-func TestReadAheadPrefetchesSequentialScan(t *testing.T) {
-	src := randBytes(16<<10, 6)
-	sf := &sourceFetch{src: src}
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, ReadAhead: 4})
-	ctx := context.Background()
-	p := make([]byte, 1024)
-
-	// A scan starting at block 0 arms read-ahead immediately: blocks 1..4
-	// should land without demand fetches.
-	if _, err := c.ReadThrough(ctx, "k", int64(len(src)), p, 0, sf.fetch); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return c.Len() >= 5 })
-	if st := c.Stats(); st.Prefetched != 4 {
-		t.Fatalf("prefetched = %d, want 4", st.Prefetched)
-	}
-	for i := 1; i <= 4; i++ {
-		n, err := c.ReadThrough(ctx, "k", int64(len(src)), p, int64(i)*1024, sf.fetch)
-		if err != nil || n != 1024 || !bytes.Equal(p, src[i*1024:(i+1)*1024]) {
-			t.Fatalf("block %d: n=%d err=%v", i, n, err)
-		}
-	}
-	// Blocks 1..4 were demand-served from prefetched pages; the scan keeps
-	// arming deeper read-ahead, so only count demand fetches via misses.
-	if st := c.Stats(); st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (only block 0)", st.Misses)
-	}
-
-	// A random jump resets the streak: no prefetch beyond it until the
-	// scan resumes.
-	c2 := New(Config{Capacity: 1 << 20, BlockSize: 1024, ReadAhead: 4})
-	sf2 := &sourceFetch{src: src}
-	if _, err := c2.ReadThrough(ctx, "k", int64(len(src)), p, 9*1024, sf2.fetch); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if st := c2.Stats(); st.Prefetched != 0 {
-		t.Fatalf("prefetched after random jump = %d, want 0", st.Prefetched)
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -258,100 +200,6 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestInvalidateDropsBlocksAndFencesInflight(t *testing.T) {
-	sf := &sourceFetch{src: randBytes(4096, 7)}
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024})
-	ctx := context.Background()
-	p := make([]byte, 1024)
-
-	if _, err := c.ReadThrough(ctx, "k", 4096, p, 0, sf.fetch); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Contains("k", 0) {
-		t.Fatal("block not resident")
-	}
-	c.Invalidate("k")
-	if c.Contains("k", 0) || c.Len() != 0 {
-		t.Fatal("Invalidate left blocks behind")
-	}
-
-	// Fence: a fetch in flight across an Invalidate must not install its
-	// (possibly stale) result.
-	gated := &sourceFetch{src: sf.src, gate: make(chan struct{})}
-	done := make(chan error, 1)
-	go func() {
-		q := make([]byte, 1024)
-		_, err := c.ReadThrough(ctx, "k", 4096, q, 1024, gated.fetch)
-		done <- err
-	}()
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.inflight) == 1
-	})
-	c.Invalidate("k")
-	close(gated.gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if c.Contains("k", 1024) {
-		t.Fatal("stale in-flight block installed after Invalidate")
-	}
-}
-
-func TestPeekSpanAndPutSpan(t *testing.T) {
-	src := randBytes(8192, 8)
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024})
-	p := make([]byte, 2048)
-
-	if c.PeekSpan("k", p, 0) {
-		t.Fatal("peek on empty cache succeeded")
-	}
-
-	// Unaligned span [100, 5000): only blocks 1..3 are fully covered.
-	c.PutSpan("k", c.Generation(), 100, src[100:5000], false)
-	if c.Contains("k", 0) || !c.Contains("k", 1024) || !c.Contains("k", 3*1024) || c.Contains("k", 4*1024) {
-		t.Fatalf("PutSpan cached wrong blocks (len=%d)", c.Len())
-	}
-	if !c.PeekSpan("k", p, 1024) {
-		t.Fatal("peek of cached span failed")
-	}
-	if !bytes.Equal(p, src[1024:3072]) {
-		t.Fatal("peek returned wrong bytes")
-	}
-	// Span straddling a missing block fails without partial effects on
-	// counters beyond one miss.
-	if c.PeekSpan("k", p, 3*1024) {
-		t.Fatal("peek across missing block 4 succeeded")
-	}
-
-	// eof=true caches the trailing partial block.
-	c2 := New(Config{Capacity: 1 << 20, BlockSize: 1024})
-	c2.PutSpan("k", c2.Generation(), 0, src[:1500], true)
-	if !c2.Contains("k", 0) || !c2.Contains("k", 1024) {
-		t.Fatal("eof PutSpan missed blocks")
-	}
-	q := make([]byte, 1500)
-	if !c2.PeekSpan("k", q, 0) || !bytes.Equal(q, src[:1500]) {
-		t.Fatal("peek of eof span failed")
-	}
-}
-
-func TestPutSpanStaleGenerationDropped(t *testing.T) {
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024})
-	gen := c.Generation() // snapshot "before the network fetch"
-	c.Invalidate("k")     // a Put/Delete races the fetch
-	c.PutSpan("k", gen, 0, bytes.Repeat([]byte{'s'}, 1024), true)
-	if c.Len() != 0 {
-		t.Fatal("stale span installed despite intervening Invalidate")
-	}
-	// With a current snapshot the install goes through.
-	c.PutSpan("k", c.Generation(), 0, bytes.Repeat([]byte{'f'}, 1024), true)
-	if c.Len() != 1 {
-		t.Fatal("fresh span rejected")
 	}
 }
 
@@ -406,44 +254,6 @@ func TestJoinerRetriesAfterOwnerCancelled(t *testing.T) {
 	}
 }
 
-func TestReadAheadStopsAtLearnedEOF(t *testing.T) {
-	src := randBytes(3*1024+512, 9) // blocks 0..3, block 3 short
-	sf := &sourceFetch{src: src}
-	c := New(Config{Capacity: 1 << 20, BlockSize: 1024, ReadAhead: 4})
-	ctx := context.Background()
-	p := make([]byte, 1024)
-
-	// Size unknown (-1): the first burst may ask past the end once, but the
-	// short answer teaches the cache where the object stops.
-	if _, err := c.ReadThrough(ctx, "k", -1, p, 0, sf.fetch); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return c.Len() == 4 }) // blocks 0..3 resident
-	pastEnd := func() (n int64) {
-		sf.spans.Lock()
-		defer sf.spans.Unlock()
-		for _, sp := range sf.spans.seen {
-			if sp.Off+sp.Len > int64(len(src)) {
-				n++
-			}
-		}
-		return n
-	}
-	waitFor(t, func() bool { return pastEnd() >= 1 })
-	first := pastEnd()
-
-	// Continue the scan: read-ahead must not probe past the end again.
-	for i := 1; i <= 3; i++ {
-		if _, err := c.ReadThrough(ctx, "k", -1, p, int64(i)*1024, sf.fetch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(20 * time.Millisecond)
-	if now := pastEnd(); now != first {
-		t.Fatalf("past-end probes grew %d -> %d after EOF was learned", first, now)
-	}
-}
-
 func TestFetchErrorNotCached(t *testing.T) {
 	fail := errors.New("boom")
 	calls := 0
@@ -459,7 +269,7 @@ func TestFetchErrorNotCached(t *testing.T) {
 	if _, err := c.ReadThrough(context.Background(), "k", 4096, p, 0, fetch); !errors.Is(err, fail) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Len() != 0 {
+	if len(c.blocks) != 0 {
 		t.Fatal("error result cached")
 	}
 	if _, err := c.ReadThrough(context.Background(), "k", 4096, p, 0, fetch); err != nil {
@@ -472,19 +282,27 @@ func TestFetchErrorNotCached(t *testing.T) {
 
 func TestDistinctKeysDoNotCollide(t *testing.T) {
 	c := New(Config{Capacity: 1 << 20, BlockSize: 1024})
-	a := bytes.Repeat([]byte{'a'}, 1024)
-	b := bytes.Repeat([]byte{'b'}, 1024)
-	c.PutSpan("ka", c.Generation(), 0, a, true)
-	c.PutSpan("kb", c.Generation(), 0, b, true)
+	ctx := context.Background()
+	a := &sourceFetch{src: bytes.Repeat([]byte{'a'}, 1024)}
+	b := &sourceFetch{src: bytes.Repeat([]byte{'b'}, 1024)}
 	p := make([]byte, 1024)
-	if !c.PeekSpan("ka", p, 0) || !bytes.Equal(p, a) {
-		t.Fatal("ka corrupted")
+	for i := 0; i < 2; i++ {
+		if _, err := c.ReadThrough(ctx, "ka", 1024, p, 0, a.fetch); err != nil || !bytes.Equal(p, a.src) {
+			t.Fatalf("ka read %d: err=%v", i, err)
+		}
+		if _, err := c.ReadThrough(ctx, "kb", 1024, p, 0, b.fetch); err != nil || !bytes.Equal(p, b.src) {
+			t.Fatalf("kb read %d: err=%v", i, err)
+		}
 	}
-	c.Invalidate("ka")
-	if c.PeekSpan("ka", p, 0) {
-		t.Fatal("ka survived invalidate")
+	if a.calls.Load() != 1 || b.calls.Load() != 1 {
+		t.Fatalf("fetch calls = %d, %d, want one per key", a.calls.Load(), b.calls.Load())
 	}
-	if !c.PeekSpan("kb", p, 0) || !bytes.Equal(p, b) {
-		t.Fatal("kb lost by ka invalidate")
-	}
+}
+
+// resident reports whether the block holding byte off of key is cached.
+func resident(c *Cache, key string, off int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.blocks[blockKey{key, off / c.bs}]
+	return ok
 }

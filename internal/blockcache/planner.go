@@ -2,6 +2,11 @@ package blockcache
 
 import "sync"
 
+// maxPlannerKeys bounds the planner's per-key access history; when
+// exceeded the history is reset (costing at worst one missed read-ahead
+// trigger per key, never correctness).
+const maxPlannerKeys = 4096
+
 // BlockRange is a run of consecutive block indices the planner proposes to
 // prefetch.
 type BlockRange struct {
@@ -20,21 +25,11 @@ type strideState struct {
 	stride int64
 	// streak counts consecutive reads with the same stride.
 	streak int
-	// limit, when >= 0, is the first block index known to lie past the end
-	// of the object (learned from a short or failed speculative fetch);
-	// plans and hints never go there.
-	limit int64
 }
 
-// StridePlanner is the cache's read-ahead planner. It learns the stride of
-// the demand-read stream — a forward scan, or the sparse, branch-skipping
-// pattern of a ROOT analysis touching a subset of columns — and keeps the
-// next predicted reads in flight as coalesced multi-block runs. It also
-// accepts layout hints (Cache.Hint), clipped against the learned end of
-// object, so a reader that knows its future byte ranges can drive exact
-// speculation instead of relying on detection. The cache calls LearnEOF
-// and Forget while holding its own lock, so the planner never calls back
-// into the cache.
+// StridePlanner learns the stride of a demand-read stream — a forward
+// scan, or the sparse, branch-skipping pattern of a ROOT analysis touching
+// a subset of columns — and predicts the next reads as multi-block runs.
 type StridePlanner struct {
 	lookahead int
 
@@ -42,27 +37,13 @@ type StridePlanner struct {
 	keys map[string]*strideState
 }
 
-// NewStridePlanner creates a stride/sparse planner keeping lookahead
-// predicted reads in flight (<= 0 selects 2).
+// NewStridePlanner creates a stride/sparse planner predicting lookahead
+// reads ahead (<= 0 selects 2).
 func NewStridePlanner(lookahead int) *StridePlanner {
 	if lookahead <= 0 {
 		lookahead = 2
 	}
 	return &StridePlanner{lookahead: lookahead, keys: make(map[string]*strideState)}
-}
-
-// state returns (creating if needed) key's history, keeping the map
-// bounded. Caller holds mu.
-func (p *StridePlanner) state(key string) *strideState {
-	st := p.keys[key]
-	if st == nil {
-		if len(p.keys) >= maxPlannerKeys {
-			p.keys = make(map[string]*strideState)
-		}
-		st = &strideState{limit: -1}
-		p.keys[key] = st
-	}
-	return st
 }
 
 // Plan observes a demand read covering blocks [first, last] of key and
@@ -75,7 +56,14 @@ func (p *StridePlanner) Plan(key string, first, last int64) []BlockRange {
 	count := last - first + 1
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := p.state(key)
+	st := p.keys[key]
+	if st == nil {
+		if len(p.keys) >= maxPlannerKeys {
+			p.keys = make(map[string]*strideState)
+		}
+		st = &strideState{}
+		p.keys[key] = st
+	}
 	prevFirst, prevSpan := st.first, st.span
 	st.first, st.span = first, count
 	switch stride := first - prevFirst; {
@@ -95,57 +83,7 @@ func (p *StridePlanner) Plan(key string, first, last int64) []BlockRange {
 	}
 	runs := make([]BlockRange, 0, p.lookahead)
 	for k := int64(1); k <= int64(p.lookahead); k++ {
-		start := first + k*st.stride
-		cnt := count
-		if st.limit >= 0 {
-			if start >= st.limit {
-				break
-			}
-			if start+cnt > st.limit {
-				cnt = st.limit - start
-			}
-		}
-		runs = append(runs, BlockRange{Start: start, Count: cnt})
+		runs = append(runs, BlockRange{Start: first + k*st.stride, Count: count})
 	}
 	return runs
-}
-
-// Hint accepts externally-known upcoming runs, clipped to the learned end
-// of object, and hands them back for speculative fetching.
-func (p *StridePlanner) Hint(key string, runs []BlockRange) []BlockRange {
-	p.mu.Lock()
-	limit := p.state(key).limit
-	p.mu.Unlock()
-	if limit < 0 {
-		return runs
-	}
-	out := runs[:0]
-	for _, ru := range runs {
-		if ru.Start >= limit {
-			continue
-		}
-		if ru.Start+ru.Count > limit {
-			ru.Count = limit - ru.Start
-		}
-		out = append(out, ru)
-	}
-	return out
-}
-
-// LearnEOF records that block idx lies at or past the end of key's
-// object; no later plan or hint includes it.
-func (p *StridePlanner) LearnEOF(key string, idx int64) {
-	p.mu.Lock()
-	st := p.state(key)
-	if st.limit < 0 || idx < st.limit {
-		st.limit = idx
-	}
-	p.mu.Unlock()
-}
-
-// Forget drops key's history (the key was invalidated).
-func (p *StridePlanner) Forget(key string) {
-	p.mu.Lock()
-	delete(p.keys, key)
-	p.mu.Unlock()
 }

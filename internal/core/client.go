@@ -17,11 +17,9 @@ import (
 	"sync"
 	"time"
 
-	"godavix/internal/blockcache"
 	"godavix/internal/metalink"
 	"godavix/internal/obs"
 	"godavix/internal/pool"
-	"godavix/internal/rangev"
 	"godavix/internal/s3"
 	"godavix/internal/wire"
 )
@@ -173,36 +171,18 @@ type Options struct {
 	// (pool.Stats.TLSResumes counts the saves).
 	TLS *tls.Config
 
-	// CacheSize enables the shared client-side block cache: the total
-	// number of remote-data bytes kept in memory across all files
-	// (0 disables caching; every read then hits the network as before).
-	// Reads served from cache cost no round trip; concurrent misses on one
-	// block issue a single GET.
-	CacheSize int64
-
-	// BlockSize is the cache page granularity in bytes (default 64 KiB;
-	// meaningful only with CacheSize > 0).
-	BlockSize int64
-
-	// PrefetchDepth is the block cache's read-ahead lookahead (requires
-	// CacheSize > 0): > 0 runs the cache's stride planner, which arms at
-	// once on a contiguous scan and after two equal strides on a sparse
-	// one, keeping that many predicted reads in flight as coalesced
-	// speculative requests, and makes File.PrefetchHint feed layout
-	// foreknowledge into it. At most 16 MiB of speculation is in flight at
-	// once, so it never starves demand reads. 0 (the default) disables
-	// read-ahead. rootio's window pipeline over File.ReadVecAsyncCtx is
-	// sized by its own depth (NewTreeCacheDepth), not by this option.
+	// PrefetchDepth is ignored.
+	//
+	// Deprecated: the client has no block cache; read-ahead is rootio's
+	// window pipeline over File.ReadVecAsyncCtx, sized by its own depth
+	// (NewTreeCacheDepth). ROADMAP item 1(h) removes the benchmark's use of
+	// this field, and then the field.
 	PrefetchDepth int
-
-	// StatTTL caches Stat/Open metadata — including negative 404 results —
-	// for this duration, absorbing stat storms (0 disables).
-	StatTTL time.Duration
 
 	// Trace, when non-nil, installs httptrace-style hooks the engine fires
 	// for every event: operation start/end, wire requests, connection
 	// acquisition, redirect hops, retries, replica failovers, breaker
-	// trips, cache hits and misses, and per-chunk progress of multi-stream
+	// trips, speculative fetches, and per-chunk progress of multi-stream
 	// transfers. Hooks run inline on hot paths and may fire concurrently,
 	// so they must be fast and thread-safe; an unset hook costs one nil
 	// check. obs.SlogTrace renders every event as a log/slog record.
@@ -264,19 +244,6 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
 	}
-	// Cache knobs: negative disables, like zero.
-	if o.CacheSize < 0 {
-		o.CacheSize = 0
-	}
-	if o.BlockSize < 0 {
-		o.BlockSize = 0
-	}
-	if o.PrefetchDepth < 0 {
-		o.PrefetchDepth = 0
-	}
-	if o.StatTTL < 0 {
-		o.StatTTL = 0
-	}
 	// Retry budget: Attempts < 1 means no retries; backoff fields only
 	// matter once retries are possible.
 	if o.Retry.Attempts < 1 {
@@ -297,10 +264,6 @@ func (o Options) withDefaults() Options {
 // userAgent is the User-Agent header stamped on every request.
 const userAgent = "godavix/1.0"
 
-// prefetchBudget bounds the speculative bytes the block cache's read-ahead
-// keeps in flight at once.
-const prefetchBudget = 16 << 20
-
 // Client executes HTTP I/O through a shared connection pool. It is safe
 // for concurrent use; the pool grows with the level of concurrency, which
 // is the paper's dispatch design (Figure 2).
@@ -312,13 +275,6 @@ type Client struct {
 	metrics metrics
 	// health is the per-host scoreboard reordering replica rings.
 	health *healthBoard
-
-	// cache is the shared block cache (nil when Options.CacheSize == 0).
-	cache *blockcache.Cache
-	// statc is the TTL'd metadata cache (nil when Options.StatTTL == 0).
-	statc *blockcache.StatCache[Info]
-	// bgCancel stops the cache's background prefetches at Close.
-	bgCancel context.CancelFunc
 }
 
 // NewClient creates a Client.
@@ -334,109 +290,11 @@ func NewClient(opts Options) (*Client, error) {
 		MaxPerHost: opts.MaxPerHost,
 		TLS:        opts.TLS,
 	})
-	if opts.CacheSize > 0 {
-		bg, cancel := context.WithCancel(context.Background())
-		c.bgCancel = cancel
-		cfg := blockcache.Config{
-			Capacity:       opts.CacheSize,
-			BlockSize:      opts.BlockSize,
-			ReadAhead:      opts.PrefetchDepth,
-			Background:     bg,
-			FetchVec:       c.cacheFetchVec(),
-			PrefetchBudget: prefetchBudget,
-		}
-		cfg.OnPrefetchIssued = func(key string, spans int, bytes int64) {
-			c.metrics.prefetchIssued.Add(1)
-			c.metrics.prefetchBytes.Add(bytes)
-			c.opts.Trace.EmitPrefetchIssued(prettyKey(key), spans, bytes)
-		}
-		cfg.OnPrefetchSettled = func(key string, bytes int64, err error) {
-			c.opts.Trace.EmitPrefetchSettled(prettyKey(key), bytes, err)
-		}
-		if tr := opts.Trace; tr != nil {
-			if tr.CacheHit != nil {
-				cfg.OnHit = func(key string, blocks int64) { tr.CacheHit(prettyKey(key), blocks) }
-			}
-			if tr.CacheMiss != nil {
-				cfg.OnMiss = func(key string, blocks int64) { tr.CacheMiss(prettyKey(key), blocks) }
-			}
-		}
-		c.cache = blockcache.New(cfg)
-	}
-	if opts.StatTTL > 0 {
-		c.statc = blockcache.NewStatCache[Info](opts.StatTTL)
-	}
 	return c, nil
 }
 
-// Close stops background prefetches and releases all pooled connections.
-func (c *Client) Close() {
-	if c.bgCancel != nil {
-		c.bgCancel()
-	}
-	c.pool.Close()
-}
-
-// CacheStats reports the block-cache and stat-cache counters. All zeros
-// when caching is disabled.
-func (c *Client) CacheStats() blockcache.Stats {
-	var st blockcache.Stats
-	if c.cache != nil {
-		st = c.cache.Stats()
-	}
-	if c.statc != nil {
-		st.StatHits, st.StatMisses = c.statc.Counters()
-	}
-	return st
-}
-
-// cacheKey names host/path in the shared caches. Replicated reads cache
-// under the primary name the caller asked for.
-func cacheKey(host, path string) string { return host + "\x00" + path }
-
-// prettyKey renders a cacheKey for trace consumers ("host/path" instead of
-// the NUL-separated internal form).
-func prettyKey(key string) string { return strings.Replace(key, "\x00", "", 1) }
-
-// invalidateCache drops cached blocks and metadata for host/path after a
-// mutation (Put, Delete, Mkdir) so readers never see stale data from this
-// client. It returns the block cache's post-invalidation generation (zero
-// without a cache) for writers that follow up with a write-through
-// PutSpan.
-func (c *Client) invalidateCache(host, path string) uint64 {
-	var gen uint64
-	if c.cache != nil {
-		gen = c.cache.Invalidate(cacheKey(host, path))
-	}
-	if c.statc != nil {
-		c.statc.Invalidate(cacheKey(host, path))
-	}
-	return gen
-}
-
-// cacheFetch returns the Fetch the block cache uses to fill pages of
-// host/path: a plain range GET with the same replica failover as any
-// uncached read.
-func (c *Client) cacheFetch(host, path string) blockcache.Fetch {
-	return func(ctx context.Context, off, length int64) ([]byte, error) {
-		return c.getRange(ctx, host, path, off, length)
-	}
-}
-
-// cacheFetchVec returns the vectored fetch the cache's read-ahead uses
-// for coalesced speculation: one multi-range request through the
-// pooled engine, with the same replica failover as demand reads. It
-// bypasses the cached read path — the cache installs the blocks itself.
-func (c *Client) cacheFetchVec() blockcache.FetchVec {
-	return func(ctx context.Context, key string, spans []blockcache.Span, dsts [][]byte) error {
-		host, path, _ := strings.Cut(key, "\x00")
-		ranges := make([]rangev.Range, len(spans))
-		for i, sp := range spans {
-			ranges[i] = rangev.Range{Off: sp.Off, Len: sp.Len}
-		}
-		return c.readVecReplicas(ctx, host, path, ranges, dsts)
-	}
-}
+// Close releases all pooled connections.
+func (c *Client) Close() { c.pool.Close() }
 
 // CloseIdlePool drops pooled idle connections for host, e.g. once the host
 // is known to be down.

@@ -187,6 +187,10 @@ func TestGetRange(t *testing.T) {
 	if !bytes.Equal(got, blob[990:]) {
 		t.Fatalf("tail range = %d bytes", len(got))
 	}
+	// A range wholly past EOF is the server's 416.
+	if _, err := e.client.GetRange(ctx, dpm1, "/f", 2000, 50); err == nil {
+		t.Fatal("range wholly past EOF succeeded")
+	}
 }
 
 func TestReadVecScattersExactBytes(t *testing.T) {

@@ -471,9 +471,11 @@ func (c *Client) walkRing(ctx context.Context, ring []Replica, start int, resolv
 		}
 		err = op(rep)
 		if gate {
-			// op may have been answered without network I/O (a Stat from
-			// the stat cache): a probe token acquire handed out must
-			// never stay latched. Idempotent when the op did report.
+			// The gate must reopen whatever op did: its exchanges report
+			// to the scoreboard, but an op that returns before one reaches
+			// rep.Host (an error raised before its first request) would
+			// leave the probe token acquire handed out latched.
+			// Idempotent when the op did report.
 			c.health.release(rep.Host)
 		}
 		if err == nil || !replicaUnavailable(err) {

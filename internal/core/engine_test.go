@@ -397,13 +397,6 @@ func TestOptionsNormalization(t *testing.T) {
 				t.Errorf("parallelism = %d/%d/%d, want 0/0/0", o.VectorParallelism, o.WalkParallelism, o.UploadParallelism)
 			}
 		}},
-		{"negative cache knobs disable like zero", Options{
-			CacheSize: -1, BlockSize: -2, PrefetchDepth: -3, StatTTL: -time.Minute,
-		}, func(t *testing.T, o Options) {
-			if o.CacheSize != 0 || o.BlockSize != 0 || o.PrefetchDepth != 0 || o.StatTTL != 0 {
-				t.Errorf("cache knobs = %d/%d/%d/%v", o.CacheSize, o.BlockSize, o.PrefetchDepth, o.StatTTL)
-			}
-		}},
 		{"zero retry fields get documented defaults", Options{
 			Retry: RetryPolicy{Attempts: 4},
 		}, func(t *testing.T, o Options) {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"godavix/internal/blockcache"
 	"godavix/internal/bufpool"
 	"godavix/internal/rangev"
 	"godavix/internal/wire"
@@ -17,10 +16,7 @@ import (
 // File is a remote object opened for random-access reads, the engine under
 // the paper's TDavixFile. It implements io.Reader, io.ReaderAt, io.Seeker
 // and the vectored ReadVec that TTreeCache-style callers use. All reads
-// transparently fail over to Metalink replicas under StrategyFailover, and
-// with Options.CacheSize set they are served through the client's shared
-// block cache (with read-ahead on detected scans when
-// Options.PrefetchDepth > 0).
+// transparently fail over to Metalink replicas under StrategyFailover.
 //
 // Open fetches the object's first endsHead and last endsTail bytes with
 // its size, and reads lying wholly inside them are copied from memory: a
@@ -191,9 +187,6 @@ func (f *File) fromEnds(ranges []rangev.Range, dsts [][]byte) ([]rangev.Range, [
 // Size returns the object size learned at Open.
 func (f *File) Size() int64 { return f.size }
 
-// Path returns the object path.
-func (f *File) Path() string { return f.path }
-
 // ReadAt reads len(p) bytes at offset off, failing over across replicas.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed.Load() {
@@ -217,15 +210,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	} else if len(miss) == 0 {
 		n = int(want)
-	} else if f.client.cache != nil {
-		m, err := f.client.cache.ReadThrough(f.ctx, cacheKey(f.host, f.path), f.size,
-			p[:want], off, f.client.cacheFetch(f.host, f.path))
-		if err != nil {
-			return 0, err
-		}
-		n = m
 	} else {
-		got, err := f.client.getRange(f.ctx, f.host, f.path, off, want)
+		got, err := f.client.GetRange(f.ctx, f.host, f.path, off, want)
 		if err != nil {
 			return 0, err
 		}
@@ -238,8 +224,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // ReadVec performs a vectored read of ranges into dsts with failover.
-// Ranges inside the ends are copied from memory, and with caching enabled
-// cache-resident fragments are too; only the rest goes on the wire.
+// Ranges inside the ends are copied from memory; only the rest goes on the
+// wire.
 func (f *File) ReadVec(ranges []rangev.Range, dsts [][]byte) error {
 	ranges, dsts, err := f.fromEnds(ranges, dsts)
 	if err != nil || len(ranges) == 0 {
@@ -284,20 +270,11 @@ func (f *File) ReadVecAsyncCtx(ctx context.Context, ranges []rangev.Range, dsts 
 	return done
 }
 
-// PrefetchHint hands byte ranges the caller knows it will read soon to
-// the cache's read-ahead planner, which may fetch them as coalesced
-// speculation under the prefetch budget. A no-op without a cache or with
-// PrefetchDepth 0.
-func (f *File) PrefetchHint(ranges []rangev.Range) {
-	if f.closed.Load() || f.client.cache == nil {
-		return
-	}
-	spans := make([]blockcache.Span, len(ranges))
-	for i, r := range ranges {
-		spans[i] = blockcache.Span{Off: r.Off, Len: r.Len}
-	}
-	f.client.cache.Hint(cacheKey(f.host, f.path), f.size, spans, f.client.cacheFetch(f.host, f.path))
-}
+// PrefetchHint does nothing: the client has no block cache to fill.
+//
+// Deprecated: it is kept only for callers that still hand it to
+// rootio.Source.Hint, which nothing calls.
+func (f *File) PrefetchHint([]rangev.Range) {}
 
 // Read implements io.Reader using the shared cursor.
 func (f *File) Read(p []byte) (int, error) {
@@ -333,11 +310,8 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 }
 
 // Close marks the handle closed — subsequent reads and seeks return
-// ErrFileClosed, as does a second Close — and releases the file's blocks
-// from the client's shared cache. The cache is keyed by host/path, so
-// closing one handle also drops blocks another still-open handle on the
-// same object had warmed; callers wanting cross-open reuse should keep the
-// File open. Connections belong to the client pool and stay pooled.
+// ErrFileClosed, as does a second Close — and returns its ends buffer to
+// the pool. Connections belong to the client pool and stay pooled.
 func (f *File) Close() error {
 	if f.closed.Swap(true) {
 		return ErrFileClosed
@@ -348,9 +322,6 @@ func (f *File) Close() error {
 	f.endsMu.Unlock()
 	if buf != nil {
 		bufpool.Put(buf)
-	}
-	if f.client.cache != nil {
-		f.client.cache.Invalidate(cacheKey(f.host, f.path))
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"godavix/internal/faults"
 	"godavix/internal/httpserv"
@@ -107,11 +106,10 @@ func TestDownloadVerifiedPasses(t *testing.T) {
 }
 
 // TestPutReaderVerified streams an upload through the digest tee: the
-// server echoes the Digest of what it stored, the client compares it
-// against the sum it accumulated inline, and the stat cache ends up primed
-// with the checksum at zero extra reads.
+// server echoes the Digest of what it stored, and the client compares it
+// against the sum it accumulated inline.
 func TestPutReaderVerified(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, VerifyTransfers: true, StatTTL: time.Minute})
+	e := newEnv(t, Options{Strategy: StrategyNone, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(128<<10, 50)
 
@@ -126,19 +124,6 @@ func TestPutReaderVerified(t *testing.T) {
 	m := e.client.Metrics()
 	if m.TransfersVerified != 1 {
 		t.Fatalf("TransfersVerified = %d, want 1", m.TransfersVerified)
-	}
-	// The digest accumulated inline primed the stat cache: the follow-up
-	// Stat is a memory hit that already knows the checksum.
-	puts := e.srvs[dpm1].RequestsByMethod("HEAD")
-	inf, err := e.client.Stat(context.Background(), dpm1, "/up")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inf.Checksum != storage.Checksum(blob) {
-		t.Fatalf("primed checksum %q, want %q", inf.Checksum, storage.Checksum(blob))
-	}
-	if e.srvs[dpm1].RequestsByMethod("HEAD") != puts {
-		t.Fatal("Stat after verified PutReader hit the server")
 	}
 }
 
@@ -395,17 +380,22 @@ func (e *testEnv) startAdlerOnly(t *testing.T, addr string) {
 
 // TestAdlerOnlyPeerVerifies: against a peer that speaks adler32 alone, the
 // client's offer of crc32c goes unanswered and every transfer falls back to
-// adler32 — a verified download, chunked upload and streamed upload each,
-// and a byte flipped on the way still fails each with ErrChecksumMismatch.
+// adler32 — a verified download, chunked upload, streamed upload, and the
+// single whole-body PUT an UploadMultiStream of one chunk or one worker
+// sends, each — and a byte flipped on the way still fails each with
+// ErrChecksumMismatch.
 func TestAdlerOnlyPeerVerifies(t *testing.T) {
 	const chunk = 32 << 10 // large enough that a body piece is a write of its own
 	blob := uploadBlob(4*chunk, 56)
+	small := blob[:3*chunk/4]
 	ctx := context.Background()
 	ops := []struct {
 		name string
-		run  func(c *Client) error
+		// serial sets UploadParallelism 1.
+		serial bool
+		run    func(c *Client) error
 	}{
-		{"DownloadMultiStreamTo", func(c *Client) error {
+		{"DownloadMultiStreamTo", false, func(c *Client) error {
 			w := &bufWriterAt{b: make([]byte, len(blob))}
 			if _, err := c.DownloadMultiStreamTo(ctx, dpm1, "/f", w); err != nil {
 				return err
@@ -415,16 +405,25 @@ func TestAdlerOnlyPeerVerifies(t *testing.T) {
 			}
 			return nil
 		}},
-		{"UploadMultiStream", func(c *Client) error {
+		{"UploadMultiStream", false, func(c *Client) error {
 			return c.UploadMultiStream(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
 		}},
-		{"PutReader", func(c *Client) error {
+		{"UploadMultiStreamOneChunk", false, func(c *Client) error {
+			return c.UploadMultiStream(ctx, dpm1, "/up", bytes.NewReader(small), int64(len(small)))
+		}},
+		{"UploadMultiStreamOneWorker", true, func(c *Client) error {
+			return c.UploadMultiStream(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
+		}},
+		{"PutReader", false, func(c *Client) error {
 			return c.PutReader(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
 		}},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
 			opts := Options{Strategy: StrategyNone, ChunkSize: chunk, MaxStreams: 4, UploadParallelism: 4, VerifyTransfers: true}
+			if op.serial {
+				opts.UploadParallelism = 1
+			}
 			e := newEnv(t, opts)
 			e.startAdlerOnly(t, dpm1)
 			e.stores[dpm1].Put("/f", blob)

@@ -68,11 +68,11 @@ type Metrics struct {
 	HedgesIssued     int64
 	HedgeWins        int64
 	HedgeWastedBytes int64
-	// PrefetchIssued counts speculative fetch requests put on the wire —
-	// planner-driven cache read-ahead and pipelined window fills both
-	// count; PrefetchBytes is the volume they asked for; and
-	// PrefetchCancelled counts speculative fetches cancelled mid-flight
-	// (pattern jump, retrain, shutdown).
+	// PrefetchIssued counts speculative fetch requests put on the wire:
+	// File.ReadVecAsyncCtx calls, rootio's pipelined window fills;
+	// PrefetchBytes is the volume they asked for; and PrefetchCancelled
+	// counts speculative fetches cancelled mid-flight (pattern jump,
+	// retrain, shutdown).
 	PrefetchIssued    int64
 	PrefetchBytes     int64
 	PrefetchCancelled int64

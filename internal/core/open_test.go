@@ -355,3 +355,70 @@ func TestFileCloseRacesReads(t *testing.T) {
 		t.Fatalf("second Close = %v", err)
 	}
 }
+
+func TestFileCloseSemantics(t *testing.T) {
+	e := newEnv(t, Options{Strategy: StrategyNone})
+	e.startServer(t, dpm1, httpserv.Options{})
+	ctx := context.Background()
+
+	// Read between the ends Open keeps, so the read goes to the wire.
+	const at = 8 << 10
+	e.stores[dpm1].Put("/f", bytes.Repeat([]byte("to be closed"), 10<<10))
+	f, err := e.client.Open(ctx, dpm1, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 4)
+	if _, err := f.ReadAt(p, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("first Close = %v", err)
+	}
+
+	if _, err := f.ReadAt(p, 0); !errors.Is(err, ErrFileClosed) {
+		t.Fatalf("ReadAt after Close = %v", err)
+	}
+	if _, err := f.Read(p); !errors.Is(err, ErrFileClosed) {
+		t.Fatalf("Read after Close = %v", err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); !errors.Is(err, ErrFileClosed) {
+		t.Fatalf("Seek after Close = %v", err)
+	}
+	if err := f.ReadVec([]rangev.Range{{Off: 0, Len: 4}}, [][]byte{p}); !errors.Is(err, ErrFileClosed) {
+		t.Fatalf("ReadVec after Close = %v", err)
+	}
+	if err := f.Close(); !errors.Is(err, ErrFileClosed) {
+		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// TestConcurrentFileReadAt: one File serves concurrent ReadAt calls
+// between its ends, each its own range GET, with every byte in place.
+func TestConcurrentFileReadAt(t *testing.T) {
+	const lo, span = 64 << 10, 64 << 10
+	blob := randomBlob(256<<10, 14)
+	_, f := openEnv(t, blob, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			p := make([]byte, 1500)
+			for i := 0; i < 50; i++ {
+				off := lo + rng.Int63n(span-int64(len(p)))
+				n, err := f.ReadAt(p, off)
+				if err != nil || n != len(p) {
+					t.Errorf("read at %d: n=%d err=%v", off, n, err)
+					return
+				}
+				if !bytes.Equal(p, blob[off:off+int64(len(p))]) {
+					t.Errorf("corrupt read at %d", off)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}

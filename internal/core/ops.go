@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/url"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"godavix/internal/digest"
-	"godavix/internal/metalink"
 	"godavix/internal/rangev"
 	"godavix/internal/webdav"
 	"godavix/internal/wire"
@@ -37,10 +35,6 @@ type Info struct {
 // Get fetches the whole object at host/path, failing over to Metalink
 // replicas when the host is unavailable (unless StrategyNone).
 func (c *Client) Get(ctx context.Context, host, path string) ([]byte, error) {
-	var gen uint64
-	if c.cache != nil {
-		gen = c.cache.Generation()
-	}
 	var out []byte
 	err := c.exec(ctx, host, path, specGet, func(h, p string) *wire.Request {
 		return wire.NewRequest("GET", h, p)
@@ -61,55 +55,15 @@ func (c *Client) Get(ctx context.Context, host, path string) ([]byte, error) {
 		out = body
 		return nil
 	})
-	if err == nil && c.cache != nil {
-		// A full-object GET covers every block, trailing partial included.
-		c.cache.PutSpan(cacheKey(host, path), gen, 0, out, true)
-	}
 	return out, err
 }
 
-// GetRange fetches length bytes at offset off with replica failover. With
-// the block cache enabled it is served block-aligned through the cache;
-// like a range-clamping server it may return fewer bytes when the object
-// ends inside the request.
+// GetRange fetches length bytes at offset off through the engine
+// (redirects, retry budget and replica failover all apply). Like a
+// range-clamping server it may return fewer bytes when the object ends
+// inside the request. Servers ignoring Range (status 200) are handled by
+// slicing the full body.
 func (c *Client) GetRange(ctx context.Context, host, path string, off, length int64) ([]byte, error) {
-	if c.cache != nil {
-		return c.getRangeCached(ctx, host, path, off, length)
-	}
-	return c.getRange(ctx, host, path, off, length)
-}
-
-// getRangeCached serves GetRange through the block cache. The object size
-// is unknown here (-1): short blocks mark the end of the object.
-func (c *Client) getRangeCached(ctx context.Context, host, path string, off, length int64) ([]byte, error) {
-	if length <= 0 {
-		return nil, nil
-	}
-	p := make([]byte, length)
-	n, err := c.cache.ReadThrough(ctx, cacheKey(host, path), -1, p, off, c.cacheFetch(host, path))
-	if err != nil {
-		// A 416 on a later block after serving some bytes means the request
-		// straddled the end of an object whose size is a block multiple —
-		// the bytes already gathered ARE the short read a clamping server
-		// would have sent.
-		var se *StatusError
-		if n > 0 && errors.As(err, &se) && se.Code == 416 {
-			return p[:n], nil
-		}
-		return nil, err
-	}
-	if n == 0 {
-		// The whole request sits past the end of a cached short block;
-		// match the uncached server answer for an out-of-range request.
-		return nil, &StatusError{Code: 416, Status: "416 Requested Range Not Satisfiable", Method: "GET", Path: path}
-	}
-	return p[:n], nil
-}
-
-// getRange fetches one range through the engine (redirects, retry budget
-// and replica failover all apply). Servers ignoring Range (status 200) are
-// handled by slicing the full body.
-func (c *Client) getRange(ctx context.Context, host, path string, off, length int64) ([]byte, error) {
 	rangeVal := rangev.SingleRangeHeader(off, length)
 	var out []byte
 	err := c.exec(ctx, host, path, specRange, func(h, p string) *wire.Request {
@@ -148,43 +102,20 @@ func (c *Client) getRange(ctx context.Context, host, path string, off, length in
 }
 
 // Put stores data at host/path, following head-node redirects to the
-// disk node designated for the upload. On success the stat cache is primed
-// with the known new size (a put-then-stat storm is a memory hit) and the
-// uploaded bytes are written through to the block cache: this client just
-// defined the object's content, so a put-then-read costs no round trip.
+// disk node designated for the upload.
 func (c *Client) Put(ctx context.Context, host, path string, data []byte) error {
-	var gen uint64
-	err := c.exec(ctx, host, path, specPut, func(h, p string) *wire.Request {
+	return c.exec(ctx, host, path, specPut, func(h, p string) *wire.Request {
 		req := wire.NewRequest("PUT", h, p)
 		req.SetBodyBytes(data)
 		return req
 	}, func(_ Replica, resp *Response) error {
-		// The writer holds the uploaded bytes, so the primed stat entry can
-		// carry their WLCG-style checksum too — but only a live stat cache
-		// makes the O(size) hash worth paying.
-		checksum := ""
-		if c.statc != nil {
-			checksum = digest.Format32(digest.Default, digest.Sum32(digest.Default, data))
-		}
-		g, err := c.finishPut(resp, host, path, int64(len(data)), checksum)
-		gen = g
-		return err
+		return c.finishPut(resp, path, int64(len(data)), nil)
 	})
-	if err != nil {
-		return err
-	}
-	if c.cache != nil && len(data) > 0 {
-		// gen is finishPut's own invalidation generation, so a concurrent
-		// writer's later invalidation — whose content should win — fences
-		// this span out.
-		c.cache.PutSpan(cacheKey(host, path), gen, 0, data, true)
-	}
-	return nil
 }
 
 // Delete removes the object at host/path.
 func (c *Client) Delete(ctx context.Context, host, path string) error {
-	err := c.exec(ctx, host, path, specDelete, func(h, p string) *wire.Request {
+	return c.exec(ctx, host, path, specDelete, func(h, p string) *wire.Request {
 		return wire.NewRequest("DELETE", h, p)
 	}, func(_ Replica, resp *Response) error {
 		if resp.StatusCode/100 != 2 {
@@ -193,16 +124,11 @@ func (c *Client) Delete(ctx context.Context, host, path string) error {
 		_, err := resp.ReadAllAndClose()
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	c.invalidateCache(host, path)
-	return nil
 }
 
 // Mkdir creates a WebDAV collection at host/path.
 func (c *Client) Mkdir(ctx context.Context, host, path string) error {
-	err := c.exec(ctx, host, path, specMkcol, func(h, p string) *wire.Request {
+	return c.exec(ctx, host, path, specMkcol, func(h, p string) *wire.Request {
 		return wire.NewRequest("MKCOL", h, p)
 	}, func(_ Replica, resp *Response) error {
 		if resp.StatusCode/100 != 2 {
@@ -211,19 +137,13 @@ func (c *Client) Mkdir(ctx context.Context, host, path string) error {
 		_, err := resp.ReadAllAndClose()
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	// A fresh collection must not keep answering from a negative entry.
-	c.invalidateCache(host, path)
-	return nil
 }
 
 // Copy asks the server at srcHost to push srcPath to destURL (WebDAV
 // third-party copy, the WLCG HTTP-TPC push pattern): the data flows
 // directly between the two storage servers, never through this client.
 func (c *Client) Copy(ctx context.Context, srcHost, srcPath, destURL string) error {
-	err := c.exec(ctx, srcHost, srcPath, specCopy, func(h, p string) *wire.Request {
+	return c.exec(ctx, srcHost, srcPath, specCopy, func(h, p string) *wire.Request {
 		req := wire.NewRequest("COPY", h, p)
 		req.Header.Set("Destination", destURL)
 		return req
@@ -234,24 +154,12 @@ func (c *Client) Copy(ctx context.Context, srcHost, srcPath, destURL string) err
 		_, err := resp.ReadAllAndClose()
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	// The destination now holds different content: drop this client's
-	// cached blocks and stat entries (negative 404s included) for it, so a
-	// copy-then-stat or copy-then-read never serves the pre-copy state.
-	if dHost, dPath, derr := metalink.SplitURL(destURL); derr == nil && dHost != "" {
-		c.invalidateCache(dHost, dPath)
-	}
-	return nil
 }
 
 // Stat describes the resource at host/path using HEAD, falling back to
 // PROPFIND for collections (HEAD reports no size/type for them). It fails
 // over as a whole, HEAD and PROPFIND together, like a read: a primary that
-// is unavailable or breaker-open sends it to the Metalink's replicas. With
-// Options.StatTTL set, each replica's results — including 404s, cached as
-// negative entries — are served from the metadata cache for the TTL.
+// is unavailable or breaker-open sends it to the Metalink's replicas.
 func (c *Client) Stat(ctx context.Context, host, path string) (Info, error) {
 	var inf Info
 	err := c.withFailover(ctx, host, path, nil, func(r Replica) (err error) {
@@ -261,30 +169,11 @@ func (c *Client) Stat(ctx context.Context, host, path string) (Info, error) {
 	return inf, err
 }
 
-// statReplica is Stat of exactly one replica, through the metadata cache:
-// what a walk over an already resolved ring runs on each replica.
-func (c *Client) statReplica(ctx context.Context, host, path string) (Info, error) {
-	if c.statc == nil {
-		return c.statUncached(ctx, host, path)
-	}
-	key := cacheKey(host, path)
-	if inf, cerr, ok := c.statc.Get(key); ok {
-		return inf, cerr
-	}
-	inf, err := c.statUncached(ctx, host, path)
-	switch {
-	case err == nil:
-		c.statc.Put(key, inf)
-	case errors.Is(err, ErrNotFound):
-		c.statc.PutError(key, err)
-	}
-	return inf, err
-}
-
-// statUncached performs the network Stat of one replica. A verifying
+// statReplica is Stat of exactly one replica: what a walk over an already
+// resolved ring runs on each replica. A verifying
 // client offers its digest preference, so the checksum comes back in the
 // algorithm its transfers will verify with.
-func (c *Client) statUncached(ctx context.Context, host, path string) (Info, error) {
+func (c *Client) statReplica(ctx context.Context, host, path string) (Info, error) {
 	var inf Info
 	tryPropfind := false
 	err := c.exec(ctx, host, path, specHead, func(h, p string) *wire.Request {
@@ -363,12 +252,7 @@ func errNoResponse(path string) error {
 }
 
 // List returns the entries of the collection at host/path (PROPFIND depth
-// 1, without the collection itself), in a slice the caller owns. With
-// Options.StatTTL set, every entry primes the stat cache — a Walk- or
-// List-then-Stat storm is then absorbed without re-hitting the server.
-// Primed entries carry the PROPFIND properties (no checksum), the same as
-// a Stat that fell back to PROPFIND; a live entry from a direct Stat is
-// never overwritten, so a HEAD-won checksum survives its TTL.
+// 1, without the collection itself), in a slice the caller owns.
 func (c *Client) List(ctx context.Context, host, path string) ([]Info, error) {
 	listing, _, err := c.list(ctx, host, path)
 	if err != nil {
@@ -387,13 +271,7 @@ func (c *Client) list(ctx context.Context, host, path string) (listing *[]Info, 
 		return nil, Info{}, err
 	}
 	all := *listing
-	if c.statc != nil {
-		for _, inf := range all {
-			c.statc.PutIfAbsent(cacheKey(host, inf.Path), inf)
-		}
-	}
-	// The collection itself is primed above, not listed. RFC 4918 does
-	// not fix its place among the responses, so it is found by its href
+	// The collection itself is not listed. RFC 4918 does not fix its place among the responses, so it is found by its href
 	// and removed in place.
 	for i, inf := range all {
 		if hrefNames(inf.Path, path) {

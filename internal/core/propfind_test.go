@@ -80,19 +80,12 @@ func multistatus(t *testing.T, entries ...webdav.Entry) []byte {
 	return b.Bytes()
 }
 
-// primed reports whether the stat cache holds host/path.
-func primed(c *Client, host, path string) bool {
-	_, _, ok := c.statc.Get(cacheKey(host, path))
-	return ok
-}
-
 // TestListRetriesACutDocumentWhole: a 207 cut mid-document is retried, and
 // the retry's listing is returned whole — each entry once, nothing from
-// the cut attempt, and only the good attempt primes the stat cache.
+// the cut attempt.
 func TestListRetriesACutDocumentWhole(t *testing.T) {
 	e := newEnv(t, Options{
-		StatTTL: time.Minute,
-		Retry:   RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, Jitter: func(d time.Duration) time.Duration { return d }},
+		Retry: RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, Jitter: func(d time.Duration) time.Duration { return d }},
 	})
 	l, err := e.net.Listen("cut:80")
 	if err != nil {
@@ -112,20 +105,12 @@ func TestListRetriesACutDocumentWhole(t *testing.T) {
 	if len(ls) != 2 || ls[0].Path != "/data/a" || ls[1].Path != "/data/b" || ls[1].Size != 2 {
 		t.Fatalf("list = %+v, want /data/a and /data/b once each", ls)
 	}
-	if primed(e.client, "cut:80", "/data/ghost") {
-		t.Fatal("the cut attempt's /data/ghost primed the stat cache")
-	}
-	for _, p := range []string{"/data", "/data/a", "/data/b"} {
-		if !primed(e.client, "cut:80", p) {
-			t.Fatalf("%s not primed from the good attempt", p)
-		}
-	}
 }
 
 // TestListCutWithoutRetryFails: with no retry budget the cut surfaces as
-// an error, with no entries and nothing primed.
+// an error, with no entries.
 func TestListCutWithoutRetryFails(t *testing.T) {
-	e := newEnv(t, Options{StatTTL: time.Minute})
+	e := newEnv(t, Options{})
 	l, err := e.net.Listen("cut:80")
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +122,6 @@ func TestListCutWithoutRetryFails(t *testing.T) {
 	ls, err := e.client.List(context.Background(), "cut:80", "/data")
 	if err == nil || ls != nil {
 		t.Fatalf("cut document: list %+v, err %v; want an error and no entries", ls, err)
-	}
-	for _, p := range []string{"/data", "/data/ghost"} {
-		if primed(e.client, "cut:80", p) {
-			t.Fatalf("%s primed from a failed PROPFIND", p)
-		}
 	}
 }
 

@@ -23,41 +23,27 @@ import (
 // pooled connections (see Options.VectorParallelism) — the §2.2 pool grows
 // with demand, so independent batches never queue behind each other on one
 // borrowed session.
+//
+// The whole read fails over to the next replica together. The coalesced
+// frames are cut into MaxRangesPerRequest batches that fan out over pooled
+// connections, VectorParallelism at a time. Batches write disjoint
+// destination buffers (each caller range is a member of exactly one frame,
+// and each frame sits in exactly one batch), so scattering needs no
+// coordination.
 func (c *Client) ReadVec(ctx context.Context, host, path string, ranges []rangev.Range, dsts [][]byte) error {
 	if err := validateVec(ranges, dsts); err != nil {
 		return err
 	}
-	if c.cache != nil {
-		return c.readVecCached(ctx, host, path, ranges, dsts)
-	}
-	return c.readVecReplicas(ctx, host, path, ranges, dsts)
-}
-
-// readVecCached serves fragments wholly resident in the block cache from
-// memory and ships only the rest as a multi-range request, afterwards
-// caching every block the fetched fragments fully cover. A TreeCache window
-// that revisits baskets thus shrinks each wire request to the cold subset.
-func (c *Client) readVecCached(ctx context.Context, host, path string, ranges []rangev.Range, dsts [][]byte) error {
-	key := cacheKey(host, path)
-	var missR []rangev.Range
-	var missD [][]byte
-	for i, r := range ranges {
-		if !c.cache.PeekSpan(key, dsts[i][:r.Len], r.Off) {
-			missR = append(missR, r)
-			missD = append(missD, dsts[i])
-		}
-	}
-	if len(missR) == 0 {
-		return nil
-	}
-	gen := c.cache.Generation()
-	if err := c.readVecReplicas(ctx, host, path, missR, missD); err != nil {
-		return err
-	}
-	for i, r := range missR {
-		c.cache.PutSpan(key, gen, r.Off, missD[i][:r.Len], false)
-	}
-	return nil
+	frames := rangev.Coalesce(ranges, c.opts.CoalesceGap)
+	per := c.opts.MaxRangesPerRequest
+	n := (len(frames) + per - 1) / per
+	par := c.parallelism(c.opts.VectorParallelism, n, n)
+	return c.withFailover(ctx, host, path, nil, func(r Replica) error {
+		return fanOut(ctx, n, par, func(ctx context.Context, i int) error {
+			batch := frames[i*per : min((i+1)*per, len(frames))]
+			return c.readVecBatch(ctx, r.Host, r.Path, batch, ranges, dsts)
+		})
+	})
 }
 
 // validateVec checks the request shape before any network traffic, so
@@ -77,26 +63,6 @@ func validateVec(ranges []rangev.Range, dsts [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// readVecReplicas executes a validated vectored read with replica
-// failover: the whole read moves to the next replica together. The
-// coalesced frames are cut into MaxRangesPerRequest batches that fan out
-// over pooled connections, VectorParallelism at a time. Batches write
-// disjoint destination buffers (each caller range is a member of exactly
-// one frame, and each frame sits in exactly one batch), so scattering needs
-// no coordination.
-func (c *Client) readVecReplicas(ctx context.Context, host, path string, ranges []rangev.Range, dsts [][]byte) error {
-	frames := rangev.Coalesce(ranges, c.opts.CoalesceGap)
-	per := c.opts.MaxRangesPerRequest
-	n := (len(frames) + per - 1) / per
-	par := c.parallelism(c.opts.VectorParallelism, n, n)
-	return c.withFailover(ctx, host, path, nil, func(r Replica) error {
-		return fanOut(ctx, n, par, func(ctx context.Context, i int) error {
-			batch := frames[i*per : min((i+1)*per, len(frames))]
-			return c.readVecBatch(ctx, r.Host, r.Path, batch, ranges, dsts)
-		})
-	})
 }
 
 // readVecBatch executes one multi-range request for a batch of frames.

@@ -3,39 +3,35 @@ package core
 import (
 	"sort"
 
-	"godavix/internal/blockcache"
 	"godavix/internal/obs"
 	"godavix/internal/pool"
 )
 
-// Snapshot is the client's three stat surfaces — engine counters, cache
-// counters, pool counters — captured in one call. Each component snapshot
-// is internally consistent; the three are taken back to back, so counters
-// that span components (a cache miss and the request it caused) can differ
-// by whatever landed in between. Expo renders the whole thing for the
+// Snapshot is the client's two stat surfaces — engine counters and pool
+// counters — captured in one call. Each component snapshot is internally
+// consistent; the two are taken back to back, so counters that span
+// components (a request and the dial it caused) can differ by whatever
+// landed in between. Expo renders the whole thing for the
 // exposition endpoints.
 type Snapshot struct {
 	// Engine is the request-engine view: requests, retries, redirects,
 	// failovers, breaker trips, wire bytes, per-op latency.
 	Engine Metrics `json:"engine"`
-	// Cache is the block-cache and stat-cache view.
-	Cache blockcache.Stats `json:"cache"`
 	// Pool is the connection-pool view.
 	Pool pool.Stats `json:"pool"`
 }
 
-// Snapshot captures engine, cache and pool counters in one call. Safe to
+// Snapshot captures engine and pool counters in one call. Safe to
 // call concurrently with in-flight operations.
 func (c *Client) Snapshot() Snapshot {
 	return Snapshot{
 		Engine: c.Metrics(),
-		Cache:  c.CacheStats(),
 		Pool:   c.pool.Stats(),
 	}
 }
 
 // Expo flattens the snapshot into the exposition shape served by /metrics
-// and /debug/vars: one counter list spanning engine, cache and pool, plus
+// and /debug/vars: one counter list spanning engine and pool, plus
 // the per-op latency quantiles sorted by op name.
 func (s Snapshot) Expo() obs.Snapshot {
 	out := obs.Snapshot{Counters: []obs.Counter{
@@ -53,25 +49,12 @@ func (s Snapshot) Expo() obs.Snapshot {
 		{Name: "hedges_issued_total", Help: "Chunk reads that outlived their latency budget and were raced against a standby replica.", Value: s.Engine.HedgesIssued},
 		{Name: "hedge_wins_total", Help: "Hedged chunk races the standby replica won.", Value: s.Engine.HedgeWins},
 		{Name: "hedge_wasted_bytes_total", Help: "Payload bytes the losing side of a hedged race had delivered when cancelled.", Value: s.Engine.HedgeWastedBytes},
-		{Name: "prefetch_issued_total", Help: "Speculative fetch requests put on the wire (cache read-ahead plans and pipelined window fills).", Value: s.Engine.PrefetchIssued},
+		{Name: "prefetch_issued_total", Help: "Speculative fetch requests put on the wire (pipelined window fills).", Value: s.Engine.PrefetchIssued},
 		{Name: "prefetch_bytes_total", Help: "Bytes requested by speculative fetches.", Value: s.Engine.PrefetchBytes},
 		{Name: "prefetch_cancelled_total", Help: "Speculative fetches cancelled mid-flight (pattern jump, retrain, shutdown).", Value: s.Engine.PrefetchCancelled},
 		{Name: "resumed_bytes_total", Help: "Bytes proven intact against a checkpoint journal and skipped on resume.", Value: s.Engine.ResumedBytes},
 		{Name: "resume_verify_failures_total", Help: "Journaled chunks whose digest no longer matched on resume and were re-fetched.", Value: s.Engine.ResumeVerifyFailures},
 		{Name: "uploads_fell_back_serial_total", Help: "Chunked uploads refused ranged PUTs and sent as one whole-body PUT instead.", Value: s.Engine.UploadsFellBackSerial},
-		{Name: "cache_hits_total", Help: "Blocks served from the in-memory cache.", Value: s.Cache.Hits},
-		{Name: "cache_misses_total", Help: "Blocks a demand read had to fetch.", Value: s.Cache.Misses},
-		{Name: "cache_evictions_total", Help: "Blocks dropped to make room at capacity.", Value: s.Cache.Evictions},
-		{Name: "cache_prefetched_total", Help: "Blocks fetched by the read-ahead engine.", Value: s.Cache.Prefetched},
-		{Name: "cache_singleflight_joins_total", Help: "Reads that joined another reader's in-flight fetch.", Value: s.Cache.SingleFlightJoins},
-		{Name: "cache_prefetch_issued_spans_total", Help: "Ranges the cache's speculative fetches carried.", Value: s.Cache.PrefetchIssuedSpans},
-		{Name: "cache_prefetch_issued_bytes_total", Help: "Bytes the cache's speculative fetches requested.", Value: s.Cache.PrefetchIssuedBytes},
-		{Name: "cache_prefetch_useful_bytes_total", Help: "Prefetched bytes a demand read later consumed.", Value: s.Cache.PrefetchUsefulBytes},
-		{Name: "cache_prefetch_wasted_bytes_total", Help: "Prefetched bytes evicted or invalidated untouched.", Value: s.Cache.PrefetchWastedBytes},
-		{Name: "cache_prefetch_cancelled_total", Help: "Cache speculation dropped before issue (budget exhaustion).", Value: s.Cache.PrefetchCancelled},
-		{Name: "cache_bytes", Help: "Resident cache payload bytes.", Value: s.Cache.BytesCached, Gauge: true},
-		{Name: "stat_hits_total", Help: "Metadata-cache hits (negative 404 hits included).", Value: s.Cache.StatHits},
-		{Name: "stat_misses_total", Help: "Metadata-cache misses.", Value: s.Cache.StatMisses},
 		{Name: "pool_dials_total", Help: "New transport connections established.", Value: s.Pool.Dials},
 		{Name: "pool_reuses_total", Help: "Requests served on a recycled connection.", Value: s.Pool.Reuses},
 		{Name: "pool_discards_total", Help: "Connections dropped (TTL, max-uses, error, overflow).", Value: s.Pool.Discards},

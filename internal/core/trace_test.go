@@ -206,7 +206,7 @@ func TestTraceConcurrentWithSnapshots(t *testing.T) {
 		ChunkStart:   func(obs.Direction, string, int, int64, int64) { bump() },
 		ChunkDone:    func(obs.Direction, string, int, int64, int64, error) { bump() },
 	}
-	e := newEnv(t, Options{Trace: trace, ChunkSize: 16 << 10, UploadParallelism: 4, CacheSize: 1 << 20})
+	e := newEnv(t, Options{Trace: trace, ChunkSize: 16 << 10, UploadParallelism: 4})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 

@@ -12,7 +12,6 @@ import (
 	"io"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"godavix/internal/digest"
 	"godavix/internal/obs"
@@ -41,48 +40,6 @@ func newUploadID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// primeAfterWrite restores cache coherence after this client stored size
-// bytes at host/path: stale blocks and stat entries (negative 404s
-// included) are dropped, and — because the writer knows the new size — the
-// stat cache is re-primed so a put-then-stat storm is a memory hit. The
-// primed entry follows the PutIfAbsent upgrade rules: a concurrent richer
-// fill (a live HEAD result) is never overwritten. date, when non-empty, is
-// the server's Date header from the upload response — the closest
-// observable approximation of the new mtime; otherwise the client clock is
-// used. checksum, when non-empty, is computed client-side from the
-// uploaded bytes (Put has them in hand); streaming uploads prime without
-// one. A negative size (streaming upload of unknown length) only
-// invalidates. Returns the block cache's post-invalidation generation for
-// write-through callers.
-func (c *Client) primeAfterWrite(host, path string, size int64, date, checksum string) uint64 {
-	gen := c.invalidateCache(host, path)
-	if c.statc == nil || size < 0 {
-		return gen
-	}
-	mt, ok := parseHTTPDate(date)
-	if !ok {
-		mt = time.Now()
-	}
-	c.statc.PutIfAbsent(cacheKey(host, path), Info{Path: path, Size: size, ModTime: mt, Checksum: checksum})
-	return gen
-}
-
-// finishPut consumes a successful-or-not PUT response: status check, body
-// drain, connection recycle, then post-write cache coherence (invalidate
-// plus stat-cache priming with the known size, checksum when the caller
-// has one, and the server's Date). Returns the post-invalidation block
-// generation for write-through callers.
-func (c *Client) finishPut(resp *Response, host, path string, size int64, checksum string) (uint64, error) {
-	if resp.StatusCode/100 != 2 {
-		return 0, statusErr(resp, "PUT", path)
-	}
-	date := resp.Header.Get("Date")
-	if _, err := resp.ReadAllAndClose(); err != nil {
-		return 0, err
-	}
-	return c.primeAfterWrite(host, path, size, date, checksum), nil
-}
-
 // PutReader streams size bytes from r to host/path without materializing
 // the body: the engine sends it behind Expect: 100-continue, so head-node
 // redirects arrive before any body byte leaves the client and the
@@ -95,8 +52,8 @@ func (c *Client) finishPut(resp *Response, host, path string, size int64, checks
 // Metrics.PooledBytesUp). With Options.VerifyTransfers it is also tee'd
 // through an incremental digest as it streams, under every algorithm in
 // digest.Preference, which the request offers: the body leaves before any
-// reply could name one. The digest the committing 2xx's Digest header names
-// primes the stat cache and is compared against it — a mismatch fails with
+// reply could name one. The digest under the algorithm the committing 2xx's
+// Digest header names is compared against it — a mismatch fails with
 // ErrChecksumMismatch at zero extra reads.
 func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, size int64) error {
 	if size == 0 {
@@ -116,17 +73,23 @@ func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, 
 		}
 		return req
 	}, func(_ Replica, resp *Response) error {
-		if sums == nil {
-			_, err := c.finishPut(resp, host, path, size, "")
-			return err
-		}
-		echoed := resp.Header.Get("Digest")
-		algo, sent := sums.named(echoed)
-		if _, err := c.finishPut(resp, host, path, size, digest.Format32(algo, sent)); err != nil {
-			return err
-		}
-		return c.checkEcho(path, 0, size, algo, sent, echoed, true)
+		return c.finishPut(resp, path, size, sums)
 	})
+}
+
+// finishPut consumes a whole-body PUT's response (status check, body
+// drain, connection recycle) and, when sums is non-nil, holds the size
+// bytes' sums against the Digest its 2xx echoes.
+func (c *Client) finishPut(resp *Response, path string, size int64, sums *bodySums) error {
+	if resp.StatusCode/100 != 2 {
+		return statusErr(resp, "PUT", path)
+	}
+	echoed := resp.Header.Get("Digest")
+	if _, err := resp.ReadAllAndClose(); err != nil || sums == nil {
+		return err
+	}
+	algo, sent := sums.named(echoed)
+	return c.checkEcho(path, 0, size, algo, sent, echoed, true)
 }
 
 // bodySums hashes a request body as it streams: under algo, the one a
@@ -319,7 +282,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	}
 	// The per-chunk sums combine into the whole-object digest: what the
 	// server's commit Digest is held against, in place of wantChecksum's
-	// lazy re-read of the entire source, and what primes the stat cache.
+	// lazy re-read of the entire source.
 	if c.opts.VerifyTransfers {
 		led.rollup, _ = digest.NewRollup(algo)
 	}
@@ -370,11 +333,10 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		return err
 	}
 	// The object is committed either way: the journal has nothing left to
-	// resume, and whatever the caches held for the path is stale.
+	// resume.
 	led.close(false)
 	if led.rollup != nil {
 		if err := c.checkEcho(path, 0, size, algo, sent, *stored, true); err != nil {
-			c.invalidateCache(host, path)
 			// The committing chunk had no receipt to check: narrow the
 			// blame with payload-free HEAD+Range probes of what was stored.
 			if ce := c.localizeMismatch(ctx, []Replica{{Host: host, Path: path}}, path, algo, led.rollup.Spans()); ce != nil {
@@ -383,7 +345,6 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			return err
 		}
 	}
-	c.primeAfterWrite(host, path, size, "", checksum)
 	return nil
 }
 
@@ -414,10 +375,9 @@ func sourceChecksum(src io.ReaderAt, size int64, algo digest.Algo) string {
 // upload from a same-size predecessor it was meant to overwrite, so when
 // the server reports a checksum it is compared against wantChecksum —
 // computed lazily, since this whole path only runs when no commit signal
-// arrived. The closing HEAD doubles as the stat-cache prime, with the
-// server's own metadata instead of a client approximation.
+// arrived.
 func (c *Client) verifyCommitted(ctx context.Context, host, path string, size int64, wantChecksum func(digest.Algo) string) error {
-	inf, err := c.statUncached(ctx, host, path)
+	inf, err := c.statReplica(ctx, host, path)
 	if err != nil {
 		return fmt.Errorf("davix: upload verification: %w", err)
 	}
@@ -436,25 +396,29 @@ func (c *Client) verifyCommitted(ctx context.Context, host, path string, size in
 			c.verified(obs.Up, path, got.Algo)
 		}
 	}
-	c.invalidateCache(host, path)
-	if c.statc != nil {
-		c.statc.PutIfAbsent(cacheKey(host, path), inf)
-	}
 	return nil
 }
 
 // putSerial is the seed's whole-body PUT fed from a ReaderAt: one request,
 // one connection, Content-Length framing — byte-identical on the wire to
 // Put, and replayable across redirect hops because the source is seekable.
+// With Options.VerifyTransfers it offers Want-Digest and holds the echo
+// against the body's sums, like PutReader; each send sums afresh, since
+// each hop replays the body from its start.
 func (c *Client) putSerial(ctx context.Context, host, path string, src io.ReaderAt, size int64) error {
+	var sums *bodySums
 	return c.exec(ctx, host, path, specPut, func(h, p string) *wire.Request {
 		req := wire.NewRequest("PUT", h, p)
 		req.Body = io.NewSectionReader(src, 0, size)
 		req.ContentLength = size
+		if c.opts.VerifyTransfers && size > 0 {
+			sums = newBodySums("")
+			req.Body = io.TeeReader(req.Body, sums)
+			req.Header.Set("Want-Digest", digest.Preference)
+		}
 		return req
 	}, func(_ Replica, resp *Response) error {
-		_, err := c.finishPut(resp, host, path, size, "")
-		return err
+		return c.finishPut(resp, path, size, sums)
 	})
 }
 

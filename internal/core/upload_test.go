@@ -518,120 +518,6 @@ func TestCopyStreamSourceFailover(t *testing.T) {
 	}
 }
 
-// TestCopyInvalidatesDestinationCaches: the push-mode Copy rewrites the
-// destination, so this client's cached blocks and stat entries (negative
-// ones included) for the destination must be dropped.
-func TestCopyInvalidatesDestinationCaches(t *testing.T) {
-	e := newEnv(t, cachedOptions())
-	e.startServer(t, "dpm2:80", httpserv.Options{})
-	// The source server pushes through a client on the same fabric.
-	pusher, err := NewClient(Options{Dialer: e.net, Strategy: StrategyNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pusher.Close)
-	e.startServer(t, dpm1, httpserv.Options{Copier: pusher})
-
-	ctx := context.Background()
-	oldData := []byte("old")
-	newData := []byte("fresh content, longer than before")
-	e.stores[dpm1].Put("/s", newData)
-	e.stores["dpm2:80"].Put("/d", oldData)
-
-	// Warm the caches with the destination's pre-copy state, positive and
-	// negative.
-	if got, err := e.client.GetRange(ctx, "dpm2:80", "/d", 0, 16); err != nil || !bytes.Equal(got, oldData) {
-		t.Fatalf("warm read = %q err=%v", got, err)
-	}
-	if inf, err := e.client.Stat(ctx, "dpm2:80", "/d"); err != nil || inf.Size != int64(len(oldData)) {
-		t.Fatalf("warm stat = %+v err=%v", inf, err)
-	}
-	if _, err := e.client.Stat(ctx, "dpm2:80", "/d2"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("warm negative stat = %v", err)
-	}
-
-	if err := e.client.Copy(ctx, dpm1, "/s", "http://dpm2:80/d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.client.Copy(ctx, dpm1, "/s", "http://dpm2:80/d2"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Without invalidation these would be stale ("old", size 3) or a stuck
-	// negative entry.
-	inf, err := e.client.Stat(ctx, "dpm2:80", "/d")
-	if err != nil || inf.Size != int64(len(newData)) {
-		t.Fatalf("stat after copy = %+v err=%v (stale stat cache)", inf, err)
-	}
-	got, err := e.client.GetRange(ctx, "dpm2:80", "/d", 0, int64(len(newData)))
-	if err != nil || !bytes.Equal(got, newData) {
-		t.Fatalf("read after copy = %q err=%v (stale block cache)", got, err)
-	}
-	if inf, err = e.client.Stat(ctx, "dpm2:80", "/d2"); err != nil || inf.Size != int64(len(newData)) {
-		t.Fatalf("stat of copied-over 404 = %+v err=%v (negative entry stuck)", inf, err)
-	}
-}
-
-// TestPutPrimesStatCacheAndBlocks: after an upload the writer knows the
-// object's new state, so a put-then-stat and a put-then-read must be pure
-// memory hits.
-func TestPutPrimesStatCacheAndBlocks(t *testing.T) {
-	e := newEnv(t, cachedOptions())
-	e.startServer(t, dpm1, httpserv.Options{})
-	ctx := context.Background()
-
-	blob := uploadBlob(4<<10, 46)
-	if err := e.client.Put(ctx, dpm1, "/primed", blob); err != nil {
-		t.Fatal(err)
-	}
-	inf, err := e.client.Stat(ctx, dpm1, "/primed")
-	if err != nil || inf.Size != int64(len(blob)) {
-		t.Fatalf("stat after put = %+v err=%v", inf, err)
-	}
-	// The primed entry carries the checksum of the uploaded bytes, exactly
-	// what the server's HEAD would have reported.
-	if inf.Checksum != storage.Checksum(blob) {
-		t.Fatalf("primed checksum = %q, want %q", inf.Checksum, storage.Checksum(blob))
-	}
-	if heads := e.srvs[dpm1].RequestsByMethod("HEAD"); heads != 0 {
-		t.Fatalf("server HEADs = %d, want 0 (stat cache primed by Put)", heads)
-	}
-	got, err := e.client.GetRange(ctx, dpm1, "/primed", 0, int64(len(blob)))
-	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("read after put = %d bytes err=%v", len(got), err)
-	}
-	if gets := e.srvs[dpm1].RequestsByMethod("GET"); gets != 0 {
-		t.Fatalf("server GETs = %d, want 0 (blocks written through by Put)", gets)
-	}
-}
-
-// TestUploadMultiStreamPrimesStatCache: a commit-signalling server (some
-// chunk answered 201 Created) needs no verification round trip, and the
-// writer's knowledge of the new size primes the stat cache — follow-up
-// Stats cost zero requests.
-func TestUploadMultiStreamPrimesStatCache(t *testing.T) {
-	opts := cachedOptions()
-	opts.ChunkSize = 4 << 10
-	opts.UploadParallelism = 4
-	e := newEnv(t, opts)
-	e.startServer(t, dpm1, httpserv.Options{})
-	ctx := context.Background()
-
-	blob := uploadBlob(32<<10, 47)
-	if err := e.client.UploadMultiStream(ctx, dpm1, "/msprime", bytes.NewReader(blob), int64(len(blob))); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		inf, err := e.client.Stat(ctx, dpm1, "/msprime")
-		if err != nil || inf.Size != int64(len(blob)) {
-			t.Fatalf("stat after upload = %+v err=%v", inf, err)
-		}
-	}
-	if heads := e.srvs[dpm1].RequestsByMethod("HEAD"); heads != 0 {
-		t.Fatalf("server HEADs = %d, want 0 (201 commit signal primes the cache)", heads)
-	}
-}
-
 // TestUploadPhantomSuccessCaught: when every chunk gets a 2xx receipt but
 // no 201 commit ever arrives (here: a fault swallows one chunk's bytes,
 // so the assembly never completes), the upload must verify with the

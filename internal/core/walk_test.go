@@ -301,41 +301,6 @@ func TestWalkMidWalkCancellation(t *testing.T) {
 	}
 }
 
-// TestWalkPrimesStatCache: after a Walk with StatTTL enabled, stat-ing
-// every visited entry must not send a single additional request — the
-// PROPFIND results already primed the metadata cache.
-func TestWalkPrimesStatCache(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, StatTTL: time.Minute})
-	e.startServer(t, dpm1, httpserv.Options{})
-	buildTree(t, e)
-
-	ctx := context.Background()
-	var infos []Info
-	err := e.client.Walk(ctx, dpm1, "/data", func(inf Info) error {
-		infos = append(infos, inf)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := e.srvs[dpm1].Requests()
-	for _, inf := range infos {
-		got, err := e.client.Stat(ctx, dpm1, inf.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Dir != inf.Dir || got.Size != inf.Size {
-			t.Fatalf("stat %s = %+v, walk saw %+v", inf.Path, got, inf)
-		}
-	}
-	if after := e.srvs[dpm1].Requests(); after != before {
-		t.Fatalf("stat storm sent %d requests; cache not primed", after-before)
-	}
-	if hits, _ := e.client.statc.Counters(); hits < int64(len(infos)) {
-		t.Fatalf("stat cache hits = %d, want >= %d", hits, len(infos))
-	}
-}
-
 // TestWalkSpeculationBounded: the engine must not expand the whole
 // namespace ahead of a slow consumer — goroutines (a proxy for retained
 // listings) stay bounded by the speculation window, not the tree size.

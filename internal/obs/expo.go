@@ -36,7 +36,7 @@ type Quantile struct {
 
 // Snapshot is the exposition-ready view of a component's metrics: a flat
 // list of counters plus per-operation latency quantiles. Both the davix
-// client (engine + cache + pool counters) and the storage-gateway server
+// client (engine + pool counters) and the storage-gateway server
 // render themselves into this shape, so one set of publishers (expvar,
 // Prometheus) serves both.
 type Snapshot struct {

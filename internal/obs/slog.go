@@ -8,7 +8,7 @@ import (
 // SlogTrace renders every trace event as a structured log record on l:
 // resilience events (retry, failover, breaker trip) at Warn — they mean
 // something went wrong and the engine absorbed it — completed operations at
-// Info, and the high-rate per-request, cache and chunk events at Debug so a
+// Info, and the high-rate per-request, prefetch and chunk events at Debug so a
 // default Info logger stays readable under a multi-stream transfer. Returns
 // nil when l is nil, which the engine treats as "no tracing".
 func SlogTrace(l *slog.Logger) *ClientTrace {
@@ -44,12 +44,6 @@ func SlogTrace(l *slog.Logger) *ClientTrace {
 		},
 		BreakerTrip: func(host string) {
 			l.Warn("davix breaker trip", "host", host)
-		},
-		CacheHit: func(key string, blocks int64) {
-			l.Debug("davix cache hit", "key", key, "blocks", blocks)
-		},
-		CacheMiss: func(key string, blocks int64) {
-			l.Debug("davix cache miss", "key", key, "blocks", blocks)
 		},
 		ChunkStart: func(dir Direction, path string, idx int, off, length int64) {
 			l.Debug("davix chunk start", "dir", string(dir), "path", path,

@@ -65,14 +65,6 @@ type ClientTrace struct {
 	// (consecutive-failure threshold reached, cooldown starts).
 	BreakerTrip func(host string)
 
-	// CacheHit fires when the block cache serves blocks of key from
-	// memory; blocks counts cache pages, not bytes.
-	CacheHit func(key string, blocks int64)
-
-	// CacheMiss fires when a demand read needs blocks of key that are not
-	// resident.
-	CacheMiss func(key string, blocks int64)
-
 	// ChunkStart fires when one chunk of a multi-stream transfer (upload,
 	// download, or pull-mode copy) is about to move [off, off+length) of
 	// path.
@@ -94,9 +86,10 @@ type ClientTrace struct {
 	// cancelled (the duplicate-traffic cost of the hedge).
 	HedgeSettled func(path string, idx int, hedgeWon bool, wasted int64)
 
-	// PrefetchIssued fires when the learned read-ahead puts a speculative
-	// fetch on the wire for path: spans is how many ranges the coalesced
-	// request carries, bytes their total volume.
+	// PrefetchIssued fires when a speculative fetch (File.ReadVecAsyncCtx,
+	// under rootio's pipelined window fills) goes on the wire for path:
+	// spans is how many ranges the coalesced request carries, bytes their
+	// total volume.
 	PrefetchIssued func(path string, spans int, bytes int64)
 
 	// PrefetchSettled fires when a speculative fetch completes, with the

@@ -33,11 +33,10 @@ type Source struct {
 	// its window or a retrain retires the whole branch set.
 	ReadVecAsyncCtx func(ctx context.Context, ranges []rangev.Range, dsts [][]byte) <-chan error
 
-	// Hint, when non-nil, registers upcoming byte ranges with the
-	// transport's learned read-ahead planner without fetching them here.
-	// Sources backed by a block cache use it so speculation rides the
-	// pooled engine (with budget and accuracy accounting) instead of the
-	// caller's goroutines.
+	// Hint is never called.
+	//
+	// Deprecated: read-ahead is TreeCache's window pipeline over
+	// ReadVecAsyncCtx; a Source without it reads synchronously at depth 0.
 	Hint func(ranges []rangev.Range)
 }
 

@@ -188,7 +188,7 @@ func (t *TrainingCache) finishTraining() {
 // pipeline enters first. It is nil when the cache sends no lookahead.
 func (t *TrainingCache) lookaheadRun() []uint64 {
 	tc := t.tc
-	if tc.depth == 0 || tc.reader.src.ReadVecAsyncCtx == nil {
+	if tc.depth == 0 {
 		return nil
 	}
 	last := t.trainEvents - 1

@@ -103,8 +103,7 @@ type fillRequest struct {
 // disables speculation entirely — fills are synchronous and byte-identical
 // to the legacy TreeCache. A negative depth selects the automatic default
 // (1 with an asynchronous source, else 0). A positive depth needs the
-// Source to support asynchronous or hinted prefetch; without either it
-// degrades to 0.
+// Source's ReadVecAsyncCtx; without it the depth is 0.
 func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int) *TreeCache {
 	if windowEvents == 0 {
 		windowEvents = 1000
@@ -115,16 +114,11 @@ func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int
 			branches[i] = i
 		}
 	}
-	async := r.src.ReadVecAsyncCtx != nil
-	if depth < 0 {
-		if async {
-			depth = 1
-		} else {
-			depth = 0
-		}
-	}
-	if depth > 0 && !async && r.src.Hint == nil {
+	switch {
+	case r.src.ReadVecAsyncCtx == nil:
 		depth = 0
+	case depth < 0:
+		depth = 1
 	}
 	return &TreeCache{
 		reader:   r,
@@ -466,7 +460,7 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 
 	var cur []*pendingFill
 	switch {
-	case tc.depth > 0 && tc.reader.src.ReadVecAsyncCtx != nil:
+	case tc.depth > 0:
 		// Overlap: top the pipeline back up before waiting on this window,
 		// so the next windows' transfers ride under this window's compute;
 		// ws heads the first request unless fills for it are in flight and
@@ -480,7 +474,6 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 		tc.pending = slices.DeleteFunc(tc.pending, func(pf *pendingFill) bool { return pf.start == ws })
 	default:
 		cur = []*pendingFill{tc.startFillSync(keys)}
-		tc.hint(ws)
 	}
 
 	// A basket the fill left to the fill of a window the access pattern
@@ -525,32 +518,6 @@ func (tc *TreeCache) topUp(ws uint64, demand bool) {
 			return // the run waits for its last windows to enter the lookahead
 		}
 		run = append(run, nxt)
-	}
-}
-
-// hint hands the basket layout of the windows after ws to a hint-only
-// source's planner-backed read-ahead instead of fetching them here.
-func (tc *TreeCache) hint(ws uint64) {
-	if tc.depth <= 0 || tc.reader.src.Hint == nil {
-		return
-	}
-	var hinted []rangev.Range
-	for d := 1; d <= tc.depth; d++ {
-		nxt := ws + tc.window*uint64(d)
-		if nxt >= tc.reader.idx.Events {
-			break
-		}
-		keys, err := tc.windowKeys(nxt, tc.branches, 0)
-		if err != nil {
-			break
-		}
-		for _, k := range keys {
-			b := tc.reader.idx.Branches[k.branch].Baskets[k.basket]
-			hinted = append(hinted, rangev.Range{Off: b.Offset, Len: b.CompressedSize})
-		}
-	}
-	if len(hinted) > 0 {
-		tc.reader.src.Hint(hinted)
 	}
 }
 

@@ -2,7 +2,6 @@ package xrootd
 
 import (
 	"context"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -412,8 +411,7 @@ func TestHTTPXrootdParity(t *testing.T) {
 	}
 
 	// Every other way of reading the file over HTTP computes the same
-	// physics: synchronous learned fills, demand reads with no cache, and
-	// demand reads through the block cache's read-ahead.
+	// physics: synchronous learned fills and plain demand reads.
 	b := newParityBed(t, netsim.LAN(), img)
 	defer b.close()
 	for _, c := range []struct {
@@ -424,18 +422,8 @@ func TestHTTPXrootdParity(t *testing.T) {
 		{"learned sync", core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
 			return trainedJob(fileSource(f), 0)
 		}},
-		{"no cache", core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
+		{"demand reads", core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
 			return demandJob(fileSource(f))
-		}},
-		{"block-cache read-ahead", core.Options{CacheSize: 32 << 20, PrefetchDepth: 4}, func(f *core.File) (parityJob, error) {
-			return demandJob(rootio.Source{Size: f.Size(), ReadVec: func(ranges []rangev.Range, dsts [][]byte) error {
-				for i, r := range ranges {
-					if _, err := f.ReadAt(dsts[i][:r.Len], r.Off); err != nil && err != io.EOF {
-						return err
-					}
-				}
-				return nil
-			}})
 		}},
 	} {
 		if j := b.httpJob(t, c.opts, c.job); j.sum != ref.sum || j.events != ref.events {

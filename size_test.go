@@ -17,25 +17,25 @@ import (
 // shrinks one by more than ceilingSlack lowers it, so the budget follows
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
-	".":                   192,
+	".":                   190,
 	"cmd/davix-get":       238,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        91,
-	"internal/blockcache": 732,
+	"internal/blockcache": 179,
 	"internal/bufpool":    61,
-	"internal/core":       3421,
+	"internal/core":       3153,
 	"internal/digest":     274,
 	"internal/faults":     232,
 	"internal/fed":        106,
 	"internal/httpserv":   1160,
 	"internal/metalink":   113,
 	"internal/netsim":     494,
-	"internal/obs":        454,
+	"internal/obs":        446,
 	"internal/pool":       355,
 	"internal/rangev":     485,
-	"internal/rootio":     1575,
+	"internal/rootio":     1546,
 	"internal/s3":         144,
 	"internal/storage":    508,
 	"internal/webdav":     975,
