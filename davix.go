@@ -247,7 +247,10 @@ func (c *Client) GetRange(ctx context.Context, url string, off, length int64) ([
 	return c.core.GetRange(ctx, host, path, off, length)
 }
 
-// Put stores data at url.
+// Put stores data at url. With Options.VerifyTransfers the body is summed
+// as it leaves and held against the Digest the server commits it with, as
+// for PutReader and UploadMultiStream: a mismatch fails with
+// ErrChecksumMismatch.
 func (c *Client) Put(ctx context.Context, url string, data []byte) error {
 	host, path, err := splitURL(url)
 	if err != nil {
@@ -260,7 +263,8 @@ func (c *Client) Put(ctx context.Context, url string, data []byte) error {
 // body in memory: the upload is sent with Expect: 100-continue, so
 // head-node redirects are followed before any body byte is consumed from
 // the (possibly non-seekable) reader. size < 0 uploads a source of unknown
-// length with chunked transfer encoding.
+// length with chunked transfer encoding. A known size is verified like
+// Put's under Options.VerifyTransfers.
 func (c *Client) PutReader(ctx context.Context, url string, r io.Reader, size int64) error {
 	host, path, err := splitURL(url)
 	if err != nil {

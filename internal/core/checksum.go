@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -29,7 +30,8 @@ type ChecksumError struct {
 	Algo string
 	// Off and Length delimit the offending byte span [Off, Off+Length).
 	Off, Length int64
-	// Got and Want are the hex digests computed and expected.
+	// Got and Want are the hex digests of the span: the client's and the
+	// server's.
 	Got, Want string
 }
 
@@ -40,11 +42,13 @@ func (e *ChecksumError) Error() string {
 
 func (e *ChecksumError) Unwrap() error { return ErrChecksumMismatch }
 
-// verifyChecksum compares data against an "algo:hex" checksum string.
-// Malformed values (non-hex payload, wrong digest length) always fail — a
-// value that cannot be parsed must not pass verification. Unknown algorithms
-// fail with ErrChecksumUnsupported rather than being skipped.
-func verifyChecksum(data []byte, want, path string) error {
+// verifyChecksum holds a whole downloaded object, data, against want, the
+// server's "algo:hex" checksum of it: a match counts the transfer verified,
+// a mismatch fails it. Malformed values (non-hex payload, wrong digest
+// length) always fail — a value that cannot be parsed must not pass
+// verification. Unknown algorithms fail with ErrChecksumUnsupported rather
+// than being skipped.
+func (c *Client) verifyChecksum(data []byte, want, path string) error {
 	cs, err := digest.Parse(want)
 	if err != nil {
 		if errors.Is(err, digest.ErrUnsupported) {
@@ -57,19 +61,34 @@ func verifyChecksum(data []byte, want, path string) error {
 		return fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
 	}
 	h.Write(data)
-	got := h.Sum(nil)
-	if !bytes.Equal(got, cs.Sum) {
-		return &ChecksumError{
-			Path: path, Algo: string(cs.Algo), Off: 0, Length: int64(len(data)),
-			Got: hex.EncodeToString(got), Want: hex.EncodeToString(cs.Sum),
-		}
+	if got := h.Sum(nil); !bytes.Equal(got, cs.Sum) {
+		return c.mismatch(path, cs.Algo, 0, int64(len(data)), got, cs.Sum)
 	}
+	c.verified(obs.Down, path, cs.Algo)
 	return nil
 }
 
 // verified counts a transfer of path whose whole-object digest under algo
-// matched the server's.
+// matched the server's: the one place Metrics.TransfersVerified moves.
 func (c *Client) verified(dir obs.Direction, path string, algo digest.Algo) {
 	c.metrics.transfersVerified.Add(1)
 	c.opts.Trace.EmitVerified(dir, path, string(algo))
+}
+
+// mismatch counts a failed integrity check of path — the one place
+// Metrics.ChecksumMismatches moves — and returns it as the ChecksumError
+// naming algo and the byte span [off, off+length) whose digests, got by
+// the client and want from the server, disagree. Every verdict goes
+// through it, so each failed comparison counts exactly once.
+func (c *Client) mismatch(path string, algo digest.Algo, off, length int64, got, want []byte) *ChecksumError {
+	c.metrics.checksumMismatches.Add(1)
+	return &ChecksumError{
+		Path: path, Algo: string(algo), Off: off, Length: length,
+		Got: hex.EncodeToString(got), Want: hex.EncodeToString(want),
+	}
+}
+
+// mismatch32 is mismatch for 32-bit sums.
+func (c *Client) mismatch32(path string, algo digest.Algo, off, length int64, got, want uint32) *ChecksumError {
+	return c.mismatch(path, algo, off, length, binary.BigEndian.AppendUint32(nil, got), binary.BigEndian.AppendUint32(nil, want))
 }

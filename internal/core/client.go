@@ -120,24 +120,35 @@ type Options struct {
 	// davix's cloud-storage mode (paper §1: S3 REST APIs over HTTP).
 	S3 *s3.Credentials
 
-	// VerifyTransfers enables end-to-end integrity checking. A
-	// full-object Get is compared against the server's X-Checksum header,
-	// in whatever algorithm it names (crc32c from this repository's
-	// gateway, adler32 from DPM/dCache). Streaming transfers verify
-	// inline: tee'd incremental digests accumulate per chunk during
-	// multi-stream uploads and downloads and combine into the whole-object
-	// value (adler32/crc32 combine math), verified against the server's
-	// Digest/Want-Digest headers or checksum property at zero extra reads.
-	// The algorithm is negotiated once per transfer — the client offers
-	// digest.Preference (Want-Digest "crc32c, adler32;q=0.5") and uses what
-	// the reply names: crc32c, hashed at hardware speed, wherever the
-	// server names it, adler32 when it names nothing else — and then flows
-	// through every sum, rollup, journal and comparison of that transfer.
-	// Failures surface as ErrChecksumMismatch naming the offending byte
-	// span; known-but-unimplemented server algorithms fail with
+	// VerifyTransfers enables end-to-end integrity checking, one rule at
+	// every entry point that moves a whole object:
+	//   - Get holds the body against the server's X-Checksum, in whatever
+	//     algorithm it names (crc32c from this repository's gateway,
+	//     adler32 from DPM/dCache).
+	//   - Put, PutReader of a known size, and the one whole-body PUT an
+	//     UploadMultiStream of one chunk or one worker sends, tee the body
+	//     as it leaves and hold it against the Digest the server commits it
+	//     with.
+	//   - DownloadMultiStream, DownloadMultiStreamTo and the chunked
+	//     uploads of UploadMultiStream and CopyStream tee every chunk
+	//     through an incremental digest and combine the per-chunk sums into
+	//     the whole-object value (adler32/crc32 combine math), held against
+	//     the server's checksum (Metalink, HEAD) or commit Digest; each
+	//     chunk's 202 receipt is checked as it arrives.
+	// Each verdict counts once: a whole transfer that matched adds one to
+	// Metrics.TransfersVerified and fires ClientTrace.Verified; a failed
+	// comparison adds one to Metrics.ChecksumMismatches and fails its
+	// transfer (or, where a chunk can fail over, that chunk's read) with
+	// ErrChecksumMismatch, a *ChecksumError naming the offending byte
+	// span. The algorithm is negotiated once per transfer — the client
+	// offers digest.Preference (Want-Digest "crc32c, adler32;q=0.5") and
+	// uses what the reply names: crc32c, hashed at hardware speed,
+	// wherever the server names it, adler32 when it names nothing else —
+	// and then flows through every sum, rollup, journal and comparison of
+	// that transfer. Known-but-unimplemented server algorithms fail with
 	// ErrChecksumUnsupported instead of being skipped. The digest tees off
-	// the same pooled buffers every payload byte already passes through, so
-	// verification costs no extra read.
+	// the same pooled buffers every payload byte already passes through,
+	// so verification costs no extra read.
 	VerifyTransfers bool
 
 	// HedgeDelay tunes hedged chunk reads for multi-replica downloads:

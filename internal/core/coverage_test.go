@@ -174,7 +174,9 @@ func TestChunkPipelineAgainstRangeIgnorantServer(t *testing.T) {
 // TestMultiStreamEntryPointsWireIdentical: at MaxStreams 1 the in-memory
 // download puts exactly the requests of DownloadMultiStreamTo on the wire
 // for the same object — Metalink probe, then the chunk GETs in order, byte
-// for byte (method, path, Range and every other header).
+// for byte (method, path, Range and every other header). Likewise, with
+// VerifyTransfers on, an UploadMultiStream at UploadParallelism 1 sends
+// exactly Put's one whole-body PUT, Want-Digest and body included.
 func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 	e := newEnv(t, Options{})
 	blob := make([]byte, 5<<10+123)
@@ -185,10 +187,11 @@ func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 	}})
 	e.stores[dpm1].Put("/f", blob)
 
-	capture := func(op func(ctx context.Context, c *Client) error) []byte {
+	capture := func(opts Options, op func(ctx context.Context, c *Client) error) []byte {
 		t.Helper()
 		rd := &recordDialer{inner: e.net}
-		c, err := NewClient(Options{Dialer: rd, ChunkSize: 1 << 10, MaxStreams: 1})
+		opts.Dialer, opts.ChunkSize = rd, 1<<10
+		c, err := NewClient(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +203,15 @@ func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 		defer rd.mu.Unlock()
 		return append([]byte(nil), rd.buf.Bytes()...)
 	}
-	inMemory := capture(func(ctx context.Context, c *Client) error {
+	down := Options{MaxStreams: 1}
+	inMemory := capture(down, func(ctx context.Context, c *Client) error {
 		got, err := c.DownloadMultiStream(ctx, dpm1, "/f")
 		if err == nil && !bytes.Equal(got, blob) {
 			err = errors.New("content mismatch")
 		}
 		return err
 	})
-	writerAt := capture(func(ctx context.Context, c *Client) error {
+	writerAt := capture(down, func(ctx context.Context, c *Client) error {
 		w := &bufWriterAt{b: make([]byte, len(blob))}
 		_, err := c.DownloadMultiStreamTo(ctx, dpm1, "/f", w)
 		if err == nil && !bytes.Equal(w.b, blob) {
@@ -220,6 +224,20 @@ func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(inMemory, writerAt) {
 		t.Fatalf("request streams differ:\nDownloadMultiStream:\n%s\nDownloadMultiStreamTo:\n%s", inMemory, writerAt)
+	}
+
+	up := Options{UploadParallelism: 1, VerifyTransfers: true}
+	put := capture(up, func(ctx context.Context, c *Client) error {
+		return c.Put(ctx, dpm1, "/up", blob)
+	})
+	serial := capture(up, func(ctx context.Context, c *Client) error {
+		return c.UploadMultiStream(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
+	})
+	if bytes.Count(put, []byte("PUT ")) != 1 || bytes.Count(put, []byte("Want-Digest: ")) != 1 {
+		t.Fatalf("Put sent:\n%s\nwant one PUT offering Want-Digest", put)
+	}
+	if !bytes.Equal(put, serial) {
+		t.Fatalf("request streams differ:\nPut:\n%s\nUploadMultiStream:\n%s", put, serial)
 	}
 }
 

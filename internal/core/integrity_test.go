@@ -380,8 +380,8 @@ func (e *testEnv) startAdlerOnly(t *testing.T, addr string) {
 
 // TestAdlerOnlyPeerVerifies: against a peer that speaks adler32 alone, the
 // client's offer of crc32c goes unanswered and every transfer falls back to
-// adler32 — a verified download, chunked upload, streamed upload, and the
-// single whole-body PUT an UploadMultiStream of one chunk or one worker
+// adler32 — a verified download, chunked upload, streamed upload, Put, and
+// the single whole-body PUT an UploadMultiStream of one chunk or one worker
 // sends, each — and a byte flipped on the way still fails each with
 // ErrChecksumMismatch.
 func TestAdlerOnlyPeerVerifies(t *testing.T) {
@@ -416,6 +416,9 @@ func TestAdlerOnlyPeerVerifies(t *testing.T) {
 		}},
 		{"PutReader", false, func(c *Client) error {
 			return c.PutReader(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
+		}},
+		{"Put", false, func(c *Client) error {
+			return c.Put(ctx, dpm1, "/up", blob)
 		}},
 	}
 	for _, op := range ops {

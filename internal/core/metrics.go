@@ -55,9 +55,13 @@ type Metrics struct {
 	KernelBytesDown int64
 	PooledBytesUp   int64
 	PooledBytesDown int64
-	// TransfersVerified counts transfers whose inline end-to-end digest
-	// matched the server value; ChecksumMismatches counts the ones that
-	// did not (each of those also failed with ErrChecksumMismatch).
+	// TransfersVerified counts whole transfers, at any entry point
+	// Options.VerifyTransfers lists, whose end-to-end digest matched the
+	// server's: each once, when its verdict is reached (a Verified event
+	// fires with it). ChecksumMismatches counts failed comparisons, each
+	// once: a whole object's fails its transfer with ErrChecksumMismatch,
+	// a chunk's fails that chunk on its replica, which a chunk read may
+	// still fail over from.
 	TransfersVerified  int64
 	ChecksumMismatches int64
 	// HedgesIssued counts chunk reads that outlived their latency budget

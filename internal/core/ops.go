@@ -48,7 +48,7 @@ func (c *Client) Get(ctx context.Context, host, path string) ([]byte, error) {
 			return err
 		}
 		if c.opts.VerifyTransfers && want != "" {
-			if err := verifyChecksum(body, want, path); err != nil {
+			if err := c.verifyChecksum(body, want, path); err != nil {
 				return err
 			}
 		}
@@ -102,14 +102,13 @@ func (c *Client) GetRange(ctx context.Context, host, path string, off, length in
 }
 
 // Put stores data at host/path, following head-node redirects to the
-// disk node designated for the upload.
+// disk node designated for the upload. With Options.VerifyTransfers it is
+// verified like every whole-body PUT (see putBody): the body is summed as
+// it leaves under each algorithm the request offers in Want-Digest, and a
+// 2xx whose Digest disagrees fails with ErrChecksumMismatch.
 func (c *Client) Put(ctx context.Context, host, path string, data []byte) error {
-	return c.exec(ctx, host, path, specPut, func(h, p string) *wire.Request {
-		req := wire.NewRequest("PUT", h, p)
+	return c.putBody(ctx, host, path, specPut, int64(len(data)), func(req *wire.Request) {
 		req.SetBodyBytes(data)
-		return req
-	}, func(_ Replica, resp *Response) error {
-		return c.finishPut(resp, path, int64(len(data)), nil)
 	})
 }
 

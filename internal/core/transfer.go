@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
@@ -169,11 +168,7 @@ func (c *Client) scatterBody(resp *Response, skip, off, ln int64, dst io.WriterA
 		if skip == 0 {
 			if want, ok := digest.FromDigestHeader(resp.Header.Get("Digest"), algo); ok {
 				if !bytes.Equal(sum, want.Sum) {
-					c.metrics.checksumMismatches.Add(1)
-					return &ChecksumError{
-						Path: objPath, Algo: string(algo), Off: off, Length: served,
-						Got: hex.EncodeToString(sum), Want: hex.EncodeToString(want.Sum),
-					}
+					return c.mismatch(objPath, algo, off, served, sum, want.Sum)
 				}
 				res.verified = true
 			}
@@ -211,34 +206,31 @@ func (c *Client) chunkServerDigest(ctx context.Context, host, path string, algo 
 }
 
 // errNoRangeDigest reports a replica that would not commit to a range
-// digest; localizeMismatch's ring walk then asks the next one.
+// digest; rollupMismatch's ring walk then asks the next one.
 var errNoRangeDigest = errors.New("davix: no range digest")
 
-// localizeMismatch narrows a whole-object checksum mismatch to the first
-// offending chunk by comparing the client-side sums the rollup was fed
-// during the transfer against per-range digests fetched with HEADs — the
-// payload is never re-read. Returns nil when no server on the ring will
-// commit to range digests; the caller falls back to the whole-object span.
-func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path string, algo digest.Algo, sums []digest.Span) *ChecksumError {
+// rollupMismatch is the verdict on a transfer of size bytes whose sum got
+// disagrees with want, the server's whole-object sum under algo: counted
+// once, and blamed on the first chunk of spans, the client-side sums its
+// rollup was fed, whose per-range digest a replica on the ring disowns —
+// HEAD probes only, the payload is never re-read — or, when no server will
+// commit to range digests (or spans is nil), on the whole object.
+func (c *Client) rollupMismatch(ctx context.Context, replicas []Replica, path string, algo digest.Algo, spans []digest.Span, size int64, got, want uint32) *ChecksumError {
 	replicas = c.health.order(replicas)
-	for _, cs := range sums {
-		var want uint32
+	for _, cs := range spans {
+		var stored uint32
 		err := c.walkRing(ctx, replicas, 0, nil, func(rep Replica) error {
 			var ok bool
-			if want, ok = c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.Off, cs.N); !ok {
+			if stored, ok = c.chunkServerDigest(ctx, rep.Host, rep.Path, algo, cs.Off, cs.N); !ok {
 				return errNoRangeDigest
 			}
 			return nil
 		})
-		if err == nil && want != cs.Sum {
-			return &ChecksumError{
-				Path: path, Algo: string(algo), Off: cs.Off, Length: cs.N,
-				Got:  fmt.Sprintf("%08x", cs.Sum),
-				Want: fmt.Sprintf("%08x", want),
-			}
+		if err == nil && stored != cs.Sum {
+			return c.mismatch32(path, algo, cs.Off, cs.N, cs.Sum, stored)
 		}
 	}
-	return nil
+	return c.mismatch32(path, algo, 0, size, got, want)
 }
 
 // chunkLedger is one transfer's record of completed chunks: their digests
@@ -432,20 +424,10 @@ func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt
 			return 0, rerr
 		}
 		if got != wantSum {
-			c.metrics.checksumMismatches.Add(1)
 			// The journal vouched for bytes the rollup just condemned —
 			// none of it can be believed; the next attempt starts clean.
 			led.close(false)
-			// Narrow the blame to a chunk when a server will commit to
-			// per-range digests — HEAD probes only, no payload re-reads.
-			if ce := c.localizeMismatch(ctx, replicas, path, algo, led.rollup.Spans()); ce != nil {
-				return 0, ce
-			}
-			return 0, &ChecksumError{
-				Path: path, Algo: string(algo), Off: 0, Length: size,
-				Got:  fmt.Sprintf("%08x", got),
-				Want: fmt.Sprintf("%08x", wantSum),
-			}
+			return 0, c.rollupMismatch(ctx, replicas, path, algo, led.rollup.Spans(), size, got, wantSum)
 		}
 		c.verified(obs.Down, path, algo)
 	} else if mem, ok := w.(*chunkBuf); ok && verify && plan.want != "" {
@@ -453,11 +435,9 @@ func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt
 		// fold it, and the per-range Digests above only vouch for what each
 		// replica itself holds. An in-memory sink still has the whole
 		// object, so hashing it costs no extra read.
-		if err := verifyChecksum(mem.buf, plan.want, path); err != nil {
-			c.metrics.checksumMismatches.Add(1)
+		if err := c.verifyChecksum(mem.buf, plan.want, path); err != nil {
 			return 0, err
 		}
-		c.verified(obs.Down, path, want.Algo)
 	} else if led.rollup != nil && verifiedChunks.Load() == int64(len(led.rollup.Spans())) {
 		// No combinable server checksum, but every chunk matched the
 		// server's per-range Digest — the transfer is end-to-end verified.

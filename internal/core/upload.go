@@ -49,53 +49,53 @@ func newUploadID() string {
 // scoping across hops — except retries: its body cannot be read twice.
 //
 // The body leaves through the pooled 64 KiB copy buffer (counted in
-// Metrics.PooledBytesUp). With Options.VerifyTransfers it is also tee'd
-// through an incremental digest as it streams, under every algorithm in
-// digest.Preference, which the request offers: the body leaves before any
-// reply could name one. The digest under the algorithm the committing 2xx's
-// Digest header names is compared against it — a mismatch fails with
-// ErrChecksumMismatch at zero extra reads.
+// Metrics.PooledBytesUp). With Options.VerifyTransfers and a known size it
+// is verified like Put's, as it streams: at zero extra reads.
 func (c *Client) PutReader(ctx context.Context, host, path string, r io.Reader, size int64) error {
 	if size == 0 {
 		return c.Put(ctx, host, path, nil)
 	}
-	body := r
+	return c.putBody(ctx, host, path, specPutStream, size, func(req *wire.Request) {
+		req.Body, req.ContentLength = r, size
+	})
+}
+
+// putBody sends every whole-body PUT: size bytes to host/path under spec,
+// with setBody attaching the body afresh to each send — every redirect hop
+// and retry builds its request anew. With Options.VerifyTransfers and
+// size > 0 each send's body is tee'd through fresh sums under every
+// algorithm in digest.Preference, which the request offers (the body leaves
+// before any reply could name one), and checkEcho holds the sum under the
+// algorithm the 2xx's Digest names against it.
+func (c *Client) putBody(ctx context.Context, host, path string, spec reqSpec, size int64, setBody func(*wire.Request)) error {
+	verify := c.opts.VerifyTransfers && size > 0
 	var sums *bodySums
-	if c.opts.VerifyTransfers && size > 0 {
-		sums = newBodySums("")
-		body = io.TeeReader(r, sums)
-	}
-	return c.exec(ctx, host, path, specPutStream, func(hst, p string) *wire.Request {
-		req := wire.NewRequest("PUT", hst, p)
-		req.Body, req.ContentLength = body, size
-		if sums != nil {
+	return c.exec(ctx, host, path, spec, func(h, p string) *wire.Request {
+		req := wire.NewRequest("PUT", h, p)
+		setBody(req)
+		if verify {
+			sums = newBodySums("")
+			req.Body = io.TeeReader(req.Body, sums)
 			req.Header.Set("Want-Digest", digest.Preference)
 		}
 		return req
 	}, func(_ Replica, resp *Response) error {
-		return c.finishPut(resp, path, size, sums)
+		if resp.StatusCode/100 != 2 {
+			return statusErr(resp, "PUT", path)
+		}
+		echoed := resp.Header.Get("Digest")
+		if _, err := resp.ReadAllAndClose(); err != nil || !verify {
+			return err
+		}
+		algo, sent := sums.named(echoed)
+		return c.checkEcho(ctx, host, path, size, algo, sent, echoed, nil)
 	})
-}
-
-// finishPut consumes a whole-body PUT's response (status check, body
-// drain, connection recycle) and, when sums is non-nil, holds the size
-// bytes' sums against the Digest its 2xx echoes.
-func (c *Client) finishPut(resp *Response, path string, size int64, sums *bodySums) error {
-	if resp.StatusCode/100 != 2 {
-		return statusErr(resp, "PUT", path)
-	}
-	echoed := resp.Header.Get("Digest")
-	if _, err := resp.ReadAllAndClose(); err != nil || sums == nil {
-		return err
-	}
-	algo, sent := sums.named(echoed)
-	return c.checkEcho(path, 0, size, algo, sent, echoed, true)
 }
 
 // bodySums hashes a request body as it streams: under algo, the one a
 // destination has already named, or — with algo "" for a body that leaves
-// before any reply, PutReader's or a chunked upload's probe — under every
-// algorithm in digest.Offered.
+// before any reply, a whole-body PUT's or a chunked upload's probe — under
+// every algorithm in digest.Offered.
 type bodySums struct {
 	algos []digest.Algo
 	hs    []hash.Hash32
@@ -132,24 +132,30 @@ func (b *bodySums) named(echoed string) (digest.Algo, uint32) {
 	return b.algos[i], b.hs[i].Sum32()
 }
 
-// checkEcho holds sent, the client's digest under algo of the length bytes
-// at off it sent, against the entry under algo of echoed, the Digest header
-// the server answered them with: its account of what it received. A server
-// that echoes no such entry leaves the span unverified, not failed; a match
-// on a whole upload's commit counts it verified — the upload's integrity
-// loop closed at zero extra reads.
-func (c *Client) checkEcho(path string, off, length int64, algo digest.Algo, sent uint32, echoed string, whole bool) error {
+// echoedSum returns the entry under algo of echoed, the Digest header a
+// server answered uploaded bytes with: its account of what it received.
+// ok is false when it echoes no such entry, which leaves those bytes
+// unverified, not failed.
+func echoedSum(echoed string, algo digest.Algo) (uint32, bool) {
 	stored, ok := digest.FromDigestHeader(echoed, algo)
+	if !ok {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(stored.Sum), true
+}
+
+// checkEcho holds sent, the client's digest under algo of the size bytes
+// of a whole upload to host/path, against echoed, the Digest the server
+// committed them with. A match counts the upload verified — its integrity
+// loop closed at zero extra reads; a mismatch is blamed by rollupMismatch
+// through spans, a chunked upload's chunk sums (nil for one request).
+func (c *Client) checkEcho(ctx context.Context, host, path string, size int64, algo digest.Algo, sent uint32, echoed string, spans []digest.Span) error {
+	want, ok := echoedSum(echoed, algo)
 	switch {
 	case !ok:
-	case sent != binary.BigEndian.Uint32(stored.Sum):
-		c.metrics.checksumMismatches.Add(1)
-		return &ChecksumError{
-			Path: path, Algo: string(algo), Off: off, Length: length,
-			Got:  fmt.Sprintf("%08x", sent),
-			Want: hex.EncodeToString(stored.Sum),
-		}
-	case whole:
+	case sent != want:
+		return c.rollupMismatch(ctx, []Replica{{Host: host, Path: path}}, path, algo, spans, size, sent, want)
+	default:
 		c.verified(obs.Up, path, algo)
 	}
 	return nil
@@ -179,7 +185,11 @@ func (c *Client) UploadMultiStream(ctx context.Context, host, path string, src i
 	}
 	return c.multiStreamPut(ctx, host, path, size,
 		open,
-		func() error { return c.putSerial(ctx, host, path, src, size) },
+		func() error {
+			return c.putBody(ctx, host, path, specPut, size, func(req *wire.Request) {
+				req.Body, req.ContentLength = io.NewSectionReader(src, 0, size), size
+			})
+		},
 		func(algo digest.Algo) string { return sourceChecksum(src, size, algo) },
 		src)
 }
@@ -335,17 +345,12 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	// The object is committed either way: the journal has nothing left to
 	// resume.
 	led.close(false)
-	if led.rollup != nil {
-		if err := c.checkEcho(path, 0, size, algo, sent, *stored, true); err != nil {
-			// The committing chunk had no receipt to check: narrow the
-			// blame with payload-free HEAD+Range probes of what was stored.
-			if ce := c.localizeMismatch(ctx, []Replica{{Host: host, Path: path}}, path, algo, led.rollup.Spans()); ce != nil {
-				return ce
-			}
-			return err
-		}
+	if led.rollup == nil {
+		return nil
 	}
-	return nil
+	// The committing chunk had no receipt to check: a mismatch is blamed
+	// through the rollup's chunk sums.
+	return c.checkEcho(ctx, host, path, size, algo, sent, *stored, led.rollup.Spans())
 }
 
 // errUploadNotCommitted marks a chunked upload whose final object never
@@ -384,42 +389,15 @@ func (c *Client) verifyCommitted(ctx context.Context, host, path string, size in
 	if inf.Size != size {
 		return fmt.Errorf("%w: server reports %d bytes, want %d", errUploadNotCommitted, inf.Size, size)
 	}
-	if got, perr := digest.Parse(inf.Checksum); perr == nil && wantChecksum != nil {
-		if want, werr := digest.Parse(wantChecksum(got.Algo)); werr == nil && want.Algo == got.Algo {
-			if !bytes.Equal(want.Sum, got.Sum) {
-				c.metrics.checksumMismatches.Add(1)
-				return fmt.Errorf("%w: %w", errUploadNotCommitted, &ChecksumError{
-					Path: path, Algo: string(got.Algo), Off: 0, Length: size,
-					Got: hex.EncodeToString(got.Sum), Want: hex.EncodeToString(want.Sum),
-				})
+	if stored, perr := digest.Parse(inf.Checksum); perr == nil && wantChecksum != nil {
+		if ours, werr := digest.Parse(wantChecksum(stored.Algo)); werr == nil && ours.Algo == stored.Algo {
+			if !bytes.Equal(ours.Sum, stored.Sum) {
+				return fmt.Errorf("%w: %w", errUploadNotCommitted, c.mismatch(path, stored.Algo, 0, size, ours.Sum, stored.Sum))
 			}
-			c.verified(obs.Up, path, got.Algo)
+			c.verified(obs.Up, path, stored.Algo)
 		}
 	}
 	return nil
-}
-
-// putSerial is the seed's whole-body PUT fed from a ReaderAt: one request,
-// one connection, Content-Length framing — byte-identical on the wire to
-// Put, and replayable across redirect hops because the source is seekable.
-// With Options.VerifyTransfers it offers Want-Digest and holds the echo
-// against the body's sums, like PutReader; each send sums afresh, since
-// each hop replays the body from its start.
-func (c *Client) putSerial(ctx context.Context, host, path string, src io.ReaderAt, size int64) error {
-	var sums *bodySums
-	return c.exec(ctx, host, path, specPut, func(h, p string) *wire.Request {
-		req := wire.NewRequest("PUT", h, p)
-		req.Body = io.NewSectionReader(src, 0, size)
-		req.ContentLength = size
-		if c.opts.VerifyTransfers && size > 0 {
-			sums = newBodySums("")
-			req.Body = io.TeeReader(req.Body, sums)
-			req.Header.Set("Want-Digest", digest.Preference)
-		}
-		return req
-	}, func(_ Replica, resp *Response) error {
-		return c.finishPut(resp, path, size, sums)
-	})
 }
 
 // rangedPutResult reports one Content-Range PUT: the redirect-resolved
@@ -479,7 +457,10 @@ func (c *Client) putRanged(ctx context.Context, host, path string, body func() i
 		if created {
 			return nil // the object's Digest, held against the rollup
 		}
-		return c.checkEcho(path, off, ln, res.algo, res.sum, echoed, false)
+		if want, ok := echoedSum(echoed, res.algo); ok && want != res.sum {
+			return c.mismatch32(path, res.algo, off, ln, res.sum, want)
+		}
+		return nil
 	})
 	if err != nil {
 		return rangedPutResult{}, err

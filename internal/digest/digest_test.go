@@ -285,6 +285,93 @@ func FuzzWantDigest(f *testing.F) {
 	})
 }
 
+// digestHeaderReference reads FromDigestHeader's documented rule on its
+// own: the entries of v are its comma-separated parts, each split into a
+// name and a value at its first '='. The first entry whose name, trimmed
+// and lower-cased, is an implemented algorithm — algo itself, when algo is
+// not "" — decides: its trimmed value must be hex of exactly that
+// algorithm's digest length, or the header has no usable entry.
+func digestHeaderReference(v string, algo Algo) (Checksum, bool) {
+	lengths := map[string]int{"adler32": 4, "crc32": 4, "crc32c": 4, "md5": 16}
+	unhex := func(c byte) int {
+		switch {
+		case '0' <= c && c <= '9':
+			return int(c - '0')
+		case 'a' <= c && c <= 'f':
+			return int(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			return int(c-'A') + 10
+		}
+		return -1
+	}
+	for _, entry := range strings.Split(v, ",") {
+		eq := strings.IndexByte(entry, '=')
+		if eq < 0 {
+			continue
+		}
+		name := strings.ToLower(strings.TrimSpace(entry[:eq]))
+		n, known := lengths[name]
+		if !known || algo != "" && name != strings.ToLower(string(algo)) {
+			continue
+		}
+		val := strings.TrimSpace(entry[eq+1:])
+		if len(val) != 2*n {
+			return Checksum{}, false
+		}
+		sum := make([]byte, n)
+		for i := range sum {
+			hi, lo := unhex(val[2*i]), unhex(val[2*i+1])
+			if hi < 0 || lo < 0 {
+				return Checksum{}, false
+			}
+			sum[i] = byte(hi<<4 | lo)
+		}
+		return Checksum{Algo: Algo(name), Sum: sum}, true
+	}
+	return Checksum{}, false
+}
+
+// FuzzDigestHeader holds FromDigestHeader to digestHeaderReference under
+// every lookup a caller makes, on the fuzzed header alone and followed by
+// an entry Format32 renders, and holds that round trip — Format32, then
+// the header, then the parse — to the sum it started from.
+func FuzzDigestHeader(f *testing.F) {
+	for _, s := range []string{
+		"", "adler32=03da0195", "ADLER32=03DA0195", "Crc32C=0A1b2C3d", "MD5=9e107d9d372bb6826bd81d3542a419d6",
+		" adler32 = 03da0195 ", "\tcrc32c=\t0a1b2c3d\t, adler32=03da0195",
+		"md5=HUXZLQLMuI/KZ5KDcJPcOA==, adler32=03da0195", "MD5=nhB9nTcrtoJr2B0VNUKh1g==,ADLER32=03da0195",
+		",,adler32=03da0195,,", ",", "=", "=03da0195", "adler32", "adler32=, crc32c=0a1b2c3d",
+		"adler32=03da01", "crc32c=0a1b2c3d4e", "md5=00", "adler32=0x3da0195", "crc32=+3da0195",
+		"sha-256=X48E9qOokqqrvdts8nOJRJN3OWDUoyWxBf7kbu9DBPE=, UNIXsum=12345, crc32=cbf43926",
+		"adler32=03da0195=, crc32c=0a1b2c3d",
+	} {
+		f.Add(s, uint32(0x03da0195))
+	}
+	lookups := []Algo{"", Adler32, CRC32, CRC32C, MD5, "ADLER32", "Crc32c", "sha-256"}
+	f.Fuzz(func(t *testing.T, s string, sum uint32) {
+		for _, a := range []Algo{Adler32, CRC32, CRC32C} {
+			entry := strings.Replace(Format32(a, sum), ":", "=", 1)
+			for _, v := range []string{s, s + ", " + entry, s + "," + strings.ToUpper(entry)} {
+				for _, algo := range lookups {
+					got, ok := FromDigestHeader(v, algo)
+					want, wantOK := digestHeaderReference(v, algo)
+					if ok != wantOK || ok && (got.Algo != want.Algo || !bytes.Equal(got.Sum, want.Sum)) {
+						t.Fatalf("FromDigestHeader(%q, %q) = %v, %v; the documented rule reads %v, %v", v, algo, got, ok, want, wantOK)
+					}
+				}
+			}
+			for _, v := range []string{entry, " " + strings.ToUpper(entry) + " ,", "," + entry} {
+				for _, algo := range []Algo{"", a} {
+					got, ok := FromDigestHeader(v, algo)
+					if !ok || got.Algo != a || got.String() != Format32(a, sum) {
+						t.Fatalf("FromDigestHeader(%q, %q) = %v, %v; want %s", v, algo, got, ok, Format32(a, sum))
+					}
+				}
+			}
+		}
+	})
+}
+
 // asciiUpper upper-cases the ASCII letters of s and nothing else.
 func asciiUpper(s string) string {
 	b := []byte(s)
