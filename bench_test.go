@@ -264,7 +264,7 @@ func BenchmarkMultiStream(b *testing.B) {
 	go fedSrv.Serve(fl)
 
 	client, err := New(Options{
-		Dialer: n, MetalinkHost: "fed:80", MaxStreams: 3, ChunkSize: 512 << 10,
+		Dialer: n, MetalinkHost: "fed:80", MaxPerHost: 1, ChunkSize: 512 << 10,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -304,7 +304,7 @@ func BenchmarkUploadMultiStream(b *testing.B) {
 	defer l.Close()
 	go httpserv.New(storage.NewMemStore(), httpserv.Options{}).Serve(l)
 
-	client, err := New(Options{ChunkSize: 8 << 20, UploadParallelism: 2, VerifyTransfers: true})
+	client, err := New(Options{ChunkSize: 8 << 20, MaxPerHost: 2, VerifyTransfers: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,7 +5,9 @@
 // It provides:
 //
 //   - a dynamic connection pool with thread-safe request dispatch and
-//     aggressive KeepAlive session recycling (paper §2.2);
+//     aggressive KeepAlive session recycling (paper §2.2), whose per-host
+//     cap (Options.MaxPerHost) is the one concurrency budget that sizes
+//     every fan-out below;
 //   - vectored random-access reads packed into HTTP/1.1 multi-range
 //     requests, fed by TreeCache-style gathering (paper §2.3);
 //   - Metalink-based transparent replica fail-over and multi-stream
@@ -18,12 +20,12 @@
 //     client keeps no block or stat cache of its own;
 //   - a parallel namespace engine: Walk fans PROPFINDs out across pooled
 //     connections while preserving serial emission order, and multistatus
-//     bodies are decoded streaming off the wire (Options.WalkParallelism);
+//     bodies are decoded streaming off the wire;
 //   - a parallel transfer engine: streaming uploads that never materialize
 //     the body (PutReader), multi-stream chunked uploads over Content-Range
-//     PUTs (UploadMultiStream, Options.UploadParallelism), client-mediated
-//     pull-mode third-party copy (CopyStream), and zero-materialization
-//     downloads to any io.WriterAt (DownloadMultiStreamTo);
+//     PUTs (UploadMultiStream), client-mediated pull-mode third-party copy
+//     (CopyStream), and zero-materialization downloads to any io.WriterAt
+//     (DownloadMultiStreamTo);
 //   - a layered resilience engine every operation executes through:
 //     pooled-connection stale-recycle replays, redirect following with loop
 //     detection and cross-host credential hygiene, bounded retry with
@@ -275,10 +277,10 @@ func (c *Client) PutReader(ctx context.Context, url string, r io.Reader, size in
 
 // UploadMultiStream stores size bytes from src at url by PUTting
 // ChunkSize chunks concurrently with Content-Range headers over pooled
-// connections (see Options.UploadParallelism) — the write-side twin of the
-// multi-stream download. Servers that reject ranged PUTs fall back
-// transparently to a single-stream upload; UploadParallelism=1 is
-// byte-identical on the wire to Put.
+// connections, up to 4 at once and at most Options.MaxPerHost — the
+// write-side twin of the multi-stream download. Servers that reject ranged
+// PUTs fall back transparently to a single-stream upload; at MaxPerHost 1
+// the upload is byte-identical on the wire to Put.
 func (c *Client) UploadMultiStream(ctx context.Context, url string, src io.ReaderAt, size int64) error {
 	host, path, err := splitURL(url)
 	if err != nil {
@@ -376,12 +378,13 @@ var SkipDir = core.SkipDir
 
 // Walk traverses the namespace under url depth-first, calling fn for every
 // entry (davix-ls -r behaviour). fn may return SkipDir to prune. Directory
-// listings are fetched concurrently (see Options.WalkParallelism), but fn
-// is always called sequentially, in depth-first lexical order. The root is
-// listed before fn sees it, at every width, and its entry is that
-// listing's response for the root, so a file root carries PROPFIND
-// properties and no checksum, like every other entry; at WalkParallelism 1
-// a collection below the root is listed only once fn has accepted it.
+// listings are fetched concurrently (up to 8 at once and at most
+// Options.MaxPerHost), but fn is always called sequentially, in
+// depth-first lexical order. The root is listed before fn sees it, at
+// every width, and its entry is that listing's response for the root, so
+// a file root carries PROPFIND properties and no checksum, like every
+// other entry; at MaxPerHost 1 a collection below the root is listed only
+// once fn has accepted it.
 func (c *Client) Walk(ctx context.Context, url string, fn func(Info) error) error {
 	host, path, err := splitURL(url)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -332,8 +333,9 @@ func TestPublicAuthAndChecksums(t *testing.T) {
 	}
 }
 
-// TestPublicWalkParallelism: the WalkParallelism option must not change
-// the emission order seen through the public API.
+// TestPublicWalkParallelism: the walk's width, which MaxPerHost sets, must
+// not change the emission order seen through the public API: the serial
+// walk at MaxPerHost 1 and every wider one emit the same sequence.
 func TestPublicWalkParallelism(t *testing.T) {
 	n, st, _ := startFabric(t, Options{Strategy: StrategyNone})
 	for _, p := range []string{"/ns/b/x", "/ns/b/y", "/ns/a/z", "/ns/top"} {
@@ -341,7 +343,7 @@ func TestPublicWalkParallelism(t *testing.T) {
 	}
 
 	walk := func(par int) []string {
-		c, err := New(Options{Dialer: n, Strategy: StrategyNone, WalkParallelism: par})
+		c, err := New(Options{Dialer: n, Strategy: StrategyNone, MaxPerHost: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,13 +359,12 @@ func TestPublicWalkParallelism(t *testing.T) {
 		return paths
 	}
 	serial := walk(1)
-	parallel := walk(6)
 	if len(serial) != 7 {
 		t.Fatalf("serial walk = %v", serial)
 	}
-	for i := range serial {
-		if parallel[i] != serial[i] {
-			t.Fatalf("order diverged at %d: %q vs %q", i, parallel[i], serial[i])
+	for _, par := range []int{2, 6, 0} {
+		if parallel := walk(par); !slices.Equal(parallel, serial) {
+			t.Fatalf("MaxPerHost %d: order %q, serial %q", par, parallel, serial)
 		}
 	}
 }
@@ -386,9 +387,8 @@ func (w *writerAtBuf) WriteAt(p []byte, off int64) (int, error) {
 // zero-materialization download, and pull-mode copy.
 func TestPublicTransferEngine(t *testing.T) {
 	n, st, c := startFabric(t, Options{
-		Strategy:          StrategyNone,
-		ChunkSize:         4 << 10,
-		UploadParallelism: 4,
+		Strategy:  StrategyNone,
+		ChunkSize: 4 << 10,
 	})
 	// A second server to copy to.
 	st2 := storage.NewMemStore()

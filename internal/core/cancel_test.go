@@ -257,7 +257,7 @@ func TestCancelChargesNoHost(t *testing.T) {
 		}
 	}
 	t.Run("4-stream download cancelled mid-body", func(t *testing.T) {
-		e, h := holdEnv(t, Options{Strategy: StrategyNone, ChunkSize: cancelChunk, MaxStreams: 4},
+		e, h := holdEnv(t, Options{Strategy: StrategyNone, ChunkSize: cancelChunk},
 			func(r *http.Request) bool { return r.Method == http.MethodGet })
 		e.stores[dpm1].Put("/f", cancelBlob)
 		ctx, cancel := context.WithCancel(context.Background())

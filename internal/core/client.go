@@ -48,6 +48,17 @@ type Options struct {
 	// MaxPerHost caps concurrent connections per host; 0 lets the pool
 	// grow with the level of concurrency, the paper's default behaviour.
 	// Idle connections are kept up to 64 per host, for 60 s each.
+	//
+	// It is the client's one concurrency budget: every fan-out runs
+	// min(pieces, default, hosts × MaxPerHost) workers, so none starts a
+	// worker that could only queue for a connection. The defaults: a
+	// vectored read sends all its multi-range batches at once, a Walk
+	// keeps 8 PROPFINDs in flight, and a multi-stream upload, pull copy
+	// or download moves 4 chunks at once. hosts is 1 except for a
+	// download, which draws on every distinct host of its replica ring.
+	// At MaxPerHost 1 each is the paper-faithful serial path: vectored
+	// batches go in order, a walk speculates nothing, and an upload is
+	// one whole-body PUT, byte-identical to Put.
 	MaxPerHost int
 
 	// RequestTimeout bounds each individual request round trip (header
@@ -65,32 +76,6 @@ type Options struct {
 	// (default 256).
 	MaxRangesPerRequest int
 
-	// VectorParallelism bounds how many of a vectored read's multi-range
-	// batches are in flight concurrently, each on its own pooled
-	// connection. The three parallelism knobs share one rule: a value
-	// set wins; 0 (the default) takes the knob's default capped by
-	// MaxPerHost; and no more run than there is work. Here the default is
-	// one connection per batch; 1 restores fully serial dispatch.
-	VectorParallelism int
-
-	// WalkParallelism bounds how many PROPFINDs a Walk keeps in flight
-	// concurrently across pooled connections, by the rule of
-	// VectorParallelism with a default of defaultWalkParallelism (8). The
-	// root is listed before the callback sees it, at every setting. At 1
-	// the walk speculates nothing: one PROPFIND at a time, each below the
-	// root sent only once the callback has accepted its collection. Entry
-	// delivery order is identical at every setting.
-	WalkParallelism int
-
-	// UploadParallelism bounds how many ChunkSize chunks of one
-	// UploadMultiStream (or pull-mode CopyStream) are in flight
-	// concurrently, each as a Content-Range PUT on its own pooled
-	// connection, by the rule of VectorParallelism with a default of
-	// defaultUploadParallelism (4). When that leaves one worker (1, or an
-	// object of one chunk) the upload is the single-stream whole-body PUT,
-	// which is byte-identical on the wire to Put (the paper-faithful path).
-	UploadParallelism int
-
 	// Strategy selects the Metalink policy (default StrategyFailover).
 	Strategy Strategy
 
@@ -98,10 +83,6 @@ type Options struct {
 	// Metalink replica lists ("fed.example.org:80"). When empty the
 	// original host itself is asked (?metalink).
 	MetalinkHost string
-
-	// MaxStreams bounds parallel per-replica streams in multi-stream mode
-	// (default 4).
-	MaxStreams int
 
 	// ChunkSize is the multi-stream chunk granularity (default 1 MiB).
 	ChunkSize int64
@@ -190,6 +171,34 @@ type Options struct {
 	// this field, and then the field.
 	PrefetchDepth int
 
+	// VectorParallelism is ignored.
+	//
+	// Deprecated: MaxPerHost sizes every fan-out, a vectored read's
+	// batches included; ROADMAP item 1(h) removes the benchmark's use of
+	// this field, and then the field.
+	VectorParallelism int
+
+	// WalkParallelism is ignored.
+	//
+	// Deprecated: MaxPerHost sizes every fan-out, a Walk's PROPFINDs
+	// included; ROADMAP item 1(h) removes the benchmark's use of this
+	// field, and then the field.
+	WalkParallelism int
+
+	// UploadParallelism is ignored.
+	//
+	// Deprecated: MaxPerHost sizes every fan-out, a chunked upload's
+	// included; ROADMAP item 1(h) removes the benchmark's use of this
+	// field, and then the field.
+	UploadParallelism int
+
+	// MaxStreams is ignored.
+	//
+	// Deprecated: MaxPerHost sizes every fan-out, a multi-stream
+	// download's chunks included; ROADMAP item 1(h) removes the
+	// benchmark's use of this field, and then the field.
+	MaxStreams int
+
 	// Trace, when non-nil, installs httptrace-style hooks the engine fires
 	// for every event: operation start/end, wire requests, connection
 	// acquisition, redirect hops, retries, replica failovers, breaker
@@ -232,22 +241,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxRangesPerRequest <= 0 {
 		o.MaxRangesPerRequest = 256
 	}
-	if o.MaxStreams <= 0 {
-		o.MaxStreams = 4
-	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 1 << 20
-	}
-	// Parallelism knobs: 0 already means "derive from the pool"; negative
-	// values have no meaning and collapse to the same derivation.
-	if o.VectorParallelism < 0 {
-		o.VectorParallelism = 0
-	}
-	if o.WalkParallelism < 0 {
-		o.WalkParallelism = 0
-	}
-	if o.UploadParallelism < 0 {
-		o.UploadParallelism = 0
 	}
 	if o.CoalesceGap < 0 {
 		o.CoalesceGap = 0

@@ -528,7 +528,7 @@ func TestMultiStreamDownload(t *testing.T) {
 	e := newEnv(t, Options{
 		MetalinkHost: "fed:80",
 		ChunkSize:    1 << 10,
-		MaxStreams:   3,
+		MaxPerHost:   1, // one stream per replica
 	})
 	blob := make([]byte, 10<<10+37) // not chunk-aligned
 	rand.New(rand.NewSource(5)).Read(blob)
@@ -562,7 +562,7 @@ func TestMultiStreamDownload(t *testing.T) {
 }
 
 func TestMultiStreamSurvivesDeadReplica(t *testing.T) {
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 512, MaxStreams: 2})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 512, MaxPerHost: 1})
 	blob := make([]byte, 4<<10)
 	rand.New(rand.NewSource(6)).Read(blob)
 
@@ -668,7 +668,7 @@ func TestGetMetalinkDirect(t *testing.T) {
 // download against such a server must likewise pay for the payload roughly
 // once, not once per probe.
 func TestMetalinkProbeNeverDrainsPayload(t *testing.T) {
-	e := newEnv(t, Options{ChunkSize: 1 << 20, MaxStreams: 4})
+	e := newEnv(t, Options{ChunkSize: 1 << 20})
 	e.startServer(t, dpm1, httpserv.Options{}) // no Metalinks provider
 	size := int64(8) << 20
 	blob := make([]byte, size)

@@ -124,7 +124,7 @@ func TestChunkPipelineAgainstRangeIgnorantServer(t *testing.T) {
 	rand.New(rand.NewSource(7)).Read(blob)
 	// claimed is the object size the Metalink advertises to the downloads.
 	claimed := int64(len(blob))
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 2, UploadParallelism: 2})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxPerHost: 2})
 	l, err := e.net.Listen(old)
 	if err != nil {
 		t.Fatal(err)
@@ -171,11 +171,11 @@ func TestChunkPipelineAgainstRangeIgnorantServer(t *testing.T) {
 	}
 }
 
-// TestMultiStreamEntryPointsWireIdentical: at MaxStreams 1 the in-memory
+// TestMultiStreamEntryPointsWireIdentical: at MaxPerHost 1 the in-memory
 // download puts exactly the requests of DownloadMultiStreamTo on the wire
 // for the same object — Metalink probe, then the chunk GETs in order, byte
 // for byte (method, path, Range and every other header). Likewise, with
-// VerifyTransfers on, an UploadMultiStream at UploadParallelism 1 sends
+// VerifyTransfers on, an UploadMultiStream at MaxPerHost 1 sends
 // exactly Put's one whole-body PUT, Want-Digest and body included.
 func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 	e := newEnv(t, Options{})
@@ -203,15 +203,15 @@ func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 		defer rd.mu.Unlock()
 		return append([]byte(nil), rd.buf.Bytes()...)
 	}
-	down := Options{MaxStreams: 1}
-	inMemory := capture(down, func(ctx context.Context, c *Client) error {
+	serial := Options{MaxPerHost: 1}
+	inMemory := capture(serial, func(ctx context.Context, c *Client) error {
 		got, err := c.DownloadMultiStream(ctx, dpm1, "/f")
 		if err == nil && !bytes.Equal(got, blob) {
 			err = errors.New("content mismatch")
 		}
 		return err
 	})
-	writerAt := capture(down, func(ctx context.Context, c *Client) error {
+	writerAt := capture(serial, func(ctx context.Context, c *Client) error {
 		w := &bufWriterAt{b: make([]byte, len(blob))}
 		_, err := c.DownloadMultiStreamTo(ctx, dpm1, "/f", w)
 		if err == nil && !bytes.Equal(w.b, blob) {
@@ -226,25 +226,25 @@ func TestMultiStreamEntryPointsWireIdentical(t *testing.T) {
 		t.Fatalf("request streams differ:\nDownloadMultiStream:\n%s\nDownloadMultiStreamTo:\n%s", inMemory, writerAt)
 	}
 
-	up := Options{UploadParallelism: 1, VerifyTransfers: true}
-	put := capture(up, func(ctx context.Context, c *Client) error {
+	serial.VerifyTransfers = true
+	put := capture(serial, func(ctx context.Context, c *Client) error {
 		return c.Put(ctx, dpm1, "/up", blob)
 	})
-	serial := capture(up, func(ctx context.Context, c *Client) error {
+	upload := capture(serial, func(ctx context.Context, c *Client) error {
 		return c.UploadMultiStream(ctx, dpm1, "/up", bytes.NewReader(blob), int64(len(blob)))
 	})
 	if bytes.Count(put, []byte("PUT ")) != 1 || bytes.Count(put, []byte("Want-Digest: ")) != 1 {
 		t.Fatalf("Put sent:\n%s\nwant one PUT offering Want-Digest", put)
 	}
-	if !bytes.Equal(put, serial) {
-		t.Fatalf("request streams differ:\nPut:\n%s\nUploadMultiStream:\n%s", put, serial)
+	if !bytes.Equal(put, upload) {
+		t.Fatalf("request streams differ:\nPut:\n%s\nUploadMultiStream:\n%s", put, upload)
 	}
 }
 
 // TestMultiStreamWithoutMetalinkSize: the metalink omits the size; the
 // client must stat a replica to learn it.
 func TestMultiStreamWithoutMetalinkSize(t *testing.T) {
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 1 << 10, MaxStreams: 2})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 1 << 10, MaxPerHost: 1})
 	blob := make([]byte, 5<<10)
 	rand.New(rand.NewSource(2)).Read(blob)
 	for _, r := range []string{"dpm1:80", "dpm2:80"} {

@@ -369,8 +369,8 @@ func TestOptionsNormalization(t *testing.T) {
 		check func(t *testing.T, o Options)
 	}{
 		{"zero value gets documented defaults", Options{}, func(t *testing.T, o Options) {
-			if o.MaxRangesPerRequest != 256 || o.MaxStreams != 4 {
-				t.Errorf("defaults = ranges %d streams %d", o.MaxRangesPerRequest, o.MaxStreams)
+			if o.MaxRangesPerRequest != 256 {
+				t.Errorf("defaults = ranges %d", o.MaxRangesPerRequest)
 			}
 			if o.ChunkSize != 1<<20 {
 				t.Errorf("chunk %d", o.ChunkSize)
@@ -380,21 +380,14 @@ func TestOptionsNormalization(t *testing.T) {
 			}
 		}},
 		{"negative sizes and counts collapse to defaults", Options{
-			MaxRangesPerRequest: -7, MaxStreams: -2, ChunkSize: -64,
+			MaxRangesPerRequest: -7, ChunkSize: -64,
 			CoalesceGap: -5, RequestTimeout: -time.Second,
 		}, func(t *testing.T, o Options) {
-			if o.MaxRangesPerRequest != 256 || o.MaxStreams != 4 || o.ChunkSize != 1<<20 {
+			if o.MaxRangesPerRequest != 256 || o.ChunkSize != 1<<20 {
 				t.Errorf("negatives not normalized: %+v", o)
 			}
 			if o.CoalesceGap != 0 || o.RequestTimeout != 0 {
 				t.Errorf("gap %d timeout %v", o.CoalesceGap, o.RequestTimeout)
-			}
-		}},
-		{"negative parallelism means derive from pool", Options{
-			VectorParallelism: -3, WalkParallelism: -1, UploadParallelism: -9,
-		}, func(t *testing.T, o Options) {
-			if o.VectorParallelism != 0 || o.WalkParallelism != 0 || o.UploadParallelism != 0 {
-				t.Errorf("parallelism = %d/%d/%d, want 0/0/0", o.VectorParallelism, o.WalkParallelism, o.UploadParallelism)
 			}
 		}},
 		{"zero retry fields get documented defaults", Options{
@@ -575,7 +568,7 @@ func TestChunkRingSkipsDemotedReplica(t *testing.T) {
 		e := newEnv(t, Options{
 			MetalinkHost: "fed:80",
 			ChunkSize:    512,
-			MaxStreams:   2,
+			MaxPerHost:   1,
 		})
 		e.client.health.threshold, e.client.health.probeAfter = 1, time.Minute
 		blob := bytes.Repeat([]byte("chunky!!"), 4<<10) // 32 KiB -> 64 chunks

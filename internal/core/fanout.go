@@ -59,17 +59,18 @@ func fanOut(ctx context.Context, n, par int, fn func(ctx context.Context, i int)
 	return firstErr
 }
 
-// parallelism is the one width rule of the client's fan-outs, for work that
-// splits into n pieces: an explicit setting wins; otherwise def, capped by
-// the pool's MaxPerHost so a fan-out never starves other traffic of pool
-// slots. Either way no more than n run.
-func (c *Client) parallelism(set, def, n int) int {
-	par := set
-	if par <= 0 {
-		par = def
-		if m := c.opts.MaxPerHost; m > 0 && par > m {
-			par = m
-		}
+// width is the one width rule of the client's fan-outs, for work that
+// splits into n pieces drawing connections from hosts distinct hosts: def,
+// capped by the connections the pool may hold to those hosts (hosts ×
+// MaxPerHost), so a fan-out starts no worker that could only queue for a
+// connection. With MaxPerHost 0 the pool grows with the level of
+// concurrency (paper §2.2) and def alone caps. No more than n run.
+func (c *Client) width(def, hosts, n int) int {
+	w := min(n, def)
+	// m >= w caps nothing, and testing it first keeps hosts*m from
+	// overflowing.
+	if m := c.opts.MaxPerHost; m > 0 && m < w {
+		w = min(w, hosts*m)
 	}
-	return min(par, n)
+	return w
 }

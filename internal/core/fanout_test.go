@@ -119,7 +119,7 @@ func TestFanOutFirstErrorWins(t *testing.T) {
 		match func(*http.Request) bool
 		run   func(ctx context.Context, c *Client) error
 	}{
-		{"ReadVec", Options{MaxRangesPerRequest: 2, VectorParallelism: 2}, isGet,
+		{"ReadVec", Options{MaxRangesPerRequest: 2, MaxPerHost: 2}, isGet,
 			func(ctx context.Context, c *Client) error {
 				ranges := make([]rangev.Range, 8)
 				dsts := make([][]byte, len(ranges))
@@ -129,12 +129,12 @@ func TestFanOutFirstErrorWins(t *testing.T) {
 				}
 				return c.ReadVec(ctx, dpm1, "/f", ranges, dsts)
 			}},
-		{"DownloadMultiStreamTo", Options{ChunkSize: chunk, MaxStreams: 2}, isGet,
+		{"DownloadMultiStreamTo", Options{ChunkSize: chunk, MaxPerHost: 2}, isGet,
 			func(ctx context.Context, c *Client) error {
 				_, err := c.DownloadMultiStreamTo(ctx, dpm1, "/f", &bufWriterAt{b: make([]byte, len(blob))})
 				return err
 			}},
-		{"UploadMultiStream", Options{ChunkSize: chunk, UploadParallelism: 2},
+		{"UploadMultiStream", Options{ChunkSize: chunk, MaxPerHost: 2},
 			// The probe goes alone, before the fan-out.
 			func(r *http.Request) bool {
 				return r.Method == http.MethodPut && !strings.HasPrefix(r.Header.Get("Content-Range"), "bytes 0-")

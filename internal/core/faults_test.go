@@ -125,7 +125,7 @@ func (a readAtAdapter) ReadAt(p []byte, off int64) (int, error) { return a.f.Rea
 func TestMultiStreamCancelsSiblingsOnError(t *testing.T) {
 	const streams = 2
 	const hold = 5 * time.Second
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 256, MaxStreams: streams})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 256, MaxPerHost: streams})
 	blob := make([]byte, 64<<8) // 64 chunks
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.stores[dpm1].Put("/f", blob)

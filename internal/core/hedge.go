@@ -42,18 +42,11 @@ func (c *Client) hedgeBudget() (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	h := v.(*opHist)
-	counts := make([]int64, latBuckets)
-	var total int64
-	for b := range h.buckets {
-		n := h.buckets[b].Load()
-		counts[b] = n
-		total += n
-	}
+	counts, total := v.(*opHist).load()
 	if total < hedgeMinSamples {
 		return 0, false
 	}
-	return quantile(counts, total, 0.99), true
+	return quantile(counts[:], total, 0.99), true
 }
 
 // hedgePair picks the two legs of a hedged read of chunk idx: its ring

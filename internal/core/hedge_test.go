@@ -85,7 +85,6 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	e := replicaEnv(t, Options{
 		MetalinkHost: "fed:80",
 		ChunkSize:    cs,
-		MaxStreams:   4,
 		HedgeDelay:   20 * time.Millisecond,
 		Trace: &obs.ClientTrace{
 			HedgeIssued: func(path string, idx int, off, length int64, toHost string) {
@@ -141,7 +140,6 @@ func TestHedgeDisabledIssuesNone(t *testing.T) {
 	e := replicaEnv(t, Options{
 		MetalinkHost: "fed:80",
 		ChunkSize:    8 << 10,
-		MaxStreams:   4,
 		HedgeDelay:   -1,
 	}, blob)
 	e.faults["dpm2:80"].Set("/f", faults.Fault{Delay: 30 * time.Millisecond, Remaining: -1})

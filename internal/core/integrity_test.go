@@ -27,7 +27,7 @@ import (
 func TestDownloadVerifiedCatchesCorruption(t *testing.T) {
 	const chunk = 4 << 10
 	const corruptAt = 9000 // inside chunk 2: [8192, 12288)
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: chunk, MaxStreams: 4, VerifyTransfers: true})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: chunk, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 47)
 	e.stores[dpm1].Put("/f", blob)
@@ -59,7 +59,7 @@ func TestDownloadVerifiedCatchesCorruption(t *testing.T) {
 // VerifyTransfers the same single-bit flip sails through, which is exactly
 // why the verified path exists.
 func TestDownloadUnverifiedMissesCorruption(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, MaxStreams: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 48)
 	e.stores[dpm1].Put("/f", blob)
@@ -78,7 +78,7 @@ func TestDownloadUnverifiedMissesCorruption(t *testing.T) {
 // into the whole-object adler32, match the server checksum, and the
 // payload counter sees every byte once.
 func TestDownloadVerifiedPasses(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, MaxStreams: 4, VerifyTransfers: true})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 49)
 	e.stores[dpm1].Put("/f", blob)
@@ -131,7 +131,7 @@ func TestPutReaderVerified(t *testing.T) {
 // verification on: per-chunk sums combine into the whole-object adler32
 // with zero re-reads of the source, and the assembled object matches.
 func TestUploadMultiStreamInlineDigest(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4, VerifyTransfers: true})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(40<<10, 51)
 
@@ -155,15 +155,15 @@ func TestUploadMultiStreamInlineDigest(t *testing.T) {
 func TestBytePathAccountingCoversEveryChunkReader(t *testing.T) {
 	const dst = "dpm2:80"
 	cases := []struct {
-		name     string
-		parallel int // UploadParallelism for the copy modes
-		run      func(ctx context.Context, c *Client) error
+		name       string
+		maxPerHost int // 1 makes the copy the serial pipe
+		run        func(ctx context.Context, c *Client) error
 	}{
 		{"DownloadMultiStream", 0, func(ctx context.Context, c *Client) error {
 			_, err := c.DownloadMultiStream(ctx, dpm1, "/f")
 			return err
 		}},
-		{"CopyStream/parallel", 4, func(ctx context.Context, c *Client) error {
+		{"CopyStream/parallel", 0, func(ctx context.Context, c *Client) error {
 			return c.CopyStream(ctx, dpm1, "/f", "http://"+dst+"/copy")
 		}},
 		{"CopyStream/pipe", 1, func(ctx context.Context, c *Client) error {
@@ -172,7 +172,7 @@ func TestBytePathAccountingCoversEveryChunkReader(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t, Options{ChunkSize: 4 << 10, MaxStreams: 4, UploadParallelism: tc.parallel})
+			e := newEnv(t, Options{ChunkSize: 4 << 10, MaxPerHost: tc.maxPerHost})
 			blob := uploadBlob(48<<10+100, 52)
 			e.startServer(t, dpm1, httpserv.Options{Metalinks: func(string) *metalink.Metalink {
 				return &metalink.Metalink{Name: "f", Size: int64(len(blob)),
@@ -199,7 +199,7 @@ func TestBytePathAccountingCoversEveryChunkReader(t *testing.T) {
 func TestDownloadMultiStreamVerifiesWithoutMetalinkHash(t *testing.T) {
 	const chunk = 4 << 10
 	const corruptAt = 9000 // inside chunk 2: [8192, 12288)
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 4, VerifyTransfers: true})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 53)
 	e.stores[dpm1].Put("/f", blob)
@@ -234,7 +234,7 @@ func TestDownloadMultiStreamVerifiesWithoutMetalinkHash(t *testing.T) {
 // the Metalink describes, yet perfectly consistent with itself — must still
 // fail the in-memory download against the Metalink's md5.
 func TestDownloadMultiStreamVerifiesNonCombinableMetalinkHash(t *testing.T) {
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10, MaxStreams: 4, VerifyTransfers: true})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10, VerifyTransfers: true})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 55)
 	e.stores[dpm1].Put("/f", blob)
@@ -287,7 +287,7 @@ func TestCorruptReplicaChunkFailsOver(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxStreams: 2, VerifyTransfers: true})
+			e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: chunk, MaxPerHost: 1, VerifyTransfers: true})
 			if row.legacy {
 				e.startAdlerOnly(t, dpm1)
 			} else {
@@ -391,7 +391,7 @@ func TestAdlerOnlyPeerVerifies(t *testing.T) {
 	ctx := context.Background()
 	ops := []struct {
 		name string
-		// serial sets UploadParallelism 1.
+		// serial sets MaxPerHost 1.
 		serial bool
 		run    func(c *Client) error
 	}{
@@ -423,9 +423,9 @@ func TestAdlerOnlyPeerVerifies(t *testing.T) {
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			opts := Options{Strategy: StrategyNone, ChunkSize: chunk, MaxStreams: 4, UploadParallelism: 4, VerifyTransfers: true}
+			opts := Options{Strategy: StrategyNone, ChunkSize: chunk, VerifyTransfers: true}
 			if op.serial {
-				opts.UploadParallelism = 1
+				opts.MaxPerHost = 1
 			}
 			e := newEnv(t, opts)
 			e.startAdlerOnly(t, dpm1)
@@ -485,7 +485,7 @@ func TestChunkReceiptNamesTheDamagedChunk(t *testing.T) {
 		}
 		return p, false
 	}}
-	c, err := NewClient(Options{Dialer: flip, Strategy: StrategyNone, ChunkSize: chunk, UploadParallelism: 4, VerifyTransfers: true})
+	c, err := NewClient(Options{Dialer: flip, Strategy: StrategyNone, ChunkSize: chunk, VerifyTransfers: true})
 	if err != nil {
 		t.Fatal(err)
 	}

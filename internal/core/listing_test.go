@@ -42,7 +42,7 @@ func TestWalkEscapedNames(t *testing.T) {
 
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism_%d", par), func(t *testing.T) {
-			c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, WalkParallelism: par})
+			c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, MaxPerHost: par})
 			ctx := context.Background()
 			var got []Info
 			if err := c.Walk(ctx, host, "/t", func(inf Info) error {
@@ -98,7 +98,7 @@ func TestWalkAllocBudget(t *testing.T) {
 		}
 	}
 	entries := 1 + dirs*(files+1)
-	c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, WalkParallelism: 4})
+	c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, MaxPerHost: 4})
 	ctx := context.Background()
 	n := 0
 	walk := func() {
@@ -148,7 +148,7 @@ func TestWalkInfosOutliveListings(t *testing.T) {
 		return inf.Dir && len(base) == 3 && (base[0] == 't' && (base[2] == '3' || base[2] == '8') || base[0] == 's' && base[2] == '7')
 	}
 	walk := func(par int, ctx context.Context, stop int, cancel func()) ([]Info, error) {
-		c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, WalkParallelism: par})
+		c, host := loopbackGateway(t, st, Options{Strategy: StrategyNone, MaxPerHost: par})
 		var kept []Info
 		err := c.Walk(ctx, host, "/n", func(inf Info) error {
 			if kept = append(kept, inf); len(kept) == stop {

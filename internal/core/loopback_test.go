@@ -38,7 +38,7 @@ func TestLoopbackFileTransfer(t *testing.T) {
 			var chunked atomic.Int64
 			st := storage.NewMemStore()
 			c, host := loopbackGateway(t, st, Options{
-				Strategy: StrategyNone, ChunkSize: 1 << 20, MaxStreams: 4, VerifyTransfers: tc.verify,
+				Strategy: StrategyNone, ChunkSize: 1 << 20, VerifyTransfers: tc.verify,
 				Trace: &obs.ClientTrace{
 					ChunkDone: func(d obs.Direction, path string, idx int, off, ln int64, err error) {
 						if d == obs.Down && err == nil {

@@ -116,6 +116,15 @@ type opHist struct {
 	buckets [latBuckets]atomic.Int64
 }
 
+// load reads every bucket's count and their sum, the sample count.
+func (h *opHist) load() (counts [latBuckets]int64, total int64) {
+	for b := range h.buckets {
+		counts[b] = h.buckets[b].Load()
+		total += counts[b]
+	}
+	return counts, total
+}
+
 // bucketFor maps a duration to its log2-microsecond bucket.
 func bucketFor(d time.Duration) int {
 	us := d.Microseconds()
@@ -209,19 +218,12 @@ func (m *metrics) snapshot() Metrics {
 		Ops:                   map[string]OpStats{},
 	}
 	m.ops.Range(func(k, v any) bool {
-		h := v.(*opHist)
-		counts := make([]int64, latBuckets)
-		var total int64
-		for b := range h.buckets {
-			n := h.buckets[b].Load()
-			counts[b] = n
-			total += n
-		}
+		counts, total := v.(*opHist).load()
 		s.Ops[k.(string)] = OpStats{
 			Count: total,
-			P50:   quantile(counts, total, 0.50),
-			P90:   quantile(counts, total, 0.90),
-			P99:   quantile(counts, total, 0.99),
+			P50:   quantile(counts[:], total, 0.50),
+			P90:   quantile(counts[:], total, 0.90),
+			P99:   quantile(counts[:], total, 0.99),
 		}
 		return true
 	})

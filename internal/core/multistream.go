@@ -7,10 +7,10 @@ import (
 
 // DownloadMultiStream implements the paper's §2.4 "multi-stream" strategy:
 // the resource is split into ChunkSize chunks and each chunk is fetched
-// from a different replica in parallel (MaxStreams goroutines, replicas
-// assigned round-robin). A chunk whose replica fails is retried on the
-// next replica, so the download succeeds as long as one replica holds
-// every byte. The paper notes this maximizes client bandwidth at the cost
+// from a different replica in parallel (streamWidth goroutines, capped by
+// MaxPerHost per replica host; replicas assigned round-robin). A chunk
+// whose replica fails is retried on the next replica, so the download
+// succeeds as long as one replica holds every byte. The paper notes this maximizes client bandwidth at the cost
 // of server load. It is DownloadMultiStreamTo into memory — same chunk
 // pipeline, same verification — except that a failed Metalink lookup fails
 // it (under StrategyNone none is made, and the primary serves every chunk)

@@ -20,13 +20,13 @@ import (
 // which is what lets HTTP compete with the HPC protocols' aggressive
 // caching in the paper's Figure 4. When the read splits into several
 // multi-range batches, the batches are dispatched concurrently across
-// pooled connections (see Options.VectorParallelism) — the §2.2 pool grows
-// with demand, so independent batches never queue behind each other on one
-// borrowed session.
+// pooled connections — the §2.2 pool grows with demand, so independent
+// batches never queue behind each other on one borrowed session.
 //
 // The whole read fails over to the next replica together. The coalesced
 // frames are cut into MaxRangesPerRequest batches that fan out over pooled
-// connections, VectorParallelism at a time. Batches write disjoint
+// connections, one per batch and at most MaxPerHost at a time; at
+// MaxPerHost 1 they go serially, in order. Batches write disjoint
 // destination buffers (each caller range is a member of exactly one frame,
 // and each frame sits in exactly one batch), so scattering needs no
 // coordination.
@@ -37,7 +37,7 @@ func (c *Client) ReadVec(ctx context.Context, host, path string, ranges []rangev
 	frames := rangev.Coalesce(ranges, c.opts.CoalesceGap)
 	per := c.opts.MaxRangesPerRequest
 	n := (len(frames) + per - 1) / per
-	par := c.parallelism(c.opts.VectorParallelism, n, n)
+	par := c.width(n, 1, n)
 	return c.withFailover(ctx, host, path, nil, func(r Replica) error {
 		return fanOut(ctx, n, par, func(ctx context.Context, i int) error {
 			batch := frames[i*per : min((i+1)*per, len(frames))]

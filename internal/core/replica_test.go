@@ -199,7 +199,6 @@ func runReplicaCell(t *testing.T, sc replicaScenario, ent replicaEntry) (cell st
 	e = replicaEnv(t, Options{
 		MetalinkHost: "fed:80",
 		ChunkSize:    replicaChunk,
-		MaxStreams:   2,
 		HedgeDelay:   -1,
 		Trace: &obs.ClientTrace{
 			Request: func(method, host, path string) {

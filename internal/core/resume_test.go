@@ -305,7 +305,7 @@ func (l *chunkLog) bytes(fanOnly bool) int64 {
 func resumeClient(t *testing.T, e *testEnv, cs int64, verify bool, trace *obs.ClientTrace) *Client {
 	t.Helper()
 	o := Options{
-		Dialer: e.net, ChunkSize: cs, MaxStreams: 4,
+		Dialer: e.net, ChunkSize: cs,
 		Retry: RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond}, VerifyTransfers: verify, Resume: true,
 		Trace: trace,
 	}
@@ -449,7 +449,7 @@ func TestCheckpointAppendFaultKeepsTransferAlive(t *testing.T) {
 	defer func() { ckAppendHook = nil }()
 
 	e := replicaEnv(t, Options{
-		MetalinkHost: "fed:80", ChunkSize: cs, MaxStreams: 2, Resume: true,
+		MetalinkHost: "fed:80", ChunkSize: cs, Resume: true,
 	}, blob)
 	dst := filepath.Join(t.TempDir(), "f.dat")
 	f, err := os.OpenFile(dst, os.O_RDWR|os.O_CREATE, 0o644)
@@ -473,7 +473,7 @@ func TestCancelBeforeProgressLeavesNoSidecar(t *testing.T) {
 	blob := make([]byte, 16<<10)
 	rand.New(rand.NewSource(59)).Read(blob)
 	e := replicaEnv(t, Options{
-		MetalinkHost: "fed:80", ChunkSize: 4 << 10, MaxStreams: 2, Resume: true,
+		MetalinkHost: "fed:80", ChunkSize: 4 << 10, Resume: true,
 	}, blob)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -609,7 +609,7 @@ func TestResumeAcrossAlgorithmSwitch(t *testing.T) {
 	}
 
 	t.Run("download", func(t *testing.T) {
-		e := replicaEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: cs, MaxStreams: 2, Resume: true, VerifyTransfers: true}, blob)
+		e := replicaEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: cs, Resume: true, VerifyTransfers: true}, blob)
 		dst := filepath.Join(t.TempDir(), "f.dat")
 		part := append(bytes.Clone(blob[:size/2]), make([]byte, size/2)...)
 		if err := os.WriteFile(dst, part, 0o644); err != nil {
@@ -629,7 +629,7 @@ func TestResumeAcrossAlgorithmSwitch(t *testing.T) {
 	})
 
 	t.Run("upload", func(t *testing.T) {
-		e := newEnv(t, Options{ChunkSize: cs, MaxStreams: 2, Resume: true, VerifyTransfers: true})
+		e := newEnv(t, Options{ChunkSize: cs, Resume: true, VerifyTransfers: true})
 		e.startServer(t, dpm1, httpserv.Options{})
 		src := filepath.Join(t.TempDir(), "src.dat")
 		if err := os.WriteFile(src, blob, 0o644); err != nil {

@@ -139,7 +139,7 @@ func TestTraceUploadChunkBytesSumToSize(t *testing.T) {
 					mu.Unlock()
 				},
 			}
-			e := newEnv(t, Options{Trace: trace, ChunkSize: 32 << 10, UploadParallelism: 4, MaxStreams: 4})
+			e := newEnv(t, Options{Trace: trace, ChunkSize: 32 << 10})
 			e.startServer(t, dpm1, httpserv.Options{})
 			e.stores[dpm1].Put("/store/big", blob)
 			if err := c.run(e.client); err != nil {
@@ -206,7 +206,7 @@ func TestTraceConcurrentWithSnapshots(t *testing.T) {
 		ChunkStart:   func(obs.Direction, string, int, int64, int64) { bump() },
 		ChunkDone:    func(obs.Direction, string, int, int64, int64, error) { bump() },
 	}
-	e := newEnv(t, Options{Trace: trace, ChunkSize: 16 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{Trace: trace, ChunkSize: 16 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 

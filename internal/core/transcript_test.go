@@ -164,7 +164,6 @@ func healthyTranscript(t *testing.T, attempts int) []string {
 	e := replicaEnv(t, Options{
 		MetalinkHost:    "fed:80",
 		ChunkSize:       replicaSize / 2,
-		MaxStreams:      2,
 		HedgeDelay:      -1,
 		VerifyTransfers: true,
 		Retry:           RetryPolicy{Attempts: attempts},
@@ -302,7 +301,7 @@ var walkRows = []walkRow{
 // walkTranscript runs row at width par against a fresh gateway holding
 // escapedObjects and appends what reached it to lines.
 func walkTranscript(t *testing.T, par int, row walkRow, lines []string) []string {
-	e := newEnv(t, Options{Strategy: StrategyNone, WalkParallelism: par})
+	e := newEnv(t, Options{Strategy: StrategyNone, MaxPerHost: par})
 	e.startServer(t, dpm1, httpserv.Options{})
 	for p, body := range escapedObjects {
 		if err := e.stores[dpm1].Put(p, []byte(body)); err != nil {

@@ -329,9 +329,10 @@ func (c *Client) planDownload(ctx context.Context, p replicaSet) (replicaSet, er
 //
 // Chunks are spread over the Metalink replicas when one is available;
 // without one they all stream from the primary, still in parallel over
-// MaxStreams pooled connections. Chunks complete out of order, so w's
-// WriteAt must tolerate concurrent disjoint writes (os.File does). Returns
-// the object size written.
+// pooled connections: streamWidth chunks at a time, capped by MaxPerHost
+// connections to each host of the ring. Chunks complete out of order, so
+// w's WriteAt must tolerate concurrent disjoint writes (os.File does).
+// Returns the object size written.
 func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w io.WriterAt) (int64, error) {
 	// Best effort: without a Metalink the primary streams alone, but a
 	// cancelled lookup ends the download.
@@ -395,7 +396,9 @@ func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt
 	}
 
 	var verifiedChunks atomic.Int64
-	err := c.forEachChunk(ctx, 0, size, c.opts.MaxStreams, func(cctx context.Context, idx int, off, ln int64) error {
+	cs := c.opts.ChunkSize
+	par := c.width(streamWidth, distinctHosts(replicas), int((size+cs-1)/cs))
+	err := c.forEachChunk(ctx, 0, size, par, func(cctx context.Context, idx int, off, ln int64) error {
 		if sum, ok := skip[off]; ok {
 			// Proven intact against its journaled digest — already on disk.
 			led.note(off, ln, sum)
@@ -451,12 +454,12 @@ func (c *Client) fetchChunks(ctx context.Context, plan replicaSet, w io.WriterAt
 // pull-mode third-party copy that complements the push-mode Copy. Ranged
 // GETs from the source (with Metalink replica failover) are pipelined into
 // Content-Range PUTs at the destination through pooled buffers, with the
-// in-flight window bounded by Options.UploadParallelism — the object is
-// never materialized in client memory. The first chunk probes the
-// destination: it resolves the head-node redirect once for every sibling
-// and detects ranged-PUT support. Destinations that reject ranged PUTs
-// (and UploadParallelism=1) instead stream the chunks sequentially through
-// one ordinary PUT — still O(chunk) memory.
+// in-flight window bounded as UploadMultiStream's is — the object is never
+// materialized in client memory. The first chunk probes the destination: it
+// resolves the head-node redirect once for every sibling and detects
+// ranged-PUT support. Destinations that reject ranged PUTs, and every copy
+// at MaxPerHost 1, instead stream the chunks sequentially through one
+// ordinary PUT — still O(chunk) memory.
 func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL string) error {
 	dHost, dPath, err := metalink.SplitURL(destURL)
 	if err != nil {
@@ -505,6 +508,22 @@ func (c *Client) CopyStream(ctx context.Context, srcHost, srcPath, destURL strin
 		func() error { return c.copyStreamPipe(ctx, replicas, dHost, dPath, size) },
 		func(digest.Algo) string { return want },
 		nil)
+}
+
+// distinctHosts counts the hosts of a replica ring: the pools a transfer
+// over it draws connections from.
+func distinctHosts(ring []Replica) int {
+	n := 0
+outer:
+	for i, r := range ring {
+		for _, o := range ring[:i] {
+			if o.Host == r.Host {
+				continue outer
+			}
+		}
+		n++
+	}
+	return n
 }
 
 // readChunkInto fetches chunk idx covering [off, off+len(buf)) into buf

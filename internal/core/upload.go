@@ -19,9 +19,10 @@ import (
 	"godavix/internal/wire"
 )
 
-// defaultUploadParallelism is the chunk fan-out used when
-// Options.UploadParallelism is zero, capped by Options.MaxPerHost.
-const defaultUploadParallelism = 4
+// streamWidth is how many chunks of one multi-stream transfer, upload or
+// download, are in flight when the pool imposes no per-host cap;
+// MaxPerHost caps it.
+const streamWidth = 4
 
 // uploadProbeLen caps the first slice of a multi-stream upload. The probe
 // must complete before the siblings launch (it discovers the redirect
@@ -169,8 +170,8 @@ func (c *Client) checkEcho(ctx context.Context, host, path string, size int64, a
 // the redirect round trip is paid once) and detects ranged-PUT support. A
 // destination that rejects ranged PUTs (RFC 9110 requires 400 from origins
 // that cannot honour Content-Range on PUT) degrades transparently to the
-// single-stream path. With UploadParallelism=1 the request is
-// byte-identical on the wire to Put — the paper-faithful serial upload.
+// single-stream path. At MaxPerHost 1 the request is byte-identical on
+// the wire to Put — the paper-faithful serial upload.
 func (c *Client) UploadMultiStream(ctx context.Context, host, path string, src io.ReaderAt, size int64) error {
 	if size < 0 {
 		return errors.New("davix: UploadMultiStream needs a known size")
@@ -204,13 +205,13 @@ type chunkBodies func(ctx context.Context, idx int, off, ln int64) (body func() 
 // multiStreamPut drives the shared orchestration of every chunked upload
 // (UploadMultiStream and the pull-mode CopyStream): a small probe slice
 // resolves the redirect target and ranged-PUT support, the remaining
-// chunks fan out over UploadParallelism workers streaming the bodies open
-// supplies, and the commit is checked: against the Digest of the 201
-// Created that assembled the object when verifying, else — when no chunk
-// answered 201 — by verifyCommitted (wantChecksum supplies the expected
-// content checksum under the algorithm the server reports, lazily).
-// fallback, the serial single-stream path, runs instead when that width
-// resolves to one worker (one chunk, or UploadParallelism=1) and when the
+// chunks fan out over streamWidth workers (capped by MaxPerHost) streaming
+// the bodies open supplies, and the commit is checked: against the Digest
+// of the 201 Created that assembled the object when verifying, else — when
+// no chunk answered 201 — by verifyCommitted (wantChecksum supplies the
+// expected content checksum under the algorithm the server reports,
+// lazily). fallback, the serial single-stream path, runs instead when that
+// width resolves to one worker (one chunk, or MaxPerHost 1) and when the
 // destination rejects ranged PUTs.
 //
 // Inline integrity: with VerifyTransfers (or a journal to keep) every chunk
@@ -235,7 +236,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	resumeSrc io.ReaderAt) error {
 
 	cs := c.opts.ChunkSize
-	par := c.parallelism(c.opts.UploadParallelism, defaultUploadParallelism, int((size+cs-1)/cs))
+	par := c.width(streamWidth, 1, int((size+cs-1)/cs))
 	if par <= 1 {
 		return fallback()
 	}

@@ -89,7 +89,7 @@ func flipFirstBody(inner pool.Dialer) *tamperDialer {
 // faith — fails the upload with ErrChecksumMismatch naming that chunk; a
 // clean one is counted as verified.
 func TestUploadMultiStreamVerifiesCommit(t *testing.T) {
-	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, UploadParallelism: 2, VerifyTransfers: true}
+	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, MaxPerHost: 2, VerifyTransfers: true}
 	blob := uploadBlob(4*32<<10, 71)
 	ctx := context.Background()
 
@@ -144,7 +144,7 @@ func TestUploadMultiStreamVerifiesCommit(t *testing.T) {
 // time, so the whole-object checksum is that of the object, not of every
 // byte that crossed the wire.
 func TestUploadChunkHashRestartsWithBody(t *testing.T) {
-	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, UploadParallelism: 2, VerifyTransfers: true}
+	opts := Options{Strategy: StrategyNone, ChunkSize: 32 << 10, MaxPerHost: 2, VerifyTransfers: true}
 	blob := uploadBlob(4*32<<10, 72)
 	ctx := context.Background()
 
@@ -246,7 +246,7 @@ func TestUploadMultiStreamAllocBudget(t *testing.T) {
 	const size = 32 << 20
 	st := storage.NewMemStore()
 	c, host := loopbackGateway(t, st,
-		Options{Strategy: StrategyNone, ChunkSize: 8 << 20, UploadParallelism: 2, MaxStreams: 2, VerifyTransfers: true})
+		Options{Strategy: StrategyNone, ChunkSize: 8 << 20, MaxPerHost: 2, VerifyTransfers: true})
 	blob := uploadBlob(size, 73)
 	st.Put("/object", blob)
 	f, err := os.Create(filepath.Join(t.TempDir(), "object"))

@@ -99,7 +99,7 @@ func TestPutReaderFollowsRedirectBeforeBody(t *testing.T) {
 }
 
 func TestUploadMultiStreamReassembly(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 
 	blob := uploadBlob(64<<10, 34) // 16 chunks
@@ -119,7 +119,7 @@ func TestUploadMultiStreamReassembly(t *testing.T) {
 }
 
 func TestUploadMultiStreamOddSizes(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 1000, UploadParallelism: 3})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 1000, MaxPerHost: 3})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
@@ -136,7 +136,7 @@ func TestUploadMultiStreamOddSizes(t *testing.T) {
 }
 
 func TestUploadMultiStreamReusesRedirectTarget(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, "disk1:80", httpserv.Options{})
 	startHeadNode(t, e, "head:80", "disk1:80")
 
@@ -185,8 +185,9 @@ func (c *recordConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// captureWire runs op against a fresh single-server testbed with a
-// recording dialer and returns every request byte the client wrote.
+// captureWire runs op on a client at MaxPerHost 1 against a fresh
+// single-server testbed with a recording dialer and returns every request
+// byte the client wrote.
 func captureWire(t *testing.T, op func(ctx context.Context, c *Client) error) []byte {
 	t.Helper()
 	n := netsim.New(netsim.Ideal())
@@ -200,7 +201,7 @@ func captureWire(t *testing.T, op func(ctx context.Context, c *Client) error) []
 	go srv.Serve(l)
 
 	rd := &recordDialer{inner: n}
-	c, err := NewClient(Options{Dialer: rd, Strategy: StrategyNone})
+	c, err := NewClient(Options{Dialer: rd, Strategy: StrategyNone, MaxPerHost: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func captureWire(t *testing.T, op func(ctx context.Context, c *Client) error) []
 	return append([]byte(nil), rd.buf.Bytes()...)
 }
 
-// TestSerialUploadWireIdenticalToPut: with UploadParallelism=1 the
+// TestSerialUploadWireIdenticalToPut: at MaxPerHost 1 the
 // multi-stream entry point must put the exact seed PUT on the wire — same
 // request line, same headers, same body framing — so fidelity benchmarks
 // measure the paper's single-stream upload, not an approximation of it.
@@ -223,7 +224,6 @@ func TestSerialUploadWireIdenticalToPut(t *testing.T) {
 		return c.Put(ctx, dpm1, "/wire", blob)
 	})
 	serial := captureWire(t, func(ctx context.Context, c *Client) error {
-		c.opts.UploadParallelism = 1
 		return c.UploadMultiStream(ctx, dpm1, "/wire", bytes.NewReader(blob), int64(len(blob)))
 	})
 	if !bytes.Equal(seed, serial) {
@@ -241,7 +241,7 @@ func TestSerialUploadWireIdenticalToPut(t *testing.T) {
 func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 	const streams = 2
 	const hold = 5 * time.Second
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: streams})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, MaxPerHost: streams})
 	e.startServer(t, dpm1, httpserv.Options{})
 
 	blob := uploadBlob(64<<8, 37) // 64 chunks
@@ -282,7 +282,7 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 // mid-upload must surface context.Canceled, and the object must not be
 // committed as complete.
 func TestUploadCancelledNeverReportsSuccess(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: 2})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, MaxPerHost: 2})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.faults[dpm1].Set("*", faults.Fault{Delay: 5 * time.Millisecond})
 
@@ -305,7 +305,7 @@ func TestUploadCancelledNeverReportsSuccess(t *testing.T) {
 // Content-Range PUTs (RFC 9110 400) must degrade the multi-stream upload
 // to the single-stream path transparently.
 func TestUploadFallsBackWhenRangedPutUnsupported(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{DisableRangedPut: true})
 
 	blob := uploadBlob(64<<10, 39)
@@ -330,7 +330,7 @@ func TestUploadFallsBackWhenRangedPutUnsupported(t *testing.T) {
 func TestUploadSerialFallbackIsCounted(t *testing.T) {
 	var events []error
 	var mu sync.Mutex
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4,
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10,
 		Trace: &obs.ClientTrace{UploadFellBackSerial: func(path string, err error) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -390,7 +390,7 @@ func (w *bufWriterAt) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func TestDownloadMultiStreamToWritesThrough(t *testing.T) {
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10, MaxStreams: 4})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 	blob := uploadBlob(64<<10, 40)
@@ -413,7 +413,7 @@ func TestDownloadMultiStreamToWritesThrough(t *testing.T) {
 }
 
 func TestDownloadMultiStreamToWithoutMetalink(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, MaxStreams: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	blob := uploadBlob(48<<10, 41)
 	e.stores[dpm1].Put("/solo", blob)
@@ -429,7 +429,7 @@ func TestDownloadMultiStreamToWithoutMetalink(t *testing.T) {
 }
 
 func TestCopyStreamPullParallel(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 	blob := uploadBlob(32<<10, 42) // 8 chunks
@@ -456,7 +456,7 @@ func TestCopyStreamPullParallel(t *testing.T) {
 }
 
 func TestCopyStreamPipeFallback(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{DisableRangedPut: true})
 	blob := uploadBlob(32<<10, 43)
@@ -476,7 +476,7 @@ func TestCopyStreamPipeFallback(t *testing.T) {
 }
 
 func TestCopyStreamSerialMode(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 1})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, MaxPerHost: 1})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 	blob := uploadBlob(32<<10, 44)
@@ -497,7 +497,7 @@ func TestCopyStreamSerialMode(t *testing.T) {
 // TestCopyStreamSourceFailover: the pull copy's read side walks the
 // Metalink replica ring when the primary is unavailable.
 func TestCopyStreamSourceFailover(t *testing.T) {
-	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10, UploadParallelism: 4})
+	e := newEnv(t, Options{MetalinkHost: "fed:80", ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 	e.startServer(t, "dpm3:80", httpserv.Options{})
@@ -523,7 +523,7 @@ func TestCopyStreamSourceFailover(t *testing.T) {
 // so the assembly never completes), the upload must verify with the
 // server and report failure instead of phantom success.
 func TestUploadPhantomSuccessCaught(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, UploadParallelism: 2})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10, MaxPerHost: 2})
 	e.startServer(t, dpm1, httpserv.Options{})
 
 	// One non-probe chunk PUT is answered 202 by the fault layer without
@@ -558,7 +558,7 @@ func TestUploadPhantomSuccessCaught(t *testing.T) {
 // detector: many goroutines uploading distinct objects over one shared
 // client and pool.
 func TestConcurrentUploadsRace(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 1 << 10, UploadParallelism: 3})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 1 << 10, MaxPerHost: 3})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
@@ -587,7 +587,7 @@ func TestConcurrentUploadsRace(t *testing.T) {
 // their own server-side assembly (X-Upload-Id); the committed object is
 // one upload or the other in full, never a blend.
 func TestConcurrentUploadsSamePathDoNotInterleave(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 1 << 10, UploadParallelism: 2})
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 1 << 10, MaxPerHost: 2})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 

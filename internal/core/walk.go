@@ -14,9 +14,9 @@ var SkipDir = errors.New("davix: skip this directory")
 // WalkFunc is invoked once per namespace entry during Walk.
 type WalkFunc func(info Info) error
 
-// defaultWalkParallelism is the fan-out used when Options.WalkParallelism
-// is zero and the pool imposes no per-host cap.
-const defaultWalkParallelism = 8
+// walkWidth is how many PROPFINDs a walk keeps in flight when the pool
+// imposes no per-host cap; MaxPerHost caps it.
+const walkWidth = 8
 
 // walkSpeculate scales the speculation frontier: a walk keeps at most
 // parallelism*walkSpeculate directories listed-but-unconsumed ahead of the
@@ -32,7 +32,7 @@ const walkSpeculate = 8
 // listing's response for the root itself, so a file root, like every
 // other walked entry, carries PROPFIND properties and no checksum.
 //
-// With WalkParallelism > 1 (the default) the PROPFINDs for discovered
+// At a width above 1 (walkWidth, capped by MaxPerHost) the PROPFINDs for discovered
 // collections are issued concurrently across pooled connections, while a
 // merge stage still delivers entries to fn in exactly the serial order:
 // fn is never called concurrently and the emission sequence is
@@ -41,12 +41,12 @@ const walkSpeculate = 8
 // cancels that subtree's remaining in-flight work, and an error from fn
 // (or ctx) cancels the whole fleet. Speculation is bounded: no matter how
 // large the namespace, only a fixed window of directories is held listed
-// ahead of the callback. At WalkParallelism 1 the walk speculates nothing:
+// ahead of the callback. At MaxPerHost 1 the walk speculates nothing:
 // below the root it lists a collection only once fn has accepted it, one
 // PROPFIND at a time, so a pruned subtree or an aborted walk costs no
 // further request.
 func (c *Client) Walk(ctx context.Context, host, path string, fn WalkFunc) error {
-	par := c.parallelism(c.opts.WalkParallelism, defaultWalkParallelism, math.MaxInt)
+	par := c.width(walkWidth, 1, math.MaxInt)
 	ahead := par
 	if par == 1 {
 		ahead = 0

@@ -168,14 +168,14 @@ func buildRandomTree(t *testing.T, e *testEnv, seed int64) int {
 	return n
 }
 
-// collectWalk runs one Walk with the given parallelism and returns the
+// collectWalk runs one Walk at width par (MaxPerHost) and returns the
 // emitted paths in order.
 func collectWalk(t *testing.T, e *testEnv, par int, root string) []string {
 	t.Helper()
 	client, err := NewClient(Options{
-		Dialer:          e.net,
-		Strategy:        StrategyNone,
-		WalkParallelism: par,
+		Dialer:     e.net,
+		Strategy:   StrategyNone,
+		MaxPerHost: par,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func collectWalk(t *testing.T, e *testEnv, par int, root string) []string {
 }
 
 // TestWalkParallelOrderMatchesSerial is the determinism bar: at every
-// parallelism level, the emission sequence must be byte-identical to the
+// width up to the walk's default, the emission sequence must be byte-identical to the
 // serial walk over a pseudo-random nested tree.
 func TestWalkParallelOrderMatchesSerial(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone})
@@ -204,7 +204,7 @@ func TestWalkParallelOrderMatchesSerial(t *testing.T) {
 	if len(serial) != n+1 { // +1 for the root
 		t.Fatalf("serial walk emitted %d entries, tree has %d", len(serial), n+1)
 	}
-	for _, par := range []int{2, 4, 16} {
+	for _, par := range []int{2, 4, 8} {
 		got := collectWalk(t, e, par, "/tree")
 		if len(got) != len(serial) {
 			t.Fatalf("par=%d emitted %d entries, serial %d", par, len(got), len(serial))
@@ -220,7 +220,7 @@ func TestWalkParallelOrderMatchesSerial(t *testing.T) {
 // TestWalkParallelSkipDir prunes subtrees mid-parallel-walk and asserts no
 // pruned entry is emitted and order is preserved for the rest.
 func TestWalkParallelSkipDir(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, WalkParallelism: 8})
+	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
 	buildRandomTree(t, e, 7)
 
@@ -247,7 +247,7 @@ func TestWalkParallelSkipDir(t *testing.T) {
 // TestWalkParallelAbortsOnError: an fn error must stop the walk at exactly
 // the serial position; nothing after it is emitted.
 func TestWalkParallelAbortsOnError(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, WalkParallelism: 8})
+	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
 	buildRandomTree(t, e, 11)
 
@@ -279,7 +279,7 @@ func TestWalkParallelAbortsOnError(t *testing.T) {
 // must return the context error and the fleet must wind down without
 // panics or leaked emissions.
 func TestWalkMidWalkCancellation(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, WalkParallelism: 8})
+	e := newEnv(t, Options{Strategy: StrategyNone})
 	e.startServer(t, dpm1, httpserv.Options{})
 	buildRandomTree(t, e, 23)
 
@@ -305,7 +305,7 @@ func TestWalkMidWalkCancellation(t *testing.T) {
 // namespace ahead of a slow consumer — goroutines (a proxy for retained
 // listings) stay bounded by the speculation window, not the tree size.
 func TestWalkSpeculationBounded(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, WalkParallelism: 2})
+	e := newEnv(t, Options{Strategy: StrategyNone, MaxPerHost: 2})
 	e.startServer(t, dpm1, httpserv.Options{})
 	st := e.stores[dpm1]
 	mkdirAll(t, e, "/wide")
@@ -338,7 +338,7 @@ func TestWalkSpeculationBounded(t *testing.T) {
 		t.Fatalf("emitted %d entries", count)
 	}
 	// Unbounded speculation would park one goroutine per directory (~300+
-	// above base). The ticket window for parallelism 2 allows 8 speculated
+	// above base). The ticket window for width 2 allows 8 speculated
 	// nodes plus per-connection server goroutines; 100 is a generous bound
 	// that still fails an O(tree) regression.
 	if peak > base+100 {
@@ -350,7 +350,7 @@ func TestWalkSpeculationBounded(t *testing.T) {
 // speculative listings — the server must see far fewer PROPFINDs than the
 // subtree holds.
 func TestWalkSkipDirCancelsInFlight(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, WalkParallelism: 2})
+	e := newEnv(t, Options{Strategy: StrategyNone, MaxPerHost: 2})
 	e.startServer(t, dpm1, httpserv.Options{})
 	st := e.stores[dpm1]
 	// /slow/pruned holds 64 subdirectories; /slow/z* entries come after.

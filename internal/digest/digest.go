@@ -163,9 +163,11 @@ func Parse(s string) (Checksum, error) {
 // ("adler32=03da0195, md5=...") for an entry under algo, or — with algo ""
 // — for the first entry under any algorithm this package implements: the
 // one the server chose to name. Values are hex-encoded, the WLCG storage
-// convention davix-era servers follow. A missing or malformed entry
-// reports ok=false — the header is an optional server hint, not a hard
-// contract like Parse's input.
+// convention davix-era servers follow; an entry in any other form (RFC
+// 3230's base64 md5, a value of the wrong length) is skipped and the scan
+// goes on, so a base64 md5 ahead of a hex adler32 does not hide it. No
+// usable entry reports ok=false — the header is an optional server hint,
+// not a hard contract like Parse's input.
 func FromDigestHeader(v string, algo Algo) (Checksum, bool) {
 	for v != "" {
 		var part string
@@ -176,11 +178,9 @@ func FromDigestHeader(v string, algo Algo) (Checksum, bool) {
 		if !found || !known || algo != "" && a != lower(algo) {
 			continue
 		}
-		sum, err := hex.DecodeString(strings.TrimSpace(val))
-		if err != nil || len(sum) != n {
-			return Checksum{}, false
+		if sum, err := hex.DecodeString(strings.TrimSpace(val)); err == nil && len(sum) == n {
+			return Checksum{Algo: a, Sum: sum}, true
 		}
-		return Checksum{Algo: a, Sum: sum}, true
 	}
 	return Checksum{}, false
 }

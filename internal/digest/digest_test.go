@@ -289,8 +289,8 @@ func FuzzWantDigest(f *testing.F) {
 // own: the entries of v are its comma-separated parts, each split into a
 // name and a value at its first '='. The first entry whose name, trimmed
 // and lower-cased, is an implemented algorithm — algo itself, when algo is
-// not "" — decides: its trimmed value must be hex of exactly that
-// algorithm's digest length, or the header has no usable entry.
+// not "" — and whose trimmed value is hex of exactly that algorithm's
+// digest length is the answer; every other entry is skipped.
 func digestHeaderReference(v string, algo Algo) (Checksum, bool) {
 	lengths := map[string]int{"adler32": 4, "crc32": 4, "crc32c": 4, "md5": 16}
 	unhex := func(c byte) int {
@@ -316,19 +316,47 @@ func digestHeaderReference(v string, algo Algo) (Checksum, bool) {
 		}
 		val := strings.TrimSpace(entry[eq+1:])
 		if len(val) != 2*n {
-			return Checksum{}, false
+			continue
 		}
 		sum := make([]byte, n)
+		isHex := true
 		for i := range sum {
 			hi, lo := unhex(val[2*i]), unhex(val[2*i+1])
-			if hi < 0 || lo < 0 {
-				return Checksum{}, false
-			}
+			isHex = isHex && hi >= 0 && lo >= 0
 			sum[i] = byte(hi<<4 | lo)
 		}
-		return Checksum{Algo: Algo(name), Sum: sum}, true
+		if isHex {
+			return Checksum{Algo: Algo(name), Sum: sum}, true
+		}
 	}
 	return Checksum{}, false
+}
+
+// TestFromDigestHeader pins the scan on headers servers send: an entry in
+// a form other than hex of the algorithm's length is skipped, never the
+// end of the scan.
+func TestFromDigestHeader(t *testing.T) {
+	rows := []struct {
+		v    string
+		algo Algo
+		want string // Checksum.String(), "" for no usable entry
+	}{
+		{"md5=HUXZLQLMuI/KZ5KDcJPcOA==, adler32=03da0195", "", "adler32:03da0195"},
+		{"MD5=nhB9nTcrtoJr2B0VNUKh1g==,ADLER32=03da0195", "", "adler32:03da0195"},
+		{"md5=9e107d9d372bb6826bd81d3542a419d6, adler32=03da0195", "", "md5:9e107d9d372bb6826bd81d3542a419d6"},
+		{"adler32=03da01, crc32c=0a1b2c3d", "", "crc32c:0a1b2c3d"},
+		{"adler32=0x3da0195, adler32=03da0195", Adler32, "adler32:03da0195"},
+		{"md5=HUXZLQLMuI/KZ5KDcJPcOA==, adler32=03da0195", MD5, ""},
+		{"crc32c=0a1b2c3d", Adler32, ""},
+		{"sha-256=X48E9qOokqqrvdts8nOJRJN3OWDUoyWxBf7kbu9DBPE=, UNIXsum=12345", "", ""},
+		{"", "", ""},
+	}
+	for _, r := range rows {
+		got, ok := FromDigestHeader(r.v, r.algo)
+		if ok != (r.want != "") || ok && got.String() != r.want {
+			t.Errorf("FromDigestHeader(%q, %q) = %v, %v; want %q", r.v, r.algo, got, ok, r.want)
+		}
+	}
 }
 
 // FuzzDigestHeader holds FromDigestHeader to digestHeaderReference under

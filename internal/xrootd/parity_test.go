@@ -276,12 +276,10 @@ func demandJob(src rootio.Source) (parityJob, error) {
 
 // httpJob opens the dataset through a fresh davix client and runs job over
 // the File, counting the server's requests and the client's wire bytes.
-func (b *parityBed) httpJob(t *testing.T, opts core.Options, job func(*core.File) (parityJob, error)) parityJob {
+func (b *parityBed) httpJob(t *testing.T, job func(*core.File) (parityJob, error)) parityJob {
 	t.Helper()
 	var wire atomic.Int64
-	opts.Strategy = core.StrategyNone
-	opts.Dialer = countingDialer{b.net, &wire}
-	client, err := core.NewClient(opts)
+	client, err := core.NewClient(core.Options{Strategy: core.StrategyNone, Dialer: countingDialer{b.net, &wire}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +358,7 @@ func TestHTTPXrootdParity(t *testing.T) {
 	for _, prof := range []netsim.Profile{netsim.LAN(), netsim.WAN()} {
 		b := newParityBed(t, prof, img)
 		defer b.close()
-		h := b.httpJob(t, core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
+		h := b.httpJob(t, func(f *core.File) (parityJob, error) {
 			return trainedJob(fileSource(f), parityDepth)
 		})
 		x := b.xrootdJob(t)
@@ -416,17 +414,16 @@ func TestHTTPXrootdParity(t *testing.T) {
 	defer b.close()
 	for _, c := range []struct {
 		name string
-		opts core.Options
 		job  func(*core.File) (parityJob, error)
 	}{
-		{"learned sync", core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
+		{"learned sync", func(f *core.File) (parityJob, error) {
 			return trainedJob(fileSource(f), 0)
 		}},
-		{"demand reads", core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
+		{"demand reads", func(f *core.File) (parityJob, error) {
 			return demandJob(fileSource(f))
 		}},
 	} {
-		if j := b.httpJob(t, c.opts, c.job); j.sum != ref.sum || j.events != ref.events {
+		if j := b.httpJob(t, c.job); j.sum != ref.sum || j.events != ref.events {
 			t.Errorf("http %s: sum %#x over %d events, want %#x over %d", c.name, j.sum, j.events, ref.sum, ref.events)
 		}
 	}

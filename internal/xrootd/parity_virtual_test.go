@@ -37,7 +37,7 @@ func TestHTTPXrootdParityVirtual(t *testing.T) {
 	synctest.Run(func() {
 		b := newParityBed(t, netsim.WAN(), img)
 		defer b.close()
-		h := b.httpJob(t, core.Options{VectorParallelism: 1}, func(f *core.File) (parityJob, error) {
+		h := b.httpJob(t, func(f *core.File) (parityJob, error) {
 			return trainedJob(fileSource(f), parityDepth)
 		})
 		x := b.xrootdJob(t)
