@@ -22,75 +22,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"godavix"
 )
 
-// verboseTrace builds the -v trace: live per-chunk progress and engine
-// decisions (redirects, retries, failovers) printed to stderr as they
-// happen. Chunk callbacks run concurrently during multi-stream transfers,
-// so the byte total is an atomic.
-func verboseTrace(chunkBytes *atomic.Int64) *davix.ClientTrace {
-	return &davix.ClientTrace{
-		Redirect: func(op, fromHost, location string) {
-			fmt.Fprintf(os.Stderr, "davix-get: %s redirected from %s to %s\n", op, fromHost, location)
-		},
-		Retry: func(op, host string, attempt int, err error) {
-			fmt.Fprintf(os.Stderr, "davix-get: %s retry %d on %s: %v\n", op, attempt, host, err)
-		},
-		Failover: func(fromHost, toHost string, err error) {
-			fmt.Fprintf(os.Stderr, "davix-get: failover %s -> %s: %v\n", fromHost, toHost, err)
-		},
-		ChunkDone: func(dir davix.Direction, path string, idx int, off, length int64, err error) {
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "davix-get: chunk %d (%s) at %d failed: %v\n", idx, dir, off, err)
-				return
-			}
-			total := chunkBytes.Add(length)
-			fmt.Fprintf(os.Stderr, "davix-get: chunk %d (%s) done: %d bytes at offset %d (%d total)\n",
-				idx, dir, length, off, total)
-		},
-		HedgeIssued: func(path string, idx int, off, length int64, toHost string) {
-			fmt.Fprintf(os.Stderr, "davix-get: chunk %d slow, hedging %d bytes at %d against %s\n",
-				idx, length, off, toHost)
-		},
-		HedgeSettled: func(path string, idx int, hedgeWon bool, wasted int64) {
-			winner := "original"
-			if hedgeWon {
-				winner = "hedge"
-			}
-			fmt.Fprintf(os.Stderr, "davix-get: chunk %d hedge settled: %s won, %d bytes wasted\n",
-				idx, winner, wasted)
-		},
-		Resume: func(dir davix.Direction, path string, resumed int64, verified, failed int) {
-			fmt.Fprintf(os.Stderr, "davix-get: resume (%s): %d bytes intact across %d chunks, %d chunks failed re-verification\n",
-				dir, resumed, verified, failed)
-		},
-		Verified: func(dir davix.Direction, path, algo string) {
-			fmt.Fprintf(os.Stderr, "davix-get: %s (%s) verified end to end with %s\n", path, dir, algo)
-		},
-	}
-}
-
-// printSummary renders the client's unified snapshot after a -v run.
+// printSummary renders the client's snapshot after a -v run: every
+// non-zero counter, then each operation's latency quantiles.
 func printSummary(s davix.Snapshot) {
-	fmt.Fprintf(os.Stderr, "davix-get: %d requests, %d retries, %d redirects, %d failovers, %d bytes up, %d bytes down\n",
-		s.Engine.Requests, s.Engine.Retries, s.Engine.Redirects, s.Engine.Failovers,
-		s.Engine.BytesUp, s.Engine.BytesDown)
-	fmt.Fprintf(os.Stderr, "davix-get: payload: %d bytes down, %d bytes up; %d transfers verified, %d mismatches, %d uploads fell back to serial\n",
-		s.Engine.PooledBytesDown, s.Engine.PooledBytesUp,
-		s.Engine.TransfersVerified, s.Engine.ChecksumMismatches, s.Engine.UploadsFellBackSerial)
-	if s.Engine.HedgesIssued > 0 || s.Engine.ResumedBytes > 0 || s.Engine.ResumeVerifyFailures > 0 {
-		fmt.Fprintf(os.Stderr, "davix-get: self-heal: %d hedges (%d won, %d bytes wasted), %d bytes resumed, %d resume re-verify failures\n",
-			s.Engine.HedgesIssued, s.Engine.HedgeWins, s.Engine.HedgeWastedBytes,
-			s.Engine.ResumedBytes, s.Engine.ResumeVerifyFailures)
+	expo := s.Expo()
+	for _, c := range expo.Counters {
+		if c.Value != 0 {
+			fmt.Fprintf(os.Stderr, "davix-get: %s=%d\n", c.Name, c.Value)
+		}
 	}
-	fmt.Fprintf(os.Stderr, "davix-get: pool: %d dials, %d reuses, %d discards\n",
-		s.Pool.Dials, s.Pool.Reuses, s.Pool.Discards)
-	for _, q := range s.Expo().Quantiles {
+	for _, q := range expo.Quantiles {
 		fmt.Fprintf(os.Stderr, "davix-get: %-14s n=%-4d p50=%v p99=%v\n", q.Op, q.Count, q.P50, q.P99)
 	}
 }
@@ -136,10 +84,9 @@ func main() {
 	if *s3Key != "" {
 		s3creds = &davix.S3Credentials{AccessKey: *s3Key, SecretKey: *s3Secret, Region: *s3Region}
 	}
-	var chunkBytes atomic.Int64
 	var trace *davix.ClientTrace
 	if *verbose {
-		trace = verboseTrace(&chunkBytes)
+		trace = davix.SlogTrace(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	}
 	client, err := davix.New(davix.Options{
 		RequestTimeout:  *timeout,

@@ -74,7 +74,7 @@ func TestPublicLifecycle(t *testing.T) {
 }
 
 func TestPublicFileAndVectored(t *testing.T) {
-	_, st, c := startFabric(t, Options{Strategy: StrategyNone, CoalesceGap: 64})
+	_, st, c := startFabric(t, Options{Strategy: StrategyNone})
 	ctx := context.Background()
 
 	blob := make([]byte, 32<<10)
@@ -452,7 +452,6 @@ func TestPublicMetricsAndRetry(t *testing.T) {
 		Retry: RetryPolicy{
 			Attempts:    3,
 			BaseBackoff: time.Millisecond,
-			Jitter:      func(time.Duration) time.Duration { return 0 },
 		},
 	})
 	if err != nil {

@@ -110,9 +110,10 @@ const putResponse = "HTTP/1.1 201 Created\r\nDigest: crc32c=f3178639\r\n" +
 //     streaming, buffer-pooled scatter: 2112 measured when the
 //     materialize-then-scatter path (6226) was deleted, 2080 while the
 //     Range header was rendered with fmt (two allocs a frame), 1043 since
-//     it is rendered with strconv.AppendInt into one builder: the budget.
-//     Under the race detector, which drops a share of sync.Pool puts, it
-//     reads 1043–1047.
+//     it is rendered with strconv.AppendInt into one builder, all as 512
+//     ranges. A request carries at most 256 ranges, so the fragments now
+//     touch in pairs and go as 256: 786, the budget. Under the race
+//     detector, which drops a share of sync.Pool puts, it reads 786–789.
 //   - Get of 16 KiB, GetRange of 512 B, Stat and Put of 16 KiB, each
 //     against the gateway's own header set: 23/29/26/23 allocs and
 //     1448/1560/1616/1448 B beyond the payload with map headers and a fresh
@@ -126,11 +127,13 @@ const putResponse = "HTTP/1.1 201 Created\r\nDigest: crc32c=f3178639\r\n" +
 //     they read up to 4/4/2/3 allocs and 1.9 KB, for the pooled writers
 //     and structs it drops.
 func TestClientAllocBudgets(t *testing.T) {
-	const fragments, fragLen, objSize = 512, 512, 8 << 20
+	// The fragments touch in pairs: 512 fragments are one request's 256
+	// ranges.
+	const fragments, fragLen, objSize = 2 * maxRangesPerRequest, 512, 8 << 20
 	ranges := make([]rangev.Range, fragments)
 	dsts := make([][]byte, fragments)
 	for i := range ranges {
-		ranges[i] = rangev.Range{Off: int64(i) * objSize / fragments, Len: fragLen}
+		ranges[i] = rangev.Range{Off: int64(i/2)*objSize/maxRangesPerRequest + int64(i%2)*fragLen, Len: fragLen}
 		dsts[i] = make([]byte, fragLen)
 	}
 	const small, rangeLen = 16 << 10, 512
@@ -155,7 +158,7 @@ func TestClientAllocBudgets(t *testing.T) {
 				}
 				return err
 			}},
-		{"ReadVec 512 fragments", raceBudget(1043, 1200), 0, 0,
+		{"ReadVec 512 fragments", raceBudget(786, 900), 0, 0,
 			func(t *testing.T) []byte { return vecResponse(t, objSize, rangev.Coalesce(ranges, 0)) },
 			func(c *Client) error { return c.ReadVec(ctx, "replay:80", "/vec", ranges, dsts) }},
 		{"Get 16 KiB", raceBudget(4, 8), small, raceBytes(512),
@@ -197,8 +200,7 @@ func TestClientAllocBudgets(t *testing.T) {
 				Dialer: pool.DialerFunc(func(context.Context, string) (net.Conn, error) {
 					return &replayConn{resp: resp}, nil
 				}),
-				Strategy:            StrategyNone,
-				MaxRangesPerRequest: fragments, // one request per ReadVec
+				Strategy: StrategyNone,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -39,7 +39,11 @@ const (
 )
 
 // Options configures a Client. The zero value dials real TCP with the
-// failover strategy enabled.
+// failover strategy enabled. Every field is a setting some program turns;
+// what no deployment tunes is a constant: a vectored read merges only
+// touching fragments and carries at most 256 ranges a request, the pool
+// keeps up to 64 idle connections per host for 60 s, and a retry sleeps a
+// half-jittered backoff.
 type Options struct {
 	// Dialer establishes transport connections (netsim.Network for
 	// simulations); nil dials TCP via net.Dialer.
@@ -64,17 +68,6 @@ type Options struct {
 	// RequestTimeout bounds each individual request round trip (header
 	// received); 0 means no timeout beyond ctx.
 	RequestTimeout time.Duration
-
-	// CoalesceGap is the data-sieving threshold for vectored reads: holes
-	// of at most this many bytes are fetched and discarded to merge
-	// neighbouring fragments into one range (default 0: merge only
-	// touching fragments).
-	CoalesceGap int64
-
-	// MaxRangesPerRequest splits very large vectored reads into several
-	// multi-range requests, respecting server header-size limits
-	// (default 256).
-	MaxRangesPerRequest int
 
 	// Strategy selects the Metalink policy (default StrategyFailover).
 	Strategy Strategy
@@ -238,14 +231,8 @@ func (o Options) withDefaults() Options {
 			return new(net.Dialer).DialContext(ctx, "tcp", addr)
 		})
 	}
-	if o.MaxRangesPerRequest <= 0 {
-		o.MaxRangesPerRequest = 256
-	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 1 << 20
-	}
-	if o.CoalesceGap < 0 {
-		o.CoalesceGap = 0
 	}
 	if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
@@ -301,10 +288,6 @@ func NewClient(opts Options) (*Client, error) {
 
 // Close releases all pooled connections.
 func (c *Client) Close() { c.pool.Close() }
-
-// CloseIdlePool drops pooled idle connections for host, e.g. once the host
-// is known to be down.
-func (c *Client) CloseIdlePool(host string) { c.pool.CloseIdle(host) }
 
 // Response couples a parsed wire response with the pooled connection it
 // arrived on, in one struct that exchanges recycle. Closing the Response

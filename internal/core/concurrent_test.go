@@ -22,9 +22,8 @@ import (
 func TestConcurrentVectorReadsUnderCap(t *testing.T) {
 	const maxPerHost = 4
 	env := newEnv(t, Options{
-		Strategy:            StrategyNone,
-		MaxRangesPerRequest: 4, // force multi-batch vector reads
-		MaxPerHost:          maxPerHost,
+		Strategy:   StrategyNone,
+		MaxPerHost: maxPerHost,
 	})
 	env.startServer(t, "dpm1:80", httpserv.Options{})
 	blob := make([]byte, 1<<20)
@@ -69,11 +68,14 @@ func TestConcurrentVectorReadsUnderCap(t *testing.T) {
 					}
 					continue
 				}
-				k := rng.Intn(24) + 8
+				// More fragments than one request carries, each in a 1 KiB
+				// slot of its own: a multi-batch vector read.
+				k := maxRangesPerRequest + 1 + rng.Intn(maxRangesPerRequest)
+				slots := rng.Perm(len(blob) / 1024)[:k]
 				ranges := make([]rangev.Range, k)
 				dsts := make([][]byte, k)
-				for j := range ranges {
-					ranges[j] = rangev.Range{Off: rng.Int63n(int64(len(blob)) - 256), Len: rng.Int63n(255) + 1}
+				for j, slot := range slots {
+					ranges[j] = rangev.Range{Off: int64(slot)*1024 + rng.Int63n(512), Len: rng.Int63n(255) + 1}
 					dsts[j] = make([]byte, ranges[j].Len)
 				}
 				if err := env.client.ReadVec(ctx, "dpm1:80", "/blob", ranges, dsts); err != nil {
@@ -105,10 +107,7 @@ func TestConcurrentVectorReadsUnderCap(t *testing.T) {
 // cancellation leave dsts unfilled, and a silent success would let
 // readVecCached poison the block cache with garbage.
 func TestReadVecParallelCancelNeverSucceeds(t *testing.T) {
-	env := newEnv(t, Options{
-		Strategy:            StrategyNone,
-		MaxRangesPerRequest: 2,
-	})
+	env := newEnv(t, Options{Strategy: StrategyNone})
 	env.startServer(t, "dpm1:80", httpserv.Options{})
 	blob := make([]byte, 256<<10)
 	if err := env.stores["dpm1:80"].Put("/blob", blob); err != nil {
@@ -116,13 +115,7 @@ func TestReadVecParallelCancelNeverSucceeds(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	k := 12
-	ranges := make([]rangev.Range, k)
-	dsts := make([][]byte, k)
-	for i := range ranges {
-		ranges[i] = rangev.Range{Off: int64(i) * 8192, Len: 64}
-		dsts[i] = make([]byte, 64)
-	}
+	ranges, dsts := spacedRanges(6*maxRangesPerRequest, 128, 64)
 	for i := 0; i < 50; i++ {
 		if err := env.client.ReadVec(ctx, "dpm1:80", "/blob", ranges, dsts); err == nil {
 			t.Fatal("cancelled ReadVec reported success")
@@ -134,26 +127,17 @@ func TestReadVecParallelCancelNeverSucceeds(t *testing.T) {
 // the genuine batch error (here a 404 every replica would reproduce), not a
 // sibling's context cancellation.
 func TestReadVecParallelFirstErrorWins(t *testing.T) {
-	env := newEnv(t, Options{
-		Strategy:            StrategyNone,
-		MaxRangesPerRequest: 2,
-	})
+	env := newEnv(t, Options{Strategy: StrategyNone})
 	env.startServer(t, "dpm1:80", httpserv.Options{})
 	blob := make([]byte, 64<<10)
 	if err := env.stores["dpm1:80"].Put("/blob", blob); err != nil {
 		t.Fatal(err)
 	}
 
-	// Ranges far apart: many frames, many batches; the read targets a path
+	// Ranges that do not touch: many frames, many batches; the read targets a path
 	// that vanishes mid-test is hard to stage, so use a missing object —
 	// every batch 404s and the first error must surface as ErrNotFound.
-	k := 16
-	ranges := make([]rangev.Range, k)
-	dsts := make([][]byte, k)
-	for i := range ranges {
-		ranges[i] = rangev.Range{Off: int64(i) * 4096, Len: 16}
-		dsts[i] = make([]byte, 16)
-	}
+	ranges, dsts := spacedRanges(8*maxRangesPerRequest, 64, 16)
 	err := env.client.ReadVec(context.Background(), "dpm1:80", "/missing", ranges, dsts)
 	if err == nil {
 		t.Fatal("expected error")

@@ -194,7 +194,7 @@ func TestGetRange(t *testing.T) {
 }
 
 func TestReadVecScattersExactBytes(t *testing.T) {
-	e := newEnv(t, Options{CoalesceGap: 32})
+	e := newEnv(t, Options{})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
@@ -242,22 +242,29 @@ func TestReadVecSingleFrame(t *testing.T) {
 	}
 }
 
+// spacedRanges returns n ranges of length bytes, stride bytes apart, and
+// their destination buffers: no two touch, so each is a frame of its own.
+func spacedRanges(n int, stride, length int64) ([]rangev.Range, [][]byte) {
+	ranges := make([]rangev.Range, n)
+	dsts := make([][]byte, n)
+	for i := range ranges {
+		ranges[i] = rangev.Range{Off: int64(i) * stride, Len: length}
+		dsts[i] = make([]byte, length)
+	}
+	return ranges, dsts
+}
+
 func TestReadVecBatching(t *testing.T) {
-	e := newEnv(t, Options{MaxRangesPerRequest: 4})
+	e := newEnv(t, Options{})
 	e.startServer(t, dpm1, httpserv.Options{})
 	ctx := context.Background()
 
-	blob := make([]byte, 8192)
+	blob := make([]byte, 32<<10)
 	rand.New(rand.NewSource(4)).Read(blob)
 	e.stores[dpm1].Put("/f", blob)
 
-	// 10 widely-spaced fragments → 10 frames → 3 batches of ≤4.
-	ranges := make([]rangev.Range, 10)
-	dsts := make([][]byte, 10)
-	for i := range ranges {
-		ranges[i] = rangev.Range{Off: int64(i) * 800, Len: 16}
-		dsts[i] = make([]byte, 16)
-	}
+	// 2×256+2 spaced fragments → as many frames → 3 batches of ≤256.
+	ranges, dsts := spacedRanges(2*maxRangesPerRequest+2, 32, 16)
 	if err := e.client.ReadVec(ctx, dpm1, "/f", ranges, dsts); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +413,7 @@ func TestFailoverToSecondReplica(t *testing.T) {
 
 	// Kill the primary: reads must transparently move to dpm2.
 	e.net.SetDown(dpm1, true)
-	e.client.CloseIdlePool(dpm1)
+	e.client.pool.CloseIdle(dpm1)
 	buf2 := make([]byte, len(blob))
 	n, err := f.ReadAt(buf2, 0)
 	if err != nil {

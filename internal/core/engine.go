@@ -86,18 +86,17 @@ type RetryPolicy struct {
 	// Attempts caps tries against one replica per operation (1 = no
 	// retry; 0 is normalized to 1).
 	Attempts int
-	// BaseBackoff is slept before the first retry and doubles each
-	// further retry (default 50ms when Attempts > 1).
+	// BaseBackoff is the backoff before the first retry, doubling each
+	// further retry (default 50ms when Attempts > 1); each sleep is drawn
+	// uniformly from [backoff/2, backoff].
 	BaseBackoff time.Duration
 	// CapBackoff bounds the exponential growth (default 2s).
 	CapBackoff time.Duration
-	// Jitter maps each computed backoff to the duration actually slept.
-	// Nil applies half-jitter (uniform in [d/2, d]); tests inject a
-	// deterministic function.
-	Jitter func(time.Duration) time.Duration
 }
 
-// backoff computes the (jittered) sleep before retry number n (1-based).
+// backoff computes the sleep before retry number n (1-based): the
+// exponential backoff d with half-jitter, uniform in [d/2, d], so clients
+// failing together do not retry in lockstep.
 func (p RetryPolicy) backoff(n int) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < n; i++ {
@@ -108,9 +107,6 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	}
 	if d > p.CapBackoff {
 		d = p.CapBackoff
-	}
-	if p.Jitter != nil {
-		return p.Jitter(d)
 	}
 	if d <= 1 {
 		return d

@@ -238,7 +238,6 @@ func TestRetryPolicyRetriesRetryableStatus(t *testing.T) {
 		Retry: RetryPolicy{
 			Attempts:    3,
 			BaseBackoff: time.Millisecond,
-			Jitter:      func(time.Duration) time.Duration { return 0 },
 		},
 	})
 	e.startServer(t, dpm1, httpserv.Options{})
@@ -265,7 +264,6 @@ func TestRetryPolicyBudgetExhausted(t *testing.T) {
 		Retry: RetryPolicy{
 			Attempts:    2,
 			BaseBackoff: time.Millisecond,
-			Jitter:      func(time.Duration) time.Duration { return 0 },
 		},
 	})
 	e.startServer(t, dpm1, httpserv.Options{})
@@ -309,7 +307,6 @@ func TestRetryPolicyNoRetryOnSemanticFailure(t *testing.T) {
 		Retry: RetryPolicy{
 			Attempts:    5,
 			BaseBackoff: time.Millisecond,
-			Jitter:      func(time.Duration) time.Duration { return 0 },
 		},
 	})
 	e.startServer(t, dpm1, httpserv.Options{})
@@ -323,39 +320,22 @@ func TestRetryPolicyNoRetryOnSemanticFailure(t *testing.T) {
 }
 
 // TestRetryBackoffSequence: the exponential schedule doubles from
-// BaseBackoff and clamps at CapBackoff; the injected jitter sees exactly
-// that deterministic sequence.
+// BaseBackoff and clamps at CapBackoff, and each sleep is half-jittered:
+// drawn from [d/2, d] of that deterministic sequence, spread over it.
 func TestRetryBackoffSequence(t *testing.T) {
-	var mu sync.Mutex
-	var seen []time.Duration
-	e := newEnv(t, Options{
-		Strategy: StrategyNone,
-		Retry: RetryPolicy{
-			Attempts:    4,
-			BaseBackoff: 10 * time.Millisecond,
-			CapBackoff:  25 * time.Millisecond,
-			Jitter: func(d time.Duration) time.Duration {
-				mu.Lock()
-				seen = append(seen, d)
-				mu.Unlock()
-				return 0 // deterministic and instant for the test
-			},
-		},
-	})
-	e.startServer(t, dpm1, httpserv.Options{})
-	e.stores[dpm1].Put("/f", []byte("x"))
-	e.faults[dpm1].Set("/f", faults.Fault{Status: 502, Remaining: 3})
-
-	if _, err := e.client.Get(context.Background(), dpm1, "/f"); err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond}
-	if len(seen) != len(want) {
-		t.Fatalf("jitter saw %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("backoff %d = %v, want %v", i, seen[i], want[i])
+	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, CapBackoff: 25 * time.Millisecond}
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
+	for i, d := range want {
+		lo, hi := d, time.Duration(0)
+		for range 1000 {
+			got := p.backoff(i + 1)
+			if got < d/2 || got > d {
+				t.Fatalf("backoff %d = %v, want within [%v, %v]", i+1, got, d/2, d)
+			}
+			lo, hi = min(lo, got), max(hi, got)
+		}
+		if hi-lo < d/4 {
+			t.Fatalf("backoff %d drew only [%v, %v] in 1000 tries, want spread over [%v, %v]", i+1, lo, hi, d/2, d)
 		}
 	}
 }
@@ -369,9 +349,6 @@ func TestOptionsNormalization(t *testing.T) {
 		check func(t *testing.T, o Options)
 	}{
 		{"zero value gets documented defaults", Options{}, func(t *testing.T, o Options) {
-			if o.MaxRangesPerRequest != 256 {
-				t.Errorf("defaults = ranges %d", o.MaxRangesPerRequest)
-			}
 			if o.ChunkSize != 1<<20 {
 				t.Errorf("chunk %d", o.ChunkSize)
 			}
@@ -380,14 +357,10 @@ func TestOptionsNormalization(t *testing.T) {
 			}
 		}},
 		{"negative sizes and counts collapse to defaults", Options{
-			MaxRangesPerRequest: -7, ChunkSize: -64,
-			CoalesceGap: -5, RequestTimeout: -time.Second,
+			ChunkSize: -64, RequestTimeout: -time.Second,
 		}, func(t *testing.T, o Options) {
-			if o.MaxRangesPerRequest != 256 || o.ChunkSize != 1<<20 {
-				t.Errorf("negatives not normalized: %+v", o)
-			}
-			if o.CoalesceGap != 0 || o.RequestTimeout != 0 {
-				t.Errorf("gap %d timeout %v", o.CoalesceGap, o.RequestTimeout)
+			if o.ChunkSize != 1<<20 || o.RequestTimeout != 0 {
+				t.Errorf("chunk %d timeout %v", o.ChunkSize, o.RequestTimeout)
 			}
 		}},
 		{"zero retry fields get documented defaults", Options{

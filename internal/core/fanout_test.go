@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"godavix/internal/httpserv"
-	"godavix/internal/rangev"
 	"godavix/internal/storage"
 )
 
@@ -119,14 +118,9 @@ func TestFanOutFirstErrorWins(t *testing.T) {
 		match func(*http.Request) bool
 		run   func(ctx context.Context, c *Client) error
 	}{
-		{"ReadVec", Options{MaxRangesPerRequest: 2, MaxPerHost: 2}, isGet,
+		{"ReadVec", Options{MaxPerHost: 2}, isGet,
 			func(ctx context.Context, c *Client) error {
-				ranges := make([]rangev.Range, 8)
-				dsts := make([][]byte, len(ranges))
-				for i := range ranges {
-					ranges[i] = rangev.Range{Off: int64(i) * chunk, Len: 64}
-					dsts[i] = make([]byte, 64)
-				}
+				ranges, dsts := spacedRanges(4*maxRangesPerRequest, 128, 64)
 				return c.ReadVec(ctx, dpm1, "/f", ranges, dsts)
 			}},
 		{"DownloadMultiStreamTo", Options{ChunkSize: chunk, MaxPerHost: 2}, isGet,

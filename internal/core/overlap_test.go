@@ -12,7 +12,6 @@ import (
 
 	"godavix/internal/httpserv"
 	"godavix/internal/obs"
-	"godavix/internal/rangev"
 	"godavix/internal/storage"
 )
 
@@ -130,19 +129,14 @@ func TestRequestsOverlapAtGateway(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("ReadVec sends every batch at once", func(t *testing.T) {
-		const batches, perBatch = 8, 4
-		e := newEnv(t, Options{Strategy: StrategyNone, MaxRangesPerRequest: perBatch})
+		const batches = 8
+		e := newEnv(t, Options{Strategy: StrategyNone})
 		g := newOverlapGate(batches, func(r *http.Request) bool { return r.Method == http.MethodGet })
 		e.startGated(t, g, nil)
 		blob := uploadBlob(64<<10, 81)
 		e.stores[dpm1].Put("/f", blob)
 
-		ranges := make([]rangev.Range, batches*perBatch)
-		dsts := make([][]byte, len(ranges))
-		for i := range ranges {
-			ranges[i] = rangev.Range{Off: int64(i) * 2048, Len: 16}
-			dsts[i] = make([]byte, 16)
-		}
+		ranges, dsts := spacedRanges(batches*maxRangesPerRequest, 32, 16)
 		if err := e.client.ReadVec(ctx, dpm1, "/f", ranges, dsts); err != nil {
 			t.Fatal(err)
 		}
@@ -345,18 +339,14 @@ func TestFanOutWidthIsConnectionBudget(t *testing.T) {
 	}
 }
 
-// runReadVec3 reads three ranges from dpm1, one multi-range batch each.
+// runReadVec3 reads 2×256+1 spaced ranges from dpm1: three multi-range
+// batches.
 func runReadVec3(t *testing.T, opts Options, g *overlapGate) {
-	opts.MaxRangesPerRequest = 1
 	e := newEnv(t, opts)
 	e.startGated(t, g, nil)
 	blob := uploadBlob(64<<10, 84)
 	e.stores[dpm1].Put("/f", blob)
-	ranges := []rangev.Range{{Off: 0, Len: 16}, {Off: 20 << 10, Len: 16}, {Off: 40 << 10, Len: 16}}
-	dsts := make([][]byte, len(ranges))
-	for i := range dsts {
-		dsts[i] = make([]byte, 16)
-	}
+	ranges, dsts := spacedRanges(2*maxRangesPerRequest+1, 64, 16)
 	if err := e.client.ReadVec(context.Background(), dpm1, "/f", ranges, dsts); err != nil {
 		t.Fatal(err)
 	}

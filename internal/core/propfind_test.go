@@ -85,7 +85,7 @@ func multistatus(t *testing.T, entries ...webdav.Entry) []byte {
 // the cut attempt.
 func TestListRetriesACutDocumentWhole(t *testing.T) {
 	e := newEnv(t, Options{
-		Retry: RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, Jitter: func(d time.Duration) time.Duration { return d }},
+		Retry: RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond},
 	})
 	l, err := e.net.Listen("cut:80")
 	if err != nil {

@@ -10,11 +10,16 @@ import (
 	"godavix/internal/wire"
 )
 
+// maxRangesPerRequest splits a vectored read into multi-range requests of
+// at most this many ranges each, so a Range header stays within server
+// header-size limits.
+const maxRangesPerRequest = 256
+
 // ReadVec performs the paper's §2.3 vectored read: the requested fragments
-// are coalesced (data sieving with Options.CoalesceGap), shipped as one or
-// more HTTP multi-range requests, and the multipart/byteranges responses
-// are scattered back into dsts. dsts[i] receives ranges[i] and must be at
-// least ranges[i].Len bytes long.
+// are coalesced (only fragments that touch or overlap merge), shipped as
+// one or more HTTP multi-range requests, and the multipart/byteranges
+// responses are scattered back into dsts. dsts[i] receives ranges[i] and
+// must be at least ranges[i].Len bytes long.
 //
 // One network round trip typically serves hundreds of fragment reads,
 // which is what lets HTTP compete with the HPC protocols' aggressive
@@ -24,7 +29,7 @@ import (
 // batches never queue behind each other on one borrowed session.
 //
 // The whole read fails over to the next replica together. The coalesced
-// frames are cut into MaxRangesPerRequest batches that fan out over pooled
+// frames are cut into maxRangesPerRequest batches that fan out over pooled
 // connections, one per batch and at most MaxPerHost at a time; at
 // MaxPerHost 1 they go serially, in order. Batches write disjoint
 // destination buffers (each caller range is a member of exactly one frame,
@@ -34,8 +39,8 @@ func (c *Client) ReadVec(ctx context.Context, host, path string, ranges []rangev
 	if err := validateVec(ranges, dsts); err != nil {
 		return err
 	}
-	frames := rangev.Coalesce(ranges, c.opts.CoalesceGap)
-	per := c.opts.MaxRangesPerRequest
+	frames := rangev.Coalesce(ranges, 0)
+	per := maxRangesPerRequest
 	n := (len(frames) + per - 1) / per
 	par := c.width(n, 1, n)
 	return c.withFailover(ctx, host, path, nil, func(r Replica) error {

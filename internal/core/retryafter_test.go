@@ -85,32 +85,35 @@ func FuzzParseRetryAfter(f *testing.F) {
 	})
 }
 
+// TestRetryDelayHonorsRetryAfter: the delay is the half-jittered backoff,
+// within [d/2, d], unless the server's Retry-After asks for longer; that
+// ask is the floor, up to CapBackoff.
 func TestRetryDelayHonorsRetryAfter(t *testing.T) {
-	// Identity jitter makes the computed backoff deterministic.
 	pol := RetryPolicy{
 		Attempts:    3,
 		BaseBackoff: 10 * time.Millisecond,
 		CapBackoff:  2 * time.Second,
-		Jitter:      func(d time.Duration) time.Duration { return d },
 	}
 	cases := []struct {
-		name string
-		err  error
-		n    int
-		want time.Duration
+		name   string
+		err    error
+		n      int
+		lo, hi time.Duration
 	}{
-		{"no-status-error", errors.New("conn reset"), 1, 10 * time.Millisecond},
-		{"status-without-retry-after", &StatusError{Code: 503}, 1, 10 * time.Millisecond},
-		{"retry-after-stretches", &StatusError{Code: 503, RetryAfter: time.Second}, 1, time.Second},
-		{"retry-after-below-backoff", &StatusError{Code: 503, RetryAfter: time.Millisecond}, 2, 20 * time.Millisecond},
-		{"retry-after-capped", &StatusError{Code: 503, RetryAfter: time.Minute}, 1, 2 * time.Second},
+		{"no-status-error", errors.New("conn reset"), 1, 5 * time.Millisecond, 10 * time.Millisecond},
+		{"status-without-retry-after", &StatusError{Code: 503}, 1, 5 * time.Millisecond, 10 * time.Millisecond},
+		{"retry-after-stretches", &StatusError{Code: 503, RetryAfter: time.Second}, 1, time.Second, time.Second},
+		{"retry-after-below-backoff", &StatusError{Code: 503, RetryAfter: time.Millisecond}, 2, 10 * time.Millisecond, 20 * time.Millisecond},
+		{"retry-after-capped", &StatusError{Code: 503, RetryAfter: time.Minute}, 1, 2 * time.Second, 2 * time.Second},
 		{"wrapped-status-error", fmt.Errorf("attempt failed: %w",
-			&StatusError{Code: 503, RetryAfter: 500 * time.Millisecond}), 1, 500 * time.Millisecond},
+			&StatusError{Code: 503, RetryAfter: 500 * time.Millisecond}), 1, 500 * time.Millisecond, 500 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := retryDelay(pol, tc.n, tc.err); got != tc.want {
-				t.Fatalf("retryDelay = %v, want %v", got, tc.want)
+			for range 100 {
+				if got := retryDelay(pol, tc.n, tc.err); got < tc.lo || got > tc.hi {
+					t.Fatalf("retryDelay = %v, want within [%v, %v]", got, tc.lo, tc.hi)
+				}
 			}
 		})
 	}

@@ -9,6 +9,8 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -301,12 +303,37 @@ func TestUploadCancelledNeverReportsSuccess(t *testing.T) {
 	}
 }
 
+// refuseRangedPut answers every PUT that carries Content-Range with 400,
+// as an origin that does not implement partial PUTs does (RFC 9110
+// §14.4), and hands every other request to the gateway.
+func refuseRangedPut(srv *httpserv.Server, _ *storage.MemStore) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && r.Header.Get("Content-Range") != "" {
+			http.Error(w, "Content-Range on PUT not supported", http.StatusBadRequest)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	})
+}
+
+// putStatuses lists the status of every PUT addr received, in arrival
+// order.
+func (e *testEnv) putStatuses(addr string) []int {
+	var codes []int
+	for _, x := range e.faults[addr].Exchanges() {
+		if x.Method == http.MethodPut {
+			codes = append(codes, x.Status)
+		}
+	}
+	return codes
+}
+
 // TestUploadFallsBackWhenRangedPutUnsupported: a server refusing
 // Content-Range PUTs (RFC 9110 400) must degrade the multi-stream upload
 // to the single-stream path transparently.
 func TestUploadFallsBackWhenRangedPutUnsupported(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
-	e.startServer(t, dpm1, httpserv.Options{DisableRangedPut: true})
+	e.startServerHandler(t, dpm1, httpserv.Options{}, refuseRangedPut)
 
 	blob := uploadBlob(64<<10, 39)
 	if err := e.client.UploadMultiStream(context.Background(), dpm1, "/fb", bytes.NewReader(blob), int64(len(blob))); err != nil {
@@ -317,8 +344,8 @@ func TestUploadFallsBackWhenRangedPutUnsupported(t *testing.T) {
 		t.Fatalf("stored %d bytes err=%v", len(got), err)
 	}
 	// Exactly the rejected probe plus one whole-body PUT.
-	if puts := e.srvs[dpm1].RequestsByMethod("PUT"); puts != 2 {
-		t.Fatalf("server PUTs = %d, want 2 (probe + fallback)", puts)
+	if puts := e.putStatuses(dpm1); !slices.Equal(puts, []int{400, 201}) {
+		t.Fatalf("PUT statuses = %v, want [400 201] (probe + fallback)", puts)
 	}
 }
 
@@ -339,7 +366,7 @@ func TestUploadSerialFallbackIsCounted(t *testing.T) {
 			}
 			events = append(events, err)
 		}}})
-	e.startServer(t, dpm1, httpserv.Options{DisableRangedPut: true})
+	e.startServerHandler(t, dpm1, httpserv.Options{}, refuseRangedPut)
 	e.startServer(t, "dpm2:80", httpserv.Options{})
 	blob := uploadBlob(64<<10, 41)
 	ctx := context.Background()
@@ -458,7 +485,7 @@ func TestCopyStreamPullParallel(t *testing.T) {
 func TestCopyStreamPipeFallback(t *testing.T) {
 	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 4 << 10})
 	e.startServer(t, dpm1, httpserv.Options{})
-	e.startServer(t, "dpm2:80", httpserv.Options{DisableRangedPut: true})
+	e.startServerHandler(t, "dpm2:80", httpserv.Options{}, refuseRangedPut)
 	blob := uploadBlob(32<<10, 43)
 	e.stores[dpm1].Put("/src", blob)
 
@@ -470,8 +497,8 @@ func TestCopyStreamPipeFallback(t *testing.T) {
 		t.Fatalf("dest stored %d bytes err=%v", len(got), err)
 	}
 	// The rejected probe plus one streaming whole-body PUT.
-	if puts := e.srvs["dpm2:80"].RequestsByMethod("PUT"); puts != 2 {
-		t.Fatalf("dest PUTs = %d, want 2 (probe + pipe fallback)", puts)
+	if puts := e.putStatuses("dpm2:80"); !slices.Equal(puts, []int{400, 201}) {
+		t.Fatalf("dest PUT statuses = %v, want [400 201] (probe + pipe fallback)", puts)
 	}
 }
 

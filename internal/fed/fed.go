@@ -35,16 +35,14 @@ type Options struct {
 	// HealthTTL caches per-endpoint health probes for this long
 	// (default 2s; the paper's DynaFed also caches endpoint state).
 	HealthTTL time.Duration
-	// ProbeTimeout bounds each health/stat probe (default 2s).
-	ProbeTimeout time.Duration
 }
+
+// probeTimeout bounds each health or stat probe.
+const probeTimeout = 2 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.HealthTTL == 0 {
 		o.HealthTTL = 2 * time.Second
-	}
-	if o.ProbeTimeout == 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -96,7 +94,7 @@ func (f *Federation) alive(ctx context.Context, host string) bool {
 	f.probes++
 	f.mu.Unlock()
 
-	pctx, cancel := context.WithTimeout(ctx, f.opts.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	// Probe the namespace root; any HTTP answer (even 404/405) proves the
 	// server is up — only transport errors mean dead.
@@ -130,7 +128,7 @@ func (f *Federation) MetalinkFor(p string) *metalink.Metalink {
 			continue
 		}
 		rp := (&url.URL{Path: ep.Prefix + p}).EscapedPath()
-		pctx, cancel := context.WithTimeout(ctx, f.opts.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		inf, err := f.client.Stat(pctx, ep.Host, rp)
 		cancel()
 		if err != nil {

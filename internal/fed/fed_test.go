@@ -147,7 +147,7 @@ func TestHealthRecoveryAfterTTL(t *testing.T) {
 	e.net.SetDown("dpm1:80", true)
 
 	f := New(e.client, []Endpoint{{Host: "dpm1:80", Priority: 1}},
-		Options{HealthTTL: 20 * time.Millisecond, ProbeTimeout: 100 * time.Millisecond})
+		Options{HealthTTL: 20 * time.Millisecond})
 	if ml := f.MetalinkFor("/f"); ml != nil {
 		t.Fatalf("dead endpoint listed: %+v", ml)
 	}

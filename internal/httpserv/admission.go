@@ -54,11 +54,12 @@ type Limits struct {
 	// PartialTTL overrides how long an idle ranged-upload assembly
 	// survives before the janitor reaps it. Defaults to one minute.
 	PartialTTL time.Duration
-	// RetryAfterFloor is the minimum Retry-After advertised on a shed;
-	// the actual value scales with queue pressure and is jittered so a
-	// shed cohort does not return in lockstep. Default 1s.
-	RetryAfterFloor time.Duration
 }
+
+// retryAfterFloor is the base Retry-After advertised on a shed; the value
+// sent scales with queue pressure and is jittered so a shed cohort does
+// not return in lockstep.
+const retryAfterFloor = time.Second
 
 // admissionEnabled reports whether any admission limit is armed.
 func (l Limits) admissionEnabled() bool {
@@ -109,9 +110,6 @@ func newAdmission(lim Limits, trace *obs.ServerTrace) *admission {
 	}
 	if lim.QueueWait <= 0 {
 		lim.QueueWait = 100 * time.Millisecond
-	}
-	if lim.RetryAfterFloor <= 0 {
-		lim.RetryAfterFloor = time.Second
 	}
 	if lim.PerClientRate > 0 && lim.PerClientBurst <= 0 {
 		lim.PerClientBurst = int(math.Max(1, lim.PerClientRate))
@@ -284,16 +282,16 @@ func (a *admission) shedTotal() int64 {
 	return a.shedByReason[0].Load() + a.shedByReason[1].Load() + a.shedByReason[2].Load()
 }
 
-// retryAfter derives the backoff advertised on a shed: the configured
-// floor, scaled up with queue pressure (a fuller queue pushes clients
-// further away) and jittered ±25% so a shed cohort does not come back as a
+// retryAfter derives the backoff advertised on a shed: retryAfterFloor,
+// scaled up with queue pressure (a fuller queue pushes clients further
+// away) and jittered ±25% so a shed cohort does not come back as a
 // synchronized thundering herd.
 func (a *admission) retryAfter() time.Duration {
 	load := 1.0
 	if a.lim.QueueDepth > 0 {
 		load += float64(a.queued.Load()) / float64(a.lim.QueueDepth)
 	}
-	d := float64(a.lim.RetryAfterFloor) * load
+	d := float64(retryAfterFloor) * load
 	// xorshift64* step for the jitter; quality is irrelevant, decorrelation
 	// across sheds is the point.
 	for {

@@ -83,12 +83,6 @@ type Options struct {
 	// (return "" for unknown keys).
 	S3Secrets func(accessKey string) string
 
-	// DisableRangedPut makes the server refuse PUTs carrying a
-	// Content-Range header with 400, the RFC 9110 §14.4 behaviour of an
-	// origin that does not implement partial PUTs. Used to exercise the
-	// client's single-stream upload fallback.
-	DisableRangedPut bool
-
 	// Limits arms the gateway's overload defences: admission control,
 	// per-client fairness, deadlines, stall protection. The zero value
 	// keeps the historical unbounded test-fixture behaviour.
@@ -739,13 +733,6 @@ func putAlgo(r *http.Request) digest.Algo {
 
 func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 	if cr := r.Header.Get("Content-Range"); cr != "" {
-		if s.opts.DisableRangedPut {
-			// RFC 9110 §14.4: an origin that cannot honour Content-Range
-			// on PUT must reject the request rather than store a chunk as
-			// the whole object.
-			http.Error(w, "Content-Range on PUT not supported", http.StatusBadRequest)
-			return
-		}
 		s.serveRangedPut(w, r, p, cr)
 		return
 	}

@@ -467,18 +467,6 @@ func TestRangedPutRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRangedPutDisabled: with DisableRangedPut the server refuses partial
-// PUTs with 400 (RFC 9110 §14.4) and never stores chunk bodies.
-func TestRangedPutDisabled(t *testing.T) {
-	_, ts, st := newTestServer(t, Options{DisableRangedPut: true})
-	if code := putRange(t, ts.URL+"/off", []byte("xxxx"), 0, 3, 8); code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", code)
-	}
-	if _, err := st.Stat("/off"); err == nil {
-		t.Fatal("chunk stored despite DisableRangedPut")
-	}
-}
-
 // TestWholePutAbandonsPartial: a whole-body PUT replaces any half-built
 // ranged upload for the path.
 func TestWholePutAbandonsPartial(t *testing.T) {

@@ -104,7 +104,7 @@ func Encode(m *Metalink) ([]byte, error) {
 }
 
 // Decode parses a Metalink XML document. Only the first file element is
-// considered; URLs are returned sorted by ascending priority (stable, so
+// considered; a missing or negative size decodes as -1; URLs are returned sorted by ascending priority (stable, so
 // document order breaks ties).
 func Decode(data []byte) (*Metalink, error) {
 	var doc xmlMetalink
@@ -116,8 +116,8 @@ func Decode(data []byte) (*Metalink, error) {
 	}
 	xf := doc.Files[0]
 	m := &Metalink{Name: xf.Name, Size: -1}
-	if xf.Size != nil {
-		m.Size = *xf.Size
+	if xf.Size != nil && *xf.Size >= 0 {
+		m.Size = *xf.Size // a negative size is as unknown as a missing one
 	}
 	if len(xf.Hashes) > 0 {
 		h := xf.Hashes[0]

@@ -43,16 +43,10 @@ func (f DialerFunc) DialContext(ctx context.Context, addr string) (net.Conn, err
 
 // Options configures a Pool. The zero value gives sensible defaults.
 type Options struct {
-	// MaxIdlePerHost bounds idle connections kept per host (default 64).
-	MaxIdlePerHost int
-
 	// MaxPerHost bounds total concurrent connections per host; 0 means
 	// unlimited ("pool size proportional to the level of concurrency", the
 	// paper's default behaviour).
 	MaxPerHost int
-
-	// IdleTTL discards idle connections older than this (default 60s).
-	IdleTTL time.Duration
 
 	// TLS, when non-nil, upgrades every dialed connection to a TLS client
 	// session with this configuration (the handshake runs inside Get, under
@@ -65,15 +59,13 @@ type Options struct {
 	TLS *tls.Config
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxIdlePerHost == 0 {
-		o.MaxIdlePerHost = 64
-	}
-	if o.IdleTTL == 0 {
-		o.IdleTTL = 60 * time.Second
-	}
-	return o
-}
+const (
+	// maxIdlePerHost bounds the idle connections kept per host; a
+	// connection released onto a full stack is closed.
+	maxIdlePerHost = 64
+	// idleTTL discards idle connections older than this.
+	idleTTL = 60 * time.Second
+)
 
 // Stats aggregates pool activity counters; used by the Figure 2 benches.
 type Stats struct {
@@ -133,7 +125,7 @@ type Pool struct {
 func New(d Dialer, opts Options) *Pool {
 	p := &Pool{
 		dialer:     d,
-		opts:       opts.withDefaults(),
+		opts:       opts,
 		reaperStop: make(chan struct{}),
 	}
 	for i := range p.shards {
@@ -233,7 +225,7 @@ func (p *Pool) Get(ctx context.Context, host string) (*Conn, error) {
 		// sessions warm and lets surplus ones expire).
 		if stack := s.idle[host]; len(stack) > 0 {
 			c := stack[len(stack)-1]
-			if time.Since(c.idleAt) > p.opts.IdleTTL {
+			if time.Since(c.idleAt) > idleTTL {
 				// LIFO order means the top is the freshest: when it has
 				// expired, everything under it has too. Retire the whole
 				// stack in one batch under a single lock acquisition
@@ -305,7 +297,7 @@ func (p *Pool) Put(c *Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c.borrowed = false
-	if p.closed.Load() || len(s.idle[c.host]) >= p.opts.MaxIdlePerHost {
+	if p.closed.Load() || len(s.idle[c.host]) >= maxIdlePerHost {
 		s.active[c.host]--
 		p.discards.Add(1)
 		s.notifyLocked(c.host)
@@ -370,11 +362,7 @@ func (p *Pool) abandonWaiter(s *shard, host string, ch chan struct{}) {
 // TTL, so long-idle hosts release their sockets without waiting for the
 // next Get to stumble over them.
 func (p *Pool) reapLoop() {
-	period := p.opts.IdleTTL / 2
-	if period < time.Second {
-		period = time.Second
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(idleTTL / 2)
 	defer t.Stop()
 	for {
 		select {
@@ -396,7 +384,7 @@ func (p *Pool) reapIdle(now time.Time) {
 		s.mu.Lock()
 		for host, stack := range s.idle {
 			keep := 0
-			for keep < len(stack) && now.Sub(stack[keep].idleAt) > p.opts.IdleTTL {
+			for keep < len(stack) && now.Sub(stack[keep].idleAt) > idleTTL {
 				keep++
 			}
 			if keep == 0 {

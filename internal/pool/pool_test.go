@@ -136,14 +136,23 @@ func TestMaxPerHostContextCancel(t *testing.T) {
 	}
 }
 
+// age backdates idle connection c by d, as if it had sat idle that much
+// longer.
+func age(p *Pool, c *Conn, d time.Duration) {
+	s := p.shardFor(c.host)
+	s.mu.Lock()
+	c.idleAt = c.idleAt.Add(-d)
+	s.mu.Unlock()
+}
+
 func TestIdleTTLExpiry(t *testing.T) {
 	n, addr := newFabric(t)
-	p := New(n, Options{IdleTTL: 10 * time.Millisecond})
+	p := New(n, Options{})
 	defer p.Close()
 
 	c1, _ := p.Get(context.Background(), addr)
 	p.Put(c1)
-	time.Sleep(25 * time.Millisecond)
+	age(p, c1, idleTTL+time.Second)
 	c2, err := p.Get(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +169,7 @@ func TestIdleTTLExpiry(t *testing.T) {
 // one Get, each counted as a discard.
 func TestIdleTTLBatchExpiry(t *testing.T) {
 	n, addr := newFabric(t)
-	p := New(n, Options{IdleTTL: 10 * time.Millisecond})
+	p := New(n, Options{})
 	defer p.Close()
 
 	ctx := context.Background()
@@ -178,7 +187,9 @@ func TestIdleTTLBatchExpiry(t *testing.T) {
 	if got := p.IdleCount(addr); got != 3 {
 		t.Fatalf("idle = %d, want 3", got)
 	}
-	time.Sleep(25 * time.Millisecond)
+	for _, c := range conns {
+		age(p, c, idleTTL+time.Second)
+	}
 	c, err := p.Get(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -200,17 +211,17 @@ func TestIdleTTLBatchExpiry(t *testing.T) {
 // each idle stack and keeps per-host accounting intact.
 func TestReapIdleSweep(t *testing.T) {
 	n, addr := newFabric(t)
-	p := New(n, Options{IdleTTL: 50 * time.Millisecond})
+	p := New(n, Options{})
 	defer p.Close()
 
 	ctx := context.Background()
 	c1, _ := p.Get(ctx, addr)
 	c2, _ := p.Get(ctx, addr)
 	p.Put(c1)
-	time.Sleep(30 * time.Millisecond)
-	p.Put(c2) // c1 is older than c2
+	p.Put(c2)
+	age(p, c1, idleTTL/2) // c1 is older than c2
 
-	p.reapIdle(time.Now().Add(30 * time.Millisecond)) // c1 past TTL, c2 not
+	p.reapIdle(time.Now().Add(idleTTL * 3 / 4)) // c1 past TTL, c2 not
 	if got := p.IdleCount(addr); got != 1 {
 		t.Fatalf("idle = %d, want 1", got)
 	}
@@ -275,21 +286,27 @@ func TestShardedHostsConcurrent(t *testing.T) {
 
 func TestMaxIdleOverflowCloses(t *testing.T) {
 	n, addr := newFabric(t)
-	p := New(n, Options{MaxIdlePerHost: 1})
+	p := New(n, Options{})
 	defer p.Close()
 
 	ctx := context.Background()
-	c1, _ := p.Get(ctx, addr)
-	c2, _ := p.Get(ctx, addr)
-	p.Put(c1)
-	p.Put(c2) // overflow: closed
-	if got := p.IdleCount(addr); got != 1 {
-		t.Fatalf("idle = %d, want 1", got)
+	conns := make([]*Conn, maxIdlePerHost+1)
+	for i := range conns {
+		c, err := p.Get(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	for _, c := range conns {
+		p.Put(c) // the last one overflows: closed
+	}
+	if got := p.IdleCount(addr); got != maxIdlePerHost {
+		t.Fatalf("idle = %d, want %d", got, maxIdlePerHost)
 	}
 	if p.Stats().Discards != 1 {
 		t.Fatalf("discards = %d", p.Stats().Discards)
 	}
-	_ = n
 }
 
 // TestNeverExceedsMaxPerHost hammers the pool with concurrent borrowers and

@@ -34,9 +34,9 @@ import (
 // starts the pipeline during training: its lookahead fills become this
 // cache's pending fills, and a demand fill for a window they carry part of
 // takes only the rest. A depth of 0 is the synchronous cache of the
-// paper's HTTP column: every fill is one blocking round trip for all of
-// its window's baskets, byte-for-byte the legacy behaviour, decoded on the
-// caller's goroutine.
+// paper's HTTP column: entering a window sends one blocking round trip for
+// its baskets that are not resident, decoded on the caller's goroutine by
+// the reader's one synchronous loader.
 //
 // A payload from Event or Branch aliases its decoded basket, and entering
 // a window hands the buffers of every basket it evicts back to their pools
@@ -71,19 +71,16 @@ type TreeCache struct {
 // pendingFill is one window's fill on its way to the reader's basket cache.
 type pendingFill struct {
 	start uint64
-	// keys are the baskets this fill brings: all of its window's for a
-	// synchronous fill; for a pipelined one, those neither resident nor
-	// brought by a fill for an earlier window.
+	// keys are the baskets this fill brings: those of its window neither
+	// resident nor brought by a fill for an earlier window.
 	keys  []basketKey
 	bytes int64
-	// done yields the fill's single completion error. A pipelined fill
-	// sets decoded before sending; a synchronous one leaves blobs to be
-	// inflated by finishFill.
+	// done yields the fill's single completion error, sent once decoded
+	// is set.
 	done    chan error
 	decoded []*basket // aligned with keys
-	blobs   [][]byte  // fetched baskets of a synchronous fill, aligned with keys
-	// req is the request a pipelined fill shares with the other windows
-	// of its group.
+	// req is the request the fill shares with the other windows of its
+	// group.
 	req *fillRequest
 }
 
@@ -100,10 +97,10 @@ type fillRequest struct {
 // selects 1000) and prefetch depth: the number of windows beyond the
 // current one kept in flight, shipped as requests of ⌊(depth+1)/2⌋ windows
 // each (depths 1 and 2 send one window per request, depth 3 two). Depth 0
-// disables speculation entirely — fills are synchronous and byte-identical
-// to the legacy TreeCache. A negative depth selects the automatic default
-// (1 with an asynchronous source, else 0). A positive depth needs the
-// Source's ReadVecAsyncCtx; without it the depth is 0.
+// disables speculation entirely: fills are synchronous. A negative depth
+// selects the automatic default (1 with an asynchronous source, else 0). A
+// positive depth needs the Source's ReadVecAsyncCtx; without it the depth
+// is 0.
 func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int) *TreeCache {
 	if windowEvents == 0 {
 		windowEvents = 1000
@@ -132,9 +129,9 @@ func NewTreeCacheDepth(r *Reader, windowEvents uint64, branches []int, depth int
 
 // Fills reports how many fills have been issued. A fill is one vectored
 // request (one network round trip on the davix path): one window's at
-// depth 0, up to ⌊(depth+1)/2⌋ windows' when pipelined. A pipelined fill
-// whose baskets are all resident already completes without touching the
-// source. A TrainingCache lookahead that rides a demand read is no fill
+// depth 0, sent only when a basket of the window is not resident, up to
+// ⌊(depth+1)/2⌋ windows' when pipelined. A pipelined fill whose baskets
+// are all resident already completes without touching the source. A TrainingCache lookahead that rides a demand read is no fill
 // of its own.
 func (tc *TreeCache) Fills() int64 { return tc.fills }
 
@@ -170,24 +167,6 @@ func (tc *TreeCache) windowKeys(start uint64, branches []int, from uint64) ([]ba
 		}
 	}
 	return keys, nil
-}
-
-// startFillSync fetches a window's baskets, all of them, with one blocking
-// vectored read, one range per basket — the legacy synchronous fill,
-// preserved byte-for-byte for depth 0. The blobs land in bufpool buffers
-// that finishFill returns.
-func (tc *TreeCache) startFillSync(keys []basketKey) *pendingFill {
-	ranges := make([]rangev.Range, len(keys))
-	dsts := make([][]byte, len(keys))
-	for i, k := range keys {
-		b := tc.reader.idx.Branches[k.branch].Baskets[k.basket]
-		ranges[i] = rangev.Range{Off: b.Offset, Len: b.CompressedSize}
-		dsts[i] = bufpool.Get(int(b.CompressedSize))
-	}
-	tc.fills++
-	pf := &pendingFill{keys: keys, blobs: dsts, done: make(chan error, 1)}
-	pf.done <- tc.reader.src.ReadVec(ranges, dsts)
-	return pf
 }
 
 // coalesceFill lays the fill's baskets out as merged read ranges: baskets
@@ -368,17 +347,9 @@ func (tc *TreeCache) launch(p *fillPlan, demand bool, fetch func(context.Context
 }
 
 // finishFill waits for pf and publishes its baskets into the reader cache,
-// on the caller's goroutine; a synchronous fill's blobs are inflated here
-// and their buffers returned.
+// on the caller's goroutine.
 func (tc *TreeCache) finishFill(pf *pendingFill) error {
-	err := <-pf.done
-	if pf.blobs != nil {
-		if err == nil {
-			pf.decoded, err = tc.reader.decodeBaskets(pf.keys, pf.blobs)
-		}
-		putAll(pf.blobs)
-	}
-	if err != nil {
+	if err := <-pf.done; err != nil {
 		return err
 	}
 	tc.reader.publish(pf.keys, pf.decoded)
@@ -472,8 +443,12 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 			}
 		}
 		tc.pending = slices.DeleteFunc(tc.pending, func(pf *pendingFill) bool { return pf.start == ws })
-	default:
-		cur = []*pendingFill{tc.startFillSync(keys)}
+	case slices.ContainsFunc(keys, func(k basketKey) bool { return !tc.reader.resident(k) }):
+		// Synchronous: one blocking vectored read brings what is missing.
+		tc.fills++
+		if err := tc.reader.loadBaskets(keys, tc.reader.src.ReadVec); err != nil {
+			return err
+		}
 	}
 
 	// A basket the fill left to the fill of a window the access pattern

@@ -409,22 +409,29 @@ func TestHTTPXrootdParity(t *testing.T) {
 	}
 
 	// Every other way of reading the file over HTTP computes the same
-	// physics: synchronous learned fills and plain demand reads.
+	// physics: synchronous learned fills and plain demand reads. The
+	// synchronous fills also ask for exactly the pipelined job's ranges:
+	// a window fill leaves out the baskets still resident.
 	b := newParityBed(t, netsim.LAN(), img)
 	defer b.close()
 	for _, c := range []struct {
-		name string
-		job  func(*core.File) (parityJob, error)
+		name  string
+		job   func(*core.File) (parityJob, error)
+		exact bool
 	}{
 		{"learned sync", func(f *core.File) (parityJob, error) {
 			return trainedJob(fileSource(f), 0)
-		}},
+		}, true},
 		{"demand reads", func(f *core.File) (parityJob, error) {
 			return demandJob(fileSource(f))
-		}},
+		}, false},
 	} {
-		if j := b.httpJob(t, c.job); j.sum != ref.sum || j.events != ref.events {
+		j := b.httpJob(t, c.job)
+		if j.sum != ref.sum || j.events != ref.events {
 			t.Errorf("http %s: sum %#x over %d events, want %#x over %d", c.name, j.sum, j.events, ref.sum, ref.events)
+		}
+		if c.exact && (j.ranges != parityRanges || j.payload != parityPayload) {
+			t.Errorf("http %s: %d ranges of %d bytes, want %d of %d", c.name, j.ranges, j.payload, parityRanges, parityPayload)
 		}
 	}
 }

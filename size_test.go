@@ -18,24 +18,24 @@ import (
 // the code down. Directories in ungatedDirs are counted and printed only.
 var codeCeilings = map[string]int{
 	".":                   190,
-	"cmd/davix-get":       238,
+	"cmd/davix-get":       189,
 	"cmd/dpm-server":      80,
 	"examples/federation": 113,
 	"examples/quickstart": 96,
 	"examples/tpc":        91,
 	"internal/blockcache": 179,
 	"internal/bufpool":    61,
-	"internal/core":       3115,
+	"internal/core":       3103,
 	"internal/digest":     272,
 	"internal/faults":     232,
-	"internal/fed":        106,
-	"internal/httpserv":   1160,
+	"internal/fed":        103,
+	"internal/httpserv":   1152,
 	"internal/metalink":   113,
 	"internal/netsim":     494,
 	"internal/obs":        446,
-	"internal/pool":       355,
+	"internal/pool":       344,
 	"internal/rangev":     485,
-	"internal/rootio":     1546,
+	"internal/rootio":     1528,
 	"internal/s3":         144,
 	"internal/storage":    508,
 	"internal/webdav":     975,
