@@ -321,7 +321,10 @@ func TestRetryPolicyNoRetryOnSemanticFailure(t *testing.T) {
 
 // TestRetryBackoffSequence: the exponential schedule doubles from
 // BaseBackoff and clamps at CapBackoff, and each sleep is half-jittered:
-// drawn from [d/2, d] of that deterministic sequence, spread over it.
+// drawn from [d/2, d] of that deterministic sequence, spread over it. A
+// real Get through four retryable failures sleeps that schedule, retry n
+// the n-th step: at least 10+20+40+80 ms of 20/40/80/160 ms, where a loop
+// that passed a fixed index would sleep at most 4 × 20 ms.
 func TestRetryBackoffSequence(t *testing.T) {
 	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, CapBackoff: 25 * time.Millisecond}
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
@@ -337,6 +340,24 @@ func TestRetryBackoffSequence(t *testing.T) {
 		if hi-lo < d/4 {
 			t.Fatalf("backoff %d drew only [%v, %v] in 1000 tries, want spread over [%v, %v]", i+1, lo, hi, d/2, d)
 		}
+	}
+
+	e := newEnv(t, Options{
+		Strategy: StrategyNone,
+		Retry:    RetryPolicy{Attempts: 5, BaseBackoff: 20 * time.Millisecond, CapBackoff: time.Second},
+	})
+	e.startServer(t, dpm1, httpserv.Options{})
+	e.stores[dpm1].Put("/f", []byte("x"))
+	e.faults[dpm1].Set("/f", faults.Fault{Status: 502, Remaining: 4})
+	start := time.Now()
+	if _, err := e.client.Get(context.Background(), dpm1, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	if m := e.client.Metrics(); m.Retries != 4 {
+		t.Fatalf("Metrics.Retries = %d, want 4", m.Retries)
+	}
+	if took, floor := time.Since(start), 150*time.Millisecond; took < floor {
+		t.Fatalf("Get through 4 retries took %v, want at least %v (half of 20+40+80+160 ms)", took, floor)
 	}
 }
 

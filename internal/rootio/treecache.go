@@ -443,10 +443,11 @@ func (tc *TreeCache) enterWindow(ws uint64) error {
 			}
 		}
 		tc.pending = slices.DeleteFunc(tc.pending, func(pf *pendingFill) bool { return pf.start == ws })
-	case slices.ContainsFunc(keys, func(k basketKey) bool { return !tc.reader.resident(k) }):
-		// Synchronous: one blocking vectored read brings what is missing.
-		tc.fills++
-		if err := tc.reader.loadBaskets(keys, tc.reader.src.ReadVec); err != nil {
+	default:
+		// Synchronous: one blocking vectored read brings what is missing,
+		// and none when the window is resident.
+		read := func(r []rangev.Range, d [][]byte) error { tc.fills++; return tc.reader.src.ReadVec(r, d) }
+		if err := tc.reader.loadBaskets(keys, read); err != nil {
 			return err
 		}
 	}

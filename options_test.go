@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,44 +58,14 @@ func TestOptionFieldCount(t *testing.T) {
 // such as opts.MaxStreams. Naming one as a composite-literal key, as the
 // benchmark still does, sets a value nothing reads and passes.
 func TestDeprecatedOptionsAreInert(t *testing.T) {
-	inert := make(map[string]bool, len(inertOptions))
-	for _, name := range inertOptions {
-		inert[name] = true
-	}
-	fset := token.NewFileSet()
-	files := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+	im := checkModule(t)
+	opts := im.pkgs[modulePath+"/internal/core"].Scope().Lookup("Options").Type().Underlying().(*types.Struct)
+	for i := range opts.NumFields() {
+		if f := opts.Field(i); slices.Contains(inertOptions, f.Name()) {
+			for _, pos := range im.selected[f] {
+				t.Errorf("%s: .%s: the option is inert, and program code must not use it", im.fset.Position(pos), f.Name())
 			}
-			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && inert[sel.Sel.Name] {
-				t.Errorf("%s: .%s: the option is inert, and program code must not use it", fset.Position(sel.Sel.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files == 0 {
-		t.Fatal("no Go files found under the module root")
 	}
 }
 
@@ -123,13 +94,16 @@ var programlessOptions = map[string]string{
 }
 
 // srcImporter type-checks the module's packages from source, each once,
-// and takes the standard library from its export data. Each package's
-// field uses are recorded in uses as the set of importing package paths.
+// and takes the standard library from its export data. A field's uses by
+// packages other than its own are recorded in uses as the set of their
+// paths, and every selector of a field (x.F, its own package's included)
+// in selected.
 type srcImporter struct {
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*types.Package
-	uses map[*types.Var]map[string]bool
+	fset     *token.FileSet
+	std      types.Importer
+	pkgs     map[string]*types.Package
+	uses     map[*types.Var]map[string]bool
+	selected map[*types.Var][]token.Pos
 }
 
 const modulePath = "godavix"
@@ -152,7 +126,7 @@ func (im *srcImporter) Import(path string) (*types.Package, error) {
 			return nil, err
 		}
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	pkg, err := (&types.Config{Importer: im}).Check(path, im.fset, files, info)
 	if err != nil {
 		return nil, err
@@ -166,35 +140,58 @@ func (im *srcImporter) Import(path string) (*types.Package, error) {
 			im.uses[v][path] = true
 		}
 	}
+	for expr, sel := range info.Selections {
+		if v, ok := sel.Obj().(*types.Var); ok && v.IsField() {
+			im.selected[v] = append(im.selected[v], expr.Sel.Pos())
+		}
+	}
 	return pkg, nil
+}
+
+var (
+	moduleOnce    sync.Once
+	moduleChecked *srcImporter
+	moduleErr     error
+)
+
+// checkModule type-checks every non-test package of the module, once for
+// all the tests that ask.
+func checkModule(t *testing.T) *srcImporter {
+	t.Helper()
+	moduleOnce.Do(func() {
+		im := &srcImporter{
+			fset:     token.NewFileSet(),
+			std:      importer.Default(),
+			pkgs:     map[string]*types.Package{},
+			uses:     map[*types.Var]map[string]bool{},
+			selected: map[*types.Var][]token.Pos{},
+		}
+		moduleErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			_, err = im.Import(strings.TrimSuffix(modulePath+"/"+filepath.ToSlash(path), "/."))
+			if none := (*build.NoGoError)(nil); errors.As(err, &none) {
+				return nil // a directory of test files or data only
+			}
+			return err
+		})
+		moduleChecked = im
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleChecked
 }
 
 // TestEveryOptionHasAProgram type-checks every non-test package of the
 // module and fails on a field of an optionStructs struct that no package
 // but its own uses, unless programlessOptions names it with a reason.
 func TestEveryOptionHasAProgram(t *testing.T) {
-	im := &srcImporter{
-		fset: token.NewFileSet(),
-		std:  importer.Default(),
-		pkgs: map[string]*types.Package{},
-		uses: map[*types.Var]map[string]bool{},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		_, err = im.Import(strings.TrimSuffix(modulePath+"/"+filepath.ToSlash(path), "/."))
-		if none := (*build.NoGoError)(nil); errors.As(err, &none) {
-			return nil // a directory of test files or data only
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	im := checkModule(t)
 	seen := map[string]bool{}
 	for _, s := range optionStructs {
 		pkg := im.pkgs[modulePath+"/"+s.pkg]
