@@ -325,23 +325,26 @@ func (r *Response) release() {
 	responses.Put(r)
 }
 
-// Close finishes the response: a fully-consumed keep-alive body recycles
-// the connection; anything else discards it, as does a cancellation whose
-// hook has fired (the slammed deadline poisons the connection). Either way,
-// the exchange's pending wire bytes are settled into the client counters
-// first (committed normally, dropped for an abandoned redirect hop). It
-// never fails: the error is always nil.
+// Close finishes the response: a keep-alive body that is fully consumed,
+// or whose remainder Close drains (one known to be at most 64 KiB, or a
+// chunked body that ends within 64 KiB), recycles the connection; anything
+// else discards it, as does a cancellation whose hook has fired (the
+// slammed deadline poisons the connection). Either way, the exchange's
+// pending wire bytes are settled into the client counters first
+// (committed normally, dropped for an abandoned redirect hop). It never
+// fails: the error is always nil.
 func (r *Response) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	recycle := r.KeepAlive && r.Consumed()
-	if !recycle && r.KeepAlive {
-		// Try to drain a small remainder so the connection stays usable.
-		if _, err := io.CopyN(io.Discard, r.Body, 64<<10); err == io.EOF && r.Consumed() {
-			recycle = true
-		}
+	if !recycle && r.KeepAlive && r.Remaining() <= 64<<10 {
+		// Drain a small remainder, or up to 64 KiB of a chunked body, so the
+		// connection stays usable. A larger known remainder is given up at
+		// once: reading it would cost more than a new dial.
+		io.CopyN(io.Discard, r.Body, 64<<10)
+		recycle = r.Consumed()
 	}
 	if r.stop != nil && !r.stop() {
 		recycle = false

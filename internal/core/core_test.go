@@ -671,44 +671,52 @@ func TestGetMetalinkDirect(t *testing.T) {
 // TestMetalinkProbeNeverDrainsPayload guards the discovery probe's byte
 // cost: a server with no Metalink support answers the negotiated GET with
 // the object body itself, and GetMetalink must give up after the headers
-// (ErrNoMetalink) instead of draining an object-sized body. A multi-stream
-// download against such a server must likewise pay for the payload roughly
-// once, not once per probe.
+// (ErrNoMetalink) instead of draining an object-sized body. Its connection
+// read only what arrived with the headers, at most the connection's 16 KiB
+// read buffer; a known remainder over 64 KiB is not drained, so the
+// 100 000 B object costs no more than the 8 MiB one. A multi-stream
+// download against such a server must likewise pay for the payload once,
+// plus its own probe, not once per probe.
 func TestMetalinkProbeNeverDrainsPayload(t *testing.T) {
-	e := newEnv(t, Options{ChunkSize: 1 << 20})
-	e.startServer(t, dpm1, httpserv.Options{}) // no Metalinks provider
-	size := int64(8) << 20
-	blob := make([]byte, size)
-	rand.New(rand.NewSource(65)).Read(blob)
-	e.stores[dpm1].Put("/store/big", blob)
+	const probeMax = 16 << 10
+	for _, size := range []int64{100_000, 8 << 20} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			e := newEnv(t, Options{ChunkSize: 1 << 20})
+			e.startServer(t, dpm1, httpserv.Options{}) // no Metalinks provider
+			blob := make([]byte, size)
+			rand.New(rand.NewSource(65)).Read(blob)
+			e.stores[dpm1].Put("/store/big", blob)
 
-	ctx := context.Background()
-	if _, err := e.client.GetMetalink(ctx, dpm1, "/store/big"); !errors.Is(err, ErrNoMetalink) {
-		t.Fatalf("err = %v, want ErrNoMetalink", err)
-	}
-	// The probe read headers plus at most the 64KiB salvage drain.
-	if got := e.client.Metrics().BytesDown; got > 128<<10 {
-		t.Fatalf("probe drained %d bytes from an %d-byte object", got, size)
-	}
+			ctx := context.Background()
+			if _, err := e.client.GetMetalink(ctx, dpm1, "/store/big"); !errors.Is(err, ErrNoMetalink) {
+				t.Fatalf("err = %v, want ErrNoMetalink", err)
+			}
+			probe := e.client.Metrics().BytesDown
+			if probe > probeMax {
+				t.Fatalf("probe read %d bytes of a %d-byte object, want <= %d", probe, size, probeMax)
+			}
 
-	f, err := os.CreateTemp(t.TempDir(), "mlprobe-*.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	n, err := e.client.DownloadMultiStreamTo(ctx, dpm1, "/store/big", f)
-	if err != nil || n != size {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	got, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("content mismatch")
-	}
-	// One payload plus probe salvage + headers, never two payloads.
-	if bd := e.client.Metrics().BytesDown; bd > size+256<<10 {
-		t.Fatalf("BytesDown = %d for one %d-byte download: probe drained the body", bd, size)
+			f, err := os.CreateTemp(t.TempDir(), "mlprobe-*.dat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			n, err := e.client.DownloadMultiStreamTo(ctx, dpm1, "/store/big", f)
+			if err != nil || n != size {
+				t.Fatalf("n=%d err=%v", n, err)
+			}
+			got, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, blob) {
+				t.Fatal("content mismatch")
+			}
+			// Two probes (the one above and the download's own), the
+			// payload once, and the responses' headers.
+			if bd := e.client.Metrics().BytesDown; bd > size+2*probeMax+8<<10 {
+				t.Fatalf("BytesDown = %d for one %d-byte download: probe drained the body", bd, size)
+			}
+		})
 	}
 }

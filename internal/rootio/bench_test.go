@@ -55,6 +55,17 @@ func scanImage(tb testing.TB, events int) []byte {
 	return img
 }
 
+// BenchmarkSynthesize builds the analysis benchmark's dataset: 12 000
+// events of 12 branches, 564 baskets compressed through the Writer.
+func BenchmarkSynthesize(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Synthesize(SynthSpec{Events: 12000, Branches: 12, MeanPayload: 64, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 var scanSink int
 
 func BenchmarkTrainedScan(b *testing.B) {

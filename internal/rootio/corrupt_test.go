@@ -203,6 +203,25 @@ func TestHugeEventCountRejectedBeforeAllocating(t *testing.T) {
 	}
 }
 
+// TestHugeBasketCountRejectedBeforeAllocating: a branch's basket count is
+// held against the index bytes left before its basket table is sized, so
+// an index claiming 2^20 baskets in 36 bytes cannot make Open allocate 40
+// bytes per claimed basket (40 MiB here).
+func TestHugeBasketCountRejectedBeforeAllocating(t *testing.T) {
+	raw := []byte{0, 0, 0, 1, 0, 1, 'a', 0, 0x10, 0, 0}
+	raw = append(raw, make([]byte, 28+8)...)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := decodeIndex(raw)
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if n := m1.TotalAlloc - m0.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("rejecting the index allocated %d bytes, want < 64 KiB", n)
+	}
+}
+
 // events2branch extracts one branch's payloads from whole events.
 func events2branch(events [][][]byte, branch int) [][]byte {
 	out := make([][]byte, len(events))

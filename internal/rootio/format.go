@@ -25,7 +25,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Format constants.
@@ -95,7 +98,10 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	return o
 }
 
-// Writer produces an RNT file streamed to an io.Writer.
+// Writer produces an RNT file streamed to an io.Writer. Each window's
+// baskets are compressed on min(GOMAXPROCS, branches) goroutines, the
+// caller's among them, and written in branch order once all are done, so
+// the file's bytes do not depend on how many cores compressed them.
 type Writer struct {
 	w      io.Writer
 	opts   WriterOptions
@@ -103,9 +109,22 @@ type Writer struct {
 	offset int64
 	closed bool
 
-	// buffered per-branch payloads for the current basket window
-	pending [][][]byte
+	// raw holds each branch's basket for the current window as it will be
+	// compressed: a 4-byte event-count slot, filled at flush, then
+	// len u32 | payload per event.
+	raw     [][]byte
+	pending int // events in the current window
 	events  uint64
+
+	// comp and errs are each branch's compressed basket and verdict of the
+	// last flush. zws[k] is worker k's compressor, reset for every basket;
+	// jobs[k-1] runs worker k on a goroutine of its own.
+	comp []bytes.Buffer
+	errs []error
+	zws  []*zlib.Writer
+	jobs []func()
+	next atomic.Int32 // next branch a worker claims
+	wg   sync.WaitGroup
 }
 
 // NewWriter starts an RNT file with the given branch names.
@@ -117,7 +136,12 @@ func NewWriter(w io.Writer, branches []string, opts WriterOptions) (*Writer, err
 	for _, b := range branches {
 		wr.index.Branches = append(wr.index.Branches, BranchIndex{Name: b})
 	}
-	wr.pending = make([][][]byte, len(branches))
+	wr.raw = make([][]byte, len(branches))
+	for i := range wr.raw {
+		wr.raw[i] = make([]byte, 4)
+	}
+	wr.comp = make([]bytes.Buffer, len(branches))
+	wr.errs = make([]error, len(branches))
 	var hdr [headerLen]byte
 	copy(hdr[0:4], magicHead)
 	binary.BigEndian.PutUint32(hdr[4:8], formatVersion)
@@ -128,7 +152,8 @@ func NewWriter(w io.Writer, branches []string, opts WriterOptions) (*Writer, err
 	return wr, nil
 }
 
-// WriteEvent appends one event; values[i] is the payload of branch i.
+// WriteEvent appends one event; values[i] is the payload of branch i. The
+// payloads are copied, so the caller may reuse them once it returns.
 func (w *Writer) WriteEvent(values [][]byte) error {
 	if w.closed {
 		return ErrClosed
@@ -137,51 +162,99 @@ func (w *Writer) WriteEvent(values [][]byte) error {
 		return fmt.Errorf("rootio: event has %d values, file has %d branches", len(values), len(w.index.Branches))
 	}
 	for i, v := range values {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		w.pending[i] = append(w.pending[i], cp)
+		w.raw[i] = binary.BigEndian.AppendUint32(w.raw[i], uint32(len(v)))
+		w.raw[i] = append(w.raw[i], v...)
 	}
+	w.pending++
 	w.events++
-	if len(w.pending[0]) >= w.opts.EventsPerBasket {
+	if w.pending >= w.opts.EventsPerBasket {
 		return w.flushBaskets()
 	}
 	return nil
 }
 
-// flushBaskets writes one basket per branch for the buffered events.
+// flushBaskets writes one basket per branch for the buffered events: it
+// compresses them all, then writes them in branch order and returns the
+// first error in that order.
 func (w *Writer) flushBaskets() error {
-	n := len(w.pending[0])
+	n := w.pending
 	if n == 0 {
 		return nil
 	}
 	firstEvent := w.events - uint64(n)
-	for bi := range w.pending {
-		raw := encodeBasket(w.pending[bi])
-		var comp bytes.Buffer
-		zw, err := zlib.NewWriterLevel(&comp, w.opts.CompressionLevel)
-		if err != nil {
-			return err
+	for _, raw := range w.raw {
+		binary.BigEndian.PutUint32(raw[0:4], uint32(n))
+	}
+	if err := w.compress(); err != nil {
+		return err
+	}
+	for bi, raw := range w.raw {
+		if w.errs[bi] != nil {
+			return w.errs[bi]
 		}
-		if _, err := zw.Write(raw); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		if _, err := w.w.Write(comp.Bytes()); err != nil {
+		comp := w.comp[bi].Bytes()
+		if _, err := w.w.Write(comp); err != nil {
 			return err
 		}
 		w.index.Branches[bi].Baskets = append(w.index.Branches[bi].Baskets, BasketInfo{
 			Offset:           w.offset,
-			CompressedSize:   int64(comp.Len()),
+			CompressedSize:   int64(len(comp)),
 			UncompressedSize: int64(len(raw)),
 			FirstEvent:       firstEvent,
 			NumEvents:        uint32(n),
 		})
-		w.offset += int64(comp.Len())
-		w.pending[bi] = w.pending[bi][:0]
+		w.offset += int64(len(comp))
+		w.raw[bi] = raw[:4]
 	}
+	w.pending = 0
 	return nil
+}
+
+// compress fills comp and errs for every branch on min(GOMAXPROCS,
+// branches) workers, the calling goroutine being worker 0, and returns
+// once every worker has finished.
+func (w *Writer) compress() error {
+	workers := min(runtime.GOMAXPROCS(0), len(w.raw))
+	for k := len(w.zws); k < workers; k++ {
+		zw, err := zlib.NewWriterLevel(nil, w.opts.CompressionLevel)
+		if err != nil {
+			return err
+		}
+		w.zws = append(w.zws, zw)
+		if k > 0 {
+			w.jobs = append(w.jobs, func() {
+				defer w.wg.Done()
+				w.drain(zw)
+			})
+		}
+	}
+	w.next.Store(0)
+	w.wg.Add(workers - 1)
+	for _, job := range w.jobs[:workers-1] {
+		go job()
+	}
+	w.drain(w.zws[0])
+	w.wg.Wait()
+	return nil
+}
+
+// drain compresses the baskets of the branches it claims with zw until
+// none is left.
+func (w *Writer) drain(zw *zlib.Writer) {
+	for {
+		bi := int(w.next.Add(1)) - 1
+		if bi >= len(w.raw) {
+			return
+		}
+		comp := &w.comp[bi]
+		comp.Reset()
+		zw.Reset(comp)
+		_, err := zw.Write(w.raw[bi])
+		if cerr := zw.Close(); err == nil {
+			err = cerr
+		}
+		w.errs[bi] = err
+	}
 }
 
 // Close flushes pending baskets and writes the index and trailer.
@@ -206,25 +279,8 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// encodeBasket serializes event payloads: nEvents u32 { len u32 bytes }.
-func encodeBasket(events [][]byte) []byte {
-	size := 4
-	for _, e := range events {
-		size += 4 + len(e)
-	}
-	out := make([]byte, 0, size)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(events)))
-	out = append(out, tmp[:]...)
-	for _, e := range events {
-		binary.BigEndian.PutUint32(tmp[:], uint32(len(e)))
-		out = append(out, tmp[:]...)
-		out = append(out, e...)
-	}
-	return out
-}
-
-// decodeBasket reverses encodeBasket, appending the payloads to events[:0].
+// decodeBasket parses a basket the Writer built (nEvents u32 { len u32
+// bytes }), appending the payloads to events[:0].
 // An event count the bytes cannot hold is rejected before the table grows.
 func decodeBasket(events [][]byte, raw []byte) ([][]byte, error) {
 	if len(raw) < 4 {
@@ -281,63 +337,52 @@ func encodeIndex(idx *Index) []byte {
 	return buf.Bytes()
 }
 
-// decodeIndex reverses encodeIndex.
+// decodeIndex reverses encodeIndex in place. Every count is checked
+// against the bytes left before anything is sized from it, and the index
+// must end exactly where raw does.
 func decodeIndex(raw []byte) (*Index, error) {
-	rd := bytes.NewReader(raw)
-	read := func(n int) ([]byte, error) {
-		b := make([]byte, n)
-		if _, err := io.ReadFull(rd, b); err != nil {
-			return nil, ErrCorrupt
-		}
-		return b, nil
-	}
-	b, err := read(4)
-	if err != nil {
-		return nil, err
-	}
-	nb := binary.BigEndian.Uint32(b)
-	if nb > 1<<20 {
+	const branchMin, basketLen, eventsLen = 6, 28, 8
+	if len(raw) < 4+eventsLen {
 		return nil, ErrCorrupt
 	}
-	idx := &Index{}
-	for i := uint32(0); i < nb; i++ {
-		b, err := read(2)
-		if err != nil {
-			return nil, err
-		}
-		nameLen := binary.BigEndian.Uint16(b)
-		nameB, err := read(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		br := BranchIndex{Name: string(nameB)}
-		b, err = read(4)
-		if err != nil {
-			return nil, err
-		}
-		nbk := binary.BigEndian.Uint32(b)
-		if nbk > 1<<24 {
+	nb := binary.BigEndian.Uint32(raw)
+	raw = raw[4:]
+	if nb > uint32((len(raw)-eventsLen)/branchMin) {
+		return nil, ErrCorrupt
+	}
+	idx := &Index{Branches: make([]BranchIndex, nb)}
+	for i := range idx.Branches {
+		if len(raw) < 2 {
 			return nil, ErrCorrupt
 		}
-		for j := uint32(0); j < nbk; j++ {
-			b, err = read(28)
-			if err != nil {
-				return nil, err
-			}
-			br.Baskets = append(br.Baskets, BasketInfo{
+		nameLen := int(binary.BigEndian.Uint16(raw))
+		raw = raw[2:]
+		if len(raw) < nameLen+4 {
+			return nil, ErrCorrupt
+		}
+		br := &idx.Branches[i]
+		br.Name = string(raw[:nameLen])
+		nbk := binary.BigEndian.Uint32(raw[nameLen:])
+		raw = raw[nameLen+4:]
+		if nbk > uint32(len(raw)/basketLen) {
+			return nil, ErrCorrupt
+		}
+		br.Baskets = make([]BasketInfo, nbk)
+		for j := range br.Baskets {
+			b := raw[:basketLen]
+			raw = raw[basketLen:]
+			br.Baskets[j] = BasketInfo{
 				Offset:           int64(binary.BigEndian.Uint64(b[0:8])),
 				CompressedSize:   int64(binary.BigEndian.Uint32(b[8:12])),
 				UncompressedSize: int64(binary.BigEndian.Uint32(b[12:16])),
 				FirstEvent:       binary.BigEndian.Uint64(b[16:24]),
 				NumEvents:        binary.BigEndian.Uint32(b[24:28]),
-			})
+			}
 		}
-		idx.Branches = append(idx.Branches, br)
 	}
-	b, err = read(8)
-	if err != nil {
-		return nil, err
+	if len(raw) != eventsLen {
+		return nil, ErrCorrupt
 	}
-	idx.Events = binary.BigEndian.Uint64(b)
+	idx.Events = binary.BigEndian.Uint64(raw)
 	return idx, nil
 }

@@ -3,6 +3,7 @@ package rootio
 import (
 	"bytes"
 	"compress/zlib"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -55,6 +56,17 @@ func zlibCompress(tb testing.TB, level int, raw []byte) []byte {
 	zw.Write(raw)
 	zw.Close()
 	return comp.Bytes()
+}
+
+// encodeBasket is the uncompressed basket the Writer builds from events:
+// nEvents u32 { len u32 bytes }.
+func encodeBasket(events [][]byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(events)))
+	for _, e := range events {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(e)))
+		out = append(out, e...)
+	}
+	return out
 }
 
 // FuzzInflateBasket holds inflateBasket against compress/zlib in both
@@ -143,6 +155,45 @@ func FuzzInflateBasket(f *testing.F) {
 		}
 		if _, derr := decodeBasket(nil, got); derr == nil {
 			t.Fatalf("zlib inflates exactly %d bytes and they decode, but inflateBasket fails: %v", usize, err)
+		}
+	})
+}
+
+// FuzzOpenReader: OpenReader never panics, and an index it accepts is
+// exactly the bytes it was decoded from: encodeIndex gives back the file's
+// index region byte for byte. Seeds are small synthesized files, cut short
+// or with one bit flipped in their last 64 bytes (trailer, event count,
+// the last basket entries).
+func FuzzOpenReader(f *testing.F) {
+	for _, spec := range []SynthSpec{
+		{Events: 3, Branches: 2, MeanPayload: 8, Seed: 1},
+		{Events: 40, Branches: 3, MeanPayload: 16, EventsPerBasket: 16, Seed: 2},
+	} {
+		img, err := Synthesize(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+		for _, cut := range []int{1, trailerLen, trailerLen + 8, trailerLen + 37} {
+			f.Add(img[:len(img)-cut])
+		}
+		for back := 1; back <= 64; back += 3 {
+			c := slices.Clone(img)
+			c[len(c)-back] ^= 0x80
+			f.Add(c)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, img []byte) {
+		r, err := OpenReader(BytesSource(img))
+		if err != nil {
+			return
+		}
+		tail := img[len(img)-trailerLen:]
+		off := binary.BigEndian.Uint64(tail[0:8])
+		raw := img[off : off+uint64(binary.BigEndian.Uint32(tail[8:12]))]
+		if got := encodeIndex(r.Index()); !bytes.Equal(got, raw) {
+			t.Fatalf("accepted index re-encodes to %d bytes that differ from its %d", len(got), len(raw))
 		}
 	})
 }

@@ -229,6 +229,15 @@ func (r *Response) Consumed() bool {
 	return false
 }
 
+// Remaining is how many body bytes are left to read, or -1 when the
+// framing does not say (chunked or close-delimited).
+func (r *Response) Remaining() int64 {
+	if b, ok := r.Body.(*fixedBody); ok {
+		return b.remaining
+	}
+	return -1
+}
+
 // ReadAll reads the remaining body to EOF. Content-Length-framed bodies
 // are read into a single exactly-sized allocation instead of io.ReadAll's
 // grow-and-copy loop — on the vector-read and cache-fill hot paths this
